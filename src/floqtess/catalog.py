@@ -18,9 +18,9 @@ from typing import Iterable, Sequence
 
 from . import refdata
 from .derive import semiregular_counts_direct
-from .floquet import CodeParams, _chi_of, code_params
+from .floquet import CodeParams, code_params
 from .geodist import estimate_distance
-from .hypgeo import SemiRegularSig, systole
+from .hypgeo import SemiRegularSig, _check_genus, systole
 
 # One table row is exactly one code's parameter record.
 TableRow = CodeParams
@@ -56,7 +56,7 @@ def enumerate_signatures(
     cell counts (per-position on orientable surfaces, merged per-size on
     non-orientable ones).
     """
-    chi = _chi_of(genus, orientable)
+    chi = _check_genus(genus, orientable)
     if m_max is None:
         m_max = default_m_max(chi)
     if m_max < 4:
@@ -126,7 +126,7 @@ def table_to_json(rows: Iterable[TableRow]) -> list[dict]:
 
 def encoding_rate(m: Sequence[int], genus: int, orientable: bool = True) -> Fraction:
     """k/n as exact arithmetic; independent of any integrality rounding."""
-    chi = _chi_of(genus, orientable)
+    chi = _check_genus(genus, orientable)
     sig = SemiRegularSig(tuple(m))
     slack = Fraction(1, 2) - sum(Fraction(1, x) for x in sig.m)
     return (2 - chi) * slack / abs(chi)

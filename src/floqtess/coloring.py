@@ -26,6 +26,7 @@ __all__ = [
     "PAULI_OF",
     "ROUND_COLOR",
     "Check",
+    "NotColorCodeTiling",
     "TilingCheck",
     "ColorAssignment",
     "EdgeSchedule",
@@ -39,6 +40,10 @@ COLORS = ("R", "G", "B")
 PAULI_OF = {"G": "XX", "B": "YY", "R": "ZZ"}
 #: Measurement order within one period: green, blue, red.
 ROUND_COLOR = ("G", "B", "R")
+
+
+class NotColorCodeTiling(ValueError):
+    """The complex fails the color-code tiling test; no face coloring exists."""
 
 
 @dataclass(frozen=True)
@@ -233,12 +238,13 @@ def three_color(c: SurfaceComplex) -> ColorAssignment:
 
     Faces are colored by backtracking in index order with color order
     R < G < B, so the lowest-index face is red and identical complexes yield
-    identical assignments.  Raises ValueError (with the diagnostic) when the
-    complex is not a color-code tiling; never returns a partial assignment.
+    identical assignments.  Raises NotColorCodeTiling (with the diagnostic)
+    when the complex is not a color-code tiling; never returns a partial
+    assignment.
     """
     verdict = is_color_code_tiling(c)
     if not verdict:
-        raise ValueError(f"not a color-code tiling: {verdict.reason}")
+        raise NotColorCodeTiling(f"not a color-code tiling: {verdict.reason}")
     face_color = _search_face_coloring(c)
     assert face_color is not None  # is_color_code_tiling ran the same search
     edge_color = {}

@@ -10,23 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
-from . import _distpure, geodist
-from .coloring import checks_for_round, three_color
+from . import geodist
+from .coloring import NotColorCodeTiling, checks_for_round, three_color
 from .derive import clip_complex, incenter_complex, semiregular_counts_direct
-from .hypgeo import SemiRegularSig
+from .hypgeo import SemiRegularSig, _check_genus
 from .surface import fundamental_polygon
-
-try:
-    from . import _distkernel as _kernel
-
-    KERNEL = "compiled"
-except ImportError:  # pragma: no cover - depends on the build environment
-    _kernel = _distpure
-    KERNEL = "pure"
 
 # Pauli letter a stabilizer on a face of the given colour is built from.
 FACE_KIND = {"G": "X", "B": "Y", "R": "Z"}
@@ -375,6 +367,65 @@ def _vertex_adjacency(cx) -> list:
     return [tuple(sorted(s)) for s in adj]
 
 
+# (x, z) bits of the letters X, Y, Z, in syndrome-table order.
+_LETTERS = ((1, 0), (1, 1), (0, 1))
+# Syndrome words held per chunk of candidates in the weight search (8 MB).
+_CHUNK_WORDS = 1 << 20
+
+
+def _syndrome_table(group: StabilizerGroup) -> np.ndarray:
+    """``syn[q, letter, word]`` as uint64: bit ``i`` of the row-packed words
+    is set when X, Y or Z on qubit ``q`` anticommutes with row ``i``."""
+    n, rank = group.n, group.rank
+    nbytes = -(-n // 8)
+    mask = (1 << n) - 1
+
+    def bits(values):
+        raw = b"".join(v.to_bytes(nbytes, "little") for v in values)
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(rank, nbytes)
+        return np.unpackbits(rows, axis=1, count=n, bitorder="little")
+
+    gx = bits(r >> n for r in group.rows)
+    gz = bits(r & mask for r in group.rows)
+    # X meets the rows' Z part, Z their X part, Y either one but not both.
+    anti = np.stack([gz, gx ^ gz, gx]).astype(np.uint64)
+    words = -(-rank // 64)
+    anti = np.pad(anti, ((0, 0), (0, 64 * words - rank), (0, 0)))
+    place = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    packed = (anti.reshape(3, words, 64, n) * place[:, None]).sum(axis=2)
+    return np.ascontiguousarray(packed.transpose(2, 0, 1))
+
+
+def _weight_hits(syn: np.ndarray, supports: list, w: int):
+    """Yield the ``(x, z)`` bitmasks of weight-``w`` Paulis on ``supports``
+    that commute with every row behind the syndrome table ``syn``.
+
+    Every qubit of a support carries X, Y or Z (never identity), so each hit
+    has weight exactly ``w``.  A lettering commutes with all rows iff the XOR
+    of its ``w`` syndrome columns is zero; all 3^w letterings of a chunk of
+    supports are tested at once.
+    """
+    words = syn.shape[2]
+    letterings = list(product(_LETTERS, repeat=w))
+    per_chunk = max(1, _CHUNK_WORDS // (3**w * max(words, 1)))
+    for start in range(0, len(supports), per_chunk):
+        chunk = supports[start : start + per_chunk]
+        sup = np.array(chunk, dtype=np.intp)
+        acc = syn[sup[:, 0]]
+        for j in range(1, w):
+            # Lettering index grows base 3 with the last qubit fastest,
+            # matching the order of ``letterings``.
+            acc = (acc[:, :, None, :] ^ syn[sup[:, j]][:, None, :, :]).reshape(
+                len(chunk), 3 ** (j + 1), words
+            )
+        for s, lab in zip(*np.nonzero(~acc.any(axis=2))):
+            x = z = 0
+            for q, (lx, lz) in zip(chunk[s], letterings[lab]):
+                x |= lx << q
+                z |= lz << q
+            yield x, z
+
+
 def exact_distance(
     schedule, result: ScheduleResult, *, max_weight: int = 6, max_n: int = 40
 ) -> int:
@@ -391,19 +442,15 @@ def exact_distance(
             f"n={n} exceeds the exact-search bound {max_n}; use geometric estimator"
         )
     phases = result.steady_phases
-    mask = (1 << n) - 1
-    gens = [
-        ([r >> n for r in p.rows], [r & mask for r in p.rows]) for p in phases
-    ]
-    kernel = _kernel if n <= 64 else _distpure
+    tables = [_syndrome_table(p) for p in phases]
     adj = _vertex_adjacency(cx)
     for w in range(1, max_weight + 1):
         if w <= 3:
             supports = list(combinations(range(n), w))
         else:
             supports = connected_supports(adj, w)
-        for phase, (gx, gz) in zip(phases, gens):
-            for hx, hz in kernel.search_weight(gx, gz, supports, w):
+        for phase, syn in zip(phases, tables):
+            for hx, hz in _weight_hits(syn, supports, w):
                 if phase._reduce_vec((hx << n) | hz):
                     return w
     raise BoundExceeded(
@@ -510,16 +557,6 @@ class CodeParams:
         return doc
 
 
-def _chi_of(genus: int, orientable: bool) -> int:
-    if orientable:
-        if genus < 2:
-            raise ValueError("orientable construction needs genus >= 2")
-        return 2 - 2 * genus
-    if genus < 3:
-        raise ValueError("non-orientable construction needs genus >= 3")
-    return 2 - genus
-
-
 def explicit_complex(m, genus: int, orientable: bool):
     """Build the tessellation when a fundamental-polygon route exists.
 
@@ -565,7 +602,7 @@ def code_params(
     if d_mode not in ("exact", "geo", "auto"):
         raise ValueError(f"unknown d_mode {d_mode!r}")
     sig = SemiRegularSig(m)
-    chi = _chi_of(genus, orientable)
+    chi = _check_genus(genus, orientable)
     counts = semiregular_counts_direct(
         sig.m, chi, integrality="position" if orientable else "size"
     )
@@ -617,6 +654,6 @@ def code_params(
         return estimate()
     try:
         return exact()
-    except (ValueError, BoundExceeded):
+    except (NotColorCodeTiling, BoundExceeded):
         # Not a colour-code tiling, or the search ran out of its bounds.
         return estimate()

@@ -1,20 +1,21 @@
 """ISG dynamics: Pauli algebra, measurement updates, distance search."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from floqtess import _distpure
+from floqtess import floquet
 from floqtess.coloring import edge_three_color, three_color
 from floqtess.derive import clip_complex, incenter_complex
 from floqtess.floquet import (
-    KERNEL,
     BoundExceeded,
     CodeParams,
     PauliOperator,
     StabilizerGroup,
+    _syndrome_table,
     _vertex_adjacency,
+    _weight_hits,
     code_params,
     connected_supports,
     exact_distance,
@@ -27,11 +28,31 @@ from floqtess.floquet import (
 )
 from floqtess.surface import fundamental_polygon
 
-KERNELS = [_distpure]
-if KERNEL == "compiled":
-    from floqtess import _distkernel
 
-    KERNELS.append(_distkernel)
+def reference_search(gen_x, gen_z, supports, w):
+    """Loop reference for the weight search: every X/Y/Z lettering of every
+    support, kept when it commutes with each generator ``(gen_x, gen_z)``."""
+    gens = list(zip(gen_x, gen_z))
+    hits = []
+    for sup in supports:
+        opts = [((1 << q, 0), (1 << q, 1 << q), (0, 1 << q)) for q in sup]
+        for combo in product(*opts):
+            cx = 0
+            cz = 0
+            for dx, dz in combo:
+                cx |= dx
+                cz |= dz
+            for gx, gz in gens:
+                if ((cx & gz).bit_count() + (cz & gx).bit_count()) & 1:
+                    break
+            else:
+                hits.append((cx, cz))
+    return hits
+
+
+def split_rows(group):
+    mask = (1 << group.n) - 1
+    return [r >> group.n for r in group.rows], [r & mask for r in group.rows]
 
 
 def rand_pauli(rng, n):
@@ -41,6 +62,14 @@ def rand_pauli(rng, n):
 @pytest.fixture(scope="module")
 def octagon():
     cx = incenter_complex(fundamental_polygon(2, True), 8, 8)
+    assign = three_color(cx)
+    return cx, assign, run_schedule(assign, 9)
+
+
+@pytest.fixture(scope="module")
+def genus12():
+    # n=96, steady rank 72: the syndrome table needs two 64-bit words.
+    cx = incenter_complex(fundamental_polygon(12, True), 48, 48)
     assign = three_color(cx)
     return cx, assign, run_schedule(assign, 9)
 
@@ -284,29 +313,52 @@ class TestConnectedSupports:
 
 
 class TestKernels:
-    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.__name__.split(".")[-1])
-    def test_hits_agree_with_pure(self, kernel, hexagon_no):
+    @pytest.mark.parametrize("rule", ["subsets", "connected"])
+    @pytest.mark.parametrize("fix", ["hexagon_no", "octagon"])
+    def test_hits_agree_with_reference(self, fix, rule, request):
+        cx, _, result = request.getfixturevalue(fix)
+        phase = result.steady_phases[0]
+        adj = _vertex_adjacency(cx)
+        syn = _syndrome_table(phase)
+        for w in range(1, 6):
+            if rule == "subsets":
+                sups = list(combinations(range(phase.n), w))
+            else:
+                sups = connected_supports(adj, w)
+            assert sorted(_weight_hits(syn, sups, w)) == sorted(
+                reference_search(*split_rows(phase), sups, w)
+            )
+
+    def test_small_chunks_agree_with_reference(self, hexagon_no, monkeypatch):
         _, _, result = hexagon_no
         phase = result.steady_phases[0]
-        n = phase.n
-        mask = (1 << n) - 1
-        gx = [r >> n for r in phase.rows]
-        gz = [r & mask for r in phase.rows]
-        for w in (1, 2):
-            sups = list(combinations(range(n), w))
-            assert sorted(kernel.search_weight(gx, gz, sups, w)) == sorted(
-                _distpure.search_weight(gx, gz, sups, w)
+        monkeypatch.setattr(floquet, "_CHUNK_WORDS", 50)
+        syn = _syndrome_table(phase)
+        for w in range(1, 5):
+            sups = list(combinations(range(phase.n), w))
+            assert sorted(_weight_hits(syn, sups, w)) == sorted(
+                reference_search(*split_rows(phase), sups, w)
             )
+
+    def test_two_syndrome_words_agree_with_reference(self, genus12):
+        _, _, result = genus12
+        for phase in result.steady_phases:
+            syn = _syndrome_table(phase)
+            assert (phase.n, phase.rank, syn.shape) == (96, 72, (96, 3, 2))
+            for w in (1, 2):
+                sups = list(combinations(range(phase.n), w))
+                assert sorted(_weight_hits(syn, sups, w)) == sorted(
+                    reference_search(*split_rows(phase), sups, w)
+                )
 
     def test_hit_weights(self, octagon):
         _, _, result = octagon
         phase = result.steady_phases[0]
-        n = phase.n
-        mask = (1 << n) - 1
-        gx = [r >> n for r in phase.rows]
-        gz = [r & mask for r in phase.rows]
-        sups = list(combinations(range(n), 2))
-        for hx, hz in _distpure.search_weight(gx, gz, sups, 2):
+        gx, gz = split_rows(phase)
+        sups = list(combinations(range(phase.n), 2))
+        hits = list(_weight_hits(_syndrome_table(phase), sups, 2))
+        assert hits
+        for hx, hz in hits:
             assert (hx | hz).bit_count() == 2
             assert all(
                 ((hx & z).bit_count() + (hz & x).bit_count()) % 2 == 0
@@ -332,6 +384,10 @@ class TestExactDistance:
         assert result.k_inst == 1
         assert exact_distance(sched, result) == 2
         assert exhaustive_distance(result) == 2
+
+    def test_beyond_one_syndrome_word(self, genus12):
+        _, assign, result = genus12
+        assert exact_distance(assign, result, max_n=96) == 2
 
     def test_bound_signal(self, octagon):
         _, assign, result = octagon
@@ -388,6 +444,19 @@ class TestCodeParams:
     def test_exact_mode_requires_tiling(self):
         with pytest.raises(ValueError, match="color-code tiling"):
             code_params((6, 12, 12), 3, False, "exact")
+
+    def test_auto_falls_back_only_on_expected_errors(self, monkeypatch):
+        def out_of_bounds(*args, **kwargs):
+            raise BoundExceeded("search ran out of its bounds")
+
+        def broken(*args, **kwargs):
+            raise ValueError("unexpected failure in the exact route")
+
+        monkeypatch.setattr(floquet, "exact_distance", out_of_bounds)
+        assert code_params((4, 16, 16), 2, True).d_source == "geometric-estimate"
+        monkeypatch.setattr(floquet, "exact_distance", broken)
+        with pytest.raises(ValueError, match="unexpected failure"):
+            code_params((4, 16, 16), 2, True)
 
     def test_inadmissible_counts(self):
         with pytest.raises(ValueError, match="integral"):
