@@ -275,8 +275,7 @@ def equivalence_check(h: int, d_mode: str = "auto") -> EquivalenceReport:
     orientable-admissible signature is checked on both surfaces;
     mismatches are reported, never raised.
     """
-    if h < 2:
-        raise ValueError(f"orientable genus must be >= 2, got {h}")
+    _check_genus(h, True)
     g_no = 2 * h
     rows: list[dict] = []
     mismatches: list[dict] = []

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .catalog import build_table, equivalence_check, table_to_csv, table_to_json
-from .coloring import three_color, edge_three_color
+from .coloring import NotColorCodeTiling, edge_three_color, three_color
 from .derive import clip_complex, incenter_complex
 from .floquet import exact_distance, run_schedule
 from .geodist import estimate_distance
@@ -100,7 +100,7 @@ def _schedule_for(cx):
     plain edge coloring (same measurement cadence, no logical guarantee)."""
     try:
         return three_color(cx), "face-coloring"
-    except ValueError:
+    except NotColorCodeTiling:
         return edge_three_color(cx), "edge-coloring"
 
 
@@ -160,7 +160,7 @@ def cmd_color(args) -> int:
     cx = _load_complex(args.infile)
     try:
         assign = three_color(cx)
-    except ValueError as exc:
+    except NotColorCodeTiling as exc:
         _emit({"colorable": False, "error": f"{_module_of(exc)}: {exc}"})
         return 1
     _emit(assign.checks_json())

@@ -16,8 +16,9 @@ without face colors.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .surface import SurfaceComplex
 
@@ -27,10 +28,8 @@ __all__ = [
     "ROUND_COLOR",
     "Check",
     "NotColorCodeTiling",
-    "TilingCheck",
-    "ColorAssignment",
     "EdgeSchedule",
-    "is_color_code_tiling",
+    "ColorAssignment",
     "three_color",
     "edge_three_color",
     "checks_for_round",
@@ -69,17 +68,6 @@ class Check:
         return {"color": self.color, "pauli": self.pauli, "qubits": list(self.qubits)}
 
 
-@dataclass(frozen=True)
-class TilingCheck:
-    """Outcome of the color-code tiling test; falsy when it fails."""
-
-    ok: bool
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def _face_pairs(c: SurfaceComplex) -> dict:
     """edge id -> (face index, face index) of its two slots."""
     sides: dict = {}
@@ -87,54 +75,6 @@ def _face_pairs(c: SurfaceComplex) -> dict:
         for eid, _ in face:
             sides.setdefault(eid, []).append(f)
     return {eid: tuple(fs) for eid, fs in sides.items()}
-
-
-def _search_face_coloring(c: SurfaceComplex) -> list[str] | None:
-    """Deterministic backtracking: faces in index order, colors R < G < B."""
-    adj: list[set[int]] = [set() for _ in c.faces]
-    for f1, f2 in _face_pairs(c).values():
-        if f1 == f2:
-            return None
-        adj[f1].add(f2)
-        adj[f2].add(f1)
-
-    colors: list[str | None] = [None] * len(c.faces)
-
-    def extend(i: int) -> bool:
-        if i == len(colors):
-            return True
-        taken = {colors[j] for j in adj[i] if colors[j] is not None}
-        for color in COLORS:
-            if color not in taken:
-                colors[i] = color
-                if extend(i + 1):
-                    return True
-                colors[i] = None
-        return False
-
-    return colors if extend(0) else None
-
-
-def is_color_code_tiling(c: SurfaceComplex) -> TilingCheck:
-    """Tri-valent, even faces, and face graph properly 3-colorable.
-
-    The returned diagnostics name the first violated condition.
-    """
-    for v, d in c.vertex_degrees().items():
-        if d != 3:
-            return TilingCheck(False, f"vertex {v!r} has degree {d}, need 3")
-    for e in c.edges:
-        if e.ends[0] == e.ends[1]:
-            return TilingCheck(False, f"edge {e.id!r} is a loop")
-    for f, face in enumerate(c.faces):
-        if len(face) % 2:
-            return TilingCheck(False, f"face {f} has odd size {len(face)}")
-    for eid, (f1, f2) in _face_pairs(c).items():
-        if f1 == f2:
-            return TilingCheck(False, f"face {f1} is adjacent to itself across edge {eid!r}")
-    if _search_face_coloring(c) is None:
-        return TilingCheck(False, "face-adjacency graph admits no proper 3-coloring")
-    return TilingCheck(True)
 
 
 def _checks_from_edge_colors(c: SurfaceComplex, edge_color: Mapping) -> dict:
@@ -146,71 +86,18 @@ def _checks_from_edge_colors(c: SurfaceComplex, edge_color: Mapping) -> dict:
 
 
 @dataclass(frozen=True)
-class ColorAssignment:
-    """A validated face 3-coloring with induced edge colors and checks.
-
-    ``face_color[i]`` colors face i; ``edge_color[eid]`` is the unique color
-    different from both incident faces; ``checks[color]`` lists the two-body
-    checks of that color in edge order.
-    """
-
-    complex: SurfaceComplex
-    face_color: tuple[str, ...]
-    edge_color: dict = field(compare=False)
-    checks: dict = field(compare=False)
-
-    def __post_init__(self) -> None:
-        c = self.complex
-        if len(self.face_color) != len(c.faces):
-            raise ValueError("one color per face required")
-        if any(color not in COLORS for color in self.face_color):
-            raise ValueError("face colors must be R, G or B")
-        for f, face in enumerate(c.faces):
-            if len(face) % 2:
-                raise ValueError(f"face {f} has odd size {len(face)}")
-        for v, d in c.vertex_degrees().items():
-            if d != 3:
-                raise ValueError(f"vertex {v!r} has degree {d}, need 3")
-        pairs = _face_pairs(c)
-        for eid, (f1, f2) in pairs.items():
-            c1, c2 = self.face_color[f1], self.face_color[f2]
-            if c1 == c2:
-                raise ValueError(
-                    f"faces {f1} and {f2} share edge {eid!r} but both are {c1}"
-                )
-            expect = next(col for col in COLORS if col not in (c1, c2))
-            if self.edge_color[eid] != expect:
-                raise ValueError(
-                    f"edge {eid!r} must take the color absent from its faces ({expect})"
-                )
-        # Induced structure: every vertex meets all three face colors.
-        fm = c.flag_map()
-        labels, _ = fm.orbit_labels([fm.s1, fm.s2])
-        at_vertex: dict[int, set[str]] = {}
-        for i, (f, _, _) in enumerate(fm.flags):
-            at_vertex.setdefault(labels[i], set()).add(self.face_color[f])
-        for lab, seen in at_vertex.items():
-            if seen != set(COLORS):
-                raise ValueError(f"a vertex touches face colors {sorted(seen)}, need all three")
-        if self.checks != _checks_from_edge_colors(c, self.edge_color):
-            raise ValueError("checks do not match the edge coloring")
-
-    def checks_json(self) -> list[dict]:
-        return [ch.as_json() for color in ROUND_COLOR for ch in self.checks[color]]
-
-
-@dataclass(frozen=True)
 class EdgeSchedule:
-    """A proper 3-edge-coloring of a tri-valent complex, with checks.
+    """A proper 3-edge-coloring of a tri-valent complex, with its checks.
 
-    The face-free fallback: it induces the same measurement schedule as a
-    :class:`ColorAssignment` but exists on tri-valent complexes whose face
-    graph is not 3-colorable.
+    ``edge_color[eid]`` colors each edge; ``checks[color]`` lists the
+    two-body checks of that color in edge order and is derived from it.
+    Such a coloring can exist without face colors, as on the two-faced
+    clipped polygons; :class:`ColorAssignment` adds them.
     """
 
     complex: SurfaceComplex
     edge_color: dict = field(compare=False)
-    checks: dict = field(compare=False)
+    checks: dict = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         c = self.complex
@@ -226,38 +113,122 @@ class EdgeSchedule:
                 if color in seen[v]:
                     raise ValueError(f"two {color} edges meet at vertex {v!r}")
                 seen[v].add(color)
-        if self.checks != _checks_from_edge_colors(c, self.edge_color):
-            raise ValueError("checks do not match the edge coloring")
+        object.__setattr__(self, "checks", _checks_from_edge_colors(c, self.edge_color))
 
     def checks_json(self) -> list[dict]:
         return [ch.as_json() for color in ROUND_COLOR for ch in self.checks[color]]
 
 
-def three_color(c: SurfaceComplex) -> ColorAssignment:
-    """Deterministic proper face 3-coloring with induced edges and checks.
+@dataclass(frozen=True)
+class ColorAssignment(EdgeSchedule):
+    """An edge schedule induced by a proper face 3-coloring.
 
-    Faces are colored by backtracking in index order with color order
-    R < G < B, so the lowest-index face is red and identical complexes yield
-    identical assignments.  Raises NotColorCodeTiling (with the diagnostic)
-    when the complex is not a color-code tiling; never returns a partial
+    ``face_color[i]`` colors face i, and every edge takes the unique color
+    absent from its two incident faces.  At a tri-valent vertex the three
+    corners are pairwise separated by its three edges, so once the faces
+    across every edge differ, every vertex meets all three face colors.
+    """
+
+    face_color: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if len(self.face_color) != len(self.complex.faces):
+            raise ValueError("one color per face required")
+        if any(color not in COLORS for color in self.face_color):
+            raise ValueError("face colors must be R, G or B")
+        for eid, (f1, f2) in _face_pairs(self.complex).items():
+            c1, c2 = self.face_color[f1], self.face_color[f2]
+            if c1 == c2:
+                raise ValueError(
+                    f"faces {f1} and {f2} share edge {eid!r} but both are {c1}"
+                )
+            if self.edge_color[eid] != _third(c1, c2):
+                raise ValueError(
+                    f"edge {eid!r} must take the color absent from its faces "
+                    f"({_third(c1, c2)})"
+                )
+
+
+def _third(c1: str, c2: str) -> str:
+    return next(col for col in COLORS if col not in (c1, c2))
+
+
+def _face_classes(c: SurfaceComplex, pairs: Mapping) -> list[int] | None:
+    """Color class per face by forced propagation, or None on a conflict.
+
+    The three faces at a tri-valent vertex with no self-adjacent face are
+    pairwise adjacent, so two colored faces force the third.  A BFS over
+    vertices from a corner of face 0 reaches every vertex of the connected
+    surface, and each step shares an edge, hence two colored faces, with an
+    earlier vertex: the coloring is unique up to a permutation of classes.
+    """
+    faces_at: dict = {v: set() for v in c.vertices}
+    nbrs: dict = {v: [] for v in c.vertices}
+    for e in c.edges:
+        u, w = e.ends
+        faces_at[u].update(pairs[e.id])
+        faces_at[w].update(pairs[e.id])
+        nbrs[u].append(w)
+        nbrs[w].append(u)
+    cls: list[int | None] = [None] * len(c.faces)
+    start = c.walk_ends(c.faces[0][0])[0]
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        taken = [cls[f] for f in faces_at[v] if cls[f] is not None]
+        if len(set(taken)) != len(taken):
+            return None
+        free = [k for k in range(3) if k not in taken]
+        for f in faces_at[v]:
+            if cls[f] is None:
+                cls[f] = free.pop()
+        for w in nbrs[v]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return cls
+
+
+def three_color(c: SurfaceComplex) -> ColorAssignment:
+    """The proper face 3-coloring with induced edges and checks.
+
+    Colors are forced once two faces at a vertex are fixed, so the coloring
+    is unique up to permuting R, G, B; classes are named R, G, B in order of
+    first appearance by face index, so face 0 is red and identical complexes
+    yield identical assignments.  Raises NotColorCodeTiling, naming the
+    first violated condition, when the complex is not tri-valent with even
+    faces and a properly 3-colorable face graph; never returns a partial
     assignment.
     """
-    verdict = is_color_code_tiling(c)
-    if not verdict:
-        raise NotColorCodeTiling(f"not a color-code tiling: {verdict.reason}")
-    face_color = _search_face_coloring(c)
-    assert face_color is not None  # is_color_code_tiling ran the same search
-    edge_color = {}
-    for eid, (f1, f2) in _face_pairs(c).items():
-        c1, c2 = face_color[f1], face_color[f2]
-        edge_color[eid] = next(col for col in COLORS if col not in (c1, c2))
-    edge_color = {e.id: edge_color[e.id] for e in c.edges}
-    return ColorAssignment(
-        complex=c,
-        face_color=tuple(face_color),
-        edge_color=edge_color,
-        checks=_checks_from_edge_colors(c, edge_color),
-    )
+
+    def reject(reason: str) -> NotColorCodeTiling:
+        return NotColorCodeTiling(f"not a color-code tiling: {reason}")
+
+    for v, d in c.vertex_degrees().items():
+        if d != 3:
+            raise reject(f"vertex {v!r} has degree {d}, need 3")
+    for e in c.edges:
+        if e.ends[0] == e.ends[1]:
+            raise reject(f"edge {e.id!r} is a loop")
+    for f, face in enumerate(c.faces):
+        if len(face) % 2:
+            raise reject(f"face {f} has odd size {len(face)}")
+    pairs = _face_pairs(c)
+    for eid, (f1, f2) in pairs.items():
+        if f1 == f2:
+            raise reject(f"face {f1} is adjacent to itself across edge {eid!r}")
+    cls = _face_classes(c, pairs)
+    if cls is None:
+        raise reject("face-adjacency graph admits no proper 3-coloring")
+    name = dict(zip(dict.fromkeys(cls), COLORS))
+    face_color = tuple(name[k] for k in cls)
+    edge_color = {
+        e.id: _third(face_color[pairs[e.id][0]], face_color[pairs[e.id][1]])
+        for e in c.edges
+    }
+    return ColorAssignment(complex=c, edge_color=edge_color, face_color=face_color)
 
 
 def edge_three_color(c: SurfaceComplex) -> EdgeSchedule:
@@ -302,11 +273,9 @@ def edge_three_color(c: SurfaceComplex) -> EdgeSchedule:
     if not extend(0):
         raise ValueError("edges do not split into three perfect matchings")
     edge_color = {eid: color_of[eid] for eid in order}
-    return EdgeSchedule(
-        complex=c, edge_color=edge_color, checks=_checks_from_edge_colors(c, edge_color)
-    )
+    return EdgeSchedule(complex=c, edge_color=edge_color)
 
 
-def checks_for_round(assign: ColorAssignment | EdgeSchedule, r: int) -> tuple[Check, ...]:
+def checks_for_round(schedule: EdgeSchedule, r: int) -> tuple[Check, ...]:
     """Checks measured at round r: green at r=3n, blue at 3n+1, red at 3n+2."""
-    return assign.checks[ROUND_COLOR[r % 3]]
+    return schedule.checks[ROUND_COLOR[r % 3]]

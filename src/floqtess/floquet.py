@@ -270,7 +270,7 @@ def check_operator(check, index: dict, n: int) -> PauliOperator:
 def run_schedule(schedule, rounds: int) -> ScheduleResult:
     """Measure the colour classes cyclically and watch the ISG settle.
 
-    ``schedule`` is a ColorAssignment or EdgeSchedule.  Steady state is
+    ``schedule`` is an EdgeSchedule, such as a ColorAssignment.  Steady state is
     entered at round ``r`` when ISG(r) == ISG(r-3); determinism of the
     update then keeps the period-3 cycle forever.
     """
@@ -557,6 +557,17 @@ class CodeParams:
         return doc
 
 
+def _route(m, genus: int, orientable: bool) -> str | None:
+    """'incenter' or 'clip': how :func:`explicit_complex` builds m, else None."""
+    p = (4 if orientable else 2) * genus
+    ms = tuple(sorted(m))
+    if ms == tuple(sorted((4, 2 * p, 2 * p))):
+        return "incenter"
+    if ms == tuple(sorted((p, 2 * p, 2 * p))):
+        return "clip"
+    return None
+
+
 def explicit_complex(m, genus: int, orientable: bool):
     """Build the tessellation when a fundamental-polygon route exists.
 
@@ -564,23 +575,15 @@ def explicit_complex(m, genus: int, orientable: bool):
     [4g,8g,8g]; the non-orientable {2g,2g} analogues give [4,4g,4g] and
     [2g,4g,4g].  Anything else has no explicit construction here.
     """
-    ms = tuple(sorted(m))
-    g = genus
-    if orientable:
-        p = 4 * g
-    else:
-        p = 2 * g
-    base = None
-    if ms == tuple(sorted((4, 2 * p, 2 * p))):
-        base = fundamental_polygon(g, orientable)
-        return incenter_complex(base, p, p)
-    if ms == tuple(sorted((p, 2 * p, 2 * p))):
-        base = fundamental_polygon(g, orientable)
-        return clip_complex(base, p, p)
-    raise ValueError(
-        f"no explicit construction route for {list(ms)} at genus {g} "
-        f"({'orientable' if orientable else 'non-orientable'})"
-    )
+    route = _route(m, genus, orientable)
+    if route is None:
+        raise ValueError(
+            f"no explicit construction route for {sorted(m)} at genus {genus} "
+            f"({'orientable' if orientable else 'non-orientable'})"
+        )
+    p = (4 if orientable else 2) * genus
+    make = incenter_complex if route == "incenter" else clip_complex
+    return make(fundamental_polygon(genus, orientable), p, p)
 
 
 def code_params(
@@ -646,11 +649,7 @@ def code_params(
         return estimate()
     if d_mode == "exact":
         return exact()
-    try:
-        explicit_complex(sig.m, genus, orientable)
-    except ValueError:
-        return estimate()
-    if n > exact_bound:
+    if _route(sig.m, genus, orientable) is None or n > exact_bound:
         return estimate()
     try:
         return exact()

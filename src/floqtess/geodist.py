@@ -70,24 +70,6 @@ def _chords(m, red: int) -> tuple:
     return t_r, t_gb
 
 
-def estimate_dX(m, genus: int, orientable: bool, red: int, **kw) -> int:
-    """2.ceil(systole / t_r) for the chosen red class."""
-    sig = SemiRegularSig(m)
-    if red not in (0, 1, 2):
-        raise ValueError("red class index must be 0, 1 or 2")
-    t_r, _ = _chords(sig.m, red)
-    return 2 * _ceil_guard(systole(genus, orientable, **kw) / t_r)
-
-
-def estimate_dZ(m, genus: int, orientable: bool, red: int, **kw) -> int:
-    """ceil(systole / t_gb) for the chosen red class."""
-    sig = SemiRegularSig(m)
-    if red not in (0, 1, 2):
-        raise ValueError("red class index must be 0, 1 or 2")
-    _, t_gb = _chords(sig.m, red)
-    return _ceil_guard(systole(genus, orientable, **kw) / t_gb)
-
-
 def estimate_distance(
     m, genus: int, orientable: bool, **kw
 ) -> DistanceEstimate:

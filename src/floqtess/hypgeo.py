@@ -160,17 +160,22 @@ def polygon_area(sig: RegularSig | tuple[int, int]) -> float:
     return (p * q - 2 * p - 2 * q) * math.pi / q
 
 
+def _genus_chi(genus: int, orientable: bool) -> int:
+    """Euler characteristic of the closed surface of this genus."""
+    return 2 - 2 * genus if orientable else 2 - genus
+
+
 def _check_genus(genus: int, orientable: bool) -> int:
-    """Validate the genus range and return the Euler characteristic."""
+    """Validate the hyperbolic genus range and return the Euler characteristic."""
     if not isinstance(genus, int):
         raise TypeError("genus must be an integer")
-    if orientable:
-        if genus < 2:
-            raise ValueError(f"orientable genus must be >= 2, got {genus}")
-        return 2 - 2 * genus
-    if genus < 3:
-        raise ValueError(f"non-orientable genus must be >= 3, got {genus}")
-    return 2 - genus
+    floor = 2 if orientable else 3
+    if genus < floor:
+        raise ValueError(
+            f"{'orientable' if orientable else 'non-orientable'} genus must be "
+            f">= {floor}, got {genus}"
+        )
+    return _genus_chi(genus, orientable)
 
 
 def surface_area(genus: int, orientable: bool) -> float:

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .hypgeo import RegularSig, SemiRegularSig
+from .hypgeo import RegularSig, SemiRegularSig, _check_genus, _genus_chi
 
 __all__ = [
     "SurfaceError",
@@ -27,8 +27,6 @@ __all__ = [
     "TessSignature",
     "fundamental_polygon",
     "polygon_surface",
-    "euler_characteristic",
-    "check_orientability",
     "regular_counts",
     "dual",
     "isomorphic",
@@ -43,10 +41,6 @@ Slot = tuple[Any, int]
 
 class SurfaceError(ValueError):
     """A document or complex violates the closed-surface contract."""
-
-
-def _chi_for(genus: int, orientable: bool) -> int:
-    return 2 - 2 * genus if orientable else 2 - genus
 
 
 @dataclass(frozen=True)
@@ -279,7 +273,7 @@ def _validate(c: SurfaceComplex) -> None:
     floor = 0 if c.orientable else 1
     if c.genus < floor:
         raise SurfaceError(f"genus {c.genus} below minimum for this orientability")
-    expect = _chi_for(c.genus, c.orientable)
+    expect = _genus_chi(c.genus, c.orientable)
     if c.chi != expect:
         raise SurfaceError(
             f"Euler characteristic {c.chi} does not match declared "
@@ -311,16 +305,11 @@ class TessSignature:
             SemiRegularSig(params)
         else:
             raise ValueError(f"kind must be 'regular' or 'semiregular', got {self.kind!r}")
-        floor = 2 if self.orientable else 3
-        if self.genus < floor:
-            raise ValueError(
-                f"genus {self.genus} below minimum {floor} for "
-                f"{'orientable' if self.orientable else 'non-orientable'} surfaces"
-            )
+        _check_genus(self.genus, self.orientable)
 
     @property
     def chi(self) -> int:
-        return _chi_for(self.genus, self.orientable)
+        return _genus_chi(self.genus, self.orientable)
 
     def __str__(self) -> str:
         body = (
@@ -387,32 +376,15 @@ def fundamental_polygon(genus: int, orientable: bool) -> SurfaceComplex:
     the 2g-gon with word a1 a1 a2 a2 ... ag ag, giving one vertex, g edges,
     one face — the {2g,2g} tessellation.
     """
+    _check_genus(genus, orientable)
     if orientable:
-        if genus < 2:
-            raise ValueError(f"orientable genus must be >= 2, got {genus}")
         word = [(i, 1) for i in range(2 * genus)] + [(i, -1) for i in range(2 * genus)]
     else:
-        if genus < 3:
-            raise ValueError(f"non-orientable genus must be >= 3, got {genus}")
         word = [(i, 1) for i in range(genus) for _ in range(2)]
     c = polygon_surface(word)
     if c.genus != genus or c.orientable != orientable:
         raise AssertionError("fundamental polygon gluing produced the wrong surface")
     return c
-
-
-def euler_characteristic(c: SurfaceComplex) -> int:
-    """|V| - |E| + |F|."""
-    return c.chi
-
-
-def check_orientability(c: SurfaceComplex) -> bool:
-    """Whether face orientations can be chosen to traverse each edge both ways.
-
-    Implemented as orientation propagation over the flag structure; agrees
-    with the declared flag for any validated complex.
-    """
-    return c.flag_map().orientable()
 
 
 def _counts_from_chi(p: int, q: int, chi: int) -> tuple[int, int, int] | None:
@@ -442,12 +414,7 @@ def regular_counts(
     tessellation does not exist on that surface.  When counts are returned
     they satisfy qV = 2E = pF and V - E + F = chi exactly.
     """
-    if orientable:
-        if genus < 2:
-            raise ValueError(f"orientable genus must be >= 2, got {genus}")
-    elif genus < 3:
-        raise ValueError(f"non-orientable genus must be >= 3, got {genus}")
-    return _counts_from_chi(p, q, _chi_for(genus, orientable))
+    return _counts_from_chi(p, q, _check_genus(genus, orientable))
 
 
 def dual(c: SurfaceComplex) -> SurfaceComplex:

@@ -37,7 +37,7 @@ from floqtess.hypgeo import (
     semiregular_edge_length,
     vertex_type_admissible,
 )
-from floqtess.surface import euler_characteristic, fundamental_polygon
+from floqtess.surface import fundamental_polygon
 
 
 def _pipeline(genus, orientable):
@@ -229,12 +229,12 @@ def test_criterion_6_invariant_suites():
     assert len(bases) == 20
     for genus, orientable in bases:
         base = fundamental_polygon(genus, orientable)
-        chi = euler_characteristic(base)
+        chi = base.chi
         assert chi == (2 - 2 * genus if orientable else 2 - genus)
         sides = (4 if orientable else 2) * genus
         for derived in (clip_complex(base, sides, sides),
                         incenter_complex(base, sides, sides)):
-            assert euler_characteristic(derived) == chi
+            assert derived.chi == chi
             assert derived.orientable == orientable
 
     # Steady ISG: three abelian phases repeating with period 3.

@@ -5,53 +5,101 @@ from collections import Counter
 import pytest
 
 from floqtess.coloring import (
+    COLORS,
     Check,
     ColorAssignment,
     EdgeSchedule,
+    NotColorCodeTiling,
+    _face_pairs,
     checks_for_round,
     edge_three_color,
-    is_color_code_tiling,
     three_color,
 )
 from floqtess.derive import clip_complex, incenter_complex
 from floqtess.surface import SurfaceComplex, fundamental_polygon
 
 
-def hex_torus_k4():
-    """2x2 honeycomb on the torus: four hexagons, pairwise adjacent.
+def reference_face_coloring(c: SurfaceComplex) -> list[str] | None:
+    """Deterministic backtracking: faces in index order, colors R < G < B.
 
-    Tri-valent with even faces and no self-adjacency, yet the face graph is
-    K4, so no proper 3-coloring exists.
+    The lexicographically least proper face coloring, or None.  Exponential
+    in the worst case and recursive, so only for small complexes.
+    """
+    adj: list[set[int]] = [set() for _ in c.faces]
+    for f1, f2 in _face_pairs(c).values():
+        if f1 == f2:
+            return None
+        adj[f1].add(f2)
+        adj[f2].add(f1)
+
+    colors: list[str | None] = [None] * len(c.faces)
+
+    def extend(i: int) -> bool:
+        if i == len(colors):
+            return True
+        taken = {colors[j] for j in adj[i] if colors[j] is not None}
+        for color in COLORS:
+            if color not in taken:
+                colors[i] = color
+                if extend(i + 1):
+                    return True
+                colors[i] = None
+        return False
+
+    return colors if extend(0) else None
+
+
+def honeycomb_torus(L: int) -> SurfaceComplex:
+    """L x L honeycomb on the torus: L^2 hexagons, 2L^2 vertices, 3L^2 edges.
+
+    Vertices u(x,y), w(x,y); edges a: u(x,y)-w(x,y), b: w(x,y)-u(x+1,y),
+    c: w(x,y)-u(x,y+1), indices mod L.  Face (x,y) neighbours the faces at
+    offsets (0,+-1), (+-1,0), (1,-1) and (-1,1), a triangular lattice, so
+    the faces are 3-colorable exactly when 3 divides L.  At L = 2 the face
+    graph is K4: tri-valent, even-faced and without self-adjacency, yet not
+    3-colorable.
     """
     def u(x, y):
-        return f"u{x % 2}{y % 2}"
+        return f"u{x % L}_{y % L}"
 
     def w(x, y):
-        return f"w{x % 2}{y % 2}"
+        return f"w{x % L}_{y % L}"
 
-    vertices = [f"{k}{x}{y}" for k in "uw" for x in (0, 1) for y in (0, 1)]
+    def edge(kind, x, y):
+        return f"{kind}{x % L}_{y % L}"
+
+    cells = [(x, y) for x in range(L) for y in range(L)]
     edges = []
-    for x in (0, 1):
-        for y in (0, 1):
-            edges.append((f"a{x}{y}", (u(x, y), w(x, y))))
-            edges.append((f"b{x}{y}", (w(x, y), u(x + 1, y))))
-            edges.append((f"c{x}{y}", (w(x, y), u(x, y + 1))))
-    faces = []
-    for x in (0, 1):
-        for y in (0, 1):
-            faces.append(
-                (
-                    (f"a{x}{y}", 1),
-                    (f"b{x}{y}", 1),
-                    (f"a{(x + 1) % 2}{y}", 1),
-                    (f"c{(x + 1) % 2}{y}", 1),
-                    (f"b{x}{(y + 1) % 2}", -1),
-                    (f"c{x}{(y + 1) % 2}", 1),
-                )
-            )
+    for x, y in cells:
+        edges.append((edge("a", x, y), (u(x, y), w(x, y))))
+        edges.append((edge("b", x, y), (w(x, y), u(x + 1, y))))
+        edges.append((edge("c", x, y), (w(x, y), u(x, y + 1))))
+    faces = [
+        (
+            (edge("b", x, y), 1),
+            (edge("a", x + 1, y), 1),
+            (edge("c", x + 1, y), 1),
+            (edge("b", x, y + 1), -1),
+            (edge("a", x, y + 1), -1),
+            (edge("c", x, y), -1),
+        )
+        for x, y in cells
+    ]
+    vertices = [f(x, y) for f in (u, w) for x, y in cells]
     return SurfaceComplex(
         orientable=True, genus=1, vertices=vertices, edges=edges, faces=faces
     )
+
+
+def derived_complexes():
+    """Every incenter and clip complex, orientable g=2..12, non-orientable g=3..12."""
+    for orientable, genera in ((True, range(2, 13)), (False, range(3, 13))):
+        for g in genera:
+            for derive in (incenter_complex, clip_complex):
+                yield pytest.param(
+                    orientable, g, derive,
+                    id=f"{derive.__name__}-{'o' if orientable else 'n'}{g}",
+                )
 
 
 @pytest.fixture(scope="module")
@@ -60,26 +108,53 @@ def octagon_incenter():
 
 
 class TestIsColorCodeTiling:
+    """The tiling verdict: three_color raises NotColorCodeTiling with the reason."""
+
     def test_incenter_octagon_accepted(self, octagon_incenter):
-        verdict = is_color_code_tiling(octagon_incenter)
-        assert verdict
-        assert verdict.reason is None
+        assert isinstance(three_color(octagon_incenter), ColorAssignment)
 
     def test_fundamental_polygon_rejected_on_degree(self):
-        verdict = is_color_code_tiling(fundamental_polygon(2, True))
-        assert not verdict
-        assert "degree 8" in verdict.reason
+        with pytest.raises(NotColorCodeTiling, match="degree 8"):
+            three_color(fundamental_polygon(2, True))
 
     def test_clipped_polygon_rejected_on_self_adjacency(self):
         clip = clip_complex(fundamental_polygon(3, False), 6, 6)
-        verdict = is_color_code_tiling(clip)
-        assert not verdict
-        assert "adjacent to itself" in verdict.reason
+        with pytest.raises(NotColorCodeTiling, match="adjacent to itself"):
+            three_color(clip)
 
     def test_k4_face_graph_rejected_by_search(self):
-        verdict = is_color_code_tiling(hex_torus_k4())
-        assert not verdict
-        assert "no proper 3-coloring" in verdict.reason
+        with pytest.raises(NotColorCodeTiling, match="no proper 3-coloring"):
+            three_color(honeycomb_torus(2))
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("orientable,g,derive", derived_complexes())
+    def test_derived_complexes(self, orientable, g, derive):
+        p = (4 if orientable else 2) * g
+        cx = derive(fundamental_polygon(g, orientable), p, p)
+        expect = reference_face_coloring(cx)
+        if expect is None:
+            with pytest.raises(NotColorCodeTiling):
+                three_color(cx)
+        else:
+            assert three_color(cx).face_color == tuple(expect)
+
+    @pytest.mark.parametrize("L", range(2, 13))
+    def test_honeycomb_tori(self, L):
+        cx = honeycomb_torus(L)
+        expect = reference_face_coloring(cx)
+        assert (expect is not None) == (L % 3 == 0)
+        if expect is None:
+            with pytest.raises(NotColorCodeTiling, match="no proper 3-coloring"):
+                three_color(cx)
+        else:
+            assert three_color(cx).face_color == tuple(expect)
+
+    def test_past_the_recursion_limit(self):
+        cx = honeycomb_torus(36)
+        assign = three_color(cx)
+        assert len(cx.faces) == 1296
+        assert Counter(assign.face_color) == {"R": 432, "G": 432, "B": 432}
 
 
 class TestThreeColor:
@@ -142,10 +217,10 @@ class TestThreeColor:
             assert {ch.pauli for ch in assign.checks[color]} == {pauli}
 
     def test_rejects_uncolorable_with_diagnostic(self):
-        with pytest.raises(ValueError, match="not a color-code tiling.*degree"):
+        with pytest.raises(NotColorCodeTiling, match="not a color-code tiling.*degree"):
             three_color(fundamental_polygon(2, True))
-        with pytest.raises(ValueError, match="no proper 3-coloring"):
-            three_color(hex_torus_k4())
+        with pytest.raises(NotColorCodeTiling, match="no proper 3-coloring"):
+            three_color(honeycomb_torus(2))
 
     def test_nonorientable_instance(self):
         inc = incenter_complex(fundamental_polygon(3, False), 6, 6)
@@ -184,7 +259,7 @@ class TestEdgeSchedule:
             assert sorted(colors) == ["B", "G", "R"]
 
     def test_k4_torus_edge_colorable_despite_face_failure(self):
-        sched = edge_three_color(hex_torus_k4())
+        sched = edge_three_color(honeycomb_torus(2))
         assert Counter(sched.edge_color.values()) == {"R": 4, "G": 4, "B": 4}
 
     def test_deterministic(self):
@@ -194,6 +269,41 @@ class TestEdgeSchedule:
     def test_rejects_non_trivalent(self):
         with pytest.raises(ValueError, match="degree"):
             edge_three_color(fundamental_polygon(2, True))
+
+    def test_checks_derived_from_edge_colors(self, octagon_incenter):
+        assign = three_color(octagon_incenter)
+        sched = EdgeSchedule(complex=octagon_incenter, edge_color=assign.edge_color)
+        assert sched.checks == assign.checks
+        assert sched.checks_json() == assign.checks_json()
+
+    def test_rejects_improper_edge_coloring(self, octagon_incenter):
+        edge_color = {e.id: "R" for e in octagon_incenter.edges}
+        with pytest.raises(ValueError, match="two R edges meet"):
+            EdgeSchedule(complex=octagon_incenter, edge_color=edge_color)
+
+
+class TestColorAssignment:
+    def test_rejects_equal_colors_across_an_edge(self, octagon_incenter):
+        assign = three_color(octagon_incenter)
+        with pytest.raises(ValueError, match="share edge"):
+            ColorAssignment(
+                complex=octagon_incenter,
+                edge_color=assign.edge_color,
+                face_color=("R",) * len(octagon_incenter.faces),
+            )
+
+    def test_rejects_edge_color_not_absent_from_faces(self, octagon_incenter):
+        assign = three_color(octagon_incenter)
+        # Swapping two classes everywhere keeps the edge coloring proper but
+        # no longer matches the face colors.
+        swap = {"R": "G", "G": "R", "B": "B"}
+        edge_color = {eid: swap[col] for eid, col in assign.edge_color.items()}
+        with pytest.raises(ValueError, match="absent from its faces"):
+            ColorAssignment(
+                complex=octagon_incenter,
+                edge_color=edge_color,
+                face_color=assign.face_color,
+            )
 
 
 class TestCheckType:

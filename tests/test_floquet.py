@@ -458,6 +458,20 @@ class TestCodeParams:
         with pytest.raises(ValueError, match="unexpected failure"):
             code_params((4, 16, 16), 2, True)
 
+    def test_auto_builds_the_complex_at_most_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return incenter_complex(*args, **kwargs)
+
+        monkeypatch.setattr(floquet, "incenter_complex", counted)
+        assert code_params((4, 16, 16), 2, True).d_source == "exact"
+        assert len(calls) == 1
+        # n = 96 is past the exact bound: no complex is built at all.
+        assert code_params((4, 48, 48), 6, True).d_source == "geometric-estimate"
+        assert len(calls) == 1
+
     def test_inadmissible_counts(self):
         with pytest.raises(ValueError, match="integral"):
             code_params((8, 10, 10), 2, True)

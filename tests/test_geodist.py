@@ -8,8 +8,6 @@ from floqtess.geodist import (
     DistanceEstimate,
     _ceil_guard,
     estimate_distance,
-    estimate_dX,
-    estimate_dZ,
 )
 from floqtess.hypgeo import systole
 
@@ -35,27 +33,40 @@ class TestCeilGuard:
             _ceil_guard(math.inf)
 
 
+def per_red_class(m, genus, orientable=True):
+    """(d_X, d_Z) for each red class, from the systole and chords an estimate used."""
+    est = estimate_distance(m, genus, orientable)
+    return [
+        (2 * _ceil_guard(est.systole_used / t_r), _ceil_guard(est.systole_used / t_gb))
+        for _, t_r, t_gb in est.chords_used
+    ]
+
+
 class TestSingleConvention:
     def test_octagon_red_dX(self):
         # systole / chord is exactly 2 for this family; doubling gives 4.
-        assert estimate_dX((6, 6, 8), 2, True, red=2) == 4
+        assert per_red_class((6, 6, 8), 2)[2][0] == 4
 
     def test_octagon_red_dZ(self):
-        assert estimate_dZ((6, 6, 8), 2, True, red=2) == 5
+        assert per_red_class((6, 6, 8), 2)[2][1] == 5
 
     def test_dX_always_even(self):
         for m in [(6, 6, 8), (4, 8, 10), (4, 6, 14), (8, 8, 8)]:
-            for red in range(3):
-                for g in (2, 3, 5):
-                    assert estimate_dX(m, g, True, red=red) % 2 == 0
+            for g in (2, 3, 5):
+                assert estimate_distance(m, g, True).d_X % 2 == 0
+                for d_x, _ in per_red_class(m, g):
+                    assert d_x % 2 == 0
 
     def test_red_index_checked(self):
-        with pytest.raises(ValueError, match="red"):
-            estimate_dX((6, 6, 8), 2, True, red=3)
+        # Every red class is tried, each once, in index order.
+        est = estimate_distance((6, 6, 8), 2, True)
+        assert [red for red, _, _ in est.chords_used] == [0, 1, 2]
+        best = min(min(pair) for pair in per_red_class((6, 6, 8), 2))
+        assert est.d == max(2, best)
 
     def test_inadmissible_signature(self):
         with pytest.raises(ValueError, match="Euclidean"):
-            estimate_dX((6, 6, 6), 2, True, red=0)
+            estimate_distance((6, 6, 6), 2, True)
 
 
 class TestEstimateDistance:

@@ -11,10 +11,8 @@ from floqtess.surface import (
     SurfaceComplex,
     SurfaceError,
     TessSignature,
-    check_orientability,
     deserialize,
     dual,
-    euler_characteristic,
     fundamental_polygon,
     isomorphic,
     polygon_surface,
@@ -99,12 +97,12 @@ class TestPolygonSurface:
 
 class TestOrientability:
     def test_fundamental_polygons(self):
-        assert check_orientability(fundamental_polygon(3, True))
-        assert not check_orientability(fundamental_polygon(4, False))
+        assert fundamental_polygon(3, True).flag_map().orientable()
+        assert not fundamental_polygon(4, False).flag_map().orientable()
 
     def test_torus(self):
         torus = polygon_surface([("a", 1), ("b", 1), ("a", -1), ("b", -1)])
-        assert check_orientability(torus)
+        assert torus.flag_map().orientable()
 
     def test_declared_flag_must_match_propagation(self):
         # chi(FP(4, non-orientable)) = -2 = chi(genus-2 orientable), so the
@@ -119,12 +117,12 @@ class TestOrientability:
 
 class TestEulerCharacteristic:
     def test_examples(self):
-        assert euler_characteristic(fundamental_polygon(2, True)) == -2
-        assert euler_characteristic(fundamental_polygon(3, False)) == -1
+        assert fundamental_polygon(2, True).chi == -2
+        assert fundamental_polygon(3, False).chi == -1
 
     def test_matches_chi_property(self):
         c = fundamental_polygon(5, True)
-        assert euler_characteristic(c) == c.chi == -8
+        assert c.chi == len(c.vertices) - len(c.edges) + len(c.faces) == -8
 
 
 class TestRegularCounts:
