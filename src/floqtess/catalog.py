@@ -76,14 +76,13 @@ def build_table(
     genera: int | Iterable[int],
     orientable: bool = True,
     d_mode: str = "auto",
-    m_max: int | None = None,
 ) -> tuple[TableRow, ...]:
     """One row per admissible signature per genus, deterministic order."""
     if isinstance(genera, int):
         genera = (genera,)
     rows = []
     for g in sorted(set(genera)):
-        for m in enumerate_signatures(g, orientable, m_max):
+        for m in enumerate_signatures(g, orientable):
             rows.append(code_params(m, g, orientable, d_mode))
     return tuple(rows)
 

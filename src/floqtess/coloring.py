@@ -68,15 +68,6 @@ class Check:
         return {"color": self.color, "pauli": self.pauli, "qubits": list(self.qubits)}
 
 
-def _face_pairs(c: SurfaceComplex) -> dict:
-    """edge id -> (face index, face index) of its two slots."""
-    sides: dict = {}
-    for f, face in enumerate(c.faces):
-        for eid, _ in face:
-            sides.setdefault(eid, []).append(f)
-    return {eid: tuple(fs) for eid, fs in sides.items()}
-
-
 def _checks_from_edge_colors(c: SurfaceComplex, edge_color: Mapping) -> dict:
     checks: dict[str, list[Check]] = {color: [] for color in ROUND_COLOR}
     for e in c.edges:
@@ -137,7 +128,7 @@ class ColorAssignment(EdgeSchedule):
             raise ValueError("one color per face required")
         if any(color not in COLORS for color in self.face_color):
             raise ValueError("face colors must be R, G or B")
-        for eid, (f1, f2) in _face_pairs(self.complex).items():
+        for eid, (f1, f2) in self.complex.flag_map().edge_faces.items():
             c1, c2 = self.face_color[f1], self.face_color[f2]
             if c1 == c2:
                 raise ValueError(
@@ -215,7 +206,7 @@ def three_color(c: SurfaceComplex) -> ColorAssignment:
     for f, face in enumerate(c.faces):
         if len(face) % 2:
             raise reject(f"face {f} has odd size {len(face)}")
-    pairs = _face_pairs(c)
+    pairs = c.flag_map().edge_faces
     for eid, (f1, f2) in pairs.items():
         if f1 == f2:
             raise reject(f"face {f1} is adjacent to itself across edge {eid!r}")

@@ -132,10 +132,8 @@ def clip_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
     eindex = {e.id: i for i, e in enumerate(c.edges)}
 
     def half_edge(flag: int) -> str:
-        f, j, t = fm.flags[flag]
-        eid, d = c.faces[f][j]
-        intrinsic = t if d == 1 else 1 - t
-        return f"e{eindex[eid]}.{intrinsic}"
+        eid, end = fm.end(flag)
+        return f"e{eindex[eid]}.{end}"
 
     vertices = tuple(f"e{i}.{t}" for i in range(len(c.edges)) for t in (0, 1))
     edges = [
@@ -155,14 +153,9 @@ def clip_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
             walk.append((f"B{f}.{j}", 1))
         faces.append(tuple(walk))
 
-    labels, n_orbits = fm.orbit_labels([fm.s1, fm.s2])
-    start_flag: dict[int, int] = {}
-    for i, lab in enumerate(labels):
-        start_flag.setdefault(lab, i)
-    for v in sorted(start_flag):
+    for cyc in fm.rotations:
         walk = []
-        psi = start_flag[v]
-        for _ in range(2 * len(fm.flags) + 1):
+        for psi in cyc:
             f, j, t = fm.flags[psi]
             if t == 1:
                 corner, d = (f, j), 1
@@ -170,11 +163,6 @@ def clip_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
                 pf, pj, _ = fm.flags[fm.s1[psi]]  # sigma1 partner holds the corner key
                 corner, d = (pf, pj), -1
             walk.append((f"B{corner[0]}.{corner[1]}", d))
-            psi = fm.s2[fm.s1[psi]]
-            if psi == start_flag[v]:
-                break
-        else:
-            raise AssertionError("corner rotation failed to close")
         faces.append(tuple(walk))
 
     return SurfaceComplex(
@@ -208,11 +196,9 @@ def incenter_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
     def s2_key(flag: int) -> tuple[str, int]:
         """Edge id of the sigma2 pair through `flag`, and the traversal
         direction when leaving from `flag`."""
-        f, j, t = fm.flags[flag]
-        eid, d = c.faces[f][j]
-        intrinsic = t if d == 1 else 1 - t
-        first = fm.slots_of[eid][0] == (f, j)
-        return f"s2.{eindex[eid]}.{intrinsic}", 1 if first else -1
+        eid, end = fm.end(flag)
+        first = fm.slots_of[eid][0] == fm.flags[flag][:2]
+        return f"s2.{eindex[eid]}.{end}", 1 if first else -1
 
     vertices = tuple(vname(i) for i in range(len(fm.flags)))
 
@@ -227,20 +213,17 @@ def incenter_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
             i = fm.index[(f, j, 1)]
             edges.append(Edge(f"s1.{f}.{j}", (vname(i), vname(fm.s1[i]))))
     for ei, e in enumerate(c.edges):
-        for intrinsic in (0, 1):
-            (fa, ja) = fm.slots_of[e.id][0]
-            da = c.faces[fa][ja][1]
-            ta = intrinsic if da == 1 else 1 - intrinsic
-            i = fm.index[(fa, ja, ta)]
-            edges.append(Edge(f"s2.{ei}.{intrinsic}", (vname(i), vname(fm.s2[i]))))
+        for end in (0, 1):
+            i = fm.flag(*fm.slots_of[e.id][0], end)
+            edges.append(Edge(f"s2.{ei}.{end}", (vname(i), vname(fm.s2[i]))))
 
-    def s1_step(flag: int) -> tuple[str, int, int]:
-        """(edge id, dir, next flag) crossing the corner at `flag`."""
+    def s1_step(flag: int) -> tuple[str, int]:
+        """(edge id, dir) crossing the corner at `flag`."""
         f, j, t = fm.flags[flag]
         if t == 1:
-            return f"s1.{f}.{j}", 1, fm.s1[flag]
+            return f"s1.{f}.{j}", 1
         pf, pj, _ = fm.flags[fm.s1[flag]]
-        return f"s1.{pf}.{pj}", -1, fm.s1[flag]
+        return f"s1.{pf}.{pj}", -1
 
     faces = []
     for f, face in enumerate(c.faces):
@@ -250,23 +233,11 @@ def incenter_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
             walk.append((f"s1.{f}.{j}", 1))
         faces.append(tuple(walk))
 
-    labels, _ = fm.orbit_labels([fm.s1, fm.s2])
-    start_flag: dict[int, int] = {}
-    for i, lab in enumerate(labels):
-        start_flag.setdefault(lab, i)
-    for v in sorted(start_flag):
+    for cyc in fm.rotations:
         walk = []
-        psi = start_flag[v]
-        for _ in range(2 * len(fm.flags) + 1):
-            eid, d, psi = s1_step(psi)
-            walk.append((eid, d))
-            key, d2 = s2_key(psi)
-            walk.append((key, d2))
-            psi = fm.s2[psi]
-            if psi == start_flag[v]:
-                break
-        else:
-            raise AssertionError("vertex rotation failed to close")
+        for psi in cyc:
+            walk.append(s1_step(psi))
+            walk.append(s2_key(fm.s1[psi]))
         faces.append(tuple(walk))
 
     for ei, e in enumerate(c.edges):

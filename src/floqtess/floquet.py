@@ -22,6 +22,8 @@ from .surface import fundamental_polygon
 
 # Pauli letter a stabilizer on a face of the given colour is built from.
 FACE_KIND = {"G": "X", "B": "Y", "R": "Z"}
+# Largest n the exact distance search takes on by default.
+_EXACT_MAX_N = 40
 
 
 class BoundExceeded(ValueError):
@@ -305,15 +307,6 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
     return ScheduleResult(n, tuple(g.rank for g in groups), tuple(groups), steady, k_inst)
 
 
-def logical_count(isg) -> int:
-    """Logical qubits of a steady-state group: n minus rank."""
-    if isinstance(isg, ScheduleResult):
-        if isg.k_inst is None:
-            raise ValueError("schedule did not reach a steady state")
-        return isg.k_inst
-    return isg.n - isg.rank
-
-
 def face_stabilizer(assign, f: int) -> PauliOperator:
     """Face cycle operator: X/Y/Z on the boundary of a G/B/R face."""
     cx = assign.complex
@@ -427,13 +420,14 @@ def _weight_hits(syn: np.ndarray, supports: list, w: int):
 
 
 def exact_distance(
-    schedule, result: ScheduleResult, *, max_weight: int = 6, max_n: int = 40
+    schedule, result: ScheduleResult, *, max_weight: int = 6, max_n: int = _EXACT_MAX_N
 ) -> int:
     """Minimum weight over the steady phases of a logical operator.
 
     Searches supports of increasing weight with all non-identity Pauli
     labelings; beyond weight 3 supports are restricted to connected vertex
-    sets of the tessellation graph.
+    sets of the tessellation graph.  Raises ValueError when k = 0 and
+    BoundExceeded past ``max_n`` or ``max_weight``.
     """
     cx = schedule.complex
     n = len(cx.vertices)
@@ -442,6 +436,10 @@ def exact_distance(
             f"n={n} exceeds the exact-search bound {max_n}; use geometric estimator"
         )
     phases = result.steady_phases
+    if all(p.rank == n for p in phases):
+        raise ValueError(
+            f"k = 0: every steady phase has full rank {n}, so no logical operator exists"
+        )
     tables = [_syndrome_table(p) for p in phases]
     adj = _vertex_adjacency(cx)
     for w in range(1, max_weight + 1):
@@ -591,16 +589,13 @@ def code_params(
     genus: int,
     orientable: bool = True,
     d_mode: str = "auto",
-    *,
-    exact_bound: int = 40,
-    max_weight: int = 6,
-    rounds: int = 9,
 ) -> CodeParams:
     """Assemble [[n,k,d]] for a signature on a genus-g surface.
 
     ``d_mode``: "exact" forces the oracle (explicit complex required),
     "geo" forces the estimator, "auto" prefers the oracle when an explicit
-    complex exists with n within bounds.
+    complex exists with n <= 40.  The oracle simulates 9 rounds and searches
+    weights up to 6.
     """
     if d_mode not in ("exact", "geo", "auto"):
         raise ValueError(f"unknown d_mode {d_mode!r}")
@@ -634,22 +629,20 @@ def code_params(
         # two-face complexes settle at full rank), so only genuine
         # colour-code tilings take the exact route.
         schedule = three_color(cx)
-        result = run_schedule(schedule, rounds)
+        result = run_schedule(schedule, 9)
         if result.k_inst != k:
             raise RuntimeError(
                 f"steady-state logical count {result.k_inst} disagrees with "
                 f"the genus rule k={k}"
             )
-        d = exact_distance(
-            schedule, result, max_weight=max_weight, max_n=exact_bound
-        )
+        d = exact_distance(schedule, result)
         return CodeParams(tuple(sig.m), genus, orientable, n, k, d, "exact")
 
     if d_mode == "geo":
         return estimate()
     if d_mode == "exact":
         return exact()
-    if _route(sig.m, genus, orientable) is None or n > exact_bound:
+    if _route(sig.m, genus, orientable) is None or n > _EXACT_MAX_N:
         return estimate()
     try:
         return exact()

@@ -29,7 +29,6 @@ __all__ = [
     "semiregular_profile",
     "incenter_chord",
     "systole",
-    "vertex_type_admissible",
 ]
 
 #: Residual tolerance for the semi-regular edge-length equation.
@@ -292,20 +291,6 @@ def systole(
             return odd_nonorientable_rule(genus)
         sides = 2 * genus
     return 2.0 * math.acosh(1.0 / math.tan(math.pi / sides))
-
-
-def vertex_type_admissible(m: Sequence[int]) -> bool:
-    """Whether three faces of sizes m1, m2, m3 fit around a vertex hyperbolically.
-
-    True iff the interior angles sum past 2 pi, i.e. 1/m1 + 1/m2 + 1/m3 < 1/2
-    (exact rational test).  Entries must be integers >= 3.
-    """
-    m = tuple(m)
-    if len(m) != 3 or not all(isinstance(x, int) for x in m):
-        raise TypeError("vertex type must be a triple of integers")
-    if any(x < 3 for x in m):
-        raise ValueError("face sizes must be >= 3")
-    return _curvature_class([Fraction(1, x) for x in m]) == "hyperbolic"
 
 
 def _as_regular(sig: RegularSig | tuple[int, int]) -> RegularSig:

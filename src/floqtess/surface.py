@@ -18,13 +18,12 @@ import json
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .hypgeo import RegularSig, SemiRegularSig, _check_genus, _genus_chi
+from .hypgeo import RegularSig, _check_genus, _genus_chi
 
 __all__ = [
     "SurfaceError",
     "Edge",
     "SurfaceComplex",
-    "TessSignature",
     "fundamental_polygon",
     "polygon_surface",
     "regular_counts",
@@ -71,6 +70,14 @@ class _FlagMap:
     orbits of <sigma0, sigma1>; edges are the orbits of <sigma0, sigma2>.
     Only the face list and the slot pairing are needed, never the vertex ids,
     which lets constructors recover vertices from the gluing.
+
+    A flag ``(f, j, t)`` sits at the tail (t = 0) or head (t = 1) of slot j
+    as face f walks it; :meth:`end` and :meth:`flag` translate to and from
+    the intrinsic end of the edge, and no other code needs that convention.
+    ``rotations`` holds one psi -> sigma2 sigma1 psi cycle per vertex, in
+    order of each vertex's first flag and starting at it; ``vertex`` maps
+    every flag to its cycle; ``edge_faces`` maps an edge id to the faces of
+    its first and second slot.
     """
 
     def __init__(self, faces: Sequence[Sequence[Slot]]):
@@ -97,6 +104,7 @@ class _FlagMap:
                     f"edge {eid!r} appears in {len(slots)} face slots; a surface allows 2"
                 )
         self.slots_of = slots_of
+        self.edge_faces = {eid: (a[0], b[0]) for eid, (a, b) in slots_of.items()}
 
         n = len(self.flags)
         self.s0 = [0] * n
@@ -109,38 +117,48 @@ class _FlagMap:
                 self.s1[i] = self.index[(f, (j + 1) % L, 0)]
             else:
                 self.s1[i] = self.index[(f, (j - 1) % L, 1)]
-            eid, d = faces[f][j]
-            (fa, ja), (fb, jb) = self.slots_of[eid]
-            of, oj = (fb, jb) if (fa, ja) == (f, j) else (fa, ja)
-            od = faces[of][oj][1]
-            # Intrinsic end of the edge this flag sits at.
-            intrinsic = t if d == 1 else 1 - t
-            ot = intrinsic if od == 1 else 1 - intrinsic
-            self.s2[i] = self.index[(of, oj, ot)]
+            eid, end = self.end(i)
+            a, b = slots_of[eid]
+            self.s2[i] = self.flag(*(b if a == (f, j) else a), end)
 
-    def orbit_labels(self, gens: Sequence[list[int]]) -> tuple[list[int], int]:
-        """Orbit index per flag under the given involutions, discovery order."""
-        n = len(self.flags)
-        label = [-1] * n
-        count = 0
+        self.vertex = [-1] * n
+        self.rotations: list[list[int]] = []
         for start in range(n):
-            if label[start] != -1:
+            if self.vertex[start] != -1:
                 continue
-            stack = [start]
-            label[start] = count
-            while stack:
-                i = stack.pop()
-                for g in gens:
-                    nb = g[i]
-                    if label[nb] == -1:
-                        label[nb] = count
-                        stack.append(nb)
-            count += 1
-        return label, count
+            v = len(self.rotations)
+            cycle = []
+            i = start
+            while True:
+                cycle.append(i)
+                self.vertex[i] = self.vertex[self.s1[i]] = v
+                i = self.s2[self.s1[i]]
+                if i == start:
+                    break
+                if self.vertex[i] != -1:
+                    raise AssertionError("vertex rotation failed to close")
+            self.rotations.append(cycle)
+
+    def end(self, i: int) -> tuple[Any, int]:
+        """(edge id, intrinsic end of that edge) at flag i."""
+        f, j, t = self.flags[i]
+        eid, d = self.faces[f][j]
+        return eid, t if d == 1 else 1 - t
+
+    def flag(self, f: int, j: int, end: int) -> int:
+        """The flag of slot j of face f at the given intrinsic edge end."""
+        return self.index[(f, j, end if self.faces[f][j][1] == 1 else 1 - end)]
 
     def connected(self) -> bool:
-        _, parts = self.orbit_labels([self.s0, self.s1, self.s2])
-        return parts <= 1
+        seen = {0}
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            for nb in (self.s0[i], self.s1[i], self.s2[i]):
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        return len(seen) == len(self.flags)
 
     def orientable(self) -> bool:
         """Two-color flags so that every involution swaps colors."""
@@ -203,7 +221,7 @@ class SurfaceComplex:
         return self._edge_index[eid]  # populated by _validate
 
     def flag_map(self) -> _FlagMap:
-        return _FlagMap(self.faces)
+        return self._flag_map  # built once by _validate
 
     def walk_ends(self, slot: Slot) -> tuple[VertexId, VertexId]:
         """(tail, head) of a directed slot."""
@@ -249,6 +267,7 @@ def _validate(c: SurfaceComplex) -> None:
 
     # Slot pairing (exactly two per edge) is enforced by the flag map.
     fm = _FlagMap(c.faces)
+    object.__setattr__(c, "_flag_map", fm)
 
     for f, face in enumerate(c.faces):
         for j in range(len(face)):
@@ -263,7 +282,7 @@ def _validate(c: SurfaceComplex) -> None:
     if not fm.connected():
         raise SurfaceError("complex is not connected")
 
-    _, n_orbits = fm.orbit_labels([fm.s1, fm.s2])
+    n_orbits = len(fm.rotations)
     if n_orbits != len(c.vertices):
         raise SurfaceError(
             f"corner orbits give {n_orbits} vertices but {len(c.vertices)} are declared "
@@ -287,40 +306,6 @@ def _validate(c: SurfaceComplex) -> None:
         )
 
 
-@dataclass(frozen=True)
-class TessSignature:
-    """A tessellation paired with the closed surface carrying it."""
-
-    kind: str  # "regular" or "semiregular"
-    params: tuple[int, ...]
-    genus: int
-    orientable: bool
-
-    def __post_init__(self) -> None:
-        params = tuple(self.params)
-        object.__setattr__(self, "params", params)
-        if self.kind == "regular":
-            RegularSig(*params)  # hyperbolicity check
-        elif self.kind == "semiregular":
-            SemiRegularSig(params)
-        else:
-            raise ValueError(f"kind must be 'regular' or 'semiregular', got {self.kind!r}")
-        _check_genus(self.genus, self.orientable)
-
-    @property
-    def chi(self) -> int:
-        return _genus_chi(self.genus, self.orientable)
-
-    def __str__(self) -> str:
-        body = (
-            "{%d,%d}" % self.params
-            if self.kind == "regular"
-            else "[" + ",".join(map(str, self.params)) + "]"
-        )
-        surf = f"g={self.genus}" + ("" if self.orientable else " non-orientable")
-        return f"{body} {surf}"
-
-
 def polygon_surface(word: Sequence[Slot]) -> SurfaceComplex:
     """Close up a single polygon whose boundary word identifies its sides.
 
@@ -334,12 +319,7 @@ def polygon_surface(word: Sequence[Slot]) -> SurfaceComplex:
             raise SurfaceError("directions must be +1 or -1")
     faces = [word]
     fm = _FlagMap(faces)
-    labels, n_orbits = fm.orbit_labels([fm.s1, fm.s2])
-
-    def vertex_at(f: int, j: int, intrinsic: int) -> int:
-        d = faces[f][j][1]
-        t = intrinsic if d == 1 else 1 - intrinsic
-        return labels[fm.index[(f, j, t)]]
+    n_orbits = len(fm.rotations)
 
     edges = []
     seen = set()
@@ -348,7 +328,7 @@ def polygon_surface(word: Sequence[Slot]) -> SurfaceComplex:
             continue
         seen.add(lab)
         f, j = fm.slots_of[lab][0]
-        edges.append(Edge(lab, (vertex_at(f, j, 0), vertex_at(f, j, 1))))
+        edges.append(Edge(lab, tuple(fm.vertex[fm.flag(f, j, end)] for end in (0, 1))))
 
     orientable = fm.orientable()
     chi = n_orbits - len(edges) + 1
@@ -425,47 +405,29 @@ def dual(c: SurfaceComplex) -> SurfaceComplex:
     characteristic, orientability and genus carry over.
     """
     fm = c.flag_map()
-    labels, n_orbits = fm.orbit_labels([fm.s1, fm.s2])
 
-    # Intrinsic ends of each dual edge: (face of first slot, face of second).
-    dual_ends = {eid: (slots[0][0], slots[1][0]) for eid, slots in fm.slots_of.items()}
-
-    # Map each source vertex to its orbit label so dual faces follow the
+    # Map each source vertex to its rotation so dual faces follow the
     # declared vertex order.
-    orbit_of_vertex: dict[Any, int] = {}
-    for i, (f, j, t) in enumerate(fm.flags):
-        eid, d = c.faces[f][j]
-        intrinsic = t if d == 1 else 1 - t
-        v = c.edge_by_id(eid).ends[intrinsic]
-        orbit_of_vertex.setdefault(v, labels[i])
-
-    start_flag = {}
+    rotation_of: dict[Any, int] = {}
     for i in range(len(fm.flags)):
-        start_flag.setdefault(labels[i], i)
+        eid, end = fm.end(i)
+        rotation_of.setdefault(c.edge_by_id(eid).ends[end], fm.vertex[i])
 
     dual_faces = []
     for v in c.vertices:
-        orbit = orbit_of_vertex[v]
+        cyc = fm.rotations[rotation_of[v]]
         walk: list[Slot] = []
-        i0 = start_flag[orbit]
-        i = i0
-        for _ in range(2 * len(fm.flags) + 1):
+        for i in cyc[:1] + cyc[:0:-1]:  # the rotation, walked backwards
             f, j, _ = fm.flags[i]
             eid = c.faces[f][j][0]
-            first_slot = fm.slots_of[eid][0]
-            walk.append((eid, 1 if (f, j) == first_slot else -1))
-            i = fm.s1[fm.s2[i]]
-            if i == i0:
-                break
-        else:
-            raise AssertionError("vertex rotation failed to close")
+            walk.append((eid, 1 if (f, j) == fm.slots_of[eid][0] else -1))
         dual_faces.append(tuple(walk))
 
     return SurfaceComplex(
         orientable=c.orientable,
         genus=c.genus,
         vertices=tuple(range(len(c.faces))),
-        edges=tuple(Edge(eid, dual_ends[eid]) for eid in (e.id for e in c.edges)),
+        edges=tuple(Edge(e.id, fm.edge_faces[e.id]) for e in c.edges),
         faces=tuple(dual_faces),
     )
 

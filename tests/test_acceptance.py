@@ -32,10 +32,10 @@ from floqtess.floquet import (
 )
 from floqtess.geodist import estimate_distance
 from floqtess.hypgeo import (
+    SemiRegularSig,
     incenter_chord,
     regular_edge_length,
     semiregular_edge_length,
-    vertex_type_admissible,
 )
 from floqtess.surface import fundamental_polygon
 
@@ -206,8 +206,11 @@ def test_criterion_6_invariant_suites():
     triples = [(3, 7, 200), (200, 200, 200)]
     while len(triples) < 60:
         m = tuple(sorted(rng.randint(3, 120) for _ in range(3)))
-        if vertex_type_admissible(m):
-            triples.append(m)
+        try:
+            SemiRegularSig(m)
+        except ValueError:
+            continue
+        triples.append(m)
     for m in triples:
         c = math.cosh(semiregular_edge_length(m) / 2)
         res = abs(math.fsum(math.asin(math.cos(math.pi / mi) / c) for mi in m) - math.pi)

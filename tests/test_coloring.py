@@ -10,7 +10,6 @@ from floqtess.coloring import (
     ColorAssignment,
     EdgeSchedule,
     NotColorCodeTiling,
-    _face_pairs,
     checks_for_round,
     edge_three_color,
     three_color,
@@ -26,7 +25,7 @@ def reference_face_coloring(c: SurfaceComplex) -> list[str] | None:
     in the worst case and recursive, so only for small complexes.
     """
     adj: list[set[int]] = [set() for _ in c.faces]
-    for f1, f2 in _face_pairs(c).values():
+    for f1, f2 in c.flag_map().edge_faces.values():
         if f1 == f2:
             return None
         adj[f1].add(f2)

@@ -22,7 +22,6 @@ from floqtess.floquet import (
     exhaustive_distance,
     explicit_complex,
     face_stabilizer,
-    logical_count,
     measure,
     run_schedule,
 )
@@ -232,8 +231,8 @@ class TestRunSchedule:
 
     def test_logical_count_accessors(self, octagon):
         _, _, result = octagon
-        assert logical_count(result) == 4
-        assert logical_count(result.steady_phases[0]) == 4
+        assert result.k_inst == 4
+        assert all(result.n - p.rank == 4 for p in result.steady_phases)
 
     def test_needs_six_rounds(self, octagon):
         _, assign, _ = octagon
@@ -398,8 +397,9 @@ class TestExactDistance:
         cx = clip_complex(fundamental_polygon(3, False), 6, 6)
         sched = edge_three_color(cx)
         result = run_schedule(sched, 9)
-        with pytest.raises(BoundExceeded):
+        with pytest.raises(ValueError, match="k = 0") as info:
             exact_distance(sched, result)
+        assert not isinstance(info.value, BoundExceeded)
         with pytest.raises(ValueError, match="no logical"):
             exhaustive_distance(result)
 

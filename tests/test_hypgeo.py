@@ -24,8 +24,16 @@ from floqtess.hypgeo import (
     semiregular_profile,
     surface_area,
     systole,
-    vertex_type_admissible,
 )
+
+
+def _hyperbolic(m) -> bool:
+    try:
+        SemiRegularSig(m)
+    except ValueError:
+        return False
+    return True
+
 
 # {p,q} closed forms at 50-digit precision.
 L_88 = 3.0571418389619963
@@ -156,7 +164,7 @@ class TestSemiRegular:
         triples = [(3, 7, 200), (200, 200, 200), (3, 7, 50), (4, 5, 21)]
         while len(triples) < 300:
             m = tuple(sorted(rng.randint(3, 200) for _ in range(3)))
-            if vertex_type_admissible(m):
+            if _hyperbolic(m):
                 triples.append(m)
         for m in triples:
             l = semiregular_edge_length(m)
@@ -227,21 +235,24 @@ class TestSystole:
 
 
 class TestAdmissibility:
+    """SemiRegularSig is the hyperbolicity test for a vertex type."""
+
     def test_examples(self):
-        assert vertex_type_admissible([8, 8, 8])
-        assert not vertex_type_admissible([6, 6, 6])
-        assert vertex_type_admissible([4, 6, 14])
+        assert SemiRegularSig((8, 8, 8)).m == (8, 8, 8)
+        with pytest.raises(ValueError, match="Euclidean"):
+            SemiRegularSig((6, 6, 6))
+        assert SemiRegularSig((4, 6, 14)).m == (4, 6, 14)
 
     def test_boundary_is_exact(self):
         # 1/4 + 1/8 + 1/8 = 1/2 exactly; float arithmetic must not let it in.
-        assert not vertex_type_admissible([4, 8, 8])
-        assert not vertex_type_admissible([4, 6, 12])
-        assert not vertex_type_admissible([3, 7, 42])
-        assert vertex_type_admissible([3, 7, 43])
+        for m in ((4, 8, 8), (4, 6, 12), (3, 7, 42)):
+            with pytest.raises(ValueError, match="Euclidean"):
+                SemiRegularSig(m)
+        assert SemiRegularSig((3, 7, 43)).m == (3, 7, 43)
 
     def test_rejects_degenerate_entries(self):
-        with pytest.raises(ValueError):
-            vertex_type_admissible([2, 8, 8])
+        with pytest.raises(ValueError, match=">= 3"):
+            SemiRegularSig((2, 8, 8))
 
 
 class TestMetricProfileInvariants:

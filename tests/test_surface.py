@@ -1,16 +1,19 @@
 """Polygonal complexes: gluing, validation, duals, counting, serialization."""
 
+import hashlib
 import json
 import math
 
 import pytest
 
 from floqtess import hypgeo
+from floqtess.cli import _parse_sig
+from floqtess.derive import clip_complex, incenter_complex
+from floqtess.hypgeo import RegularSig, SemiRegularSig, _check_genus, _genus_chi
 from floqtess.surface import (
     Edge,
     SurfaceComplex,
     SurfaceError,
-    TessSignature,
     deserialize,
     dual,
     fundamental_polygon,
@@ -93,6 +96,83 @@ class TestPolygonSurface:
     def test_triple_side_rejected(self):
         with pytest.raises(SurfaceError, match="face slots"):
             polygon_surface([("a", 1), ("a", 1), ("a", -1), ("b", 1), ("b", -1)])
+
+
+def _derived(genus, orientable, derive):
+    base = fundamental_polygon(genus, orientable)
+    if derive == "bare":
+        return base
+    p = (4 if orientable else 2) * genus
+    return (clip_complex if derive == "clip" else incenter_complex)(base, p, p)
+
+
+class TestFlagMap:
+    # sha256 of json.dumps(serialize(...)): pins vertex, edge and face order
+    # and the walk direction of every face, of each complex and its dual.
+    PINS = {
+        (2, True, "bare"): ("51a7f7ea8c8698981f79cefe22cd0ceca7a2335436e5e48fdca7694ed4019ec4",
+                            "b0e1c41720f0a5ba970f63caee5a8e0a4541a3b92ea6a6e889b17ed5e244fa1a"),
+        (2, True, "clip"): ("c1af4b6f3f798cbf55054e3fd215461b022b0f6c6b79ce413725f309aa3404b3",
+                            "656e665c632c531d66d0999a06e74b8833fda017d70e5c857ffbe7901cbabf6a"),
+        (2, True, "incenter"): ("05b10c838053aa64da1e607494a490979ee0a91cddbf94942f3296339855c89e",
+                                "b96725256c57877b627f851536ec9ffc3cc9d5c4bcc71bf594bdd25f6296f317"),
+        (3, False, "bare"): ("0ed9df1a9fc501200e89ce8f1ca7d182c7e2ce107bb4916223ab6b57fdd955d9",
+                             "0ed9df1a9fc501200e89ce8f1ca7d182c7e2ce107bb4916223ab6b57fdd955d9"),
+        (3, False, "clip"): ("24b708ba7e53e36e1f58801471619b3b0e48f2bbec4c4e3bd57cd9c954430549",
+                             "298e2b0f7a5299bf108401c022acf498a0c88493395db13cabbff010a5ad7635"),
+        (3, False, "incenter"): ("eae3668895bc56f92a1a40b6539c531d404691d2eb31ae29fc9dae2b912d94b3",
+                                 "209503e152a14648388e3efaaaa600fac840cd8b974b9541bf63bb923db12fc0"),
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINS))
+    def test_serialization_pinned(self, key):
+        c = _derived(*key)
+        got = tuple(
+            hashlib.sha256(json.dumps(serialize(x)).encode()).hexdigest()
+            for x in (c, dual(c))
+        )
+        assert got == self.PINS[key]
+
+    @pytest.mark.parametrize("derive", ["clip", "incenter"])
+    @pytest.mark.parametrize("genus,orientable", [(2, True), (3, True), (3, False), (4, False)])
+    def test_rotations(self, genus, orientable, derive):
+        c = _derived(genus, orientable, derive)
+        fm = c.flag_map()
+        assert len(fm.rotations) == len(c.vertices)
+        degree = c.vertex_degrees()
+        at = set()
+        in_cycle = [0] * len(fm.flags)
+        for k, cyc in enumerate(fm.rotations):
+            eid, end = fm.end(cyc[0])
+            v = c.edge_by_id(eid).ends[end]
+            at.add(v)
+            assert len(cyc) == degree[v]
+            for pos, psi in enumerate(cyc):
+                assert fm.s2[fm.s1[psi]] == cyc[(pos + 1) % len(cyc)]
+                eid, end = fm.end(psi)
+                assert c.edge_by_id(eid).ends[end] == v
+                assert fm.vertex[psi] == fm.vertex[fm.s1[psi]] == k
+                in_cycle[psi] += 1
+        assert at == set(c.vertices)
+        for i in range(len(fm.flags)):
+            assert in_cycle[i] + in_cycle[fm.s1[i]] == 1
+
+    @pytest.mark.parametrize("derive", ["bare", "clip", "incenter"])
+    def test_end_and_flag_are_inverse(self, derive):
+        c = _derived(3, False, derive)
+        fm = c.flag_map()
+        for i, (f, j, _) in enumerate(fm.flags):
+            eid, end = fm.end(i)
+            assert eid == c.faces[f][j][0]
+            assert fm.flag(f, j, end) == i
+            assert fm.end(fm.s2[i]) == (eid, end)
+            assert fm.end(fm.s0[i]) == (eid, 1 - end)
+        for eid, (f1, f2) in fm.edge_faces.items():
+            assert [f for f, face in enumerate(c.faces) for e, _ in face if e == eid] == [f1, f2]
+
+    def test_built_once(self):
+        c = _derived(2, True, "incenter")
+        assert c.flag_map() is c.flag_map()
 
 
 class TestOrientability:
@@ -275,28 +355,31 @@ class TestIsomorphism:
 
 
 class TestTessSignature:
+    """A tessellation signature on a surface: the signature checks its own
+    hyperbolicity, and the genus rule gives the floor and chi."""
+
     def test_regular(self):
-        sig = TessSignature("regular", (8, 3), 2, True)
-        assert sig.chi == -2
-        assert str(sig) == "{8,3} g=2"
+        assert RegularSig(8, 3) == RegularSig(8, 3)
+        assert _check_genus(2, True) == _genus_chi(2, True) == -2
 
     def test_semiregular(self):
-        sig = TessSignature("semiregular", (6, 6, 8), 3, False)
-        assert sig.chi == -1
-        assert str(sig) == "[6,6,8] g=3 non-orientable"
+        assert SemiRegularSig((6, 6, 8)).m == (6, 6, 8)
+        assert _check_genus(3, False) == _genus_chi(3, False) == -1
 
     def test_rejects_non_hyperbolic(self):
         with pytest.raises(ValueError):
-            TessSignature("regular", (4, 4), 2, True)
+            RegularSig(4, 4)
         with pytest.raises(ValueError, match="Euclidean"):
-            TessSignature("semiregular", (6, 6, 6), 2, True)
+            SemiRegularSig((6, 6, 6))
 
     def test_genus_floors(self):
         with pytest.raises(ValueError):
-            TessSignature("regular", (8, 3), 1, True)
+            _check_genus(1, True)
         with pytest.raises(ValueError):
-            TessSignature("semiregular", (6, 6, 8), 2, False)
+            _check_genus(2, False)
 
     def test_bad_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            TessSignature("fancy", (8, 3), 2, True)
+        assert _parse_sig("{8,3}") == ("regular", (8, 3))
+        assert _parse_sig("[6,6,8]") == ("semiregular", (6, 6, 8))
+        with pytest.raises(ValueError, match="unrecognized signature"):
+            _parse_sig("(8,3)")
