@@ -225,6 +225,8 @@ def three_color(c: SurfaceComplex) -> ColorAssignment:
 def edge_three_color(c: SurfaceComplex) -> EdgeSchedule:
     """Proper 3-edge-coloring by deterministic backtracking in edge order.
 
+    Edges are colored in ``c.edges`` order, each trying colors in ``COLORS``
+    order, with an explicit stack so large complexes need no recursion.
     Works whenever the tri-valent complex's edges split into three perfect
     matchings, face colors or not.  Raises ValueError if no such coloring
     exists.
@@ -235,35 +237,36 @@ def edge_three_color(c: SurfaceComplex) -> EdgeSchedule:
     for e in c.edges:
         if e.ends[0] == e.ends[1]:
             raise ValueError(f"edge {e.id!r} is a loop; no perfect matching contains it")
-    order = [e.id for e in c.edges]
+    # Only the earlier edges sharing an end are colored when an edge is tried.
     incident: dict = {v: [] for v in c.vertices}
-    for e in c.edges:
-        for v in set(e.ends):
-            incident[v].append(e.id)
-    color_of: dict = {}
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        eid = order[i]
-        ends = c.edge_by_id(eid).ends
-        taken = {
-            color_of[other]
-            for v in set(ends)
-            for other in incident[v]
-            if other in color_of
-        }
-        for color in COLORS:
-            if color not in taken:
-                color_of[eid] = color
-                if extend(i + 1):
-                    return True
-                del color_of[eid]
-        return False
-
-    if not extend(0):
-        raise ValueError("edges do not split into three perfect matchings")
-    edge_color = {eid: color_of[eid] for eid in order}
+    earlier = []
+    for i, e in enumerate(c.edges):
+        u, w = e.ends
+        earlier.append(tuple(incident[u] + incident[w]))
+        incident[u].append(i)
+        incident[w].append(i)
+    # Colors are the bits 1, 2, 4 (R, G, B), so the lowest set bit of an
+    # option mask is the next color in COLORS order.
+    m = len(earlier)
+    color = [0] * m  # color bit of each edge on the current path
+    left = [0] * m  # colors edge i has not tried yet
+    i, options = 0, 0b111
+    while i < m:
+        if options:
+            low = options & -options
+            color[i], left[i] = low, options ^ low
+            i += 1
+            options = 0b111
+            if i < m:
+                for j in earlier[i]:
+                    options &= ~color[j]
+        elif i == 0:
+            raise ValueError("edges do not split into three perfect matchings")
+        else:
+            i -= 1
+            options = left[i]
+    name = dict(zip((1, 2, 4), COLORS))
+    edge_color = {e.id: name[bit] for e, bit in zip(c.edges, color)}
     return EdgeSchedule(complex=c, edge_color=edge_color)
 
 

@@ -113,11 +113,14 @@ class PauliOperator:
         }
 
 
+def _swap_halves(v: int, n: int) -> int:
+    """``(z << n) | x`` of the row ``(x << n) | z``: the symplectic product
+    of ``u`` and ``v`` is the parity of ``u & _swap_halves(v, n)``."""
+    return ((v & ((1 << n) - 1)) << n) | (v >> n)
+
+
 def _sympl(u: int, v: int, n: int) -> int:
-    mask = (1 << n) - 1
-    return (
-        ((u >> n) & (v & mask)).bit_count() + ((u & mask) & (v >> n)).bit_count()
-    ) & 1
+    return (u & _swap_halves(v, n)).bit_count() & 1
 
 
 def _reduce_rows(vectors, n) -> tuple:
@@ -209,31 +212,52 @@ class StabilizerGroup:
         }
 
 
+def _measure_step(basis: dict, c: int, n: int) -> None:
+    """Measure check ``c`` on the echelon basis ``{pivot: row}`` in place.
+
+    The anticommuting row with the lowest pivot absorbs the other
+    anticommuting rows (their pivots stay put) and leaves; the check is then
+    reduced top bit by top bit and joins unless it is a dependent commuting
+    check.  Both per-check invariants cost O(rank): the rank does not drop,
+    and the new row commutes with every row.
+    """
+    swapped = _swap_halves(c, n)
+    anti = [p for p, r in basis.items() if (r & swapped).bit_count() & 1]
+    if anti:
+        low = min(anti)
+        g = basis.pop(low)
+        for p in anti:
+            if p != low:
+                basis[p] ^= g
+    while c:
+        p = c.bit_length() - 1
+        row = basis.get(p)
+        if row is None:
+            break
+        c ^= row
+    if not c:
+        if anti:
+            raise RuntimeError("measurement lowered the rank")
+        return
+    swapped = _swap_halves(c, n)
+    if any((r & swapped).bit_count() & 1 for r in basis.values()):
+        raise RuntimeError("measurement broke commutativity")
+    basis[c.bit_length() - 1] = c
+
+
 def measure(isg: StabilizerGroup, check: PauliOperator) -> StabilizerGroup:
     """Project the group onto the outcome algebra of a 2-qubit check.
 
-    Commuting checks join the group (when independent); otherwise the first
+    Commuting checks join the group (when independent); otherwise one
     anticommuting row absorbs the rest and is replaced by the check.
     """
     if check.n != isg.n:
         raise ValueError("check qubit count mismatch")
     if check.weight != 2:
         raise ValueError("check must be a 2-qubit Pauli")
-    n = isg.n
-    c = (check.x << n) | check.z
-    rows = list(isg.rows)
-    anti = [i for i, r in enumerate(rows) if _sympl(r, c, n)]
-    if anti:
-        g = rows[anti[0]]
-        for i in anti[1:]:
-            rows[i] ^= g
-        rows[anti[0]] = c
-    else:
-        rows.append(c)
-    out = StabilizerGroup(n, _reduce_rows(rows, n))
-    assert out.rank >= isg.rank, "measurement lowered the rank"
-    assert out.is_abelian(), "measurement broke commutativity"
-    return out
+    basis = {r.bit_length() - 1: r for r in isg.rows}
+    _measure_step(basis, (check.x << isg.n) | check.z, isg.n)
+    return StabilizerGroup(isg.n, _reduce_rows(basis.values(), isg.n))
 
 
 @dataclass(frozen=True)
@@ -274,7 +298,9 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
 
     ``schedule`` is an EdgeSchedule, such as a ColorAssignment.  Steady state is
     entered at round ``r`` when ISG(r) == ISG(r-3); determinism of the
-    update then keeps the period-3 cycle forever.
+    update then keeps the period-3 cycle forever.  One echelon basis is
+    updated check by check across all rounds and made canonical once per
+    round.
     """
     if rounds < 6:
         raise ValueError("need at least 6 rounds to certify a steady state")
@@ -285,12 +311,12 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
         [check_operator(ch, index, n) for ch in checks_for_round(schedule, r)]
         for r in range(3)
     ]
-    group = StabilizerGroup.empty(n)
+    basis: dict[int, int] = {}
     groups = []
     for r in range(rounds):
         for op in phase_ops[r % 3]:
-            group = measure(group, op)
-        groups.append(group)
+            _measure_step(basis, (op.x << n) | op.z, n)
+        groups.append(StabilizerGroup(n, _reduce_rows(basis.values(), n)))
     steady = None
     for r in range(3, rounds):
         if groups[r] == groups[r - 3]:

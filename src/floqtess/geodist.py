@@ -54,13 +54,12 @@ class DistanceEstimate:
         }
 
 
-def _chords(m, red: int) -> tuple:
-    """(t_r, t_gb) for the given red class.
+def _chords(prof, m, red: int) -> tuple:
+    """(t_r, t_gb) for the given red class of m, whose profile is ``prof``.
 
     t_r: shortest chord across either non-red pivot face; t_gb: centre
     distance between the two non-red classes.
     """
-    prof = semiregular_profile(m)
     j, k = (i for i in range(3) if i != red)
     t_r = min(
         incenter_chord(prof.a[red] + prof.a[j], m[j]),
@@ -81,10 +80,11 @@ def estimate_distance(
     """
     sig = SemiRegularSig(m)
     length = systole(genus, orientable, **kw)
+    prof = semiregular_profile(sig.m)
     chords = []
     best = None  # (value, red, kind, dX, dZ)
     for red in range(3):
-        t_r, t_gb = _chords(sig.m, red)
+        t_r, t_gb = _chords(prof, sig.m, red)
         chords.append((red, t_r, t_gb))
         d_x = 2 * _ceil_guard(length / t_r)
         d_z = _ceil_guard(length / t_gb)

@@ -1,5 +1,6 @@
 """Face/edge three-colorings and the induced two-body checks."""
 
+import sys
 from collections import Counter
 
 import pytest
@@ -48,6 +49,47 @@ def reference_face_coloring(c: SurfaceComplex) -> list[str] | None:
     return colors if extend(0) else None
 
 
+def reference_edge_coloring(c: SurfaceComplex) -> dict[str, str]:
+    """Recursive backtracking: edges in ``c.edges`` order, colors R < G < B.
+
+    The lexicographically least proper edge coloring.  It takes one stack
+    frame per edge, so the recursion limit is raised while it runs.
+    """
+    order = [e.id for e in c.edges]
+    incident: dict = {v: [] for v in c.vertices}
+    for e in c.edges:
+        for v in set(e.ends):
+            incident[v].append(e.id)
+    color_of: dict = {}
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        eid = order[i]
+        ends = c.edge_by_id(eid).ends
+        taken = {
+            color_of[other]
+            for v in set(ends)
+            for other in incident[v]
+            if other in color_of
+        }
+        for color in COLORS:
+            if color not in taken:
+                color_of[eid] = color
+                if extend(i + 1):
+                    return True
+                del color_of[eid]
+        return False
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + len(order))
+    try:
+        assert extend(0), "edges do not split into three perfect matchings"
+    finally:
+        sys.setrecursionlimit(limit)
+    return {eid: color_of[eid] for eid in order}
+
+
 def honeycomb_torus(L: int) -> SurfaceComplex:
     """L x L honeycomb on the torus: L^2 hexagons, 2L^2 vertices, 3L^2 edges.
 
@@ -87,6 +129,34 @@ def honeycomb_torus(L: int) -> SurfaceComplex:
     vertices = [f(x, y) for f in (u, w) for x, y in cells]
     return SurfaceComplex(
         orientable=True, genus=1, vertices=vertices, edges=edges, faces=faces
+    )
+
+
+def petersen_projective_plane() -> SurfaceComplex:
+    """The Petersen graph on the projective plane (the hemi-dodecahedron).
+
+    Tri-valent and loop-free with six pentagons, but its edges do not split
+    into three perfect matchings.
+    """
+    ends = (
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    )
+    pentagons = [
+        ((9, -1), (3, -1), (8, 1), (11, -1), (14, -1)),
+        ((12, 1), (14, 1), (6, -1), (1, 1), (7, 1)),
+        ((10, -1), (5, -1), (4, -1), (9, 1), (12, -1)),
+        ((1, 1), (2, 1), (3, 1), (4, 1), (0, 1)),
+        ((0, -1), (5, 1), (13, -1), (11, -1), (6, -1)),
+        ((8, 1), (13, 1), (10, 1), (7, -1), (2, 1)),
+    ]
+    return SurfaceComplex(
+        orientable=False,
+        genus=1,
+        vertices=list(range(10)),
+        edges=[(f"e{k}", e) for k, e in enumerate(ends)],
+        faces=[tuple((f"e{k}", d) for k, d in face) for face in pentagons],
     )
 
 
@@ -154,6 +224,21 @@ class TestAgainstReference:
         assign = three_color(cx)
         assert len(cx.faces) == 1296
         assert Counter(assign.face_color) == {"R": 432, "G": 432, "B": 432}
+
+    @pytest.mark.parametrize(
+        "orientable,g",
+        [(True, g) for g in range(2, 10)] + [(False, g) for g in range(3, 13)],
+        ids=lambda v: str(v),
+    )
+    def test_edge_coloring_clip_complexes(self, orientable, g):
+        p = (4 if orientable else 2) * g
+        cx = clip_complex(fundamental_polygon(g, orientable), p, p)
+        assert edge_three_color(cx).edge_color == reference_edge_coloring(cx)
+
+    @pytest.mark.parametrize("L", range(2, 19))
+    def test_edge_coloring_honeycomb_tori(self, L):
+        cx = honeycomb_torus(L)
+        assert edge_three_color(cx).edge_color == reference_edge_coloring(cx)
 
 
 class TestThreeColor:
@@ -268,6 +353,18 @@ class TestEdgeSchedule:
     def test_rejects_non_trivalent(self):
         with pytest.raises(ValueError, match="degree"):
             edge_three_color(fundamental_polygon(2, True))
+
+    def test_rejects_graph_without_three_matchings(self):
+        with pytest.raises(ValueError, match="do not split into three perfect matchings"):
+            edge_three_color(petersen_projective_plane())
+
+    @pytest.mark.parametrize("L", [19, 36])
+    def test_edge_coloring_past_the_recursion_limit(self, L):
+        # 1083 and 3888 edges: one stack frame per edge would overflow.
+        cx = honeycomb_torus(L)
+        sched = edge_three_color(cx)
+        assert isinstance(sched, EdgeSchedule)
+        assert Counter(sched.edge_color.values()) == {c: L * L for c in COLORS}
 
     def test_checks_derived_from_edge_colors(self, octagon_incenter):
         assign = three_color(octagon_incenter)

@@ -6,16 +6,21 @@ from itertools import combinations, product
 import pytest
 
 from floqtess import floquet
-from floqtess.coloring import edge_three_color, three_color
+from floqtess.cli import _schedule_for
+from floqtess.coloring import checks_for_round, edge_three_color, three_color
 from floqtess.derive import clip_complex, incenter_complex
 from floqtess.floquet import (
     BoundExceeded,
     CodeParams,
     PauliOperator,
     StabilizerGroup,
+    _measure_step,
+    _reduce_rows,
+    _sympl,
     _syndrome_table,
     _vertex_adjacency,
     _weight_hits,
+    check_operator,
     code_params,
     connected_supports,
     exact_distance,
@@ -26,6 +31,58 @@ from floqtess.floquet import (
     run_schedule,
 )
 from floqtess.surface import fundamental_polygon
+from test_coloring import honeycomb_torus
+
+
+def reference_measure(isg, check):
+    """The per-check update the incremental step replaced: the first
+    anticommuting row (highest pivot) absorbs the rest and is replaced by
+    the check, the rows are reduced to canonical form on every check, and
+    the result is checked for rank and commutativity in O(rank^2)."""
+    n = isg.n
+    c = (check.x << n) | check.z
+    rows = list(isg.rows)
+    anti = [i for i, r in enumerate(rows) if _sympl(r, c, n)]
+    if anti:
+        g = rows[anti[0]]
+        for i in anti[1:]:
+            rows[i] ^= g
+        rows[anti[0]] = c
+    else:
+        rows.append(c)
+    out = StabilizerGroup(n, _reduce_rows(rows, n))
+    assert out.rank >= isg.rank, "measurement lowered the rank"
+    assert out.is_abelian(), "measurement broke commutativity"
+    return out
+
+
+def reference_run_schedule(schedule, rounds):
+    """Per-round groups of the schedule, measured by :func:`reference_measure`."""
+    cx = schedule.complex
+    n = len(cx.vertices)
+    index = {v: i for i, v in enumerate(cx.vertices)}
+    group = StabilizerGroup.empty(n)
+    groups = []
+    for r in range(rounds):
+        for ch in checks_for_round(schedule, r):
+            group = reference_measure(group, check_operator(ch, index, n))
+        groups.append(group)
+    return tuple(groups)
+
+
+def schedule_complexes():
+    """Every incenter and clip complex, orientable g=2..12, non-orientable
+    g=3..12, and two face-colourable honeycomb tori."""
+    for orientable, genera in ((True, range(2, 13)), (False, range(3, 13))):
+        for g in genera:
+            for derive in (incenter_complex, clip_complex):
+                p = (4 if orientable else 2) * g
+                yield pytest.param(
+                    lambda d=derive, g=g, o=orientable, p=p: d(fundamental_polygon(g, o), p, p),
+                    id=f"{derive.__name__}-{'o' if orientable else 'n'}{g}",
+                )
+    for L in (3, 6):
+        yield pytest.param(lambda L=L: honeycomb_torus(L), id=f"honeycomb-{L}")
 
 
 def reference_search(gen_x, gen_z, supports, w):
@@ -214,6 +271,45 @@ class TestMeasure:
         with pytest.raises(ValueError, match="2-qubit"):
             measure(g, PauliOperator.from_map(3, {0: "X", 1: "X", 2: "X"}))
 
+    @pytest.mark.parametrize("n", range(8, 25, 4))
+    def test_random_checks_agree_with_reference(self, n):
+        # measure() starts from the canonical rows on every call; the running
+        # basis stays in echelon form between checks, as in run_schedule.
+        rng = random.Random(n)
+        ref = StabilizerGroup.empty(n)
+        basis = {}
+        many_anti = dependent = 0
+        for _ in range(12 * n):
+            i, j = rng.sample(range(n), 2)
+            check = PauliOperator.two_body(n, rng.choice(("XX", "YY", "ZZ")), i, j)
+            c = (check.x << n) | check.z
+            anti = sum(_sympl(r, c, n) for r in ref.rows)
+            nxt = reference_measure(ref, check)
+            many_anti += anti >= 3
+            dependent += not anti and nxt == ref
+            assert measure(ref, check) == nxt
+            _measure_step(basis, c, n)
+            assert StabilizerGroup(n, _reduce_rows(basis.values(), n)) == nxt
+            ref = nxt
+        assert many_anti and dependent
+
+    def test_rank_drop_raises(self):
+        # X0 and ZZ anticommute, so this is no stabilizer group: dropping X0
+        # for ZZ would lose a rank, which the update refuses.
+        x0, zz = PauliOperator.from_map(2, {0: "X"}), PauliOperator.two_body(2, "ZZ", 0, 1)
+        bad = StabilizerGroup(2, _reduce_rows([(x0.x << 2) | x0.z, (zz.x << 2) | zz.z], 2))
+        with pytest.raises(RuntimeError, match="lowered the rank"):
+            measure(bad, zz)
+
+    def test_broken_commutativity_raises(self):
+        # X2 Z0 and X0 anticommute; XX on qubits 2, 1 commutes with both but
+        # reduces against X2 Z0 to X1 Z0, which anticommutes with X0.
+        a = PauliOperator.from_map(3, {2: "X", 0: "Z"})
+        b = PauliOperator.from_map(3, {0: "X"})
+        bad = StabilizerGroup(3, _reduce_rows([(p.x << 3) | p.z for p in (a, b)], 3))
+        with pytest.raises(RuntimeError, match="broke commutativity"):
+            measure(bad, PauliOperator.two_body(3, "XX", 2, 1))
+
 
 class TestRunSchedule:
     def test_octagon_trajectory(self, octagon):
@@ -258,6 +354,12 @@ class TestRunSchedule:
         doc = result.as_json()
         assert doc["k"] == 4 and doc["steady_round"] == 6
         assert doc["ranks"][:3] == [8, 9, 9]
+
+    @pytest.mark.parametrize("build", schedule_complexes())
+    def test_groups_agree_with_reference(self, build):
+        schedule, _ = _schedule_for(build())
+        result = run_schedule(schedule, 9)
+        assert result.groups == reference_run_schedule(schedule, 9)
 
 
 class TestFaceStabilizers:
