@@ -285,7 +285,7 @@ def semiregular_counts_direct(
     orientable tables (it excludes [16,16,8] at chi = -2, where the size
     rule would not).
     """
-    sig = m if isinstance(m, SemiRegularSig) else SemiRegularSig(tuple(int(x) for x in m))
+    sig = m if isinstance(m, SemiRegularSig) else SemiRegularSig(m)
     if integrality not in ("size", "position"):
         raise ValueError(f"integrality must be 'size' or 'position', got {integrality!r}")
     if chi >= 0:

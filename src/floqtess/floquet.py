@@ -83,8 +83,7 @@ class PauliOperator:
 
     @property
     def support(self) -> tuple:
-        mask = self.x | self.z
-        return tuple(q for q in range(self.n) if (mask >> q) & 1)
+        return tuple(_bits(self.x | self.z))
 
     def commutes(self, other: "PauliOperator") -> bool:
         if self.n != other.n:
@@ -183,11 +182,7 @@ class StabilizerGroup:
         )
 
     def is_abelian(self) -> bool:
-        for i in range(len(self.rows)):
-            for j in range(i + 1, len(self.rows)):
-                if _sympl(self.rows[i], self.rows[j], self.n):
-                    return False
-        return True
+        return not any(_sympl(u, v, self.n) for u, v in combinations(self.rows, 2))
 
     def _reduce_vec(self, v: int) -> int:
         for row in self.rows:
@@ -200,10 +195,6 @@ class StabilizerGroup:
         if op.n != self.n:
             raise ValueError("operator qubit count mismatch")
         return self._reduce_vec((op.x << self.n) | op.z) == 0
-
-    def commutes_with(self, op: PauliOperator) -> bool:
-        v = (op.x << self.n) | op.z
-        return all(not _sympl(row, v, self.n) for row in self.rows)
 
     def as_json(self) -> dict:
         return {
@@ -317,11 +308,7 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
         for op in phase_ops[r % 3]:
             _measure_step(basis, (op.x << n) | op.z, n)
         groups.append(StabilizerGroup(n, _reduce_rows(basis.values(), n)))
-    steady = None
-    for r in range(3, rounds):
-        if groups[r] == groups[r - 3]:
-            steady = r
-            break
+    steady = next((r for r in range(3, rounds) if groups[r] == groups[r - 3]), None)
     k_inst = None
     if steady is not None:
         ks = {n - groups[r].rank for r in range(steady - 3, steady)}
@@ -350,40 +337,51 @@ def face_stabilizer(assign, f: int) -> PauliOperator:
     return PauliOperator(n, x, z)
 
 
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _cosupport_graph(group: StabilizerGroup) -> list:
+    """Adjacency bitmasks of the qubits: ``q`` and ``r`` are adjacent when
+    some row of ``group`` acts on both."""
+    n = group.n
+    adj = [0] * n
+    for row in group.rows:
+        sup = ((row >> n) | row) & ((1 << n) - 1)
+        for q in _bits(sup):
+            adj[q] |= sup
+    return [a & ~(1 << q) for q, a in enumerate(adj)]
+
+
 def connected_supports(adj, w: int) -> list:
-    """All connected w-subsets of a graph given as adjacency lists.
+    """All connected w-subsets, as sorted tuples, of the graph in which
+    vertex ``v`` has the neighbour bitmask ``adj[v]``.
 
-    Each subset is grown from its minimum vertex using only larger ones,
-    so every subset comes out exactly once.
+    Each subset grows from its least vertex through larger first-seen
+    vertices, never re-picking an earlier frontier vertex, so it comes out
+    once.  The last level adds frontier vertices without a neighbour scan.
     """
-    n = len(adj)
     if w == 1:
-        return [(v,) for v in range(n)]
+        return [(v,) for v in range(len(adj))]
     out = []
-    for v0 in range(n):
-        ext0 = tuple(u for u in adj[v0] if u > v0)
 
-        def rec(members, ext, known):
-            if len(members) == w:
-                out.append(tuple(sorted(members)))
-                return
-            for i, u in enumerate(ext):
-                new = tuple(x for x in adj[u] if x > v0 and x not in known)
-                rec(members + (u,), ext[i + 1 :] + new, known | set(new))
+    def grow(members, frontier, seen):
+        if len(members) == w - 1:
+            out.extend(tuple(sorted(members + (u,))) for u in _bits(frontier))
+            return
+        for u in _bits(frontier):
+            frontier ^= 1 << u
+            new = adj[u] & ~seen
+            grow(members + (u,), frontier | new, seen | new)
 
-        rec((v0,), ext0, {v0} | set(ext0))
+    for v0, nbrs in enumerate(adj):
+        below = (2 << v0) - 1  # v0 and the vertices before it
+        grow((v0,), nbrs & ~below, nbrs | below)
     return out
-
-
-def _vertex_adjacency(cx) -> list:
-    index = {v: i for i, v in enumerate(cx.vertices)}
-    adj = [set() for _ in cx.vertices]
-    for e in cx.edges:
-        a, b = (index[v] for v in e.ends)
-        if a != b:
-            adj[a].add(b)
-            adj[b].add(a)
-    return [tuple(sorted(s)) for s in adj]
 
 
 # (x, z) bits of the letters X, Y, Z, in syndrome-table order.
@@ -448,15 +446,15 @@ def _weight_hits(syn: np.ndarray, supports: list, w: int):
 def exact_distance(
     schedule, result: ScheduleResult, *, max_weight: int = 6, max_n: int = _EXACT_MAX_N
 ) -> int:
-    """Minimum weight over the steady phases of a logical operator.
+    """Minimum weight of a logical operator over the steady phases of ``result``.
 
-    Searches supports of increasing weight with all non-identity Pauli
-    labelings; beyond weight 3 supports are restricted to connected vertex
-    sets of the tessellation graph.  Raises ValueError when k = 0 and
-    BoundExceeded past ``max_n`` or ``max_weight``.
+    Each phase is searched only on supports connected in its co-support
+    graph (qubits adjacent when a row acts on both).  The prune is exact:
+    a minimum-weight logical split into parts that no row links would
+    leave a lighter part that is itself a logical.  Raises ValueError when
+    k = 0 and BoundExceeded past ``max_n`` or ``max_weight``.
     """
-    cx = schedule.complex
-    n = len(cx.vertices)
+    n = result.n
     if n > max_n:
         raise BoundExceeded(
             f"n={n} exceeds the exact-search bound {max_n}; use geometric estimator"
@@ -466,16 +464,16 @@ def exact_distance(
         raise ValueError(
             f"k = 0: every steady phase has full rank {n}, so no logical operator exists"
         )
-    tables = [_syndrome_table(p) for p in phases]
-    adj = _vertex_adjacency(cx)
+    return _min_logical_weight(phases, max_weight)
+
+
+def _min_logical_weight(phases, max_weight: int) -> int:
+    """The search of :func:`exact_distance` over any stabilizer groups."""
+    searches = [(p, _syndrome_table(p), _cosupport_graph(p)) for p in phases]
     for w in range(1, max_weight + 1):
-        if w <= 3:
-            supports = list(combinations(range(n), w))
-        else:
-            supports = connected_supports(adj, w)
-        for phase, syn in zip(phases, tables):
-            for hx, hz in _weight_hits(syn, supports, w):
-                if phase._reduce_vec((hx << n) | hz):
+        for phase, syn, adj in searches:
+            for hx, hz in _weight_hits(syn, connected_supports(adj, w), w):
+                if phase._reduce_vec((hx << phase.n) | hz):
                     return w
     raise BoundExceeded(
         f"no logical operator of weight <= {max_weight}; use geometric estimator"

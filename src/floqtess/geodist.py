@@ -69,9 +69,7 @@ def _chords(prof, m, red: int) -> tuple:
     return t_r, t_gb
 
 
-def estimate_distance(
-    m, genus: int, orientable: bool, **kw
-) -> DistanceEstimate:
+def estimate_distance(m, genus: int, orientable: bool) -> DistanceEstimate:
     """Minimum of d_X and d_Z over all three red-class choices.
 
     The winning choice is recorded in ``convention_tag``; the result is
@@ -79,7 +77,7 @@ def estimate_distance(
     dynamics) and the clamp, when active, is part of the tag.
     """
     sig = SemiRegularSig(m)
-    length = systole(genus, orientable, **kw)
+    length = systole(genus, orientable)
     prof = semiregular_profile(sig.m)
     chords = []
     best = None  # (value, red, kind, dX, dZ)

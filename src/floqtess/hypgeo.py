@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 __all__ = [
     "RegularSig",
@@ -270,26 +270,16 @@ def incenter_chord(A: float, m_next: int) -> float:
     return math.acosh(max(arg, 1.0))
 
 
-def systole(
-    genus: int,
-    orientable: bool,
-    odd_nonorientable_rule: Callable[[int], float] | None = None,
-) -> float:
+def systole(genus: int, orientable: bool) -> float:
     """Length of the shortest homologically non-trivial cycle.
 
     Orientable genus g: 2 arccosh(cot(pi/4g)), from the regular 4g-gon
     fundamental polygon.  Non-orientable genus g: 2 arccosh(cot(pi/2g)) by
     the analogous 2g-gon; for even g this is exact, for odd g it is a
-    convention that callers may override by passing
-    ``odd_nonorientable_rule`` (a callable mapping genus to a length).
+    convention.
     """
     _check_genus(genus, orientable)
-    if orientable:
-        sides = 4 * genus
-    else:
-        if genus % 2 == 1 and odd_nonorientable_rule is not None:
-            return odd_nonorientable_rule(genus)
-        sides = 2 * genus
+    sides = (4 if orientable else 2) * genus
     return 2.0 * math.acosh(1.0 / math.tan(math.pi / sides))
 
 
@@ -297,10 +287,10 @@ def _as_regular(sig: RegularSig | tuple[int, int]) -> RegularSig:
     if isinstance(sig, RegularSig):
         return sig
     p, q = sig
-    return RegularSig(int(p), int(q))
+    return RegularSig(p, q)
 
 
 def _as_semiregular(sig: SemiRegularSig | Sequence[int]) -> SemiRegularSig:
     if isinstance(sig, SemiRegularSig):
         return sig
-    return SemiRegularSig(tuple(int(x) for x in sig))
+    return SemiRegularSig(sig)

@@ -473,6 +473,14 @@ def serialize(c: SurfaceComplex) -> dict:
     }
 
 
+def _require_id(value: Any, where: str) -> None:
+    """Vertex and edge ids are dictionary keys, so they must be hashable."""
+    try:
+        hash(value)
+    except TypeError:
+        raise SurfaceError(f"{where} must be a scalar id, got {value!r}") from None
+
+
 def deserialize(doc: dict | str) -> SurfaceComplex:
     """Parse and fully validate a complex document.
 
@@ -494,21 +502,32 @@ def deserialize(doc: dict | str) -> SurfaceComplex:
         raise SurfaceError("key 'orientable' must be a boolean")
     if not isinstance(doc["genus"], int) or isinstance(doc["genus"], bool):
         raise SurfaceError("key 'genus' must be an integer")
+    for key in ("vertices", "edges", "faces"):
+        if not isinstance(doc[key], (list, tuple)):
+            raise SurfaceError(f"key {key!r} must be a list")
+    for pos, v in enumerate(doc["vertices"]):
+        _require_id(v, f"vertices[{pos}]")
     edges = []
     for pos, rec in enumerate(doc["edges"]):
         if not isinstance(rec, dict) or "id" not in rec or "ends" not in rec:
             raise SurfaceError(f"edges[{pos}] must be an object with 'id' and 'ends'")
         if not isinstance(rec["ends"], (list, tuple)) or len(rec["ends"]) != 2:
             raise SurfaceError(f"edges[{pos}].ends must be a pair")
+        _require_id(rec["id"], f"edges[{pos}].id")
+        for end in rec["ends"]:
+            _require_id(end, f"edges[{pos}].ends")
         edges.append(Edge(rec["id"], tuple(rec["ends"])))
     faces = []
     for fpos, face in enumerate(doc["faces"]):
+        if not isinstance(face, (list, tuple)):
+            raise SurfaceError(f"faces[{fpos}] must be a list of slots")
         slots = []
         for spos, rec in enumerate(face):
             if not isinstance(rec, dict) or "edge" not in rec or "dir" not in rec:
                 raise SurfaceError(
                     f"faces[{fpos}][{spos}] must be an object with 'edge' and 'dir'"
                 )
+            _require_id(rec["edge"], f"faces[{fpos}][{spos}].edge")
             slots.append((rec["edge"], rec["dir"]))
         faces.append(tuple(slots))
     return SurfaceComplex(

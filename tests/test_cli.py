@@ -119,6 +119,14 @@ class TestColor:
         assert code == 1 and "error" in err
 
 
+    def test_malformed_document(self, capsys, tmp_path):
+        doc = {"orientable": True, "genus": 2, "vertices": 5, "edges": [], "faces": []}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "color", "--in", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: floqtess.surface: key 'vertices' must be a list")
+
 class TestIsg:
     def test_rank_trajectory(self, capsys, incenter2):
         code, out, _ = run(capsys, "isg", "--in", incenter2, "--rounds", "9")

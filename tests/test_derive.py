@@ -158,6 +158,10 @@ class TestDirectCounts:
         assert got.n_v == 8
         assert got.face_census() == {4: 2, 16: 1}
 
+    def test_non_integer_face_sizes_rejected(self):
+        with pytest.raises(TypeError, match="triple of integers"):
+            semiregular_counts_direct((6.5, 6, 8), -2)
+
     def test_position_rule_is_stricter(self):
         assert semiregular_counts_direct((12, 12, 6), -1, "position") is None
         assert semiregular_counts_direct((16, 16, 8), -2, "position") is None

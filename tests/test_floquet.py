@@ -13,12 +13,14 @@ from floqtess.floquet import (
     BoundExceeded,
     CodeParams,
     PauliOperator,
+    ScheduleResult,
     StabilizerGroup,
+    _cosupport_graph,
     _measure_step,
+    _min_logical_weight,
     _reduce_rows,
     _sympl,
     _syndrome_table,
-    _vertex_adjacency,
     _weight_hits,
     check_operator,
     code_params,
@@ -388,47 +390,92 @@ class TestFaceStabilizers:
             assert all(stab.commutes(op) for op in ops)
 
 
+def is_connected(adj, sub):
+    """Whether the vertex set ``sub`` is connected in the bitmask graph."""
+    sub = set(sub)
+    seen = {min(sub)}
+    stack = [min(sub)]
+    while stack:
+        v = stack.pop()
+        for u in sub - seen:
+            if (adj[v] >> u) & 1:
+                seen.add(u)
+                stack.append(u)
+    return seen == sub
+
+
+def random_graph(rng, n, p):
+    adj = [0] * n
+    for a, b in combinations(range(n), 2):
+        if rng.random() < p:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return adj
+
+
+class TestCosupportGraph:
+    def test_rows_link_their_qubits(self):
+        group = StabilizerGroup.from_paulis(
+            5,
+            [
+                PauliOperator.from_map(5, {0: "X", 1: "X"}),
+                PauliOperator.from_map(5, {2: "Z", 3: "Y"}),
+            ],
+        )
+        assert _cosupport_graph(group) == [0b10, 0b1, 0b1000, 0b100, 0]
+
+    def test_symmetric_without_loops(self, octagon):
+        _, _, result = octagon
+        for phase in result.steady_phases:
+            adj = _cosupport_graph(phase)
+            for q, a in enumerate(adj):
+                assert not (a >> q) & 1
+                assert all((adj[r] >> q) & 1 for r in range(phase.n) if (a >> r) & 1)
+
+
 class TestConnectedSupports:
     def test_matches_brute_force(self, hexagon_no):
-        cx, _, _ = hexagon_no
-        adj = _vertex_adjacency(cx)
+        _, _, result = hexagon_no
+        for phase in result.steady_phases:
+            adj = _cosupport_graph(phase)
+            for w in (2, 3, 4, 5):
+                fast = sorted(connected_supports(adj, w))
+                brute = [
+                    s for s in combinations(range(len(adj)), w) if is_connected(adj, s)
+                ]
+                assert fast == brute
+                assert len(set(fast)) == len(fast)
 
-        def connected(sub):
-            sub = set(sub)
-            seen = {min(sub)}
-            stack = [min(sub)]
-            while stack:
-                for u in adj[stack.pop()]:
-                    if u in sub and u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            return seen == sub
-
-        for w in (2, 3, 4, 5):
-            fast = sorted(connected_supports(adj, w))
-            brute = sorted(
-                s for s in combinations(range(len(adj)), w) if connected(s)
-            )
-            assert fast == brute
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_graphs_match_brute_force(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(6, 14)
+        adj = random_graph(rng, n, rng.choice((0.15, 0.3, 0.6)))
+        for w in range(1, 7):
+            fast = connected_supports(adj, w)
             assert len(set(fast)) == len(fast)
+            assert sorted(fast) == [
+                s for s in combinations(range(n), w) if is_connected(adj, s)
+            ]
 
 
 class TestKernels:
     @pytest.mark.parametrize("rule", ["subsets", "connected"])
     @pytest.mark.parametrize("fix", ["hexagon_no", "octagon"])
     def test_hits_agree_with_reference(self, fix, rule, request):
-        cx, _, result = request.getfixturevalue(fix)
-        phase = result.steady_phases[0]
-        adj = _vertex_adjacency(cx)
-        syn = _syndrome_table(phase)
-        for w in range(1, 6):
-            if rule == "subsets":
-                sups = list(combinations(range(phase.n), w))
-            else:
-                sups = connected_supports(adj, w)
-            assert sorted(_weight_hits(syn, sups, w)) == sorted(
-                reference_search(*split_rows(phase), sups, w)
-            )
+        _, _, result = request.getfixturevalue(fix)
+        phases = result.steady_phases
+        for phase in phases[:1] if rule == "subsets" else phases:
+            adj = _cosupport_graph(phase)
+            syn = _syndrome_table(phase)
+            for w in range(1, 6):
+                if rule == "subsets":
+                    sups = list(combinations(range(phase.n), w))
+                else:
+                    sups = connected_supports(adj, w)
+                assert sorted(_weight_hits(syn, sups, w)) == sorted(
+                    reference_search(*split_rows(phase), sups, w)
+                )
 
     def test_small_chunks_agree_with_reference(self, hexagon_no, monkeypatch):
         _, _, result = hexagon_no
@@ -467,6 +514,73 @@ class TestKernels:
             )
 
 
+def toric_code(L):
+    """Generators of the L x L toric code: horizontal edges are qubits
+    0..L^2-1 and vertical edges L^2..2L^2-1, both row-major."""
+    n = 2 * L * L
+
+    def h(r, c):
+        return L * (r % L) + c % L
+
+    def v(r, c):
+        return L * L + L * (r % L) + c % L
+
+    gens = []
+    for r, c in product(range(L), repeat=2):
+        star = (h(r, c), h(r, c - 1), v(r, c), v(r - 1, c))
+        plaquette = (h(r, c), h(r + 1, c), v(r, c), v(r, c + 1))
+        gens.append(PauliOperator.from_map(n, {q: "X" for q in star}))
+        gens.append(PauliOperator.from_map(n, {q: "Z" for q in plaquette}))
+    return gens
+
+
+# Generator labels and distance of small stabilizer codes.
+SMALL_CODES = {
+    "five-qubit": (["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"], 3),
+    "steane": (
+        ["IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"], 3
+    ),
+    "rotated-surface": (
+        [
+            "XXIXXIIII", "IZZIZZIII", "IIIZZIZZI", "IIIIXXIXX",
+            "IXXIIIIII", "IIIIIIXXI", "ZIIZIIIII", "IIIIIZIIZ",
+        ],
+        3,
+    ),
+    "shor": (
+        [
+            "ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII",
+            "IIIIIIZZI", "IIIIIIIZZ", "XXXXXXIII", "IIIXXXXXX",
+        ],
+        3,
+    ),
+    "four-two-two": (["XXXX", "ZZZZ"], 2),
+}
+
+
+def scrambled_code(labels, seed):
+    """The code of ``labels`` with its qubits permuted, X/Y/Z relabelled
+    per qubit, and its generators recombined."""
+    rng = random.Random(seed)
+    n = len(labels[0])
+    perm = rng.sample(range(n), n)
+    letters = [dict(zip("XYZ", rng.sample("XYZ", 3))) for _ in range(n)]
+    gens = [
+        PauliOperator.from_map(
+            n, {perm[q]: letters[q][a] for q, a in enumerate(label) if a != "I"}
+        )
+        for label in labels
+    ]
+    group = StabilizerGroup.from_paulis(n, gens)
+    for _ in range(3 * len(gens)):
+        i, j = rng.sample(range(len(gens)), 2)
+        gens[i] = gens[i] * gens[j]
+    # The canonical rows, and with them the co-support graph, depend only
+    # on the group, not on the generators it was given.
+    assert StabilizerGroup.from_paulis(n, gens) == group
+    return group
+
+
 class TestExactDistance:
     def test_octagon(self, octagon):
         _, assign, result = octagon
@@ -489,6 +603,54 @@ class TestExactDistance:
     def test_beyond_one_syndrome_word(self, genus12):
         _, assign, result = genus12
         assert exact_distance(assign, result, max_n=96) == 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_relabelled_toric_code(self, seed):
+        # The tessellation's edge graph says nothing about these qubits:
+        # pruning on it missed every weight-4 logical.
+        cx = incenter_complex(fundamental_polygon(4, True), 16, 16)
+        sched = three_color(cx)
+        gens = toric_code(4)
+        perm = list(range(32))
+        random.Random(seed).shuffle(perm)
+        relabelled = [
+            PauliOperator.from_map(
+                32, {perm[q]: a for q, a in enumerate(g.to_label()) if a != "I"}
+            )
+            for g in gens
+        ]
+        group = StabilizerGroup.from_paulis(32, relabelled)
+        assert group.rank == 30
+        result = ScheduleResult(32, (30,) * 3, (group,) * 3, 3, 2)
+        assert exact_distance(sched, result) == 4
+
+    def test_matches_exhaustive_on_small_complexes(self):
+        # n is 8g / 4g (incenter / clip) on orientable surfaces and 4g / 2g
+        # on non-orientable ones, so these genera hold every n <= 12 complex.
+        checked = []
+        for orientable, genera in ((True, (2, 3)), (False, range(3, 7))):
+            for g in genera:
+                p = (4 if orientable else 2) * g
+                for derive in (incenter_complex, clip_complex):
+                    cx = derive(fundamental_polygon(g, orientable), p, p)
+                    sched, _ = _schedule_for(cx)
+                    result = run_schedule(sched, 9)
+                    if len(cx.vertices) > 12 or result.k_inst == 0:
+                        continue
+                    assert exact_distance(sched, result) == exhaustive_distance(result)
+                    checked.append((derive.__name__, orientable, g))
+        assert checked == [
+            ("clip_complex", True, 2),
+            ("clip_complex", True, 3),
+            ("incenter_complex", False, 3),
+        ]
+
+    @pytest.mark.parametrize("code", sorted(SMALL_CODES))
+    def test_scrambled_small_codes_match_exhaustive(self, code):
+        labels, d = SMALL_CODES[code]
+        for seed in range(8):
+            group = scrambled_code(labels, seed)
+            assert _min_logical_weight((group,), 6) == exhaustive_distance((group,)) == d
 
     def test_bound_signal(self, octagon):
         _, assign, result = octagon

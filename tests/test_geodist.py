@@ -117,15 +117,6 @@ class TestEstimateDistance:
         assert est.systole_used == systole(4, True)
         assert len(est.chords_used) == 3
 
-    def test_odd_nonorientable_override(self):
-        base = estimate_distance((6, 6, 8), 3, False)
-        tweaked = estimate_distance(
-            (6, 6, 8), 3, False,
-            odd_nonorientable_rule=lambda g: 2.0 * systole(g, False),
-        )
-        assert tweaked.systole_used == pytest.approx(2 * base.systole_used)
-        assert tweaked.d >= base.d
-
     def test_json_shape(self):
         doc = estimate_distance((6, 6, 8), 2, True).as_json()
         assert set(doc) == {"d", "d_X", "d_Z", "systole", "chords", "convention"}

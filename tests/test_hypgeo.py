@@ -64,6 +64,13 @@ class TestRegular:
     def test_edge_length_83(self):
         assert regular_edge_length((8, 3)) == pytest.approx(L_83, abs=1e-14)
 
+    @pytest.mark.parametrize("sig", [(8.5, 8), (8, 8.0)])
+    def test_non_integer_signature_rejected(self, sig):
+        with pytest.raises(TypeError, match="must be integers"):
+            regular_edge_length(sig)
+        with pytest.raises(TypeError, match="must be integers"):
+            regular_apothem_circumradius(sig)
+
     def test_apothem_circumradius(self):
         a, r = regular_apothem_circumradius((8, 8))
         assert a == pytest.approx(A_88, abs=1e-14)
@@ -134,6 +141,14 @@ class TestSemiRegular:
         assert prof.A[0] == pytest.approx(2 * A6_668, abs=1e-13)  # between the hexagons
         assert prof.A[1] == pytest.approx(GAP68, abs=1e-13)
         assert prof.A[2] == pytest.approx(GAP68, abs=1e-13)
+
+    @pytest.mark.parametrize("m", [(6.5, 6, 8), (6, 6.0, 8), (6, 6, "8")])
+    def test_non_integer_face_sizes_rejected(self, m):
+        # Passed through unchanged, not truncated to [6,6,8].
+        with pytest.raises(TypeError, match="triple of integers"):
+            semiregular_profile(m)
+        with pytest.raises(TypeError, match="triple of integers"):
+            semiregular_edge_length(m)
 
     def test_profile_pythagoras(self):
         prof = semiregular_profile([4, 6, 36])
@@ -221,13 +236,6 @@ class TestSystole:
     def test_even_nonorientable_matches_orientable_half_genus(self):
         for h in range(2, 16):
             assert systole(2 * h, False) == pytest.approx(systole(h, True), abs=1e-13)
-
-    def test_odd_rule_override(self):
-        assert systole(5, False, odd_nonorientable_rule=lambda g: 42.0) == 42.0
-        # Even genus ignores the override.
-        assert systole(4, False, odd_nonorientable_rule=lambda g: 42.0) == pytest.approx(
-            systole(2, True)
-        )
 
     def test_monotone_in_genus(self):
         vals = [systole(g, True) for g in range(2, 30)]

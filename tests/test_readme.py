@@ -1,0 +1,56 @@
+"""The README's library example runs and prints what its comments say."""
+
+import ast
+from pathlib import Path
+
+from floqtess.floquet import CodeParams
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def library_block() -> str:
+    section = README.read_text().split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def commented_results(block: str) -> list:
+    """Run ``block`` statement by statement; return ``(value, comment)`` for
+    each statement followed by a comment on its last line.  The value of an
+    assignment is its target's."""
+    lines = block.splitlines()
+    namespace: dict = {}
+    out = []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            expr = ast.Expression(stmt.value)
+            value = eval(compile(expr, str(README), "eval"), namespace)
+        else:
+            exec(compile(ast.Module([stmt], []), str(README), "exec"), namespace)
+            value = namespace[stmt.targets[0].id] if isinstance(stmt, ast.Assign) else None
+        tail = lines[stmt.end_lineno - 1][stmt.end_col_offset :].strip()
+        if tail.startswith("#"):
+            out.append((value, tail[1:].strip()))
+    return out
+
+
+def render(value) -> str:
+    """The value as the README's comments write it."""
+    if isinstance(value, CodeParams):
+        return f'[[{value.n},{value.k},{value.d}]], d_source "{value.d_source}"'
+    if isinstance(value, (list, tuple)):
+        return f"{len(value)} signatures"
+    return repr(value)
+
+
+def test_library_comments_match_the_code():
+    results = commented_results(library_block())
+    assert [comment for _, comment in results] == [
+        "48",
+        "4",
+        "2",
+        '[[16,4,2]], d_source "exact"',
+        "22 signatures",
+        "True",
+    ]
+    for value, comment in results:
+        assert render(value) == comment

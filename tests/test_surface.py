@@ -337,6 +337,25 @@ class TestSerialization:
             deserialize(doc)
 
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d.update(vertices=5), "'vertices' must be a list"),
+            (lambda d: d.update(edges="abc"), "'edges' must be a list"),
+            (lambda d: d.update(faces={}), "'faces' must be a list"),
+            (lambda d: d["faces"].__setitem__(0, 7), r"faces\[0\] must be a list"),
+            (lambda d: d["vertices"].__setitem__(0, [0]), r"vertices\[0\] must be a scalar id"),
+            (lambda d: d["edges"][0].update(id={}), r"edges\[0\]\.id must be a scalar id"),
+            (lambda d: d["edges"][0].update(ends=[[0], 0]), r"edges\[0\]\.ends must be a scalar id"),
+            (lambda d: d["faces"][0][0].update(edge=[0]), r"faces\[0\]\[0\]\.edge must be a scalar id"),
+        ],
+    )
+    def test_malformed_containers_and_ids(self, mutate, message):
+        doc = serialize(fundamental_polygon(2, True))
+        mutate(doc)
+        with pytest.raises(SurfaceError, match=message):
+            deserialize(doc)
+
 class TestIsomorphism:
     def test_relabeling_is_isomorphic(self):
         c = fundamental_polygon(2, True)
