@@ -13,11 +13,10 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
 from . import refdata
-from .derive import semiregular_counts_direct
+from .derive import _admitted_vertex_count
 from .floquet import CodeParams, code_params
 from .geodist import estimate_distance
 from .hypgeo import SemiRegularSig, _check_genus, systole
@@ -52,23 +51,40 @@ def enumerate_signatures(
     Odd face sizes are pre-excluded: a face's boundary edges alternate
     between the two colours it does not carry, which is impossible around
     an odd cycle, so no odd entry can ever sit in a three-colorable
-    tri-valent tiling.  Admissibility is then hyperbolicity plus integral
-    cell counts (per-position on orientable surfaces, merged per-size on
-    non-orientable ones).
+    tri-valent tiling.  Admissibility is then decided in exact integers:
+    with den = m1 m2 m3 - 2(m1 m2 + m2 m3 + m1 m3), the triple must be
+    hyperbolic (den > 0), n_v = 2|chi| m1 m2 m3 / den a positive even
+    integer, and the face counts integral per position (orientable) or
+    per size class (non-orientable).
+
+    Loops run over m1 <= m2 <= m3, so the output is generated in order.
+    The m3 loop is bounded: every admitted triple has reach * n_v >= m3,
+    since m3 | n_v under the position rule (reach 1) and at most three
+    positions share m3's size under the size rule (reach 3).  Writing
+    c = m1 m2 - 2(m1 + m2), that bound is m3 * c <= (2 reach |chi| + 2) m1 m2.
+    Pairs with c <= 0 are never hyperbolic and are skipped.  The bound
+    falls as m2 grows, so once it drops below m2 no larger m2 can admit a
+    triple either.
     """
     chi = _check_genus(genus, orientable)
     if m_max is None:
         m_max = default_m_max(chi)
     if m_max < 4:
         raise ValueError(f"m_max must be at least 4, got {m_max}")
-    rule = "position" if orientable else "size"
-    half = Fraction(1, 2)
+    reach = 1 if orientable else 3
+    scale = 2 * reach * abs(chi) + 2
     out = []
-    for m in combinations_with_replacement(range(4, m_max + 1, 2), 3):
-        if sum(Fraction(1, x) for x in m) >= half:
-            continue
-        if semiregular_counts_direct(m, chi, integrality=rule) is not None:
-            out.append(m)
+    for m1 in range(4, m_max + 1, 2):
+        for m2 in range(m1, m_max + 1, 2):
+            c = m1 * m2 - 2 * (m1 + m2)
+            if c <= 0:
+                continue
+            top = min(m_max, scale * m1 * m2 // c)
+            if top < m2:
+                break
+            for m3 in range(m2, top + 1, 2):
+                if _admitted_vertex_count((m1, m2, m3), chi, orientable) is not None:
+                    out.append((m1, m2, m3))
     return tuple(out)
 
 

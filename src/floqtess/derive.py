@@ -17,7 +17,6 @@ fundamental polygons — need no special casing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Literal, Sequence
 
 from .hypgeo import SemiRegularSig
@@ -56,14 +55,15 @@ class DerivedCounts:
 
     def face_census(self) -> dict[int, int]:
         """Number of faces of each size, keyed by polygon size."""
-        census: dict[int, Fraction] = {}
-        for mi in self.signature.m:
-            census[mi] = census.get(mi, Fraction(0)) + Fraction(self.n_v, mi)
+        m = self.signature.m
         out = {}
-        for size, count in sorted(census.items()):
-            if count.denominator != 1:
-                raise ValueError(f"face count for size {size} is not integral: {count}")
-            out[size] = int(count)
+        for size in sorted(set(m)):
+            corners = m.count(size) * self.n_v
+            if corners % size:
+                raise ValueError(
+                    f"face count for size {size} is not integral: {corners}/{size}"
+                )
+            out[size] = corners // size
         return out
 
 
@@ -290,21 +290,35 @@ def semiregular_counts_direct(
         raise ValueError(f"integrality must be 'size' or 'position', got {integrality!r}")
     if chi >= 0:
         raise ValueError(f"hyperbolic surfaces have negative characteristic, got {chi}")
-    angle_slack = sum(Fraction(1, mi) for mi in sig.m) - Fraction(1, 2)
-    n_v = Fraction(chi) / angle_slack
-    if n_v.denominator != 1 or n_v <= 0:
+    n_v = _admitted_vertex_count(sig.m, chi, integrality == "position")
+    if n_v is None:
         return None
-    n_v = int(n_v)
-    if 3 * n_v % 2:
-        return None
-    n_e = 3 * n_v // 2
+    # Euler: chi = n_v - 3 n_v / 2 + n_f.
+    return DerivedCounts(n_f=chi + n_v // 2, n_e=3 * n_v // 2, n_v=n_v, signature=sig)
 
-    census: dict[int, Fraction] = {}
-    for mi in sig.m:
-        census[mi] = census.get(mi, Fraction(0)) + Fraction(n_v, mi)
-    if any(count.denominator != 1 for count in census.values()):
+
+def _admitted_vertex_count(
+    m: tuple[int, int, int], chi: int, position: bool
+) -> int | None:
+    """n_v of a tri-valent [m1,m2,m3] tiling at this chi < 0, or None if not admitted.
+
+    In integers: with den = m1 m2 m3 - 2(m1 m2 + m2 m3 + m1 m3), the triple
+    is hyperbolic iff den > 0 and n_v = 2|chi| m1 m2 m3 / den, which must be
+    a positive even integer (n_e = 3 n_v / 2).  The position rule then needs
+    m_i | n_v at every position, the size rule (multiplicity of s) * n_v
+    divisible by s for each face size s.
+    """
+    m1, m2, m3 = m
+    prod = m1 * m2 * m3
+    den = prod - 2 * (m1 * m2 + m2 * m3 + m1 * m3)
+    if den <= 0:
         return None
-    if integrality == "position" and any(n_v % mi for mi in sig.m):
+    n_v, rem = divmod(-2 * chi * prod, den)
+    if rem or n_v % 2:
         return None
-    n_f = int(sum(census.values()))
-    return DerivedCounts(n_f=n_f, n_e=n_e, n_v=n_v, signature=sig)
+    if position:
+        if any(n_v % x for x in m):
+            return None
+    elif any(m.count(s) * n_v % s for s in set(m)):
+        return None
+    return n_v

@@ -498,31 +498,34 @@ def exhaustive_distance(result_or_phases, *, max_n: int = 12) -> int:
         raise ValueError("phase qubit counts differ")
     if n > max_n:
         raise ValueError(f"4^{n} sweep refused (bound {max_n})")
-    mask = np.uint64((1 << n) - 1)
-    shift = np.uint64(n)
-    best = None
-    chunk = 1 << 20
+    # Bit j of tx[x] (tz[z]) is the parity of x's overlap with row j's Z
+    # part (z's with its X part); a Pauli commutes with every row iff
+    # tx[x] == tz[z].
+    halves = np.arange(1 << n, dtype=np.uint64)
+    low = (1 << n) - 1
+    tests = []
     for phase in phases:
-        members = _group_elements(phase)
-        gens = [(np.uint64(r >> n), np.uint64(r & int(mask))) for r in phase.rows]
-        for start in range(0, 1 << (2 * n), chunk):
-            idx = np.arange(
-                start, min(start + chunk, 1 << (2 * n)), dtype=np.uint64
-            )
-            xs = idx >> shift
-            zs = idx & mask
-            ok = np.ones(idx.shape, dtype=bool)
-            for gx, gz in gens:
-                par = (np.bitwise_count(xs & gz) + np.bitwise_count(zs & gx)) & 1
-                ok &= par == 0
-            wts = np.bitwise_count(xs | zs)
-            ok &= wts > 0
+        tx = np.zeros(1 << n, dtype=np.uint64)
+        tz = np.zeros(1 << n, dtype=np.uint64)
+        for j, row in enumerate(phase.rows):
+            bit = np.uint64(j)
+            tx |= (np.bitwise_count(halves & np.uint64(row & low)) & 1) << bit
+            tz |= (np.bitwise_count(halves & np.uint64(row >> n)) & 1) << bit
+        tests.append((tx, tz, _group_elements(phase)))
+    best = None
+    # One sweep over all 4^n Paulis, a block of X parts at a time, every
+    # phase tested on each block.
+    block = max(1, (1 << 20) >> n)
+    for x0 in range(0, 1 << n, block):
+        xs = halves[x0:x0 + block]
+        wts = np.bitwise_count(xs[:, None] | halves[None, :])
+        for tx, tz, members in tests:
+            ok = (tx[xs, None] == tz[None, :]) & (wts > 0)
             if best is not None:
                 ok &= wts < best
-            for i in np.nonzero(ok)[0]:
-                v = int(idx[i])
-                if v not in members:
-                    w = int(wts[i])
+            for i, z in zip(*np.nonzero(ok)):
+                if ((x0 + int(i)) << n) | int(z) not in members:
+                    w = int(wts[i, z])
                     if best is None or w < best:
                         best = w
     if best is None:

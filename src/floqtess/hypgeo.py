@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
@@ -35,16 +34,18 @@ __all__ = [
 EDGE_EQ_TOL = 1e-10
 
 
-def _curvature_class(weights: Sequence[Fraction]) -> str:
-    """Classify a corner-angle budget: sum of 1/m over the faces at a vertex.
+def _curvature_class(excess: int) -> str:
+    """Classify a vertex by the sign of its integer angle excess.
 
-    Returns "hyperbolic", "euclidean" or "spherical" according to whether the
-    total is below, at, or above 1/2 (exact rational comparison).
+    The excess is 1/2 - (sum of 1/m over the faces at a vertex), scaled by
+    twice the product of the face sizes: pq - 2p - 2q for {p, q} and
+    m1 m2 m3 - 2(m1 m2 + m2 m3 + m1 m3) for [m1, m2, m3].  Returns
+    "hyperbolic", "euclidean" or "spherical" as it is positive, zero or
+    negative.
     """
-    total = sum(weights, Fraction(0))
-    if total < Fraction(1, 2):
+    if excess > 0:
         return "hyperbolic"
-    if total == Fraction(1, 2):
+    if excess == 0:
         return "euclidean"
     return "spherical"
 
@@ -64,7 +65,7 @@ class RegularSig:
             raise TypeError("p and q must be integers")
         if self.p < 3 or self.q < 3:
             raise ValueError(f"{{{self.p},{self.q}}}: face size and valence must be >= 3")
-        cls = _curvature_class([Fraction(1, self.p), Fraction(1, self.q)])
+        cls = _curvature_class(self.p * self.q - 2 * (self.p + self.q))
         if cls != "hyperbolic":
             raise ValueError(
                 f"{{{self.p},{self.q}}} is {cls.capitalize()}, not hyperbolic "
@@ -90,7 +91,8 @@ class SemiRegularSig:
         object.__setattr__(self, "m", m)
         if any(x < 3 for x in m):
             raise ValueError(f"[{m[0]},{m[1]},{m[2]}]: face sizes must be >= 3")
-        cls = _curvature_class([Fraction(1, x) for x in m])
+        m1, m2, m3 = m
+        cls = _curvature_class(m1 * m2 * m3 - 2 * (m1 * m2 + m2 * m3 + m1 * m3))
         if cls != "hyperbolic":
             label = "Euclidean triple" if cls == "euclidean" else "spherical triple"
             raise ValueError(

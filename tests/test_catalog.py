@@ -1,6 +1,7 @@
 """Catalog: enumeration, tables, reports, rates, genus equivalence."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -74,6 +75,31 @@ class TestReferenceData:
         assert len(set(unique)) == len(unique)
 
 
+def fraction_enumeration(genus, orientable, m_max=None):
+    """Brute-force reference: every even triple, admitted in Fraction arithmetic."""
+    chi = 2 - 2 * genus if orientable else 2 - genus
+    if m_max is None:
+        m_max = 12 * abs(chi) + 12
+    inverse = {x: Fraction(1, x) for x in range(4, m_max + 1, 2)}
+    out = []
+    for m in combinations_with_replacement(sorted(inverse), 3):
+        slack = inverse[m[0]] + inverse[m[1]] + inverse[m[2]] - Fraction(1, 2)
+        if slack >= 0:
+            continue
+        n_v = chi / slack
+        if n_v.denominator != 1 or n_v.numerator % 2:
+            continue
+        per_size = {}
+        for x in m:
+            per_size[x] = per_size.get(x, 0) + n_v / x
+        if any(count.denominator != 1 for count in per_size.values()):
+            continue
+        if orientable and any((n_v / x).denominator != 1 for x in m):
+            continue
+        out.append(m)
+    return tuple(out)
+
+
 class TestEnumerateSignatures:
     @pytest.mark.parametrize("genus", [2, 3, 4, 5])
     def test_orientable_matches_reference_exactly(self, genus):
@@ -85,6 +111,38 @@ class TestEnumerateSignatures:
         sigs = set(enumerate_signatures(genus, False))
         printed = {r.m for r in refdata.SEMIREGULAR_NONORIENTABLE[genus]}
         assert printed <= sigs
+
+    @pytest.mark.parametrize(
+        "genus, orientable, m_max",
+        [(g, True, None) for g in range(2, 9)]
+        + [(g, False, None) for g in range(3, 13)]
+        + [
+            (g, o, m_max)
+            for g, o in ((2, True), (3, False))
+            for m_max in (4, 5, 20, default_m_max(2 - (2 * g if o else g)) - 1)
+        ],
+    )
+    def test_matches_fraction_oracle(self, genus, orientable, m_max):
+        assert enumerate_signatures(genus, orientable, m_max) == fraction_enumeration(
+            genus, orientable, m_max
+        )
+
+    @pytest.mark.parametrize("genus, orientable", [(2, True), (7, True), (3, False), (12, False)])
+    def test_admitted_triples_satisfy_the_m3_bound(self, genus, orientable):
+        # The m3 loop stops where n_v < m3 (position rule) or 3 n_v < m3
+        # (size rule); no admitted triple may lie there.
+        chi = 2 - 2 * genus if orientable else 2 - genus
+        rule, reach = ("position", 1) if orientable else ("size", 3)
+        for m in enumerate_signatures(genus, orientable):
+            counts = semiregular_counts_direct(m, chi, integrality=rule)
+            assert reach * counts.n_v >= m[2]
+            assert counts.n_f == sum(counts.face_census().values())
+
+    @pytest.mark.parametrize("genus, orientable", [(2, True), (7, True), (3, False), (12, False)])
+    def test_default_cap_loses_nothing(self, genus, orientable):
+        chi = 2 - 2 * genus if orientable else 2 - genus
+        wide = enumerate_signatures(genus, orientable, m_max=4 * default_m_max(chi))
+        assert wide == enumerate_signatures(genus, orientable)
 
     def test_sorted_lexicographically(self):
         sigs = enumerate_signatures(2, True)

@@ -1,5 +1,6 @@
 """Clipping and incenter subdivision: counts and explicit rewrites."""
 
+import re
 from collections import Counter
 
 import pytest
@@ -162,6 +163,21 @@ class TestDirectCounts:
         with pytest.raises(TypeError, match="triple of integers"):
             semiregular_counts_direct((6.5, 6, 8), -2)
 
+    @pytest.mark.parametrize(
+        "m, error, message",
+        [
+            ((6, 6, 6), ValueError, "[6,6,6] is a Euclidean triple (need 1/m1 + 1/m2 + 1/m3 < 1/2)"),
+            ((4, 8, 8), ValueError, "[4,8,8] is a Euclidean triple (need 1/m1 + 1/m2 + 1/m3 < 1/2)"),
+            ((4, 6, 8), ValueError, "[4,6,8] is a spherical triple (need 1/m1 + 1/m2 + 1/m3 < 1/2)"),
+            ((6, 6.0, 8), TypeError, "vertex type must be a triple of integers"),
+            ((6, "6", 8), TypeError, "vertex type must be a triple of integers"),
+        ],
+    )
+    def test_invalid_triples_raise_exact_errors(self, m, error, message):
+        for rule in ("size", "position"):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                semiregular_counts_direct(m, -2, rule)
+
     def test_position_rule_is_stricter(self):
         assert semiregular_counts_direct((12, 12, 6), -1, "position") is None
         assert semiregular_counts_direct((16, 16, 8), -2, "position") is None
@@ -199,6 +215,12 @@ class TestDirectCounts:
 
 
 class TestDerivedCountsType:
+    def test_non_integral_face_census_rejected(self):
+        # 3 n_v = 2 n_e holds, but 12 vertices carry 12/8 octagons.
+        counts = DerivedCounts(n_f=4, n_e=18, n_v=12, signature=SemiRegularSig((6, 6, 8)))
+        with pytest.raises(ValueError, match="^face count for size 8 is not integral: 12/8$"):
+            counts.face_census()
+
     def test_rejects_non_trivalent(self):
         with pytest.raises(ValueError, match="tri-valent"):
             DerivedCounts(n_f=2, n_e=10, n_v=8, signature=SemiRegularSig((16, 16, 8)))
