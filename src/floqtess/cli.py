@@ -12,6 +12,7 @@ deterministic: identical invocations print identical bytes.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -224,7 +225,9 @@ def cmd_equiv(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="floqtess",
         description="Floquet codes from hyperbolic tessellations: "

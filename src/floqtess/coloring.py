@@ -10,8 +10,10 @@ red ZZ.  Rounds cycle green, blue, red.
 For tri-valent complexes whose face graph is *not* 3-colorable (e.g. the
 two-faced clipped fundamental polygons) a proper 3-edge-coloring still exists
 whenever the edge set splits into three perfect matchings;
-:func:`edge_three_color` finds one so the measurement schedule can run
-without face colors.
+:func:`edge_three_color` finds the lexicographically least one, so the
+measurement schedule can run without face colors.  Its backtracking search
+colors every edge that a choice forces before it makes the next choice,
+which keeps it fast on large complexes.
 """
 
 from __future__ import annotations
@@ -223,13 +225,18 @@ def three_color(c: SurfaceComplex) -> ColorAssignment:
 
 
 def edge_three_color(c: SurfaceComplex) -> EdgeSchedule:
-    """Proper 3-edge-coloring by deterministic backtracking in edge order.
+    """The lexicographically least proper 3-edge-coloring in edge order.
 
-    Edges are colored in ``c.edges`` order, each trying colors in ``COLORS``
-    order, with an explicit stack so large complexes need no recursion.
-    Works whenever the tri-valent complex's edges split into three perfect
-    matchings, face colors or not.  Raises ValueError if no such coloring
-    exists.
+    The search branches on the first uncolored edge in ``c.edges``, trying
+    colors in ``COLORS`` order.  After each choice an uncolored neighbour
+    edge with one color left takes it, transitively, and one with none left
+    sends the search back.  A forced color holds in every proper completion
+    of the partial coloring, so propagation cuts only dead branches and the
+    first full coloring reached is still the lexicographically least.  One
+    trail of colored edges undoes a choice with all it forced, and the
+    stack is explicit, so large complexes need no recursion.  Raises
+    ValueError if the tri-valent complex's edges do not split into three
+    perfect matchings.
     """
     for v, d in c.vertex_degrees().items():
         if d != 3:
@@ -237,34 +244,66 @@ def edge_three_color(c: SurfaceComplex) -> EdgeSchedule:
     for e in c.edges:
         if e.ends[0] == e.ends[1]:
             raise ValueError(f"edge {e.id!r} is a loop; no perfect matching contains it")
-    # Only the earlier edges sharing an end are colored when an edge is tried.
-    incident: dict = {v: [] for v in c.vertices}
-    earlier = []
-    for i, e in enumerate(c.edges):
-        u, w = e.ends
-        earlier.append(tuple(incident[u] + incident[w]))
+    vid = {v: k for k, v in enumerate(c.vertices)}
+    ends = [(vid[e.ends[0]], vid[e.ends[1]]) for e in c.edges]
+    incident: list = [[] for _ in vid]
+    for i, (u, w) in enumerate(ends):
         incident[u].append(i)
         incident[w].append(i)
+    # An edge's neighbours include itself, which is colored when they are read.
+    nbrs = [incident[u] + incident[w] for u, w in ends]
     # Colors are the bits 1, 2, 4 (R, G, B), so the lowest set bit of an
-    # option mask is the next color in COLORS order.
-    m = len(earlier)
-    color = [0] * m  # color bit of each edge on the current path
-    left = [0] * m  # colors edge i has not tried yet
+    # option mask is the next color in COLORS order.  used[v] holds the
+    # colors at vertex v; trail lists the colored edges in coloring order.
+    m = len(ends)
+    color = [0] * m
+    used = [0] * len(vid)
+    trail: list = []
+    decisions: list = []  # (trail length before, edge, colors left to try)
     i, options = 0, 0b111
     while i < m:
-        if options:
-            low = options & -options
-            color[i], left[i] = low, options ^ low
+        if not options:
+            if not decisions:
+                raise ValueError("edges do not split into three perfect matchings")
+            mark, i, options = decisions.pop()
+            for k in trail[mark:]:
+                u, w = ends[k]
+                used[u] ^= color[k]
+                used[w] ^= color[k]
+                color[k] = 0
+            del trail[mark:]
+            continue
+        low = options & -options
+        head = len(trail)
+        decisions.append((head, i, options ^ low))
+        u, w = ends[i]
+        color[i] = low
+        used[u] |= low
+        used[w] |= low
+        trail.append(i)
+        # Color every neighbour left with one color, transitively; a
+        # neighbour left with none sends the search back to this decision.
+        while head < len(trail) and options:
+            for j in nbrs[trail[head]]:
+                if not color[j]:
+                    u, w = ends[j]
+                    free = 0b111 & ~(used[u] | used[w])
+                    if not free & (free - 1):
+                        if not free:
+                            options = 0
+                            break
+                        color[j] = free
+                        used[u] |= free
+                        used[w] |= free
+                        trail.append(j)
+            head += 1
+        if not options:
+            continue
+        while i < m and color[i]:
             i += 1
-            options = 0b111
-            if i < m:
-                for j in earlier[i]:
-                    options &= ~color[j]
-        elif i == 0:
-            raise ValueError("edges do not split into three perfect matchings")
-        else:
-            i -= 1
-            options = left[i]
+        if i < m:
+            u, w = ends[i]
+            options = 0b111 & ~(used[u] | used[w])
     name = dict(zip((1, 2, 4), COLORS))
     edge_color = {e.id: name[bit] for e, bit in zip(c.edges, color)}
     return EdgeSchedule(complex=c, edge_color=edge_color)

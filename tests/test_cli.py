@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from floqtess.cli import main
+from floqtess.cli import _build_parser, main
 from floqtess.surface import deserialize
 
 
@@ -263,3 +263,28 @@ class TestDeterminism:
         second = subprocess.run(cmd, capture_output=True, text=True)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+class TestParserReuse:
+    def test_repeat_calls_match_fresh_processes(self, capsys, monkeypatch):
+        # Usage text wraps at the terminal width; fix it for both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        usage = ["table", "--genus", "2", "--orientable", "yes"]
+        ok = ["geom", "--sig", "{8,3}"]
+        in_process = []
+        with pytest.raises(SystemExit) as exc:
+            main(usage)
+        in_process.append((exc.value.code, *capsys.readouterr()))
+        for _ in range(2):
+            code = main(ok)
+            in_process.append((code, *capsys.readouterr()))
+        fresh = []
+        for argv in (usage, ok):
+            proc = subprocess.run(
+                [sys.executable, "-m", "floqtess.cli", *argv],
+                capture_output=True, text=True,
+            )
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert in_process == [fresh[0], fresh[1], fresh[1]]
+        assert in_process[0][0] == 2 and in_process[1][0] == 0
+        assert _build_parser() is _build_parser()

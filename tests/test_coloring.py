@@ -1,5 +1,7 @@
 """Face/edge three-colorings and the induced two-body checks."""
 
+import hashlib
+import random
 import sys
 from collections import Counter
 
@@ -160,6 +162,28 @@ def petersen_projective_plane() -> SurfaceComplex:
     )
 
 
+def clip(g: int, orientable: bool) -> SurfaceComplex:
+    """The clipped fundamental polygon of genus g, {p,p} with p = 4g or 2g."""
+    p = (4 if orientable else 2) * g
+    return clip_complex(fundamental_polygon(g, orientable), p, p)
+
+
+def with_shuffled_edges(c: SurfaceComplex, seed: int) -> SurfaceComplex:
+    """The same complex with its ``edges`` list in a seeded random order."""
+    edges = list(c.edges)
+    random.Random(seed).shuffle(edges)
+    return SurfaceComplex(
+        orientable=c.orientable, genus=c.genus, vertices=c.vertices,
+        edges=edges, faces=c.faces,
+    )
+
+
+def edge_coloring_digest(c: SurfaceComplex, edge_color) -> str:
+    """sha256 of ``repr([(e.id, edge_color[e.id]) for e in c.edges])``."""
+    pairs = [(e.id, edge_color[e.id]) for e in c.edges]
+    return hashlib.sha256(repr(pairs).encode()).hexdigest()
+
+
 def derived_complexes():
     """Every incenter and clip complex, orientable g=2..12, non-orientable g=3..12."""
     for orientable, genera in ((True, range(2, 13)), (False, range(3, 13))):
@@ -231,8 +255,34 @@ class TestAgainstReference:
         ids=lambda v: str(v),
     )
     def test_edge_coloring_clip_complexes(self, orientable, g):
-        p = (4 if orientable else 2) * g
-        cx = clip_complex(fundamental_polygon(g, orientable), p, p)
+        cx = clip(g, orientable)
+        assert edge_three_color(cx).edge_color == reference_edge_coloring(cx)
+
+    # reference_edge_coloring is too slow here.  The digests were made once
+    # by edge_coloring_digest from the output of edge_three_color as a plain
+    # backtrack in edge order, before it propagated forced colors; that
+    # search returns the same lexicographically least coloring and took
+    # about 0.3 / 1.2 / 5 s on these complexes.
+    @pytest.mark.parametrize("g,digest", [
+        (10, "89f096bb526d6f2d2c33060e7cb6462e1bd5023a1a2dcc02737dc442d56d4c46"),
+        (11, "bd64b3a6f280d27cbb26f225edba32cc8e029c3dc2e7b6ab72116f4459b266b7"),
+        (12, "3613e2e3ebbdfb3cb8961b3d23d93ddaa574965cdc3c56c4ddcb3be137127233"),
+    ], ids=["o10", "o11", "o12"])
+    def test_edge_coloring_pinned_past_reference_reach(self, g, digest):
+        cx = clip(g, True)
+        assert edge_coloring_digest(cx, edge_three_color(cx).edge_color) == digest
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize(
+        "make",
+        [pytest.param(lambda g=g: clip(g, True), id=f"clip-o{g}") for g in range(2, 5)]
+        + [pytest.param(lambda g=g: clip(g, False), id=f"clip-n{g}") for g in range(3, 9)]
+        + [pytest.param(lambda L=L: honeycomb_torus(L), id=f"honeycomb-{L}") for L in (2, 3)],
+    )
+    def test_edge_coloring_shuffled_edge_orders(self, make, seed):
+        # Canonical edge orders rarely backtrack; shuffled ones do, and
+        # exercise undoing a choice together with the colors it forced.
+        cx = with_shuffled_edges(make(), seed)
         assert edge_three_color(cx).edge_color == reference_edge_coloring(cx)
 
     @pytest.mark.parametrize("L", range(2, 19))
@@ -365,6 +415,20 @@ class TestEdgeSchedule:
         sched = edge_three_color(cx)
         assert isinstance(sched, EdgeSchedule)
         assert Counter(sched.edge_color.values()) == {c: L * L for c in COLORS}
+
+    @pytest.mark.parametrize(
+        "g,orientable", [(16, True), (24, True), (32, True), (48, False)]
+    )
+    def test_large_genus_clip_complexes(self, g, orientable):
+        cx = clip(g, orientable)
+        sched = edge_three_color(cx)
+        at_vertex = {}
+        for e in cx.edges:
+            for v in e.ends:
+                at_vertex.setdefault(v, []).append(sched.edge_color[e.id])
+        assert all(sorted(colors) == ["B", "G", "R"] for colors in at_vertex.values())
+        third = len(cx.edges) // 3
+        assert Counter(sched.edge_color.values()) == {c: third for c in COLORS}
 
     def test_checks_derived_from_edge_colors(self, octagon_incenter):
         assign = three_color(octagon_incenter)
