@@ -140,30 +140,42 @@ def table_to_json(rows: Iterable[TableRow]) -> list[dict]:
 
 
 def encoding_rate(m: Sequence[int], genus: int, orientable: bool = True) -> Fraction:
-    """k/n as exact arithmetic; independent of any integrality rounding."""
+    """k/n as exact arithmetic; independent of any integrality rounding.
+
+    Twice this is the rate under the k = 4 - 2*chi convention (twice the
+    steady-state logical count), where the quoted family formulas hold
+    exactly: (g/(g-1))*(p-3)/(3p) for [6,6,2p] and (g/(g-1))*(pq-p-2q)/(pq)
+    for [2p,2p,2q], with limits 1/3 and 1.
+    """
     chi = _check_genus(genus, orientable)
     sig = SemiRegularSig(tuple(m))
     slack = Fraction(1, 2) - sum(Fraction(1, x) for x in sig.m)
     return (2 - chi) * slack / abs(chi)
 
 
-def encoding_rate_doubled_k(
-    m: Sequence[int], genus: int, orientable: bool = True
-) -> Fraction:
-    """Closed-form rate under the k = 4 - 2*chi convention.
-
-    That convention counts twice the steady-state logical count, and it is
-    the one the quoted family formulas satisfy exactly: for [6,6,2p] this
-    equals (g/(g-1))*(p-3)/(3p) and for [2p,2p,2q] it equals
-    (g/(g-1))*(pq-p-2q)/(pq), with limits 1/3 and 1.  The as-measured rate
-    is :func:`encoding_rate`, exactly half of this.
-    """
-    return 2 * encoding_rate(m, genus, orientable)
+# Largest |estimated d - reference d| the reports count as within tolerance.
+TOLERANCE = 1
 
 
-def estimator_report(
-    genus: int, orientable: bool = True, tolerance: int = 1
-) -> dict:
+def _scored(genus: int, orientable: bool, m, row, **extra) -> dict:
+    """One report row: the estimated distance of ``m`` against ``row.d``."""
+    est = estimate_distance(m, genus, orientable)
+    return {
+        "genus": genus,
+        "orientable": orientable,
+        "signature": list(m),
+        "n": row.n,
+        "k": row.k,
+        "reference_d": row.d,
+        "estimated_d": est.d,
+        "delta": est.d - row.d,
+        "within_tolerance": abs(est.d - row.d) <= TOLERANCE,
+        **extra,
+        "convention": est.convention_tag,
+    }
+
+
+def estimator_report(genus: int, orientable: bool = True) -> dict:
     """Estimated-vs-reference distances at one genus, machine readable.
 
     ``n`` and ``k`` always match by construction (they are recounted), so
@@ -174,36 +186,18 @@ def estimator_report(
         refdata.SEMIREGULAR_ORIENTABLE if orientable
         else refdata.SEMIREGULAR_NONORIENTABLE
     )
-    entries: list[dict] = []
-    for row in refdata.dedup(tables[genus]):
-        est = estimate_distance(row.m, genus, orientable)
-        entries.append({
-            "genus": genus,
-            "orientable": orientable,
-            "signature": list(row.m),
-            "n": row.n,
-            "k": row.k,
-            "reference_d": row.d,
-            "estimated_d": est.d,
-            "delta": est.d - row.d,
-            "within_tolerance": abs(est.d - row.d) <= tolerance,
-            "convention": est.convention_tag,
-        })
+    entries = [_scored(genus, orientable, row.m, row) for row in refdata.dedup(tables[genus])]
     return {
         "genus": genus,
         "orientable": orientable,
-        "tolerance": tolerance,
+        "tolerance": TOLERANCE,
         "rows": entries,
         "deviations": [e for e in entries if e["delta"] != 0],
         "ok": all(e["within_tolerance"] for e in entries),
     }
 
 
-def family_report(
-    orientable: bool = True,
-    tolerance: int = 1,
-    genera: Iterable[int] | None = None,
-) -> dict:
+def family_report(orientable: bool = True, genera: Iterable[int] | None = None) -> dict:
     """Estimator sweep over the [6,6,8] family reference rows.
 
     Rows whose own ratio columns contradict their [[n,k,d]] are flagged
@@ -218,26 +212,15 @@ def family_report(
     if genera is not None:
         wanted = set(genera)
         ref = tuple(r for r in ref if r.genus in wanted)
-    entries = []
-    for row in ref:
-        est = estimate_distance(refdata.HEXHEX_SIGNATURE, row.genus, orientable)
-        entries.append({
-            "genus": row.genus,
-            "orientable": orientable,
-            "signature": list(refdata.HEXHEX_SIGNATURE),
-            "n": row.n,
-            "k": row.k,
-            "reference_d": row.d,
-            "estimated_d": est.d,
-            "delta": est.d - row.d,
-            "within_tolerance": abs(est.d - row.d) <= tolerance,
-            "reference_row_consistent": refdata.ratios_consistent(row),
-            "convention": est.convention_tag,
-        })
+    entries = [
+        _scored(row.genus, orientable, refdata.HEXHEX_SIGNATURE, row,
+                reference_row_consistent=refdata.ratios_consistent(row))
+        for row in ref
+    ]
     return {
         "signature": list(refdata.HEXHEX_SIGNATURE),
         "orientable": orientable,
-        "tolerance": tolerance,
+        "tolerance": TOLERANCE,
         "rows": entries,
         "deviations": [e for e in entries if e["delta"] != 0],
         "flagged": [e for e in entries if not e["reference_row_consistent"]],
@@ -281,7 +264,7 @@ class EquivalenceReport:
         }
 
 
-def equivalence_check(h: int, d_mode: str = "auto") -> EquivalenceReport:
+def equivalence_check(h: int) -> EquivalenceReport:
     """Codes at orientable genus h equal those at non-orientable genus 2h.
 
     Both surfaces share chi = 2 - 2h, hence the same counts and the same
@@ -295,8 +278,8 @@ def equivalence_check(h: int, d_mode: str = "auto") -> EquivalenceReport:
     rows: list[dict] = []
     mismatches: list[dict] = []
     for m in enumerate_signatures(h, True):
-        po = code_params(m, h, True, d_mode)
-        pn = code_params(m, g_no, False, d_mode)
+        po = code_params(m, h, True)
+        pn = code_params(m, g_no, False)
         comparable = po.d_source == pn.d_source
         entry = {
             "signature": list(m),

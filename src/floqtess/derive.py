@@ -9,9 +9,14 @@ vertex type [2p, 2q, 4].
 
 Each derivation exists twice: as a pure count transformer (arithmetic on the
 Euler characteristic, valid for any surface the source tessellation fits) and
-as an explicit combinatorial-map rewrite of a concrete complex.  The rewrites
-are corner-level, so self-adjacent faces — unavoidable on one-faced
-fundamental polygons — need no special casing.
+as an explicit rewrite read off the flags of a concrete complex (see
+``surface._FlagMap``).  The incenter subdivision has one vertex per flag, one
+edge per sigma_k pair and one face per orbit of two involutions: <s0, s1>
+gives a 2p-gon, <s1, s2> a 2q-gon, <s0, s2> a quadrilateral.  Clipping
+merges each sigma2 pair into a vertex, which shrinks every quadrilateral to
+the middle segment of its source edge.  Faces are walks round these orbits,
+so self-adjacent faces (unavoidable on one-faced fundamental polygons) need
+no special casing.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .hypgeo import SemiRegularSig
-from .surface import Edge, SurfaceComplex, _counts_from_chi
+from .surface import Edge, SurfaceComplex, _counts_from_chi, _FlagMap
 
 __all__ = [
     "DerivedCounts",
@@ -119,148 +124,103 @@ def _require_pq(c: SurfaceComplex, p: int, q: int) -> None:
         )
 
 
+def _lead(fm: _FlagMap, k: int, i: int) -> tuple[int, int]:
+    """The leading flag of the sigma_k pair through flag i, and the direction
+    of the step from i along that pair: +1 exactly when i leads."""
+    return (i, 1) if fm.leads(k, i) else (fm.sigma[k][i], -1)
+
+
+def _walks(fm: _FlagMap) -> list[tuple[int, tuple[int, int]]]:
+    """(start, steps) of the (0, 1) walk round each source face from its flag
+    (f, 0, 0), then of the (1, 2) walk round each vertex from its rotation."""
+    return [(fm.index[(f, 0, 0)], (0, 1)) for f in range(len(fm.faces))] + [
+        (rotation[0], (1, 2)) for rotation in fm.rotations
+    ]
+
+
 def clip_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
     """Explicit clipping of a {p,q} complex.
 
-    Derived vertices are the edge-ends of the source ("e{i}.0"/"e{i}.1"),
-    edges are the surviving middle segment of each source edge ("A{i}") plus
-    one cut per corner ("B{f}.{j}"), and faces are the truncated 2p-gons
-    followed by the q-gons around the source vertices.
+    Derived vertices are the sigma2 pairs of source flags, the edge-ends of
+    the source ("e{i}.{end}").  Edges are the surviving middle segment of
+    each source edge ("A{i}"), then one cut per sigma1 pair, named after the
+    corner (f, j) of its leading head flag ("B{f}.{j}").  Faces are the
+    truncated 2p-gons, then the q-gons: the walks of :func:`_walks`, where
+    sigma0 crosses an A segment, sigma1 a cut, and sigma2 stays put.
     """
     _require_pq(c, p, q)
     fm = c.flag_map()
     eindex = {e.id: i for i, e in enumerate(c.edges)}
 
-    def half_edge(flag: int) -> str:
-        eid, end = fm.end(flag)
+    def vname(i: int) -> str:
+        eid, end = fm.end(i)
         return f"e{eindex[eid]}.{end}"
 
-    vertices = tuple(f"e{i}.{t}" for i in range(len(c.edges)) for t in (0, 1))
-    edges = [
-        Edge(f"A{i}", (f"e{i}.0", f"e{i}.1")) for i in range(len(c.edges))
-    ]
-    # One cut per corner (f, j): the sigma1 pair (f,j,1) ~ (f,j+1,0).
-    for f, face in enumerate(c.faces):
-        for j in range(len(face)):
-            tail = fm.index[(f, j, 1)]
-            edges.append(Edge(f"B{f}.{j}", (half_edge(tail), half_edge(fm.s1[tail]))))
+    def step(k: int, i: int) -> tuple[str, int]:
+        """(derived edge, direction) of the sigma0 or sigma1 step from flag i."""
+        if k == 0:  # leaving end 0 runs along the segment forwards
+            eid, end = fm.end(i)
+            return f"A{eindex[eid]}", 1 - 2 * end
+        lead, d = _lead(fm, 1, i)
+        f, j, _ = fm.flags[lead]
+        return f"B{f}.{j}", d
 
-    faces = []
-    for f, face in enumerate(c.faces):
-        walk = []
-        for j, (eid, d) in enumerate(face):
-            walk.append((f"A{eindex[eid]}", d))
-            walk.append((f"B{f}.{j}", 1))
-        faces.append(tuple(walk))
-
-    for cyc in fm.rotations:
-        walk = []
-        for psi in cyc:
-            f, j, t = fm.flags[psi]
-            if t == 1:
-                corner, d = (f, j), 1
-            else:
-                pf, pj, _ = fm.flags[fm.s1[psi]]  # sigma1 partner holds the corner key
-                corner, d = (pf, pj), -1
-            walk.append((f"B{corner[0]}.{corner[1]}", d))
-        faces.append(tuple(walk))
-
+    cuts = [i for i in range(len(fm.flags)) if fm.leads(1, i)]
     return SurfaceComplex(
         orientable=c.orientable,
         genus=c.genus,
-        vertices=vertices,
-        edges=tuple(edges),
-        faces=tuple(faces),
+        vertices=tuple(f"e{i}.{t}" for i in range(len(c.edges)) for t in (0, 1)),
+        edges=tuple(Edge(f"A{i}", (f"e{i}.0", f"e{i}.1")) for i in range(len(c.edges)))
+        + tuple(Edge(step(1, i)[0], (vname(i), vname(fm.s1[i]))) for i in cuts),
+        faces=tuple(
+            tuple(step(k, i) for k, i in fm.walk(start, steps) if k != 2)
+            for start, steps in _walks(fm)
+        ),
     )
 
 
 def incenter_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
     """Explicit incenter subdivision of a {p,q} complex.
 
-    Derived vertices are the corner flags of the source ("f{face}.{slot}.{end}").
-    Each flag carries three derived edges: "s0.{f}.{j}" along its slot (between
-    the truncated face and the edge quadrilateral), "s1.{f}.{j}" across its
-    corner (between the truncated face and the vertex 2q-gon) and
-    "s2.{e}.{end}" across its source edge (between the 2q-gon and the
-    quadrilateral).  Faces are listed as all 2p-gons, then all 2q-gons, then
-    all quadrilaterals.
+    One derived vertex per source flag ("f{face}.{slot}.{end}") and one edge
+    per sigma_k pair, named from its leading flag: "s0.{f}.{j}" along slot j
+    of face f, "s1.{f}.{j}" across the corner after it, "s2.{e}.{end}"
+    across that end of source edge e; s0 and s1 are listed by corner, s2 by
+    source edge and end.  Faces are the 2p-gons and 2q-gons of the walks of
+    :func:`_walks`, then the quadrilaterals: the (0, 2) walk from the tail
+    flag of each source edge's first slot.
     """
     _require_pq(c, p, q)
     fm = c.flag_map()
     eindex = {e.id: i for i, e in enumerate(c.edges)}
+    firsts = [fm.slots_of[e.id][0] for e in c.edges]
+    vname = [f"f{f}.{j}.{t}" for f, j, t in fm.flags]
 
-    def vname(flag: int) -> str:
-        f, j, t = fm.flags[flag]
-        return f"f{f}.{j}.{t}"
+    def step(k: int, i: int) -> tuple[str, int]:
+        """(derived edge, direction) of the sigma_k step from flag i."""
+        lead, d = _lead(fm, k, i)
+        if k == 2:
+            eid, end = fm.end(lead)
+            return f"s2.{eindex[eid]}.{end}", d
+        f, j, _ = fm.flags[lead]
+        return f"s{k}.{f}.{j}", d
 
-    def s2_key(flag: int) -> tuple[str, int]:
-        """Edge id of the sigma2 pair through `flag`, and the traversal
-        direction when leaving from `flag`."""
-        eid, end = fm.end(flag)
-        first = fm.slots_of[eid][0] == fm.flags[flag][:2]
-        return f"s2.{eindex[eid]}.{end}", 1 if first else -1
-
-    vertices = tuple(vname(i) for i in range(len(fm.flags)))
-
-    edges = []
-    for f, face in enumerate(c.faces):
-        for j in range(len(face)):
-            edges.append(
-                Edge(f"s0.{f}.{j}", (vname(fm.index[(f, j, 0)]), vname(fm.index[(f, j, 1)])))
-            )
-    for f, face in enumerate(c.faces):
-        for j in range(len(face)):
-            i = fm.index[(f, j, 1)]
-            edges.append(Edge(f"s1.{f}.{j}", (vname(i), vname(fm.s1[i]))))
-    for ei, e in enumerate(c.edges):
-        for end in (0, 1):
-            i = fm.flag(*fm.slots_of[e.id][0], end)
-            edges.append(Edge(f"s2.{ei}.{end}", (vname(i), vname(fm.s2[i]))))
-
-    def s1_step(flag: int) -> tuple[str, int]:
-        """(edge id, dir) crossing the corner at `flag`."""
-        f, j, t = fm.flags[flag]
-        if t == 1:
-            return f"s1.{f}.{j}", 1
-        pf, pj, _ = fm.flags[fm.s1[flag]]
-        return f"s1.{pf}.{pj}", -1
-
-    faces = []
-    for f, face in enumerate(c.faces):
-        walk = []
-        for j in range(len(face)):
-            walk.append((f"s0.{f}.{j}", 1))
-            walk.append((f"s1.{f}.{j}", 1))
-        faces.append(tuple(walk))
-
-    for cyc in fm.rotations:
-        walk = []
-        for psi in cyc:
-            walk.append(s1_step(psi))
-            walk.append(s2_key(fm.s1[psi]))
-        faces.append(tuple(walk))
-
-    for ei, e in enumerate(c.edges):
-        (fa, ja), _ = fm.slots_of[e.id]
-        i0 = fm.index[(fa, ja, 0)]
-        walk = [(f"s0.{fa}.{ja}", 1)]
-        key, d2 = s2_key(fm.s0[i0])
-        walk.append((key, d2))
-        across = fm.s2[fm.s0[i0]]
-        fb, jb, tb = fm.flags[across]
-        walk.append((f"s0.{fb}.{jb}", 1 if tb == 0 else -1))
-        key, d2 = s2_key(fm.s0[across])
-        walk.append((key, d2))
-        if fm.s2[fm.s0[across]] != i0:
-            raise AssertionError("edge quadrilateral failed to close")
-        faces.append(tuple(walk))
-
+    leading = [[i for i in range(len(fm.flags)) if fm.leads(k, i)] for k in (0, 1)]
+    leading.append([fm.flag(*slot, end) for slot in firsts for end in (0, 1)])
+    quads = [(fm.index[(*slot, 0)], (0, 2)) for slot in firsts]
     return SurfaceComplex(
         orientable=c.orientable,
         genus=c.genus,
-        vertices=vertices,
-        edges=tuple(edges),
-        faces=tuple(faces),
+        vertices=tuple(vname),
+        edges=tuple(
+            Edge(step(k, i)[0], (vname[i], vname[fm.sigma[k][i]]))
+            for k in (0, 1, 2)
+            for i in leading[k]
+        ),
+        faces=tuple(
+            tuple(step(k, i) for k, i in fm.walk(start, steps))
+            for start, steps in _walks(fm) + quads
+        ),
     )
 
 

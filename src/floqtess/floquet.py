@@ -22,8 +22,9 @@ from .surface import fundamental_polygon
 
 # Pauli letter a stabilizer on a face of the given colour is built from.
 FACE_KIND = {"G": "X", "B": "Y", "R": "Z"}
-# Largest n the exact distance search takes on by default.
+# Largest n the exact distance search takes on by default; largest weight it tries.
 _EXACT_MAX_N = 40
+_EXACT_MAX_WEIGHT = 6
 
 
 class BoundExceeded(ValueError):
@@ -444,7 +445,7 @@ def _weight_hits(syn: np.ndarray, supports: list, w: int):
 
 
 def exact_distance(
-    schedule, result: ScheduleResult, *, max_weight: int = 6, max_n: int = _EXACT_MAX_N
+    schedule, result: ScheduleResult, *, max_n: int = _EXACT_MAX_N
 ) -> int:
     """Minimum weight of a logical operator over the steady phases of ``result``.
 
@@ -452,7 +453,7 @@ def exact_distance(
     graph (qubits adjacent when a row acts on both).  The prune is exact:
     a minimum-weight logical split into parts that no row links would
     leave a lighter part that is itself a logical.  Raises ValueError when
-    k = 0 and BoundExceeded past ``max_n`` or ``max_weight``.
+    k = 0 and BoundExceeded past ``max_n`` or weight ``_EXACT_MAX_WEIGHT``.
     """
     n = result.n
     if n > max_n:
@@ -464,7 +465,7 @@ def exact_distance(
         raise ValueError(
             f"k = 0: every steady phase has full rank {n}, so no logical operator exists"
         )
-    return _min_logical_weight(phases, max_weight)
+    return _min_logical_weight(phases, _EXACT_MAX_WEIGHT)
 
 
 def _min_logical_weight(phases, max_weight: int) -> int:

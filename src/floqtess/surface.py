@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .hypgeo import RegularSig, _check_genus, _genus_chi
 
@@ -73,7 +73,9 @@ class _FlagMap:
 
     A flag ``(f, j, t)`` sits at the tail (t = 0) or head (t = 1) of slot j
     as face f walks it; :meth:`end` and :meth:`flag` translate to and from
-    the intrinsic end of the edge, and no other code needs that convention.
+    the intrinsic end of the edge, :meth:`leads` picks the first flag of
+    each sigma_k pair, and no other code needs that convention.  ``sigma``
+    is (s0, s1, s2) and :meth:`walk` goes round an orbit of two of them.
     ``rotations`` holds one psi -> sigma2 sigma1 psi cycle per vertex, in
     order of each vertex's first flag and starting at it; ``vertex`` maps
     every flag to its cycle; ``edge_faces`` maps an edge id to the faces of
@@ -84,16 +86,13 @@ class _FlagMap:
         self.faces = faces
         self.index: dict[tuple[int, int, int], int] = {}
         self.flags: list[tuple[int, int, int]] = []
-        for f, face in enumerate(faces):
-            for j in range(len(face)):
-                for t in (0, 1):
-                    self.index[(f, j, t)] = len(self.flags)
-                    self.flags.append((f, j, t))
-
         slots_of: dict[Any, list[tuple[int, int]]] = {}
         for f, face in enumerate(faces):
             for j, (eid, _) in enumerate(face):
                 slots_of.setdefault(eid, []).append((f, j))
+                for t in (0, 1):
+                    self.index[(f, j, t)] = len(self.flags)
+                    self.flags.append((f, j, t))
         for eid, slots in slots_of.items():
             if len(slots) < 2:
                 raise SurfaceError(
@@ -120,24 +119,19 @@ class _FlagMap:
             eid, end = self.end(i)
             a, b = slots_of[eid]
             self.s2[i] = self.flag(*(b if a == (f, j) else a), end)
+        self.sigma = (self.s0, self.s1, self.s2)
 
         self.vertex = [-1] * n
         self.rotations: list[list[int]] = []
         for start in range(n):
-            if self.vertex[start] != -1:
-                continue
-            v = len(self.rotations)
-            cycle = []
-            i = start
-            while True:
-                cycle.append(i)
-                self.vertex[i] = self.vertex[self.s1[i]] = v
-                i = self.s2[self.s1[i]]
-                if i == start:
-                    break
-                if self.vertex[i] != -1:
-                    raise AssertionError("vertex rotation failed to close")
-            self.rotations.append(cycle)
+            if self.vertex[start] == -1:
+                rotation, i = [start], self.s2[self.s1[start]]
+                while i != start:  # the (1, 2) walk, kept inline for speed
+                    rotation.append(i)
+                    i = self.s2[self.s1[i]]
+                for i in rotation:
+                    self.vertex[i] = self.vertex[self.s1[i]] = len(self.rotations)
+                self.rotations.append(rotation)
 
     def end(self, i: int) -> tuple[Any, int]:
         """(edge id, intrinsic end of that edge) at flag i."""
@@ -148,6 +142,28 @@ class _FlagMap:
     def flag(self, f: int, j: int, end: int) -> int:
         """The flag of slot j of face f at the given intrinsic edge end."""
         return self.index[(f, j, end if self.faces[f][j][1] == 1 else 1 - end)]
+
+    def leads(self, k: int, i: int) -> bool:
+        """True when flag i is the first end of its sigma_k pair: the tail
+        flag for k = 0, the head flag for k = 1, and the flag on the edge's
+        first slot for k = 2."""
+        f, j, t = self.flags[i]
+        if k == 2:
+            return self.slots_of[self.faces[f][j][0]][0] == (f, j)
+        return t == k
+
+    def walk(self, start: int, steps: Sequence[int]) -> Iterator[tuple[int, int]]:
+        """Yield (k, flag) and step to sigma_k of that flag, taking k from
+        ``steps`` cyclically, until a whole word of steps ends at ``start``.
+        No involution fixes a flag, so a walk by two of them goes once round
+        one orbit."""
+        i, sigma = start, self.sigma
+        while True:
+            for k in steps:
+                yield k, i
+                i = sigma[k][i]
+            if i == start:
+                return
 
     def connected(self) -> bool:
         seen = {0}
@@ -171,7 +187,7 @@ class _FlagMap:
             stack = [start]
             while stack:
                 i = stack.pop()
-                for g in (self.s0, self.s1, self.s2):
+                for g in self.sigma:
                     nb = g[i]
                     if color[nb] == -1:
                         color[nb] = 1 - color[i]
@@ -321,14 +337,10 @@ def polygon_surface(word: Sequence[Slot]) -> SurfaceComplex:
     fm = _FlagMap(faces)
     n_orbits = len(fm.rotations)
 
-    edges = []
-    seen = set()
-    for lab, _ in word:
-        if lab in seen:
-            continue
-        seen.add(lab)
-        f, j = fm.slots_of[lab][0]
-        edges.append(Edge(lab, tuple(fm.vertex[fm.flag(f, j, end)] for end in (0, 1))))
+    edges = [  # slots_of keeps the order of first appearance
+        Edge(lab, tuple(fm.vertex[fm.flag(f, j, end)] for end in (0, 1)))
+        for lab, ((f, j), _) in fm.slots_of.items()
+    ]
 
     orientable = fm.orientable()
     chi = n_orbits - len(edges) + 1
@@ -406,22 +418,23 @@ def dual(c: SurfaceComplex) -> SurfaceComplex:
     """
     fm = c.flag_map()
 
-    # Map each source vertex to its rotation so dual faces follow the
-    # declared vertex order.
-    rotation_of: dict[Any, int] = {}
-    for i in range(len(fm.flags)):
-        eid, end = fm.end(i)
-        rotation_of.setdefault(c.edge_by_id(eid).ends[end], fm.vertex[i])
+    # The start flag of each source vertex's rotation, so that dual faces
+    # follow the declared vertex order.
+    start: dict[Any, int] = {}
+    for rotation in fm.rotations:
+        eid, end = fm.end(rotation[0])
+        start[c.edge_by_id(eid).ends[end]] = rotation[0]
 
-    dual_faces = []
-    for v in c.vertices:
-        cyc = fm.rotations[rotation_of[v]]
-        walk: list[Slot] = []
-        for i in cyc[:1] + cyc[:0:-1]:  # the rotation, walked backwards
-            f, j, _ = fm.flags[i]
-            eid = c.faces[f][j][0]
-            walk.append((eid, 1 if (f, j) == fm.slots_of[eid][0] else -1))
-        dual_faces.append(tuple(walk))
+    # The (2, 1) walk crosses the edges round a vertex against its rotation,
+    # forwards from the first slot of each edge.
+    dual_faces = [
+        tuple(
+            (fm.end(i)[0], 1 if fm.leads(2, i) else -1)
+            for k, i in fm.walk(start[v], (2, 1))
+            if k == 2
+        )
+        for v in c.vertices
+    ]
 
     return SurfaceComplex(
         orientable=c.orientable,
@@ -436,7 +449,6 @@ def _certificate(c: SurfaceComplex) -> tuple:
     """Canonical encoding of the flag structure, invariant under relabeling."""
     fm = c.flag_map()
     n = len(fm.flags)
-    gens = (fm.s0, fm.s1, fm.s2)
     best = None
     for start in range(n):
         order = [-1] * n
@@ -444,7 +456,7 @@ def _certificate(c: SurfaceComplex) -> tuple:
         queue = [start]
         nxt = 1
         for i in queue:
-            for g in gens:
+            for g in fm.sigma:
                 nb = g[i]
                 if order[nb] == -1:
                     order[nb] = nxt

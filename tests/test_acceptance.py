@@ -16,7 +16,6 @@ import pytest
 from floqtess import refdata
 from floqtess.catalog import (
     encoding_rate,
-    encoding_rate_doubled_k,
     equivalence_check,
     estimator_report,
     family_report,
@@ -264,21 +263,19 @@ def test_criterion_7_asymptotic_rates():
     # a match with zero error is trivially within 0.01.
     for p, g in [(10, 10), (100, 100), (500, 100), (1000, 1000)]:
         hex_form = Fraction(g, g - 1) * Fraction(p - 3, 3 * p)
-        assert encoding_rate_doubled_k((6, 6, 2 * p), g) == hex_form
         assert encoding_rate((6, 6, 2 * p), g) * 2 == hex_form
         square_form = Fraction(g, g - 1) * Fraction(p * p - 3 * p, p * p)
-        assert encoding_rate_doubled_k((2 * p, 2 * p, 2 * p), g) == square_form
         assert encoding_rate((2 * p, 2 * p, 2 * p), g) * 2 == square_form
 
     # Limit claims at p = q = g = 100.
-    hex_gap = abs(float(encoding_rate_doubled_k((6, 6, 200), 100)) - 1 / 3)
+    hex_gap = abs(float(2 * encoding_rate((6, 6, 200), 100)) - 1 / 3)
     assert hex_gap < 0.01
-    square_gap_100 = abs(float(encoding_rate_doubled_k((200, 200, 200), 100)) - 1.0)
+    square_gap_100 = abs(float(2 * encoding_rate((200, 200, 200), 100)) - 1.0)
     # The [2p,2p,2q] form sits 0.02 from its limit at 100 (the limit claim
     # is asymptotic, not a bound at 100); convergence is monotone and the
     # 0.01 band is reached by 1000.
     gaps = [
-        abs(float(encoding_rate_doubled_k((2 * s, 2 * s, 2 * s), s)) - 1.0)
+        abs(float(2 * encoding_rate((2 * s, 2 * s, 2 * s), s)) - 1.0)
         for s in (100, 200, 400, 1000)
     ]
     assert gaps == sorted(gaps, reverse=True)

@@ -11,7 +11,6 @@ from floqtess.catalog import (
     build_table,
     default_m_max,
     encoding_rate,
-    encoding_rate_doubled_k,
     enumerate_signatures,
     equivalence_check,
     estimator_report,
@@ -303,17 +302,20 @@ class TestRates:
         # (g/(g-1)) * (p-3)/(3p) for [6,6,2p], exactly, at any scale.
         for g, p in [(2, 4), (7, 19), (100, 100), (1000, 1000)]:
             quoted = Fraction(g, g - 1) * Fraction(p - 3, 3 * p)
-            assert encoding_rate_doubled_k((6, 6, 2 * p), g) == quoted
+            assert 2 * encoding_rate((6, 6, 2 * p), g) == quoted
 
     def test_doubled_rate_matches_quoted_even_pair_form(self):
         # (g/(g-1)) * (pq-p-2q)/(pq) for [2p,2p,2q].
         for g, p, q in [(2, 4, 5), (3, 7, 9), (100, 100, 100)]:
             quoted = Fraction(g, g - 1) * Fraction(p * q - p - 2 * q, p * q)
-            assert encoding_rate_doubled_k((2 * p, 2 * p, 2 * q), g) == quoted
+            assert 2 * encoding_rate((2 * p, 2 * p, 2 * q), g) == quoted
 
     def test_doubled_is_twice_measured(self):
+        # Twice the measured rate is the k = 4 - 2*chi convention.
         for m, g in [((6, 6, 8), 2), ((8, 8, 8), 5), ((4, 6, 14), 3)]:
-            assert encoding_rate_doubled_k(m, g) == 2 * encoding_rate(m, g)
+            chi = 2 - 2 * g
+            n = semiregular_counts_direct(m, chi).n_v
+            assert 2 * encoding_rate(m, g) == Fraction(4 - 2 * chi, n)
 
     def test_measured_rate_agrees_with_counted_rows(self):
         for row in refdata.SEMIREGULAR_ORIENTABLE[2]:
@@ -321,11 +323,11 @@ class TestRates:
 
     def test_limits_approached_monotonically(self):
         hex_gaps = [
-            Fraction(1, 3) - encoding_rate_doubled_k((6, 6, 2 * s), s)
+            Fraction(1, 3) - 2 * encoding_rate((6, 6, 2 * s), s)
             for s in (10, 100, 1000, 10000)
         ]
         pair_gaps = [
-            1 - encoding_rate_doubled_k((2 * s, 2 * s, 2 * s), s)
+            1 - 2 * encoding_rate((2 * s, 2 * s, 2 * s), s)
             for s in (10, 100, 1000, 10000)
         ]
         for gaps in (hex_gaps, pair_gaps):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -251,6 +252,71 @@ class TestUsageErrors:
             assert exc.value.code == 0
         help_text = capsys.readouterr().out
         assert "--genus" in help_text
+
+
+def _argv_id(argv) -> str:
+    return "_".join(str(a).lstrip("-") for a in argv if a is not None)
+
+
+class TestStdoutPinned:
+    """sha256 of in-process stdout, taken before the derivations were rebuilt
+    on flag-orbit walks; any change to the printed bytes fails here."""
+
+    BUILDS = {
+        (2, "true", None): "b59a55ca40713c621d7f728d096c304dc00d62f81d09985156d6f056b4fbcd16",
+        (2, "true", "clip"): "aac5e34b19ff08676ab09a8b42de7e4d8ce9667024ad9871223e54e9d7b75eca",
+        (2, "true", "incenter"): "7a3a71761817133de8eff5c63f8f422e6cd6bc82967499dc390152ba9ff76547",
+        (5, "true", None): "0fd678fa6dadf45090e8997daf5ffe3c3f3fd4c0185b48ca3f9342388eac7c84",
+        (5, "true", "clip"): "50fabb3659769e31c43a9f3f636814d157db9910b9689f85402e7523e6e13ed5",
+        (5, "true", "incenter"): "ee798540b906857556873e7d2a328948bd1c18d158950f068f233d03544e1850",
+        (12, "true", None): "d52108508b7f94fcc3c59bd47e48daec2a80535cf3450a87ab6499b6c58ebf56",
+        (12, "true", "clip"): "2fc8151bcc21bd73824f637b09862acc676d06d884b839a8c0d4db2e41fc5c99",
+        (12, "true", "incenter"): "c9f2d23c695d5823d22888b283bb749026be52a0a0349668342a0b083c9c40ed",
+        (3, "false", None): "d5691383673d019c6cf5b52530bfe9016f862b0a8f1ae2974e606d6d940c271f",
+        (3, "false", "clip"): "aee282c63c560bdbf946af9d28f7aeb746a80148b2d7f1947a27d879b8da1a83",
+        (3, "false", "incenter"): "7cc28034fdf9f50781daa959fbcc3c1536fee99f2fb19f4b7e5cff813eb4d614",
+        (8, "false", None): "5137c72c31b1d6c85bc6b75408f59d86e560929087e6743cfda893bc1d3dc172",
+        (8, "false", "clip"): "1f16a7c769f27583e67b34ae4b72fceb9f95baf7cc52489c39b9a8eb303fdb30",
+        (8, "false", "incenter"): "43c9f0d0e730b76b6789bc742119f9e80706cd4291e3f7250c2299ae72b79b91",
+    }
+    # Subcommands reading the orientable genus-2 incenter complex.
+    ON_INCENTER2 = {
+        ("color",): "548060e17c7a11ab2395a464f7a13a31d9cfc093b265795b978b01d908fbfbb5",
+        ("isg",): "ed620e02594c5c99fb56a82b3ebcb25e46f332c3feb3aa31d39c02133bb81559",
+        ("distance", "--mode", "exact"): "38b7e506283f5e1013562192c4ada8e773ffd41fe4c1318741051eac7ea7c08e",
+        ("distance", "--mode", "geo"): "c5e461b04eed49c57c65ba3aca0eddf36222ea83380ce917da16b223901323f0",
+    }
+    REPORTS = {
+        ("table", "--genus", "2..3", "--orientable", "true", "--mode", "auto"):
+            "e5b9c83433bf209d7aab76c03cfcf59bdb4f31b94840a51b32aca6a6a3faf7be",
+        ("table", "--genus", "3", "--orientable", "false", "--mode", "auto"):
+            "921fe10eaca6c02aac064a6b2db86c609f3416b88d4ba05c9f59973e06844c3f",
+        ("equiv", "--genus", "2"):
+            "d01f3bfe9d2520979ac07d79ae04fefbacdc0cbad08b81398c47d528afe39d08",
+    }
+
+    @staticmethod
+    def digest(capsys, *argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    @pytest.mark.parametrize("key", sorted(BUILDS, key=str), ids=_argv_id)
+    def test_complex_build(self, capsys, key):
+        genus, orientable, derive = key
+        argv = ["complex", "build", "--genus", str(genus), "--orientable", orientable]
+        if derive is not None:
+            argv += ["--derive", derive]
+        assert self.digest(capsys, *argv) == self.BUILDS[key]
+
+    @pytest.mark.parametrize("argv", sorted(ON_INCENTER2), ids=_argv_id)
+    def test_on_incenter2(self, capsys, incenter2, argv):
+        got = self.digest(capsys, argv[0], "--in", incenter2, *argv[1:])
+        assert got == self.ON_INCENTER2[argv]
+
+    @pytest.mark.parametrize("argv", sorted(REPORTS), ids=_argv_id)
+    def test_reports(self, capsys, argv):
+        assert self.digest(capsys, *argv) == self.REPORTS[argv]
 
 
 class TestDeterminism:

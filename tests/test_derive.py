@@ -1,5 +1,7 @@
 """Clipping and incenter subdivision: counts and explicit rewrites."""
 
+import hashlib
+import json
 import re
 from collections import Counter
 
@@ -14,7 +16,14 @@ from floqtess.derive import (
     semiregular_counts_direct,
 )
 from floqtess.hypgeo import SemiRegularSig
-from floqtess.surface import _counts_from_chi, dual, fundamental_polygon, isomorphic
+from floqtess.surface import (
+    _counts_from_chi,
+    dual,
+    fundamental_polygon,
+    isomorphic,
+    serialize,
+)
+from test_coloring import honeycomb_torus
 
 
 def census_of(c):
@@ -144,6 +153,53 @@ class TestExplicitIncenter:
     def test_dual_of_derived_is_involutive(self):
         c = incenter_complex(fundamental_polygon(2, True), 8, 8)
         assert isomorphic(dual(dual(c)), c)
+
+
+class TestMultiFaceSources:
+    """Derivations of multi-face tori: {6,3} honeycombs and a {3,6} dual.
+
+    The digests are sha256 of json.dumps(serialize(...)), taken from the
+    derivations as they stood before they were rebuilt on flag-orbit walks;
+    they pin names, edge and face order, start flags and directions.
+    """
+
+    SOURCES = {
+        "honeycomb-2": (lambda: honeycomb_torus(2), 6, 3),
+        "honeycomb-3": (lambda: honeycomb_torus(3), 6, 3),
+        "honeycomb-4": (lambda: honeycomb_torus(4), 6, 3),
+        "dual-honeycomb-3": (lambda: dual(honeycomb_torus(3)), 3, 6),
+    }
+    PINS = {
+        ("honeycomb-2", "clip"): "104fcfe5f13adb9fa366d13a929f74a3b5f19c8cceaebe4bc272eea250965c85",
+        ("honeycomb-2", "incenter"): "41ed3984292f30c6b079d27d343fd6c3023fb26ed962b46d1e19af5ea961cf58",
+        ("honeycomb-3", "clip"): "fde4d2e79a0c6cc398ead382f43808b40a5f50f8575748946d8d2d4a9322f991",
+        ("honeycomb-3", "incenter"): "155b9a82aa668c8b5fb84440a533114a61ff45192f9b0c42d7a9f0a9c5f36d1e",
+        ("honeycomb-4", "clip"): "7c2b665f9c8cba058d8d5de5c5c0e5b6fd098170671a41abb8530f590223c2d8",
+        ("honeycomb-4", "incenter"): "a2e654d003129f4d903f2f6b1be9b271ecec6012ddad796f51c1df9e8e49a00d",
+        ("dual-honeycomb-3", "clip"): "bc7a6b2c843b60d1016459dbdfbda7422fe112562abe35fe45723f3589e93bc8",
+        ("dual-honeycomb-3", "incenter"): "1141405d0b44990b1496d0dffbd0a25ff48763fed7f5bbe642b71200e0a11cd3",
+    }
+
+    @pytest.mark.parametrize("source,derive", sorted(PINS))
+    def test_pinned_and_trivalent(self, source, derive):
+        make, p, q = self.SOURCES[source]
+        src = make()
+        F, E, V = len(src.faces), len(src.edges), len(src.vertices)
+        if derive == "clip":
+            c = clip_complex(src, p, q)
+            cells, sizes = (2 * E, E + q * V, F + V), ((2 * p, F), (q, V))
+        else:
+            c = incenter_complex(src, p, q)
+            cells, sizes = (2 * p * F, 3 * p * F, F + E + V), ((2 * p, F), (2 * q, V), (4, E))
+        digest = hashlib.sha256(json.dumps(serialize(c)).encode()).hexdigest()
+        assert digest == self.PINS[source, derive]
+        assert (len(c.vertices), len(c.edges), len(c.faces)) == cells
+        assert set(c.vertex_degrees().values()) == {3}
+        census = Counter()
+        for size, count in sizes:
+            census[size] += count
+        assert census_of(c) == dict(census)
+        assert (c.chi, c.orientable, c.genus) == (0, True, 1)
 
 
 class TestDirectCounts:

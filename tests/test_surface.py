@@ -170,6 +170,37 @@ class TestFlagMap:
         for eid, (f1, f2) in fm.edge_faces.items():
             assert [f for f, face in enumerate(c.faces) for e, _ in face if e == eid] == [f1, f2]
 
+    @pytest.mark.parametrize("derive", ["bare", "clip", "incenter"])
+    def test_leads_and_walk(self, derive):
+        c = _derived(3, False, derive)
+        fm = c.flag_map()
+        for k in (0, 1, 2):
+            for i in range(len(fm.flags)):
+                # Exactly one flag of every sigma_k pair leads it.
+                assert fm.leads(k, i) != fm.leads(k, fm.sigma[k][i])
+        # Tail flags lead sigma0, head flags sigma1, and the flags on the
+        # slot where an edge first appears in the face list lead sigma2.
+        first = {}
+        for f, face in enumerate(c.faces):
+            for j, (eid, _) in enumerate(face):
+                first.setdefault(eid, (f, j))
+        for i, (f, j, t) in enumerate(fm.flags):
+            assert fm.leads(0, i) == (t == 0) and fm.leads(1, i) == (t == 1)
+            assert fm.leads(2, i) == (first[c.faces[f][j][0]] == (f, j))
+        # (0, 1) orbits are the faces, (1, 2) orbits the vertex rotations,
+        # and (0, 2) orbits the four flags of one edge.
+        for f, face in enumerate(c.faces):
+            walk = list(fm.walk(fm.index[(f, 0, 0)], (0, 1)))
+            assert walk == [(t, fm.index[(f, j, t)]) for j in range(len(face)) for t in (0, 1)]
+        for rotation in fm.rotations:
+            walk = list(fm.walk(rotation[0], (1, 2)))
+            assert [i for k, i in walk if k == 1] == rotation
+            assert len(walk) == 2 * len(rotation)
+        for i in range(len(fm.flags)):
+            walk = list(fm.walk(i, (0, 2)))
+            assert [k for k, _ in walk] == [0, 2, 0, 2]
+            assert {fm.end(j)[0] for _, j in walk} == {fm.end(i)[0]}
+
     def test_built_once(self):
         c = _derived(2, True, "incenter")
         assert c.flag_map() is c.flag_map()
