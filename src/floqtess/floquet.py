@@ -124,19 +124,28 @@ def _sympl(u: int, v: int, n: int) -> int:
 
 
 def _reduce_rows(vectors, n) -> tuple:
-    """Canonical reduced basis (distinct descending pivots) of the span."""
+    """Canonical reduced basis (distinct descending pivots) of the span.
+
+    The basis stays fully reduced, so XOR-ing in the row with pivot ``p``
+    clears pivot bit ``p`` of a vector and sets no other: a vector reduces
+    by one pass over its pivot bits, ``v & piv``.  A new pivot below
+    existing ones is cleared from the rows above that carry it.  Fed an
+    echelon basis in ascending pivot order, as :func:`run_schedule` does,
+    every new pivot is the highest yet and no row is rewritten.
+    """
     basis: dict[int, int] = {}
+    piv = 0
     for v in vectors:
-        for p in sorted(basis, reverse=True):
-            if (v >> p) & 1:
-                v ^= basis[p]
+        for p in _bits(v & piv):
+            v ^= basis[p]
         if not v:
             continue
-        p = v.bit_length() - 1
-        for q in list(basis):
-            if (basis[q] >> p) & 1:
-                basis[q] ^= v
-        basis[p] = v
+        q = v.bit_length() - 1
+        for p in _bits(piv >> q << q):
+            if (basis[p] >> q) & 1:
+                basis[p] ^= v
+        basis[q] = v
+        piv |= 1 << q
     return tuple(basis[p] for p in sorted(basis, reverse=True))
 
 
@@ -144,16 +153,29 @@ def _reduce_rows(vectors, n) -> tuple:
 class StabilizerGroup:
     """Stabilizer group in reduced row-echelon symplectic form.
 
-    Rows are ``(x << n) | z`` integers with strictly decreasing pivots, so
-    equal groups compare equal.
+    Rows are ``(x << n) | z`` integers with strictly decreasing pivots (top
+    set bits), and no row carries another row's pivot bit, so equal groups
+    compare equal.  Construction checks this in O(rank), which is
+    equivalent to ``rows == _reduce_rows(rows, n)``, and that the rows fit
+    in ``2 n`` bits.
     """
 
     n: int
     rows: tuple = ()
 
     def __post_init__(self):
-        if self.rows != _reduce_rows(self.rows, self.n):
+        rows = self.rows
+        canonical = isinstance(rows, tuple) and all(r > 0 for r in rows)
+        if canonical:
+            pivots = [r.bit_length() - 1 for r in rows]
+            piv = sum(1 << p for p in pivots)
+            canonical = all(a > b for a, b in zip(pivots, pivots[1:])) and all(
+                r & piv == 1 << p for r, p in zip(rows, pivots)
+            )
+        if not canonical:
             raise ValueError("rows are not in canonical reduced form")
+        if rows and rows[0].bit_length() > 2 * self.n:
+            raise ValueError("row outside the 2n-bit symplectic range")
 
     @classmethod
     def empty(cls, n: int) -> "StabilizerGroup":
@@ -241,7 +263,9 @@ def measure(isg: StabilizerGroup, check: PauliOperator) -> StabilizerGroup:
     """Project the group onto the outcome algebra of a 2-qubit check.
 
     Commuting checks join the group (when independent); otherwise one
-    anticommuting row absorbs the rest and is replaced by the check.
+    anticommuting row absorbs the rest and is replaced by the check.  The
+    updated echelon rows go to :func:`_reduce_rows` in ascending pivot
+    order, which makes them canonical without rewriting any row.
     """
     if check.n != isg.n:
         raise ValueError("check qubit count mismatch")
@@ -249,7 +273,8 @@ def measure(isg: StabilizerGroup, check: PauliOperator) -> StabilizerGroup:
         raise ValueError("check must be a 2-qubit Pauli")
     basis = {r.bit_length() - 1: r for r in isg.rows}
     _measure_step(basis, (check.x << isg.n) | check.z, isg.n)
-    return StabilizerGroup(isg.n, _reduce_rows(basis.values(), isg.n))
+    rows = _reduce_rows((basis[p] for p in sorted(basis)), isg.n)
+    return StabilizerGroup(isg.n, rows)
 
 
 @dataclass(frozen=True)
@@ -292,7 +317,9 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
     entered at round ``r`` when ISG(r) == ISG(r-3); determinism of the
     update then keeps the period-3 cycle forever.  One echelon basis is
     updated check by check across all rounds and made canonical once per
-    round.
+    round, by feeding its rows to :func:`_reduce_rows` in ascending pivot
+    order: each row then only sheds the lower pivot bits it carries, so a
+    round costs the sum of those overlaps, not rank squared.
     """
     if rounds < 6:
         raise ValueError("need at least 6 rounds to certify a steady state")
@@ -308,7 +335,8 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
     for r in range(rounds):
         for op in phase_ops[r % 3]:
             _measure_step(basis, (op.x << n) | op.z, n)
-        groups.append(StabilizerGroup(n, _reduce_rows(basis.values(), n)))
+        rows = _reduce_rows((basis[p] for p in sorted(basis)), n)
+        groups.append(StabilizerGroup(n, rows))
     steady = next((r for r in range(3, rounds) if groups[r] == groups[r - 3]), None)
     k_inst = None
     if steady is not None:

@@ -36,6 +36,48 @@ from floqtess.surface import fundamental_polygon
 from test_coloring import honeycomb_torus
 
 
+def reference_reduce_rows(vectors, n):
+    """Canonical reduced basis by plain Gaussian elimination: each vector is
+    reduced against every pivot in descending order, and a new pivot is
+    cleared from every row that carries it."""
+    basis = {}
+    for v in vectors:
+        for p in sorted(basis, reverse=True):
+            if (v >> p) & 1:
+                v ^= basis[p]
+        if not v:
+            continue
+        p = v.bit_length() - 1
+        for q in list(basis):
+            if (basis[q] >> p) & 1:
+                basis[q] ^= v
+        basis[p] = v
+    return tuple(basis[p] for p in sorted(basis, reverse=True))
+
+
+def random_vectors(rng, n):
+    """Rows over ``2 n`` bits in arbitrary order, dense and sparse, with
+    zero, repeated and dependent (sums of earlier) vectors mixed in."""
+    width = 2 * n
+    vecs = []
+    for _ in range(rng.randint(0, width + 3)):
+        kind = rng.randrange(6)
+        if kind == 0:
+            vecs.append(0)
+        elif kind == 1 and vecs:
+            vecs.append(rng.choice(vecs))
+        elif kind == 2 and len(vecs) >= 2:
+            a, b = rng.sample(vecs, 2)
+            vecs.append(a ^ b)
+        elif kind == 3:
+            sparse = rng.getrandbits(width) & rng.getrandbits(width)
+            vecs.append(sparse & rng.getrandbits(width))
+        else:
+            vecs.append(rng.getrandbits(width))
+    rng.shuffle(vecs)
+    return vecs
+
+
 def reference_measure(isg, check):
     """The per-check update the incremental step replaced: the first
     anticommuting row (highest pivot) absorbs the rest and is replaced by
@@ -52,7 +94,7 @@ def reference_measure(isg, check):
         rows[anti[0]] = c
     else:
         rows.append(c)
-    out = StabilizerGroup(n, _reduce_rows(rows, n))
+    out = StabilizerGroup(n, reference_reduce_rows(rows, n))
     assert out.rank >= isg.rank, "measurement lowered the rank"
     assert out.is_abelian(), "measurement broke commutativity"
     return out
@@ -207,11 +249,72 @@ class TestStabilizerGroup:
             StabilizerGroup.from_paulis(1, [x0, z0])
 
     def test_rows_must_be_canonical(self):
+        # Pivots 0 then 1: ascending, not descending.
         with pytest.raises(ValueError, match="canonical"):
-            StabilizerGroup(2, (1, 3))  # row 3 still carries row 1's pivot... no: 3 has pivot 1
-        # a genuinely non-reduced pair
+            StabilizerGroup(2, (1, 3))
+        # Row 3 carries bit 0, the pivot of row 1; and pivot 1 repeats.
         with pytest.raises(ValueError, match="canonical"):
             StabilizerGroup(2, (3, 1, 2))
+
+    @pytest.mark.parametrize(
+        "rows, ok",
+        [
+            ((), True),
+            ((0b1010, 0b0101), True),
+            ((0b1000, 0), False),  # zero row
+            ((0b1001, 0b1000), False),  # repeated pivot
+            ((0b0001, 0b1000), False),  # ascending pivots
+            ((0b1010, 0b0010), False),  # row 1010 carries pivot bit 1 of row 0010
+            ((-1,), False),  # negative row
+            ([0b1000], False),  # rows must be a tuple
+        ],
+    )
+    def test_canonical_cases(self, rows, ok):
+        if ok:
+            assert StabilizerGroup(2, rows).rows == rows
+        else:
+            with pytest.raises(ValueError, match="canonical"):
+                StabilizerGroup(2, rows)
+
+    def test_canonical_test_matches_reduction(self):
+        # The O(rank) check accepts exactly the tuples that Gaussian
+        # elimination leaves unchanged: canonical bases, bases broken by one
+        # edit, and raw random tuples.
+        rng = random.Random(20)
+        seen = {True: 0, False: 0}
+        for _ in range(3000):
+            n = rng.randint(1, 8)
+            rows = list(reference_reduce_rows(random_vectors(rng, n), n))
+            edit = rng.randrange(6)
+            if edit == 1 and len(rows) >= 2:
+                i, j = rng.sample(range(len(rows)), 2)
+                rows[i] ^= rows[j]
+            elif edit == 2 and len(rows) >= 2:
+                i, j = rng.sample(range(len(rows)), 2)
+                rows[i], rows[j] = rows[j], rows[i]
+            elif edit == 3:
+                rows.insert(rng.randint(0, len(rows)), rng.choice(rows + [0]))
+            elif edit == 4 and rows:
+                i = rng.randrange(len(rows))
+                rows[i] ^= rng.getrandbits(rows[i].bit_length() - 1)
+            elif edit == 5:
+                rows = random_vectors(rng, n)
+            rows = tuple(rows)
+            expected = rows == reference_reduce_rows(rows, n)
+            try:
+                StabilizerGroup(n, rows)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == expected, (n, rows)
+            seen[accepted] += 1
+        assert min(seen.values()) > 500
+
+    def test_rows_must_fit_the_qubits(self):
+        assert StabilizerGroup(2, (1 << 3,)).rank == 1
+        for row in (1 << 4, 1 << 10):
+            with pytest.raises(ValueError, match="range"):
+                StabilizerGroup(2, (row,))
 
     def test_contains_only_span(self):
         xx = PauliOperator.two_body(2, "XX", 0, 1)
@@ -224,6 +327,28 @@ class TestStabilizerGroup:
         doc = StabilizerGroup.from_paulis(2, [xx]).as_json()
         assert doc["n"] == 2
         assert doc["generators"] == [{"x": [1, 1], "z": [0, 0]}]
+
+
+class TestReduceRows:
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_matches_reference(self, n):
+        rng = random.Random(100 + n)
+        for _ in range(60):
+            vecs = random_vectors(rng, n)
+            assert _reduce_rows(vecs, n) == reference_reduce_rows(vecs, n)
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_ascending_echelon_input(self, n):
+        # An echelon basis {pivot: row} fed lowest pivot first, as
+        # run_schedule feeds it.
+        rng = random.Random(200 + n)
+        for _ in range(60):
+            pivots = rng.sample(range(2 * n), rng.randint(0, 2 * n))
+            basis = {p: (1 << p) | rng.getrandbits(p) for p in pivots}
+            rows = [basis[p] for p in sorted(basis)]
+            out = _reduce_rows(rows, n)
+            assert out == reference_reduce_rows(rows, n)
+            assert len(out) == len(rows)
 
 
 class TestMeasure:
