@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -22,9 +22,11 @@ from .surface import fundamental_polygon
 
 # Pauli letter a stabilizer on a face of the given colour is built from.
 FACE_KIND = {"G": "X", "B": "Y", "R": "Z"}
-# Largest n the exact distance search takes on by default; largest weight it tries.
+# Largest n the exact distance search takes on; largest weight it tries.
 _EXACT_MAX_N = 40
 _EXACT_MAX_WEIGHT = 6
+# Largest n the exhaustive 4^n sweep takes on.
+_EXHAUSTIVE_MAX_N = 12
 
 
 class BoundExceeded(ValueError):
@@ -49,10 +51,6 @@ class PauliOperator:
         top = 1 << self.n
         if not (0 <= self.x < top and 0 <= self.z < top):
             raise ValueError("bitmask outside the qubit range")
-
-    @classmethod
-    def identity(cls, n: int) -> "PauliOperator":
-        return cls(n, 0, 0)
 
     @classmethod
     def from_map(cls, n: int, ops: dict) -> "PauliOperator":
@@ -81,36 +79,6 @@ class PauliOperator:
     @property
     def weight(self) -> int:
         return (self.x | self.z).bit_count()
-
-    @property
-    def support(self) -> tuple:
-        return tuple(_bits(self.x | self.z))
-
-    def commutes(self, other: "PauliOperator") -> bool:
-        if self.n != other.n:
-            raise ValueError("operators act on different qubit counts")
-        return (
-            (self.x & other.z).bit_count() + (self.z & other.x).bit_count()
-        ) & 1 == 0
-
-    def __mul__(self, other: "PauliOperator") -> "PauliOperator":
-        if self.n != other.n:
-            raise ValueError("operators act on different qubit counts")
-        return PauliOperator(self.n, self.x ^ other.x, self.z ^ other.z)
-
-    def to_label(self) -> str:
-        out = []
-        for q in range(self.n):
-            xb = (self.x >> q) & 1
-            zb = (self.z >> q) & 1
-            out.append("IXZY"[xb + 2 * zb])
-        return "".join(out)
-
-    def as_json(self) -> dict:
-        return {
-            "x": [(self.x >> q) & 1 for q in range(self.n)],
-            "z": [(self.z >> q) & 1 for q in range(self.n)],
-        }
 
 
 def _swap_halves(v: int, n: int) -> int:
@@ -177,35 +145,9 @@ class StabilizerGroup:
         if rows and rows[0].bit_length() > 2 * self.n:
             raise ValueError("row outside the 2n-bit symplectic range")
 
-    @classmethod
-    def empty(cls, n: int) -> "StabilizerGroup":
-        return cls(n, ())
-
-    @classmethod
-    def from_paulis(cls, n: int, paulis) -> "StabilizerGroup":
-        vecs = []
-        for p in paulis:
-            if p.n != n:
-                raise ValueError("operator qubit count mismatch")
-            vecs.append((p.x << n) | p.z)
-        group = cls(n, _reduce_rows(vecs, n))
-        if not group.is_abelian():
-            raise ValueError("generators do not pairwise commute")
-        return group
-
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    @property
-    def generators(self) -> tuple:
-        mask = (1 << self.n) - 1
-        return tuple(
-            PauliOperator(self.n, r >> self.n, r & mask) for r in self.rows
-        )
-
-    def is_abelian(self) -> bool:
-        return not any(_sympl(u, v, self.n) for u, v in combinations(self.rows, 2))
 
     def _reduce_vec(self, v: int) -> int:
         for row in self.rows:
@@ -213,17 +155,6 @@ class StabilizerGroup:
             if (v >> p) & 1:
                 v ^= row
         return v
-
-    def contains(self, op: PauliOperator) -> bool:
-        if op.n != self.n:
-            raise ValueError("operator qubit count mismatch")
-        return self._reduce_vec((op.x << self.n) | op.z) == 0
-
-    def as_json(self) -> dict:
-        return {
-            "n": self.n,
-            "generators": [g.as_json() for g in self.generators],
-        }
 
 
 def _measure_step(basis: dict, c: int, n: int) -> None:
@@ -259,24 +190,6 @@ def _measure_step(basis: dict, c: int, n: int) -> None:
     basis[c.bit_length() - 1] = c
 
 
-def measure(isg: StabilizerGroup, check: PauliOperator) -> StabilizerGroup:
-    """Project the group onto the outcome algebra of a 2-qubit check.
-
-    Commuting checks join the group (when independent); otherwise one
-    anticommuting row absorbs the rest and is replaced by the check.  The
-    updated echelon rows go to :func:`_reduce_rows` in ascending pivot
-    order, which makes them canonical without rewriting any row.
-    """
-    if check.n != isg.n:
-        raise ValueError("check qubit count mismatch")
-    if check.weight != 2:
-        raise ValueError("check must be a 2-qubit Pauli")
-    basis = {r.bit_length() - 1: r for r in isg.rows}
-    _measure_step(basis, (check.x << isg.n) | check.z, isg.n)
-    rows = _reduce_rows((basis[p] for p in sorted(basis)), isg.n)
-    return StabilizerGroup(isg.n, rows)
-
-
 @dataclass(frozen=True)
 class ScheduleResult:
     """Per-round ISG trajectory with steady-state bookkeeping."""
@@ -294,14 +207,6 @@ class ScheduleResult:
             raise ValueError("schedule did not reach a steady state")
         r = self.steady_round
         return self.groups[r - 3 : r]
-
-    def as_json(self) -> dict:
-        return {
-            "n": self.n,
-            "ranks": list(self.ranks),
-            "steady_round": self.steady_round,
-            "k": self.k_inst,
-        }
 
 
 def check_operator(check, index: dict, n: int) -> PauliOperator:
@@ -472,40 +377,39 @@ def _weight_hits(syn: np.ndarray, supports: list, w: int):
             yield x, z
 
 
-def exact_distance(
-    schedule, result: ScheduleResult, *, max_n: int = _EXACT_MAX_N
-) -> int:
+def exact_distance(schedule, result: ScheduleResult) -> int:
     """Minimum weight of a logical operator over the steady phases of ``result``.
 
     Each phase is searched only on supports connected in its co-support
     graph (qubits adjacent when a row acts on both).  The prune is exact:
     a minimum-weight logical split into parts that no row links would
     leave a lighter part that is itself a logical.  Raises ValueError when
-    k = 0 and BoundExceeded past ``max_n`` or weight ``_EXACT_MAX_WEIGHT``.
+    k = 0 and BoundExceeded past ``_EXACT_MAX_N`` qubits or weight
+    ``_EXACT_MAX_WEIGHT``.
     """
     n = result.n
-    if n > max_n:
+    if n > _EXACT_MAX_N:
         raise BoundExceeded(
-            f"n={n} exceeds the exact-search bound {max_n}; use geometric estimator"
+            f"n={n} exceeds the exact-search bound {_EXACT_MAX_N}; use geometric estimator"
         )
     phases = result.steady_phases
     if all(p.rank == n for p in phases):
         raise ValueError(
             f"k = 0: every steady phase has full rank {n}, so no logical operator exists"
         )
-    return _min_logical_weight(phases, _EXACT_MAX_WEIGHT)
+    return _min_logical_weight(phases)
 
 
-def _min_logical_weight(phases, max_weight: int) -> int:
+def _min_logical_weight(phases) -> int:
     """The search of :func:`exact_distance` over any stabilizer groups."""
     searches = [(p, _syndrome_table(p), _cosupport_graph(p)) for p in phases]
-    for w in range(1, max_weight + 1):
+    for w in range(1, _EXACT_MAX_WEIGHT + 1):
         for phase, syn, adj in searches:
             for hx, hz in _weight_hits(syn, connected_supports(adj, w), w):
                 if phase._reduce_vec((hx << phase.n) | hz):
                     return w
     raise BoundExceeded(
-        f"no logical operator of weight <= {max_weight}; use geometric estimator"
+        f"no logical operator of weight <= {_EXACT_MAX_WEIGHT}; use geometric estimator"
     )
 
 
@@ -516,17 +420,13 @@ def _group_elements(group: StabilizerGroup) -> set:
     return elems
 
 
-def exhaustive_distance(result_or_phases, *, max_n: int = 12) -> int:
+def exhaustive_distance(phases) -> int:
     """Distance by sweeping all 4^n Paulis; independent of the search prune."""
-    if isinstance(result_or_phases, ScheduleResult):
-        phases = result_or_phases.steady_phases
-    else:
-        phases = tuple(result_or_phases)
     n = phases[0].n
     if any(p.n != n for p in phases):
         raise ValueError("phase qubit counts differ")
-    if n > max_n:
-        raise ValueError(f"4^{n} sweep refused (bound {max_n})")
+    if n > _EXHAUSTIVE_MAX_N:
+        raise ValueError(f"4^{n} sweep refused (bound {_EXHAUSTIVE_MAX_N})")
     # Bit j of tx[x] (tz[z]) is the parity of x's overlap with row j's Z
     # part (z's with its X part); a Pauli commutes with every row iff
     # tx[x] == tz[z].

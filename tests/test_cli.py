@@ -4,11 +4,17 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import floqtess
 from floqtess.cli import _build_parser, main
 from floqtess.surface import deserialize
+
+# Fresh CLI processes run here, so ``-m floqtess.cli`` imports the same
+# package as this run even when it is not installed.
+PACKAGE_ROOT = Path(floqtess.__file__).parents[1]
 
 
 def run(capsys, *argv):
@@ -325,8 +331,8 @@ class TestDeterminism:
             sys.executable, "-m", "floqtess.cli", "table",
             "--genus", "2..2", "--orientable", "true", "--mode", "auto",
         ]
-        first = subprocess.run(cmd, capture_output=True, text=True)
-        second = subprocess.run(cmd, capture_output=True, text=True)
+        first = subprocess.run(cmd, capture_output=True, text=True, cwd=PACKAGE_ROOT)
+        second = subprocess.run(cmd, capture_output=True, text=True, cwd=PACKAGE_ROOT)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
@@ -348,7 +354,7 @@ class TestParserReuse:
         for argv in (usage, ok):
             proc = subprocess.run(
                 [sys.executable, "-m", "floqtess.cli", *argv],
-                capture_output=True, text=True,
+                capture_output=True, text=True, cwd=PACKAGE_ROOT,
             )
             fresh.append((proc.returncode, proc.stdout, proc.stderr))
         assert in_process == [fresh[0], fresh[1], fresh[1]]
