@@ -24,6 +24,7 @@ from .derive import clip_complex, incenter_complex
 from .floquet import exact_distance, run_schedule
 from .geodist import estimate_distance
 from .hypgeo import (
+    _polygon_sides,
     polygon_area,
     regular_apothem_circumradius,
     regular_edge_length,
@@ -150,7 +151,7 @@ def cmd_complex_build(args) -> int:
     base = fundamental_polygon(args.genus, args.orientable)
     cx = base
     if args.derive is not None:
-        p = (4 if args.orientable else 2) * args.genus
+        p = _polygon_sides(args.genus, args.orientable)
         make = clip_complex if args.derive == "clip" else incenter_complex
         cx = make(base, p, p)
     _emit(serialize(cx))

@@ -28,7 +28,6 @@ __all__ = [
     "COLORS",
     "PAULI_OF",
     "ROUND_COLOR",
-    "Check",
     "NotColorCodeTiling",
     "EdgeSchedule",
     "ColorAssignment",
@@ -48,44 +47,14 @@ class NotColorCodeTiling(ValueError):
 
 
 @dataclass(frozen=True)
-class Check:
-    """A two-body measurement check on the qubits at an edge's endpoints."""
-
-    color: str
-    pauli: str
-    qubits: tuple
-
-    def __post_init__(self) -> None:
-        if self.color not in COLORS:
-            raise ValueError(f"unknown color {self.color!r}")
-        if PAULI_OF[self.color] != self.pauli:
-            raise ValueError(f"color {self.color} carries {PAULI_OF[self.color]}, not {self.pauli}")
-        object.__setattr__(self, "qubits", tuple(self.qubits))
-        if len(self.qubits) != 2:
-            raise ValueError("a check acts on exactly two qubits")
-        if self.qubits[0] == self.qubits[1]:
-            raise ValueError("check endpoints must be distinct qubits")
-
-    def as_json(self) -> dict:
-        return {"color": self.color, "pauli": self.pauli, "qubits": list(self.qubits)}
-
-
-def _checks_from_edge_colors(c: SurfaceComplex, edge_color: Mapping) -> dict:
-    checks: dict[str, list[Check]] = {color: [] for color in ROUND_COLOR}
-    for e in c.edges:
-        color = edge_color[e.id]
-        checks[color].append(Check(color, PAULI_OF[color], e.ends))
-    return {color: tuple(lst) for color, lst in checks.items()}
-
-
-@dataclass(frozen=True)
 class EdgeSchedule:
     """A proper 3-edge-coloring of a tri-valent complex, with its checks.
 
-    ``edge_color[eid]`` colors each edge; ``checks[color]`` lists the
-    two-body checks of that color in edge order and is derived from it.
-    Such a coloring can exist without face colors, as on the two-faced
-    clipped polygons; :class:`ColorAssignment` adds them.
+    ``edge_color[eid]`` colors each edge; ``checks[color]`` is derived from
+    it and holds the end pairs of that color's edges in edge order.  Each
+    pair is a two-body check whose Pauli type ``PAULI_OF[color]`` is fixed
+    by the color.  Such a coloring can exist without face colors, as on the
+    two-faced clipped polygons; :class:`ColorAssignment` adds them.
     """
 
     complex: SurfaceComplex
@@ -106,10 +75,17 @@ class EdgeSchedule:
                 if color in seen[v]:
                     raise ValueError(f"two {color} edges meet at vertex {v!r}")
                 seen[v].add(color)
-        object.__setattr__(self, "checks", _checks_from_edge_colors(c, self.edge_color))
+        checks: dict = {color: [] for color in ROUND_COLOR}
+        for e in c.edges:
+            checks[self.edge_color[e.id]].append(e.ends)
+        object.__setattr__(self, "checks", {col: tuple(v) for col, v in checks.items()})
 
     def checks_json(self) -> list[dict]:
-        return [ch.as_json() for color in ROUND_COLOR for ch in self.checks[color]]
+        return [
+            {"color": color, "pauli": PAULI_OF[color], "qubits": list(pair)}
+            for color in ROUND_COLOR
+            for pair in self.checks[color]
+        ]
 
 
 @dataclass(frozen=True)
@@ -309,6 +285,7 @@ def edge_three_color(c: SurfaceComplex) -> EdgeSchedule:
     return EdgeSchedule(complex=c, edge_color=edge_color)
 
 
-def checks_for_round(schedule: EdgeSchedule, r: int) -> tuple[Check, ...]:
-    """Checks measured at round r: green at r=3n, blue at 3n+1, red at 3n+2."""
+def checks_for_round(schedule: EdgeSchedule, r: int) -> tuple:
+    """Qubit pairs of the checks measured at round r: green at r=3n, blue
+    at 3n+1, red at 3n+2."""
     return schedule.checks[ROUND_COLOR[r % 3]]

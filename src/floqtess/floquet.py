@@ -15,13 +15,13 @@ from itertools import product
 import numpy as np
 
 from . import geodist
-from .coloring import NotColorCodeTiling, checks_for_round, three_color
+from .coloring import PAULI_OF, ROUND_COLOR, NotColorCodeTiling, checks_for_round, three_color
 from .derive import clip_complex, incenter_complex, semiregular_counts_direct
-from .hypgeo import SemiRegularSig, _check_genus
+from .hypgeo import SemiRegularSig, _check_genus, _polygon_sides
 from .surface import fundamental_polygon
 
-# Pauli letter a stabilizer on a face of the given colour is built from.
-FACE_KIND = {"G": "X", "B": "Y", "R": "Z"}
+# (x, z) bits of each Pauli letter, in syndrome-table order.
+_LETTERS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 # Largest n the exact distance search takes on; largest weight it tries.
 _EXACT_MAX_N = 40
 _EXACT_MAX_WEIGHT = 6
@@ -33,52 +33,14 @@ class BoundExceeded(ValueError):
     """Exact search out of range; use the geometric estimator instead."""
 
 
-@dataclass(frozen=True)
-class PauliOperator:
-    """Phase-free n-qubit Pauli as a pair of bitmasks.
-
-    Qubit ``i`` carries X iff bit ``i`` of ``x``, Z iff bit ``i`` of ``z``,
-    and Y iff both.
-    """
-
-    n: int
-    x: int
-    z: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one qubit")
-        top = 1 << self.n
-        if not (0 <= self.x < top and 0 <= self.z < top):
-            raise ValueError("bitmask outside the qubit range")
-
-    @classmethod
-    def from_map(cls, n: int, ops: dict) -> "PauliOperator":
-        """Build from ``{qubit: letter}`` with letters X, Y, Z."""
-        x = z = 0
-        for q, letter in ops.items():
-            if not 0 <= q < n:
-                raise ValueError(f"qubit {q} outside range 0..{n - 1}")
-            if letter in ("X", "Y"):
-                x |= 1 << q
-            if letter in ("Z", "Y"):
-                z |= 1 << q
-            if letter not in ("X", "Y", "Z"):
-                raise ValueError(f"unknown Pauli letter {letter!r}")
-        return cls(n, x, z)
-
-    @classmethod
-    def two_body(cls, n: int, pauli: str, i: int, j: int) -> "PauliOperator":
-        """XX, YY or ZZ on the qubit pair ``(i, j)``."""
-        if pauli not in ("XX", "YY", "ZZ"):
-            raise ValueError(f"not a check type: {pauli!r}")
-        if i == j:
-            raise ValueError("check qubits must be distinct")
-        return cls.from_map(n, {i: pauli[0], j: pauli[1]})
-
-    @property
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
+def _pauli_row(n: int, letter: str, qubits) -> int:
+    """The row ``(x << n) | z`` of ``letter`` on each of ``qubits``."""
+    lx, lz = _LETTERS[letter]
+    unit = (lx << n) | lz
+    row = 0
+    for q in qubits:
+        row ^= unit << q
+    return row
 
 
 def _swap_halves(v: int, n: int) -> int:
@@ -209,12 +171,6 @@ class ScheduleResult:
         return self.groups[r - 3 : r]
 
 
-def check_operator(check, index: dict, n: int) -> PauliOperator:
-    """Translate a coloured check into a Pauli over indexed qubits."""
-    i, j = (index[q] for q in check.qubits)
-    return PauliOperator.two_body(n, check.pauli, i, j)
-
-
 def run_schedule(schedule, rounds: int) -> ScheduleResult:
     """Measure the colour classes cyclically and watch the ISG settle.
 
@@ -231,15 +187,18 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
     cx = schedule.complex
     n = len(cx.vertices)
     index = {v: i for i, v in enumerate(cx.vertices)}
-    phase_ops = [
-        [check_operator(ch, index, n) for ch in checks_for_round(schedule, r)]
+    phase_rows = [
+        [
+            _pauli_row(n, PAULI_OF[ROUND_COLOR[r]][0], (index[u], index[w]))
+            for u, w in checks_for_round(schedule, r)
+        ]
         for r in range(3)
     ]
     basis: dict[int, int] = {}
     groups = []
     for r in range(rounds):
-        for op in phase_ops[r % 3]:
-            _measure_step(basis, (op.x << n) | op.z, n)
+        for c in phase_rows[r % 3]:
+            _measure_step(basis, c, n)
         rows = _reduce_rows((basis[p] for p in sorted(basis)), n)
         groups.append(StabilizerGroup(n, rows))
     steady = next((r for r in range(3, rounds) if groups[r] == groups[r - 3]), None)
@@ -254,21 +213,16 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
     return ScheduleResult(n, tuple(g.rank for g in groups), tuple(groups), steady, k_inst)
 
 
-def face_stabilizer(assign, f: int) -> PauliOperator:
-    """Face cycle operator: X/Y/Z on the boundary of a G/B/R face."""
+def face_stabilizer(assign, f: int) -> int:
+    """Row of the face cycle operator: X/Y/Z on the boundary of a G/B/R face.
+
+    The face's boundary checks carry the other two colours' letters, whose
+    product is the letter of the face's own colour.
+    """
     cx = assign.complex
-    n = len(cx.vertices)
     index = {v: i for i, v in enumerate(cx.vertices)}
-    letter = FACE_KIND[assign.face_color[f]]
-    x = z = 0
-    for slot in cx.faces[f]:
-        tail, _ = cx.walk_ends(slot)
-        bit = 1 << index[tail]
-        if letter in ("X", "Y"):
-            x ^= bit
-        if letter in ("Z", "Y"):
-            z ^= bit
-    return PauliOperator(n, x, z)
+    tails = (index[cx.walk_ends(slot)[0]] for slot in cx.faces[f])
+    return _pauli_row(len(cx.vertices), PAULI_OF[assign.face_color[f]][0], tails)
 
 
 def _bits(mask: int):
@@ -318,8 +272,6 @@ def connected_supports(adj, w: int) -> list:
     return out
 
 
-# (x, z) bits of the letters X, Y, Z, in syndrome-table order.
-_LETTERS = ((1, 0), (1, 1), (0, 1))
 # Syndrome words held per chunk of candidates in the weight search (8 MB).
 _CHUNK_WORDS = 1 << 20
 
@@ -357,7 +309,7 @@ def _weight_hits(syn: np.ndarray, supports: list, w: int):
     supports are tested at once.
     """
     words = syn.shape[2]
-    letterings = list(product(_LETTERS, repeat=w))
+    letterings = list(product(_LETTERS.values(), repeat=w))
     per_chunk = max(1, _CHUNK_WORDS // (3**w * max(words, 1)))
     for start in range(0, len(supports), per_chunk):
         chunk = supports[start : start + per_chunk]
@@ -513,7 +465,7 @@ class CodeParams:
 
 def _route(m, genus: int, orientable: bool) -> str | None:
     """'incenter' or 'clip': how :func:`explicit_complex` builds m, else None."""
-    p = (4 if orientable else 2) * genus
+    p = _polygon_sides(genus, orientable)
     ms = tuple(sorted(m))
     if ms == tuple(sorted((4, 2 * p, 2 * p))):
         return "incenter"
@@ -535,7 +487,7 @@ def explicit_complex(m, genus: int, orientable: bool):
             f"no explicit construction route for {sorted(m)} at genus {genus} "
             f"({'orientable' if orientable else 'non-orientable'})"
         )
-    p = (4 if orientable else 2) * genus
+    p = _polygon_sides(genus, orientable)
     make = incenter_complex if route == "incenter" else clip_complex
     return make(fundamental_polygon(genus, orientable), p, p)
 

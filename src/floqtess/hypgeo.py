@@ -166,6 +166,11 @@ def _genus_chi(genus: int, orientable: bool) -> int:
     return 2 - 2 * genus if orientable else 2 - genus
 
 
+def _polygon_sides(genus: int, orientable: bool) -> int:
+    """Sides of the fundamental polygon: the 4g-gon (orientable) or 2g-gon."""
+    return (4 if orientable else 2) * genus
+
+
 def _check_genus(genus: int, orientable: bool) -> int:
     """Validate the hyperbolic genus range and return the Euler characteristic."""
     if not isinstance(genus, int):
@@ -281,7 +286,7 @@ def systole(genus: int, orientable: bool) -> float:
     convention.
     """
     _check_genus(genus, orientable)
-    sides = (4 if orientable else 2) * genus
+    sides = _polygon_sides(genus, orientable)
     return 2.0 * math.acosh(1.0 / math.tan(math.pi / sides))
 
 

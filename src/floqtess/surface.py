@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
-from .hypgeo import RegularSig, _check_genus, _genus_chi
+from .hypgeo import RegularSig, _check_genus, _genus_chi, _polygon_sides
 
 __all__ = [
     "SurfaceError",
@@ -369,10 +369,12 @@ def fundamental_polygon(genus: int, orientable: bool) -> SurfaceComplex:
     one face — the {2g,2g} tessellation.
     """
     _check_genus(genus, orientable)
+    sides = _polygon_sides(genus, orientable)
     if orientable:
-        word = [(i, 1) for i in range(2 * genus)] + [(i, -1) for i in range(2 * genus)]
+        half = sides // 2
+        word = [(i, 1) for i in range(half)] + [(i, -1) for i in range(half)]
     else:
-        word = [(i, 1) for i in range(genus) for _ in range(2)]
+        word = [(i // 2, 1) for i in range(sides)]
     c = polygon_surface(word)
     if c.genus != genus or c.orientable != orientable:
         raise AssertionError("fundamental polygon gluing produced the wrong surface")

@@ -9,7 +9,8 @@ import pytest
 
 from floqtess.coloring import (
     COLORS,
-    Check,
+    PAULI_OF,
+    ROUND_COLOR,
     ColorAssignment,
     EdgeSchedule,
     NotColorCodeTiling,
@@ -159,6 +160,17 @@ def petersen_projective_plane() -> SurfaceComplex:
         vertices=list(range(10)),
         edges=[(f"e{k}", e) for k, e in enumerate(ends)],
         faces=[tuple((f"e{k}", d) for k, d in face) for face in pentagons],
+    )
+
+
+def dumbbell_sphere() -> SurfaceComplex:
+    """Two loops joined by an edge on the sphere: tri-valent, with loops."""
+    return SurfaceComplex(
+        orientable=True,
+        genus=0,
+        vertices=["u", "w"],
+        edges=[("a", ("u", "u")), ("b", ("u", "w")), ("c", ("w", "w"))],
+        faces=[(("a", 1),), (("c", 1),), (("a", -1), ("b", 1), ("c", -1), ("b", -1))],
     )
 
 
@@ -314,15 +326,15 @@ class TestThreeColor:
         assign = three_color(octagon_incenter)
         total = sum(len(v) for v in assign.checks.values())
         assert total == len(octagon_incenter.edges)
-        pairs = [frozenset(ch.qubits) for v in assign.checks.values() for ch in v]
+        pairs = [frozenset(pair) for v in assign.checks.values() for pair in v]
         assert len(pairs) == len(set(pairs)) == 24
 
     def test_each_vertex_in_three_checks_one_per_color(self, octagon_incenter):
         assign = three_color(octagon_incenter)
         by_vertex = {}
         for color, checks in assign.checks.items():
-            for ch in checks:
-                for qubit in ch.qubits:
+            for pair in checks:
+                for qubit in pair:
                     by_vertex.setdefault(qubit, []).append(color)
         for colors in by_vertex.values():
             assert sorted(colors) == ["B", "G", "R"]
@@ -346,9 +358,10 @@ class TestThreeColor:
                 assert boundary[k] != boundary[(k + 1) % len(boundary)]
 
     def test_pauli_binding(self, octagon_incenter):
-        assign = three_color(octagon_incenter)
-        for color, pauli in (("G", "XX"), ("B", "YY"), ("R", "ZZ")):
-            assert {ch.pauli for ch in assign.checks[color]} == {pauli}
+        docs = three_color(octagon_incenter).checks_json()
+        assert {(d["color"], d["pauli"]) for d in docs} == {
+            ("G", "XX"), ("B", "YY"), ("R", "ZZ")
+        }
 
     def test_rejects_uncolorable_with_diagnostic(self):
         with pytest.raises(NotColorCodeTiling, match="not a color-code tiling.*degree"):
@@ -366,17 +379,18 @@ class TestThreeColor:
 class TestChecksForRound:
     def test_round_cycle(self, octagon_incenter):
         assign = three_color(octagon_incenter)
-        assert {ch.pauli for ch in checks_for_round(assign, 0)} == {"XX"}
-        assert {ch.pauli for ch in checks_for_round(assign, 4)} == {"YY"}
-        assert {ch.pauli for ch in checks_for_round(assign, 2)} == {"ZZ"}
+        assert [PAULI_OF[color] for color in ROUND_COLOR] == ["XX", "YY", "ZZ"]
+        assert checks_for_round(assign, 0) == assign.checks["G"]
+        assert checks_for_round(assign, 4) == assign.checks["B"]
+        assert checks_for_round(assign, 2) == assign.checks["R"]
         assert checks_for_round(assign, 0) == checks_for_round(assign, 3)
 
     def test_union_of_one_period_is_all_edges(self, octagon_incenter):
         assign = three_color(octagon_incenter)
         seen = set()
         for r in range(3):
-            for ch in checks_for_round(assign, r):
-                seen.add(frozenset(ch.qubits))
+            for pair in checks_for_round(assign, r):
+                seen.add(frozenset(pair))
         assert len(seen) == len(octagon_incenter.edges)
 
 
@@ -435,6 +449,19 @@ class TestEdgeSchedule:
         sched = EdgeSchedule(complex=octagon_incenter, edge_color=assign.edge_color)
         assert sched.checks == assign.checks
         assert sched.checks_json() == assign.checks_json()
+        for color in COLORS:
+            assert sched.checks[color] == tuple(
+                e.ends for e in octagon_incenter.edges if assign.edge_color[e.id] == color
+            )
+
+    def test_rejects_loops(self):
+        cx = dumbbell_sphere()
+        with pytest.raises(ValueError, match="two R edges meet at vertex 'u'"):
+            EdgeSchedule(complex=cx, edge_color={"a": "R", "b": "G", "c": "B"})
+        with pytest.raises(NotColorCodeTiling, match="edge 'a' is a loop"):
+            three_color(cx)
+        with pytest.raises(ValueError, match="edge 'a' is a loop"):
+            edge_three_color(cx)
 
     def test_rejects_improper_edge_coloring(self, octagon_incenter):
         edge_color = {e.id: "R" for e in octagon_incenter.edges}
@@ -466,27 +493,14 @@ class TestColorAssignment:
             )
 
 
-class TestCheckType:
-    def test_pauli_must_match_color(self):
-        with pytest.raises(ValueError, match="carries"):
-            Check("G", "ZZ", ("a", "b"))
-
-    def test_rejects_loops(self):
-        with pytest.raises(ValueError, match="distinct"):
-            Check("G", "XX", ("a", "a"))
-
-    def test_json_shape(self):
-        assert Check("R", "ZZ", (3, 7)).as_json() == {
-            "color": "R",
-            "pauli": "ZZ",
-            "qubits": [3, 7],
-        }
-
-
 class TestJsonExport:
     def test_schema(self, octagon_incenter):
         docs = three_color(octagon_incenter).checks_json()
         assert len(docs) == 24
-        assert all(set(d) == {"color", "pauli", "qubits"} for d in docs)
+        assert all(list(d) == ["color", "pauli", "qubits"] for d in docs)
+        assert all(d["pauli"] == PAULI_OF[d["color"]] for d in docs)
+        ends = {tuple(e.ends) for e in octagon_incenter.edges}
+        assert sorted(tuple(d["qubits"]) for d in docs) == sorted(ends)
+        assert all(isinstance(d["qubits"], list) for d in docs)
         # Grouped green, blue, red.
         assert [d["pauli"] for d in docs] == ["XX"] * 8 + ["YY"] * 8 + ["ZZ"] * 8

@@ -7,22 +7,28 @@ import pytest
 
 from floqtess import floquet
 from floqtess.cli import _schedule_for
-from floqtess.coloring import checks_for_round, edge_three_color, three_color
+from floqtess.coloring import (
+    PAULI_OF,
+    ROUND_COLOR,
+    checks_for_round,
+    edge_three_color,
+    three_color,
+)
 from floqtess.derive import clip_complex, incenter_complex
 from floqtess.floquet import (
     BoundExceeded,
     CodeParams,
-    PauliOperator,
     ScheduleResult,
     StabilizerGroup,
+    _LETTERS,
     _cosupport_graph,
     _measure_step,
     _min_logical_weight,
+    _pauli_row,
     _reduce_rows,
     _sympl,
     _syndrome_table,
     _weight_hits,
-    check_operator,
     code_params,
     connected_supports,
     exact_distance,
@@ -35,8 +41,9 @@ from floqtess.surface import fundamental_polygon
 from test_coloring import honeycomb_torus
 
 
-def row(p):
-    return (p.x << p.n) | p.z
+def weight(row, n):
+    """Number of qubits the row ``(x << n) | z`` acts on."""
+    return (((row >> n) | row) & ((1 << n) - 1)).bit_count()
 
 
 def assert_commuting(rows, n):
@@ -86,13 +93,13 @@ def random_vectors(rng, n):
     return vecs
 
 
-def reference_measure(isg, check):
+def reference_measure(isg, c):
     """The per-check update the incremental step replaced: the first
     anticommuting row (highest pivot) absorbs the rest and is replaced by
-    the check, the rows are reduced to canonical form on every check, and
-    the result is checked for rank and commutativity in O(rank^2)."""
+    the check row ``c``, the rows are reduced to canonical form on every
+    check, and the result is checked for rank and commutativity in
+    O(rank^2)."""
     n = isg.n
-    c = row(check)
     rows = list(isg.rows)
     anti = [i for i, r in enumerate(rows) if _sympl(r, c, n)]
     if anti:
@@ -116,8 +123,9 @@ def reference_run_schedule(schedule, rounds):
     group = StabilizerGroup(n)
     groups = []
     for r in range(rounds):
-        for ch in checks_for_round(schedule, r):
-            group = reference_measure(group, check_operator(ch, index, n))
+        letter = PAULI_OF[ROUND_COLOR[r % 3]][0]
+        for u, w in checks_for_round(schedule, r):
+            group = reference_measure(group, _pauli_row(n, letter, (index[u], index[w])))
         groups.append(group)
     return tuple(groups)
 
@@ -186,17 +194,19 @@ def hexagon_no():
 
 
 class TestPauliOperator:
+    # Paulis are rows (x << n) | z: qubit i carries X iff bit i of x, Z iff
+    # bit i of z, and Y iff both.
     def test_construction(self):
-        p = PauliOperator.from_map(6, {0: "X", 3: "Y", 5: "Z"})
-        assert p.weight == 3
-        assert (p.x, p.z) == (0b001001, 0b101000)
+        p = _pauli_row(6, "X", (0,)) ^ _pauli_row(6, "Y", (3,)) ^ _pauli_row(6, "Z", (5,))
+        assert weight(p, 6) == 3
+        assert p == (0b001001 << 6) | 0b101000
 
     def test_two_body(self):
-        p = PauliOperator.two_body(4, "YY", 1, 3)
-        assert p.x == 0b1010 and p.z == 0b1010
+        assert _pauli_row(4, "Y", (1, 3)) == (0b1010 << 4) | 0b1010
 
     def test_identity_weight_zero(self):
-        assert PauliOperator(5, 0, 0).weight == 0
+        assert _pauli_row(5, "X", ()) == 0
+        assert weight(0, 5) == 0
 
     def test_self_inverse(self):
         # P P = I up to phase, so every Pauli commutes with itself: the
@@ -207,10 +217,10 @@ class TestPauliOperator:
             assert _sympl(r, r, 17) == 0
 
     def test_commutation_examples(self):
-        x0 = row(PauliOperator.from_map(2, {0: "X"}))
-        z0 = row(PauliOperator.from_map(2, {0: "Z"}))
-        xx = row(PauliOperator.two_body(2, "XX", 0, 1))
-        zz = row(PauliOperator.two_body(2, "ZZ", 0, 1))
+        x0 = _pauli_row(2, "X", (0,))
+        z0 = _pauli_row(2, "Z", (0,))
+        xx = _pauli_row(2, "X", (0, 1))
+        zz = _pauli_row(2, "Z", (0, 1))
         assert _sympl(x0, z0, 2) == 1
         assert _sympl(xx, zz, 2) == 0
 
@@ -221,26 +231,12 @@ class TestPauliOperator:
                 a, b, c = (rng.getrandbits(2 * n) for _ in range(3))
                 assert _sympl(a ^ b, c, n) == _sympl(a, c, n) ^ _sympl(b, c, n)
 
-    def test_guards(self):
-        with pytest.raises(ValueError, match="outside"):
-            PauliOperator(2, 4, 0)
-        with pytest.raises(ValueError, match="at least one qubit"):
-            PauliOperator(0, 0, 0)
-        with pytest.raises(ValueError, match="outside range"):
-            PauliOperator.from_map(2, {2: "X"})
-        with pytest.raises(ValueError, match="letter"):
-            PauliOperator.from_map(2, {0: "W"})
-        with pytest.raises(ValueError, match="distinct"):
-            PauliOperator.two_body(3, "XX", 1, 1)
-        with pytest.raises(ValueError, match="check type"):
-            PauliOperator.two_body(3, "XZ", 0, 1)
-
 
 class TestStabilizerGroup:
     def test_span_invariant_presentation(self):
-        xx = row(PauliOperator.two_body(2, "XX", 0, 1))
-        zz = row(PauliOperator.two_body(2, "ZZ", 0, 1))
-        yy = row(PauliOperator.two_body(2, "YY", 0, 1))
+        xx = _pauli_row(2, "X", (0, 1))
+        zz = _pauli_row(2, "Z", (0, 1))
+        yy = _pauli_row(2, "Y", (0, 1))
         a = StabilizerGroup(2, _reduce_rows([xx, zz], 2))
         b = StabilizerGroup(2, _reduce_rows([yy, zz], 2))  # YY = XX*ZZ
         assert a == b
@@ -316,10 +312,10 @@ class TestStabilizerGroup:
                 StabilizerGroup(2, (r,))
 
     def test_contains_only_span(self):
-        xx = row(PauliOperator.two_body(2, "XX", 0, 1))
+        xx = _pauli_row(2, "X", (0, 1))
         g = StabilizerGroup(2, _reduce_rows([xx], 2))
         assert g._reduce_vec(xx) == 0
-        assert g._reduce_vec(row(PauliOperator.from_map(2, {0: "X"}))) != 0
+        assert g._reduce_vec(_pauli_row(2, "X", (0,))) != 0
 
 
 class TestReduceRows:
@@ -349,14 +345,14 @@ class TestMeasure:
     # _measure_step, and the group is read off with _reduce_rows over the
     # rows in ascending pivot order, as run_schedule does.
     def test_new_commuting_check_joins(self):
-        xx = row(PauliOperator.two_body(2, "XX", 0, 1))
+        xx = _pauli_row(2, "X", (0, 1))
         basis = {}
         _measure_step(basis, xx, 2)
         g = StabilizerGroup(2, _reduce_rows((basis[p] for p in sorted(basis)), 2))
         assert g.rank == 1 and g._reduce_vec(xx) == 0
 
     def test_idempotent_on_members(self):
-        xx = row(PauliOperator.two_body(2, "XX", 0, 1))
+        xx = _pauli_row(2, "X", (0, 1))
         basis = {}
         _measure_step(basis, xx, 2)
         before = dict(basis)
@@ -365,7 +361,7 @@ class TestMeasure:
 
     def test_dependent_commuting_check_no_growth(self):
         xx01, xx12, xx02 = (
-            row(PauliOperator.two_body(3, "XX", i, j)) for i, j in ((0, 1), (1, 2), (0, 2))
+            _pauli_row(3, "X", (i, j)) for i, j in ((0, 1), (1, 2), (0, 2))
         )
         basis = {}
         _measure_step(basis, xx01, 3)
@@ -375,9 +371,9 @@ class TestMeasure:
         assert basis == before
 
     def test_anticommuting_row_replaced(self):
-        zz = row(PauliOperator.two_body(2, "ZZ", 0, 1))
-        zq = row(PauliOperator.from_map(2, {0: "Z"}))
-        xx = row(PauliOperator.two_body(2, "XX", 0, 1))
+        zz = _pauli_row(2, "Z", (0, 1))
+        zq = _pauli_row(2, "Z", (0,))
+        xx = _pauli_row(2, "X", (0, 1))
         basis = {}
         for c in (zq, zz, xx):
             _measure_step(basis, c, 2)
@@ -392,9 +388,9 @@ class TestMeasure:
         basis = {}
         for _ in range(120):
             i, j = rng.sample(range(n), 2)
-            p = rng.choice(("XX", "YY", "ZZ"))
+            letter = rng.choice("XYZ")
             rank = len(basis)
-            _measure_step(basis, row(PauliOperator.two_body(n, p, i, j)), n)
+            _measure_step(basis, _pauli_row(n, letter, (i, j)), n)
             assert len(basis) >= rank
             assert_commuting(basis.values(), n)
 
@@ -409,10 +405,9 @@ class TestMeasure:
         many_anti = dependent = 0
         for _ in range(12 * n):
             i, j = rng.sample(range(n), 2)
-            check = PauliOperator.two_body(n, rng.choice(("XX", "YY", "ZZ")), i, j)
-            c = row(check)
+            c = _pauli_row(n, rng.choice("XYZ"), (i, j))
             anti = sum(_sympl(r, c, n) for r in ref.rows)
-            nxt = reference_measure(ref, check)
+            nxt = reference_measure(ref, c)
             many_anti += anti >= 3
             dependent += not anti and nxt == ref
             fresh = {r.bit_length() - 1: r for r in ref.rows}
@@ -426,7 +421,7 @@ class TestMeasure:
     def test_rank_drop_raises(self):
         # X0 and ZZ anticommute, so this is no stabilizer group: dropping X0
         # for ZZ would lose a rank, which the update refuses.
-        x0, zz = row(PauliOperator.from_map(2, {0: "X"})), row(PauliOperator.two_body(2, "ZZ", 0, 1))
+        x0, zz = _pauli_row(2, "X", (0,)), _pauli_row(2, "Z", (0, 1))
         bad = {r.bit_length() - 1: r for r in _reduce_rows([x0, zz], 2)}
         with pytest.raises(RuntimeError, match="lowered the rank"):
             _measure_step(bad, zz, 2)
@@ -434,11 +429,11 @@ class TestMeasure:
     def test_broken_commutativity_raises(self):
         # X2 Z0 and X0 anticommute; XX on qubits 2, 1 commutes with both but
         # reduces against X2 Z0 to X1 Z0, which anticommutes with X0.
-        a = row(PauliOperator.from_map(3, {2: "X", 0: "Z"}))
-        b = row(PauliOperator.from_map(3, {0: "X"}))
+        a = _pauli_row(3, "X", (2,)) ^ _pauli_row(3, "Z", (0,))
+        b = _pauli_row(3, "X", (0,))
         bad = {r.bit_length() - 1: r for r in _reduce_rows([a, b], 3)}
         with pytest.raises(RuntimeError, match="broke commutativity"):
-            _measure_step(bad, row(PauliOperator.two_body(3, "XX", 2, 1)), 3)
+            _measure_step(bad, _pauli_row(3, "X", (2, 1)), 3)
 
 
 class TestRunSchedule:
@@ -497,24 +492,42 @@ class TestFaceStabilizers:
         result = run_schedule(assign, 9)
         for phase in result.steady_phases:
             for f in range(len(cx.faces)):
-                assert phase._reduce_vec(row(face_stabilizer(assign, f))) == 0
+                assert phase._reduce_vec(face_stabilizer(assign, f)) == 0
+
+    @pytest.mark.parametrize(
+        "build", [p for p in schedule_complexes() if not p.id.startswith("clip")]
+    )
+    def test_product_of_boundary_checks(self, build):
+        # A face's letter comes from its own colour, its checks' letters
+        # from theirs: the two must agree on every face.
+        cx = build()
+        assign = three_color(cx)
+        n = len(cx.vertices)
+        index = {v: i for i, v in enumerate(cx.vertices)}
+        ends = {e.id: (index[e.ends[0]], index[e.ends[1]]) for e in cx.edges}
+        for f, face in enumerate(cx.faces):
+            product_row = 0
+            for eid, _ in face:
+                product_row ^= _pauli_row(n, PAULI_OF[assign.edge_color[eid]][0], ends[eid])
+            assert face_stabilizer(assign, f) == product_row
 
     def test_weight_is_face_size(self, octagon):
         cx, assign, _ = octagon
         for f, face in enumerate(cx.faces):
-            assert face_stabilizer(assign, f).weight == len(face)
+            assert weight(face_stabilizer(assign, f), 16) == len(face)
 
     def test_commutes_with_every_check(self, hexagon_no):
         cx, assign, _ = hexagon_no
         index = {v: i for i, v in enumerate(cx.vertices)}
-        ops = [
-            PauliOperator.two_body(12, ch.pauli, index[ch.qubits[0]], index[ch.qubits[1]])
-            for checks in assign.checks.values()
-            for ch in checks
+        checks = [
+            _pauli_row(12, PAULI_OF[ROUND_COLOR[r]][0], (index[u], index[w]))
+            for r in range(3)
+            for u, w in checks_for_round(assign, r)
         ]
+        assert len(checks) == len(cx.edges)
         for f in range(len(cx.faces)):
-            stab = row(face_stabilizer(assign, f))
-            assert not any(_sympl(stab, row(op), 12) for op in ops)
+            stab = face_stabilizer(assign, f)
+            assert not any(_sympl(stab, c, 12) for c in checks)
 
 
 def is_connected(adj, sub):
@@ -543,8 +556,8 @@ def random_graph(rng, n, p):
 class TestCosupportGraph:
     def test_rows_link_their_qubits(self):
         gens = [
-            row(PauliOperator.from_map(5, {0: "X", 1: "X"})),
-            row(PauliOperator.from_map(5, {2: "Z", 3: "Y"})),
+            _pauli_row(5, "X", (0, 1)),
+            _pauli_row(5, "Z", (2,)) ^ _pauli_row(5, "Y", (3,)),
         ]
         group = StabilizerGroup(5, _reduce_rows(gens, 5))
         assert _cosupport_graph(group) == [0b10, 0b1, 0b1000, 0b100, 0]
@@ -686,16 +699,21 @@ SMALL_CODES = {
 def scrambled_code(labels, seed):
     """The code of ``labels`` with its qubits permuted, X/Y/Z relabelled
     per qubit, and its generators recombined."""
-    rng = random.Random(seed)
     n = len(labels[0])
+    if any(len(label) != n for label in labels):
+        raise ValueError(f"labels differ in length: {[len(label) for label in labels]}")
+    rng = random.Random(seed)
     perm = rng.sample(range(n), n)
     letters = [dict(zip("XYZ", rng.sample("XYZ", 3))) for _ in range(n)]
-    gens = [
-        row(PauliOperator.from_map(
-            n, {perm[q]: letters[q][a] for q, a in enumerate(label) if a != "I"}
-        ))
-        for label in labels
-    ]
+    gens = []
+    for label in labels:
+        x = z = 0
+        for q, a in enumerate(label):
+            if a != "I":
+                lx, lz = _LETTERS[letters[q][a]]
+                x |= lx << perm[q]
+                z |= lz << perm[q]
+        gens.append((x << n) | z)
     assert_commuting(gens, n)
     group = StabilizerGroup(n, _reduce_rows(gens, n))
     for _ in range(3 * len(gens)):
@@ -763,6 +781,10 @@ class TestExactDistance:
             ("clip_complex", True, 3),
             ("incenter_complex", False, 3),
         ]
+
+    def test_scrambled_code_rejects_mistyped_label(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            scrambled_code(["XXII", "ZZI"], 0)
 
     @pytest.mark.parametrize("code", sorted(SMALL_CODES))
     def test_scrambled_small_codes_match_exhaustive(self, code):
