@@ -21,9 +21,6 @@ from .floquet import CodeParams, code_params
 from .geodist import estimate_distance
 from .hypgeo import SemiRegularSig, _check_genus, systole
 
-# One table row is exactly one code's parameter record.
-TableRow = CodeParams
-
 CSV_HEADER = (
     "genus", "orientable", "signature", "n", "k", "d", "d_source",
     "k_n", "kd2_n", "d_n",
@@ -92,7 +89,7 @@ def build_table(
     genera: int | Iterable[int],
     orientable: bool = True,
     d_mode: str = "auto",
-) -> tuple[TableRow, ...]:
+) -> tuple[CodeParams, ...]:
     """One row per admissible signature per genus, deterministic order."""
     if isinstance(genera, int):
         genera = (genera,)
@@ -103,24 +100,11 @@ def build_table(
     return tuple(rows)
 
 
-def family_table(
-    m: Sequence[int],
-    genera: Iterable[int],
-    orientable: bool = True,
-    d_mode: str = "geo",
-) -> tuple[TableRow, ...]:
-    """One signature swept across a genus range."""
-    sig = tuple(sorted(SemiRegularSig(tuple(m)).m))
-    return tuple(
-        code_params(sig, g, orientable, d_mode) for g in sorted(set(genera))
-    )
-
-
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def table_to_csv(rows: Iterable[TableRow]) -> str:
+def table_to_csv(rows: Iterable[CodeParams]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -135,12 +119,12 @@ def table_to_csv(rows: Iterable[TableRow]) -> str:
     return buf.getvalue()
 
 
-def table_to_json(rows: Iterable[TableRow]) -> list[dict]:
+def table_to_json(rows: Iterable[CodeParams]) -> list[dict]:
     return [r.as_json() for r in rows]
 
 
 def encoding_rate(m: Sequence[int], genus: int, orientable: bool = True) -> Fraction:
-    """k/n as exact arithmetic; independent of any integrality rounding.
+    """k/n as exact arithmetic, whether or not the cell counts are integral.
 
     Twice this is the rate under the k = 4 - 2*chi convention (twice the
     steady-state logical count), where the quoted family formulas hold

@@ -20,11 +20,10 @@ from pathlib import Path
 
 from .catalog import build_table, equivalence_check, table_to_csv, table_to_json
 from .coloring import NotColorCodeTiling, edge_three_color, three_color
-from .derive import clip_complex, incenter_complex
+from .derive import _derive_polygon
 from .floquet import exact_distance, run_schedule
 from .geodist import estimate_distance
 from .hypgeo import (
-    _polygon_sides,
     polygon_area,
     regular_apothem_circumradius,
     regular_edge_length,
@@ -108,12 +107,11 @@ def _schedule_for(cx):
 
 def _vertex_signature(cx) -> tuple[int, int, int]:
     """The face-size triple around every vertex; fails if non-uniform."""
-    sizes: dict = {v: [] for v in cx.vertices}
-    for face in cx.faces:
-        for slot in face:
-            tail, _ = cx.walk_ends(slot)
-            sizes[tail].append(len(face))
-    patterns = {tuple(sorted(s)) for s in sizes.values()}
+    fm = cx.flag_map()
+    patterns = {
+        tuple(sorted(len(cx.faces[fm.flags[i][0]]) for i in rotation))
+        for rotation in fm.rotations
+    }
     if len(patterns) != 1 or len(next(iter(patterns))) != 3:
         raise ValueError(
             "complex has no uniform tri-valent vertex type; "
@@ -148,12 +146,10 @@ def cmd_geom(args) -> int:
 
 
 def cmd_complex_build(args) -> int:
-    base = fundamental_polygon(args.genus, args.orientable)
-    cx = base
-    if args.derive is not None:
-        p = _polygon_sides(args.genus, args.orientable)
-        make = clip_complex if args.derive == "clip" else incenter_complex
-        cx = make(base, p, p)
+    if args.derive is None:
+        cx = fundamental_polygon(args.genus, args.orientable)
+    else:
+        cx = _derive_polygon(args.derive, args.genus, args.orientable)
     _emit(serialize(cx))
     return 0
 

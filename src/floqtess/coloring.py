@@ -13,14 +13,15 @@ whenever the edge set splits into three perfect matchings;
 :func:`edge_three_color` finds the lexicographically least one, so the
 measurement schedule can run without face colors.  Its backtracking search
 colors every edge that a choice forces before it makes the next choice,
-which keeps it fast on large complexes.
+which keeps it fast on large complexes.  Both colorings and
+:class:`EdgeSchedule` first name the same fault: a vertex of degree other
+than 3, or a loop.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from .surface import SurfaceComplex
 
@@ -63,9 +64,9 @@ class EdgeSchedule:
 
     def __post_init__(self) -> None:
         c = self.complex
-        for v, d in c.vertex_degrees().items():
-            if d != 3:
-                raise ValueError(f"vertex {v!r} has degree {d}, need 3")
+        fault = _trivalence_fault(c)
+        if fault is not None:
+            raise ValueError(fault)
         seen: dict = {v: set() for v in c.vertices}
         for e in c.edges:
             color = self.edge_color[e.id]
@@ -92,70 +93,74 @@ class EdgeSchedule:
 class ColorAssignment(EdgeSchedule):
     """An edge schedule induced by a proper face 3-coloring.
 
-    ``face_color[i]`` colors face i, and every edge takes the unique color
-    absent from its two incident faces.  At a tri-valent vertex the three
-    corners are pairwise separated by its three edges, so once the faces
-    across every edge differ, every vertex meets all three face colors.
+    ``face_color[i]`` colors face i; ``edge_color`` is derived from it: each
+    edge takes the color absent from its two faces.  At a tri-valent vertex
+    the three corners are pairwise separated by its three edges, so once the
+    faces across every edge differ, every vertex meets all three colors.
     """
 
+    edge_color: dict = field(init=False, compare=False)
     face_color: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         if len(self.face_color) != len(self.complex.faces):
             raise ValueError("one color per face required")
         if any(color not in COLORS for color in self.face_color):
             raise ValueError("face colors must be R, G or B")
+        edge_color = {}
         for eid, (f1, f2) in self.complex.flag_map().edge_faces.items():
             c1, c2 = self.face_color[f1], self.face_color[f2]
             if c1 == c2:
                 raise ValueError(
                     f"faces {f1} and {f2} share edge {eid!r} but both are {c1}"
                 )
-            if self.edge_color[eid] != _third(c1, c2):
-                raise ValueError(
-                    f"edge {eid!r} must take the color absent from its faces "
-                    f"({_third(c1, c2)})"
-                )
+            edge_color[eid] = next(col for col in COLORS if col not in (c1, c2))
+        object.__setattr__(self, "edge_color", edge_color)
+        super().__post_init__()
 
 
-def _third(c1: str, c2: str) -> str:
-    return next(col for col in COLORS if col not in (c1, c2))
+def _trivalence_fault(c: SurfaceComplex) -> str | None:
+    """The first vertex whose degree is not 3, else the first loop, as a
+    reason; None when the complex is tri-valent without loops."""
+    for v, d in c.vertex_degrees().items():
+        if d != 3:
+            return f"vertex {v!r} has degree {d}, need 3"
+    for e in c.edges:
+        if e.ends[0] == e.ends[1]:
+            return f"edge {e.id!r} is a loop"
+    return None
 
 
-def _face_classes(c: SurfaceComplex, pairs: Mapping) -> list[int] | None:
+def _face_classes(c: SurfaceComplex) -> list[int] | None:
     """Color class per face by forced propagation, or None on a conflict.
 
     The three faces at a tri-valent vertex with no self-adjacent face are
-    pairwise adjacent, so two colored faces force the third.  A BFS over
-    vertices from a corner of face 0 reaches every vertex of the connected
-    surface, and each step shares an edge, hence two colored faces, with an
-    earlier vertex: the coloring is unique up to a permutation of classes.
+    pairwise adjacent, so two colored faces force the third.  A vertex is a
+    flag-map rotation: its faces are its flags' faces, and sigma0 of a flag
+    reaches a neighbour.  A BFS from rotation 0, a corner of face 0, reaches
+    every vertex of the connected surface, and each step shares an edge,
+    hence two colored faces, with an earlier vertex: the coloring is unique
+    up to a permutation of classes.
     """
-    faces_at: dict = {v: set() for v in c.vertices}
-    nbrs: dict = {v: [] for v in c.vertices}
-    for e in c.edges:
-        u, w = e.ends
-        faces_at[u].update(pairs[e.id])
-        faces_at[w].update(pairs[e.id])
-        nbrs[u].append(w)
-        nbrs[w].append(u)
+    fm = c.flag_map()
     cls: list[int | None] = [None] * len(c.faces)
-    start = c.walk_ends(c.faces[0][0])[0]
-    seen = {start}
-    queue = deque([start])
+    seen = [False] * len(fm.rotations)
+    seen[0] = True
+    queue = deque([0])
     while queue:
-        v = queue.popleft()
-        taken = [cls[f] for f in faces_at[v] if cls[f] is not None]
+        rotation = fm.rotations[queue.popleft()]
+        faces = [fm.flags[i][0] for i in rotation]
+        taken = [cls[f] for f in faces if cls[f] is not None]
         if len(set(taken)) != len(taken):
             return None
         free = [k for k in range(3) if k not in taken]
-        for f in faces_at[v]:
+        for f in faces:
             if cls[f] is None:
                 cls[f] = free.pop()
-        for w in nbrs[v]:
-            if w not in seen:
-                seen.add(w)
+        for i in rotation:
+            w = fm.vertex[fm.s0[i]]
+            if not seen[w]:
+                seen[w] = True
                 queue.append(w)
     return cls
 
@@ -175,29 +180,20 @@ def three_color(c: SurfaceComplex) -> ColorAssignment:
     def reject(reason: str) -> NotColorCodeTiling:
         return NotColorCodeTiling(f"not a color-code tiling: {reason}")
 
-    for v, d in c.vertex_degrees().items():
-        if d != 3:
-            raise reject(f"vertex {v!r} has degree {d}, need 3")
-    for e in c.edges:
-        if e.ends[0] == e.ends[1]:
-            raise reject(f"edge {e.id!r} is a loop")
+    fault = _trivalence_fault(c)
+    if fault is not None:
+        raise reject(fault)
     for f, face in enumerate(c.faces):
         if len(face) % 2:
             raise reject(f"face {f} has odd size {len(face)}")
-    pairs = c.flag_map().edge_faces
-    for eid, (f1, f2) in pairs.items():
+    for eid, (f1, f2) in c.flag_map().edge_faces.items():
         if f1 == f2:
             raise reject(f"face {f1} is adjacent to itself across edge {eid!r}")
-    cls = _face_classes(c, pairs)
+    cls = _face_classes(c)
     if cls is None:
         raise reject("face-adjacency graph admits no proper 3-coloring")
     name = dict(zip(dict.fromkeys(cls), COLORS))
-    face_color = tuple(name[k] for k in cls)
-    edge_color = {
-        e.id: _third(face_color[pairs[e.id][0]], face_color[pairs[e.id][1]])
-        for e in c.edges
-    }
-    return ColorAssignment(complex=c, edge_color=edge_color, face_color=face_color)
+    return ColorAssignment(complex=c, face_color=tuple(name[k] for k in cls))
 
 
 def edge_three_color(c: SurfaceComplex) -> EdgeSchedule:
@@ -214,12 +210,9 @@ def edge_three_color(c: SurfaceComplex) -> EdgeSchedule:
     ValueError if the tri-valent complex's edges do not split into three
     perfect matchings.
     """
-    for v, d in c.vertex_degrees().items():
-        if d != 3:
-            raise ValueError(f"vertex {v!r} has degree {d}, need 3")
-    for e in c.edges:
-        if e.ends[0] == e.ends[1]:
-            raise ValueError(f"edge {e.id!r} is a loop; no perfect matching contains it")
+    fault = _trivalence_fault(c)
+    if fault is not None:
+        raise ValueError(fault)
     vid = {v: k for k, v in enumerate(c.vertices)}
     ends = [(vid[e.ends[0]], vid[e.ends[1]]) for e in c.edges]
     incident: list = [[] for _ in vid]

@@ -22,10 +22,10 @@ no special casing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
-from .hypgeo import SemiRegularSig
-from .surface import Edge, SurfaceComplex, _counts_from_chi, _FlagMap
+from .hypgeo import SemiRegularSig, _check_genus, _polygon_sides
+from .surface import Edge, SurfaceComplex, _counts_from_chi, _FlagMap, fundamental_polygon
 
 __all__ = [
     "DerivedCounts",
@@ -224,12 +224,19 @@ def incenter_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
     )
 
 
+def _derive_polygon(route: str, genus: int, orientable: bool) -> SurfaceComplex:
+    """The surface's fundamental polygon, read as the one-faced {p,p} with p
+    its sides, clipped when ``route`` is "clip" and incenter-subdivided when
+    it is "incenter"."""
+    p = _polygon_sides(genus, orientable)
+    make = clip_complex if route == "clip" else incenter_complex
+    return make(fundamental_polygon(genus, orientable), p, p)
+
+
 def semiregular_counts_direct(
-    m: SemiRegularSig | Sequence[int],
-    chi: int,
-    integrality: Literal["size", "position"] = "size",
+    m: SemiRegularSig | Sequence[int], genus: int, orientable: bool
 ) -> DerivedCounts | None:
-    """Cell counts of a tri-valent [m1,m2,m3] tiling directly from chi.
+    """Cell counts of a tri-valent [m1,m2,m3] tiling on a closed surface.
 
     Trivalence fixes everything: n_v = chi / (1/m1 + 1/m2 + 1/m3 - 1/2),
     n_e = 3 n_v / 2, and each vertex meets one face of each position, so
@@ -237,20 +244,17 @@ def semiregular_counts_direct(
     returned only when integral, else None (the tiling does not exist on
     that surface under vertex-transitive counting).
 
-    ``integrality`` picks the admission rule: "size" requires each
-    face-size-class count to be integral (the rule the published
-    non-orientable tables obey — e.g. [12,12,6] with n_v = 6 has a single
-    hexagon and one dodecagon pair); "position" additionally requires
-    n_v/m_i integral at every position, which matches the published
-    orientable tables (it excludes [16,16,8] at chi = -2, where the size
-    rule would not).
+    The surface fixes the admission rule.  Non-orientable surfaces need
+    each face-size-class count integral (the rule the published
+    non-orientable tables obey, e.g. [12,12,6] with n_v = 6 has a single
+    hexagon and one dodecagon pair); orientable ones also need n_v/m_i
+    integral at every position, which matches the published orientable
+    tables (it excludes [16,16,8] at genus 2, which the size rule would
+    admit at the same chi = -2).
     """
     sig = m if isinstance(m, SemiRegularSig) else SemiRegularSig(m)
-    if integrality not in ("size", "position"):
-        raise ValueError(f"integrality must be 'size' or 'position', got {integrality!r}")
-    if chi >= 0:
-        raise ValueError(f"hyperbolic surfaces have negative characteristic, got {chi}")
-    n_v = _admitted_vertex_count(sig.m, chi, integrality == "position")
+    chi = _check_genus(genus, orientable)
+    n_v = _admitted_vertex_count(sig.m, chi, orientable)
     if n_v is None:
         return None
     # Euler: chi = n_v - 3 n_v / 2 + n_f.

@@ -16,9 +16,8 @@ import numpy as np
 
 from . import geodist
 from .coloring import PAULI_OF, ROUND_COLOR, NotColorCodeTiling, checks_for_round, three_color
-from .derive import clip_complex, incenter_complex, semiregular_counts_direct
+from .derive import _derive_polygon, semiregular_counts_direct
 from .hypgeo import SemiRegularSig, _check_genus, _polygon_sides
-from .surface import fundamental_polygon
 
 # (x, z) bits of each Pauli letter, in syndrome-table order.
 _LETTERS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -487,9 +486,7 @@ def explicit_complex(m, genus: int, orientable: bool):
             f"no explicit construction route for {sorted(m)} at genus {genus} "
             f"({'orientable' if orientable else 'non-orientable'})"
         )
-    p = _polygon_sides(genus, orientable)
-    make = incenter_complex if route == "incenter" else clip_complex
-    return make(fundamental_polygon(genus, orientable), p, p)
+    return _derive_polygon(route, genus, orientable)
 
 
 def code_params(
@@ -509,9 +506,7 @@ def code_params(
         raise ValueError(f"unknown d_mode {d_mode!r}")
     sig = SemiRegularSig(m)
     chi = _check_genus(genus, orientable)
-    counts = semiregular_counts_direct(
-        sig.m, chi, integrality="position" if orientable else "size"
-    )
+    counts = semiregular_counts_direct(sig.m, genus, orientable)
     if counts is None:
         raise ValueError(
             f"{list(sig.m)} admits no integral cell counts at chi={chi}"

@@ -104,25 +104,26 @@ class SemiRegularSig:
 class MetricProfile:
     """Metric data of a semi-regular type: edge length, apothems, circumradii.
 
-    ``a[i]`` and ``r[i]`` are the apothem and circumradius of the m_i-gon;
-    ``A[i] = a[i] + a[(i+1) % 3]`` is the distance between the incenters of
-    two adjacent faces of sizes m_i and m_{i+1} (their shared edge being
-    orthogonal to the segment joining the incenters).
+    ``a[i]`` and ``r[i]`` are the apothem and circumradius of the m_i-gon.
     """
 
     l: float
     a: tuple[float, float, float]
     r: tuple[float, float, float]
-    A: tuple[float, float, float]
 
     def __post_init__(self) -> None:
         if not self.l > 0:
             raise ValueError("edge length must be positive")
         if not all(ai < ri for ai, ri in zip(self.a, self.r)):
             raise ValueError("apothem must be below circumradius")
-        for i in range(3):
-            if self.A[i] != self.a[i] + self.a[(i + 1) % 3]:
-                raise ValueError("incenter gaps must equal sums of adjacent apothems")
+
+    @property
+    def A(self) -> tuple[float, float, float]:
+        """``A[i] = a[i] + a[(i+1) % 3]``, the distance between the incenters
+        of two adjacent faces of sizes m_i and m_{i+1} (their shared edge
+        being orthogonal to the segment joining the incenters)."""
+        a = self.a
+        return tuple(a[i] + a[(i + 1) % 3] for i in range(3))
 
 
 def regular_edge_length(sig: RegularSig | tuple[int, int]) -> float:
@@ -255,8 +256,7 @@ def semiregular_profile(sig: SemiRegularSig | Sequence[int]) -> MetricProfile:
     ch = math.cosh(0.5 * l)
     a = tuple(math.asinh(th / math.tan(math.pi / mi)) for mi in sig.m)
     r = tuple(math.acosh(math.cosh(ai) * ch) for ai in a)
-    A = tuple(a[i] + a[(i + 1) % 3] for i in range(3))
-    return MetricProfile(l=l, a=a, r=r, A=A)
+    return MetricProfile(l=l, a=a, r=r)
 
 
 def incenter_chord(A: float, m_next: int) -> float:

@@ -20,7 +20,6 @@ from floqtess.catalog import (
     equivalence_check,
     estimator_report,
     family_report,
-    family_table,
 )
 from floqtess.coloring import three_color
 from floqtess.derive import clip_complex, incenter_complex, semiregular_counts_direct
@@ -54,25 +53,23 @@ def test_criterion_1_counting_reproduction():
     t0 = time.perf_counter()
     checked = 0
     for genus, rows in refdata.SEMIREGULAR_ORIENTABLE.items():
-        chi = 2 - 2 * genus
         for row in rows:
-            c = semiregular_counts_direct(row.m, chi, integrality="position")
+            c = semiregular_counts_direct(row.m, genus, True)
             assert c is not None and c.n_v == row.n, (genus, row)
             assert 2 * genus == row.k, (genus, row)
             checked += 1
     for genus, rows in refdata.SEMIREGULAR_NONORIENTABLE.items():
-        chi = 2 - genus
         for row in rows:
-            c = semiregular_counts_direct(row.m, chi, integrality="size")
+            c = semiregular_counts_direct(row.m, genus, False)
             assert c is not None and c.n_v == row.n, (genus, row)
             assert genus == row.k, (genus, row)
             checked += 1
     # anchors
-    a = semiregular_counts_direct((6, 6, 8), -2, integrality="position")
+    a = semiregular_counts_direct((6, 6, 8), 2, True)
     assert (a.n_v, 2 * 2) == (48, 4)
-    b = semiregular_counts_direct((4, 6, 14), -8, integrality="position")
+    b = semiregular_counts_direct((4, 6, 14), 5, True)
     assert (b.n_v, 2 * 5) == (672, 10)
-    c = semiregular_counts_direct((6, 6, 8), -1, integrality="size")
+    c = semiregular_counts_direct((6, 6, 8), 3, False)
     assert (c.n_v, 3) == (24, 3)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -83,14 +80,14 @@ def test_criterion_1_counting_reproduction():
 def test_criterion_2_family_scaling():
     t0 = time.perf_counter()
     genera_o = [r.genus for r in refdata.HEXHEX_ORIENTABLE]
-    rows_o = family_table((6, 6, 8), genera_o, orientable=True, d_mode="geo")
+    rows_o = [code_params((6, 6, 8), g, True, "geo") for g in genera_o]
     for params, ref in zip(rows_o, refdata.HEXHEX_ORIENTABLE):
         assert params.n == 48 * (ref.genus - 1) == ref.n
         assert params.k == 2 * ref.genus == ref.k
     assert (rows_o[-1].genus, rows_o[-1].n, rows_o[-1].k) == (50, 2352, 100)
 
     genera_n = [r.genus for r in refdata.HEXHEX_NONORIENTABLE]
-    rows_n = family_table((6, 6, 8), genera_n, orientable=False, d_mode="geo")
+    rows_n = [code_params((6, 6, 8), g, False, "geo") for g in genera_n]
     for params, ref in zip(rows_n, refdata.HEXHEX_NONORIENTABLE):
         assert params.n == 24 * (ref.genus - 2) == ref.n
         assert params.k == ref.genus == ref.k

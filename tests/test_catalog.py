@@ -15,35 +15,31 @@ from floqtess.catalog import (
     equivalence_check,
     estimator_report,
     family_report,
-    family_table,
     table_to_csv,
     table_to_json,
 )
 from floqtess.derive import semiregular_counts_direct
+from floqtess.floquet import code_params
 
 
 class TestReferenceData:
     @pytest.mark.parametrize("genus", [2, 3, 4, 5])
     def test_orientable_rows_recount(self, genus):
-        chi = 2 - 2 * genus
         for row in refdata.SEMIREGULAR_ORIENTABLE[genus]:
-            counts = semiregular_counts_direct(row.m, chi, integrality="position")
+            counts = semiregular_counts_direct(row.m, genus, True)
             assert counts is not None and counts.n_v == row.n
             assert row.k == 2 * genus
 
     @pytest.mark.parametrize("genus", [3, 5, 7])
     def test_nonorientable_rows_recount(self, genus):
-        chi = 2 - genus
         for row in refdata.SEMIREGULAR_NONORIENTABLE[genus]:
-            counts = semiregular_counts_direct(row.m, chi, integrality="size")
+            counts = semiregular_counts_direct(row.m, genus, False)
             assert counts is not None and counts.n_v == row.n
             assert row.k == genus
 
     def test_regular_rows_as_quasi_regular_triples(self):
         for genus, p, n, k, d in refdata.REGULAR_ORIENTABLE:
-            counts = semiregular_counts_direct(
-                (p, p, p), 2 - 2 * genus, integrality="position"
-            )
+            counts = semiregular_counts_direct((p, p, p), genus, True)
             assert counts is not None and counts.n_v == n
             assert k == 2 * genus
 
@@ -130,10 +126,9 @@ class TestEnumerateSignatures:
     def test_admitted_triples_satisfy_the_m3_bound(self, genus, orientable):
         # The m3 loop stops where n_v < m3 (position rule) or 3 n_v < m3
         # (size rule); no admitted triple may lie there.
-        chi = 2 - 2 * genus if orientable else 2 - genus
-        rule, reach = ("position", 1) if orientable else ("size", 3)
+        reach = 1 if orientable else 3
         for m in enumerate_signatures(genus, orientable):
-            counts = semiregular_counts_direct(m, chi, integrality=rule)
+            counts = semiregular_counts_direct(m, genus, orientable)
             assert reach * counts.n_v >= m[2]
             assert counts.n_f == sum(counts.face_census().values())
 
@@ -142,6 +137,17 @@ class TestEnumerateSignatures:
         chi = 2 - 2 * genus if orientable else 2 - genus
         wide = enumerate_signatures(genus, orientable, m_max=4 * default_m_max(chi))
         assert wide == enumerate_signatures(genus, orientable)
+
+    @pytest.mark.parametrize(
+        "genus, orientable",
+        [(g, True) for g in range(2, 7)] + [(g, False) for g in range(3, 9)],
+    )
+    def test_admitted_counts_agree_with_code_params(self, genus, orientable):
+        # enumerate_signatures and semiregular_counts_direct both admit
+        # through _admitted_vertex_count; code_params takes n from the latter.
+        for m in enumerate_signatures(genus, orientable):
+            counts = semiregular_counts_direct(m, genus, orientable)
+            assert counts.n_v == code_params(m, genus, orientable, "geo").n
 
     def test_sorted_lexicographically(self):
         sigs = enumerate_signatures(2, True)
@@ -156,8 +162,7 @@ class TestEnumerateSignatures:
         # at chi = -1 the (6,12,12) type has n = 6 and one 12-gon per
         # *size*, half a face per position.
         assert (6, 12, 12) in enumerate_signatures(3, False)
-        assert semiregular_counts_direct((6, 12, 12), -1, integrality="position") is None
-        assert semiregular_counts_direct((6, 12, 12), -1, integrality="size").n_v == 6
+        assert semiregular_counts_direct((6, 12, 12), 3, False).n_v == 6
 
     def test_default_bound_is_attained(self):
         chi = 2 - 2 * 2
@@ -215,27 +220,24 @@ class TestBuildTable:
 class TestFamilyTable:
     def test_orientable_scaling(self):
         genera = [r.genus for r in refdata.HEXHEX_ORIENTABLE]
-        rows = family_table((6, 6, 8), genera, True)
+        rows = [code_params((6, 6, 8), g, True, "geo") for g in genera]
         for row in rows:
             assert (row.n, row.k) == (48 * (row.genus - 1), 2 * row.genus)
 
     def test_orientable_estimates_through_genus9(self):
-        rows = family_table((6, 6, 8), range(2, 10), True)
+        rows = [code_params((6, 6, 8), g, True, "geo") for g in range(2, 10)]
         assert [r.d for r in rows] == [4, 5, 6, 6, 7, 7, 7, 8]
 
     def test_nonorientable_scaling(self):
         genera = [r.genus for r in refdata.HEXHEX_NONORIENTABLE]
-        rows = family_table((6, 6, 8), genera, False)
+        rows = [code_params((6, 6, 8), g, False, "geo") for g in genera]
         for row in rows:
             assert (row.n, row.k) == (24 * (row.genus - 2), row.genus)
 
     def test_genus4_nonorientable_equals_genus2_orientable(self):
-        (no_row,) = family_table((6, 6, 8), [4], False)
-        (o_row,) = family_table((6, 6, 8), [2], True)
+        no_row = code_params((6, 6, 8), 4, False, "geo")
+        o_row = code_params((6, 6, 8), 2, True, "geo")
         assert (no_row.n, no_row.k, no_row.d) == (o_row.n, o_row.k, o_row.d) == (48, 4, 4)
-
-    def test_signature_order_irrelevant(self):
-        assert family_table((8, 6, 6), [2], True) == family_table((6, 6, 8), [2], True)
 
 
 class TestSerialization:
@@ -314,7 +316,7 @@ class TestRates:
         # Twice the measured rate is the k = 4 - 2*chi convention.
         for m, g in [((6, 6, 8), 2), ((8, 8, 8), 5), ((4, 6, 14), 3)]:
             chi = 2 - 2 * g
-            n = semiregular_counts_direct(m, chi).n_v
+            n = semiregular_counts_direct(m, 2 * g, False).n_v
             assert 2 * encoding_rate(m, g) == Fraction(4 - 2 * chi, n)
 
     def test_measured_rate_agrees_with_counted_rows(self):

@@ -204,20 +204,20 @@ class TestMultiFaceSources:
 
 class TestDirectCounts:
     def test_table_anchors(self):
-        assert semiregular_counts_direct((8, 8, 8), -2).n_v == 16
-        assert semiregular_counts_direct((6, 6, 8), -2).n_v == 48
-        assert semiregular_counts_direct((6, 6, 8), -1).n_v == 24
+        assert semiregular_counts_direct((8, 8, 8), 4, False).n_v == 16
+        assert semiregular_counts_direct((6, 6, 8), 4, False).n_v == 48
+        assert semiregular_counts_direct((6, 6, 8), 3, False).n_v == 24
 
     def test_size_rule_admits_published_nonorientable_rows(self):
-        got = semiregular_counts_direct((12, 12, 6), -1)
+        got = semiregular_counts_direct((12, 12, 6), 3, False)
         assert (got.n_f, got.n_e, got.n_v) == (2, 9, 6)
-        got = semiregular_counts_direct((16, 16, 4), -1)
+        got = semiregular_counts_direct((16, 16, 4), 3, False)
         assert got.n_v == 8
         assert got.face_census() == {4: 2, 16: 1}
 
     def test_non_integer_face_sizes_rejected(self):
         with pytest.raises(TypeError, match="triple of integers"):
-            semiregular_counts_direct((6.5, 6, 8), -2)
+            semiregular_counts_direct((6.5, 6, 8), 4, False)
 
     @pytest.mark.parametrize(
         "m, error, message",
@@ -230,44 +230,43 @@ class TestDirectCounts:
         ],
     )
     def test_invalid_triples_raise_exact_errors(self, m, error, message):
-        for rule in ("size", "position"):
+        for genus, orientable in ((4, False), (2, True)):
             with pytest.raises(error, match=f"^{re.escape(message)}$"):
-                semiregular_counts_direct(m, -2, rule)
+                semiregular_counts_direct(m, genus, orientable)
 
     def test_position_rule_is_stricter(self):
-        assert semiregular_counts_direct((12, 12, 6), -1, "position") is None
-        assert semiregular_counts_direct((16, 16, 8), -2, "position") is None
-        assert semiregular_counts_direct((16, 16, 8), -2, "size").n_v == 8
+        # Both surfaces have chi = -2.
+        assert semiregular_counts_direct((16, 16, 8), 2, True) is None
+        assert semiregular_counts_direct((16, 16, 8), 4, False).n_v == 8
 
     def test_non_integral_vertex_count(self):
         # n_v = 40|chi|/7 for [8,10,10].
-        assert semiregular_counts_direct((8, 10, 10), -2) is None
+        assert semiregular_counts_direct((8, 10, 10), 4, False) is None
 
     def test_non_integral_size_class(self):
         # n_v = 6 is integral but only 6/10 of a decagon would fit.
-        assert semiregular_counts_direct((6, 10, 15), -1) is None
+        assert semiregular_counts_direct((6, 10, 15), 3, False) is None
 
     def test_agrees_with_clip_counts(self):
         for p, q, chi in [(8, 8, -2), (6, 6, -1), (8, 3, -2), (10, 10, -3)]:
             expect = clip_counts(p, q, chi)
-            got = semiregular_counts_direct((2 * p, 2 * p, q), chi)
+            got = semiregular_counts_direct((2 * p, 2 * p, q), 2 - chi, False)
             assert got is not None
             assert (got.n_f, got.n_e, got.n_v) == (expect.n_f, expect.n_e, expect.n_v)
 
     def test_agrees_with_incenter_counts(self):
         for p, q, chi in [(8, 8, -2), (6, 6, -1), (8, 3, -2), (12, 3, -6)]:
             expect = incenter_counts(p, q, chi)
-            got = semiregular_counts_direct((2 * p, 2 * q, 4), chi)
+            got = semiregular_counts_direct((2 * p, 2 * q, 4), 2 - chi, False)
             assert got is not None
             assert (got.n_f, got.n_e, got.n_v) == (expect.n_f, expect.n_e, expect.n_v)
 
-    def test_rejects_bad_rule_name(self):
-        with pytest.raises(ValueError, match="integrality"):
-            semiregular_counts_direct((6, 6, 8), -2, "strict")
-
     def test_rejects_nonnegative_chi(self):
-        with pytest.raises(ValueError, match="characteristic"):
-            semiregular_counts_direct((6, 6, 8), 0)
+        # Orientable genus 1 and non-orientable genus 2 both have chi = 0.
+        with pytest.raises(ValueError, match="genus must be"):
+            semiregular_counts_direct((6, 6, 8), 1, True)
+        with pytest.raises(ValueError, match="genus must be"):
+            semiregular_counts_direct((6, 6, 8), 2, False)
 
 
 class TestDerivedCountsType:

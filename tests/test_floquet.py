@@ -870,7 +870,7 @@ class TestCodeParams:
             calls.append(args)
             return incenter_complex(*args, **kwargs)
 
-        monkeypatch.setattr(floquet, "incenter_complex", counted)
+        monkeypatch.setattr("floqtess.derive.incenter_complex", counted)
         assert code_params((4, 16, 16), 2, True).d_source == "exact"
         assert len(calls) == 1
         # n = 96 is past the exact bound: no complex is built at all.

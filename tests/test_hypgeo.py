@@ -264,10 +264,6 @@ class TestAdmissibility:
 
 
 class TestMetricProfileInvariants:
-    def test_rejects_inconsistent_gaps(self):
-        with pytest.raises(ValueError):
-            MetricProfile(l=1.0, a=(0.1, 0.2, 0.3), r=(0.5, 0.6, 0.7), A=(0.0, 0.0, 0.0))
-
     def test_rejects_apothem_past_circumradius(self):
         with pytest.raises(ValueError):
-            MetricProfile(l=1.0, a=(0.9, 0.2, 0.3), r=(0.5, 0.6, 0.7), A=(1.1, 0.5, 1.2))
+            MetricProfile(l=1.0, a=(0.9, 0.2, 0.3), r=(0.5, 0.6, 0.7))
