@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .hypgeo import SemiRegularSig, _check_genus, _polygon_sides
+from .hypgeo import SemiRegularSig, _as_semiregular, _check_genus, _polygon_sides
 from .surface import Edge, SurfaceComplex, _counts_from_chi, _FlagMap, fundamental_polygon
 
 __all__ = [
@@ -252,7 +252,7 @@ def semiregular_counts_direct(
     tables (it excludes [16,16,8] at genus 2, which the size rule would
     admit at the same chi = -2).
     """
-    sig = m if isinstance(m, SemiRegularSig) else SemiRegularSig(m)
+    sig = _as_semiregular(m)
     chi = _check_genus(genus, orientable)
     n_v = _admitted_vertex_count(sig.m, chi, orientable)
     if n_v is None:

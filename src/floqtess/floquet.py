@@ -506,7 +506,7 @@ def code_params(
         raise ValueError(f"unknown d_mode {d_mode!r}")
     sig = SemiRegularSig(m)
     chi = _check_genus(genus, orientable)
-    counts = semiregular_counts_direct(sig.m, genus, orientable)
+    counts = semiregular_counts_direct(sig, genus, orientable)
     if counts is None:
         raise ValueError(
             f"{list(sig.m)} admits no integral cell counts at chi={chi}"
@@ -515,7 +515,7 @@ def code_params(
     k = 2 - chi
 
     def estimate() -> CodeParams:
-        est = geodist.estimate_distance(sig.m, genus, orientable)
+        est = geodist.estimate_distance(sig, genus, orientable)
         return CodeParams(
             tuple(sig.m), genus, orientable, n, k, est.d,
             "geometric-estimate", est.convention_tag,

@@ -11,8 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from .hypgeo import SemiRegularSig, incenter_chord, semiregular_profile, systole
+from .hypgeo import (
+    SemiRegularSig,
+    _as_semiregular,
+    incenter_chord,
+    semiregular_profile,
+    systole,
+)
 
 # Ratios sitting within this distance above an integer count as that
 # integer: several families make systole/chord an exact integer and float
@@ -69,16 +76,18 @@ def _chords(prof, m, red: int) -> tuple:
     return t_r, t_gb
 
 
-def estimate_distance(m, genus: int, orientable: bool) -> DistanceEstimate:
+def estimate_distance(
+    m: SemiRegularSig | Sequence[int], genus: int, orientable: bool
+) -> DistanceEstimate:
     """Minimum of d_X and d_Z over all three red-class choices.
 
     The winning choice is recorded in ``convention_tag``; the result is
     clamped to 2 (a weight-1 logical would contradict k > 0 two-body
     dynamics) and the clamp, when active, is part of the tag.
     """
-    sig = SemiRegularSig(m)
+    sig = _as_semiregular(m)
     length = systole(genus, orientable)
-    prof = semiregular_profile(sig.m)
+    prof = semiregular_profile(sig)
     chords = []
     best = None  # (value, red, kind, dX, dZ)
     for red in range(3):

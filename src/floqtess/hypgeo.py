@@ -201,24 +201,80 @@ def _edge_eq(c: float, cosines: Sequence[float]) -> float:
     return math.fsum(math.asin(k / c) for k in cosines) - math.pi
 
 
+def _edge_eq_slope(c: float, cosines: Sequence[float]) -> tuple[float, float]:
+    """``_edge_eq`` at c and its derivative in c, in one pass over the cosines."""
+    angles, slopes = [], []
+    for k in cosines:
+        angles.append(math.asin(k / c))
+        slopes.append(k / (c * math.sqrt(c * c - k * k)))
+    return math.fsum(angles) - math.pi, -math.fsum(slopes)
+
+
+#: Newton steps allowed before the bisection falls back to testing every
+#: midpoint; every hyperbolic triple tried (face sizes up to 10**6) settles
+#: in at most 10.
+_NEWTON_STEPS = 40
+
+#: Half-width, in ulps of the Newton root, of the window in which the
+#: bisection evaluates a midpoint's sign instead of reading it off the root.
+_SIGN_WINDOW_ULPS = 64
+
+
+def _sign_window(cosines: Sequence[float]) -> tuple[float, float]:
+    """Bounds (below, above) on c outside which ``_edge_eq``'s sign is known.
+
+    Runs Newton's method from c = 1.  The residual is convex and decreasing
+    in c, so the iterates climb to the root from below; once rounding stops
+    them rising they sit within an ulp or so of it, at r say.  The bounds
+    are r -/+ ``_SIGN_WINDOW_ULPS`` ulps of r.  If Newton takes more than
+    ``_NEWTON_STEPS`` steps they are -/+ inf, so no sign is known.
+    """
+    c = 1.0
+    for _ in range(_NEWTON_STEPS):
+        f, fp = _edge_eq_slope(c, cosines)
+        nxt = c - f / fp
+        if not nxt > c:
+            window = _SIGN_WINDOW_ULPS * math.ulp(c)
+            return c - window, c + window
+        c = nxt
+    return -math.inf, math.inf
+
+
 def semiregular_edge_length(sig: SemiRegularSig | Sequence[int]) -> float:
     """Common edge length of the tri-valent semi-regular tiling [m1, m2, m3].
 
     Solves pi = sum_i arcsin(cos(pi/m_i) / cosh(l/2)) for l.  The left side
-    is strictly decreasing in cosh(l/2), so the root is bracketed on
-    [1, 1e6] and found by bisection, then polished with two Newton steps.
-    The residual at the returned root is below 1e-10 (ArithmeticError
-    otherwise, which would indicate a solver bug rather than bad input).
+    is strictly decreasing in c = cosh(l/2), so the root is bracketed on
+    [1, 1e6] and found by bisection down to 4 ulps, then polished with two
+    Newton steps.  The residual at the returned root is below 1e-10
+    (ArithmeticError otherwise, which would indicate a solver bug rather
+    than bad input).
+
+    The bisection takes about 70 midpoints, but only those near the root
+    need the residual.  ``_sign_window`` first finds a root r by Newton's
+    method.  A midpoint more than ``_SIGN_WINDOW_ULPS`` ulps below r counts
+    as positive and one as far above it as negative; only midpoints inside
+    that window are evaluated.  This replays the plain bisection's decisions,
+    so the result is the same float, bit for bit.  The exact residual is
+    monotone, so outside the window it is at least as large in size as at
+    the window's edges.  There it is the slope times 64 ulps, many times the
+    few rounding errors by which the computed residual can stray (each
+    rounding of k/c moves it by the slope times about an ulp), so outside
+    the window the computed sign is the exact one.  The tests check the
+    computed residual positive at r - window and negative at r + window on
+    every table signature.  If Newton does not settle, every midpoint is
+    evaluated.
     """
     sig = _as_semiregular(sig)
     cosines = [math.cos(math.pi / mi) for mi in sig.m]
+    below, above = _sign_window(cosines)
 
     lo, hi = 1.0, 1e6
     # Hyperbolicity makes the residual positive at c = 1 and negative at
     # c = 1e6, strictly decreasing in between.
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _edge_eq(mid, cosines) > 0.0:
+        if mid < below or (mid <= above and _edge_eq(mid, cosines) > 0.0):
             lo = mid
         else:
             hi = mid
@@ -227,8 +283,7 @@ def semiregular_edge_length(sig: SemiRegularSig | Sequence[int]) -> float:
     c = 0.5 * (lo + hi)
 
     for _ in range(2):
-        f = _edge_eq(c, cosines)
-        fp = -math.fsum(k / (c * math.sqrt(c * c - k * k)) for k in cosines)
+        f, fp = _edge_eq_slope(c, cosines)
         step = f / fp
         if c - step > 1.0:
             c -= step

@@ -37,6 +37,7 @@ from floqtess.floquet import (
     face_stabilizer,
     run_schedule,
 )
+from floqtess.hypgeo import SemiRegularSig
 from floqtess.surface import fundamental_polygon
 from test_coloring import honeycomb_torus
 
@@ -876,6 +877,23 @@ class TestCodeParams:
         # n = 96 is past the exact bound: no complex is built at all.
         assert code_params((4, 48, 48), 6, True).d_source == "geometric-estimate"
         assert len(calls) == 1
+
+    def test_geo_builds_the_signature_once(self, monkeypatch):
+        # The counts, the estimator and the metric profile all take the
+        # SemiRegularSig code_params validated, instead of rebuilding it.
+        calls = []
+        post_init = SemiRegularSig.__post_init__
+
+        def counted(self):
+            calls.append(self.m)
+            post_init(self)
+
+        monkeypatch.setattr(SemiRegularSig, "__post_init__", counted)
+        for m, genus, orientable in [((6, 6, 8), 2, True), ((4, 6, 14), 5, True),
+                                     ((6, 6, 8), 3, False)]:
+            calls.clear()
+            assert code_params(m, genus, orientable, "geo").d_source == "geometric-estimate"
+            assert calls == [m]
 
     def test_inadmissible_counts(self):
         with pytest.raises(ValueError, match="integral"):

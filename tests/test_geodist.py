@@ -9,7 +9,7 @@ from floqtess.geodist import (
     _ceil_guard,
     estimate_distance,
 )
-from floqtess.hypgeo import systole
+from floqtess.hypgeo import SemiRegularSig, systole
 
 # [6,6,8] family estimates across orientable genus 2..9; the winning
 # convention flips between conventions as the systole grows.
@@ -67,6 +67,13 @@ class TestSingleConvention:
     def test_inadmissible_signature(self):
         with pytest.raises(ValueError, match="Euclidean"):
             estimate_distance((6, 6, 6), 2, True)
+        with pytest.raises(TypeError, match="triple of integers"):
+            estimate_distance((6.5, 6, 8), 2, True)
+
+    def test_takes_a_validated_signature(self):
+        assert estimate_distance(SemiRegularSig((6, 6, 8)), 3, True) == estimate_distance(
+            (6, 6, 8), 3, True
+        )
 
 
 class TestEstimateDistance:

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from floqtess import hypgeo
+from floqtess.catalog import enumerate_signatures
 from floqtess.hypgeo import (
     MetricProfile,
     RegularSig,
@@ -33,6 +34,53 @@ def _hyperbolic(m) -> bool:
     except ValueError:
         return False
     return True
+
+
+def _random_triples() -> list[tuple[int, int, int]]:
+    """300 seeded hyperbolic triples with face sizes up to 200."""
+    rng = random.Random(20260814)
+    triples = [(3, 7, 200), (200, 200, 200), (3, 7, 50), (4, 5, 21)]
+    while len(triples) < 300:
+        m = tuple(sorted(rng.randint(3, 200) for _ in range(3)))
+        if _hyperbolic(m):
+            triples.append(m)
+    return triples
+
+
+def _table_signatures() -> list[tuple[int, int, int]]:
+    """Every signature the tables admit, orientable g = 2..12 and
+    non-orientable g = 3..12, each once."""
+    found = {m for g in range(2, 13) for m in enumerate_signatures(g, True)}
+    found |= {m for g in range(3, 13) for m in enumerate_signatures(g, False)}
+    return sorted(found)
+
+
+def reference_edge_length(m) -> float:
+    """The plain bisection ``semiregular_edge_length`` replays: every
+    midpoint's sign comes from evaluating the residual."""
+    cosines = [math.cos(math.pi / mi) for mi in SemiRegularSig(m).m]
+
+    def residual(c):
+        return math.fsum(math.asin(k / c) for k in cosines) - math.pi
+
+    lo, hi = 1.0, 1e6
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if residual(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 4.0 * math.ulp(lo):
+            break
+    c = 0.5 * (lo + hi)
+    for _ in range(2):
+        f = residual(c)
+        fp = -math.fsum(k / (c * math.sqrt(c * c - k * k)) for k in cosines)
+        step = f / fp
+        if c - step > 1.0:
+            c -= step
+    assert abs(residual(c)) < hypgeo.EDGE_EQ_TOL
+    return 2.0 * math.acosh(c)
 
 
 # {p,q} closed forms at 50-digit precision.
@@ -175,13 +223,7 @@ class TestSemiRegular:
     def test_residual_small_on_random_admissible_triples(self):
         # The solver itself raises if the residual exceeds 1e-10; exercise a
         # broad sample of the domain it promises to cover.
-        rng = random.Random(20260814)
-        triples = [(3, 7, 200), (200, 200, 200), (3, 7, 50), (4, 5, 21)]
-        while len(triples) < 300:
-            m = tuple(sorted(rng.randint(3, 200) for _ in range(3)))
-            if _hyperbolic(m):
-                triples.append(m)
-        for m in triples:
+        for m in _random_triples():
             l = semiregular_edge_length(m)
             assert l > 0
             c = math.cosh(l / 2)
@@ -195,6 +237,62 @@ class TestSemiRegular:
             l = semiregular_edge_length([6, 6, m3])
             assert l > prev
             prev = l
+
+
+class TestEdgeLengthReplay:
+    """The Newton-guided bisection returns the plain bisection's float."""
+
+    def test_bit_equal_on_table_signatures(self):
+        sigs = _table_signatures()
+        assert len(sigs) == 338
+        for m in sigs:
+            assert semiregular_edge_length(m) == reference_edge_length(m), m
+
+    def test_bit_equal_on_random_triples(self):
+        for m in _random_triples():
+            assert semiregular_edge_length(m) == reference_edge_length(m), m
+
+    @pytest.mark.parametrize(
+        "m",
+        [(3, 7, 43), (3, 8, 25), (4, 5, 21), (4, 6, 13), (3, 10, 16), (5, 5, 11),
+         (6, 6, 7), (3, 3000, 3000), (3, 7, 10**6), (10**6, 10**6, 10**6)],
+    )
+    def test_bit_equal_on_extremes(self, m):
+        # Near-Euclidean triples (roots near c = 1) and huge faces.
+        assert semiregular_edge_length(m) == reference_edge_length(m)
+
+    def test_window_brackets_the_computed_sign_change(self):
+        # The replay's proof obligation: just outside the window the computed
+        # residual already has the sign read off the Newton root.
+        for m in _table_signatures():
+            cosines = [math.cos(math.pi / mi) for mi in m]
+            below, above = hypgeo._sign_window(cosines)
+            assert math.isfinite(below) and math.isfinite(above), m
+            assert hypgeo._edge_eq(below, cosines) > 0.0, m
+            assert hypgeo._edge_eq(above, cosines) < 0.0, m
+
+    def test_unsettled_newton_evaluates_every_midpoint(self, monkeypatch):
+        monkeypatch.setattr(hypgeo, "_NEWTON_STEPS", 0)
+        assert hypgeo._sign_window([0.5, 0.9, 0.9]) == (-math.inf, math.inf)
+        for m in [(6, 6, 8), (4, 5, 21), (3, 7, 43)]:
+            assert semiregular_edge_length(m) == reference_edge_length(m)
+
+    def test_few_residual_evaluations_per_solve(self, monkeypatch):
+        # The plain bisection takes about 75; Newton plus the window ~16.
+        calls = []
+
+        def counted(fn):
+            def wrapped(*args):
+                calls.append(fn)
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(hypgeo, "_edge_eq", counted(hypgeo._edge_eq))
+        monkeypatch.setattr(hypgeo, "_edge_eq_slope", counted(hypgeo._edge_eq_slope))
+        sigs = _table_signatures()
+        for m in sigs:
+            semiregular_edge_length(m)
+        assert len(calls) / len(sigs) <= 20
 
 
 class TestIncenterChord:
