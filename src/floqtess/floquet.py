@@ -118,23 +118,33 @@ class StabilizerGroup:
         return v
 
 
-def _measure_step(basis: dict, c: int, n: int) -> None:
+def _measure_step(basis: dict, cols: list, c: int, hits: tuple, n: int) -> None:
     """Measure check ``c`` on the echelon basis ``{pivot: row}`` in place.
 
-    The anticommuting row with the lowest pivot absorbs the other
-    anticommuting rows (their pivots stay put) and leaves; the check is then
-    reduced top bit by top bit and joins unless it is a dependent commuting
-    check.  Both per-check invariants cost O(rank): the rank does not drop,
-    and the new row commutes with every row.
+    ``cols`` holds the same basis by columns: bit ``p`` of ``cols[j]`` is
+    bit ``j`` of ``basis[p]``.  ``hits`` are the set bits of
+    ``_swap_halves(c, n)``, so the XOR of ``cols`` over them marks the rows
+    that anticommute with ``c``.  The one with the lowest pivot absorbs the
+    others (their pivots stay put) and leaves; the check is then reduced
+    top bit by top bit and joins unless it is a dependent commuting check.
+    Both per-check invariants are checked: the rank does not drop, and the
+    new row commutes with every row.  A check costs its anticommuting rows
+    plus the weights of the leaving and the joining row, not the rank.
     """
-    swapped = _swap_halves(c, n)
-    anti = [p for p, r in basis.items() if (r & swapped).bit_count() & 1]
+    anti = 0
+    for j in hits:
+        anti ^= cols[j]
     if anti:
-        low = min(anti)
-        g = basis.pop(low)
-        for p in anti:
-            if p != low:
-                basis[p] ^= g
+        low = anti & -anti
+        g = basis.pop(low.bit_length() - 1)
+        for p in _bits(anti ^ low):
+            basis[p] ^= g
+        # One XOR per bit of g adds g to the other anticommuting rows and
+        # clears the row that leaves (bit loops inlined: this is the hot path).
+        while g:
+            b = g & -g
+            cols[b.bit_length() - 1] ^= anti
+            g ^= b
     while c:
         p = c.bit_length() - 1
         row = basis.get(p)
@@ -145,10 +155,22 @@ def _measure_step(basis: dict, c: int, n: int) -> None:
         if anti:
             raise RuntimeError("measurement lowered the rank")
         return
-    swapped = _swap_halves(c, n)
-    if any((r & swapped).bit_count() & 1 for r in basis.values()):
+    q = c.bit_length() - 1
+    new = 1 << q
+    # The rows anticommuting with c are the XOR of cols over the bits of
+    # _swap_halves(c, n); no row had pivot q, so its bit is set only by the
+    # join in the same pass and is masked out of the test.
+    anti = 0
+    v = c
+    while v:
+        b = v & -v
+        j = b.bit_length() - 1
+        anti ^= cols[j + n if j < n else j - n]
+        cols[j] |= new
+        v ^= b
+    if anti & ~new:
         raise RuntimeError("measurement broke commutativity")
-    basis[c.bit_length() - 1] = c
+    basis[q] = c
 
 
 @dataclass(frozen=True)
@@ -174,12 +196,14 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
     """Measure the colour classes cyclically and watch the ISG settle.
 
     ``schedule`` is an EdgeSchedule, such as a ColorAssignment.  Steady state is
-    entered at round ``r`` when ISG(r) == ISG(r-3); determinism of the
-    update then keeps the period-3 cycle forever.  One echelon basis is
-    updated check by check across all rounds and made canonical once per
-    round, by feeding its rows to :func:`_reduce_rows` in ascending pivot
-    order: each row then only sheds the lower pivot bits it carries, so a
-    round costs the sum of those overlaps, not rank squared.
+    entered at round ``r`` when ISG(r) == ISG(r-3).  Measuring a round maps
+    a group to a group whatever basis represents it, so the period-3 cycle
+    then repeats forever: the rounds after ``r`` are copied from the cycle,
+    not measured.  Until then one echelon basis is updated check by check
+    and made canonical once per round, by feeding its rows to
+    :func:`_reduce_rows` in ascending pivot order: each row then only sheds
+    the lower pivot bits it carries, so a round costs the sum of those
+    overlaps, not rank squared.
     """
     if rounds < 6:
         raise ValueError("need at least 6 rounds to certify a steady state")
@@ -193,14 +217,24 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
         ]
         for r in range(3)
     ]
+    # Each check with the set bits of its swapped halves, found once per run.
+    phase_checks = [
+        [(c, tuple(_bits(_swap_halves(c, n)))) for c in rows] for rows in phase_rows
+    ]
     basis: dict[int, int] = {}
+    cols = [0] * (2 * n)
     groups = []
+    steady = None
     for r in range(rounds):
-        for c in phase_rows[r % 3]:
-            _measure_step(basis, c, n)
+        if steady is not None:
+            groups.append(groups[r - 3])
+            continue
+        for c, hits in phase_checks[r % 3]:
+            _measure_step(basis, cols, c, hits, n)
         rows = _reduce_rows((basis[p] for p in sorted(basis)), n)
         groups.append(StabilizerGroup(n, rows))
-    steady = next((r for r in range(3, rounds) if groups[r] == groups[r - 3]), None)
+        if r >= 3 and groups[r] == groups[r - 3]:
+            steady = r
     k_inst = None
     if steady is not None:
         ks = {n - groups[r].rank for r in range(steady - 3, steady)}
@@ -499,8 +533,10 @@ def code_params(
 
     ``d_mode``: "exact" forces the oracle (explicit complex required),
     "geo" forces the estimator, "auto" prefers the oracle when an explicit
-    complex exists with n <= 40.  The oracle simulates 9 rounds and searches
-    weights up to 6.
+    complex exists with n <= 40.  The oracle runs a 9-round schedule, which
+    stops measuring once the period-3 cycle is certified (at round 6 on the
+    incenter and clip complexes up to genus 12), and searches weights up to
+    6.
     """
     if d_mode not in ("exact", "geo", "auto"):
         raise ValueError(f"unknown d_mode {d_mode!r}")

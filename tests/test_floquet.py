@@ -26,6 +26,7 @@ from floqtess.floquet import (
     _min_logical_weight,
     _pauli_row,
     _reduce_rows,
+    _swap_halves,
     _sympl,
     _syndrome_table,
     _weight_hits,
@@ -341,43 +342,62 @@ class TestReduceRows:
             assert len(out) == len(rows)
 
 
+def columns(basis, n):
+    """The per-bit pivot masks of the echelon basis ``{pivot: row}``, built
+    from scratch: bit ``p`` of ``cols[j]`` is bit ``j`` of ``basis[p]``."""
+    cols = [0] * (2 * n)
+    for p, row in basis.items():
+        for j in range(2 * n):
+            if (row >> j) & 1:
+                cols[j] |= 1 << p
+    return cols
+
+
+def measure(basis, cols, c, n):
+    """Measure check ``c`` with :func:`_measure_step`, its swapped bits found
+    by a plain scan."""
+    hits = tuple(j for j in range(2 * n) if (_swap_halves(c, n) >> j) & 1)
+    _measure_step(basis, cols, c, hits, n)
+
+
 class TestMeasure:
-    # Checks are measured into an echelon basis {pivot: row} with
-    # _measure_step, and the group is read off with _reduce_rows over the
-    # rows in ascending pivot order, as run_schedule does.
+    # Checks are measured into an echelon basis {pivot: row}, kept by
+    # columns in cols, with _measure_step, and the group is read off with
+    # _reduce_rows over the rows in ascending pivot order, as run_schedule
+    # does.
     def test_new_commuting_check_joins(self):
         xx = _pauli_row(2, "X", (0, 1))
-        basis = {}
-        _measure_step(basis, xx, 2)
+        basis, cols = {}, columns({}, 2)
+        measure(basis, cols, xx, 2)
         g = StabilizerGroup(2, _reduce_rows((basis[p] for p in sorted(basis)), 2))
         assert g.rank == 1 and g._reduce_vec(xx) == 0
 
     def test_idempotent_on_members(self):
         xx = _pauli_row(2, "X", (0, 1))
-        basis = {}
-        _measure_step(basis, xx, 2)
+        basis, cols = {}, columns({}, 2)
+        measure(basis, cols, xx, 2)
         before = dict(basis)
-        _measure_step(basis, xx, 2)
+        measure(basis, cols, xx, 2)
         assert basis == before
 
     def test_dependent_commuting_check_no_growth(self):
         xx01, xx12, xx02 = (
             _pauli_row(3, "X", (i, j)) for i, j in ((0, 1), (1, 2), (0, 2))
         )
-        basis = {}
-        _measure_step(basis, xx01, 3)
-        _measure_step(basis, xx12, 3)
+        basis, cols = {}, columns({}, 3)
+        measure(basis, cols, xx01, 3)
+        measure(basis, cols, xx12, 3)
         before = dict(basis)
-        _measure_step(basis, xx02, 3)
+        measure(basis, cols, xx02, 3)
         assert basis == before
 
     def test_anticommuting_row_replaced(self):
         zz = _pauli_row(2, "Z", (0, 1))
         zq = _pauli_row(2, "Z", (0,))
         xx = _pauli_row(2, "X", (0, 1))
-        basis = {}
+        basis, cols = {}, columns({}, 2)
         for c in (zq, zz, xx):
-            _measure_step(basis, c, 2)
+            measure(basis, cols, c, 2)
         out = StabilizerGroup(2, _reduce_rows((basis[p] for p in sorted(basis)), 2))
         assert out.rank == 2
         assert out._reduce_vec(xx) == 0 and out._reduce_vec(zz) == 0
@@ -386,12 +406,12 @@ class TestMeasure:
     def test_rank_never_drops_random_walk(self):
         rng = random.Random(5)
         n = 8
-        basis = {}
+        basis, cols = {}, columns({}, n)
         for _ in range(120):
             i, j = rng.sample(range(n), 2)
             letter = rng.choice("XYZ")
             rank = len(basis)
-            _measure_step(basis, _pauli_row(n, letter, (i, j)), n)
+            measure(basis, cols, _pauli_row(n, letter, (i, j)), n)
             assert len(basis) >= rank
             assert_commuting(basis.values(), n)
 
@@ -402,7 +422,7 @@ class TestMeasure:
         # run_schedule.
         rng = random.Random(n)
         ref = StabilizerGroup(n)
-        basis = {}
+        basis, cols = {}, columns({}, n)
         many_anti = dependent = 0
         for _ in range(12 * n):
             i, j = rng.sample(range(n), 2)
@@ -412,12 +432,30 @@ class TestMeasure:
             many_anti += anti >= 3
             dependent += not anti and nxt == ref
             fresh = {r.bit_length() - 1: r for r in ref.rows}
-            _measure_step(fresh, c, n)
+            measure(fresh, columns(fresh, n), c, n)
             assert StabilizerGroup(n, _reduce_rows((fresh[p] for p in sorted(fresh)), n)) == nxt
-            _measure_step(basis, c, n)
+            measure(basis, cols, c, n)
             assert StabilizerGroup(n, _reduce_rows(basis.values(), n)) == nxt
             ref = nxt
         assert many_anti and dependent
+
+    @pytest.mark.parametrize("n", range(8, 25, 4))
+    def test_columns_track_basis(self, n):
+        # Mixed-letter two-body checks, so the walk meets Y checks (four
+        # swapped bits) and rows whose x and z halves both change.
+        rng = random.Random(100 + n)
+        basis, cols = {}, columns({}, n)
+        joined = left = 0
+        for _ in range(12 * n):
+            i, j = rng.sample(range(n), 2)
+            a, b = rng.choice("XYZ"), rng.choice("XYZ")
+            c = _pauli_row(n, a, (i,)) ^ _pauli_row(n, b, (j,))
+            before = set(basis)
+            measure(basis, cols, c, n)
+            joined += bool(set(basis) - before)
+            left += bool(before - set(basis))
+            assert cols == columns(basis, n)
+        assert joined and left
 
     def test_rank_drop_raises(self):
         # X0 and ZZ anticommute, so this is no stabilizer group: dropping X0
@@ -425,7 +463,7 @@ class TestMeasure:
         x0, zz = _pauli_row(2, "X", (0,)), _pauli_row(2, "Z", (0, 1))
         bad = {r.bit_length() - 1: r for r in _reduce_rows([x0, zz], 2)}
         with pytest.raises(RuntimeError, match="lowered the rank"):
-            _measure_step(bad, zz, 2)
+            measure(bad, columns(bad, 2), zz, 2)
 
     def test_broken_commutativity_raises(self):
         # X2 Z0 and X0 anticommute; XX on qubits 2, 1 commutes with both but
@@ -434,7 +472,7 @@ class TestMeasure:
         b = _pauli_row(3, "X", (0,))
         bad = {r.bit_length() - 1: r for r in _reduce_rows([a, b], 3)}
         with pytest.raises(RuntimeError, match="broke commutativity"):
-            _measure_step(bad, _pauli_row(3, "X", (2, 1)), 3)
+            measure(bad, columns(bad, 3), _pauli_row(3, "X", (2, 1)), 3)
 
 
 class TestRunSchedule:
@@ -474,6 +512,46 @@ class TestRunSchedule:
         cx = clip_complex(fundamental_polygon(3, False), 6, 6)
         result = run_schedule(edge_three_color(cx), 9)
         assert result.k_inst == 0
+
+    @staticmethod
+    def count_checks(monkeypatch):
+        """A list that gains one entry per check run_schedule measures."""
+        calls = []
+        step = floquet._measure_step
+
+        def spy(*args):
+            calls.append(args[2])
+            step(*args)
+
+        monkeypatch.setattr(floquet, "_measure_step", spy)
+        return calls
+
+    def test_stops_measuring_once_certified(self, octagon, monkeypatch):
+        # Steady at round 6: rounds 0..6 are measured, 8 checks each, and
+        # rounds 7 and 8 are copied from the cycle.
+        _, assign, _ = octagon
+        calls = self.count_checks(monkeypatch)
+        result = run_schedule(assign, 9)
+        assert len(calls) == 7 * 8
+        assert result.steady_round == 6
+        assert result.groups == reference_run_schedule(assign, 9)
+
+    def test_long_run_measures_no_more(self, octagon, monkeypatch):
+        _, assign, _ = octagon
+        calls = self.count_checks(monkeypatch)
+        result = run_schedule(assign, 300)
+        assert len(calls) == 7 * 8
+        assert len(result.ranks) == len(result.groups) == 300
+        assert result.steady_round == 6
+        assert result.groups[:12] == reference_run_schedule(assign, 12)
+
+    def test_uncertified_run_measures_every_round(self, octagon, monkeypatch):
+        _, assign, _ = octagon
+        calls = self.count_checks(monkeypatch)
+        result = run_schedule(assign, 6)
+        assert len(calls) == 6 * 8
+        assert result.steady_round is None and result.k_inst is None
+        assert result.groups == reference_run_schedule(assign, 6)
 
     @pytest.mark.parametrize("build", schedule_complexes())
     def test_groups_agree_with_reference(self, build):
