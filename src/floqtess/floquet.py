@@ -4,28 +4,25 @@ Measuring the three colour classes cyclically drives the instantaneous
 stabilizer group (ISG) into a period-3 steady state; the number of logical
 qubits is read off its rank and the code distance from a minimum-weight
 search over Paulis that commute with the ISG without belonging to it.
+The search keeps each letter's syndrome against the ISG rows as a Python
+int, so a lettering commutes when its syndromes XOR to zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-
-import numpy as np
 
 from . import geodist
 from .coloring import PAULI_OF, ROUND_COLOR, NotColorCodeTiling, checks_for_round, three_color
 from .derive import _derive_polygon, semiregular_counts_direct
 from .hypgeo import SemiRegularSig, _check_genus, _polygon_sides
 
-# (x, z) bits of each Pauli letter, in syndrome-table order.
+# (x, z) bits of each Pauli letter, in the order of _syndromes.
 _LETTERS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 # Largest n the exact distance search takes on; largest weight it tries.
 _EXACT_MAX_N = 40
 _EXACT_MAX_WEIGHT = 6
-# Largest n the exhaustive 4^n sweep takes on.
-_EXHAUSTIVE_MAX_N = 12
 
 
 class BoundExceeded(ValueError):
@@ -305,61 +302,46 @@ def connected_supports(adj, w: int) -> list:
     return out
 
 
-# Syndrome words held per chunk of candidates in the weight search (8 MB).
-_CHUNK_WORDS = 1 << 20
+def _syndromes(group: StabilizerGroup) -> list:
+    """``syn[q]``: the ``(syndrome, row)`` of X, Y and Z on qubit ``q``.
+
+    Bit ``i`` of a syndrome is set when the letter anticommutes with row
+    ``i`` of ``group``: X meets the row's Z part, Z its X part, and Y one
+    part but not both.
+    """
+    n = group.n
+    meets = [0] * (2 * n)  # meets[j]: the rows that carry row bit j
+    for i, row in enumerate(group.rows):
+        bit = 1 << i
+        while row:  # _bits inlined: one pass over every row's set bits
+            low = row & -row
+            meets[low.bit_length() - 1] |= bit
+            row ^= low
+    ux, uy, uz = ((lx << n) | lz for lx, lz in _LETTERS.values())
+    return [
+        ((sx, ux << q), (sx ^ sz, uy << q), (sz, uz << q))
+        for q, (sx, sz) in enumerate(zip(meets[:n], meets[n:]))
+    ]
 
 
-def _syndrome_table(group: StabilizerGroup) -> np.ndarray:
-    """``syn[q, letter, word]`` as uint64: bit ``i`` of the row-packed words
-    is set when X, Y or Z on qubit ``q`` anticommutes with row ``i``."""
-    n, rank = group.n, group.rank
-    nbytes = -(-n // 8)
-    mask = (1 << n) - 1
-
-    def bits(values):
-        raw = b"".join(v.to_bytes(nbytes, "little") for v in values)
-        rows = np.frombuffer(raw, dtype=np.uint8).reshape(rank, nbytes)
-        return np.unpackbits(rows, axis=1, count=n, bitorder="little")
-
-    gx = bits(r >> n for r in group.rows)
-    gz = bits(r & mask for r in group.rows)
-    # X meets the rows' Z part, Z their X part, Y either one but not both.
-    anti = np.stack([gz, gx ^ gz, gx]).astype(np.uint64)
-    words = -(-rank // 64)
-    anti = np.pad(anti, ((0, 0), (0, 64 * words - rank), (0, 0)))
-    place = np.uint64(1) << np.arange(64, dtype=np.uint64)
-    packed = (anti.reshape(3, words, 64, n) * place[:, None]).sum(axis=2)
-    return np.ascontiguousarray(packed.transpose(2, 0, 1))
-
-
-def _weight_hits(syn: np.ndarray, supports: list, w: int):
-    """Yield the ``(x, z)`` bitmasks of weight-``w`` Paulis on ``supports``
-    that commute with every row behind the syndrome table ``syn``.
+def _weight_hits(syn: list, supports, w: int):
+    """Yield the row ``(x << n) | z`` of each weight-``w`` Pauli on
+    ``supports`` that commutes with every row behind ``syn``.
 
     Every qubit of a support carries X, Y or Z (never identity), so each hit
-    has weight exactly ``w``.  A lettering commutes with all rows iff the XOR
-    of its ``w`` syndrome columns is zero; all 3^w letterings of a chunk of
-    supports are tested at once.
+    has weight exactly ``w``.  A lettering commutes with all rows iff its
+    ``w`` syndromes XOR to zero: the 3^(w-1) letterings of all but the last
+    qubit are XOR-ed up once per support and matched against the last
+    qubit's three syndromes.
     """
-    words = syn.shape[2]
-    letterings = list(product(_LETTERS.values(), repeat=w))
-    per_chunk = max(1, _CHUNK_WORDS // (3**w * max(words, 1)))
-    for start in range(0, len(supports), per_chunk):
-        chunk = supports[start : start + per_chunk]
-        sup = np.array(chunk, dtype=np.intp)
-        acc = syn[sup[:, 0]]
-        for j in range(1, w):
-            # Lettering index grows base 3 with the last qubit fastest,
-            # matching the order of ``letterings``.
-            acc = (acc[:, :, None, :] ^ syn[sup[:, j]][:, None, :, :]).reshape(
-                len(chunk), 3 ** (j + 1), words
-            )
-        for s, lab in zip(*np.nonzero(~acc.any(axis=2))):
-            x = z = 0
-            for q, (lx, lz) in zip(chunk[s], letterings[lab]):
-                x |= lx << q
-                z |= lz << q
-            yield x, z
+    for sup in supports:
+        partial = [(0, 0)]
+        for q in sup[:-1]:
+            partial = [(s ^ ls, r | lr) for s, r in partial for ls, lr in syn[q]]
+        for ls, lr in syn[sup[-1]]:
+            for s, r in partial:
+                if s == ls:
+                    yield r | lr
 
 
 def exact_distance(schedule, result: ScheduleResult) -> int:
@@ -387,64 +369,15 @@ def exact_distance(schedule, result: ScheduleResult) -> int:
 
 def _min_logical_weight(phases) -> int:
     """The search of :func:`exact_distance` over any stabilizer groups."""
-    searches = [(p, _syndrome_table(p), _cosupport_graph(p)) for p in phases]
+    searches = [(p, _syndromes(p), _cosupport_graph(p)) for p in phases]
     for w in range(1, _EXACT_MAX_WEIGHT + 1):
         for phase, syn, adj in searches:
-            for hx, hz in _weight_hits(syn, connected_supports(adj, w), w):
-                if phase._reduce_vec((hx << phase.n) | hz):
+            for row in _weight_hits(syn, connected_supports(adj, w), w):
+                if phase._reduce_vec(row):
                     return w
     raise BoundExceeded(
         f"no logical operator of weight <= {_EXACT_MAX_WEIGHT}; use geometric estimator"
     )
-
-
-def _group_elements(group: StabilizerGroup) -> set:
-    elems = {0}
-    for row in group.rows:
-        elems |= {e ^ row for e in elems}
-    return elems
-
-
-def exhaustive_distance(phases) -> int:
-    """Distance by sweeping all 4^n Paulis; independent of the search prune."""
-    n = phases[0].n
-    if any(p.n != n for p in phases):
-        raise ValueError("phase qubit counts differ")
-    if n > _EXHAUSTIVE_MAX_N:
-        raise ValueError(f"4^{n} sweep refused (bound {_EXHAUSTIVE_MAX_N})")
-    # Bit j of tx[x] (tz[z]) is the parity of x's overlap with row j's Z
-    # part (z's with its X part); a Pauli commutes with every row iff
-    # tx[x] == tz[z].
-    halves = np.arange(1 << n, dtype=np.uint64)
-    low = (1 << n) - 1
-    tests = []
-    for phase in phases:
-        tx = np.zeros(1 << n, dtype=np.uint64)
-        tz = np.zeros(1 << n, dtype=np.uint64)
-        for j, row in enumerate(phase.rows):
-            bit = np.uint64(j)
-            tx |= (np.bitwise_count(halves & np.uint64(row & low)) & 1) << bit
-            tz |= (np.bitwise_count(halves & np.uint64(row >> n)) & 1) << bit
-        tests.append((tx, tz, _group_elements(phase)))
-    best = None
-    # One sweep over all 4^n Paulis, a block of X parts at a time, every
-    # phase tested on each block.
-    block = max(1, (1 << 20) >> n)
-    for x0 in range(0, 1 << n, block):
-        xs = halves[x0:x0 + block]
-        wts = np.bitwise_count(xs[:, None] | halves[None, :])
-        for tx, tz, members in tests:
-            ok = (tx[xs, None] == tz[None, :]) & (wts > 0)
-            if best is not None:
-                ok &= wts < best
-            for i, z in zip(*np.nonzero(ok)):
-                if ((x0 + int(i)) << n) | int(z) not in members:
-                    w = int(wts[i, z])
-                    if best is None or w < best:
-                        best = w
-    if best is None:
-        raise ValueError("no logical operators found; is k zero?")
-    return best
 
 
 @dataclass(frozen=True)

@@ -542,6 +542,10 @@ def deserialize(doc: dict | str) -> SurfaceComplex:
                     f"faces[{fpos}][{spos}] must be an object with 'edge' and 'dir'"
                 )
             _require_id(rec["edge"], f"faces[{fpos}][{spos}].edge")
+            if not isinstance(rec["dir"], int) or isinstance(rec["dir"], bool):
+                raise SurfaceError(
+                    f"faces[{fpos}][{spos}].dir must be an integer, got {rec['dir']!r}"
+                )
             slots.append((rec["edge"], rec["dir"]))
         faces.append(tuple(slots))
     return SurfaceComplex(

@@ -27,7 +27,6 @@ from floqtess.floquet import (
     _sympl,
     code_params,
     exact_distance,
-    exhaustive_distance,
     run_schedule,
 )
 from floqtess.geodist import estimate_distance
@@ -38,6 +37,7 @@ from floqtess.hypgeo import (
     semiregular_edge_length,
 )
 from floqtess.surface import fundamental_polygon
+from test_floquet import exhaustive_distance
 
 
 def _pipeline(genus, orientable):

@@ -360,3 +360,22 @@ class TestParserReuse:
         assert in_process == [fresh[0], fresh[1], fresh[1]]
         assert in_process[0][0] == 2 and in_process[1][0] == 0
         assert _build_parser() is _build_parser()
+
+
+class TestWithoutNumpy:
+    def test_exact_row_and_table_run_without_numpy(self):
+        # numpy set to None in sys.modules makes any import of it fail.
+        script = "\n".join([
+            "import sys",
+            "sys.modules['numpy'] = None",
+            "from floqtess.cli import main",
+            "from floqtess.floquet import code_params",
+            "cp = code_params((4, 16, 16), 2, True)",
+            "print(f'[[{cp.n},{cp.k},{cp.d}]]', cp.d_source)",
+            "raise SystemExit(main(['table', '--genus', '2', '--orientable', 'true']))",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, cwd=PACKAGE_ROOT,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "[[16,4,2]] exact"

@@ -3,6 +3,7 @@
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from floqtess import floquet
@@ -28,12 +29,11 @@ from floqtess.floquet import (
     _reduce_rows,
     _swap_halves,
     _sympl,
-    _syndrome_table,
+    _syndromes,
     _weight_hits,
     code_params,
     connected_supports,
     exact_distance,
-    exhaustive_distance,
     explicit_complex,
     face_stabilizer,
     run_schedule,
@@ -173,6 +173,59 @@ def split_rows(group):
     return [r >> group.n for r in group.rows], [r & mask for r in group.rows]
 
 
+# Largest n the exhaustive 4^n sweep takes on.
+_EXHAUSTIVE_MAX_N = 12
+
+
+def _group_elements(group: StabilizerGroup) -> set:
+    elems = {0}
+    for row in group.rows:
+        elems |= {e ^ row for e in elems}
+    return elems
+
+
+def exhaustive_distance(phases) -> int:
+    """Distance by sweeping all 4^n Paulis; independent of the search prune."""
+    n = phases[0].n
+    if any(p.n != n for p in phases):
+        raise ValueError("phase qubit counts differ")
+    if n > _EXHAUSTIVE_MAX_N:
+        raise ValueError(f"4^{n} sweep refused (bound {_EXHAUSTIVE_MAX_N})")
+    # Bit j of tx[x] (tz[z]) is the parity of x's overlap with row j's Z
+    # part (z's with its X part); a Pauli commutes with every row iff
+    # tx[x] == tz[z].
+    halves = np.arange(1 << n, dtype=np.uint64)
+    low = (1 << n) - 1
+    tests = []
+    for phase in phases:
+        tx = np.zeros(1 << n, dtype=np.uint64)
+        tz = np.zeros(1 << n, dtype=np.uint64)
+        for j, row in enumerate(phase.rows):
+            bit = np.uint64(j)
+            tx |= (np.bitwise_count(halves & np.uint64(row & low)) & 1) << bit
+            tz |= (np.bitwise_count(halves & np.uint64(row >> n)) & 1) << bit
+        tests.append((tx, tz, _group_elements(phase)))
+    best = None
+    # One sweep over all 4^n Paulis, a block of X parts at a time, every
+    # phase tested on each block.
+    block = max(1, (1 << 20) >> n)
+    for x0 in range(0, 1 << n, block):
+        xs = halves[x0:x0 + block]
+        wts = np.bitwise_count(xs[:, None] | halves[None, :])
+        for tx, tz, members in tests:
+            ok = (tx[xs, None] == tz[None, :]) & (wts > 0)
+            if best is not None:
+                ok &= wts < best
+            for i, z in zip(*np.nonzero(ok)):
+                if ((x0 + int(i)) << n) | int(z) not in members:
+                    w = int(wts[i, z])
+                    if best is None or w < best:
+                        best = w
+    if best is None:
+        raise ValueError("no logical operators found; is k zero?")
+    return best
+
+
 @pytest.fixture(scope="module")
 def octagon():
     cx = incenter_complex(fundamental_polygon(2, True), 8, 8)
@@ -182,7 +235,7 @@ def octagon():
 
 @pytest.fixture(scope="module")
 def genus12():
-    # n=96, steady rank 72: the syndrome table needs two 64-bit words.
+    # n=96, steady rank 72: syndromes wider than one 64-bit word.
     cx = incenter_complex(fundamental_polygon(12, True), 48, 48)
     assign = three_color(cx)
     return cx, assign, run_schedule(assign, 9)
@@ -676,59 +729,72 @@ class TestConnectedSupports:
             ]
 
 
+def reference_rows(hits, n):
+    """The hits ``(cx, cz)`` of :func:`reference_search` as sorted rows."""
+    return sorted((cx << n) | cz for cx, cz in hits)
+
+
 class TestKernels:
+    # Largest weight each fixture is searched up to; the genus-12 phases
+    # (n=96, rank 72) are swept over all subsets only up to weight 2.
+    TOP_WEIGHT = {"hexagon_no": 5, "octagon": 5, "genus12": 2}
+
     @pytest.mark.parametrize("rule", ["subsets", "connected"])
-    @pytest.mark.parametrize("fix", ["hexagon_no", "octagon"])
+    @pytest.mark.parametrize("fix", ["hexagon_no", "octagon", "genus12"])
     def test_hits_agree_with_reference(self, fix, rule, request):
         _, _, result = request.getfixturevalue(fix)
         phases = result.steady_phases
         for phase in phases[:1] if rule == "subsets" else phases:
             adj = _cosupport_graph(phase)
-            syn = _syndrome_table(phase)
-            for w in range(1, 6):
+            syn = _syndromes(phase)
+            for w in range(1, self.TOP_WEIGHT[fix] + 1):
                 if rule == "subsets":
                     sups = list(combinations(range(phase.n), w))
                 else:
                     sups = connected_supports(adj, w)
-                assert sorted(_weight_hits(syn, sups, w)) == sorted(
-                    reference_search(*split_rows(phase), sups, w)
+                assert sorted(_weight_hits(syn, sups, w)) == reference_rows(
+                    reference_search(*split_rows(phase), sups, w), phase.n
                 )
 
-    def test_small_chunks_agree_with_reference(self, hexagon_no, monkeypatch):
-        _, _, result = hexagon_no
-        phase = result.steady_phases[0]
-        monkeypatch.setattr(floquet, "_CHUNK_WORDS", 50)
-        syn = _syndrome_table(phase)
-        for w in range(1, 5):
-            sups = list(combinations(range(phase.n), w))
-            assert sorted(_weight_hits(syn, sups, w)) == sorted(
-                reference_search(*split_rows(phase), sups, w)
-            )
-
-    def test_two_syndrome_words_agree_with_reference(self, genus12):
+    def test_syndromes_match_symplectic_product(self, genus12):
         _, _, result = genus12
-        for phase in result.steady_phases:
-            syn = _syndrome_table(phase)
-            assert (phase.n, phase.rank, syn.shape) == (96, 72, (96, 3, 2))
-            for w in (1, 2):
-                sups = list(combinations(range(phase.n), w))
-                assert sorted(_weight_hits(syn, sups, w)) == sorted(
-                    reference_search(*split_rows(phase), sups, w)
+        phase = result.steady_phases[0]
+        n = phase.n
+        assert (n, phase.rank) == (96, 72)
+        syn = _syndromes(phase)
+        assert len(syn) == n
+        for q in (0, 1, 47, 95):
+            for (s, row), letter in zip(syn[q], "XYZ"):
+                assert row == _pauli_row(n, letter, (q,))
+                assert s == sum(
+                    _sympl(row, r, n) << i for i, r in enumerate(phase.rows)
                 )
+
+    def test_hits_are_lazy(self, octagon):
+        # The search stops at its first logical, so supports past the
+        # first hit must not be read.
+        _, _, result = octagon
+        phase = result.steady_phases[0]
+        sups = list(combinations(range(phase.n), 2))
+        first = reference_rows(reference_search(*split_rows(phase), sups[:1], 2), phase.n)
+        assert first
+
+        def supports():
+            yield sups[0]
+            raise AssertionError("read a support past the first hit")
+
+        assert next(_weight_hits(_syndromes(phase), supports(), 2)) in first
 
     def test_hit_weights(self, octagon):
         _, _, result = octagon
         phase = result.steady_phases[0]
-        gx, gz = split_rows(phase)
-        sups = list(combinations(range(phase.n), 2))
-        hits = list(_weight_hits(_syndrome_table(phase), sups, 2))
+        n = phase.n
+        sups = list(combinations(range(n), 2))
+        hits = list(_weight_hits(_syndromes(phase), sups, 2))
         assert hits
-        for hx, hz in hits:
-            assert (hx | hz).bit_count() == 2
-            assert all(
-                ((hx & z).bit_count() + (hz & x).bit_count()) % 2 == 0
-                for x, z in zip(gx, gz)
-            )
+        for row in hits:
+            assert weight(row, n) == 2
+            assert not any(_sympl(row, r, n) for r in phase.rows)
 
 
 def toric_code(L):
@@ -876,6 +942,14 @@ class TestExactDistance:
         _, assign, result = genus12
         with pytest.raises(BoundExceeded, match="geometric estimator"):
             exact_distance(assign, result)
+
+    def test_weight_bound_signal(self):
+        # Full-rank phases have no logical, so the search runs out of
+        # weights; exact_distance itself refuses them earlier (k = 0).
+        cx = clip_complex(fundamental_polygon(3, False), 6, 6)
+        result = run_schedule(edge_three_color(cx), 9)
+        with pytest.raises(BoundExceeded, match="weight <= 6"):
+            _min_logical_weight(result.steady_phases)
 
     def test_no_logicals_in_full_rank_group(self):
         cx = clip_complex(fundamental_polygon(3, False), 6, 6)

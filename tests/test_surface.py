@@ -355,6 +355,15 @@ class TestSerialization:
         with pytest.raises(SurfaceError, match="direction"):
             deserialize(doc)
 
+    @pytest.mark.parametrize("direction", [True, 1.0], ids=["bool", "float"])
+    def test_direction_must_be_an_int(self, direction):
+        # True == 1 == 1.0, so only a type check keeps these from being
+        # accepted and written back as they came.
+        doc = serialize(fundamental_polygon(2, True))
+        doc["faces"][0][1]["dir"] = direction
+        with pytest.raises(SurfaceError, match=r"faces\[0\]\[1\]\.dir must be an integer"):
+            deserialize(doc)
+
     def test_isolated_vertex_rejected(self):
         doc = serialize(fundamental_polygon(2, True))
         doc["vertices"].append("spare")
