@@ -109,7 +109,7 @@ def _vertex_signature(cx) -> tuple[int, int, int]:
     """The face-size triple around every vertex; fails if non-uniform."""
     fm = cx.flag_map()
     patterns = {
-        tuple(sorted(len(cx.faces[fm.flags[i][0]]) for i in rotation))
+        tuple(sorted(len(cx.faces[fm.face[i >> 1]]) for i in rotation))
         for rotation in fm.rotations
     }
     if len(patterns) != 1 or len(next(iter(patterns))) != 3:

@@ -67,8 +67,16 @@ class EdgeSchedule:
         fault = _trivalence_fault(c)
         if fault is not None:
             raise ValueError(fault)
-        seen: dict = {v: set() for v in c.vertices}
+        self._check_proper()
+        checks: dict = {color: [] for color in ROUND_COLOR}
         for e in c.edges:
+            checks[self.edge_color[e.id]].append(e.ends)
+        object.__setattr__(self, "checks", {col: tuple(v) for col, v in checks.items()})
+
+    def _check_proper(self) -> None:
+        """Raise unless each edge is R, G or B and no color repeats at a vertex."""
+        seen: dict = {v: set() for v in self.complex.vertices}
+        for e in self.complex.edges:
             color = self.edge_color[e.id]
             if color not in COLORS:
                 raise ValueError(f"edge {e.id!r} has unknown color {color!r}")
@@ -76,10 +84,6 @@ class EdgeSchedule:
                 if color in seen[v]:
                     raise ValueError(f"two {color} edges meet at vertex {v!r}")
                 seen[v].add(color)
-        checks: dict = {color: [] for color in ROUND_COLOR}
-        for e in c.edges:
-            checks[self.edge_color[e.id]].append(e.ends)
-        object.__setattr__(self, "checks", {col: tuple(v) for col, v in checks.items()})
 
     def checks_json(self) -> list[dict]:
         return [
@@ -94,9 +98,10 @@ class ColorAssignment(EdgeSchedule):
     """An edge schedule induced by a proper face 3-coloring.
 
     ``face_color[i]`` colors face i; ``edge_color`` is derived from it: each
-    edge takes the color absent from its two faces.  At a tri-valent vertex
-    the three corners are pairwise separated by its three edges, so once the
-    faces across every edge differ, every vertex meets all three colors.
+    edge takes the color absent from its two faces.  That coloring is proper
+    without a scan: each edge at a tri-valent vertex without loops separates
+    two of its three corners, so once the faces across every edge differ
+    the corners take three colors and each edge the one it does not touch.
     """
 
     edge_color: dict = field(init=False, compare=False)
@@ -117,6 +122,9 @@ class ColorAssignment(EdgeSchedule):
             edge_color[eid] = next(col for col in COLORS if col not in (c1, c2))
         object.__setattr__(self, "edge_color", edge_color)
         super().__post_init__()
+
+    def _check_proper(self) -> None:
+        """Nothing to check: see the class docstring."""
 
 
 def _trivalence_fault(c: SurfaceComplex) -> str | None:
@@ -149,7 +157,7 @@ def _face_classes(c: SurfaceComplex) -> list[int] | None:
     queue = deque([0])
     while queue:
         rotation = fm.rotations[queue.popleft()]
-        faces = [fm.flags[i][0] for i in rotation]
+        faces = [fm.face[i >> 1] for i in rotation]
         taken = [cls[f] for f in faces if cls[f] is not None]
         if len(set(taken)) != len(taken):
             return None

@@ -10,13 +10,14 @@ vertex type [2p, 2q, 4].
 Each derivation exists twice: as a pure count transformer (arithmetic on the
 Euler characteristic, valid for any surface the source tessellation fits) and
 as an explicit rewrite read off the flags of a concrete complex (see
-``surface._FlagMap``).  The incenter subdivision has one vertex per flag, one
-edge per sigma_k pair and one face per orbit of two involutions: <s0, s1>
-gives a 2p-gon, <s1, s2> a 2q-gon, <s0, s2> a quadrilateral.  Clipping
-merges each sigma2 pair into a vertex, which shrinks every quadrilateral to
-the middle segment of its source edge.  Faces are walks round these orbits,
-so self-adjacent faces (unavoidable on one-faced fundamental polygons) need
-no special casing.
+``surface._FlagMap``: flag (f, j, t) is the computed id ``fm.id(f, j, t)``,
+and validating the result builds one flag map and sweeps it once).  The
+incenter subdivision has one vertex per flag, one edge per sigma_k pair and
+one face per orbit of two involutions: <s0, s1> gives a 2p-gon, <s1, s2> a
+2q-gon, <s0, s2> a quadrilateral.  Clipping merges each sigma2 pair into a
+vertex, which shrinks every quadrilateral to the middle segment of its
+source edge.  Faces are walks round these orbits, so self-adjacent faces
+(unavoidable on one-faced fundamental polygons) need no special casing.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def _lead(fm: _FlagMap, k: int, i: int) -> tuple[int, int]:
 def _walks(fm: _FlagMap) -> list[tuple[int, tuple[int, int]]]:
     """(start, steps) of the (0, 1) walk round each source face from its flag
     (f, 0, 0), then of the (1, 2) walk round each vertex from its rotation."""
-    return [(fm.index[(f, 0, 0)], (0, 1)) for f in range(len(fm.faces))] + [
+    return [(fm.id(f, 0, 0), (0, 1)) for f in range(len(fm.faces))] + [
         (rotation[0], (1, 2)) for rotation in fm.rotations
     ]
 
@@ -162,10 +163,10 @@ def clip_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
             eid, end = fm.end(i)
             return f"A{eindex[eid]}", 1 - 2 * end
         lead, d = _lead(fm, 1, i)
-        f, j, _ = fm.flags[lead]
+        f, j, _ = fm.corner(lead)
         return f"B{f}.{j}", d
 
-    cuts = [i for i in range(len(fm.flags)) if fm.leads(1, i)]
+    cuts = range(1, len(fm.s0), 2)  # the head flags, which lead sigma1
     return SurfaceComplex(
         orientable=c.orientable,
         genus=c.genus,
@@ -193,8 +194,8 @@ def incenter_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
     _require_pq(c, p, q)
     fm = c.flag_map()
     eindex = {e.id: i for i, e in enumerate(c.edges)}
-    firsts = [fm.slots_of[e.id][0] for e in c.edges]
-    vname = [f"f{f}.{j}.{t}" for f, j, t in fm.flags]
+    firsts = [fm.first[e.id] for e in c.edges]
+    vname = [f"f{f}.{j}.{t}" for f, j, t in map(fm.corner, range(len(fm.s0)))]
 
     def step(k: int, i: int) -> tuple[str, int]:
         """(derived edge, direction) of the sigma_k step from flag i."""
@@ -202,12 +203,12 @@ def incenter_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
         if k == 2:
             eid, end = fm.end(lead)
             return f"s2.{eindex[eid]}.{end}", d
-        f, j, _ = fm.flags[lead]
+        f, j, _ = fm.corner(lead)
         return f"s{k}.{f}.{j}", d
 
-    leading = [[i for i in range(len(fm.flags)) if fm.leads(k, i)] for k in (0, 1)]
-    leading.append([fm.flag(*slot, end) for slot in firsts for end in (0, 1)])
-    quads = [(fm.index[(*slot, 0)], (0, 2)) for slot in firsts]
+    leading = [range(k, len(fm.s0), 2) for k in (0, 1)]  # flags with t = k lead s_k
+    leading.append([fm.flag(i, end) for i in firsts for end in (0, 1)])
+    quads = [(i, (0, 2)) for i in firsts]
     return SurfaceComplex(
         orientable=c.orientable,
         genus=c.genus,

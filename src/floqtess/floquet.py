@@ -275,31 +275,32 @@ def _cosupport_graph(group: StabilizerGroup) -> list:
     return [a & ~(1 << q) for q, a in enumerate(adj)]
 
 
-def connected_supports(adj, w: int) -> list:
-    """All connected w-subsets, as sorted tuples, of the graph in which
-    vertex ``v`` has the neighbour bitmask ``adj[v]``.
+def connected_supports(adj, w: int):
+    """Yield every connected w-subset, as a sorted tuple, of the graph in
+    which vertex ``v`` has the neighbour bitmask ``adj[v]``.
 
     Each subset grows from its least vertex through larger first-seen
     vertices, never re-picking an earlier frontier vertex, so it comes out
     once.  The last level adds frontier vertices without a neighbour scan.
+    A search that stops at its first hit never builds the other subsets.
     """
     if w == 1:
-        return [(v,) for v in range(len(adj))]
-    out = []
+        yield from ((v,) for v in range(len(adj)))
+        return
 
     def grow(members, frontier, seen):
         if len(members) == w - 1:
-            out.extend(tuple(sorted(members + (u,))) for u in _bits(frontier))
+            for u in _bits(frontier):
+                yield tuple(sorted(members + (u,)))
             return
         for u in _bits(frontier):
             frontier ^= 1 << u
             new = adj[u] & ~seen
-            grow(members + (u,), frontier | new, seen | new)
+            yield from grow(members + (u,), frontier | new, seen | new)
 
     for v0, nbrs in enumerate(adj):
         below = (2 << v0) - 1  # v0 and the vertices before it
-        grow((v0,), nbrs & ~below, nbrs | below)
-    return out
+        yield from grow((v0,), nbrs & ~below, nbrs | below)
 
 
 def _syndromes(group: StabilizerGroup) -> list:

@@ -15,7 +15,9 @@ tessellations is arithmetic only; no triangle-group quotients are constructed.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Iterator, Sequence
 
 from .hypgeo import RegularSig, _check_genus, _genus_chi, _polygon_sides
@@ -59,98 +61,103 @@ class Edge:
 class _FlagMap:
     """Flag structure of a face list: one flag per (face, slot, end).
 
-    Flags are indexed densely; the three involutions are
+    Flag ids are computed, not looked up: the flag at the tail (t = 0) or
+    head (t = 1) of slot j as face f walks it is ``2 * (base[f] + j) + t``
+    (:meth:`id`, inverted by :meth:`corner`), where ``base[f]`` numbers the
+    first slot of face f, so flag i lies on face ``face[i >> 1]``.  The
+    involutions ``sigma`` = (s0, s1, s2) are
 
-    * ``sigma0``: swap the two ends of one slot,
+    * ``sigma0``: swap the two ends of one slot, ``i ^ 1``,
     * ``sigma1``: step to the adjacent slot-end across a face corner,
     * ``sigma2``: cross to the other slot of the same edge, staying at the
-      same intrinsic end of the edge.
+      same intrinsic end of the edge; t flips when the slots disagree.
 
     Vertices of the complex are the orbits of <sigma1, sigma2>; faces are the
     orbits of <sigma0, sigma1>; edges are the orbits of <sigma0, sigma2>.
     Only the face list and the slot pairing are needed, never the vertex ids,
     which lets constructors recover vertices from the gluing.
 
-    A flag ``(f, j, t)`` sits at the tail (t = 0) or head (t = 1) of slot j
-    as face f walks it; :meth:`end` and :meth:`flag` translate to and from
-    the intrinsic end of the edge, :meth:`leads` picks the first flag of
-    each sigma_k pair, and no other code needs that convention.  ``sigma``
-    is (s0, s1, s2) and :meth:`walk` goes round an orbit of two of them.
-    ``rotations`` holds one psi -> sigma2 sigma1 psi cycle per vertex, in
-    order of each vertex's first flag and starting at it; ``vertex`` maps
-    every flag to its cycle; ``edge_faces`` maps an edge id to the faces of
-    its first and second slot.
+    :meth:`end` and :meth:`flag` translate to and from the intrinsic end of
+    the edge through the per-slot ``edge`` and ``rev`` (runs it backwards);
+    no other code needs that convention.  :meth:`leads` picks the first flag
+    of each sigma_k pair (the flags with t = k for k < 2), :meth:`walk` goes
+    round an orbit of two involutions and :meth:`sweep` two-colours the
+    flags.  ``rotations`` holds one psi -> sigma2 sigma1 psi cycle per
+    vertex, in order of each vertex's first flag and starting at it;
+    ``vertex`` maps every flag to its cycle; ``first`` maps an edge id to the
+    tail flag of its first slot, ``edge_faces`` to the faces of both slots.
     """
 
     def __init__(self, faces: Sequence[Sequence[Slot]]):
         self.faces = faces
-        self.index: dict[tuple[int, int, int], int] = {}
-        self.flags: list[tuple[int, int, int]] = []
-        slots_of: dict[Any, list[tuple[int, int]]] = {}
-        for f, face in enumerate(faces):
-            for j, (eid, _) in enumerate(face):
-                slots_of.setdefault(eid, []).append((f, j))
-                for t in (0, 1):
-                    self.index[(f, j, t)] = len(self.flags)
-                    self.flags.append((f, j, t))
-        for eid, slots in slots_of.items():
-            if len(slots) < 2:
+        sizes = [len(face) for face in faces]
+        self.base = base = list(accumulate(sizes, initial=0))
+        self.face = [f for f, size in enumerate(sizes) for _ in range(size)]
+        self.edge = edge = [eid for face in faces for eid, _ in face]
+        self.rev = rev = [d != 1 for face in faces for _, d in face]
+        for eid, count in Counter(edge).items():
+            if count < 2:
                 raise SurfaceError(
-                    f"open surface: edge {eid!r} appears in {len(slots)} face slot(s), need 2"
+                    f"open surface: edge {eid!r} appears in {count} face slot(s), need 2"
                 )
-            if len(slots) > 2:
+            if count > 2:
                 raise SurfaceError(
-                    f"edge {eid!r} appears in {len(slots)} face slots; a surface allows 2"
+                    f"edge {eid!r} appears in {count} face slots; a surface allows 2"
                 )
-        self.slots_of = slots_of
-        self.edge_faces = {eid: (a[0], b[0]) for eid, (a, b) in slots_of.items()}
+        n = 2 * len(edge)
+        tails = range(0, n, 2)
+        last = dict(zip(edge, tails))  # keys in order of first appearance
+        self.first = first = dict(zip(reversed(edge), reversed(tails)))
+        self.edge_faces = {
+            eid: (self.face[first[eid] >> 1], self.face[i >> 1]) for eid, i in last.items()
+        }
 
-        n = len(self.flags)
-        self.s0 = [0] * n
-        self.s1 = [0] * n
-        self.s2 = [0] * n
-        for i, (f, j, t) in enumerate(self.flags):
-            self.s0[i] = self.index[(f, j, 1 - t)]
-            L = len(faces[f])
-            if t == 1:
-                self.s1[i] = self.index[(f, (j + 1) % L, 0)]
-            else:
-                self.s1[i] = self.index[(f, (j - 1) % L, 1)]
-            eid, end = self.end(i)
-            a, b = slots_of[eid]
-            self.s2[i] = self.flag(*(b if a == (f, j) else a), end)
-        self.sigma = (self.s0, self.s1, self.s2)
+        self.s0 = [i ^ 1 for i in range(n)]
+        self.s1 = s1 = [0] * n
+        s1[0::2] = range(-1, n - 1, 2)
+        s1[1::2] = range(2, n + 1, 2)
+        for a, b in zip(base, base[1:]):  # each face's last head meets its first tail
+            s1[2 * a], s1[2 * b - 1] = 2 * b - 1, 2 * a
+        self.s2 = s2 = [0] * n
+        partner = [first[e] + last[e] - i for i, e in zip(tails, edge)]  # tail flags
+        s2[0::2] = [j + (r ^ rev[j >> 1]) for j, r in zip(partner, rev)]
+        s2[1::2] = [j ^ 1 for j in s2[0::2]]
+        self.sigma = (self.s0, s1, s2)
 
         self.vertex = [-1] * n
         self.rotations: list[list[int]] = []
         for start in range(n):
             if self.vertex[start] == -1:
-                rotation, i = [start], self.s2[self.s1[start]]
+                rotation, i = [start], s2[s1[start]]
                 while i != start:  # the (1, 2) walk, kept inline for speed
                     rotation.append(i)
-                    i = self.s2[self.s1[i]]
+                    i = s2[s1[i]]
                 for i in rotation:
-                    self.vertex[i] = self.vertex[self.s1[i]] = len(self.rotations)
+                    self.vertex[i] = self.vertex[s1[i]] = len(self.rotations)
                 self.rotations.append(rotation)
+
+    def id(self, f: int, j: int, t: int) -> int:
+        """The flag at end t of slot j of face f."""
+        return 2 * (self.base[f] + j) + t
+
+    def corner(self, i: int) -> tuple[int, int, int]:
+        """(face, slot, t) of flag i: the inverse of :meth:`id`."""
+        f = self.face[i >> 1]
+        return f, (i >> 1) - self.base[f], i & 1
 
     def end(self, i: int) -> tuple[Any, int]:
         """(edge id, intrinsic end of that edge) at flag i."""
-        f, j, t = self.flags[i]
-        eid, d = self.faces[f][j]
-        return eid, t if d == 1 else 1 - t
+        return self.edge[i >> 1], (i & 1) ^ self.rev[i >> 1]
 
-    def flag(self, f: int, j: int, end: int) -> int:
-        """The flag of slot j of face f at the given intrinsic edge end."""
-        return self.index[(f, j, end if self.faces[f][j][1] == 1 else 1 - end)]
+    def flag(self, i: int, end: int) -> int:
+        """The flag on the slot of flag i at the given intrinsic edge end."""
+        return (i & ~1) + (end ^ self.rev[i >> 1])
 
     def leads(self, k: int, i: int) -> bool:
         """True when flag i is the first end of its sigma_k pair: the tail
         flag for k = 0, the head flag for k = 1, and the flag on the edge's
-        first slot for k = 2."""
-        f, j, t = self.flags[i]
-        if k == 2:
-            return self.slots_of[self.faces[f][j][0]][0] == (f, j)
-        return t == k
+        first slot for k = 2, whose partner slot comes later."""
+        return self.s2[i] > i if k == 2 else i & 1 == k
 
     def walk(self, start: int, steps: Sequence[int]) -> Iterator[tuple[int, int]]:
         """Yield (k, flag) and step to sigma_k of that flag, taking k from
@@ -165,36 +172,28 @@ class _FlagMap:
             if i == start:
                 return
 
-    def connected(self) -> bool:
-        seen = {0}
+    def sweep(self) -> tuple[bool, bool]:
+        """(connected, orientable) from one sweep from flag 0 that two-colours
+        the flags so that every involution swaps colours.  Flag i of face f
+        takes colour ``(i & 1) ^ colour[f]``, which sigma0 and sigma1 always
+        swap, so the sweep colours faces: s2 from a tail flag i to face g
+        forces ``colour[g] = colour[f] ^ 1 ^ (s2[i] & 1)``."""
+        s2, face, base = self.s2, self.face, self.base
+        colour = [-1] * len(self.faces)
+        colour[0] = 0
         stack = [0]
+        orientable = True
         while stack:
-            i = stack.pop()
-            for nb in (self.s0[i], self.s1[i], self.s2[i]):
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == len(self.flags)
-
-    def orientable(self) -> bool:
-        """Two-color flags so that every involution swaps colors."""
-        n = len(self.flags)
-        color = [-1] * n
-        for start in range(n):
-            if color[start] != -1:
-                continue
-            color[start] = 0
-            stack = [start]
-            while stack:
-                i = stack.pop()
-                for g in self.sigma:
-                    nb = g[i]
-                    if color[nb] == -1:
-                        color[nb] = 1 - color[i]
-                        stack.append(nb)
-                    elif color[nb] == color[i]:
-                        return False
-        return True
+            f = stack.pop()
+            for i in range(2 * base[f], 2 * base[f + 1], 2):
+                j = s2[i]
+                g, want = face[j >> 1], colour[f] ^ 1 ^ (j & 1)
+                if colour[g] == -1:
+                    colour[g] = want
+                    stack.append(g)
+                elif colour[g] != want:
+                    orientable = False
+        return -1 not in colour, orientable
 
 
 @dataclass(frozen=True)
@@ -241,8 +240,7 @@ class SurfaceComplex:
 
     def walk_ends(self, slot: Slot) -> tuple[VertexId, VertexId]:
         """(tail, head) of a directed slot."""
-        u, v = self.edge_by_id(slot[0]).ends
-        return (u, v) if slot[1] == 1 else (v, u)
+        return self.edge_by_id(slot[0]).ends[::slot[1]]
 
     def face_sizes(self) -> list[int]:
         return sorted(len(face) for face in self.faces)
@@ -258,16 +256,14 @@ class SurfaceComplex:
 def _validate(c: SurfaceComplex) -> None:
     if len(set(c.vertices)) != len(c.vertices):
         raise SurfaceError("duplicate vertex ids")
-    ids = [e.id for e in c.edges]
-    if len(set(ids)) != len(ids):
+    index = {e.id: e for e in c.edges}
+    if len(index) != len(c.edges):
         raise SurfaceError("duplicate edge ids")
     vset = set(c.vertices)
-    index = {}
     for e in c.edges:
         for v in e.ends:
             if v not in vset:
                 raise SurfaceError(f"edge {e.id!r} references unknown vertex {v!r}")
-        index[e.id] = e
     object.__setattr__(c, "_edge_index", index)
 
     if not c.faces:
@@ -286,16 +282,16 @@ def _validate(c: SurfaceComplex) -> None:
     object.__setattr__(c, "_flag_map", fm)
 
     for f, face in enumerate(c.faces):
-        for j in range(len(face)):
-            head = c.walk_ends(face[j])[1]
-            tail = c.walk_ends(face[(j + 1) % len(face)])[0]
+        walk = [index[eid].ends[::d] for eid, d in face]  # walk_ends of each slot
+        for j, ((_, head), (tail, _)) in enumerate(zip(walk, walk[1:] + walk[:1])):
             if head != tail:
                 raise SurfaceError(
                     f"face {f} is not a closed walk at slot {j}: "
                     f"{head!r} != {tail!r}"
                 )
 
-    if not fm.connected():
+    connected, orientable = fm.sweep()
+    if not connected:
         raise SurfaceError("complex is not connected")
 
     n_orbits = len(fm.rotations)
@@ -316,7 +312,7 @@ def _validate(c: SurfaceComplex) -> None:
             f"(expected {expect})"
         )
 
-    if fm.orientable() != c.orientable:
+    if orientable != c.orientable:
         raise SurfaceError(
             "declared orientability disagrees with orientation propagation"
         )
@@ -333,26 +329,20 @@ def polygon_surface(word: Sequence[Slot]) -> SurfaceComplex:
     for _, d in word:
         if d not in (1, -1):
             raise SurfaceError("directions must be +1 or -1")
-    faces = [word]
-    fm = _FlagMap(faces)
+    fm = _FlagMap([word])
     n_orbits = len(fm.rotations)
 
-    edges = [  # slots_of keeps the order of first appearance
-        Edge(lab, tuple(fm.vertex[fm.flag(f, j, end)] for end in (0, 1)))
-        for lab, ((f, j), _) in fm.slots_of.items()
+    edges = [  # in order of first appearance
+        Edge(lab, tuple(fm.vertex[fm.flag(fm.first[lab], end)] for end in (0, 1)))
+        for lab in dict.fromkeys(lab for lab, _ in word)
     ]
 
-    orientable = fm.orientable()
+    orientable = fm.sweep()[1]  # one face is always connected
+    # A closed connected orientable surface has even chi = 2 - 2g.
     chi = n_orbits - len(edges) + 1
-    if orientable:
-        if chi % 2:
-            raise SurfaceError("orientable gluing produced odd Euler characteristic")
-        genus = (2 - chi) // 2
-    else:
-        genus = 2 - chi
     return SurfaceComplex(
         orientable=orientable,
-        genus=genus,
+        genus=(2 - chi) // 2 if orientable else 2 - chi,
         vertices=tuple(range(n_orbits)),
         edges=tuple(edges),
         faces=(tuple(word),),
@@ -450,7 +440,7 @@ def dual(c: SurfaceComplex) -> SurfaceComplex:
 def _certificate(c: SurfaceComplex) -> tuple:
     """Canonical encoding of the flag structure, invariant under relabeling."""
     fm = c.flag_map()
-    n = len(fm.flags)
+    n = len(fm.s0)
     best = None
     for start in range(n):
         order = [-1] * n

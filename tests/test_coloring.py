@@ -468,6 +468,12 @@ class TestEdgeSchedule:
         with pytest.raises(ValueError, match="two R edges meet"):
             EdgeSchedule(complex=octagon_incenter, edge_color=edge_color)
 
+    def test_rejects_unknown_edge_color(self, octagon_incenter):
+        edge_color = {e.id: "R" for e in octagon_incenter.edges}
+        edge_color[octagon_incenter.edges[0].id] = "X"
+        with pytest.raises(ValueError, match="has unknown color 'X'"):
+            EdgeSchedule(complex=octagon_incenter, edge_color=edge_color)
+
 
 class TestColorAssignment:
     def test_rejects_equal_colors_across_an_edge(self, octagon_incenter):
@@ -476,6 +482,18 @@ class TestColorAssignment:
                 complex=octagon_incenter,
                 face_color=("R",) * len(octagon_incenter.faces),
             )
+
+    @pytest.mark.parametrize(
+        "genus,orientable",
+        [(g, True) for g in range(2, 13)] + [(g, False) for g in range(3, 13)],
+    )
+    def test_induced_edge_colors_are_proper(self, genus, orientable):
+        # ColorAssignment skips the per-vertex scan, which its docstring
+        # proves cannot fail; rerun that scan on its edge colors here.
+        p = (4 if orientable else 2) * genus
+        assign = three_color(incenter_complex(fundamental_polygon(genus, orientable), p, p))
+        sched = EdgeSchedule(complex=assign.complex, edge_color=assign.edge_color)
+        assert sched.checks == assign.checks
 
 
 class TestJsonExport:

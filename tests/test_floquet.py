@@ -722,11 +722,28 @@ class TestConnectedSupports:
         n = rng.randrange(6, 14)
         adj = random_graph(rng, n, rng.choice((0.15, 0.3, 0.6)))
         for w in range(1, 7):
-            fast = connected_supports(adj, w)
+            fast = list(connected_supports(adj, w))
             assert len(set(fast)) == len(fast)
             assert sorted(fast) == [
                 s for s in combinations(range(n), w) if is_connected(adj, s)
             ]
+
+    @pytest.mark.parametrize("w", [2, 3, 4])
+    def test_supports_are_lazy(self, w):
+        # The search stops at its first logical, so the first support must
+        # come out before any start vertex past the first is read.
+        n = 8
+        path = [0] * n
+        for v in range(n - 1):
+            path[v] |= 1 << (v + 1)
+            path[v + 1] |= 1 << v
+
+        class Guarded(list):
+            def __iter__(self):
+                yield self[0]
+                raise AssertionError("read a start vertex past the first support")
+
+        assert next(connected_supports(Guarded(path), w)) == tuple(range(w))
 
 
 def reference_rows(hits, n):
@@ -751,7 +768,7 @@ class TestKernels:
                 if rule == "subsets":
                     sups = list(combinations(range(phase.n), w))
                 else:
-                    sups = connected_supports(adj, w)
+                    sups = list(connected_supports(adj, w))
                 assert sorted(_weight_hits(syn, sups, w)) == reference_rows(
                     reference_search(*split_rows(phase), sups, w), phase.n
                 )

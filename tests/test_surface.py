@@ -3,10 +3,12 @@
 import hashlib
 import json
 import math
+import random
+from types import SimpleNamespace
 
 import pytest
 
-from floqtess import hypgeo
+from floqtess import hypgeo, surface
 from floqtess.cli import _parse_sig
 from floqtess.derive import clip_complex, incenter_complex
 from floqtess.hypgeo import RegularSig, SemiRegularSig, _check_genus, _genus_chi
@@ -141,7 +143,7 @@ class TestFlagMap:
         assert len(fm.rotations) == len(c.vertices)
         degree = c.vertex_degrees()
         at = set()
-        in_cycle = [0] * len(fm.flags)
+        in_cycle = [0] * len(fm.s0)
         for k, cyc in enumerate(fm.rotations):
             eid, end = fm.end(cyc[0])
             v = c.edge_by_id(eid).ends[end]
@@ -154,17 +156,20 @@ class TestFlagMap:
                 assert fm.vertex[psi] == fm.vertex[fm.s1[psi]] == k
                 in_cycle[psi] += 1
         assert at == set(c.vertices)
-        for i in range(len(fm.flags)):
+        for i in range(len(fm.s0)):
             assert in_cycle[i] + in_cycle[fm.s1[i]] == 1
 
     @pytest.mark.parametrize("derive", ["bare", "clip", "incenter"])
     def test_end_and_flag_are_inverse(self, derive):
         c = _derived(3, False, derive)
         fm = c.flag_map()
-        for i, (f, j, _) in enumerate(fm.flags):
+        for i in range(len(fm.s0)):
+            f, j, t = fm.corner(i)
+            assert fm.id(f, j, t) == i
             eid, end = fm.end(i)
             assert eid == c.faces[f][j][0]
-            assert fm.flag(f, j, end) == i
+            assert fm.flag(i, end) == i
+            assert fm.flag(i ^ 1, end) == i
             assert fm.end(fm.s2[i]) == (eid, end)
             assert fm.end(fm.s0[i]) == (eid, 1 - end)
         for eid, (f1, f2) in fm.edge_faces.items():
@@ -175,7 +180,7 @@ class TestFlagMap:
         c = _derived(3, False, derive)
         fm = c.flag_map()
         for k in (0, 1, 2):
-            for i in range(len(fm.flags)):
+            for i in range(len(fm.s0)):
                 # Exactly one flag of every sigma_k pair leads it.
                 assert fm.leads(k, i) != fm.leads(k, fm.sigma[k][i])
         # Tail flags lead sigma0, head flags sigma1, and the flags on the
@@ -184,19 +189,21 @@ class TestFlagMap:
         for f, face in enumerate(c.faces):
             for j, (eid, _) in enumerate(face):
                 first.setdefault(eid, (f, j))
-        for i, (f, j, t) in enumerate(fm.flags):
+        for i in range(len(fm.s0)):
+            f, j, t = fm.corner(i)
             assert fm.leads(0, i) == (t == 0) and fm.leads(1, i) == (t == 1)
             assert fm.leads(2, i) == (first[c.faces[f][j][0]] == (f, j))
+        assert fm.first == {eid: fm.id(f, j, 0) for eid, (f, j) in first.items()}
         # (0, 1) orbits are the faces, (1, 2) orbits the vertex rotations,
         # and (0, 2) orbits the four flags of one edge.
         for f, face in enumerate(c.faces):
-            walk = list(fm.walk(fm.index[(f, 0, 0)], (0, 1)))
-            assert walk == [(t, fm.index[(f, j, t)]) for j in range(len(face)) for t in (0, 1)]
+            walk = list(fm.walk(fm.id(f, 0, 0), (0, 1)))
+            assert walk == [(t, fm.id(f, j, t)) for j in range(len(face)) for t in (0, 1)]
         for rotation in fm.rotations:
             walk = list(fm.walk(rotation[0], (1, 2)))
             assert [i for k, i in walk if k == 1] == rotation
             assert len(walk) == 2 * len(rotation)
-        for i in range(len(fm.flags)):
+        for i in range(len(fm.s0)):
             walk = list(fm.walk(i, (0, 2)))
             assert [k for k, _ in walk] == [0, 2, 0, 2]
             assert {fm.end(j)[0] for _, j in walk} == {fm.end(i)[0]}
@@ -206,14 +213,257 @@ class TestFlagMap:
         assert c.flag_map() is c.flag_map()
 
 
+def reference_flag_map(faces):
+    """The dict-based flag map that ``surface._FlagMap`` replaced, as an
+    oracle: flags are listed in (face, slot, t) order, every involution is
+    looked up by its tuple key, and connectivity and orientability come from
+    a flag-by-flag sweep."""
+    index, flags, slots_of = {}, [], {}
+    for f, face in enumerate(faces):
+        for j, (eid, _) in enumerate(face):
+            slots_of.setdefault(eid, []).append((f, j))
+            for t in (0, 1):
+                index[(f, j, t)] = len(flags)
+                flags.append((f, j, t))
+
+    def end(i):
+        f, j, t = flags[i]
+        eid, d = faces[f][j]
+        return eid, t if d == 1 else 1 - t
+
+    n = len(flags)
+    s0, s1, s2 = [0] * n, [0] * n, [0] * n
+    for i, (f, j, t) in enumerate(flags):
+        s0[i] = index[(f, j, 1 - t)]
+        size = len(faces[f])
+        s1[i] = index[(f, (j + 1) % size, 0)] if t else index[(f, (j - 1) % size, 1)]
+        eid, e = end(i)
+        a, b = slots_of[eid]
+        g, k = b if a == (f, j) else a
+        s2[i] = index[(g, k, e if faces[g][k][1] == 1 else 1 - e)]
+
+    vertex, rotations = [-1] * n, []
+    for start in range(n):
+        if vertex[start] == -1:
+            rotation, i = [start], s2[s1[start]]
+            while i != start:
+                rotation.append(i)
+                i = s2[s1[i]]
+            for i in rotation:
+                vertex[i] = vertex[s1[i]] = len(rotations)
+            rotations.append(rotation)
+
+    color, orientable = [-1] * n, True
+    color[0], stack = 0, [0]
+    while stack:
+        i = stack.pop()
+        for nb in (s0[i], s1[i], s2[i]):
+            if color[nb] == -1:
+                color[nb] = 1 - color[i]
+                stack.append(nb)
+            elif color[nb] == color[i]:
+                orientable = False
+    return SimpleNamespace(
+        flags=flags,
+        end=end,
+        s0=s0,
+        s1=s1,
+        s2=s2,
+        rotations=rotations,
+        vertex=vertex,
+        edge_faces={eid: (a[0], b[0]) for eid, (a, b) in slots_of.items()},
+        first={eid: a for eid, (a, _) in slots_of.items()},
+        sweep=(-1 not in color, orientable),
+    )
+
+
+def _oracle_complexes():
+    """Every incenter and clip complex of the code tables, then the torus."""
+    out = {}
+    for orientable, genera in ((True, range(2, 13)), (False, range(3, 13))):
+        for g in genera:
+            for derive in ("incenter", "clip"):
+                out[f"{derive}-{'o' if orientable else 'n'}{g}"] = (g, orientable, derive)
+    out["torus"] = None
+    return out
+
+
+def _random_faces(seed):
+    """A random gluing: m edges, each on two slots with random directions,
+    shuffled and cut into faces.  It may be disconnected or non-orientable."""
+    rng = random.Random(seed)
+    m = rng.randrange(1, 9)
+    slots = [(f"e{k}", rng.choice((1, -1))) for k in range(m) for _ in (0, 1)]
+    rng.shuffle(slots)
+    cuts = sorted(rng.sample(range(1, 2 * m), rng.randrange(0, min(4, 2 * m - 1) + 1)))
+    return [slots[a:b] for a, b in zip([0, *cuts], [*cuts, 2 * m])]
+
+
+class TestFlagMapOracle:
+    @staticmethod
+    def assert_matches(fm, faces):
+        ref = reference_flag_map(faces)
+        assert (fm.s0, fm.s1, fm.s2) == (ref.s0, ref.s1, ref.s2)
+        assert fm.rotations == ref.rotations
+        assert fm.vertex == ref.vertex
+        assert list(fm.edge_faces.items()) == list(ref.edge_faces.items())
+        assert fm.sweep() == ref.sweep
+        assert [fm.corner(i) for i in range(len(fm.s0))] == ref.flags
+        assert [fm.end(i) for i in range(len(fm.s0))] == list(map(ref.end, range(len(ref.flags))))
+        assert fm.first == {eid: fm.id(f, j, 0) for eid, (f, j) in ref.first.items()}
+
+    @pytest.mark.parametrize("dualize", [False, True], ids=["complex", "dual"])
+    @pytest.mark.parametrize("key", list(_oracle_complexes()))
+    def test_matches_reference(self, key, dualize):
+        spec = _oracle_complexes()[key]
+        if spec is None:
+            c = polygon_surface([("a", 1), ("b", 1), ("a", -1), ("b", -1)])
+        else:
+            c = _derived(*spec)
+        if dualize:
+            c = dual(c)
+        self.assert_matches(c.flag_map(), c.faces)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_gluings_match_reference(self, seed):
+        faces = _random_faces(seed)
+        self.assert_matches(surface._FlagMap(faces), faces)
+
+    def test_random_gluings_cover_every_sweep_outcome(self):
+        outcomes = {reference_flag_map(_random_faces(seed)).sweep for seed in range(40)}
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _two_projective_planes(**changes):
+    """Two disjoint projective planes as one complex, declared orientable
+    genus 0 (chi = 2 matches): only connectivity and orientability fail."""
+    doc = {
+        "orientable": True,
+        "genus": 0,
+        "vertices": ("u", "v"),
+        "edges": (Edge("a", ("u", "u")), Edge("b", ("v", "v"))),
+        "faces": ((("a", 1), ("a", 1)), (("b", 1), ("b", 1))),
+    }
+    doc.update(changes)
+    return doc
+
+
+def _fields(c, **changes):
+    """The fields of complex c, with some replaced."""
+    doc = {
+        "orientable": c.orientable,
+        "genus": c.genus,
+        "vertices": c.vertices,
+        "edges": c.edges,
+        "faces": c.faces,
+    }
+    doc.update(changes)
+    return doc
+
+
+def _octagon(**changes):
+    return _fields(fundamental_polygon(2, True), **changes)
+
+
+_WORD = fundamental_polygon(2, True).faces[0]  # 0 1 2 3 0^-1 1^-1 2^-1 3^-1
+
+
+class TestValidationErrors:
+    """Each check of ``_validate`` keeps its text and its place: every case
+    breaks that check and a later one, and must get the earlier message."""
+
+    CASES = {
+        "duplicate-vertex": (
+            _octagon(vertices=(0, 0), edges=_octagon()["edges"] * 2),
+            "duplicate vertex ids",
+        ),
+        "duplicate-edge": (
+            _octagon(edges=(Edge(0, (0, 0)), Edge(0, (0, "x")))),
+            "duplicate edge ids",
+        ),
+        "unknown-vertex": (
+            _octagon(edges=(Edge(0, (0, 0)), Edge(1, (0, "x"))), faces=()),
+            "edge 1 references unknown vertex 'x'",
+        ),
+        "no-faces": (_octagon(faces=(), genus=-5), "complex has no faces"),
+        "empty-face": (_octagon(faces=((), ((99, 1),))), "face 0 is empty"),
+        "unknown-edge": (
+            _octagon(faces=(((99, 2),) + _WORD[1:],)),
+            "face 0 references unknown edge 99",
+        ),
+        "bad-direction": (
+            _octagon(faces=(((0, 2),) + _WORD[1:-1],)),
+            "face 0: direction must be +1 or -1, got 2",
+        ),
+        "open-surface": (
+            _octagon(faces=(((0, 1), (1, 1), (2, 1), (3, 1), (1, -1), (1, 1), (2, -1), (3, -1)),)),
+            "open surface: edge 0 appears in 1 face slot(s), need 2",
+        ),
+        "triple-slot": (
+            _octagon(faces=(((1, 1), (0, 1), (2, 1), (3, 1), (1, -1), (1, 1), (2, -1), (3, -1)),)),
+            "edge 1 appears in 3 face slots; a surface allows 2",
+        ),
+        "closed-walk": (
+            _two_projective_planes(edges=(Edge("a", ("u", "u")), Edge("b", ("u", "v")))),
+            "face 1 is not a closed walk at slot 0: 'v' != 'u'",
+        ),
+        "not-connected": (_two_projective_planes(), "complex is not connected"),
+        "not-connected-spare-vertex": (
+            _two_projective_planes(vertices=("u", "v", "w")),
+            "complex is not connected",
+        ),
+        "corner-orbits": (
+            _octagon(vertices=(0, "spare")),
+            "corner orbits give 1 vertices but 2 are declared (pinched or isolated vertex)",
+        ),
+        "genus-floor": (
+            _fields(fundamental_polygon(3, False), genus=0),
+            "genus 0 below minimum for this orientability",
+        ),
+        "euler": (
+            _fields(fundamental_polygon(4, False), orientable=True, genus=3),
+            "Euler characteristic -2 does not match declared orientable genus 3 (expected -4)",
+        ),
+        "orientation": (
+            _fields(fundamental_polygon(4, False), orientable=True, genus=2),
+            "declared orientability disagrees with orientation propagation",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_message_and_precedence(self, case):
+        fields, message = self.CASES[case]
+        with pytest.raises(SurfaceError) as info:
+            SurfaceComplex(**fields)
+        assert str(info.value) == message
+
+
+class TestOneFlagMapBuild:
+    @pytest.mark.parametrize("make", [incenter_complex, clip_complex])
+    @pytest.mark.parametrize("genus,orientable", [(2, True), (5, True), (3, False), (8, False)])
+    def test_derived_complex_builds_one(self, monkeypatch, make, genus, orientable):
+        base = fundamental_polygon(genus, orientable)
+        p = (4 if orientable else 2) * genus
+        builds = []
+
+        class Counting(surface._FlagMap):
+            def __init__(self, faces):
+                builds.append(faces)
+                super().__init__(faces)
+
+        monkeypatch.setattr(surface, "_FlagMap", Counting)
+        c = make(base, p, p)
+        assert builds == [c.faces]
+
+
 class TestOrientability:
     def test_fundamental_polygons(self):
-        assert fundamental_polygon(3, True).flag_map().orientable()
-        assert not fundamental_polygon(4, False).flag_map().orientable()
+        assert fundamental_polygon(3, True).flag_map().sweep() == (True, True)
+        assert fundamental_polygon(4, False).flag_map().sweep() == (True, False)
 
     def test_torus(self):
         torus = polygon_surface([("a", 1), ("b", 1), ("a", -1), ("b", -1)])
-        assert torus.flag_map().orientable()
+        assert torus.flag_map().sweep() == (True, True)
 
     def test_declared_flag_must_match_propagation(self):
         # chi(FP(4, non-orientable)) = -2 = chi(genus-2 orientable), so the
