@@ -101,7 +101,7 @@ def build_table(
 
 
 def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
+    return f"{x:.12g}"
 
 
 def table_to_csv(rows: Iterable[CodeParams]) -> str:
@@ -114,7 +114,7 @@ def table_to_csv(rows: Iterable[CodeParams]) -> str:
             "true" if r.orientable else "false",
             "[" + ",".join(str(x) for x in r.signature) + "]",
             r.n, r.k, r.d, r.d_source,
-            _fmt(r.k_n), _fmt(r.kd2_n), _fmt(r.d_n),
+            _fmt(r.k / r.n), _fmt(r.k * r.d * r.d / r.n), _fmt(r.d / r.n),
         ))
     return buf.getvalue()
 

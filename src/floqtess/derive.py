@@ -125,10 +125,20 @@ def _require_pq(c: SurfaceComplex, p: int, q: int) -> None:
         )
 
 
-def _lead(fm: _FlagMap, k: int, i: int) -> tuple[int, int]:
-    """The leading flag of the sigma_k pair through flag i, and the direction
-    of the step from i along that pair: +1 exactly when i leads."""
-    return (i, 1) if fm.leads(k, i) else (fm.sigma[k][i], -1)
+def _pair_names(sigma_k: list[int], leads, names) -> list[tuple[str, int]]:
+    """(derived edge, direction) of the sigma_k step from every flag: each
+    pair's name, given once, with +1 on its leading flag in ``leads`` and
+    -1 on that flag's partner."""
+    table = [("", 0)] * len(sigma_k)
+    for i, name in zip(leads, names):
+        table[i] = (name, 1)
+        table[sigma_k[i]] = (name, -1)
+    return table
+
+
+def _slot_labels(fm: _FlagMap) -> list[str]:
+    """"{f}.{j}" of every slot, in the flag map's slot order."""
+    return [f"{f}.{j}" for f, face in enumerate(fm.faces) for j in range(len(face))]
 
 
 def _walks(fm: _FlagMap) -> list[tuple[int, tuple[int, int]]]:
@@ -147,34 +157,34 @@ def clip_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
     each source edge ("A{i}"), then one cut per sigma1 pair, named after the
     corner (f, j) of its leading head flag ("B{f}.{j}").  Faces are the
     truncated 2p-gons, then the q-gons: the walks of :func:`_walks`, where
-    sigma0 crosses an A segment, sigma1 a cut, and sigma2 stays put.
+    sigma0 crosses an A segment, sigma1 a cut, and sigma2 stays put; each
+    step is read off a per-flag table of (edge, direction).
     """
     _require_pq(c, p, q)
     fm = c.flag_map()
     eindex = {e.id: i for i, e in enumerate(c.edges)}
-
-    def vname(i: int) -> str:
-        eid, end = fm.end(i)
-        return f"e{eindex[eid]}.{end}"
-
-    def step(k: int, i: int) -> tuple[str, int]:
-        """(derived edge, direction) of the sigma0 or sigma1 step from flag i."""
-        if k == 0:  # leaving end 0 runs along the segment forwards
-            eid, end = fm.end(i)
-            return f"A{eindex[eid]}", 1 - 2 * end
-        lead, d = _lead(fm, 1, i)
-        f, j, _ = fm.corner(lead)
-        return f"B{f}.{j}", d
-
+    vertices = tuple(f"e{i}.{t}" for i in range(len(c.edges)) for t in (0, 1))
+    segments = [f"A{i}" for i in range(len(c.edges))]
+    # The derived vertex of every flag, 2 * (source edge) + end.
+    vertex = [2 * eindex[eid] + end for eid, end in map(fm.end, range(len(fm.s0)))]
     cuts = range(1, len(fm.s0), 2)  # the head flags, which lead sigma1
+    cut_names = ["B" + label for label in _slot_labels(fm)]
+    table = (
+        # leaving end 0 runs along the segment forwards
+        [(segments[v >> 1], 1 - 2 * (v & 1)) for v in vertex],
+        _pair_names(fm.s1, cuts, cut_names),
+    )
     return SurfaceComplex(
         orientable=c.orientable,
         genus=c.genus,
-        vertices=tuple(f"e{i}.{t}" for i in range(len(c.edges)) for t in (0, 1)),
-        edges=tuple(Edge(f"A{i}", (f"e{i}.0", f"e{i}.1")) for i in range(len(c.edges)))
-        + tuple(Edge(step(1, i)[0], (vname(i), vname(fm.s1[i]))) for i in cuts),
+        vertices=vertices,
+        edges=tuple(Edge(a, (f"e{i}.0", f"e{i}.1")) for i, a in enumerate(segments))
+        + tuple(
+            Edge(name, (vertices[vertex[i]], vertices[vertex[fm.s1[i]]]))
+            for i, name in zip(cuts, cut_names)
+        ),
         faces=tuple(
-            tuple(step(k, i) for k, i in fm.walk(start, steps) if k != 2)
+            tuple(table[k][i] for k, i in fm.walk(start, steps) if k != 2)
             for start, steps in _walks(fm)
         ),
     )
@@ -189,37 +199,38 @@ def incenter_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
     across that end of source edge e; s0 and s1 are listed by corner, s2 by
     source edge and end.  Faces are the 2p-gons and 2q-gons of the walks of
     :func:`_walks`, then the quadrilaterals: the (0, 2) walk from the tail
-    flag of each source edge's first slot.
+    flag of each source edge's first slot.  Each step is read off a
+    per-flag table of (edge, direction), filled once per pair.
     """
     _require_pq(c, p, q)
     fm = c.flag_map()
-    eindex = {e.id: i for i, e in enumerate(c.edges)}
     firsts = [fm.first[e.id] for e in c.edges]
-    vname = [f"f{f}.{j}.{t}" for f, j, t in map(fm.corner, range(len(fm.s0)))]
-
-    def step(k: int, i: int) -> tuple[str, int]:
-        """(derived edge, direction) of the sigma_k step from flag i."""
-        lead, d = _lead(fm, k, i)
-        if k == 2:
-            eid, end = fm.end(lead)
-            return f"s2.{eindex[eid]}.{end}", d
-        f, j, _ = fm.corner(lead)
-        return f"s{k}.{f}.{j}", d
-
-    leading = [range(k, len(fm.s0), 2) for k in (0, 1)]  # flags with t = k lead s_k
-    leading.append([fm.flag(i, end) for i in firsts for end in (0, 1)])
+    labels = _slot_labels(fm)
+    vname = [f"f{label}.{t}" for label in labels for t in (0, 1)]
+    # flags with t = k lead s_k; the flags on each edge's first slot lead s2
+    leading = (
+        range(0, len(fm.s0), 2),
+        range(1, len(fm.s0), 2),
+        [fm.flag(i, end) for i in firsts for end in (0, 1)],
+    )
+    names = (
+        ["s0." + label for label in labels],
+        ["s1." + label for label in labels],
+        [f"s2.{e}.{end}" for e in range(len(firsts)) for end in (0, 1)],
+    )
+    table = [_pair_names(fm.sigma[k], leading[k], names[k]) for k in (0, 1, 2)]
     quads = [(i, (0, 2)) for i in firsts]
     return SurfaceComplex(
         orientable=c.orientable,
         genus=c.genus,
         vertices=tuple(vname),
         edges=tuple(
-            Edge(step(k, i)[0], (vname[i], vname[fm.sigma[k][i]]))
+            Edge(name, (vname[i], vname[fm.sigma[k][i]]))
             for k in (0, 1, 2)
-            for i in leading[k]
+            for i, name in zip(leading[k], names[k])
         ),
         faces=tuple(
-            tuple(step(k, i) for k, i in fm.walk(start, steps))
+            tuple(table[k][i] for k, i in fm.walk(start, steps))
             for start, steps in _walks(fm) + quads
         ),
     )

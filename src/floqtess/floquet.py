@@ -4,6 +4,10 @@ Measuring the three colour classes cyclically drives the instantaneous
 stabilizer group (ISG) into a period-3 steady state; the number of logical
 qubits is read off its rank and the code distance from a minimum-weight
 search over Paulis that commute with the ISG without belonging to it.
+The ISG is updated check by check on rows held in slots, with a
+pivot -> slot map and one slot mask per row bit; of the anticommuting rows
+the lighter of the two lowest-pivot ones leaves, so a check costs its
+anticommuting rows plus the bits of the leaving and the joined row.
 The search keeps each letter's syndrome against the ISG rows as a Python
 int, so a lettering commutes when its syndromes XOR to zero.
 """
@@ -115,59 +119,95 @@ class StabilizerGroup:
         return v
 
 
-def _measure_step(basis: dict, cols: list, c: int, hits: tuple, n: int) -> None:
-    """Measure check ``c`` on the echelon basis ``{pivot: row}`` in place.
+def _measure_step(rows: list, basis: dict, cols: list, c: int, hits: tuple, n: int) -> None:
+    """Measure check ``c`` on an echelon basis held in slots, in place.
 
-    ``cols`` holds the same basis by columns: bit ``p`` of ``cols[j]`` is
-    bit ``j`` of ``basis[p]``.  ``hits`` are the set bits of
-    ``_swap_halves(c, n)``, so the XOR of ``cols`` over them marks the rows
-    that anticommute with ``c``.  The one with the lowest pivot absorbs the
-    others (their pivots stay put) and leaves; the check is then reduced
-    top bit by top bit and joins unless it is a dependent commuting check.
-    Both per-check invariants are checked: the rank does not drop, and the
-    new row commutes with every row.  A check costs its anticommuting rows
-    plus the weights of the leaving and the joining row, not the rank.
+    ``rows[s]`` is the row in slot ``s``, ``basis`` maps each pivot (top
+    set bit) to the slot that holds it, and ``cols[j]`` is a mask over
+    slots: bit ``s`` is bit ``j`` of ``rows[s]``.  A pivot can so move to
+    another slot without a column bit being rewritten.  ``hits`` are the
+    set bits of ``_swap_halves(c, n)``, so the XOR of ``cols`` over them
+    marks the rows that anticommute with ``c``.
+
+    Any anticommuting row may leave, since the new group is <c> plus the
+    rows that commute with c whichever leaves.  The lighter (fewer set
+    bits; on a tie, the lower pivot) of the two lowest-pivot ones does,
+    and is XOR-ed into the others.  A row XOR-ed with a row of higher pivot
+    takes that pivot as its top bit; only the lowest can lie below the
+    leaving row, and it takes over the freed pivot, so the pivots stay
+    distinct and no other pivot moves.  The check is then reduced top bit
+    by top bit and joins, in the freed slot, unless it is a dependent
+    commuting check.  Both per-check invariants are checked: the rank
+    does not drop, and the new row commutes with every row.  A check costs
+    its anticommuting rows, plus the bits of the row that leaves, plus the
+    bits of the joined row; never the rank.
     """
     anti = 0
     for j in hits:
         anti ^= cols[j]
+    slot = len(rows)
     if anti:
-        low = anti & -anti
-        g = basis.pop(low.bit_length() - 1)
-        for p in _bits(anti ^ low):
-            basis[p] ^= g
+        # The two lowest-pivot anticommuting rows: slot a, pivot pa below
+        # slot b, pivot pb (bit loops inlined: this is the hot path).
+        a = b = -1
+        pa = pb = 2 * n
+        m = anti
+        while m:
+            low = m & -m
+            s = low.bit_length() - 1
+            p = rows[s].bit_length() - 1
+            if p < pa:
+                a, pa, b, pb = s, p, a, pa
+            elif p < pb:
+                b, pb = s, p
+            m ^= low
+        g = rows[a]
+        del basis[pa]
+        if b >= 0 and rows[b].bit_count() < g.bit_count():
+            g = rows[b]
+            basis[pb] = a
+            slot = b
+        else:
+            slot = a
+        m = anti ^ (1 << slot)
+        while m:
+            low = m & -m
+            rows[low.bit_length() - 1] ^= g
+            m ^= low
         # One XOR per bit of g adds g to the other anticommuting rows and
-        # clears the row that leaves (bit loops inlined: this is the hot path).
+        # clears the slot it leaves.
         while g:
-            b = g & -g
-            cols[b.bit_length() - 1] ^= anti
-            g ^= b
+            low = g & -g
+            cols[low.bit_length() - 1] ^= anti
+            g ^= low
     while c:
-        p = c.bit_length() - 1
-        row = basis.get(p)
-        if row is None:
+        s = basis.get(c.bit_length() - 1)
+        if s is None:
             break
-        c ^= row
+        c ^= rows[s]
     if not c:
         if anti:
             raise RuntimeError("measurement lowered the rank")
         return
-    q = c.bit_length() - 1
-    new = 1 << q
+    new = 1 << slot
     # The rows anticommuting with c are the XOR of cols over the bits of
-    # _swap_halves(c, n); no row had pivot q, so its bit is set only by the
-    # join in the same pass and is masked out of the test.
+    # _swap_halves(c, n); the joining slot's bits are clear, so its bit is
+    # set only by the join in the same pass and is masked out of the test.
     anti = 0
     v = c
     while v:
-        b = v & -v
-        j = b.bit_length() - 1
+        low = v & -v
+        j = low.bit_length() - 1
         anti ^= cols[j + n if j < n else j - n]
         cols[j] |= new
-        v ^= b
+        v ^= low
     if anti & ~new:
         raise RuntimeError("measurement broke commutativity")
-    basis[q] = c
+    basis[c.bit_length() - 1] = slot
+    if slot == len(rows):
+        rows.append(c)
+    else:
+        rows[slot] = c
 
 
 @dataclass(frozen=True)
@@ -197,10 +237,17 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
     a group to a group whatever basis represents it, so the period-3 cycle
     then repeats forever: the rounds after ``r`` are copied from the cycle,
     not measured.  Until then one echelon basis is updated check by check
-    and made canonical once per round, by feeding its rows to
-    :func:`_reduce_rows` in ascending pivot order: each row then only sheds
-    the lower pivot bits it carries, so a round costs the sum of those
-    overlaps, not rank squared.
+    by :func:`_measure_step`, its rows in slots (``rows``), each pivot
+    mapped to its slot (``basis``) and each row bit to a mask of the slots
+    that carry it (``cols``).  The lighter of the two lowest-pivot
+    anticommuting rows leaves, so a check costs its anticommuting rows plus
+    the bits of the leaving and the joined row.  Rows round a face stay
+    light: at n = 96 the leaving rows carry 1256 bits over nine rounds,
+    where always taking the lowest pivot let the growing product of a
+    face's checks leave, 5400 bits.  The basis is made canonical once per
+    round, by feeding its rows to :func:`_reduce_rows` in ascending pivot
+    order: each row then only sheds the lower pivot bits it carries, so a
+    round costs the sum of those overlaps, not rank squared.
     """
     if rounds < 6:
         raise ValueError("need at least 6 rounds to certify a steady state")
@@ -218,6 +265,7 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
     phase_checks = [
         [(c, tuple(_bits(_swap_halves(c, n)))) for c in rows] for rows in phase_rows
     ]
+    rows: list[int] = []
     basis: dict[int, int] = {}
     cols = [0] * (2 * n)
     groups = []
@@ -227,9 +275,9 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
             groups.append(groups[r - 3])
             continue
         for c, hits in phase_checks[r % 3]:
-            _measure_step(basis, cols, c, hits, n)
-        rows = _reduce_rows((basis[p] for p in sorted(basis)), n)
-        groups.append(StabilizerGroup(n, rows))
+            _measure_step(rows, basis, cols, c, hits, n)
+        canonical = _reduce_rows((rows[basis[p]] for p in sorted(basis)), n)
+        groups.append(StabilizerGroup(n, canonical))
         if r >= 3 and groups[r] == groups[r - 3]:
             steady = r
     k_inst = None
@@ -421,9 +469,10 @@ class CodeParams:
             "k": self.k,
             "d": self.d,
             "d_source": self.d_source,
-            "k_n": float(self.k_n),
-            "kd2_n": float(self.kd2_n),
-            "d_n": float(self.d_n),
+            # int true division is correctly rounded, as float(Fraction) is
+            "k_n": self.k / self.n,
+            "kd2_n": self.k * self.d * self.d / self.n,
+            "d_n": self.d / self.n,
         }
         if self.convention is not None:
             doc["convention"] = self.convention

@@ -395,87 +395,140 @@ class TestReduceRows:
             assert len(out) == len(rows)
 
 
-def columns(basis, n):
-    """The per-bit pivot masks of the echelon basis ``{pivot: row}``, built
-    from scratch: bit ``p`` of ``cols[j]`` is bit ``j`` of ``basis[p]``."""
+def columns(rows, n):
+    """The per-bit slot masks of the rows, built from scratch: bit ``s`` of
+    ``cols[j]`` is bit ``j`` of ``rows[s]``."""
     cols = [0] * (2 * n)
-    for p, row in basis.items():
+    for s, row in enumerate(rows):
         for j in range(2 * n):
             if (row >> j) & 1:
-                cols[j] |= 1 << p
+                cols[j] |= 1 << s
     return cols
 
 
-def measure(basis, cols, c, n):
-    """Measure check ``c`` with :func:`_measure_step`, its swapped bits found
-    by a plain scan."""
+def pivots(rows):
+    """``{pivot: slot}`` of the rows, each keyed by its top set bit."""
+    return {row.bit_length() - 1: s for s, row in enumerate(rows)}
+
+
+def slot_state(rows, n):
+    """The slot state ``(rows, basis, cols)`` of :func:`_measure_step` for
+    rows with distinct top bits, one row per slot in the order given."""
+    rows = list(rows)
+    return rows, pivots(rows), columns(rows, n)
+
+
+def measure(state, c, n):
+    """Measure check ``c`` into the slot state with :func:`_measure_step`,
+    its swapped bits found by a plain scan."""
     hits = tuple(j for j in range(2 * n) if (_swap_halves(c, n) >> j) & 1)
-    _measure_step(basis, cols, c, hits, n)
+    _measure_step(*state, c, hits, n)
+
+
+def read_group(state, n):
+    """The group of the slot state, read off with :func:`_reduce_rows` over
+    the rows in ascending pivot order, as run_schedule does."""
+    rows, basis, _ = state
+    return StabilizerGroup(n, _reduce_rows((rows[basis[p]] for p in sorted(basis)), n))
 
 
 class TestMeasure:
-    # Checks are measured into an echelon basis {pivot: row}, kept by
-    # columns in cols, with _measure_step, and the group is read off with
-    # _reduce_rows over the rows in ascending pivot order, as run_schedule
-    # does.
+    # Checks are measured into rows held in slots, with the pivot -> slot
+    # map in basis and the per-bit slot masks in cols, by _measure_step.
     def test_new_commuting_check_joins(self):
         xx = _pauli_row(2, "X", (0, 1))
-        basis, cols = {}, columns({}, 2)
-        measure(basis, cols, xx, 2)
-        g = StabilizerGroup(2, _reduce_rows((basis[p] for p in sorted(basis)), 2))
+        state = slot_state((), 2)
+        measure(state, xx, 2)
+        g = read_group(state, 2)
         assert g.rank == 1 and g._reduce_vec(xx) == 0
 
     def test_idempotent_on_members(self):
         xx = _pauli_row(2, "X", (0, 1))
-        basis, cols = {}, columns({}, 2)
-        measure(basis, cols, xx, 2)
-        before = dict(basis)
-        measure(basis, cols, xx, 2)
-        assert basis == before
+        rows, basis, cols = state = slot_state((), 2)
+        measure(state, xx, 2)
+        before = (list(rows), dict(basis))
+        measure(state, xx, 2)
+        assert (rows, basis) == before
 
     def test_dependent_commuting_check_no_growth(self):
         xx01, xx12, xx02 = (
             _pauli_row(3, "X", (i, j)) for i, j in ((0, 1), (1, 2), (0, 2))
         )
-        basis, cols = {}, columns({}, 3)
-        measure(basis, cols, xx01, 3)
-        measure(basis, cols, xx12, 3)
-        before = dict(basis)
-        measure(basis, cols, xx02, 3)
-        assert basis == before
+        rows, basis, cols = state = slot_state((), 3)
+        measure(state, xx01, 3)
+        measure(state, xx12, 3)
+        before = (list(rows), dict(basis))
+        measure(state, xx02, 3)
+        assert (rows, basis) == before
 
     def test_anticommuting_row_replaced(self):
         zz = _pauli_row(2, "Z", (0, 1))
         zq = _pauli_row(2, "Z", (0,))
         xx = _pauli_row(2, "X", (0, 1))
-        basis, cols = {}, columns({}, 2)
+        state = slot_state((), 2)
         for c in (zq, zz, xx):
-            measure(basis, cols, c, 2)
-        out = StabilizerGroup(2, _reduce_rows((basis[p] for p in sorted(basis)), 2))
+            measure(state, c, 2)
+        out = read_group(state, 2)
         assert out.rank == 2
         assert out._reduce_vec(xx) == 0 and out._reduce_vec(zz) == 0
         assert out._reduce_vec(zq) != 0
 
+    def test_lighter_second_lowest_leaves(self):
+        # Y0 Z1 (pivot x0, three bits) and X2 (pivot x2, one bit) both
+        # anticommute with Z0 Z2.  X2 is lighter, so it leaves although its
+        # pivot is higher; Y0 Z1 gains it and takes over the freed pivot,
+        # and the check joins in the freed slot.
+        n = 4
+        heavy = _pauli_row(n, "Y", (0,)) ^ _pauli_row(n, "Z", (1,))
+        light = _pauli_row(n, "X", (2,))
+        c = _pauli_row(n, "Z", (0, 2))
+        rows, basis, cols = state = slot_state((heavy, light), n)
+        assert heavy.bit_length() < light.bit_length()
+        assert heavy.bit_count() > light.bit_count()
+        ref = reference_measure(read_group(state, n), c)
+        measure(state, c, n)
+        assert rows == [heavy ^ light, c]
+        assert basis == {light.bit_length() - 1: 0, c.bit_length() - 1: 1}
+        assert cols == columns(rows, n)
+        assert read_group(state, n) == ref
+
+    def test_three_anticommuting_rows(self):
+        # X0 Z3, X1 and X2 all anticommute with Z0 Z1 Z2.  Of the two
+        # lowest pivots, X1 is lighter and leaves; X0 Z3 takes its pivot,
+        # X2 keeps its own, and both gain X1.
+        n = 4
+        low = _pauli_row(n, "X", (0,)) ^ _pauli_row(n, "Z", (3,))
+        mid, top = _pauli_row(n, "X", (1,)), _pauli_row(n, "X", (2,))
+        c = _pauli_row(n, "Z", (0, 1, 2))
+        rows, basis, cols = state = slot_state((top, low, mid), n)
+        ref = reference_measure(read_group(state, n), c)
+        measure(state, c, n)
+        assert rows == [top ^ mid, low ^ mid, c]
+        assert basis == pivots(rows)
+        assert basis[mid.bit_length() - 1] == 1 and basis[top.bit_length() - 1] == 0
+        assert cols == columns(rows, n)
+        assert read_group(state, n) == ref
+
     def test_rank_never_drops_random_walk(self):
         rng = random.Random(5)
         n = 8
-        basis, cols = {}, columns({}, n)
+        rows, basis, cols = state = slot_state((), n)
         for _ in range(120):
             i, j = rng.sample(range(n), 2)
             letter = rng.choice("XYZ")
             rank = len(basis)
-            measure(basis, cols, _pauli_row(n, letter, (i, j)), n)
+            measure(state, _pauli_row(n, letter, (i, j)), n)
             assert len(basis) >= rank
-            assert_commuting(basis.values(), n)
+            assert_commuting(rows, n)
 
     @pytest.mark.parametrize("n", range(8, 25, 4))
     def test_random_checks_agree_with_reference(self, n):
-        # One basis restarts from the canonical rows on every check; the
-        # running basis stays in echelon form between checks, as in
+        # One state restarts from the canonical rows on every check; the
+        # running state stays in echelon form between checks, as in
         # run_schedule.
         rng = random.Random(n)
         ref = StabilizerGroup(n)
-        basis, cols = {}, columns({}, n)
+        state = slot_state((), n)
         many_anti = dependent = 0
         for _ in range(12 * n):
             i, j = rng.sample(range(n), 2)
@@ -484,11 +537,11 @@ class TestMeasure:
             nxt = reference_measure(ref, c)
             many_anti += anti >= 3
             dependent += not anti and nxt == ref
-            fresh = {r.bit_length() - 1: r for r in ref.rows}
-            measure(fresh, columns(fresh, n), c, n)
-            assert StabilizerGroup(n, _reduce_rows((fresh[p] for p in sorted(fresh)), n)) == nxt
-            measure(basis, cols, c, n)
-            assert StabilizerGroup(n, _reduce_rows(basis.values(), n)) == nxt
+            fresh = slot_state(ref.rows, n)
+            measure(fresh, c, n)
+            assert read_group(fresh, n) == nxt
+            measure(state, c, n)
+            assert StabilizerGroup(n, _reduce_rows(state[0], n)) == nxt
             ref = nxt
         assert many_anti and dependent
 
@@ -497,35 +550,36 @@ class TestMeasure:
         # Mixed-letter two-body checks, so the walk meets Y checks (four
         # swapped bits) and rows whose x and z halves both change.
         rng = random.Random(100 + n)
-        basis, cols = {}, columns({}, n)
+        rows, basis, cols = state = slot_state((), n)
         joined = left = 0
         for _ in range(12 * n):
             i, j = rng.sample(range(n), 2)
             a, b = rng.choice("XYZ"), rng.choice("XYZ")
             c = _pauli_row(n, a, (i,)) ^ _pauli_row(n, b, (j,))
             before = set(basis)
-            measure(basis, cols, c, n)
+            measure(state, c, n)
             joined += bool(set(basis) - before)
             left += bool(before - set(basis))
-            assert cols == columns(basis, n)
+            assert cols == columns(rows, n)
+            assert basis == pivots(rows) and len(basis) == len(rows)
         assert joined and left
 
     def test_rank_drop_raises(self):
         # X0 and ZZ anticommute, so this is no stabilizer group: dropping X0
         # for ZZ would lose a rank, which the update refuses.
         x0, zz = _pauli_row(2, "X", (0,)), _pauli_row(2, "Z", (0, 1))
-        bad = {r.bit_length() - 1: r for r in _reduce_rows([x0, zz], 2)}
+        bad = slot_state(_reduce_rows([x0, zz], 2), 2)
         with pytest.raises(RuntimeError, match="lowered the rank"):
-            measure(bad, columns(bad, 2), zz, 2)
+            measure(bad, zz, 2)
 
     def test_broken_commutativity_raises(self):
         # X2 Z0 and X0 anticommute; XX on qubits 2, 1 commutes with both but
         # reduces against X2 Z0 to X1 Z0, which anticommutes with X0.
         a = _pauli_row(3, "X", (2,)) ^ _pauli_row(3, "Z", (0,))
         b = _pauli_row(3, "X", (0,))
-        bad = {r.bit_length() - 1: r for r in _reduce_rows([a, b], 3)}
+        bad = slot_state(_reduce_rows([a, b], 3), 3)
         with pytest.raises(RuntimeError, match="broke commutativity"):
-            measure(bad, columns(bad, 3), _pauli_row(3, "X", (2, 1)), 3)
+            measure(bad, _pauli_row(3, "X", (2, 1)), 3)
 
 
 class TestRunSchedule:
@@ -573,11 +627,45 @@ class TestRunSchedule:
         step = floquet._measure_step
 
         def spy(*args):
-            calls.append(args[2])
+            calls.append(args[3])
             step(*args)
 
         monkeypatch.setattr(floquet, "_measure_step", spy)
         return calls
+
+    @staticmethod
+    def leaving_rows(monkeypatch):
+        """A list that gains the row that leaves at each anticommuting check
+        run_schedule measures.  Each step is checked against the rule: of
+        the two lowest-pivot anticommuting rows the lighter leaves (the
+        lower pivot on a tie), every other anticommuting row gains it, and
+        the pivots still map to the slots that hold them."""
+        left = []
+        step = floquet._measure_step
+
+        def spy(rows, basis, cols, c, hits, n):
+            before = list(rows)
+            step(rows, basis, cols, c, hits, n)
+            anti = sorted((r.bit_length(), s) for s, r in enumerate(before) if _sympl(r, c, n))
+            if anti:
+                out = min(anti[:2], key=lambda ps: (before[ps[1]].bit_count(), ps[0]))[1]
+                g = before[out]
+                assert all(rows[s] == before[s] ^ g for _, s in anti if s != out)
+                left.append(g)
+            assert basis == pivots(rows)
+
+        monkeypatch.setattr(floquet, "_measure_step", spy)
+        return left
+
+    def test_leaving_rows_stay_light(self, genus12, monkeypatch):
+        # The lowest-pivot rule let the growing product of checks round a
+        # face leave, 5400 bits over this run; the lighter of the two
+        # lowest-pivot rows carries 1256.
+        _, assign, expected = genus12
+        left = self.leaving_rows(monkeypatch)
+        result = run_schedule(assign, 9)
+        assert result.groups == expected.groups
+        assert left and sum(g.bit_count() for g in left) < 1400
 
     def test_stops_measuring_once_certified(self, octagon, monkeypatch):
         # Steady at round 6: rounds 0..6 are measured, 8 checks each, and
@@ -605,6 +693,17 @@ class TestRunSchedule:
         assert len(calls) == 6 * 8
         assert result.steady_round is None and result.k_inst is None
         assert result.groups == reference_run_schedule(assign, 6)
+
+    def test_genus32_holds_every_face(self):
+        # n = 256: every steady phase keeps 2g = 64 logicals and contains
+        # every face stabilizer.
+        cx = incenter_complex(fundamental_polygon(32, True), 128, 128)
+        assign = three_color(cx)
+        result = run_schedule(assign, 9)
+        assert result.n == 256 and result.k_inst == 64
+        faces = [face_stabilizer(assign, f) for f in range(len(cx.faces))]
+        for phase in result.steady_phases:
+            assert all(phase._reduce_vec(row) == 0 for row in faces)
 
     @pytest.mark.parametrize("build", schedule_complexes())
     def test_groups_agree_with_reference(self, build):
