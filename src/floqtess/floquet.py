@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geodist
-from .coloring import PAULI_OF, ROUND_COLOR, NotColorCodeTiling, checks_for_round, three_color
+from .coloring import PAULI_OF, ROUND_COLOR, checks_for_round, three_color
 from .derive import _derive_polygon, semiregular_counts_direct
 from .hypgeo import SemiRegularSig, _check_genus, _polygon_sides
 
@@ -137,7 +137,9 @@ def _measure_step(rows: list, basis: dict, cols: list, c: int, hits: tuple, n: i
     leaving row, and it takes over the freed pivot, so the pivots stay
     distinct and no other pivot moves.  The check is then reduced top bit
     by top bit and joins, in the freed slot, unless it is a dependent
-    commuting check.  Both per-check invariants are checked: the rank
+    commuting check.  Each reduction step must clear its top bit and set
+    none above it (RuntimeError otherwise, where a broken pivot -> slot map
+    would loop forever).  Both per-check invariants are checked: the rank
     does not drop, and the new row commutes with every row.  A check costs
     its anticommuting rows, plus the bits of the row that leaves, plus the
     bits of the joined row; never the rank.
@@ -181,10 +183,13 @@ def _measure_step(rows: list, basis: dict, cols: list, c: int, hits: tuple, n: i
             cols[low.bit_length() - 1] ^= anti
             g ^= low
     while c:
-        s = basis.get(c.bit_length() - 1)
+        top = c.bit_length() - 1
+        s = basis.get(top)
         if s is None:
             break
         c ^= rows[s]
+        if c.bit_length() > top:
+            raise RuntimeError(f"pivot {top} maps to slot {s}, whose row has another top bit")
     if not c:
         if anti:
             raise RuntimeError("measurement lowered the rank")
@@ -515,11 +520,19 @@ def code_params(
     """Assemble [[n,k,d]] for a signature on a genus-g surface.
 
     ``d_mode``: "exact" forces the oracle (explicit complex required),
-    "geo" forces the estimator, "auto" prefers the oracle when an explicit
-    complex exists with n <= 40.  The oracle runs a 9-round schedule, which
+    "geo" forces the estimator, "auto" prefers the oracle for incenter
+    complexes with n <= 40.  The oracle runs a 9-round schedule, which
     stops measuring once the period-3 cycle is certified (at round 6 on the
     incenter and clip complexes up to genus 12), and searches weights up to
     6.
+
+    Auto mode never builds a clip complex, because a clipped fundamental
+    polygon is never a colour-code tiling: the polygon has a single face,
+    so after clipping every original side separates the clipped face from
+    itself, and no face colouring is proper.  An incenter complex always is
+    one: its faces come from the source's vertices, edges and faces, and
+    every edge joins faces of two different kinds.  So auto falls back to
+    the estimator only when the exact search runs out of its bounds.
     """
     if d_mode not in ("exact", "geo", "auto"):
         raise ValueError(f"unknown d_mode {d_mode!r}")
@@ -564,10 +577,9 @@ def code_params(
         return estimate()
     if d_mode == "exact":
         return exact()
-    if _route(sig.m, genus, orientable) is None or n > _EXACT_MAX_N:
+    if _route(sig.m, genus, orientable) != "incenter" or n > _EXACT_MAX_N:
         return estimate()
     try:
         return exact()
-    except (NotColorCodeTiling, BoundExceeded):
-        # Not a colour-code tiling, or the search ran out of its bounds.
+    except BoundExceeded:
         return estimate()

@@ -198,24 +198,24 @@ def surface_area(genus: int, orientable: bool) -> float:
 
 def _edge_eq(c: float, cosines: Sequence[float]) -> float:
     """Corner-angle equation residual at c = cosh(l/2): sum of half-angles - pi."""
-    return math.fsum(math.asin(k / c) for k in cosines) - math.pi
+    k1, k2, k3 = cosines
+    return math.fsum((math.asin(k1 / c), math.asin(k2 / c), math.asin(k3 / c))) - math.pi
 
 
 def _edge_eq_slope(c: float, cosines: Sequence[float]) -> tuple[float, float]:
     """``_edge_eq`` at c and its derivative in c, in one pass over the cosines."""
-    angles, slopes = [], []
-    for k in cosines:
-        angles.append(math.asin(k / c))
-        slopes.append(k / (c * math.sqrt(c * c - k * k)))
+    k1, k2, k3 = cosines
+    cc = c * c
+    angles = (math.asin(k1 / c), math.asin(k2 / c), math.asin(k3 / c))
+    slopes = (
+        k1 / (c * math.sqrt(cc - k1 * k1)),
+        k2 / (c * math.sqrt(cc - k2 * k2)),
+        k3 / (c * math.sqrt(cc - k3 * k3)),
+    )
     return math.fsum(angles) - math.pi, -math.fsum(slopes)
 
 
-#: Newton steps allowed before the bisection falls back to testing every
-#: midpoint; every hyperbolic triple tried (face sizes up to 10**6) settles
-#: in at most 10.
-_NEWTON_STEPS = 40
-
-#: Half-width, in ulps of the Newton root, of the window in which the
+#: Half-width, in ulps of the closed-form root, of the window in which the
 #: bisection evaluates a midpoint's sign instead of reading it off the root.
 _SIGN_WINDOW_ULPS = 64
 
@@ -223,20 +223,29 @@ _SIGN_WINDOW_ULPS = 64
 def _sign_window(cosines: Sequence[float]) -> tuple[float, float]:
     """Bounds (below, above) on c outside which ``_edge_eq``'s sign is known.
 
-    Runs Newton's method from c = 1.  The residual is convex and decreasing
-    in c, so the iterates climb to the root from below; once rounding stops
-    them rising they sit within an ulp or so of it, at r say.  The bounds
-    are r -/+ ``_SIGN_WINDOW_ULPS`` ulps of r.  If Newton takes more than
-    ``_NEWTON_STEPS`` steps they are -/+ inf, so no sign is known.
+    At the root the half-angles theta_i = arcsin(k_i / c), k_i = cos(pi/m_i),
+    sum to pi, so they are the angles of a Euclidean triangle.  By the law
+    of sines, sin(theta_i) = k_i / c says that triangle has sides k_i and
+    circumdiameter c, so c = 2 k1 k2 k3 / sqrt(P) with P Heron's product
+    (k1+k2+k3)(k2+k3-k1)(k1+k3-k2)(k1+k2-k3).  The principal arcsin branch
+    is the right one because the triangle is acute for every hyperbolic
+    triple, so every theta_i is below pi/2.  Every side lies in [1/2, 1),
+    so the triangle is acute once the squares of the two sides other than
+    the longest sum to 1 or more.  They do when both are at least
+    cos(pi/4); otherwise a 3 appears, hyperbolicity forces both its
+    partners to be at least 7, and 1/4 + cos^2(pi/7) > 1.
+
+    The bounds are r -/+ ``_SIGN_WINDOW_ULPS`` ulps of r, the rounded
+    closed form.  If P is not positive or r is not finite and above 1 (no
+    triangle, or no root past c = 1), they are -/+ inf, so no sign is known.
     """
-    c = 1.0
-    for _ in range(_NEWTON_STEPS):
-        f, fp = _edge_eq_slope(c, cosines)
-        nxt = c - f / fp
-        if not nxt > c:
+    k1, k2, k3 = cosines
+    heron = (k1 + k2 + k3) * (k2 + k3 - k1) * (k1 + k3 - k2) * (k1 + k2 - k3)
+    if heron > 0.0:
+        c = 2.0 * k1 * k2 * k3 / math.sqrt(heron)
+        if 1.0 < c < math.inf:
             window = _SIGN_WINDOW_ULPS * math.ulp(c)
             return c - window, c + window
-        c = nxt
     return -math.inf, math.inf
 
 
@@ -251,34 +260,46 @@ def semiregular_edge_length(sig: SemiRegularSig | Sequence[int]) -> float:
     than bad input).
 
     The bisection takes about 70 midpoints, but only those near the root
-    need the residual.  ``_sign_window`` first finds a root r by Newton's
-    method.  A midpoint more than ``_SIGN_WINDOW_ULPS`` ulps below r counts
-    as positive and one as far above it as negative; only midpoints inside
-    that window are evaluated.  This replays the plain bisection's decisions,
-    so the result is the same float, bit for bit.  The exact residual is
-    monotone, so outside the window it is at least as large in size as at
-    the window's edges.  There it is the slope times 64 ulps, many times the
-    few rounding errors by which the computed residual can stray (each
-    rounding of k/c moves it by the slope times about an ulp), so outside
-    the window the computed sign is the exact one.  The tests check the
-    computed residual positive at r - window and negative at r + window on
-    every table signature.  If Newton does not settle, every midpoint is
-    evaluated.
+    need the residual.  ``_sign_window`` gives the root r in closed form.
+    A midpoint more than ``_SIGN_WINDOW_ULPS`` ulps below r counts as
+    positive and one as far above it as negative; only midpoints inside
+    that window are evaluated.  This replays the plain bisection's
+    decisions, so the result is the same float, bit for bit.  The exact
+    residual is monotone, so outside the window it is at least as large in
+    size as at the window's edges.  There it is the slope times 64 ulps,
+    many times the few rounding errors by which the computed residual can
+    stray (each rounding of k/c moves it by the slope times about an ulp),
+    so outside the window the computed sign is the exact one.  The tests
+    check the computed residual positive at r - window and negative at
+    r + window on every table signature and on random and extreme triples.
+    If there is no finite window, every midpoint is evaluated.
+
+    The 4-ulp stop test waits for the first evaluated midpoint.  Until
+    then lo is 1 or below the window and hi is 1e6 or above it, so hi - lo
+    exceeds 64 ulps of r, which are at least 64 ulps of lo: the test could
+    not fire.
     """
     sig = _as_semiregular(sig)
-    cosines = [math.cos(math.pi / mi) for mi in sig.m]
+    cosines = tuple(math.cos(math.pi / mi) for mi in sig.m)
     below, above = _sign_window(cosines)
 
     lo, hi = 1.0, 1e6
+    evaluated = False
     # Hyperbolicity makes the residual positive at c = 1 and negative at
     # c = 1e6, strictly decreasing in between.
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid < below or (mid <= above and _edge_eq(mid, cosines) > 0.0):
+        if mid < below:
             lo = mid
-        else:
+        elif mid > above:
             hi = mid
-        if hi - lo <= 4.0 * math.ulp(lo):
+        else:
+            evaluated = True
+            if _edge_eq(mid, cosines) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        if evaluated and hi - lo <= 4.0 * math.ulp(lo):
             break
     c = 0.5 * (lo + hi)
 

@@ -63,9 +63,9 @@ class _FlagMap:
 
     Flag ids are computed, not looked up: the flag at the tail (t = 0) or
     head (t = 1) of slot j as face f walks it is ``2 * (base[f] + j) + t``
-    (:meth:`id`, inverted by :meth:`corner`), where ``base[f]`` numbers the
-    first slot of face f, so flag i lies on face ``face[i >> 1]``.  The
-    involutions ``sigma`` = (s0, s1, s2) are
+    (:meth:`id`), where ``base[f]`` numbers the first slot of face f, so
+    flag i lies on face ``face[i >> 1]``.  The involutions ``sigma`` =
+    (s0, s1, s2) are
 
     * ``sigma0``: swap the two ends of one slot, ``i ^ 1``,
     * ``sigma1``: step to the adjacent slot-end across a face corner,
@@ -139,11 +139,6 @@ class _FlagMap:
     def id(self, f: int, j: int, t: int) -> int:
         """The flag at end t of slot j of face f."""
         return 2 * (self.base[f] + j) + t
-
-    def corner(self, i: int) -> tuple[int, int, int]:
-        """(face, slot, t) of flag i: the inverse of :meth:`id`."""
-        f = self.face[i >> 1]
-        return f, (i >> 1) - self.base[f], i & 1
 
     def end(self, i: int) -> tuple[Any, int]:
         """(edge id, intrinsic end of that edge) at flag i."""

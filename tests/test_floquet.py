@@ -1,6 +1,7 @@
 """ISG dynamics: Pauli algebra, measurement updates, distance search."""
 
 import random
+import signal
 from itertools import combinations, product
 
 import numpy as np
@@ -472,6 +473,28 @@ class TestMeasure:
         assert out.rank == 2
         assert out._reduce_vec(xx) == 0 and out._reduce_vec(zz) == 0
         assert out._reduce_vec(zq) != 0
+
+    @pytest.mark.parametrize("check", ["X0", "X1"])
+    def test_broken_pivot_map_raises(self, check):
+        # X0 and X1 (pivots 2 and 3) with their slots swapped in basis: the
+        # reduction of X0 picks up bit 3, that of X1 keeps it.  Either must
+        # raise at once instead of cycling between the two slots.
+        n = 2
+        _, basis, _ = state = slot_state((_pauli_row(n, "X", (0,)),
+                                          _pauli_row(n, "X", (1,))), n)
+        basis[2], basis[3] = basis[3], basis[2]
+
+        def hung(signum, frame):
+            raise TimeoutError("the reduction did not end")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            with pytest.raises(RuntimeError, match="another top bit"):
+                measure(state, _pauli_row(n, "X", (int(check[1]),)), n)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_lighter_second_lowest_leaves(self):
         # Y0 Z1 (pivot x0, three bits) and X2 (pivot x2, one bit) both
@@ -1102,7 +1125,7 @@ class TestCodeParams:
         cp = code_params((4, 12, 12), 3, False)
         assert (cp.n, cp.k, cp.d) == (12, 3, 2)
         assert cp.d_source == "exact"
-        # two-faced clip signature: auto falls back to the estimator
+        # clip signature: auto takes the estimator without building it
         cp = code_params((6, 12, 12), 3, False)
         assert (cp.n, cp.k, cp.d) == (6, 3, 2)
         assert cp.d_source == "geometric-estimate"
@@ -1131,6 +1154,35 @@ class TestCodeParams:
         monkeypatch.setattr(floquet, "exact_distance", broken)
         with pytest.raises(ValueError, match="unexpected failure"):
             code_params((4, 16, 16), 2, True)
+
+    def test_auto_never_builds_a_clip(self, monkeypatch):
+        # A clipped fundamental polygon is never a colour-code tiling, so
+        # auto gives the geo row on every clip signature, even at n <= 40.
+        # Orientable clips have no admitted cell counts (n_v = 4g is not a
+        # multiple of 8g), so auto rejects them before any complex too.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return explicit_complex(*args)
+
+        monkeypatch.setattr(floquet, "explicit_complex", counted)
+        rows = 0
+        for orientable, genera in ((True, range(2, 13)), (False, range(3, 13))):
+            for genus in genera:
+                p = floquet._polygon_sides(genus, orientable)
+                m = (p, 2 * p, 2 * p)
+                assert floquet._route(m, genus, orientable) == "clip"
+                if orientable:
+                    with pytest.raises(ValueError, match="no integral cell counts"):
+                        code_params(m, genus, orientable)
+                    continue
+                geo = code_params(m, genus, orientable, "geo")
+                assert geo.n <= floquet._EXACT_MAX_N
+                assert code_params(m, genus, orientable) == geo
+                rows += 1
+        assert rows == 10
+        assert calls == []
 
     def test_auto_builds_the_complex_at_most_once(self, monkeypatch):
         calls = []

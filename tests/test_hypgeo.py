@@ -47,6 +47,11 @@ def _random_triples() -> list[tuple[int, int, int]]:
     return triples
 
 
+# Near-Euclidean triples (roots near c = 1) and huge faces.
+_EXTREMES = [(3, 7, 43), (3, 8, 25), (4, 5, 21), (4, 6, 13), (3, 10, 16), (5, 5, 11),
+             (6, 6, 7), (3, 3000, 3000), (3, 7, 10**6), (10**6, 10**6, 10**6)]
+
+
 def _table_signatures() -> list[tuple[int, int, int]]:
     """Every signature the tables admit, orientable g = 2..12 and
     non-orientable g = 3..12, each once."""
@@ -240,7 +245,7 @@ class TestSemiRegular:
 
 
 class TestEdgeLengthReplay:
-    """The Newton-guided bisection returns the plain bisection's float."""
+    """The window-guided bisection returns the plain bisection's float."""
 
     def test_bit_equal_on_table_signatures(self):
         sigs = _table_signatures()
@@ -252,33 +257,38 @@ class TestEdgeLengthReplay:
         for m in _random_triples():
             assert semiregular_edge_length(m) == reference_edge_length(m), m
 
-    @pytest.mark.parametrize(
-        "m",
-        [(3, 7, 43), (3, 8, 25), (4, 5, 21), (4, 6, 13), (3, 10, 16), (5, 5, 11),
-         (6, 6, 7), (3, 3000, 3000), (3, 7, 10**6), (10**6, 10**6, 10**6)],
-    )
+    @pytest.mark.parametrize("m", _EXTREMES)
     def test_bit_equal_on_extremes(self, m):
-        # Near-Euclidean triples (roots near c = 1) and huge faces.
         assert semiregular_edge_length(m) == reference_edge_length(m)
 
     def test_window_brackets_the_computed_sign_change(self):
         # The replay's proof obligation: just outside the window the computed
-        # residual already has the sign read off the Newton root.
-        for m in _table_signatures():
+        # residual already has the sign read off the closed-form root.
+        for m in _table_signatures() + _random_triples() + _EXTREMES:
             cosines = [math.cos(math.pi / mi) for mi in m]
             below, above = hypgeo._sign_window(cosines)
             assert math.isfinite(below) and math.isfinite(above), m
             assert hypgeo._edge_eq(below, cosines) > 0.0, m
             assert hypgeo._edge_eq(above, cosines) < 0.0, m
 
-    def test_unsettled_newton_evaluates_every_midpoint(self, monkeypatch):
-        monkeypatch.setattr(hypgeo, "_NEWTON_STEPS", 0)
+    def test_closed_form_root(self):
+        # The window is centred on the law-of-sines circumdiameter, exactly
+        # (both bounds are exact floats), which lies within 2 ulps of the
+        # 50-digit root.
+        below, above = hypgeo._sign_window([math.cos(math.pi / mi) for mi in (6, 6, 8)])
+        assert abs(0.5 * (below + above) - C_668) <= 2 * math.ulp(C_668)
+
+    def test_no_window_evaluates_every_midpoint(self, monkeypatch):
+        # No root past c = 1 (the triangle's circumdiameter is below 1), and
+        # no triangle at all (Heron's product is negative, so no sqrt of it).
         assert hypgeo._sign_window([0.5, 0.9, 0.9]) == (-math.inf, math.inf)
+        assert hypgeo._sign_window([0.1, 0.1, 0.9]) == (-math.inf, math.inf)
+        monkeypatch.setattr(hypgeo, "_sign_window", lambda cosines: (-math.inf, math.inf))
         for m in [(6, 6, 8), (4, 5, 21), (3, 7, 43)]:
             assert semiregular_edge_length(m) == reference_edge_length(m)
 
     def test_few_residual_evaluations_per_solve(self, monkeypatch):
-        # The plain bisection takes about 75; Newton plus the window ~16.
+        # The plain bisection takes about 75; the closed-form window about 9.
         calls = []
 
         def counted(fn):
@@ -292,7 +302,7 @@ class TestEdgeLengthReplay:
         sigs = _table_signatures()
         for m in sigs:
             semiregular_edge_length(m)
-        assert len(calls) / len(sigs) <= 20
+        assert len(calls) / len(sigs) <= 10
 
 
 class TestIncenterChord:

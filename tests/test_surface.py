@@ -108,6 +108,12 @@ def _derived(genus, orientable, derive):
     return (clip_complex if derive == "clip" else incenter_complex)(base, p, p)
 
 
+def corner(fm, i):
+    """(face, slot, t) of flag i of flag map fm: the inverse of ``fm.id``."""
+    f = fm.face[i >> 1]
+    return f, (i >> 1) - fm.base[f], i & 1
+
+
 class TestFlagMap:
     # sha256 of json.dumps(serialize(...)): pins vertex, edge and face order
     # and the walk direction of every face, of each complex and its dual.
@@ -164,7 +170,7 @@ class TestFlagMap:
         c = _derived(3, False, derive)
         fm = c.flag_map()
         for i in range(len(fm.s0)):
-            f, j, t = fm.corner(i)
+            f, j, t = corner(fm, i)
             assert fm.id(f, j, t) == i
             eid, end = fm.end(i)
             assert eid == c.faces[f][j][0]
@@ -190,7 +196,7 @@ class TestFlagMap:
             for j, (eid, _) in enumerate(face):
                 first.setdefault(eid, (f, j))
         for i in range(len(fm.s0)):
-            f, j, t = fm.corner(i)
+            f, j, t = corner(fm, i)
             assert fm.leads(0, i) == (t == 0) and fm.leads(1, i) == (t == 1)
             assert fm.leads(2, i) == (first[c.faces[f][j][0]] == (f, j))
         assert fm.first == {eid: fm.id(f, j, 0) for eid, (f, j) in first.items()}
@@ -308,7 +314,7 @@ class TestFlagMapOracle:
         assert fm.vertex == ref.vertex
         assert list(fm.edge_faces.items()) == list(ref.edge_faces.items())
         assert fm.sweep() == ref.sweep
-        assert [fm.corner(i) for i in range(len(fm.s0))] == ref.flags
+        assert [corner(fm, i) for i in range(len(fm.s0))] == ref.flags
         assert [fm.end(i) for i in range(len(fm.s0))] == list(map(ref.end, range(len(ref.flags))))
         assert fm.first == {eid: fm.id(f, j, 0) for eid, (f, j) in ref.first.items()}
 
