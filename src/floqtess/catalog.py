@@ -1,8 +1,7 @@
 """Signature enumeration, [[n,k,d]] tables, and the genus-equivalence check.
 
 Assembles per-genus tables of code parameters over every admissible
-tessellation signature, serialises them as CSV/JSON, scores estimated
-distances against the frozen reference rows, and verifies that the
+tessellation signature, serialises them as CSV/JSON, and verifies that the
 orientable surface of genus h and the non-orientable surface of genus 2h
 (equal Euler characteristic) carry identical codes.
 """
@@ -12,14 +11,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from . import refdata
 from .derive import _admitted_vertex_count
 from .floquet import CodeParams, code_params
-from .geodist import estimate_distance
-from .hypgeo import SemiRegularSig, _check_genus, systole
+from .hypgeo import _check_genus, systole
 
 CSV_HEADER = (
     "genus", "orientable", "signature", "n", "k", "d", "d_source",
@@ -109,110 +105,19 @@ def table_to_csv(rows: Iterable[CodeParams]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in rows:
+        doc = r.as_json()
         writer.writerow((
             r.genus,
             "true" if r.orientable else "false",
             "[" + ",".join(str(x) for x in r.signature) + "]",
             r.n, r.k, r.d, r.d_source,
-            _fmt(r.k / r.n), _fmt(r.k * r.d * r.d / r.n), _fmt(r.d / r.n),
+            _fmt(doc["k_n"]), _fmt(doc["kd2_n"]), _fmt(doc["d_n"]),
         ))
     return buf.getvalue()
 
 
 def table_to_json(rows: Iterable[CodeParams]) -> list[dict]:
     return [r.as_json() for r in rows]
-
-
-def encoding_rate(m: Sequence[int], genus: int, orientable: bool = True) -> Fraction:
-    """k/n as exact arithmetic, whether or not the cell counts are integral.
-
-    Twice this is the rate under the k = 4 - 2*chi convention (twice the
-    steady-state logical count), where the quoted family formulas hold
-    exactly: (g/(g-1))*(p-3)/(3p) for [6,6,2p] and (g/(g-1))*(pq-p-2q)/(pq)
-    for [2p,2p,2q], with limits 1/3 and 1.
-    """
-    chi = _check_genus(genus, orientable)
-    sig = SemiRegularSig(tuple(m))
-    slack = Fraction(1, 2) - sum(Fraction(1, x) for x in sig.m)
-    return (2 - chi) * slack / abs(chi)
-
-
-# Largest |estimated d - reference d| the reports count as within tolerance.
-TOLERANCE = 1
-
-
-def _scored(genus: int, orientable: bool, m, row, **extra) -> dict:
-    """One report row: the estimated distance of ``m`` against ``row.d``."""
-    est = estimate_distance(m, genus, orientable)
-    return {
-        "genus": genus,
-        "orientable": orientable,
-        "signature": list(m),
-        "n": row.n,
-        "k": row.k,
-        "reference_d": row.d,
-        "estimated_d": est.d,
-        "delta": est.d - row.d,
-        "within_tolerance": abs(est.d - row.d) <= TOLERANCE,
-        **extra,
-        "convention": est.convention_tag,
-    }
-
-
-def estimator_report(genus: int, orientable: bool = True) -> dict:
-    """Estimated-vs-reference distances at one genus, machine readable.
-
-    ``n`` and ``k`` always match by construction (they are recounted), so
-    the report concentrates on ``d``: every nonzero delta lands in
-    ``deviations`` and ``ok`` says whether all rows sit within tolerance.
-    """
-    tables = (
-        refdata.SEMIREGULAR_ORIENTABLE if orientable
-        else refdata.SEMIREGULAR_NONORIENTABLE
-    )
-    entries = [_scored(genus, orientable, row.m, row) for row in refdata.dedup(tables[genus])]
-    return {
-        "genus": genus,
-        "orientable": orientable,
-        "tolerance": TOLERANCE,
-        "rows": entries,
-        "deviations": [e for e in entries if e["delta"] != 0],
-        "ok": all(e["within_tolerance"] for e in entries),
-    }
-
-
-def family_report(orientable: bool = True, genera: Iterable[int] | None = None) -> dict:
-    """Estimator sweep over the [6,6,8] family reference rows.
-
-    Rows whose own ratio columns contradict their [[n,k,d]] are flagged
-    ``reference_row_consistent: false`` and excluded from the ``ok``
-    verdict — a corrupt reference value cannot fail the estimator — but
-    they still appear in ``rows`` and ``deviations``.
-    """
-    ref = (
-        refdata.HEXHEX_ORIENTABLE if orientable
-        else refdata.HEXHEX_NONORIENTABLE
-    )
-    if genera is not None:
-        wanted = set(genera)
-        ref = tuple(r for r in ref if r.genus in wanted)
-    entries = [
-        _scored(row.genus, orientable, refdata.HEXHEX_SIGNATURE, row,
-                reference_row_consistent=refdata.ratios_consistent(row))
-        for row in ref
-    ]
-    return {
-        "signature": list(refdata.HEXHEX_SIGNATURE),
-        "orientable": orientable,
-        "tolerance": TOLERANCE,
-        "rows": entries,
-        "deviations": [e for e in entries if e["delta"] != 0],
-        "flagged": [e for e in entries if not e["reference_row_consistent"]],
-        "ok": all(
-            e["within_tolerance"]
-            for e in entries if e["reference_row_consistent"]
-        ),
-    }
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ int, so a lettering commutes when its syndromes XOR to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import geodist
 from .coloring import PAULI_OF, ROUND_COLOR, checks_for_round, three_color
@@ -453,18 +452,6 @@ class CodeParams:
         if self.d_source not in ("exact", "geometric-estimate"):
             raise ValueError(f"unknown d_source {self.d_source!r}")
 
-    @property
-    def k_n(self) -> Fraction:
-        return Fraction(self.k, self.n)
-
-    @property
-    def kd2_n(self) -> Fraction:
-        return Fraction(self.k * self.d * self.d, self.n)
-
-    @property
-    def d_n(self) -> Fraction:
-        return Fraction(self.d, self.n)
-
     def as_json(self) -> dict:
         doc = {
             "signature": list(self.signature),
@@ -474,7 +461,6 @@ class CodeParams:
             "k": self.k,
             "d": self.d,
             "d_source": self.d_source,
-            # int true division is correctly rounded, as float(Fraction) is
             "k_n": self.k / self.n,
             "kd2_n": self.k * self.d * self.d / self.n,
             "d_n": self.d / self.n,

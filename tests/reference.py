@@ -1,18 +1,27 @@
-"""Frozen reference tables of code parameters.
+"""Published reference tables and the estimator reports scored against them.
 
-Regression fixtures for the counting, scaling and distance suites: each
-row pins the expected ``[[n, k, d]]`` for one tessellation signature at
-one genus.  ``n`` and ``k`` are reproduced exactly by the counting rules;
-``d`` is a reference point compared under an explicit tolerance, never
-asserted as ground truth.  The two single-family tables carry their ratio
-columns verbatim, so a row whose ratios contradict its own ``[[n, k, d]]``
-entry can be flagged mechanically and excluded from tolerance scoring
-instead of silently skewing it.
+Test fixtures, not pipeline code: nothing in ``floqtess`` imports this
+module.  Each row pins the published ``[[n, k, d]]`` for one tessellation
+signature at one genus.  ``n`` and ``k`` are reproduced exactly by the
+counting rules; ``d`` is a reference point compared under an explicit
+tolerance, never asserted as ground truth.  The two single-family tables
+carry their ratio columns verbatim, so a row whose ratios contradict its
+own ``[[n, k, d]]`` entry can be flagged mechanically and excluded from
+tolerance scoring instead of silently skewing it.
+
+:func:`encoding_rate` is the exact closed form of k/n that the quoted
+family rate formulas are checked against, and :func:`estimator_report`
+and :func:`family_report` score :func:`floqtess.geodist.estimate_distance`
+against the tables.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from fractions import Fraction
+from typing import Iterable, NamedTuple, Sequence
+
+from floqtess.geodist import estimate_distance
+from floqtess.hypgeo import SemiRegularSig, _check_genus
 
 
 class RefRow(NamedTuple):
@@ -422,3 +431,91 @@ def ratios_consistent(row: FamilyRow) -> bool:
     true = (row.k / row.n, row.k * row.d**2 / row.n, row.d / row.n)
     printed = (row.k_n, row.kd2_n, row.d_n)
     return all(abs(p - t) <= _RATIO_RTOL * t for p, t in zip(printed, true))
+
+
+def encoding_rate(m: Sequence[int], genus: int, orientable: bool = True) -> Fraction:
+    """k/n as exact arithmetic, whether or not the cell counts are integral.
+
+    Twice this is the rate under the k = 4 - 2*chi convention (twice the
+    steady-state logical count), where the quoted family formulas hold
+    exactly: (g/(g-1))*(p-3)/(3p) for [6,6,2p] and (g/(g-1))*(pq-p-2q)/(pq)
+    for [2p,2p,2q], with limits 1/3 and 1.
+    """
+    chi = _check_genus(genus, orientable)
+    sig = SemiRegularSig(tuple(m))
+    slack = Fraction(1, 2) - sum(Fraction(1, x) for x in sig.m)
+    return (2 - chi) * slack / abs(chi)
+
+
+# Largest |estimated d - reference d| the reports count as within tolerance.
+TOLERANCE = 1
+
+
+def _scored(genus: int, orientable: bool, m, row, **extra) -> dict:
+    """One report row: the estimated distance of ``m`` against ``row.d``."""
+    est = estimate_distance(m, genus, orientable)
+    return {
+        "genus": genus,
+        "orientable": orientable,
+        "signature": list(m),
+        "n": row.n,
+        "k": row.k,
+        "reference_d": row.d,
+        "parity": "odd" if row.d % 2 else "even",
+        "estimated_d": est.d,
+        "delta": est.d - row.d,
+        "within_tolerance": abs(est.d - row.d) <= TOLERANCE,
+        **extra,
+        "convention": est.convention_tag,
+    }
+
+
+def estimator_report(genus: int, orientable: bool = True) -> dict:
+    """Estimated-vs-reference distances at one genus, machine readable.
+
+    ``n`` and ``k`` always match by construction (they are recounted), so
+    the report concentrates on ``d``: every nonzero delta lands in
+    ``deviations`` and ``ok`` says whether all rows sit within tolerance.
+    Each row's ``parity`` is that of its reference ``d``.
+    """
+    tables = SEMIREGULAR_ORIENTABLE if orientable else SEMIREGULAR_NONORIENTABLE
+    entries = [_scored(genus, orientable, row.m, row) for row in dedup(tables[genus])]
+    return {
+        "genus": genus,
+        "orientable": orientable,
+        "tolerance": TOLERANCE,
+        "rows": entries,
+        "deviations": [e for e in entries if e["delta"] != 0],
+        "ok": all(e["within_tolerance"] for e in entries),
+    }
+
+
+def family_report(orientable: bool = True, genera: Iterable[int] | None = None) -> dict:
+    """Estimator sweep over the [6,6,8] family reference rows.
+
+    Rows whose own ratio columns contradict their [[n,k,d]] are flagged
+    ``reference_row_consistent: false`` and excluded from the ``ok``
+    verdict — a corrupt reference value cannot fail the estimator — but
+    they still appear in ``rows`` and ``deviations``.
+    """
+    ref = HEXHEX_ORIENTABLE if orientable else HEXHEX_NONORIENTABLE
+    if genera is not None:
+        wanted = set(genera)
+        ref = tuple(r for r in ref if r.genus in wanted)
+    entries = [
+        _scored(row.genus, orientable, HEXHEX_SIGNATURE, row,
+                reference_row_consistent=ratios_consistent(row))
+        for row in ref
+    ]
+    return {
+        "signature": list(HEXHEX_SIGNATURE),
+        "orientable": orientable,
+        "tolerance": TOLERANCE,
+        "rows": entries,
+        "deviations": [e for e in entries if e["delta"] != 0],
+        "flagged": [e for e in entries if not e["reference_row_consistent"]],
+        "ok": all(
+            e["within_tolerance"]
+            for e in entries if e["reference_row_consistent"]
+        ),
+    }

@@ -14,13 +14,7 @@ from itertools import combinations
 
 import pytest
 
-from floqtess import refdata
-from floqtess.catalog import (
-    encoding_rate,
-    equivalence_check,
-    estimator_report,
-    family_report,
-)
+from floqtess.catalog import equivalence_check
 from floqtess.coloring import three_color
 from floqtess.derive import clip_complex, incenter_complex, semiregular_counts_direct
 from floqtess.floquet import (
@@ -37,6 +31,8 @@ from floqtess.hypgeo import (
     semiregular_edge_length,
 )
 from floqtess.surface import fundamental_polygon
+import reference
+from reference import encoding_rate, estimator_report, family_report
 from test_floquet import exhaustive_distance
 
 
@@ -52,13 +48,13 @@ def _pipeline(genus, orientable):
 def test_criterion_1_counting_reproduction():
     t0 = time.perf_counter()
     checked = 0
-    for genus, rows in refdata.SEMIREGULAR_ORIENTABLE.items():
+    for genus, rows in reference.SEMIREGULAR_ORIENTABLE.items():
         for row in rows:
             c = semiregular_counts_direct(row.m, genus, True)
             assert c is not None and c.n_v == row.n, (genus, row)
             assert 2 * genus == row.k, (genus, row)
             checked += 1
-    for genus, rows in refdata.SEMIREGULAR_NONORIENTABLE.items():
+    for genus, rows in reference.SEMIREGULAR_NONORIENTABLE.items():
         for row in rows:
             c = semiregular_counts_direct(row.m, genus, False)
             assert c is not None and c.n_v == row.n, (genus, row)
@@ -79,16 +75,16 @@ def test_criterion_1_counting_reproduction():
 
 def test_criterion_2_family_scaling():
     t0 = time.perf_counter()
-    genera_o = [r.genus for r in refdata.HEXHEX_ORIENTABLE]
+    genera_o = [r.genus for r in reference.HEXHEX_ORIENTABLE]
     rows_o = [code_params((6, 6, 8), g, True, "geo") for g in genera_o]
-    for params, ref in zip(rows_o, refdata.HEXHEX_ORIENTABLE):
+    for params, ref in zip(rows_o, reference.HEXHEX_ORIENTABLE):
         assert params.n == 48 * (ref.genus - 1) == ref.n
         assert params.k == 2 * ref.genus == ref.k
     assert (rows_o[-1].genus, rows_o[-1].n, rows_o[-1].k) == (50, 2352, 100)
 
-    genera_n = [r.genus for r in refdata.HEXHEX_NONORIENTABLE]
+    genera_n = [r.genus for r in reference.HEXHEX_NONORIENTABLE]
     rows_n = [code_params((6, 6, 8), g, False, "geo") for g in genera_n]
-    for params, ref in zip(rows_n, refdata.HEXHEX_NONORIENTABLE):
+    for params, ref in zip(rows_n, reference.HEXHEX_NONORIENTABLE):
         assert params.n == 24 * (ref.genus - 2) == ref.n
         assert params.k == ref.genus == ref.k
     assert (rows_n[-1].genus, rows_n[-1].n, rows_n[-1].k) == (51, 1176, 51)
@@ -160,8 +156,8 @@ def test_criterion_5_geometric_estimator():
     # and the places where the published tables contradict their own
     # genus-h <-> genus-2h equivalence (equal systoles, different d).
     fam_no = family_report(orientable=False)
-    d_o = {r.genus: r.d for r in refdata.HEXHEX_ORIENTABLE}
-    d_no = {r.genus: r.d for r in refdata.HEXHEX_NONORIENTABLE}
+    d_o = {r.genus: r.d for r in reference.HEXHEX_ORIENTABLE}
+    d_no = {r.genus: r.d for r in reference.HEXHEX_NONORIENTABLE}
     mirrors = [
         {"h": h, "d_orientable": d_o[h], "d_nonorientable": d_no[2 * h]}
         for h in sorted(d_o)

@@ -1,71 +1,70 @@
-"""Catalog: enumeration, tables, reports, rates, genus equivalence."""
+"""Catalog: enumeration, tables, genus equivalence; reference reports and rates."""
 
+import csv
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
-from floqtess import refdata
 from floqtess.catalog import (
     CSV_HEADER,
     build_table,
     default_m_max,
-    encoding_rate,
     enumerate_signatures,
     equivalence_check,
-    estimator_report,
-    family_report,
     table_to_csv,
     table_to_json,
 )
 from floqtess.derive import semiregular_counts_direct
 from floqtess.floquet import code_params
+import reference
+from reference import encoding_rate, estimator_report, family_report
 
 
 class TestReferenceData:
     @pytest.mark.parametrize("genus", [2, 3, 4, 5])
     def test_orientable_rows_recount(self, genus):
-        for row in refdata.SEMIREGULAR_ORIENTABLE[genus]:
+        for row in reference.SEMIREGULAR_ORIENTABLE[genus]:
             counts = semiregular_counts_direct(row.m, genus, True)
             assert counts is not None and counts.n_v == row.n
             assert row.k == 2 * genus
 
     @pytest.mark.parametrize("genus", [3, 5, 7])
     def test_nonorientable_rows_recount(self, genus):
-        for row in refdata.SEMIREGULAR_NONORIENTABLE[genus]:
+        for row in reference.SEMIREGULAR_NONORIENTABLE[genus]:
             counts = semiregular_counts_direct(row.m, genus, False)
             assert counts is not None and counts.n_v == row.n
             assert row.k == genus
 
     def test_regular_rows_as_quasi_regular_triples(self):
-        for genus, p, n, k, d in refdata.REGULAR_ORIENTABLE:
+        for genus, p, n, k, d in reference.REGULAR_ORIENTABLE:
             counts = semiregular_counts_direct((p, p, p), genus, True)
             assert counts is not None and counts.n_v == n
             assert k == 2 * genus
 
     def test_family_closed_forms(self):
-        for row in refdata.HEXHEX_ORIENTABLE:
+        for row in reference.HEXHEX_ORIENTABLE:
             assert (row.n, row.k) == (48 * (row.genus - 1), 2 * row.genus)
-        for row in refdata.HEXHEX_NONORIENTABLE:
+        for row in reference.HEXHEX_NONORIENTABLE:
             assert (row.n, row.k) == (24 * (row.genus - 2), row.genus)
 
     def test_ratio_checker_flags_exactly_one_row(self):
-        bad_o = [r.genus for r in refdata.HEXHEX_ORIENTABLE
-                 if not refdata.ratios_consistent(r)]
-        bad_no = [r.genus for r in refdata.HEXHEX_NONORIENTABLE
-                  if not refdata.ratios_consistent(r)]
+        bad_o = [r.genus for r in reference.HEXHEX_ORIENTABLE
+                 if not reference.ratios_consistent(r)]
+        bad_no = [r.genus for r in reference.HEXHEX_NONORIENTABLE
+                  if not reference.ratios_consistent(r)]
         assert bad_o == [8] and bad_no == []
 
     def test_flagged_row_ratios_fit_half_its_n(self):
         # The one flagged row's printed ratios all reproduce from n/2,
         # pinning the inconsistency to the row itself.
-        row = next(r for r in refdata.HEXHEX_ORIENTABLE if r.genus == 8)
+        row = next(r for r in reference.HEXHEX_ORIENTABLE if r.genus == 8)
         half = row._replace(n=row.n // 2)
-        assert refdata.ratios_consistent(half)
+        assert reference.ratios_consistent(half)
 
     def test_dedup_collapses_repeated_listing(self):
-        table = refdata.SEMIREGULAR_NONORIENTABLE[3]
-        unique = refdata.dedup(table)
+        table = reference.SEMIREGULAR_NONORIENTABLE[3]
+        unique = reference.dedup(table)
         assert len(table) == 16 and len(unique) == 13
         assert len(set(unique)) == len(unique)
 
@@ -99,12 +98,12 @@ class TestEnumerateSignatures:
     @pytest.mark.parametrize("genus", [2, 3, 4, 5])
     def test_orientable_matches_reference_exactly(self, genus):
         sigs = enumerate_signatures(genus, True)
-        assert set(sigs) == {r.m for r in refdata.SEMIREGULAR_ORIENTABLE[genus]}
+        assert set(sigs) == {r.m for r in reference.SEMIREGULAR_ORIENTABLE[genus]}
 
     @pytest.mark.parametrize("genus", [3, 5, 7])
     def test_nonorientable_covers_reference(self, genus):
         sigs = set(enumerate_signatures(genus, False))
-        printed = {r.m for r in refdata.SEMIREGULAR_NONORIENTABLE[genus]}
+        printed = {r.m for r in reference.SEMIREGULAR_NONORIENTABLE[genus]}
         assert printed <= sigs
 
     @pytest.mark.parametrize(
@@ -186,7 +185,7 @@ class TestEnumerateSignatures:
 class TestBuildTable:
     def test_genus2_orientable_auto(self):
         rows = build_table(2, True, "auto")
-        ref = {r.m: r for r in refdata.SEMIREGULAR_ORIENTABLE[2]}
+        ref = {r.m: r for r in reference.SEMIREGULAR_ORIENTABLE[2]}
         assert len(rows) == 22
         for row in rows:
             assert (row.n, row.k) == (ref[row.signature].n, ref[row.signature].k)
@@ -204,11 +203,18 @@ class TestBuildTable:
             slack = sum(Fraction(1, x) for x in row.signature) - Fraction(1, 2)
             assert row.n * slack == 2 - 3  # chi of the genus-3 crosscap surface
 
-    def test_ratio_properties_exact(self):
-        row = build_table(2, True, "geo")[0]
-        assert row.k_n == Fraction(row.k, row.n)
-        assert row.kd2_n == Fraction(row.k * row.d**2, row.n)
-        assert row.d_n == Fraction(row.d, row.n)
+    def test_ratio_columns_exact(self):
+        # JSON carries the correctly rounded float of each exact ratio, and
+        # the CSV prints that float to 12 significant digits.
+        rows = build_table(2, True, "auto")
+        lines = csv.reader(table_to_csv(rows).splitlines()[1:])
+        for row, line in zip(rows, lines, strict=True):
+            exact = [float(Fraction(row.k, row.n)),
+                     float(Fraction(row.k * row.d**2, row.n)),
+                     float(Fraction(row.d, row.n))]
+            doc = row.as_json()
+            assert [doc["k_n"], doc["kd2_n"], doc["d_n"]] == exact
+            assert line[-3:] == [f"{x:.12g}" for x in exact]
 
     def test_deterministic(self):
         a = build_table((3, 2), True, "geo")
@@ -219,7 +225,7 @@ class TestBuildTable:
 
 class TestFamilyTable:
     def test_orientable_scaling(self):
-        genera = [r.genus for r in refdata.HEXHEX_ORIENTABLE]
+        genera = [r.genus for r in reference.HEXHEX_ORIENTABLE]
         rows = [code_params((6, 6, 8), g, True, "geo") for g in genera]
         for row in rows:
             assert (row.n, row.k) == (48 * (row.genus - 1), 2 * row.genus)
@@ -229,7 +235,7 @@ class TestFamilyTable:
         assert [r.d for r in rows] == [4, 5, 6, 6, 7, 7, 7, 8]
 
     def test_nonorientable_scaling(self):
-        genera = [r.genus for r in refdata.HEXHEX_NONORIENTABLE]
+        genera = [r.genus for r in reference.HEXHEX_NONORIENTABLE]
         rows = [code_params((6, 6, 8), g, False, "geo") for g in genera]
         for row in rows:
             assert (row.n, row.k) == (24 * (row.genus - 2), row.genus)
@@ -279,7 +285,7 @@ class TestEstimatorReport:
         report = estimator_report(3, False)
         assert report["genus"] == 3 and not report["orientable"]
         assert {tuple(e["signature"]) for e in report["rows"]} == {
-            r.m for r in refdata.SEMIREGULAR_NONORIENTABLE[3]
+            r.m for r in reference.SEMIREGULAR_NONORIENTABLE[3]
         }
 
 
@@ -297,6 +303,41 @@ class TestFamilyReport:
     def test_genus_filter(self):
         report = family_report(True, genera=range(2, 10))
         assert [e["genus"] for e in report["rows"]] == list(range(2, 10))
+
+
+def _odd(rows) -> list:
+    return [(e["genus"], tuple(e["signature"]), e["reference_d"])
+            for e in rows if e["parity"] == "odd"]
+
+
+class TestParity:
+    """Odd reference distances, listed per table (visible under ``-s``).
+
+    Every exact distance of a face-coloured schedule measured so far is
+    even, so no such schedule can reproduce an odd published d.
+    """
+
+    @pytest.mark.parametrize("orientable, odd, total", [(True, 66, 159), (False, 0, 77)])
+    def test_semiregular_odd_rows(self, orientable, odd, total):
+        tables = (reference.SEMIREGULAR_ORIENTABLE if orientable
+                  else reference.SEMIREGULAR_NONORIENTABLE)
+        rows = [e for g in sorted(tables) for e in estimator_report(g, orientable)["rows"]]
+        assert all(e["parity"] == ("even", "odd")[e["reference_d"] % 2] for e in rows)
+        listed = _odd(rows)
+        print(f"odd semi-regular reference d, orientable={orientable}: {listed}")
+        assert (len(listed), len(rows)) == (odd, total)
+
+    @pytest.mark.parametrize("orientable, odd_genera", [
+        (True, [3, 6, 7, 8, 13, 14, 15, 16, 17, 18, 30, 40]),
+        (False, []),
+    ])
+    def test_family_odd_rows(self, orientable, odd_genera):
+        rows = family_report(orientable)["rows"]
+        assert all(e["parity"] == ("even", "odd")[e["reference_d"] % 2] for e in rows)
+        listed = _odd(rows)
+        print(f"odd [6,6,8] reference d, orientable={orientable}: {listed}")
+        assert len(rows) == 31
+        assert [g for g, _, _ in listed] == odd_genera
 
 
 class TestRates:
@@ -320,7 +361,7 @@ class TestRates:
             assert 2 * encoding_rate(m, g) == Fraction(4 - 2 * chi, n)
 
     def test_measured_rate_agrees_with_counted_rows(self):
-        for row in refdata.SEMIREGULAR_ORIENTABLE[2]:
+        for row in reference.SEMIREGULAR_ORIENTABLE[2]:
             assert encoding_rate(row.m, 2) == Fraction(row.k, row.n)
 
     def test_limits_approached_monotonically(self):

@@ -1,9 +1,14 @@
-"""Every name a floqtess module exports in ``__all__`` exists, and the
-parameters that take a default are a pinned set."""
+"""Every name a floqtess module exports in ``__all__`` exists, the
+parameters that take a default are a pinned set, the CLI loads only the
+pipeline modules, and the functions the benchmark's tracer wraps exist."""
 
 import ast
 import importlib
+import importlib.util
+import inspect
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,12 +39,8 @@ def test_all_names_resolve(module):
 DEFAULTED = {
     "catalog.build_table.d_mode",
     "catalog.build_table.orientable",
-    "catalog.encoding_rate.orientable",
     "catalog.enumerate_signatures.m_max",
     "catalog.enumerate_signatures.orientable",
-    "catalog.estimator_report.orientable",
-    "catalog.family_report.genera",
-    "catalog.family_report.orientable",
     "cli.main.argv",
     "floquet.code_params.d_mode",
     "floquet.code_params.orientable",
@@ -66,3 +67,58 @@ def test_defaulted_parameters_are_pinned():
     found = defaulted_parameters()
     assert len(found) == len(set(found))
     assert set(found) == DEFAULTED
+
+
+PACKAGE_ROOT = Path(floqtess.__file__).parents[1]
+
+
+def test_cli_loads_only_the_pipeline():
+    # A fresh interpreter, so modules other tests imported do not count.
+    script = "\n".join([
+        "import sys",
+        "import floqtess.cli",
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'floqtess')))",
+        "print('fractions' in sys.modules)",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=PACKAGE_ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, fractions = proc.stdout.splitlines()
+    pipeline = ("catalog", "cli", "coloring", "derive", "floquet", "geodist", "hypgeo", "surface")
+    assert loaded.split() == ["floqtess"] + [f"floqtess.{m}" for m in pipeline]
+    assert fractions == "False"
+
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+# Parameters each counting hook of the tracer reads from its bound call.
+HOOK_PARAMETERS = {
+    "catalog.enumerate_signatures": ("genus", "orientable", "m_max"),
+    "floquet.run_schedule": ("schedule", "rounds"),
+}
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_layers_resolve():
+    # The benchmark's --trace 1 run wraps each of these by name and fails
+    # on the first that is renamed or removed.
+    tracing = load_tracing()
+    for layer in tracing.LAYERS:
+        module_name, func_name = layer.split(".")
+        func = getattr(importlib.import_module(f"floqtess.{module_name}"), func_name, None)
+        assert inspect.isfunction(func), layer
+    assert set(tracing._HOOKS) <= set(tracing.LAYERS)
+    assert set(HOOK_PARAMETERS) <= set(tracing._HOOKS)
+
+
+@pytest.mark.parametrize("layer", sorted(HOOK_PARAMETERS))
+def test_hooked_layers_keep_their_parameters(layer):
+    module_name, func_name = layer.split(".")
+    func = getattr(importlib.import_module(f"floqtess.{module_name}"), func_name)
+    assert set(HOOK_PARAMETERS[layer]) <= set(inspect.signature(func).parameters)

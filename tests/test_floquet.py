@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from floqtess import floquet
+from floqtess.catalog import table_to_csv
 from floqtess.cli import _schedule_for
 from floqtess.coloring import (
     PAULI_OF,
@@ -1111,8 +1112,9 @@ class TestCodeParams:
         cp = code_params((6, 6, 8), 2, True)
         assert (cp.n, cp.k, cp.d) == (48, 4, 4)
         assert cp.d_source == "geometric-estimate"
-        assert float(cp.k_n) == pytest.approx(0.0833, abs=5e-4)
-        assert float(cp.kd2_n) == pytest.approx(1.333, abs=5e-4)
+        doc = cp.as_json()
+        assert doc["k_n"] == pytest.approx(0.0833, abs=5e-4)
+        assert doc["kd2_n"] == pytest.approx(1.333, abs=5e-4)
 
     def test_exact_rows(self):
         cp = code_params((4, 16, 16), 2, True)
@@ -1229,10 +1231,11 @@ class TestCodeParams:
         with pytest.raises(ValueError, match="d_mode"):
             code_params((6, 6, 8), 2, True, "both")
 
-    def test_ratio_properties(self):
+    def test_ratio_columns(self):
         cp = CodeParams((6, 6, 8), 3, False, 24, 3, 4, "geometric-estimate")
-        assert float(cp.kd2_n) == 2.0
         assert cp.as_json()["kd2_n"] == 2.0
+        ratios = table_to_csv([cp]).splitlines()[1].split(",")[-3:]
+        assert ratios == ["0.125", "2", "0.166666666667"]
 
     def test_explicit_route_shapes(self):
         cx = explicit_complex((4, 16, 16), 2, True)
