@@ -20,8 +20,8 @@ than 3, or a loop.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import permutations
 
 from .surface import SurfaceComplex
 
@@ -41,6 +41,8 @@ COLORS = ("R", "G", "B")
 PAULI_OF = {"G": "XX", "B": "YY", "R": "ZZ"}
 #: Measurement order within one period: green, blue, red.
 ROUND_COLOR = ("G", "B", "R")
+# The third color of each ordered pair of distinct colors.
+_THIRD = {(a, b): c for a, b, c in permutations(COLORS)}
 
 
 class NotColorCodeTiling(ValueError):
@@ -98,7 +100,8 @@ class ColorAssignment(EdgeSchedule):
     """An edge schedule induced by a proper face 3-coloring.
 
     ``face_color[i]`` colors face i; ``edge_color`` is derived from it: each
-    edge takes the color absent from its two faces.  That coloring is proper
+    edge takes the color absent from its two faces, looked up in a table
+    keyed by the ordered pair of face colors.  That coloring is proper
     without a scan: each edge at a tri-valent vertex without loops separates
     two of its three corners, so once the faces across every edge differ
     the corners take three colors and each edge the one it does not touch.
@@ -112,14 +115,15 @@ class ColorAssignment(EdgeSchedule):
             raise ValueError("one color per face required")
         if any(color not in COLORS for color in self.face_color):
             raise ValueError("face colors must be R, G or B")
+        face_color = self.face_color
         edge_color = {}
         for eid, (f1, f2) in self.complex.flag_map().edge_faces.items():
-            c1, c2 = self.face_color[f1], self.face_color[f2]
+            c1, c2 = face_color[f1], face_color[f2]
             if c1 == c2:
                 raise ValueError(
                     f"faces {f1} and {f2} share edge {eid!r} but both are {c1}"
                 )
-            edge_color[eid] = next(col for col in COLORS if col not in (c1, c2))
+            edge_color[eid] = _THIRD[c1, c2]
         object.__setattr__(self, "edge_color", edge_color)
         super().__post_init__()
 
@@ -148,28 +152,41 @@ def _face_classes(c: SurfaceComplex) -> list[int] | None:
     reaches a neighbour.  A BFS from rotation 0, a corner of face 0, reaches
     every vertex of the connected surface, and each step shares an edge,
     hence two colored faces, with an earlier vertex: the coloring is unique
-    up to a permutation of classes.
+    up to a permutation of classes.  Per vertex, one pass over the rotation
+    clears the taken classes from a 3-bit mask of free ones (a class taken
+    twice is a conflict) and queues the neighbours; the uncolored faces
+    then take the highest free classes in rotation order.
+
+    The complex must be tri-valent without loops or self-adjacent faces,
+    as :func:`three_color` checks before it calls this: each rotation then
+    has three distinct faces, and nothing else is checked here.
     """
     fm = c.flag_map()
+    face, vertex, s0, rotations = fm.face, fm.vertex, fm.s0, fm.rotations
     cls: list[int | None] = [None] * len(c.faces)
-    seen = [False] * len(fm.rotations)
+    seen = [False] * len(rotations)
     seen[0] = True
-    queue = deque([0])
-    while queue:
-        rotation = fm.rotations[queue.popleft()]
-        faces = [fm.face[i >> 1] for i in rotation]
-        taken = [cls[f] for f in faces if cls[f] is not None]
-        if len(set(taken)) != len(taken):
-            return None
-        free = [k for k in range(3) if k not in taken]
-        for f in faces:
-            if cls[f] is None:
-                cls[f] = free.pop()
-        for i in rotation:
-            w = fm.vertex[fm.s0[i]]
+    queue = [0]
+    for v in queue:  # the queue grows while it is read
+        free = 0b111
+        blank = []
+        for i in rotations[v]:
+            f = face[i >> 1]
+            k = cls[f]
+            if k is None:
+                blank.append(f)
+            elif free >> k & 1:
+                free ^= 1 << k
+            else:
+                return None
+            w = vertex[s0[i]]
             if not seen[w]:
                 seen[w] = True
                 queue.append(w)
+        for f in blank:
+            k = free.bit_length() - 1
+            cls[f] = k
+            free ^= 1 << k
     return cls
 
 

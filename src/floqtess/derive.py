@@ -59,19 +59,6 @@ class DerivedCounts:
     def chi(self) -> int:
         return self.n_v - self.n_e + self.n_f
 
-    def face_census(self) -> dict[int, int]:
-        """Number of faces of each size, keyed by polygon size."""
-        m = self.signature.m
-        out = {}
-        for size in sorted(set(m)):
-            corners = m.count(size) * self.n_v
-            if corners % size:
-                raise ValueError(
-                    f"face count for size {size} is not integral: {corners}/{size}"
-                )
-            out[size] = corners // size
-        return out
-
 
 def _source_counts(p: int, q: int, chi: int) -> tuple[int, int, int]:
     got = _counts_from_chi(p, q, chi)

@@ -42,16 +42,6 @@ def _pauli_row(n: int, letter: str, qubits) -> int:
     return row
 
 
-def _swap_halves(v: int, n: int) -> int:
-    """``(z << n) | x`` of the row ``(x << n) | z``: the symplectic product
-    of ``u`` and ``v`` is the parity of ``u & _swap_halves(v, n)``."""
-    return ((v & ((1 << n) - 1)) << n) | (v >> n)
-
-
-def _sympl(u: int, v: int, n: int) -> int:
-    return (u & _swap_halves(v, n)).bit_count() & 1
-
-
 def _reduce_rows(vectors, n) -> tuple:
     """Canonical reduced basis (distinct descending pivots) of the span.
 
@@ -65,14 +55,21 @@ def _reduce_rows(vectors, n) -> tuple:
     basis: dict[int, int] = {}
     piv = 0
     for v in vectors:
-        for p in _bits(v & piv):
-            v ^= basis[p]
+        m = v & piv
+        while m:  # _bits inlined, here and below: this runs once per round
+            low = m & -m
+            v ^= basis[low.bit_length() - 1]
+            m ^= low
         if not v:
             continue
         q = v.bit_length() - 1
-        for p in _bits(piv >> q << q):
+        m = piv >> q << q
+        while m:
+            low = m & -m
+            p = low.bit_length() - 1
             if (basis[p] >> q) & 1:
                 basis[p] ^= v
+            m ^= low
         basis[q] = v
         piv |= 1 << q
     return tuple(basis[p] for p in sorted(basis, reverse=True))
@@ -84,9 +81,9 @@ class StabilizerGroup:
 
     Rows are ``(x << n) | z`` integers with strictly decreasing pivots (top
     set bits), and no row carries another row's pivot bit, so equal groups
-    compare equal.  Construction checks this in O(rank), which is
-    equivalent to ``rows == _reduce_rows(rows, n)``, and that the rows fit
-    in ``2 n`` bits.
+    compare equal.  Construction checks this in one pass over the rows,
+    lowest pivot first, which is equivalent to
+    ``rows == _reduce_rows(rows, n)``, and that the rows fit in ``2 n`` bits.
     """
 
     n: int
@@ -94,15 +91,16 @@ class StabilizerGroup:
 
     def __post_init__(self):
         rows = self.rows
-        canonical = isinstance(rows, tuple) and all(r > 0 for r in rows)
-        if canonical:
-            pivots = [r.bit_length() - 1 for r in rows]
-            piv = sum(1 << p for p in pivots)
-            canonical = all(a > b for a, b in zip(pivots, pivots[1:])) and all(
-                r & piv == 1 << p for r, p in zip(rows, pivots)
-            )
-        if not canonical:
+        if not isinstance(rows, tuple):
             raise ValueError("rows are not in canonical reduced form")
+        # piv holds the pivots below the row: the row is canonical when it
+        # carries none of them and its top bit lies above them all, that is
+        # when it exceeds piv and shares no bit with it.
+        piv = 0
+        for r in reversed(rows):
+            if r <= piv or r & piv:
+                raise ValueError("rows are not in canonical reduced form")
+            piv |= 1 << (r.bit_length() - 1)
         if rows and rows[0].bit_length() > 2 * self.n:
             raise ValueError("row outside the 2n-bit symplectic range")
 
@@ -125,8 +123,9 @@ def _measure_step(rows: list, basis: dict, cols: list, c: int, hits: tuple, n: i
     set bit) to the slot that holds it, and ``cols[j]`` is a mask over
     slots: bit ``s`` is bit ``j`` of ``rows[s]``.  A pivot can so move to
     another slot without a column bit being rewritten.  ``hits`` are the
-    set bits of ``_swap_halves(c, n)``, so the XOR of ``cols`` over them
-    marks the rows that anticommute with ``c``.
+    set bits of ``c`` with its halves swapped, ``(z << n) | x``: a row
+    anticommutes with ``c`` when it carries an odd number of them, so the
+    XOR of ``cols`` over them marks the rows that anticommute with ``c``.
 
     Any anticommuting row may leave, since the new group is <c> plus the
     rows that commute with c whichever leaves.  The lighter (fewer set
@@ -194,9 +193,9 @@ def _measure_step(rows: list, basis: dict, cols: list, c: int, hits: tuple, n: i
             raise RuntimeError("measurement lowered the rank")
         return
     new = 1 << slot
-    # The rows anticommuting with c are the XOR of cols over the bits of
-    # _swap_halves(c, n); the joining slot's bits are clear, so its bit is
-    # set only by the join in the same pass and is masked out of the test.
+    # The rows anticommuting with c are the XOR of cols over the bits of c
+    # with its halves swapped; the joining slot's bits are clear, so its bit
+    # is set only by the join in the same pass and is masked out of the test.
     anti = 0
     v = c
     while v:
@@ -236,39 +235,43 @@ class ScheduleResult:
 def run_schedule(schedule, rounds: int) -> ScheduleResult:
     """Measure the colour classes cyclically and watch the ISG settle.
 
-    ``schedule`` is an EdgeSchedule, such as a ColorAssignment.  Steady state is
-    entered at round ``r`` when ISG(r) == ISG(r-3).  Measuring a round maps
-    a group to a group whatever basis represents it, so the period-3 cycle
-    then repeats forever: the rounds after ``r`` are copied from the cycle,
-    not measured.  Until then one echelon basis is updated check by check
-    by :func:`_measure_step`, its rows in slots (``rows``), each pivot
-    mapped to its slot (``basis``) and each row bit to a mask of the slots
-    that carry it (``cols``).  The lighter of the two lowest-pivot
-    anticommuting rows leaves, so a check costs its anticommuting rows plus
-    the bits of the leaving and the joined row.  Rows round a face stay
-    light: at n = 96 the leaving rows carry 1256 bits over nine rounds,
-    where always taking the lowest pivot let the growing product of a
-    face's checks leave, 5400 bits.  The basis is made canonical once per
-    round, by feeding its rows to :func:`_reduce_rows` in ascending pivot
-    order: each row then only sheds the lower pivot bits it carries, so a
-    round costs the sum of those overlaps, not rank squared.
+    ``schedule`` is an EdgeSchedule, such as a ColorAssignment.  Each check
+    row and its ``hits`` (see :func:`_measure_step`) are built once per run
+    straight from the round letter's (x, z) bits and the two qubit indices.
+    Steady state is entered at round ``r`` when ISG(r) == ISG(r-3).
+    Measuring a round maps a group to a group whatever basis represents it,
+    so the period-3 cycle then repeats forever: the rounds after ``r`` are
+    copied from the cycle, not measured.  Until then one echelon basis is
+    updated check by check by :func:`_measure_step`, its rows in slots
+    (``rows``), each pivot mapped to its slot (``basis``) and each row bit
+    to a mask of the slots that carry it (``cols``).  The lighter of the two
+    lowest-pivot anticommuting rows leaves, so a check costs its
+    anticommuting rows plus the bits of the leaving and the joined row.
+    Rows round a face stay light: at n = 96 the leaving rows carry 1256 bits
+    over nine rounds, where always taking the lowest pivot let the growing
+    product of a face's checks leave, 5400 bits.  The basis is made
+    canonical once per round, by feeding its rows to :func:`_reduce_rows` in
+    ascending pivot order: each row then only sheds the lower pivot bits it
+    carries, so a round costs the sum of those overlaps, not rank squared.
     """
     if rounds < 6:
         raise ValueError("need at least 6 rounds to certify a steady state")
     cx = schedule.complex
     n = len(cx.vertices)
     index = {v: i for i, v in enumerate(cx.vertices)}
-    phase_rows = [
-        [
-            _pauli_row(n, PAULI_OF[ROUND_COLOR[r]][0], (index[u], index[w]))
-            for u, w in checks_for_round(schedule, r)
-        ]
-        for r in range(3)
-    ]
-    # Each check with the set bits of its swapped halves, found once per run.
-    phase_checks = [
-        [(c, tuple(_bits(_swap_halves(c, n)))) for c in rows] for rows in phase_rows
-    ]
+    # Each check row with the set bits of its swapped halves, read off the
+    # letter's (x, z) bits: x on qubits a, b puts bits a, b in the swapped
+    # row and z puts bits n + a, n + b there.
+    phase_checks = []
+    for r in range(3):
+        lx, lz = _LETTERS[PAULI_OF[ROUND_COLOR[r]][0]]
+        unit = (lx << n) | lz
+        checks = []
+        for u, w in checks_for_round(schedule, r):
+            a, b = index[u], index[w]
+            hits = ((a, b) if lx else ()) + ((n + a, n + b) if lz else ())
+            checks.append(((unit << a) ^ (unit << b), hits))
+        phase_checks.append(checks)
     rows: list[int] = []
     basis: dict[int, int] = {}
     cols = [0] * (2 * n)
@@ -321,9 +324,11 @@ def _cosupport_graph(group: StabilizerGroup) -> list:
     n = group.n
     adj = [0] * n
     for row in group.rows:
-        sup = ((row >> n) | row) & ((1 << n) - 1)
-        for q in _bits(sup):
-            adj[q] |= sup
+        sup = m = ((row >> n) | row) & ((1 << n) - 1)
+        while m:  # _bits inlined
+            low = m & -m
+            adj[low.bit_length() - 1] |= sup
+            m ^= low
     return [a & ~(1 << q) for q, a in enumerate(adj)]
 
 

@@ -237,9 +237,6 @@ class SurfaceComplex:
         """(tail, head) of a directed slot."""
         return self.edge_by_id(slot[0]).ends[::slot[1]]
 
-    def face_sizes(self) -> list[int]:
-        return sorted(len(face) for face in self.faces)
-
     def vertex_degrees(self) -> dict[VertexId, int]:
         deg: dict[VertexId, int] = {v: 0 for v in self.vertices}
         for e in self.edges:

@@ -18,7 +18,6 @@ from floqtess.catalog import equivalence_check
 from floqtess.coloring import three_color
 from floqtess.derive import clip_complex, incenter_complex, semiregular_counts_direct
 from floqtess.floquet import (
-    _sympl,
     code_params,
     exact_distance,
     run_schedule,
@@ -31,6 +30,7 @@ from floqtess.hypgeo import (
     semiregular_edge_length,
 )
 from floqtess.surface import fundamental_polygon
+from helpers import face_sizes, sympl
 import reference
 from reference import encoding_rate, estimator_report, family_report
 from test_floquet import exhaustive_distance
@@ -98,7 +98,7 @@ def test_criterion_3_explicit_complex_pipeline():
     t0 = time.perf_counter()
     cx, schedule, result = _pipeline(2, True)
     assert len(cx.vertices) == 16
-    assert sorted(set(cx.face_sizes())) == [4, 16]
+    assert sorted(set(face_sizes(cx))) == [4, 16]
     assert set(cx.vertex_degrees().values()) == {3}
     assert result.steady_round is not None and result.steady_round <= 9
     assert result.k_inst == 4
@@ -238,7 +238,7 @@ def test_criterion_6_invariant_suites():
     _, schedule, result = _pipeline(2, True)
     phases = result.steady_phases
     assert len(phases) == 3
-    assert not any(_sympl(u, v, p.n) for p in phases for u, v in combinations(p.rows, 2))
+    assert not any(sympl(u, v, p.n) for p in phases for u, v in combinations(p.rows, 2))
     steady = result.ranks[result.steady_round:]
     assert steady and len(set(steady)) == 1
 

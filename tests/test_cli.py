@@ -11,6 +11,7 @@ import pytest
 import floqtess
 from floqtess.cli import _build_parser, main
 from floqtess.surface import deserialize
+from helpers import face_sizes
 
 # Fresh CLI processes run here, so ``-m floqtess.cli`` imports the same
 # package as this run even when it is not installed.
@@ -88,7 +89,7 @@ class TestComplexBuild:
     def test_incenter_counts(self, capsys, incenter2):
         cx = deserialize(open(incenter2).read())
         assert len(cx.vertices) == 16
-        assert sorted(set(cx.face_sizes())) == [4, 16]
+        assert sorted(set(face_sizes(cx))) == [4, 16]
 
     def test_clip_counts(self, capsys):
         code, out, _ = run(

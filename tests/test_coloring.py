@@ -495,6 +495,28 @@ class TestColorAssignment:
         sched = EdgeSchedule(complex=assign.complex, edge_color=assign.edge_color)
         assert sched.checks == assign.checks
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(
+                lambda g=g, o=o: incenter_complex(
+                    fundamental_polygon(g, o), (4 if o else 2) * g, (4 if o else 2) * g
+                ),
+                id=f"incenter-{'o' if o else 'n'}{g}",
+            )
+            for o, genera in ((True, range(2, 13)), (False, range(3, 13)))
+            for g in genera
+        ]
+        + [pytest.param(lambda L=L: honeycomb_torus(L), id=f"honeycomb-{L}") for L in (3, 6, 9)],
+    )
+    def test_edge_takes_the_color_absent_from_its_faces(self, build):
+        assign = three_color(build())
+        edge_faces = assign.complex.flag_map().edge_faces
+        assert set(assign.edge_color) == set(edge_faces)
+        for eid, (f1, f2) in edge_faces.items():
+            (absent,) = set(COLORS) - {assign.face_color[f1], assign.face_color[f2]}
+            assert assign.edge_color[eid] == absent
+
 
 class TestJsonExport:
     def test_schema(self, octagon_incenter):

@@ -29,8 +29,6 @@ from floqtess.floquet import (
     _min_logical_weight,
     _pauli_row,
     _reduce_rows,
-    _swap_halves,
-    _sympl,
     _syndromes,
     _weight_hits,
     code_params,
@@ -42,6 +40,7 @@ from floqtess.floquet import (
 )
 from floqtess.hypgeo import SemiRegularSig
 from floqtess.surface import fundamental_polygon
+from helpers import swap_halves, sympl
 from test_coloring import honeycomb_torus
 
 
@@ -52,7 +51,7 @@ def weight(row, n):
 
 def assert_commuting(rows, n):
     """Every pair of the symplectic rows commutes."""
-    assert not any(_sympl(u, v, n) for u, v in combinations(rows, 2)), "rows anticommute"
+    assert not any(sympl(u, v, n) for u, v in combinations(rows, 2)), "rows anticommute"
 
 
 def reference_reduce_rows(vectors, n):
@@ -105,7 +104,7 @@ def reference_measure(isg, c):
     O(rank^2)."""
     n = isg.n
     rows = list(isg.rows)
-    anti = [i for i, r in enumerate(rows) if _sympl(r, c, n)]
+    anti = [i for i, r in enumerate(rows) if sympl(r, c, n)]
     if anti:
         g = rows[anti[0]]
         for i in anti[1:]:
@@ -271,22 +270,22 @@ class TestPauliOperator:
         rng = random.Random(11)
         for _ in range(20):
             r = rng.getrandbits(34)
-            assert _sympl(r, r, 17) == 0
+            assert sympl(r, r, 17) == 0
 
     def test_commutation_examples(self):
         x0 = _pauli_row(2, "X", (0,))
         z0 = _pauli_row(2, "Z", (0,))
         xx = _pauli_row(2, "X", (0, 1))
         zz = _pauli_row(2, "Z", (0, 1))
-        assert _sympl(x0, z0, 2) == 1
-        assert _sympl(xx, zz, 2) == 0
+        assert sympl(x0, z0, 2) == 1
+        assert sympl(xx, zz, 2) == 0
 
     def test_symplectic_bilinearity(self):
         rng = random.Random(23)
         for n in (3, 17, 64):
             for _ in range(40):
                 a, b, c = (rng.getrandbits(2 * n) for _ in range(3))
-                assert _sympl(a ^ b, c, n) == _sympl(a, c, n) ^ _sympl(b, c, n)
+                assert sympl(a ^ b, c, n) == sympl(a, c, n) ^ sympl(b, c, n)
 
 
 class TestStabilizerGroup:
@@ -423,7 +422,7 @@ def slot_state(rows, n):
 def measure(state, c, n):
     """Measure check ``c`` into the slot state with :func:`_measure_step`,
     its swapped bits found by a plain scan."""
-    hits = tuple(j for j in range(2 * n) if (_swap_halves(c, n) >> j) & 1)
+    hits = tuple(j for j in range(2 * n) if (swap_halves(c, n) >> j) & 1)
     _measure_step(*state, c, hits, n)
 
 
@@ -557,7 +556,7 @@ class TestMeasure:
         for _ in range(12 * n):
             i, j = rng.sample(range(n), 2)
             c = _pauli_row(n, rng.choice("XYZ"), (i, j))
-            anti = sum(_sympl(r, c, n) for r in ref.rows)
+            anti = sum(sympl(r, c, n) for r in ref.rows)
             nxt = reference_measure(ref, c)
             many_anti += anti >= 3
             dependent += not anti and nxt == ref
@@ -670,7 +669,7 @@ class TestRunSchedule:
         def spy(rows, basis, cols, c, hits, n):
             before = list(rows)
             step(rows, basis, cols, c, hits, n)
-            anti = sorted((r.bit_length(), s) for s, r in enumerate(before) if _sympl(r, c, n))
+            anti = sorted((r.bit_length(), s) for s, r in enumerate(before) if sympl(r, c, n))
             if anti:
                 out = min(anti[:2], key=lambda ps: (before[ps[1]].bit_count(), ps[0]))[1]
                 g = before[out]
@@ -735,6 +734,33 @@ class TestRunSchedule:
         result = run_schedule(schedule, 9)
         assert result.groups == reference_run_schedule(schedule, 9)
 
+    @pytest.mark.parametrize("build", schedule_complexes())
+    def test_check_rows_follow_their_letter(self, build, monkeypatch):
+        # run_schedule builds each check row and its swapped bits from the
+        # round letter's (x, z) bits; every measured check must be the
+        # letter's row on its pair, with hits the swapped row's set bits.
+        schedule, _ = _schedule_for(build())
+        calls = []
+        step = floquet._measure_step
+
+        def spy(rows, basis, cols, c, hits, n):
+            # Checked before the step, which may fail on wrong hits itself.
+            assert sorted(hits) == list(floquet._bits(swap_halves(c, n)))
+            calls.append(c)
+            step(rows, basis, cols, c, hits, n)
+
+        monkeypatch.setattr(floquet, "_measure_step", spy)
+        result = run_schedule(schedule, 9)
+        cx = schedule.complex
+        n = len(cx.vertices)
+        index = {v: i for i, v in enumerate(cx.vertices)}
+        expected = [
+            _pauli_row(n, PAULI_OF[ROUND_COLOR[r % 3]][0], (index[u], index[w]))
+            for r in range(result.steady_round + 1)
+            for u, w in checks_for_round(schedule, r)
+        ]
+        assert calls == expected
+
 
 class TestFaceStabilizers:
     # The clip complexes are the ones three_color rejects.
@@ -782,7 +808,7 @@ class TestFaceStabilizers:
         assert len(checks) == len(cx.edges)
         for f in range(len(cx.faces)):
             stab = face_stabilizer(assign, f)
-            assert not any(_sympl(stab, c, 12) for c in checks)
+            assert not any(sympl(stab, c, 12) for c in checks)
 
 
 def is_connected(adj, sub):
@@ -907,7 +933,7 @@ class TestKernels:
             for (s, row), letter in zip(syn[q], "XYZ"):
                 assert row == _pauli_row(n, letter, (q,))
                 assert s == sum(
-                    _sympl(row, r, n) << i for i, r in enumerate(phase.rows)
+                    sympl(row, r, n) << i for i, r in enumerate(phase.rows)
                 )
 
     def test_hits_are_lazy(self, octagon):
@@ -934,7 +960,7 @@ class TestKernels:
         assert hits
         for row in hits:
             assert weight(row, n) == 2
-            assert not any(_sympl(row, r, n) for r in phase.rows)
+            assert not any(sympl(row, r, n) for r in phase.rows)
 
 
 def toric_code(L):
