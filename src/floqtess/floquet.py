@@ -405,12 +405,13 @@ def _weight_hits(syn: list, supports, w: int):
 def exact_distance(schedule, result: ScheduleResult) -> int:
     """Minimum weight of a logical operator over the steady phases of ``result``.
 
-    Each phase is searched only on supports connected in its co-support
-    graph (qubits adjacent when a row acts on both).  The prune is exact:
-    a minimum-weight logical split into parts that no row links would
-    leave a lighter part that is itself a logical.  Raises ValueError when
-    k = 0 and BoundExceeded past ``_EXACT_MAX_N`` qubits or weight
-    ``_EXACT_MAX_WEIGHT``.
+    Weight 1 is read off ORs over each phase's rows.  From weight 2 on, each
+    phase is searched only on supports connected in its co-support graph
+    (qubits adjacent when a row acts on both), built when the search first
+    reaches the phase.  The prune is exact: a minimum-weight logical split
+    into parts that no row links would leave a lighter part that is itself
+    a logical.  Raises ValueError when k = 0 and BoundExceeded past
+    ``_EXACT_MAX_N`` qubits or weight ``_EXACT_MAX_WEIGHT``.
     """
     n = result.n
     if n > _EXACT_MAX_N:
@@ -426,10 +427,33 @@ def exact_distance(schedule, result: ScheduleResult) -> int:
 
 
 def _min_logical_weight(phases) -> int:
-    """The search of :func:`exact_distance` over any stabilizer groups."""
-    searches = [(p, _syndromes(p), _cosupport_graph(p)) for p in phases]
-    for w in range(1, _EXACT_MAX_WEIGHT + 1):
-        for phase, syn, adj in searches:
+    """The search of :func:`exact_distance` over any stabilizer groups.
+
+    Weight 1 needs no table: X on qubit q commutes with every row iff no
+    row has z bit q, Z iff no row has x bit q, and Y iff every row has
+    x_q = z_q.  Each phase's syndromes and co-support graph are built when
+    the search first reaches it at weight 2 or more.  Phases, supports and
+    letters are tried in the same order at every weight.
+    """
+    for phase in phases:
+        n = phase.n
+        mask = (1 << n) - 1
+        acts = differs = 0
+        for row in phase.rows:
+            acts |= row
+            differs |= row ^ (row >> n)
+        xs, zs, ys = acts >> n, acts & mask, differs & mask
+        ux, uy, uz = ((lx << n) | lz for lx, lz in _LETTERS.values())
+        for q in _bits(mask & ~(xs & ys & zs)):  # some letter commutes
+            for used, unit in ((zs, ux), (ys, uy), (xs, uz)):
+                if not used >> q & 1 and phase._reduce_vec(unit << q):
+                    return 1
+    tables = [None] * len(phases)
+    for w in range(2, _EXACT_MAX_WEIGHT + 1):
+        for i, phase in enumerate(phases):
+            if tables[i] is None:
+                tables[i] = _syndromes(phase), _cosupport_graph(phase)
+            syn, adj = tables[i]
             for row in _weight_hits(syn, connected_supports(adj, w), w):
                 if phase._reduce_vec(row):
                     return w

@@ -196,11 +196,11 @@ class SurfaceComplex:
     """A validated polygonal complex on a closed surface.
 
     Construction performs full validation: edge slots pair up, face
-    boundaries are closed walks, the vertex set matches the corner orbits
-    (so vertex links are single cycles), the complex is connected, the Euler
-    characteristic matches the declared genus and orientability, and the
-    declared orientability agrees with orientation propagation.  Instances
-    are immutable.
+    boundaries are closed walks, the complex is connected, each declared
+    vertex carries exactly one corner orbit (so vertex links are single
+    cycles), the Euler characteristic matches the declared genus and
+    orientability, and the declared orientability agrees with orientation
+    propagation.  Instances are immutable.
     """
 
     orientable: bool
@@ -238,11 +238,9 @@ class SurfaceComplex:
         return self.edge_by_id(slot[0]).ends[::slot[1]]
 
     def vertex_degrees(self) -> dict[VertexId, int]:
-        deg: dict[VertexId, int] = {v: 0 for v in self.vertices}
-        for e in self.edges:
-            deg[e.ends[0]] += 1
-            deg[e.ends[1]] += 1
-        return deg
+        """Edge ends at each vertex (a loop counts twice), in vertex order:
+        the lengths of the vertex rotations, read by _validate."""
+        return dict(self._degrees)
 
 
 def _validate(c: SurfaceComplex) -> None:
@@ -270,17 +268,21 @@ def _validate(c: SurfaceComplex) -> None:
                 raise SurfaceError(f"face {f}: direction must be +1 or -1, got {d!r}")
 
     # Slot pairing (exactly two per edge) is enforced by the flag map.
-    fm = _FlagMap(c.faces)
+    # polygon_surface builds it first, to find the vertices it declares, and
+    # leaves it on the instance for this check.
+    fm = vars(c).get("_flag_map") or _FlagMap(c.faces)
     object.__setattr__(c, "_flag_map", fm)
 
+    walk = []  # walk_ends of each slot, so flag i names vertex walk[i >> 1][i & 1]
     for f, face in enumerate(c.faces):
-        walk = [index[eid].ends[::d] for eid, d in face]  # walk_ends of each slot
-        for j, ((_, head), (tail, _)) in enumerate(zip(walk, walk[1:] + walk[:1])):
+        ends = [index[eid].ends[::d] for eid, d in face]
+        for j, ((_, head), (tail, _)) in enumerate(zip(ends, ends[1:] + ends[:1])):
             if head != tail:
                 raise SurfaceError(
                     f"face {f} is not a closed walk at slot {j}: "
                     f"{head!r} != {tail!r}"
                 )
+        walk += ends
 
     connected, orientable = fm.sweep()
     if not connected:
@@ -292,6 +294,18 @@ def _validate(c: SurfaceComplex) -> None:
             f"corner orbits give {n_orbits} vertices but {len(c.vertices)} are declared "
             f"(pinched or isolated vertex)"
         )
+    # The closed walks make every flag of an orbit name one vertex, so the
+    # orbit's first flag names it.  There are as many orbits as vertices, so
+    # a vertex named twice (pinched) leaves another one unnamed.
+    named = [walk[r[0] >> 1][r[0] & 1] for r in fm.rotations]
+    degrees = dict.fromkeys(c.vertices)
+    degrees.update(zip(named, map(len, fm.rotations)))
+    if None in degrees.values():
+        pinched = next(v for pos, v in enumerate(named) if v in named[:pos])
+        raise SurfaceError(
+            f"vertex {pinched!r} carries more than one corner orbit (pinched vertex)"
+        )
+    object.__setattr__(c, "_degrees", degrees)
 
     floor = 0 if c.orientable else 1
     if c.genus < floor:
@@ -317,11 +331,11 @@ def polygon_surface(word: Sequence[Slot]) -> SurfaceComplex:
     occur exactly twice.  Vertices are recovered from the corner orbits, and
     genus and orientability are inferred from the result.
     """
-    word = [(lab, d) for lab, d in word]
+    word = tuple((lab, d) for lab, d in word)
     for _, d in word:
         if d not in (1, -1):
             raise SurfaceError("directions must be +1 or -1")
-    fm = _FlagMap([word])
+    fm = _FlagMap((word,))
     n_orbits = len(fm.rotations)
 
     edges = [  # in order of first appearance
@@ -332,13 +346,17 @@ def polygon_surface(word: Sequence[Slot]) -> SurfaceComplex:
     orientable = fm.sweep()[1]  # one face is always connected
     # A closed connected orientable surface has even chi = 2 - 2g.
     chi = n_orbits - len(edges) + 1
-    return SurfaceComplex(
+    # Validation checks this flag map rather than building a second one.
+    c = object.__new__(SurfaceComplex)
+    object.__setattr__(c, "_flag_map", fm)
+    c.__init__(
         orientable=orientable,
         genus=(2 - chi) // 2 if orientable else 2 - chi,
         vertices=tuple(range(n_orbits)),
         edges=tuple(edges),
-        faces=(tuple(word),),
+        faces=(word,),
     )
+    return c
 
 
 def fundamental_polygon(genus: int, orientable: bool) -> SurfaceComplex:

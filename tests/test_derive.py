@@ -157,18 +157,26 @@ class TestExplicitIncenter:
 
 
 class TestMultiFaceSources:
-    """Derivations of multi-face tori: {6,3} honeycombs and a {3,6} dual.
+    """Derivations of multi-face tori ({6,3} honeycombs and a {3,6} dual)
+    and of one-face fundamental polygons.
 
-    The digests are sha256 of json.dumps(serialize(...)), taken from the
-    derivations as they stood before they were rebuilt on flag-orbit walks;
-    they pin names, edge and face order, start flags and directions.
+    The digests are sha256 of json.dumps(serialize(...)).  The tori's were
+    taken from the derivations as they stood before they were rebuilt on
+    flag-orbit walks, the polygons' before the walks gave way to flag
+    slices; they pin names, edge and face order, start flags and directions.
     """
 
+    TORUS = (0, True, 1)  # (chi, orientable, genus)
     SOURCES = {
-        "honeycomb-2": (lambda: honeycomb_torus(2), 6, 3),
-        "honeycomb-3": (lambda: honeycomb_torus(3), 6, 3),
-        "honeycomb-4": (lambda: honeycomb_torus(4), 6, 3),
-        "dual-honeycomb-3": (lambda: dual(honeycomb_torus(3)), 3, 6),
+        "honeycomb-2": (lambda: honeycomb_torus(2), 6, 3, TORUS),
+        "honeycomb-3": (lambda: honeycomb_torus(3), 6, 3, TORUS),
+        "honeycomb-4": (lambda: honeycomb_torus(4), 6, 3, TORUS),
+        "dual-honeycomb-3": (lambda: dual(honeycomb_torus(3)), 3, 6, TORUS),
+        "polygon-o2": (lambda: fundamental_polygon(2, True), 8, 8, (-2, True, 2)),
+        "polygon-o5": (lambda: fundamental_polygon(5, True), 20, 20, (-8, True, 5)),
+        "polygon-o12": (lambda: fundamental_polygon(12, True), 48, 48, (-22, True, 12)),
+        "polygon-n3": (lambda: fundamental_polygon(3, False), 6, 6, (-1, False, 3)),
+        "polygon-n8": (lambda: fundamental_polygon(8, False), 16, 16, (-6, False, 8)),
     }
     PINS = {
         ("honeycomb-2", "clip"): "104fcfe5f13adb9fa366d13a929f74a3b5f19c8cceaebe4bc272eea250965c85",
@@ -179,11 +187,21 @@ class TestMultiFaceSources:
         ("honeycomb-4", "incenter"): "a2e654d003129f4d903f2f6b1be9b271ecec6012ddad796f51c1df9e8e49a00d",
         ("dual-honeycomb-3", "clip"): "bc7a6b2c843b60d1016459dbdfbda7422fe112562abe35fe45723f3589e93bc8",
         ("dual-honeycomb-3", "incenter"): "1141405d0b44990b1496d0dffbd0a25ff48763fed7f5bbe642b71200e0a11cd3",
+        ("polygon-o2", "clip"): "c1af4b6f3f798cbf55054e3fd215461b022b0f6c6b79ce413725f309aa3404b3",
+        ("polygon-o2", "incenter"): "05b10c838053aa64da1e607494a490979ee0a91cddbf94942f3296339855c89e",
+        ("polygon-o5", "clip"): "3cbe640a24b68e309eae79fce294a9e5f103ccbe5a1a78f1ea73b770bc5a144d",
+        ("polygon-o5", "incenter"): "4c5be44e7c769751905163d298ec0943444b644bbbc2f96bc3995e35f311deae",
+        ("polygon-o12", "clip"): "1243901f2555abf89220678a98337092b516e2bb89130962925f45d8e1be77e4",
+        ("polygon-o12", "incenter"): "4a748ce524ede949457df1e99a765bd76cbeee560feb58ea4e353e78258cb2b5",
+        ("polygon-n3", "clip"): "24b708ba7e53e36e1f58801471619b3b0e48f2bbec4c4e3bd57cd9c954430549",
+        ("polygon-n3", "incenter"): "eae3668895bc56f92a1a40b6539c531d404691d2eb31ae29fc9dae2b912d94b3",
+        ("polygon-n8", "clip"): "74ced92f2514bf9b7640da7560678e30e7e02abdd3cac9ccfb4808ab5e62bccc",
+        ("polygon-n8", "incenter"): "df78cd852fadda3614d6ac29d53586ca192e47d4ff745b7fbd7173995ed79fb2",
     }
 
     @pytest.mark.parametrize("source,derive", sorted(PINS))
     def test_pinned_and_trivalent(self, source, derive):
-        make, p, q = self.SOURCES[source]
+        make, p, q, surface = self.SOURCES[source]
         src = make()
         F, E, V = len(src.faces), len(src.edges), len(src.vertices)
         if derive == "clip":
@@ -200,7 +218,7 @@ class TestMultiFaceSources:
         for size, count in sizes:
             census[size] += count
         assert census_of(c) == dict(census)
-        assert (c.chi, c.orientable, c.genus) == (0, True, 1)
+        assert (c.chi, c.orientable, c.genus) == surface
 
 
 class TestDirectCounts:

@@ -1004,6 +1004,9 @@ SMALL_CODES = {
         3,
     ),
     "four-two-two": (["XXXX", "ZZZZ"], 2),
+    "repetition": (["ZZI", "IZZ"], 1),
+    # Only Z-type rows act on qubit 0: its Z is a stabilizer, X and Y fail.
+    "frozen-qubit": (["ZIIII", "IXXXX", "IZZZZ"], 2),
 }
 
 
@@ -1054,6 +1057,21 @@ class TestExactDistance:
         assert result.k_inst == 1
         assert exact_distance(sched, result) == 2
         assert exhaustive_distance(result.steady_phases) == 2
+
+    @pytest.mark.parametrize("make", [incenter_complex, clip_complex])
+    def test_builds_tables_for_the_phase_it_searches(self, monkeypatch, make):
+        # Both distances are 2, first hit in phase 0: weight 1 is read off
+        # row ORs, and only phase 0 gets a syndrome table and a graph.
+        sched, _ = _schedule_for(make(fundamental_polygon(2, True), 8, 8))
+        result = run_schedule(sched, 9)
+        calls = []
+        for name in ("_syndromes", "_cosupport_graph"):
+            real = getattr(floquet, name)
+            monkeypatch.setattr(
+                floquet, name, lambda group, name=name, real=real: calls.append(name) or real(group)
+            )
+        assert exact_distance(sched, result) == 2
+        assert sorted(calls) == ["_cosupport_graph", "_syndromes"]
 
     def test_beyond_one_syndrome_word(self, genus12):
         _, assign, result = genus12

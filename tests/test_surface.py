@@ -423,6 +423,16 @@ class TestValidationErrors:
             _octagon(vertices=(0, "spare")),
             "corner orbits give 1 vertices but 2 are declared (pinched or isolated vertex)",
         ),
+        "pinched-vertex": (
+            {
+                "orientable": True,
+                "genus": 1,
+                "vertices": ("v", "w"),
+                "edges": (Edge("a", ("v", "v")),),
+                "faces": ((("a", 1), ("a", -1)),),
+            },
+            "vertex 'v' carries more than one corner orbit (pinched vertex)",
+        ),
         "genus-floor": (
             _fields(fundamental_polygon(3, False), genus=0),
             "genus 0 below minimum for this orientability",
@@ -446,11 +456,9 @@ class TestValidationErrors:
 
 
 class TestOneFlagMapBuild:
-    @pytest.mark.parametrize("make", [incenter_complex, clip_complex])
-    @pytest.mark.parametrize("genus,orientable", [(2, True), (5, True), (3, False), (8, False)])
-    def test_derived_complex_builds_one(self, monkeypatch, make, genus, orientable):
-        base = fundamental_polygon(genus, orientable)
-        p = (4 if orientable else 2) * genus
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The face lists of every flag map built while the test runs."""
         builds = []
 
         class Counting(surface._FlagMap):
@@ -459,8 +467,22 @@ class TestOneFlagMapBuild:
                 super().__init__(faces)
 
         monkeypatch.setattr(surface, "_FlagMap", Counting)
+        return builds
+
+    @pytest.mark.parametrize("make", [incenter_complex, clip_complex])
+    @pytest.mark.parametrize("genus,orientable", [(2, True), (5, True), (3, False), (8, False)])
+    def test_derived_complex_builds_one(self, builds, make, genus, orientable):
+        base = fundamental_polygon(genus, orientable)
+        p = (4 if orientable else 2) * genus
+        builds.clear()
         c = make(base, p, p)
         assert builds == [c.faces]
+
+    @pytest.mark.parametrize("genus,orientable", [(2, True), (12, True), (3, False), (8, False)])
+    def test_fundamental_polygon_builds_one(self, builds, genus, orientable):
+        c = fundamental_polygon(genus, orientable)
+        assert builds == [c.faces]
+        assert isinstance(c.flag_map(), surface._FlagMap)
 
 
 class TestOrientability:
