@@ -130,7 +130,7 @@ def _slot_labels(fm: _FlagMap) -> list[str]:
     return [f"{f}.{j}" for f, face in enumerate(fm.faces) for j in range(len(face))]
 
 
-def _face_steps(fm: _FlagMap, table: tuple) -> list[list]:
+def _face_steps(fm: _FlagMap, table: Sequence[list]) -> list[list]:
     """The (0, 1) walk round each source face from its flag (f, 0, 0), read
     off ``table``: it steps through the face's contiguous flag range, by
     sigma0 from each tail flag and by sigma1 from each head flag."""
