@@ -16,10 +16,8 @@ incenter subdivision has one vertex per flag, one edge per sigma_k pair and
 one face per orbit of two involutions: <s0, s1> gives a 2p-gon, <s1, s2> a
 2q-gon, <s0, s2> a quadrilateral.  Clipping merges each sigma2 pair into a
 vertex, which shrinks every quadrilateral to the middle segment of its
-source edge.  Faces are these orbits read off flag slices: a source face's
-contiguous flag range, a vertex rotation, the four flags of a source edge.
-So self-adjacent faces (unavoidable on one-faced fundamental polygons) need
-no special casing.
+source edge.  Faces are walks round these orbits, so self-adjacent faces
+(unavoidable on one-faced fundamental polygons) need no special casing.
 """
 
 from __future__ import annotations
@@ -130,14 +128,12 @@ def _slot_labels(fm: _FlagMap) -> list[str]:
     return [f"{f}.{j}" for f, face in enumerate(fm.faces) for j in range(len(face))]
 
 
-def _face_steps(fm: _FlagMap, table: Sequence[list]) -> list[list]:
-    """The (0, 1) walk round each source face from its flag (f, 0, 0), read
-    off ``table``: it steps through the face's contiguous flag range, by
-    sigma0 from each tail flag and by sigma1 from each head flag."""
-    steps = table[0][:]
-    steps[1::2] = table[1][1::2]
-    base = fm.base
-    return [steps[2 * a:2 * b] for a, b in zip(base, base[1:])]
+def _walks(fm: _FlagMap) -> list[tuple[int, tuple[int, int]]]:
+    """(start, steps) of the (0, 1) walk round each source face from its flag
+    (f, 0, 0), then of the (1, 2) walk round each vertex from its rotation."""
+    return [(fm.id(f, 0, 0), (0, 1)) for f in range(len(fm.faces))] + [
+        (rotation[0], (1, 2)) for rotation in fm.rotations
+    ]
 
 
 def clip_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
@@ -147,8 +143,7 @@ def clip_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
     the source ("e{i}.{end}").  Edges are the surviving middle segment of
     each source edge ("A{i}"), then one cut per sigma1 pair, named after the
     corner (f, j) of its leading head flag ("B{f}.{j}").  Faces are the
-    truncated 2p-gons, read off each source face's flag range
-    (:func:`_face_steps`), then the q-gons, read off each vertex rotation:
+    truncated 2p-gons, then the q-gons: the walks of :func:`_walks`, where
     sigma0 crosses an A segment, sigma1 a cut, and sigma2 stays put; each
     step is read off a per-flag table of (edge, direction).
     """
@@ -176,8 +171,8 @@ def clip_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
             for i, name in zip(cuts, cut_names)
         ),
         faces=tuple(
-            _face_steps(fm, table)
-            + [list(map(table[1].__getitem__, rotation)) for rotation in fm.rotations]
+            tuple(table[k][i] for k, i in fm.walk(start, steps) if k != 2)
+            for start, steps in _walks(fm)
         ),
     )
 
@@ -189,11 +184,9 @@ def incenter_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
     per sigma_k pair, named from its leading flag: "s0.{f}.{j}" along slot j
     of face f, "s1.{f}.{j}" across the corner after it, "s2.{e}.{end}"
     across that end of source edge e; s0 and s1 are listed by corner, s2 by
-    source edge and end.  Faces are the 2p-gons, read off each source
-    face's flag range (:func:`_face_steps`), the 2q-gons, the (1, 2) walk
-    through each vertex rotation, and then the quadrilaterals: the (0, 2)
-    walk from the tail flag i of each source edge's first slot, through
-    i ^ 1, its sigma2 partner j and j ^ 1.  Each step is read off a
+    source edge and end.  Faces are the 2p-gons and 2q-gons of the walks of
+    :func:`_walks`, then the quadrilaterals: the (0, 2) walk from the tail
+    flag of each source edge's first slot.  Each step is read off a
     per-flag table of (edge, direction), filled once per pair.
     """
     _require_pq(c, p, q)
@@ -213,8 +206,7 @@ def incenter_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
         [f"s2.{e}.{end}" for e in range(len(firsts)) for end in (0, 1)],
     )
     table = [_pair_names(fm.sigma[k], leading[k], names[k]) for k in (0, 1, 2)]
-    t0, t1, t2 = table
-    s1, s2 = fm.s1, fm.s2
+    quads = [(i, (0, 2)) for i in firsts]
     return SurfaceComplex(
         orientable=c.orientable,
         genus=c.genus,
@@ -225,9 +217,8 @@ def incenter_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
             for i, name in zip(leading[k], names[k])
         ),
         faces=tuple(
-            _face_steps(fm, table)
-            + [[x for i in rotation for x in (t1[i], t2[s1[i]])] for rotation in fm.rotations]
-            + [(t0[i], t2[i ^ 1], t0[j], t2[j ^ 1]) for i in firsts for j in (s2[i ^ 1],)]
+            tuple(table[k][i] for k, i in fm.walk(start, steps))
+            for start, steps in _walks(fm) + quads
         ),
     )
 

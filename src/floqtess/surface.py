@@ -238,8 +238,8 @@ class SurfaceComplex:
         return self.edge_by_id(slot[0]).ends[::slot[1]]
 
     def vertex_degrees(self) -> dict[VertexId, int]:
-        """Edge ends at each vertex (a loop counts twice), in vertex order:
-        the lengths of the vertex rotations, read by _validate."""
+        """Declared edge ends at each vertex (a loop counts twice), in vertex
+        order; counted once by _validate."""
         return dict(self._degrees)
 
 
@@ -249,12 +249,14 @@ def _validate(c: SurfaceComplex) -> None:
     index = {e.id: e for e in c.edges}
     if len(index) != len(c.edges):
         raise SurfaceError("duplicate edge ids")
-    vset = set(c.vertices)
+    degrees = dict.fromkeys(c.vertices, 0)
     for e in c.edges:
         for v in e.ends:
-            if v not in vset:
+            if v not in degrees:
                 raise SurfaceError(f"edge {e.id!r} references unknown vertex {v!r}")
+            degrees[v] += 1
     object.__setattr__(c, "_edge_index", index)
+    object.__setattr__(c, "_degrees", degrees)
 
     if not c.faces:
         raise SurfaceError("complex has no faces")
@@ -269,8 +271,10 @@ def _validate(c: SurfaceComplex) -> None:
 
     # Slot pairing (exactly two per edge) is enforced by the flag map.
     # polygon_surface builds it first, to find the vertices it declares, and
-    # leaves it on the instance for this check.
-    fm = vars(c).get("_flag_map") or _FlagMap(c.faces)
+    # leaves it on the instance; it is checked here when built from c.faces.
+    fm = vars(c).get("_flag_map")
+    if fm is None or fm.faces != c.faces:
+        fm = _FlagMap(c.faces)
     object.__setattr__(c, "_flag_map", fm)
 
     walk = []  # walk_ends of each slot, so flag i names vertex walk[i >> 1][i & 1]
@@ -298,14 +302,11 @@ def _validate(c: SurfaceComplex) -> None:
     # orbit's first flag names it.  There are as many orbits as vertices, so
     # a vertex named twice (pinched) leaves another one unnamed.
     named = [walk[r[0] >> 1][r[0] & 1] for r in fm.rotations]
-    degrees = dict.fromkeys(c.vertices)
-    degrees.update(zip(named, map(len, fm.rotations)))
-    if None in degrees.values():
+    if len(set(named)) != n_orbits:
         pinched = next(v for pos, v in enumerate(named) if v in named[:pos])
         raise SurfaceError(
             f"vertex {pinched!r} carries more than one corner orbit (pinched vertex)"
         )
-    object.__setattr__(c, "_degrees", degrees)
 
     floor = 0 if c.orientable else 1
     if c.genus < floor:

@@ -484,6 +484,22 @@ class TestOneFlagMapBuild:
         assert builds == [c.faces]
         assert isinstance(c.flag_map(), surface._FlagMap)
 
+    def test_flag_map_of_other_faces_not_reused(self, builds):
+        """Validation checks a flag map left on the instance only when it
+        was built from the same faces; else it builds its own."""
+        fields = _fields(fundamental_polygon(3, False))
+        builds.clear()
+        c = object.__new__(SurfaceComplex)
+        object.__setattr__(c, "_flag_map", surface._FlagMap([_WORD]))
+        c.__init__(**fields)
+        assert builds == [[_WORD], c.faces]
+        assert c.flag_map().faces == c.faces
+        c = object.__new__(SurfaceComplex)
+        object.__setattr__(c, "_flag_map", surface._FlagMap([_WORD]))
+        with pytest.raises(SurfaceError) as info:
+            c.__init__(**{**fields, "faces": (fields["faces"][0][:-1],)})
+        assert str(info.value) == "open surface: edge 2 appears in 1 face slot(s), need 2"
+
 
 class TestOrientability:
     def test_fundamental_polygons(self):
