@@ -122,28 +122,6 @@ class TestColor:
         assert doc["colorable"] is False
         assert "floqtess.coloring" in doc["error"]
 
-    def test_unused_edge_counts_in_degree(self, capsys, tmp_path):
-        """A declared edge that no face slot uses still adds to its ends'
-        degrees, so the verdict names the degree, as a JSON diagnostic."""
-        code, out, _ = run(
-            capsys, "complex", "build", "--genus", "3", "--orientable", "false",
-            "--derive", "incenter",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        v1, v2 = doc["vertices"][:2]
-        doc["genus"] = 4
-        doc["edges"].append({"id": "x", "ends": [v1, v2]})
-        path = tmp_path / "unused.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "color", "--in", str(path))
-        assert (code, err) == (1, "")
-        assert json.loads(out) == {
-            "colorable": False,
-            "error": "floqtess.coloring: not a color-code tiling: "
-            f"vertex {v1!r} has degree 4, need 3",
-        }
-
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "color", "--in", "/nonexistent.json")
         assert code == 1 and "error" in err
