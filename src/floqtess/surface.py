@@ -195,10 +195,10 @@ class _FlagMap:
 class SurfaceComplex:
     """A validated polygonal complex on a closed surface.
 
-    Construction performs full validation: edge slots pair up, face
-    boundaries are closed walks, the complex is connected, each declared
-    vertex carries exactly one corner orbit (so vertex links are single
-    cycles), the Euler characteristic matches the declared genus and
+    Construction performs full validation: every declared edge appears in
+    exactly two face slots, face boundaries are closed walks, the complex is
+    connected, each declared vertex carries exactly one corner orbit (so
+    vertex links are single cycles), the Euler characteristic matches the declared genus and
     orientability, and the declared orientability agrees with orientation
     propagation.  Instances are immutable.
     """
@@ -269,12 +269,12 @@ def _validate(c: SurfaceComplex) -> None:
             if d not in (1, -1):
                 raise SurfaceError(f"face {f}: direction must be +1 or -1, got {d!r}")
 
-    # Slot pairing (exactly two per edge) is enforced by the flag map.
-    # polygon_surface builds it first, to find the vertices it declares, and
-    # leaves it on the instance; it is checked here when built from c.faces.
-    fm = vars(c).get("_flag_map")
-    if fm is None or fm.faces != c.faces:
-        fm = _FlagMap(c.faces)
+    # The flag map rejects an edge in one face slot or in three; the faces
+    # name only declared edges, so a declared edge it lacks has no slot.
+    fm = _FlagMap(c.faces)
+    if len(fm.first) < len(index):
+        eid = next(e.id for e in c.edges if e.id not in fm.first)
+        raise SurfaceError(f"open surface: edge {eid!r} appears in 0 face slot(s), need 2")
     object.__setattr__(c, "_flag_map", fm)
 
     walk = []  # walk_ends of each slot, so flag i names vertex walk[i >> 1][i & 1]
@@ -330,7 +330,7 @@ def polygon_surface(word: Sequence[Slot]) -> SurfaceComplex:
 
     ``word`` lists the boundary as (label, direction) pairs; each label must
     occur exactly twice.  Vertices are recovered from the corner orbits, and
-    genus and orientability are inferred from the result.
+    genus and orientability are inferred from them; validation proves both.
     """
     word = tuple((lab, d) for lab, d in word)
     for _, d in word:
@@ -347,17 +347,13 @@ def polygon_surface(word: Sequence[Slot]) -> SurfaceComplex:
     orientable = fm.sweep()[1]  # one face is always connected
     # A closed connected orientable surface has even chi = 2 - 2g.
     chi = n_orbits - len(edges) + 1
-    # Validation checks this flag map rather than building a second one.
-    c = object.__new__(SurfaceComplex)
-    object.__setattr__(c, "_flag_map", fm)
-    c.__init__(
+    return SurfaceComplex(
         orientable=orientable,
         genus=(2 - chi) // 2 if orientable else 2 - chi,
         vertices=tuple(range(n_orbits)),
         edges=tuple(edges),
         faces=(word,),
     )
-    return c
 
 
 def fundamental_polygon(genus: int, orientable: bool) -> SurfaceComplex:
@@ -367,19 +363,22 @@ def fundamental_polygon(genus: int, orientable: bool) -> SurfaceComplex:
     (boundary word a1 ... a2g a1^-1 ... a2g^-1), giving one vertex, 2g edges,
     one face — the {4g,4g} tessellation.  Non-orientable genus g (g >= 3):
     the 2g-gon with word a1 a1 a2 a2 ... ag ag, giving one vertex, g edges,
-    one face — the {2g,2g} tessellation.
+    one face — the {2g,2g} tessellation.  Both are declared in closed form,
+    each side label a loop at vertex 0, and validation proves them.
     """
     _check_genus(genus, orientable)
-    sides = _polygon_sides(genus, orientable)
+    labels = range(_polygon_sides(genus, orientable) // 2)
     if orientable:
-        half = sides // 2
-        word = [(i, 1) for i in range(half)] + [(i, -1) for i in range(half)]
+        word = [(i, d) for d in (1, -1) for i in labels]
     else:
-        word = [(i // 2, 1) for i in range(sides)]
-    c = polygon_surface(word)
-    if c.genus != genus or c.orientable != orientable:
-        raise AssertionError("fundamental polygon gluing produced the wrong surface")
-    return c
+        word = [(i, 1) for i in labels for _ in range(2)]
+    return SurfaceComplex(
+        orientable=orientable,
+        genus=genus,
+        vertices=(0,),
+        edges=tuple(Edge(i, (0, 0)) for i in labels),
+        faces=(word,),
+    )
 
 
 def _counts_from_chi(p: int, q: int, chi: int) -> tuple[int, int, int] | None:

@@ -19,7 +19,7 @@ from floqtess.coloring import (
     three_color,
 )
 from floqtess.derive import clip_complex, incenter_complex
-from floqtess.surface import Edge, SurfaceComplex, fundamental_polygon
+from floqtess.surface import Edge, SurfaceComplex, SurfaceError, fundamental_polygon
 
 
 def reference_face_coloring(c: SurfaceComplex) -> list[str] | None:
@@ -227,26 +227,20 @@ class TestIsColorCodeTiling:
         with pytest.raises(NotColorCodeTiling, match="adjacent to itself"):
             three_color(clip)
 
-    def test_unused_edge_counts_in_degree(self):
-        """Degrees count declared edge ends, also of an edge that no face
-        slot uses, so both colourings reject on the degree."""
+    def test_unused_edge_rejected_at_construction(self):
+        """An edge that no face slot uses never reaches the colourers: the
+        complex that declares it is an open surface."""
         base = incenter_complex(fundamental_polygon(3, False), 6, 6)
         v1, v2 = base.vertices[:2]
-        c = SurfaceComplex(
-            orientable=False,
-            genus=4,
-            vertices=base.vertices,
-            edges=base.edges + (Edge("x", (v1, v2)),),
-            faces=base.faces,
-        )
-        assert c.vertex_degrees() == {**base.vertex_degrees(), v1: 4, v2: 4}
-        reason = f"vertex {v1!r} has degree 4, need 3"
-        with pytest.raises(NotColorCodeTiling) as info:
-            three_color(c)
-        assert str(info.value) == f"not a color-code tiling: {reason}"
-        with pytest.raises(ValueError) as info:
-            edge_three_color(c)
-        assert str(info.value) == reason
+        with pytest.raises(SurfaceError) as info:
+            SurfaceComplex(
+                orientable=False,
+                genus=4,
+                vertices=base.vertices,
+                edges=base.edges + (Edge("x", (v1, v2)),),
+                faces=base.faces,
+            )
+        assert str(info.value) == "open surface: edge 'x' appears in 0 face slot(s), need 2"
 
     def test_k4_face_graph_rejected_by_search(self):
         with pytest.raises(NotColorCodeTiling, match="no proper 3-coloring"):

@@ -27,6 +27,9 @@ from helpers import face_census
 from test_coloring import honeycomb_torus
 
 
+POLYGONS = [(g, True) for g in range(2, 13)] + [(g, False) for g in range(3, 13)]
+
+
 def census_of(c):
     return dict(Counter(len(face) for face in c.faces))
 
@@ -158,12 +161,13 @@ class TestExplicitIncenter:
 
 class TestMultiFaceSources:
     """Derivations of multi-face tori ({6,3} honeycombs and a {3,6} dual)
-    and of one-face fundamental polygons.
+    and of every one-face fundamental polygon.
 
     The digests are sha256 of json.dumps(serialize(...)).  The tori's were
     taken from the derivations as they stood before they were rebuilt on
-    flag-orbit walks, the polygons' before the walks gave way to flag
-    slices; they pin names, edge and face order, start flags and directions.
+    flag-orbit walks, the polygons' while the polygons were still found by
+    gluing their boundary words; they pin names, edge and face order, start
+    flags and directions.
     """
 
     TORUS = (0, True, 1)  # (chi, orientable, genus)
@@ -172,11 +176,15 @@ class TestMultiFaceSources:
         "honeycomb-3": (lambda: honeycomb_torus(3), 6, 3, TORUS),
         "honeycomb-4": (lambda: honeycomb_torus(4), 6, 3, TORUS),
         "dual-honeycomb-3": (lambda: dual(honeycomb_torus(3)), 3, 6, TORUS),
-        "polygon-o2": (lambda: fundamental_polygon(2, True), 8, 8, (-2, True, 2)),
-        "polygon-o5": (lambda: fundamental_polygon(5, True), 20, 20, (-8, True, 5)),
-        "polygon-o12": (lambda: fundamental_polygon(12, True), 48, 48, (-22, True, 12)),
-        "polygon-n3": (lambda: fundamental_polygon(3, False), 6, 6, (-1, False, 3)),
-        "polygon-n8": (lambda: fundamental_polygon(8, False), 16, 16, (-6, False, 8)),
+        **{
+            f"polygon-{'o' if o else 'n'}{g}": (
+                lambda g=g, o=o: fundamental_polygon(g, o),
+                (4 if o else 2) * g,
+                (4 if o else 2) * g,
+                (2 - (2 if o else 1) * g, o, g),
+            )
+            for g, o in POLYGONS
+        },
     }
     PINS = {
         ("honeycomb-2", "clip"): "104fcfe5f13adb9fa366d13a929f74a3b5f19c8cceaebe4bc272eea250965c85",
@@ -189,14 +197,46 @@ class TestMultiFaceSources:
         ("dual-honeycomb-3", "incenter"): "1141405d0b44990b1496d0dffbd0a25ff48763fed7f5bbe642b71200e0a11cd3",
         ("polygon-o2", "clip"): "c1af4b6f3f798cbf55054e3fd215461b022b0f6c6b79ce413725f309aa3404b3",
         ("polygon-o2", "incenter"): "05b10c838053aa64da1e607494a490979ee0a91cddbf94942f3296339855c89e",
+        ("polygon-o3", "clip"): "0b6db4aeedafc385ca5e328bec5cae4f0d90727b71551a2e86159e2af317c153",
+        ("polygon-o3", "incenter"): "baa742032ae51c9f453080eb4b4857dc2e383bef38799c29fb287a26e6e6661c",
+        ("polygon-o4", "clip"): "af5c5068bbe13bf4c413dbd69aee68c9a7048a92102d6ff1dc1da13046add2b0",
+        ("polygon-o4", "incenter"): "1b04ece3e884728856ebc0b9708e999ac78f1280fbd1ed10756b9d084696a3a5",
         ("polygon-o5", "clip"): "3cbe640a24b68e309eae79fce294a9e5f103ccbe5a1a78f1ea73b770bc5a144d",
         ("polygon-o5", "incenter"): "4c5be44e7c769751905163d298ec0943444b644bbbc2f96bc3995e35f311deae",
+        ("polygon-o6", "clip"): "7c4128afe4053c05f080bfdd685f5160e02ae5cfd0fcf93cb34df7b7768be6d6",
+        ("polygon-o6", "incenter"): "ac1c9484211511a7b84465c379c8366b908273125b141b7e4b7ac1ff14164fb0",
+        ("polygon-o7", "clip"): "1905f472405d1e09297997572dcd599a7e439fc457b711daf4be5990fb0c6af4",
+        ("polygon-o7", "incenter"): "d9dc7e55c43f87ce9962488bd702772436594a4691249b0b976638e74e3d2aed",
+        ("polygon-o8", "clip"): "0d80835a4475429b4397a3bec6097df57a97f9a528f9ee4f888ea7c51eee2954",
+        ("polygon-o8", "incenter"): "63788ab1bc4be0d6b7fb1b4bb92b88de75c6ad8c34c9eb044a1af0d83a7e2809",
+        ("polygon-o9", "clip"): "cd1d01de8e954823b19492eaf127061ed8175a3b80e82340e8a9ad85552a70a4",
+        ("polygon-o9", "incenter"): "3038338278c7e1ca91efdfd677d258bfe49a0914e2f2a98bd1a13619015666c7",
+        ("polygon-o10", "clip"): "986f9b3f03c92c5eb57c5dd5af4b274a42f1c5fc7724ee925371e5998a1cc822",
+        ("polygon-o10", "incenter"): "9b710ed571089f883609035cc694e78ca44eeae4aae19839bad54d4ec074760f",
+        ("polygon-o11", "clip"): "f91881d4090e2ef890dbea263d09930adbcdbc5ce29f21cbc361205cf1a51638",
+        ("polygon-o11", "incenter"): "fc5f82df92489cc7b2f04effb149e27bb06eade1d85373d79cb1fd2f3092b2b1",
         ("polygon-o12", "clip"): "1243901f2555abf89220678a98337092b516e2bb89130962925f45d8e1be77e4",
         ("polygon-o12", "incenter"): "4a748ce524ede949457df1e99a765bd76cbeee560feb58ea4e353e78258cb2b5",
         ("polygon-n3", "clip"): "24b708ba7e53e36e1f58801471619b3b0e48f2bbec4c4e3bd57cd9c954430549",
         ("polygon-n3", "incenter"): "eae3668895bc56f92a1a40b6539c531d404691d2eb31ae29fc9dae2b912d94b3",
+        ("polygon-n4", "clip"): "17913d7849274470389d538df29f46bc46db3fcbc105e03313f517d894d3d79a",
+        ("polygon-n4", "incenter"): "8c11ef177d2a686c11da61309a7fb7c0a7573dd7b26bfd39a77e625dcd24b386",
+        ("polygon-n5", "clip"): "9fa31e2ef5603f5ed3ba2e42413c0c208009b16564229e4539fdc8565eb820c6",
+        ("polygon-n5", "incenter"): "6e9f12c6cad2e8315861618a545bd3bbbf3d1e17c624a1fdd7f346add5b3a64f",
+        ("polygon-n6", "clip"): "15b890deef6f29d7efa35e71130c222e21a7d7df610627b16bf8dbd552048ac4",
+        ("polygon-n6", "incenter"): "146304d5a6f702417bc06afbb08cbde264ccf4a83a1bafea36d4757307d887f0",
+        ("polygon-n7", "clip"): "2abbafc64261fbed8aa333f4dbab25037972c98f26277d72600844d913572665",
+        ("polygon-n7", "incenter"): "ef98c69608d82d6260d590239fd57066920b5dfd7f968efd2748848b3220f32c",
         ("polygon-n8", "clip"): "74ced92f2514bf9b7640da7560678e30e7e02abdd3cac9ccfb4808ab5e62bccc",
         ("polygon-n8", "incenter"): "df78cd852fadda3614d6ac29d53586ca192e47d4ff745b7fbd7173995ed79fb2",
+        ("polygon-n9", "clip"): "cadc7191c940364006e98fda8035039f5edaa4313610e65c8c90003b58083ff2",
+        ("polygon-n9", "incenter"): "b09a8a2a5512e124288a4bccf8acb25e03949eb7db98a8ae5868bafdb2a0ca6b",
+        ("polygon-n10", "clip"): "f36208b2211ba123dc5e6004febc47db12f309f8b4db57def4a2a1abaf858dde",
+        ("polygon-n10", "incenter"): "10e9eca6ff201be47b033be345ca7a468ff06dd8277154f965f2efceebece19d",
+        ("polygon-n11", "clip"): "a5f8e6f8c9ee6a1476f0360a2b0ab8d19c39ee63ac55294d8fe26a0016e06260",
+        ("polygon-n11", "incenter"): "8d27132b3531aabb83b3a59b6017df16512217334ccbf301d93785a9ee327f75",
+        ("polygon-n12", "clip"): "f4b9bdf893b744296d807e41c94824be69eddeb1ea2a6b2ba1d79c7cb810b262",
+        ("polygon-n12", "incenter"): "cdbe9e0ea3c9ede744a651ce773e146368bcbfb60af865239dcc0cb71dbaef2c",
     }
 
     @pytest.mark.parametrize("source,derive", sorted(PINS))

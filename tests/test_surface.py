@@ -58,6 +58,20 @@ class TestFundamentalPolygon:
         assert c.chi == 2 - genus
         assert face_sizes(c) == [2 * genus]
 
+    @pytest.mark.parametrize(
+        "genus,orientable",
+        [(g, True) for g in range(2, 13)] + [(g, False) for g in range(3, 13)],
+    )
+    def test_declaration_matches_gluing(self, genus, orientable):
+        """The declared complex is the one the general gluing of the paper's
+        boundary word finds: same vertices, edge ends, genus and orientation."""
+        if orientable:  # a1 ... a2g a1^-1 ... a2g^-1
+            word = [(i, 1) for i in range(2 * genus)] + [(i, -1) for i in range(2 * genus)]
+        else:  # a1 a1 a2 a2 ... ag ag
+            word = [(i // 2, 1) for i in range(2 * genus)]
+        c = fundamental_polygon(genus, orientable)
+        assert serialize(c) == serialize(polygon_surface(word))
+
     def test_genus_floors(self):
         with pytest.raises(ValueError):
             fundamental_polygon(1, True)
@@ -409,6 +423,10 @@ class TestValidationErrors:
         "triple-slot": (
             _octagon(faces=(((1, 1), (0, 1), (2, 1), (3, 1), (1, -1), (1, 1), (2, -1), (3, -1)),)),
             "edge 1 appears in 3 face slots; a surface allows 2",
+        ),
+        "unused-edge": (  # chi -3 against genus 2, so the Euler check fails too
+            _octagon(edges=_octagon()["edges"] + (Edge("x", (0, 0)),)),
+            "open surface: edge 'x' appears in 0 face slot(s), need 2",
         ),
         "closed-walk": (
             _two_projective_planes(edges=(Edge("a", ("u", "u")), Edge("b", ("u", "v")))),
