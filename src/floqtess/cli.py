@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .catalog import build_table, equivalence_check, table_to_csv, table_to_json
 from .coloring import NotColorCodeTiling, edge_three_color, three_color
-from .derive import _derive_polygon
+from .derive import polygon_complex
 from .floquet import exact_distance, run_schedule
 from .geodist import estimate_distance
 from .hypgeo import (
@@ -149,7 +149,7 @@ def cmd_complex_build(args) -> int:
     if args.derive is None:
         cx = fundamental_polygon(args.genus, args.orientable)
     else:
-        cx = _derive_polygon(args.derive, args.genus, args.orientable)
+        cx = polygon_complex(args.derive, args.genus, args.orientable)
     _emit(serialize(cx))
     return 0
 

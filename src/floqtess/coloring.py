@@ -61,7 +61,7 @@ class EdgeSchedule:
     """
 
     complex: SurfaceComplex
-    edge_color: dict = field(compare=False)
+    edge_color: dict = field(hash=False)
     checks: dict = field(init=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -34,6 +34,8 @@ __all__ = [
     "incenter_counts",
     "clip_complex",
     "incenter_complex",
+    "polygon_route",
+    "polygon_complex",
     "semiregular_counts_direct",
 ]
 
@@ -223,7 +225,20 @@ def incenter_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
     )
 
 
-def _derive_polygon(route: str, genus: int, orientable: bool) -> SurfaceComplex:
+def polygon_route(m, genus: int, orientable: bool) -> str | None:
+    """How :func:`polygon_complex` builds m, with p the polygon's sides:
+    "incenter" for [4,2p,2p], "clip" for [p,2p,2p], else None (no explicit
+    construction here)."""
+    p = _polygon_sides(genus, orientable)
+    ms = tuple(sorted(m))
+    if ms == tuple(sorted((4, 2 * p, 2 * p))):
+        return "incenter"
+    if ms == tuple(sorted((p, 2 * p, 2 * p))):
+        return "clip"
+    return None
+
+
+def polygon_complex(route: str, genus: int, orientable: bool) -> SurfaceComplex:
     """The surface's fundamental polygon, read as the one-faced {p,p} with p
     its sides, clipped when ``route`` is "clip" and incenter-subdivided when
     it is "incenter"."""

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from . import geodist
 from .coloring import PAULI_OF, ROUND_COLOR, checks_for_round, three_color
-from .derive import _derive_polygon, semiregular_counts_direct
-from .hypgeo import SemiRegularSig, _check_genus, _polygon_sides
+from .derive import polygon_complex, polygon_route, semiregular_counts_direct
+from .hypgeo import SemiRegularSig, _check_genus
 
 # (x, z) bits of each Pauli letter, in the order of _syndromes.
 _LETTERS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -42,7 +42,7 @@ def _pauli_row(n: int, letter: str, qubits) -> int:
     return row
 
 
-def _reduce_rows(vectors, n) -> tuple:
+def _reduce_rows(vectors) -> tuple:
     """Canonical reduced basis (distinct descending pivots) of the span.
 
     The basis stays fully reduced, so XOR-ing in the row with pivot ``p``
@@ -83,7 +83,7 @@ class StabilizerGroup:
     set bits), and no row carries another row's pivot bit, so equal groups
     compare equal.  Construction checks this in one pass over the rows,
     lowest pivot first, which is equivalent to
-    ``rows == _reduce_rows(rows, n)``, and that the rows fit in ``2 n`` bits.
+    ``rows == _reduce_rows(rows)``, and that the rows fit in ``2 n`` bits.
     """
 
     n: int
@@ -283,7 +283,7 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
             continue
         for c, hits in phase_checks[r % 3]:
             _measure_step(rows, basis, cols, c, hits, n)
-        canonical = _reduce_rows((rows[basis[p]] for p in sorted(basis)), n)
+        canonical = _reduce_rows(rows[basis[p]] for p in sorted(basis))
         groups.append(StabilizerGroup(n, canonical))
         if r >= 3 and groups[r] == groups[r - 3]:
             steady = r
@@ -382,15 +382,15 @@ def _syndromes(group: StabilizerGroup) -> list:
     ]
 
 
-def _weight_hits(syn: list, supports, w: int):
-    """Yield the row ``(x << n) | z`` of each weight-``w`` Pauli on
-    ``supports`` that commutes with every row behind ``syn``.
+def _weight_hits(syn: list, supports):
+    """Yield the row ``(x << n) | z`` of each Pauli on one of ``supports``
+    that commutes with every row behind ``syn``.
 
     Every qubit of a support carries X, Y or Z (never identity), so each hit
-    has weight exactly ``w``.  A lettering commutes with all rows iff its
-    ``w`` syndromes XOR to zero: the 3^(w-1) letterings of all but the last
-    qubit are XOR-ed up once per support and matched against the last
-    qubit's three syndromes.
+    has the weight ``w`` of its support.  A lettering commutes with all rows
+    iff its ``w`` syndromes XOR to zero: the 3^(w-1) letterings of all but
+    the last qubit are XOR-ed up once per support and matched against the
+    last qubit's three syndromes.
     """
     for sup in supports:
         partial = [(0, 0)]
@@ -454,7 +454,7 @@ def _min_logical_weight(phases) -> int:
             if tables[i] is None:
                 tables[i] = _syndromes(phase), _cosupport_graph(phase)
             syn, adj = tables[i]
-            for row in _weight_hits(syn, connected_supports(adj, w), w):
+            for row in _weight_hits(syn, connected_supports(adj, w)):
                 if phase._reduce_vec(row):
                     return w
     raise BoundExceeded(
@@ -499,33 +499,6 @@ class CodeParams:
         return doc
 
 
-def _route(m, genus: int, orientable: bool) -> str | None:
-    """'incenter' or 'clip': how :func:`explicit_complex` builds m, else None."""
-    p = _polygon_sides(genus, orientable)
-    ms = tuple(sorted(m))
-    if ms == tuple(sorted((4, 2 * p, 2 * p))):
-        return "incenter"
-    if ms == tuple(sorted((p, 2 * p, 2 * p))):
-        return "clip"
-    return None
-
-
-def explicit_complex(m, genus: int, orientable: bool):
-    """Build the tessellation when a fundamental-polygon route exists.
-
-    Routes: incenter of {4g,4g} gives [4,8g,8g]; its clipping gives
-    [4g,8g,8g]; the non-orientable {2g,2g} analogues give [4,4g,4g] and
-    [2g,4g,4g].  Anything else has no explicit construction here.
-    """
-    route = _route(m, genus, orientable)
-    if route is None:
-        raise ValueError(
-            f"no explicit construction route for {sorted(m)} at genus {genus} "
-            f"({'orientable' if orientable else 'non-orientable'})"
-        )
-    return _derive_polygon(route, genus, orientable)
-
-
 def code_params(
     m,
     genus: int,
@@ -560,6 +533,7 @@ def code_params(
         )
     n = counts.n_v
     k = 2 - chi
+    route = polygon_route(sig.m, genus, orientable)
 
     def estimate() -> CodeParams:
         est = geodist.estimate_distance(sig, genus, orientable)
@@ -569,7 +543,12 @@ def code_params(
         )
 
     def exact() -> CodeParams:
-        cx = explicit_complex(sig.m, genus, orientable)
+        if route is None:
+            raise ValueError(
+                f"no explicit construction route for {sorted(sig.m)} at genus {genus} "
+                f"({'orientable' if orientable else 'non-orientable'})"
+            )
+        cx = polygon_complex(route, genus, orientable)
         if len(cx.vertices) != n:
             raise RuntimeError(
                 f"explicit complex has {len(cx.vertices)} vertices, counts say {n}"
@@ -592,7 +571,7 @@ def code_params(
         return estimate()
     if d_mode == "exact":
         return exact()
-    if _route(sig.m, genus, orientable) != "incenter" or n > _EXACT_MAX_N:
+    if route != "incenter" or n > _EXACT_MAX_N:
         return estimate()
     try:
         return exact()

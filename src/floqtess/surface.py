@@ -18,7 +18,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from .hypgeo import RegularSig, _check_genus, _genus_chi, _polygon_sides
 
@@ -44,18 +44,11 @@ class SurfaceError(ValueError):
     """A document or complex violates the closed-surface contract."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """An undirected edge with an intrinsic end order (ends[0] -> ends[1])."""
 
     id: Any
     ends: tuple[VertexId, VertexId]
-
-    def __post_init__(self) -> None:
-        ends = tuple(self.ends)
-        if len(ends) != 2:
-            raise SurfaceError(f"edge {self.id!r}: ends must be a pair")
-        object.__setattr__(self, "ends", ends)
 
 
 class _FlagMap:
@@ -200,7 +193,8 @@ class SurfaceComplex:
     connected, each declared vertex carries exactly one corner orbit (so
     vertex links are single cycles), the Euler characteristic matches the declared genus and
     orientability, and the declared orientability agrees with orientation
-    propagation.  Instances are immutable.
+    propagation.  Edges may be given as (id, ends) pairs; they are stored as
+    :class:`Edge` records with tuple ends.  Instances are immutable.
     """
 
     orientable: bool
@@ -211,11 +205,7 @@ class SurfaceComplex:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(
-            self,
-            "edges",
-            tuple(e if isinstance(e, Edge) else Edge(*e) for e in self.edges),
-        )
+        object.__setattr__(self, "edges", tuple(map(_as_edge, self.edges)))
         object.__setattr__(
             self,
             "faces",
@@ -243,7 +233,17 @@ class SurfaceComplex:
         return dict(self._degrees)
 
 
+def _as_edge(e) -> Edge:
+    """An (id, ends) pair as an Edge with tuple ends; one that is kept as is."""
+    eid, ends = e
+    return e if type(e) is Edge and type(ends) is tuple else Edge(eid, tuple(ends))
+
+
 def _validate(c: SurfaceComplex) -> None:
+    if type(c.orientable) is not bool:
+        raise SurfaceError(f"orientable must be a boolean, got {c.orientable!r}")
+    if type(c.genus) is not int:
+        raise SurfaceError(f"genus must be an integer, got {c.genus!r}")
     if len(set(c.vertices)) != len(c.vertices):
         raise SurfaceError("duplicate vertex ids")
     index = {e.id: e for e in c.edges}
@@ -251,6 +251,8 @@ def _validate(c: SurfaceComplex) -> None:
         raise SurfaceError("duplicate edge ids")
     degrees = dict.fromkeys(c.vertices, 0)
     for e in c.edges:
+        if len(e.ends) != 2:
+            raise SurfaceError(f"edge {e.id!r}: ends must be a pair")
         for v in e.ends:
             if v not in degrees:
                 raise SurfaceError(f"edge {e.id!r} references unknown vertex {v!r}")
@@ -266,7 +268,7 @@ def _validate(c: SurfaceComplex) -> None:
         for eid, d in face:
             if eid not in index:
                 raise SurfaceError(f"face {f} references unknown edge {eid!r}")
-            if d not in (1, -1):
+            if type(d) is not int or d not in (1, -1):
                 raise SurfaceError(f"face {f}: direction must be +1 or -1, got {d!r}")
 
     # The flag map rejects an edge in one face slot or in three; the faces

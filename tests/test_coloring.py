@@ -469,6 +469,19 @@ class TestEdgeSchedule:
                 e.ends for e in octagon_incenter.edges if assign.edge_color[e.id] == color
             )
 
+    def test_equality_reads_the_colouring(self, octagon_incenter):
+        assign = three_color(octagon_incenter)
+        shift = dict(zip(COLORS, COLORS[1:] + COLORS[:1]))
+        same = EdgeSchedule(complex=octagon_incenter, edge_color=dict(assign.edge_color))
+        permuted = EdgeSchedule(
+            complex=octagon_incenter,
+            edge_color={eid: shift[c] for eid, c in assign.edge_color.items()},
+        )
+        base = EdgeSchedule(complex=octagon_incenter, edge_color=assign.edge_color)
+        assert permuted.checks != base.checks
+        assert permuted != base
+        assert same == base and hash(same) == hash(base)
+
     def test_rejects_loops(self):
         cx = dumbbell_sphere()
         with pytest.raises(ValueError, match="edge 'a' is a loop"):

@@ -13,6 +13,8 @@ from floqtess.derive import (
     clip_counts,
     incenter_complex,
     incenter_counts,
+    polygon_complex,
+    polygon_route,
     semiregular_counts_direct,
 )
 from floqtess.hypgeo import SemiRegularSig
@@ -157,6 +159,25 @@ class TestExplicitIncenter:
     def test_dual_of_derived_is_involutive(self):
         c = incenter_complex(fundamental_polygon(2, True), 8, 8)
         assert isomorphic(dual(dual(c)), c)
+
+
+class TestPolygonRoute:
+    @pytest.mark.parametrize("genus,orientable", POLYGONS)
+    def test_routes_in_any_entry_order(self, genus, orientable):
+        p = (4 if orientable else 2) * genus
+        for m, route in (((4, 2 * p, 2 * p), "incenter"), ((p, 2 * p, 2 * p), "clip")):
+            for order in ((0, 1, 2), (1, 0, 2), (1, 2, 0)):
+                assert polygon_route(tuple(m[i] for i in order), genus, orientable) == route
+        # one size off, or the other surface's polygon: no route
+        assert polygon_route((4, 2 * p, 2 * p + 2), genus, orientable) is None
+        assert polygon_route((4, 2 * p, 2 * p), genus, not orientable) is None
+
+    @pytest.mark.parametrize("route,make", [("clip", clip_complex), ("incenter", incenter_complex)])
+    @pytest.mark.parametrize("genus,orientable", [(2, True), (3, False)])
+    def test_polygon_complex_derives_the_polygon(self, route, make, genus, orientable):
+        p = (4 if orientable else 2) * genus
+        want = make(fundamental_polygon(genus, orientable), p, p)
+        assert polygon_complex(route, genus, orientable) == want
 
 
 class TestMultiFaceSources:

@@ -1,6 +1,7 @@
 """Every name a floqtess module exports in ``__all__`` exists, the
-parameters that take a default are a pinned set, the CLI loads only the
-pipeline modules, and the functions the benchmark's tracer wraps exist."""
+parameters that take a default are a pinned set, every parameter is read,
+the CLI loads only the pipeline modules and imports only public names, and
+the functions the benchmark's tracer wraps exist."""
 
 import ast
 import importlib
@@ -67,6 +68,60 @@ def test_defaulted_parameters_are_pinned():
     found = defaulted_parameters()
     assert len(found) == len(set(found))
     assert set(found) == DEFAULTED
+
+
+# Each entry is a parameter its function does not read yet, kept because
+# callers already pass it.
+UNREAD = {
+    "floquet.exact_distance.schedule",  # a distance kernel that reads the colouring
+}
+
+
+def unread_parameters() -> list[str]:
+    """``module.function.parameter`` for every parameter that its function's
+    body (nested functions included) never reads.  A method's receiver is
+    left out: the call fixes it, not the method."""
+    out = []
+    for path in sorted(Path(floqtess.__path__[0]).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {
+            id(node)
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [
+                    x for x in (a.vararg, a.kwarg) if x is not None
+                ]
+                if id(node) in methods:
+                    params = params[1:]
+                body = node.body if isinstance(node.body, list) else [node.body]
+                read = {
+                    n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                }
+                name = getattr(node, "name", "<lambda>")
+                out += [f"{path.stem}.{name}.{x.arg}" for x in params if x.arg not in read]
+    return out
+
+
+def test_every_parameter_is_read():
+    assert set(unread_parameters()) == UNREAD
+
+
+def test_cli_imports_only_public_names():
+    tree = ast.parse((Path(floqtess.__path__[0]) / "cli.py").read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "floqtess")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 PACKAGE_ROOT = Path(floqtess.__file__).parents[1]

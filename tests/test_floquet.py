@@ -17,7 +17,8 @@ from floqtess.coloring import (
     edge_three_color,
     three_color,
 )
-from floqtess.derive import clip_complex, incenter_complex
+from floqtess import derive
+from floqtess.derive import clip_complex, incenter_complex, polygon_complex, polygon_route
 from floqtess.floquet import (
     BoundExceeded,
     CodeParams,
@@ -34,7 +35,6 @@ from floqtess.floquet import (
     code_params,
     connected_supports,
     exact_distance,
-    explicit_complex,
     face_stabilizer,
     run_schedule,
 )
@@ -293,8 +293,8 @@ class TestStabilizerGroup:
         xx = _pauli_row(2, "X", (0, 1))
         zz = _pauli_row(2, "Z", (0, 1))
         yy = _pauli_row(2, "Y", (0, 1))
-        a = StabilizerGroup(2, _reduce_rows([xx, zz], 2))
-        b = StabilizerGroup(2, _reduce_rows([yy, zz], 2))  # YY = XX*ZZ
+        a = StabilizerGroup(2, _reduce_rows([xx, zz]))
+        b = StabilizerGroup(2, _reduce_rows([yy, zz]))  # YY = XX*ZZ
         assert a == b
         assert a.rank == 2
         assert a._reduce_vec(yy) == 0
@@ -369,7 +369,7 @@ class TestStabilizerGroup:
 
     def test_contains_only_span(self):
         xx = _pauli_row(2, "X", (0, 1))
-        g = StabilizerGroup(2, _reduce_rows([xx], 2))
+        g = StabilizerGroup(2, _reduce_rows([xx]))
         assert g._reduce_vec(xx) == 0
         assert g._reduce_vec(_pauli_row(2, "X", (0,))) != 0
 
@@ -380,7 +380,7 @@ class TestReduceRows:
         rng = random.Random(100 + n)
         for _ in range(60):
             vecs = random_vectors(rng, n)
-            assert _reduce_rows(vecs, n) == reference_reduce_rows(vecs, n)
+            assert _reduce_rows(vecs) == reference_reduce_rows(vecs, n)
 
     @pytest.mark.parametrize("n", range(1, 25))
     def test_ascending_echelon_input(self, n):
@@ -391,7 +391,7 @@ class TestReduceRows:
             pivots = rng.sample(range(2 * n), rng.randint(0, 2 * n))
             basis = {p: (1 << p) | rng.getrandbits(p) for p in pivots}
             rows = [basis[p] for p in sorted(basis)]
-            out = _reduce_rows(rows, n)
+            out = _reduce_rows(rows)
             assert out == reference_reduce_rows(rows, n)
             assert len(out) == len(rows)
 
@@ -430,7 +430,7 @@ def read_group(state, n):
     """The group of the slot state, read off with :func:`_reduce_rows` over
     the rows in ascending pivot order, as run_schedule does."""
     rows, basis, _ = state
-    return StabilizerGroup(n, _reduce_rows((rows[basis[p]] for p in sorted(basis)), n))
+    return StabilizerGroup(n, _reduce_rows(rows[basis[p]] for p in sorted(basis)))
 
 
 class TestMeasure:
@@ -564,7 +564,7 @@ class TestMeasure:
             measure(fresh, c, n)
             assert read_group(fresh, n) == nxt
             measure(state, c, n)
-            assert StabilizerGroup(n, _reduce_rows(state[0], n)) == nxt
+            assert StabilizerGroup(n, _reduce_rows(state[0])) == nxt
             ref = nxt
         assert many_anti and dependent
 
@@ -591,7 +591,7 @@ class TestMeasure:
         # X0 and ZZ anticommute, so this is no stabilizer group: dropping X0
         # for ZZ would lose a rank, which the update refuses.
         x0, zz = _pauli_row(2, "X", (0,)), _pauli_row(2, "Z", (0, 1))
-        bad = slot_state(_reduce_rows([x0, zz], 2), 2)
+        bad = slot_state(_reduce_rows([x0, zz]), 2)
         with pytest.raises(RuntimeError, match="lowered the rank"):
             measure(bad, zz, 2)
 
@@ -600,7 +600,7 @@ class TestMeasure:
         # reduces against X2 Z0 to X1 Z0, which anticommutes with X0.
         a = _pauli_row(3, "X", (2,)) ^ _pauli_row(3, "Z", (0,))
         b = _pauli_row(3, "X", (0,))
-        bad = slot_state(_reduce_rows([a, b], 3), 3)
+        bad = slot_state(_reduce_rows([a, b]), 3)
         with pytest.raises(RuntimeError, match="broke commutativity"):
             measure(bad, _pauli_row(3, "X", (2, 1)), 3)
 
@@ -840,7 +840,7 @@ class TestCosupportGraph:
             _pauli_row(5, "X", (0, 1)),
             _pauli_row(5, "Z", (2,)) ^ _pauli_row(5, "Y", (3,)),
         ]
-        group = StabilizerGroup(5, _reduce_rows(gens, 5))
+        group = StabilizerGroup(5, _reduce_rows(gens))
         assert _cosupport_graph(group) == [0b10, 0b1, 0b1000, 0b100, 0]
 
     def test_symmetric_without_loops(self, octagon):
@@ -918,7 +918,7 @@ class TestKernels:
                     sups = list(combinations(range(phase.n), w))
                 else:
                     sups = list(connected_supports(adj, w))
-                assert sorted(_weight_hits(syn, sups, w)) == reference_rows(
+                assert sorted(_weight_hits(syn, sups)) == reference_rows(
                     reference_search(*split_rows(phase), sups, w), phase.n
                 )
 
@@ -949,14 +949,14 @@ class TestKernels:
             yield sups[0]
             raise AssertionError("read a support past the first hit")
 
-        assert next(_weight_hits(_syndromes(phase), supports(), 2)) in first
+        assert next(_weight_hits(_syndromes(phase), supports())) in first
 
     def test_hit_weights(self, octagon):
         _, _, result = octagon
         phase = result.steady_phases[0]
         n = phase.n
         sups = list(combinations(range(n), 2))
-        hits = list(_weight_hits(_syndromes(phase), sups, 2))
+        hits = list(_weight_hits(_syndromes(phase), sups))
         assert hits
         for row in hits:
             assert weight(row, n) == 2
@@ -1029,13 +1029,13 @@ def scrambled_code(labels, seed):
                 z |= lz << perm[q]
         gens.append((x << n) | z)
     assert_commuting(gens, n)
-    group = StabilizerGroup(n, _reduce_rows(gens, n))
+    group = StabilizerGroup(n, _reduce_rows(gens))
     for _ in range(3 * len(gens)):
         i, j = rng.sample(range(len(gens)), 2)
         gens[i] ^= gens[j]
     # The canonical rows, and with them the co-support graph, depend only
     # on the group, not on the generators it was given.
-    assert StabilizerGroup(n, _reduce_rows(gens, n)) == group
+    assert StabilizerGroup(n, _reduce_rows(gens)) == group
     return group
 
 
@@ -1210,15 +1210,15 @@ class TestCodeParams:
 
         def counted(*args):
             calls.append(args)
-            return explicit_complex(*args)
+            return clip_complex(*args)
 
-        monkeypatch.setattr(floquet, "explicit_complex", counted)
+        monkeypatch.setattr(derive, "clip_complex", counted)
         rows = 0
         for orientable, genera in ((True, range(2, 13)), (False, range(3, 13))):
             for genus in genera:
-                p = floquet._polygon_sides(genus, orientable)
+                p = (4 if orientable else 2) * genus
                 m = (p, 2 * p, 2 * p)
-                assert floquet._route(m, genus, orientable) == "clip"
+                assert polygon_route(m, genus, orientable) == "clip"
                 if orientable:
                     with pytest.raises(ValueError, match="no integral cell counts"):
                         code_params(m, genus, orientable)
@@ -1282,9 +1282,7 @@ class TestCodeParams:
         assert ratios == ["0.125", "2", "0.166666666667"]
 
     def test_explicit_route_shapes(self):
-        cx = explicit_complex((4, 16, 16), 2, True)
-        assert len(cx.vertices) == 16
-        cx = explicit_complex((6, 12, 12), 3, False)
-        assert len(cx.vertices) == 6
-        with pytest.raises(ValueError, match="route"):
-            explicit_complex((6, 6, 8), 2, True)
+        for m, genus, orientable, n in [((4, 16, 16), 2, True, 16), ((6, 12, 12), 3, False, 6)]:
+            cx = polygon_complex(polygon_route(m, genus, orientable), genus, orientable)
+            assert len(cx.vertices) == n
+        assert polygon_route((6, 6, 8), 2, True) is None

@@ -473,6 +473,57 @@ class TestValidationErrors:
         assert str(info.value) == message
 
 
+class TestConstructorScalars:
+    """The constructor rejects the scalars that :func:`deserialize` rejects,
+    so a complex it accepts survives a JSON round trip (see
+    ``TestSerialization.test_json_round_trip``)."""
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"orientable": 1}, "orientable must be a boolean, got 1"),
+            ({"genus": 2.0}, "genus must be an integer, got 2.0"),
+            ({"faces": (((0, True),) + _WORD[1:],)}, "face 0: direction must be +1 or -1, got True"),
+            ({"faces": (((0, 1.0),) + _WORD[1:],)}, "face 0: direction must be +1 or -1, got 1.0"),
+        ],
+        ids=["orientable-int", "genus-float", "direction-bool", "direction-float"],
+    )
+    def test_rejected(self, changes, message):
+        with pytest.raises(SurfaceError) as info:
+            SurfaceComplex(**_octagon(**changes))
+        assert str(info.value) == message
+
+
+class TestEdgeRecords:
+    def test_edge_is_a_plain_record(self):
+        assert Edge("a", (0, 0)) == ("a", (0, 0))
+        assert Edge("a", [0, 1, 2]).ends == [0, 1, 2]  # checked by the complex
+
+    @pytest.mark.parametrize(
+        "as_given",
+        [lambda e: (e.id, e.ends), lambda e: Edge(e.id, list(e.ends)), lambda e: [e.id, list(e.ends)]],
+        ids=["pairs", "edge-list-ends", "list-pairs"],
+    )
+    def test_stored_as_edges_with_tuple_ends(self, as_given):
+        c = fundamental_polygon(2, True)
+        got = SurfaceComplex(**_fields(c, edges=[as_given(e) for e in c.edges]))
+        assert got == c
+        assert all(type(e) is Edge and type(e.ends) is tuple for e in got.edges)
+
+    def test_tuple_edges_pass_through(self):
+        c = fundamental_polygon(2, True)
+        got = SurfaceComplex(**_fields(c))
+        assert all(a is b for a, b in zip(got.edges, c.edges))
+
+    @pytest.mark.parametrize("make", [Edge, lambda eid, ends: (eid, list(ends))])
+    def test_ends_must_be_a_pair(self, make):
+        c = fundamental_polygon(2, True)
+        edges = (make(0, (0, 0, 0)),) + c.edges[1:]
+        with pytest.raises(SurfaceError) as info:
+            SurfaceComplex(**_fields(c, edges=edges))
+        assert str(info.value) == "edge 0: ends must be a pair"
+
+
 class TestOneFlagMapBuild:
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -633,6 +684,15 @@ class TestSerialization:
         for c in (fundamental_polygon(2, True), fundamental_polygon(3, False)):
             assert deserialize(serialize(c)) == c
             assert deserialize(json.dumps(serialize(c))) == c
+
+    @pytest.mark.parametrize("derive", ["bare", "clip", "incenter"])
+    @pytest.mark.parametrize(
+        "genus,orientable", [(g, True) for g in range(2, 13)] + [(g, False) for g in range(3, 13)]
+    )
+    def test_json_round_trip(self, genus, orientable, derive):
+        c = _derived(genus, orientable, derive)
+        for x in (c, dual(c)):
+            assert deserialize(json.dumps(serialize(x))) == x
 
     def test_schema_keys(self):
         doc = serialize(fundamental_polygon(2, True))
