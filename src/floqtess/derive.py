@@ -241,9 +241,11 @@ def polygon_route(m, genus: int, orientable: bool) -> str | None:
 def polygon_complex(route: str, genus: int, orientable: bool) -> SurfaceComplex:
     """The surface's fundamental polygon, read as the one-faced {p,p} with p
     its sides, clipped when ``route`` is "clip" and incenter-subdivided when
-    it is "incenter"."""
+    it is "incenter"; any other route raises ValueError."""
+    make = {"clip": clip_complex, "incenter": incenter_complex}.get(route)
+    if make is None:
+        raise ValueError(f"unknown explicit construction route {route!r}")
     p = _polygon_sides(genus, orientable)
-    make = clip_complex if route == "clip" else incenter_complex
     return make(fundamental_polygon(genus, orientable), p, p)
 
 

@@ -42,39 +42,6 @@ def _pauli_row(n: int, letter: str, qubits) -> int:
     return row
 
 
-def _reduce_rows(vectors) -> tuple:
-    """Canonical reduced basis (distinct descending pivots) of the span.
-
-    The basis stays fully reduced, so XOR-ing in the row with pivot ``p``
-    clears pivot bit ``p`` of a vector and sets no other: a vector reduces
-    by one pass over its pivot bits, ``v & piv``.  A new pivot below
-    existing ones is cleared from the rows above that carry it.  Fed an
-    echelon basis in ascending pivot order, as :func:`run_schedule` does,
-    every new pivot is the highest yet and no row is rewritten.
-    """
-    basis: dict[int, int] = {}
-    piv = 0
-    for v in vectors:
-        m = v & piv
-        while m:  # _bits inlined, here and below: this runs once per round
-            low = m & -m
-            v ^= basis[low.bit_length() - 1]
-            m ^= low
-        if not v:
-            continue
-        q = v.bit_length() - 1
-        m = piv >> q << q
-        while m:
-            low = m & -m
-            p = low.bit_length() - 1
-            if (basis[p] >> q) & 1:
-                basis[p] ^= v
-            m ^= low
-        basis[q] = v
-        piv |= 1 << q
-    return tuple(basis[p] for p in sorted(basis, reverse=True))
-
-
 @dataclass(frozen=True)
 class StabilizerGroup:
     """Stabilizer group in reduced row-echelon symplectic form.
@@ -82,8 +49,7 @@ class StabilizerGroup:
     Rows are ``(x << n) | z`` integers with strictly decreasing pivots (top
     set bits), and no row carries another row's pivot bit, so equal groups
     compare equal.  Construction checks this in one pass over the rows,
-    lowest pivot first, which is equivalent to
-    ``rows == _reduce_rows(rows)``, and that the rows fit in ``2 n`` bits.
+    lowest pivot first, and that the rows fit in ``2 n`` bits.
     """
 
     n: int
@@ -213,6 +179,26 @@ def _measure_step(rows: list, basis: dict, cols: list, c: int, hits: tuple, n: i
         rows[slot] = c
 
 
+def _canonical_rows(rows: list, basis: dict) -> tuple:
+    """Canonical rows (see :class:`StabilizerGroup`) of the slot basis of
+    :func:`_measure_step`, in one pass over the pivots in ascending order:
+    each row XORs in the already-canonical rows of the lower pivots it
+    carries (``v & piv``), and each XOR clears one such pivot bit and sets
+    no other."""
+    canonical: dict[int, int] = {}
+    piv = 0
+    for p in sorted(basis):
+        v = rows[basis[p]]
+        m = v & piv
+        while m:  # _bits inlined: this runs once per round
+            low = m & -m
+            v ^= canonical[low.bit_length() - 1]
+            m ^= low
+        canonical[p] = v
+        piv |= 1 << p
+    return tuple(reversed(canonical.values()))
+
+
 @dataclass(frozen=True)
 class ScheduleResult:
     """Per-round ISG trajectory with steady-state bookkeeping."""
@@ -250,9 +236,10 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
     Rows round a face stay light: at n = 96 the leaving rows carry 1256 bits
     over nine rounds, where always taking the lowest pivot let the growing
     product of a face's checks leave, 5400 bits.  The basis is made
-    canonical once per round, by feeding its rows to :func:`_reduce_rows` in
-    ascending pivot order: each row then only sheds the lower pivot bits it
-    carries, so a round costs the sum of those overlaps, not rank squared.
+    canonical once per round by :func:`_canonical_rows`, one pass over the
+    pivots in ascending order in which each row only sheds the lower pivot
+    bits it carries, so a round costs the sum of those overlaps, not rank
+    squared.
     """
     if rounds < 6:
         raise ValueError("need at least 6 rounds to certify a steady state")
@@ -283,8 +270,7 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
             continue
         for c, hits in phase_checks[r % 3]:
             _measure_step(rows, basis, cols, c, hits, n)
-        canonical = _reduce_rows(rows[basis[p]] for p in sorted(basis))
-        groups.append(StabilizerGroup(n, canonical))
+        groups.append(StabilizerGroup(n, _canonical_rows(rows, basis)))
         if r >= 3 and groups[r] == groups[r - 3]:
             steady = r
     k_inst = None

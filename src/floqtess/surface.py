@@ -75,11 +75,12 @@ class _FlagMap:
     no other code needs that convention.  :meth:`leads` picks the first flag
     of each sigma_k pair (the flags with t = k for k < 2), :meth:`walk` goes
     round an orbit of two involutions and :meth:`sweep` two-colours the
-    flags.  ``rotations`` holds one psi -> sigma2 sigma1 psi cycle per
-    vertex, in order of each vertex's first flag and starting at it;
-    ``vertex`` maps every flag to its cycle; ``first`` maps an edge id to the
-    tail flag of its first slot, ``edge_faces`` to the faces of both slots.
-    """
+    flags.  ``rotations`` holds one cycle of psi = sigma2 sigma1 per vertex,
+    in order of each vertex's first flag and starting at it, so its length
+    is the vertex's degree; ``vertex`` maps every flag to its cycle;
+    ``first`` maps an edge id to the tail flag of its first slot,
+    ``edge_faces`` to the faces of both slots.  An edge without exactly two
+    slots is rejected, naming the first such edge."""
 
     def __init__(self, faces: Sequence[Sequence[Slot]]):
         self.faces = faces
@@ -88,24 +89,28 @@ class _FlagMap:
         self.face = [f for f, size in enumerate(sizes) for _ in range(size)]
         self.edge = edge = [eid for face in faces for eid, _ in face]
         self.rev = rev = [d != 1 for face in faces for _, d in face]
-        for eid, count in Counter(edge).items():
-            if count < 2:
-                raise SurfaceError(
-                    f"open surface: edge {eid!r} appears in {count} face slot(s), need 2"
-                )
-            if count > 2:
-                raise SurfaceError(
-                    f"edge {eid!r} appears in {count} face slots; a surface allows 2"
-                )
         n = 2 * len(edge)
         tails = range(0, n, 2)
         last = dict(zip(edge, tails))  # keys in order of first appearance
         self.first = first = dict(zip(reversed(edge), reversed(tails)))
+        # Two slots per edge: no edge's first slot is its last, and E = slots / 2.
+        if 2 * len(first) != len(edge) or not set(first.values()).isdisjoint(last.values()):
+            for eid, count in Counter(edge).items():  # name the first bad edge
+                if count < 2:
+                    raise SurfaceError(
+                        f"open surface: edge {eid!r} appears in {count} face slot(s), need 2"
+                    )
+                if count > 2:
+                    raise SurfaceError(
+                        f"edge {eid!r} appears in {count} face slots; a surface allows 2"
+                    )
         self.edge_faces = {
             eid: (self.face[first[eid] >> 1], self.face[i >> 1]) for eid, i in last.items()
         }
 
-        self.s0 = [i ^ 1 for i in range(n)]
+        self.s0 = s0 = [0] * n
+        s0[0::2] = range(1, n, 2)
+        s0[1::2] = tails
         self.s1 = s1 = [0] * n
         s1[0::2] = range(-1, n - 1, 2)
         s1[1::2] = range(2, n + 1, 2)
@@ -113,18 +118,19 @@ class _FlagMap:
             s1[2 * a], s1[2 * b - 1] = 2 * b - 1, 2 * a
         self.s2 = s2 = [0] * n
         partner = [first[e] + last[e] - i for i, e in zip(tails, edge)]  # tail flags
-        s2[0::2] = [j + (r ^ rev[j >> 1]) for j, r in zip(partner, rev)]
-        s2[1::2] = [j ^ 1 for j in s2[0::2]]
-        self.sigma = (self.s0, s1, s2)
+        s2[0::2] = even = [j + (r ^ rev[j >> 1]) for j, r in zip(partner, rev)]
+        s2[1::2] = [j ^ 1 for j in even]
+        self.sigma = (s0, s1, s2)
 
+        psi = [s2[j] for j in s1]  # psi = s2 after s1
         self.vertex = [-1] * n
         self.rotations: list[list[int]] = []
         for start in range(n):
             if self.vertex[start] == -1:
-                rotation, i = [start], s2[s1[start]]
-                while i != start:  # the (1, 2) walk, kept inline for speed
+                rotation, i = [start], psi[start]
+                while i != start:
                     rotation.append(i)
-                    i = s2[s1[i]]
+                    i = psi[i]
                 for i in rotation:
                     self.vertex[i] = self.vertex[s1[i]] = len(self.rotations)
                 self.rotations.append(rotation)
@@ -229,7 +235,8 @@ class SurfaceComplex:
 
     def vertex_degrees(self) -> dict[VertexId, int]:
         """Declared edge ends at each vertex (a loop counts twice), in vertex
-        order; counted once by _validate."""
+        order; read once by _validate off the vertex's rotation, whose length
+        is that count since every declared edge has two face slots."""
         return dict(self._degrees)
 
 
@@ -244,21 +251,19 @@ def _validate(c: SurfaceComplex) -> None:
         raise SurfaceError(f"orientable must be a boolean, got {c.orientable!r}")
     if type(c.genus) is not int:
         raise SurfaceError(f"genus must be an integer, got {c.genus!r}")
-    if len(set(c.vertices)) != len(c.vertices):
+    vertices = set(c.vertices)
+    if len(vertices) != len(c.vertices):
         raise SurfaceError("duplicate vertex ids")
     index = {e.id: e for e in c.edges}
     if len(index) != len(c.edges):
         raise SurfaceError("duplicate edge ids")
-    degrees = dict.fromkeys(c.vertices, 0)
     for e in c.edges:
         if len(e.ends) != 2:
             raise SurfaceError(f"edge {e.id!r}: ends must be a pair")
         for v in e.ends:
-            if v not in degrees:
+            if v not in vertices:
                 raise SurfaceError(f"edge {e.id!r} references unknown vertex {v!r}")
-            degrees[v] += 1
     object.__setattr__(c, "_edge_index", index)
-    object.__setattr__(c, "_degrees", degrees)
 
     if not c.faces:
         raise SurfaceError("complex has no faces")
@@ -279,16 +284,18 @@ def _validate(c: SurfaceComplex) -> None:
         raise SurfaceError(f"open surface: edge {eid!r} appears in 0 face slot(s), need 2")
     object.__setattr__(c, "_flag_map", fm)
 
-    walk = []  # walk_ends of each slot, so flag i names vertex walk[i >> 1][i & 1]
-    for f, face in enumerate(c.faces):
-        ends = [index[eid].ends[::d] for eid, d in face]
-        for j, ((_, head), (tail, _)) in enumerate(zip(ends, ends[1:] + ends[:1])):
-            if head != tail:
-                raise SurfaceError(
-                    f"face {f} is not a closed walk at slot {j}: "
-                    f"{head!r} != {tail!r}"
-                )
-        walk += ends
+    # Flag i names vertex named[i], the tail (even i) or head (odd i) of the
+    # walk_ends of its slot; sigma1 takes a head flag to the tail after it.
+    named = [v for face in c.faces for eid, d in face for v in index[eid].ends[::d]]
+    heads = named[1::2]
+    after = [named[i] for i in fm.s1[1::2]]
+    if heads != after:
+        k = next(k for k, (head, tail) in enumerate(zip(heads, after)) if head != tail)
+        f = fm.face[k]
+        raise SurfaceError(
+            f"face {f} is not a closed walk at slot {k - fm.base[f]}: "
+            f"{heads[k]!r} != {after[k]!r}"
+        )
 
     connected, orientable = fm.sweep()
     if not connected:
@@ -303,12 +310,17 @@ def _validate(c: SurfaceComplex) -> None:
     # The closed walks make every flag of an orbit name one vertex, so the
     # orbit's first flag names it.  There are as many orbits as vertices, so
     # a vertex named twice (pinched) leaves another one unnamed.
-    named = [walk[r[0] >> 1][r[0] & 1] for r in fm.rotations]
-    if len(set(named)) != n_orbits:
-        pinched = next(v for pos, v in enumerate(named) if v in named[:pos])
+    owner = [named[r[0]] for r in fm.rotations]
+    if len(set(owner)) != n_orbits:
+        pinched = next(v for pos, v in enumerate(owner) if v in owner[:pos])
         raise SurfaceError(
             f"vertex {pinched!r} carries more than one corner orbit (pinched vertex)"
         )
+    # Every declared edge has two slots, so each edge end at v is one corner
+    # of v: v's degree is its rotation's length (keys in vertex order).
+    degrees = dict.fromkeys(c.vertices, 0)
+    degrees.update(zip(owner, map(len, fm.rotations)))
+    object.__setattr__(c, "_degrees", degrees)
 
     floor = 0 if c.orientable else 1
     if c.genus < floor:

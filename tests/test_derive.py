@@ -179,6 +179,13 @@ class TestPolygonRoute:
         want = make(fundamental_polygon(genus, orientable), p, p)
         assert polygon_complex(route, genus, orientable) == want
 
+    @pytest.mark.parametrize("route", [None, "quotient"])
+    def test_unknown_route_raises(self, route):
+        # Only "clip" and "incenter" name a construction; any other route is
+        # refused by name rather than built as one of them.
+        with pytest.raises(ValueError, match=f"unknown explicit construction route {route!r}"):
+            polygon_complex(route, 2, True)
+
 
 class TestMultiFaceSources:
     """Derivations of multi-face tori ({6,3} honeycombs and a {3,6} dual)

@@ -25,11 +25,11 @@ from floqtess.floquet import (
     ScheduleResult,
     StabilizerGroup,
     _LETTERS,
+    _canonical_rows,
     _cosupport_graph,
     _measure_step,
     _min_logical_weight,
     _pauli_row,
-    _reduce_rows,
     _syndromes,
     _weight_hits,
     code_params,
@@ -54,7 +54,7 @@ def assert_commuting(rows, n):
     assert not any(sympl(u, v, n) for u, v in combinations(rows, 2)), "rows anticommute"
 
 
-def reference_reduce_rows(vectors, n):
+def reference_reduce_rows(vectors):
     """Canonical reduced basis by plain Gaussian elimination: each vector is
     reduced against every pivot in descending order, and a new pivot is
     cleared from every row that carries it."""
@@ -112,7 +112,7 @@ def reference_measure(isg, c):
         rows[anti[0]] = c
     else:
         rows.append(c)
-    out = StabilizerGroup(n, reference_reduce_rows(rows, n))
+    out = StabilizerGroup(n, reference_reduce_rows(rows))
     assert out.rank >= isg.rank, "measurement lowered the rank"
     assert_commuting(out.rows, n)
     return out
@@ -293,8 +293,8 @@ class TestStabilizerGroup:
         xx = _pauli_row(2, "X", (0, 1))
         zz = _pauli_row(2, "Z", (0, 1))
         yy = _pauli_row(2, "Y", (0, 1))
-        a = StabilizerGroup(2, _reduce_rows([xx, zz]))
-        b = StabilizerGroup(2, _reduce_rows([yy, zz]))  # YY = XX*ZZ
+        a = StabilizerGroup(2, reference_reduce_rows([xx, zz]))
+        b = StabilizerGroup(2, reference_reduce_rows([yy, zz]))  # YY = XX*ZZ
         assert a == b
         assert a.rank == 2
         assert a._reduce_vec(yy) == 0
@@ -335,7 +335,7 @@ class TestStabilizerGroup:
         seen = {True: 0, False: 0}
         for _ in range(3000):
             n = rng.randint(1, 8)
-            rows = list(reference_reduce_rows(random_vectors(rng, n), n))
+            rows = list(reference_reduce_rows(random_vectors(rng, n)))
             edit = rng.randrange(6)
             if edit == 1 and len(rows) >= 2:
                 i, j = rng.sample(range(len(rows)), 2)
@@ -351,7 +351,7 @@ class TestStabilizerGroup:
             elif edit == 5:
                 rows = random_vectors(rng, n)
             rows = tuple(rows)
-            expected = rows == reference_reduce_rows(rows, n)
+            expected = rows == reference_reduce_rows(rows)
             try:
                 StabilizerGroup(n, rows)
                 accepted = True
@@ -369,30 +369,42 @@ class TestStabilizerGroup:
 
     def test_contains_only_span(self):
         xx = _pauli_row(2, "X", (0, 1))
-        g = StabilizerGroup(2, _reduce_rows([xx]))
+        g = StabilizerGroup(2, reference_reduce_rows([xx]))
         assert g._reduce_vec(xx) == 0
         assert g._reduce_vec(_pauli_row(2, "X", (0,))) != 0
 
 
 class TestReduceRows:
+    # _canonical_rows reads the canonical rows off an echelon basis held in
+    # slots, as _measure_step keeps it.
     @pytest.mark.parametrize("n", range(1, 25))
     def test_matches_reference(self, n):
+        # Vectors in arbitrary order, brought to an echelon basis that is
+        # not reduced (each vector sheds only the pivots it meets on top)
+        # and held in shuffled slots.
         rng = random.Random(100 + n)
         for _ in range(60):
             vecs = random_vectors(rng, n)
-            assert _reduce_rows(vecs) == reference_reduce_rows(vecs, n)
+            echelon = {}
+            for v in vecs:
+                while v and v.bit_length() - 1 in echelon:
+                    v ^= echelon[v.bit_length() - 1]
+                if v:
+                    echelon[v.bit_length() - 1] = v
+            rows = list(echelon.values())
+            rng.shuffle(rows)
+            assert _canonical_rows(rows, pivots(rows)) == reference_reduce_rows(vecs)
 
     @pytest.mark.parametrize("n", range(1, 25))
     def test_ascending_echelon_input(self, n):
-        # An echelon basis {pivot: row} fed lowest pivot first, as
-        # run_schedule feeds it.
+        # An echelon basis {pivot: row} held in slots lowest pivot first.
         rng = random.Random(200 + n)
         for _ in range(60):
-            pivots = rng.sample(range(2 * n), rng.randint(0, 2 * n))
-            basis = {p: (1 << p) | rng.getrandbits(p) for p in pivots}
+            tops = rng.sample(range(2 * n), rng.randint(0, 2 * n))
+            basis = {p: (1 << p) | rng.getrandbits(p) for p in tops}
             rows = [basis[p] for p in sorted(basis)]
-            out = _reduce_rows(rows)
-            assert out == reference_reduce_rows(rows, n)
+            out = _canonical_rows(rows, pivots(rows))
+            assert out == reference_reduce_rows(rows)
             assert len(out) == len(rows)
 
 
@@ -427,10 +439,10 @@ def measure(state, c, n):
 
 
 def read_group(state, n):
-    """The group of the slot state, read off with :func:`_reduce_rows` over
-    the rows in ascending pivot order, as run_schedule does."""
+    """The group of the slot state, read off with :func:`_canonical_rows`,
+    as run_schedule does."""
     rows, basis, _ = state
-    return StabilizerGroup(n, _reduce_rows(rows[basis[p]] for p in sorted(basis)))
+    return StabilizerGroup(n, _canonical_rows(rows, basis))
 
 
 class TestMeasure:
@@ -564,7 +576,7 @@ class TestMeasure:
             measure(fresh, c, n)
             assert read_group(fresh, n) == nxt
             measure(state, c, n)
-            assert StabilizerGroup(n, _reduce_rows(state[0])) == nxt
+            assert read_group(state, n) == nxt
             ref = nxt
         assert many_anti and dependent
 
@@ -591,7 +603,7 @@ class TestMeasure:
         # X0 and ZZ anticommute, so this is no stabilizer group: dropping X0
         # for ZZ would lose a rank, which the update refuses.
         x0, zz = _pauli_row(2, "X", (0,)), _pauli_row(2, "Z", (0, 1))
-        bad = slot_state(_reduce_rows([x0, zz]), 2)
+        bad = slot_state(reference_reduce_rows([x0, zz]), 2)
         with pytest.raises(RuntimeError, match="lowered the rank"):
             measure(bad, zz, 2)
 
@@ -600,7 +612,7 @@ class TestMeasure:
         # reduces against X2 Z0 to X1 Z0, which anticommutes with X0.
         a = _pauli_row(3, "X", (2,)) ^ _pauli_row(3, "Z", (0,))
         b = _pauli_row(3, "X", (0,))
-        bad = slot_state(_reduce_rows([a, b]), 3)
+        bad = slot_state(reference_reduce_rows([a, b]), 3)
         with pytest.raises(RuntimeError, match="broke commutativity"):
             measure(bad, _pauli_row(3, "X", (2, 1)), 3)
 
@@ -735,6 +747,19 @@ class TestRunSchedule:
         assert result.groups == reference_run_schedule(schedule, 9)
 
     @pytest.mark.parametrize("build", schedule_complexes())
+    def test_each_group_lies_in_the_one_three_rounds_later(self, build):
+        # A round's update is monotone (a subgroup is measured into a
+        # subgroup of the image) and ISG(3) contains ISG(0), so by induction
+        # ISG(r + 3) contains ISG(r); a group equals one that contains it
+        # exactly when their ranks agree, which is why the period-3
+        # certificate is sound.
+        schedule, _ = _schedule_for(build())
+        groups = run_schedule(schedule, 12).groups
+        for early, late in zip(groups, groups[3:]):
+            assert all(late._reduce_vec(row) == 0 for row in early.rows)
+            assert (early == late) == (early.rank == late.rank)
+
+    @pytest.mark.parametrize("build", schedule_complexes())
     def test_check_rows_follow_their_letter(self, build, monkeypatch):
         # run_schedule builds each check row and its swapped bits from the
         # round letter's (x, z) bits; every measured check must be the
@@ -840,7 +865,7 @@ class TestCosupportGraph:
             _pauli_row(5, "X", (0, 1)),
             _pauli_row(5, "Z", (2,)) ^ _pauli_row(5, "Y", (3,)),
         ]
-        group = StabilizerGroup(5, _reduce_rows(gens))
+        group = StabilizerGroup(5, reference_reduce_rows(gens))
         assert _cosupport_graph(group) == [0b10, 0b1, 0b1000, 0b100, 0]
 
     def test_symmetric_without_loops(self, octagon):
@@ -1029,13 +1054,13 @@ def scrambled_code(labels, seed):
                 z |= lz << perm[q]
         gens.append((x << n) | z)
     assert_commuting(gens, n)
-    group = StabilizerGroup(n, _reduce_rows(gens))
+    group = StabilizerGroup(n, reference_reduce_rows(gens))
     for _ in range(3 * len(gens)):
         i, j = rng.sample(range(len(gens)), 2)
         gens[i] ^= gens[j]
     # The canonical rows, and with them the co-support graph, depend only
     # on the group, not on the generators it was given.
-    assert StabilizerGroup(n, _reduce_rows(gens)) == group
+    assert StabilizerGroup(n, reference_reduce_rows(gens)) == group
     return group
 
 

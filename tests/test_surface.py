@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -25,6 +26,7 @@ from floqtess.surface import (
     serialize,
 )
 from helpers import face_sizes
+from test_floquet import schedule_complexes
 
 
 class TestFundamentalPolygon:
@@ -432,6 +434,25 @@ class TestValidationErrors:
             _two_projective_planes(edges=(Edge("a", ("u", "u")), Edge("b", ("u", "v")))),
             "face 1 is not a closed walk at slot 0: 'v' != 'u'",
         ),
+        "closed-walk-wrap": (  # face 1 walks u v w x and wraps to u; chi 3 fails too
+            {
+                "orientable": True,
+                "genus": 0,
+                "vertices": ("u", "v", "w", "x"),
+                "edges": (
+                    Edge("a", ("u", "u")),
+                    Edge("b", ("u", "v")),
+                    Edge("c", ("v", "w")),
+                    Edge("d", ("w", "x")),
+                ),
+                "faces": (
+                    (("a", 1), ("a", 1)),
+                    (("b", 1), ("c", 1), ("d", 1)),
+                    (("d", -1), ("c", -1), ("b", -1)),
+                ),
+            },
+            "face 1 is not a closed walk at slot 2: 'x' != 'u'",
+        ),
         "not-connected": (_two_projective_planes(), "complex is not connected"),
         "not-connected-spare-vertex": (
             _two_projective_planes(vertices=("u", "v", "w")),
@@ -471,6 +492,30 @@ class TestValidationErrors:
         with pytest.raises(SurfaceError) as info:
             SurfaceComplex(**fields)
         assert str(info.value) == message
+
+
+def declared_degrees(c):
+    """Declared edge ends at each vertex (a loop counts twice), in vertex order."""
+    ends = Counter(v for e in c.edges for v in e.ends)
+    return {v: ends[v] for v in c.vertices}
+
+
+class TestVertexDegrees:
+    """Validation reads each vertex's degree off the length of its rotation;
+    it must equal the declared edge-end count."""
+
+    @pytest.mark.parametrize("build", schedule_complexes())
+    def test_schedule_complexes(self, build):
+        c = build()
+        assert c.vertex_degrees() == declared_degrees(c)
+        assert list(c.vertex_degrees()) == list(c.vertices)
+
+    @pytest.mark.parametrize(
+        "genus,orientable", [(g, True) for g in range(2, 13)] + [(g, False) for g in range(3, 13)]
+    )
+    def test_fundamental_polygons(self, genus, orientable):
+        c = fundamental_polygon(genus, orientable)
+        assert c.vertex_degrees() == declared_degrees(c) == {0: 2 * len(c.edges)}
 
 
 class TestConstructorScalars:
