@@ -7,11 +7,12 @@ Incenter subdivision joins face incenters across edges and radii, producing
 one 2p-gon per face, one 2q-gon per vertex and one quadrilateral per edge:
 vertex type [2p, 2q, 4].
 
-Each derivation exists twice: as a pure count transformer (arithmetic on the
-Euler characteristic, valid for any surface the source tessellation fits) and
-as an explicit rewrite read off the flags of a concrete complex (see
-``surface._FlagMap``: flag (f, j, t) is the computed id ``fm.id(f, j, t)``,
-and validating the result builds one flag map and sweeps it once).  The
+Each derivation is an explicit rewrite read off the flags of a concrete
+complex (see ``surface._FlagMap``: flag (f, j, t) is the computed id
+``fm.id(f, j, t)``, and validating the result builds one flag map and sweeps
+it once).  Cell counts come from the signature alone
+(:func:`semiregular_counts_direct`); the tests check both derivations
+against the closed-form count transformers of ``tests/reference.py``.  The
 incenter subdivision has one vertex per flag, one edge per sigma_k pair and
 one face per orbit of two involutions: <s0, s1> gives a 2p-gon, <s1, s2> a
 2q-gon, <s0, s2> a quadrilateral.  Clipping merges each sigma2 pair into a
@@ -26,12 +27,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .hypgeo import SemiRegularSig, _as_semiregular, _check_genus, _polygon_sides
-from .surface import Edge, SurfaceComplex, _counts_from_chi, _FlagMap, fundamental_polygon
+from .surface import Edge, SurfaceComplex, _FlagMap, fundamental_polygon
 
 __all__ = [
     "DerivedCounts",
-    "clip_counts",
-    "incenter_counts",
     "clip_complex",
     "incenter_complex",
     "polygon_route",
@@ -60,47 +59,6 @@ class DerivedCounts:
     @property
     def chi(self) -> int:
         return self.n_v - self.n_e + self.n_f
-
-
-def _source_counts(p: int, q: int, chi: int) -> tuple[int, int, int]:
-    got = _counts_from_chi(p, q, chi)
-    if got is None:
-        raise ValueError(
-            f"{{{p},{q}}} has non-integral cell counts at chi={chi}; nothing to derive"
-        )
-    return got
-
-
-def clip_counts(p: int, q: int, chi: int) -> DerivedCounts:
-    """Counts after clipping {p,q} on a surface of characteristic chi.
-
-    Faces: the F truncated 2p-gons plus the V new q-gons.  Every source edge
-    survives and every corner cut adds one edge, so n_e = E + qV = (3/2)pF,
-    and the derived vertices are the pF edge-ends: n_v = pF = 2E.
-    """
-    F, E, V = _source_counts(p, q, chi)
-    return DerivedCounts(
-        n_f=F + V,
-        n_e=E + q * V,
-        n_v=p * F,
-        signature=SemiRegularSig((2 * p, 2 * p, q)),
-    )
-
-
-def incenter_counts(p: int, q: int, chi: int) -> DerivedCounts:
-    """Counts after incenter subdivision of {p,q} at characteristic chi.
-
-    One 2p-gon per source face, one 2q-gon per source vertex, one
-    quadrilateral per source edge; n_e = 3pF and n_v = 2pF (two derived
-    vertices per source edge-side).
-    """
-    F, E, V = _source_counts(p, q, chi)
-    return DerivedCounts(
-        n_f=F + E + V,
-        n_e=3 * p * F,
-        n_v=2 * p * F,
-        signature=SemiRegularSig((2 * p, 2 * q, 4)),
-    )
 
 
 def _require_pq(c: SurfaceComplex, p: int, q: int) -> None:

@@ -23,7 +23,6 @@ __all__ = [
     "regular_edge_length",
     "regular_apothem_circumradius",
     "polygon_area",
-    "surface_area",
     "semiregular_edge_length",
     "semiregular_profile",
     "incenter_chord",
@@ -183,17 +182,6 @@ def _check_genus(genus: int, orientable: bool) -> int:
             f">= {floor}, got {genus}"
         )
     return _genus_chi(genus, orientable)
-
-
-def surface_area(genus: int, orientable: bool) -> float:
-    """Area of the closed hyperbolic surface: -2 pi chi (Gauss-Bonnet).
-
-    chi = 2 - 2*genus for orientable surfaces (genus >= 2) and 2 - genus for
-    non-orientable ones (genus >= 3); below those minima the surface admits
-    no hyperbolic metric.
-    """
-    chi = _check_genus(genus, orientable)
-    return -2.0 * math.pi * chi
 
 
 def _edge_eq(c: float, cosines: Sequence[float]) -> float:

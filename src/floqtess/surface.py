@@ -8,8 +8,8 @@ traversal without any geometric embedding.
 
 Fundamental polygons provide the explicit instances: the 4g-gon with opposite
 sides identified (orientable genus g) and the 2g-gon with the a1 a1 a2 a2 ...
-identification (non-orientable genus g).  Counting for general {p,q}
-tessellations is arithmetic only; no triangle-group quotients are constructed.
+identification (non-orientable genus g).  They are the only source complexes
+the pipeline builds; no triangle-group quotients are constructed.
 """
 
 from __future__ import annotations
@@ -20,15 +20,13 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, Iterator, NamedTuple, Sequence
 
-from .hypgeo import RegularSig, _check_genus, _genus_chi, _polygon_sides
+from .hypgeo import _check_genus, _genus_chi, _polygon_sides
 
 __all__ = [
     "SurfaceError",
     "Edge",
     "SurfaceComplex",
     "fundamental_polygon",
-    "polygon_surface",
-    "regular_counts",
     "dual",
     "isomorphic",
     "serialize",
@@ -91,10 +89,17 @@ class _FlagMap:
         self.rev = rev = [d != 1 for face in faces for _, d in face]
         n = 2 * len(edge)
         tails = range(0, n, 2)
-        last = dict(zip(edge, tails))  # keys in order of first appearance
-        self.first = first = dict(zip(reversed(edge), reversed(tails)))
-        # Two slots per edge: no edge's first slot is its last, and E = slots / 2.
-        if 2 * len(first) != len(edge) or not set(first.values()).isdisjoint(last.values()):
+        # One pass pairs each later slot of an edge with its first slot
+        # (tail flags; keys in order of first appearance).
+        self.first = first = {}
+        partner = [-1] * len(edge)
+        for i, eid in zip(tails, edge):
+            j = first.setdefault(eid, i)
+            if j != i:
+                partner[i >> 1], partner[j >> 1] = j, i
+        # Two slots per edge: E = slots / 2 and every slot has a partner (an
+        # edge in three slots or more leaves another in one, unpartnered).
+        if 2 * len(first) != len(edge) or -1 in partner:
             for eid, count in Counter(edge).items():  # name the first bad edge
                 if count < 2:
                     raise SurfaceError(
@@ -105,7 +110,7 @@ class _FlagMap:
                         f"edge {eid!r} appears in {count} face slots; a surface allows 2"
                     )
         self.edge_faces = {
-            eid: (self.face[first[eid] >> 1], self.face[i >> 1]) for eid, i in last.items()
+            eid: (self.face[i >> 1], self.face[partner[i >> 1] >> 1]) for eid, i in first.items()
         }
 
         self.s0 = s0 = [0] * n
@@ -117,7 +122,6 @@ class _FlagMap:
         for a, b in zip(base, base[1:]):  # each face's last head meets its first tail
             s1[2 * a], s1[2 * b - 1] = 2 * b - 1, 2 * a
         self.s2 = s2 = [0] * n
-        partner = [first[e] + last[e] - i for i, e in zip(tails, edge)]  # tail flags
         s2[0::2] = even = [j + (r ^ rev[j >> 1]) for j, r in zip(partner, rev)]
         s2[1::2] = [j ^ 1 for j in even]
         self.sigma = (s0, s1, s2)
@@ -339,37 +343,6 @@ def _validate(c: SurfaceComplex) -> None:
         )
 
 
-def polygon_surface(word: Sequence[Slot]) -> SurfaceComplex:
-    """Close up a single polygon whose boundary word identifies its sides.
-
-    ``word`` lists the boundary as (label, direction) pairs; each label must
-    occur exactly twice.  Vertices are recovered from the corner orbits, and
-    genus and orientability are inferred from them; validation proves both.
-    """
-    word = tuple((lab, d) for lab, d in word)
-    for _, d in word:
-        if d not in (1, -1):
-            raise SurfaceError("directions must be +1 or -1")
-    fm = _FlagMap((word,))
-    n_orbits = len(fm.rotations)
-
-    edges = [  # in order of first appearance
-        Edge(lab, tuple(fm.vertex[fm.flag(fm.first[lab], end)] for end in (0, 1)))
-        for lab in dict.fromkeys(lab for lab, _ in word)
-    ]
-
-    orientable = fm.sweep()[1]  # one face is always connected
-    # A closed connected orientable surface has even chi = 2 - 2g.
-    chi = n_orbits - len(edges) + 1
-    return SurfaceComplex(
-        orientable=orientable,
-        genus=(2 - chi) // 2 if orientable else 2 - chi,
-        vertices=tuple(range(n_orbits)),
-        edges=tuple(edges),
-        faces=(word,),
-    )
-
-
 def fundamental_polygon(genus: int, orientable: bool) -> SurfaceComplex:
     """Minimal one-face complex for the closed hyperbolic surface.
 
@@ -393,36 +366,6 @@ def fundamental_polygon(genus: int, orientable: bool) -> SurfaceComplex:
         edges=tuple(Edge(i, (0, 0)) for i in labels),
         faces=(word,),
     )
-
-
-def _counts_from_chi(p: int, q: int, chi: int) -> tuple[int, int, int] | None:
-    """(F, E, V) of {p,q} on a surface of characteristic chi, or None."""
-    RegularSig(p, q)
-    if chi >= 0:
-        raise ValueError(f"hyperbolic surfaces have negative characteristic, got {chi}")
-    D = p * q - 2 * p - 2 * q
-    nums = (-2 * chi * q, -chi * p * q, -2 * chi * p)
-    counts = []
-    for num in nums:
-        quo, rem = divmod(num, D)
-        if rem or quo <= 0:
-            return None
-        counts.append(quo)
-    return tuple(counts)
-
-
-def regular_counts(
-    p: int, q: int, genus: int, orientable: bool
-) -> tuple[int, int, int] | None:
-    """(F, E, V) of the {p,q} tessellation on the given surface, or None.
-
-    With D = pq - 2p - 2q (> 0 by hyperbolicity) and chi the Euler
-    characteristic: F = -2 chi q / D, E = -chi p q / D, V = -2 chi p / D.
-    Returns None when any of the three is not a positive integer — the
-    tessellation does not exist on that surface.  When counts are returned
-    they satisfy qV = 2E = pF and V - E + F = chi exactly.
-    """
-    return _counts_from_chi(p, q, _check_genus(genus, orientable))
 
 
 def dual(c: SurfaceComplex) -> SurfaceComplex:

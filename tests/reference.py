@@ -13,15 +13,26 @@ tolerance scoring instead of silently skewing it.
 family rate formulas are checked against, and :func:`estimator_report`
 and :func:`family_report` score :func:`floqtess.geodist.estimate_distance`
 against the tables.
+
+The closed-form oracles below are the paper's count formulas, which the
+tests compare the pipeline against: :func:`surface_area` (Gauss-Bonnet),
+:func:`regular_counts` (the cells of {p,q} on a surface),
+:func:`clip_counts` and :func:`incenter_counts` (the cells after each
+derivation, from the characteristic alone) and :func:`polygon_surface`,
+which glues any one-polygon boundary word and recovers its vertices,
+genus and orientability from the corner orbits.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
+from floqtess.derive import DerivedCounts
 from floqtess.geodist import estimate_distance
-from floqtess.hypgeo import SemiRegularSig, _check_genus
+from floqtess.hypgeo import RegularSig, SemiRegularSig, _check_genus
+from floqtess.surface import Edge, Slot, SurfaceComplex, SurfaceError, _FlagMap
 
 
 class RefRow(NamedTuple):
@@ -445,6 +456,119 @@ def encoding_rate(m: Sequence[int], genus: int, orientable: bool = True) -> Frac
     sig = SemiRegularSig(tuple(m))
     slack = Fraction(1, 2) - sum(Fraction(1, x) for x in sig.m)
     return (2 - chi) * slack / abs(chi)
+
+
+def surface_area(genus: int, orientable: bool) -> float:
+    """Area of the closed hyperbolic surface: -2 pi chi (Gauss-Bonnet).
+
+    chi = 2 - 2*genus for orientable surfaces (genus >= 2) and 2 - genus for
+    non-orientable ones (genus >= 3); below those minima the surface admits
+    no hyperbolic metric.
+    """
+    chi = _check_genus(genus, orientable)
+    return -2.0 * math.pi * chi
+
+
+def polygon_surface(word: Sequence[Slot]) -> SurfaceComplex:
+    """Close up a single polygon whose boundary word identifies its sides.
+
+    ``word`` lists the boundary as (label, direction) pairs; each label must
+    occur exactly twice.  Vertices are recovered from the corner orbits, and
+    genus and orientability are inferred from them; validation proves both.
+    """
+    word = tuple((lab, d) for lab, d in word)
+    for _, d in word:
+        if d not in (1, -1):
+            raise SurfaceError("directions must be +1 or -1")
+    fm = _FlagMap((word,))
+    n_orbits = len(fm.rotations)
+
+    edges = [  # in order of first appearance
+        Edge(lab, tuple(fm.vertex[fm.flag(fm.first[lab], end)] for end in (0, 1)))
+        for lab in dict.fromkeys(lab for lab, _ in word)
+    ]
+
+    orientable = fm.sweep()[1]  # one face is always connected
+    # A closed connected orientable surface has even chi = 2 - 2g.
+    chi = n_orbits - len(edges) + 1
+    return SurfaceComplex(
+        orientable=orientable,
+        genus=(2 - chi) // 2 if orientable else 2 - chi,
+        vertices=tuple(range(n_orbits)),
+        edges=tuple(edges),
+        faces=(word,),
+    )
+
+
+def _counts_from_chi(p: int, q: int, chi: int) -> tuple[int, int, int] | None:
+    """(F, E, V) of {p,q} on a surface of characteristic chi, or None."""
+    RegularSig(p, q)
+    if chi >= 0:
+        raise ValueError(f"hyperbolic surfaces have negative characteristic, got {chi}")
+    D = p * q - 2 * p - 2 * q
+    nums = (-2 * chi * q, -chi * p * q, -2 * chi * p)
+    counts = []
+    for num in nums:
+        quo, rem = divmod(num, D)
+        if rem or quo <= 0:
+            return None
+        counts.append(quo)
+    return tuple(counts)
+
+
+def regular_counts(
+    p: int, q: int, genus: int, orientable: bool
+) -> tuple[int, int, int] | None:
+    """(F, E, V) of the {p,q} tessellation on the given surface, or None.
+
+    With D = pq - 2p - 2q (> 0 by hyperbolicity) and chi the Euler
+    characteristic: F = -2 chi q / D, E = -chi p q / D, V = -2 chi p / D.
+    Returns None when any of the three is not a positive integer — the
+    tessellation does not exist on that surface.  When counts are returned
+    they satisfy qV = 2E = pF and V - E + F = chi exactly.
+    """
+    return _counts_from_chi(p, q, _check_genus(genus, orientable))
+
+
+def _source_counts(p: int, q: int, chi: int) -> tuple[int, int, int]:
+    got = _counts_from_chi(p, q, chi)
+    if got is None:
+        raise ValueError(
+            f"{{{p},{q}}} has non-integral cell counts at chi={chi}; nothing to derive"
+        )
+    return got
+
+
+def clip_counts(p: int, q: int, chi: int) -> DerivedCounts:
+    """Counts after clipping {p,q} on a surface of characteristic chi.
+
+    Faces: the F truncated 2p-gons plus the V new q-gons.  Every source edge
+    survives and every corner cut adds one edge, so n_e = E + qV = (3/2)pF,
+    and the derived vertices are the pF edge-ends: n_v = pF = 2E.
+    """
+    F, E, V = _source_counts(p, q, chi)
+    return DerivedCounts(
+        n_f=F + V,
+        n_e=E + q * V,
+        n_v=p * F,
+        signature=SemiRegularSig((2 * p, 2 * p, q)),
+    )
+
+
+def incenter_counts(p: int, q: int, chi: int) -> DerivedCounts:
+    """Counts after incenter subdivision of {p,q} at characteristic chi.
+
+    One 2p-gon per source face, one 2q-gon per source vertex, one
+    quadrilateral per source edge; n_e = 3pF and n_v = 2pF (two derived
+    vertices per source edge-side).
+    """
+    F, E, V = _source_counts(p, q, chi)
+    return DerivedCounts(
+        n_f=F + E + V,
+        n_e=3 * p * F,
+        n_v=2 * p * F,
+        signature=SemiRegularSig((2 * p, 2 * q, 4)),
+    )
 
 
 # Largest |estimated d - reference d| the reports count as within tolerance.

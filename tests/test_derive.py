@@ -10,22 +10,20 @@ import pytest
 from floqtess.derive import (
     DerivedCounts,
     clip_complex,
-    clip_counts,
     incenter_complex,
-    incenter_counts,
     polygon_complex,
     polygon_route,
     semiregular_counts_direct,
 )
 from floqtess.hypgeo import SemiRegularSig
 from floqtess.surface import (
-    _counts_from_chi,
     dual,
     fundamental_polygon,
     isomorphic,
     serialize,
 )
 from helpers import face_census
+from reference import _counts_from_chi, clip_counts, incenter_counts
 from test_coloring import honeycomb_torus
 
 

