@@ -57,7 +57,10 @@ def enumerate_signatures(
     c = m1 m2 - 2(m1 + m2), that bound is m3 * c <= (2 reach |chi| + 2) m1 m2.
     Pairs with c <= 0 are never hyperbolic and are skipped.  The bound
     falls as m2 grows, so once it drops below m2 no larger m2 can admit a
-    triple either.
+    triple either.  Since den = c m3 - 2 m1 m2, most m3 fail already on
+    den > 0 and the integrality of n_v = 2|chi| m1 m2 m3 / den, tested
+    inline; the few that pass go through ``_admitted_vertex_count``, the
+    one admission rule.
     """
     chi = _check_genus(genus, orientable)
     if m_max is None:
@@ -75,8 +78,15 @@ def enumerate_signatures(
             top = min(m_max, scale * m1 * m2 // c)
             if top < m2:
                 break
+            pair = 2 * m1 * m2
+            num = abs(chi) * pair
             for m3 in range(m2, top + 1, 2):
-                if _admitted_vertex_count((m1, m2, m3), chi, orientable) is not None:
+                den = c * m3 - pair
+                if (
+                    den > 0
+                    and num * m3 % den == 0
+                    and _admitted_vertex_count((m1, m2, m3), chi, orientable) is not None
+                ):
                     out.append((m1, m2, m3))
     return tuple(out)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .hypgeo import (
@@ -61,19 +62,29 @@ class DistanceEstimate:
         }
 
 
-def _chords(prof, m, red: int) -> tuple:
-    """(t_r, t_gb) for the given red class of m, whose profile is ``prof``.
+@lru_cache(maxsize=1024)
+def _chord_table(sig: SemiRegularSig) -> tuple:
+    """``(red, t_r, t_gb)`` for each red class of ``sig``, in class order.
 
     t_r: shortest chord across either non-red pivot face; t_gb: centre
-    distance between the two non-red classes.
+    distance between the two non-red classes.  Both depend on the ordered
+    triple alone (a SemiRegularSig hashes and compares as its ``m``), so a
+    table over many genera solves each signature's edge-length equation
+    once per process; 1024 entries hold the 338 distinct signatures of
+    genus <= 12 with room to spare.  The profile is read through this
+    module's binding of ``semiregular_profile``, so a wrapper put there
+    sees every real solve.
     """
-    j, k = (i for i in range(3) if i != red)
-    t_r = min(
-        incenter_chord(prof.a[red] + prof.a[j], m[j]),
-        incenter_chord(prof.a[red] + prof.a[k], m[k]),
-    )
-    t_gb = prof.a[j] + prof.a[k]
-    return t_r, t_gb
+    a, m = semiregular_profile(sig).a, sig.m
+    table = []
+    for red in range(3):
+        j, k = (i for i in range(3) if i != red)
+        t_r = min(
+            incenter_chord(a[red] + a[j], m[j]),
+            incenter_chord(a[red] + a[k], m[k]),
+        )
+        table.append((red, t_r, a[j] + a[k]))
+    return tuple(table)
 
 
 def estimate_distance(
@@ -83,16 +94,15 @@ def estimate_distance(
 
     The winning choice is recorded in ``convention_tag``; the result is
     clamped to 2 (a weight-1 logical would contradict k > 0 two-body
-    dynamics) and the clamp, when active, is part of the tag.
+    dynamics) and the clamp, when active, is part of the tag.  The chords
+    come from a per-process cache keyed by the ordered triple; the
+    systole, ceilings and clamp are worked out on every call.
     """
     sig = _as_semiregular(m)
     length = systole(genus, orientable)
-    prof = semiregular_profile(sig)
-    chords = []
+    chords = _chord_table(sig)
     best = None  # (value, red, kind, dX, dZ)
-    for red in range(3):
-        t_r, t_gb = _chords(prof, sig.m, red)
-        chords.append((red, t_r, t_gb))
+    for red, t_r, t_gb in chords:
         d_x = 2 * _ceil_guard(length / t_r)
         d_z = _ceil_guard(length / t_gb)
         for kind, val in (("X", d_x), ("Z", d_z)):
@@ -103,4 +113,4 @@ def estimate_distance(
     tag = f"red={sig.m[red]}(class {red}),{kind}"
     if d != val:
         tag += ",clamped"
-    return DistanceEstimate(d_x, d_z, d, length, tuple(chords), tag)
+    return DistanceEstimate(d_x, d_z, d, length, chords, tag)

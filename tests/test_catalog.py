@@ -15,7 +15,7 @@ from floqtess.catalog import (
     table_to_csv,
     table_to_json,
 )
-from floqtess.derive import semiregular_counts_direct
+from floqtess.derive import _admitted_vertex_count, semiregular_counts_direct
 from floqtess.floquet import code_params
 from helpers import face_census
 import reference
@@ -95,6 +95,36 @@ def fraction_enumeration(genus, orientable, m_max=None):
     return tuple(out)
 
 
+def unfiltered_enumeration(genus, orientable, m_max=None):
+    """The bounded loop without the inline n_v test: every m3 up to the
+    bound goes through _admitted_vertex_count."""
+    chi = 2 - 2 * genus if orientable else 2 - genus
+    if m_max is None:
+        m_max = default_m_max(chi)
+    scale = 2 * (1 if orientable else 3) * abs(chi) + 2
+    out = []
+    for m1 in range(4, m_max + 1, 2):
+        for m2 in range(m1, m_max + 1, 2):
+            c = m1 * m2 - 2 * (m1 + m2)
+            if c <= 0:
+                continue
+            top = min(m_max, scale * m1 * m2 // c)
+            if top < m2:
+                break
+            for m3 in range(m2, top + 1, 2):
+                if _admitted_vertex_count((m1, m2, m3), chi, orientable) is not None:
+                    out.append((m1, m2, m3))
+    return tuple(out)
+
+
+# Caps from the smallest allowed to one below the default, at the two lowest genera.
+M_MAX_VARIANTS = [
+    (g, o, m_max)
+    for g, o in ((2, True), (3, False))
+    for m_max in (4, 5, 20, default_m_max(2 - (2 * g if o else g)) - 1)
+]
+
+
 class TestEnumerateSignatures:
     @pytest.mark.parametrize("genus", [2, 3, 4, 5])
     def test_orientable_matches_reference_exactly(self, genus):
@@ -111,14 +141,21 @@ class TestEnumerateSignatures:
         "genus, orientable, m_max",
         [(g, True, None) for g in range(2, 9)]
         + [(g, False, None) for g in range(3, 13)]
-        + [
-            (g, o, m_max)
-            for g, o in ((2, True), (3, False))
-            for m_max in (4, 5, 20, default_m_max(2 - (2 * g if o else g)) - 1)
-        ],
+        + M_MAX_VARIANTS,
     )
     def test_matches_fraction_oracle(self, genus, orientable, m_max):
         assert enumerate_signatures(genus, orientable, m_max) == fraction_enumeration(
+            genus, orientable, m_max
+        )
+
+    @pytest.mark.parametrize(
+        "genus, orientable, m_max",
+        [(g, True, None) for g in range(2, 31)]
+        + [(g, False, None) for g in range(3, 31)]
+        + M_MAX_VARIANTS,
+    )
+    def test_inline_n_v_test_drops_no_triple(self, genus, orientable, m_max):
+        assert enumerate_signatures(genus, orientable, m_max) == unfiltered_enumeration(
             genus, orientable, m_max
         )
 

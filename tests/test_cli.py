@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import floqtess
+from floqtess import geodist
 from floqtess.cli import _build_parser, main
 from floqtess.surface import deserialize
 from helpers import face_sizes
@@ -324,6 +325,64 @@ class TestStdoutPinned:
     @pytest.mark.parametrize("argv", sorted(REPORTS), ids=_argv_id)
     def test_reports(self, capsys, argv):
         assert self.digest(capsys, *argv) == self.REPORTS[argv]
+
+
+class TestEstimateCachePinned:
+    """Multi-genus tables and equivalence reports, where signatures repeat
+    across rows and the estimator's chord cache hits; sha256 of stdout
+    taken before the cache existed.  Each command list runs cold, then
+    warm, in one process."""
+
+    TABLES = {
+        ("2..12", "true", "auto", "csv"):
+            "3b0ec902a6293c65185d70949c3314ba1aef7d499dce1f320ef0659e6af8ae8c",
+        ("2..12", "true", "auto", "json"):
+            "48c9d77459ad013426be6e593fbc74f854cf6dd427a0b63ad73371013c9dce97",
+        ("2..12", "true", "geo", "csv"):
+            "d83432e812e8c506e0a3ac0293cfde5a77668d004258b81756c04e015a5a2520",
+        ("2..12", "true", "geo", "json"):
+            "b71c70701db2def1d9f38b76a3f1da03a67b98e3789b404ef8078598d0081acc",
+        ("3..12", "false", "auto", "csv"):
+            "fc54d1289ee56eb2e833614f09b698cccd5518cb0844e298dc3614c2c1f40b7f",
+        ("3..12", "false", "auto", "json"):
+            "e8e13849445c9c15c87f13f2156aa5d181a2bd28ebfea0479cd66181bccb39ea",
+        ("3..12", "false", "geo", "csv"):
+            "74981769fee2023a5428bad8fadb6a9081829daa7b4bcc61cdf83d00ca181689",
+        ("3..12", "false", "geo", "json"):
+            "61cdc7ffb9348644fabd4b60e5c25b97c85077ea0c8e2061df6b788d0dc2be7c",
+    }
+    EQUIV = {
+        2: "d01f3bfe9d2520979ac07d79ae04fefbacdc0cbad08b81398c47d528afe39d08",
+        3: "4508de37ac831ecb744dcb162c042503c466e1f0df412c2680a0a969a55aca68",
+        4: "b24dfad3d1d2ac18ef265d24437250b324db7dcb72aa08fa9abe1a86ae41fefe",
+        5: "f3ea8a66ffe5356f1e48bb6f9ba0987468e75d1b0f4968d143907c8f1705fd64",
+        6: "fac53581d4ed60229ff17e4e908bdb61f671a6ecf6ebb93cd6718543394f186c",
+    }
+
+    @staticmethod
+    def outputs(capsys, commands):
+        geodist._chord_table.cache_clear()
+        runs = []
+        for _ in range(2):
+            got = []
+            for argv in commands:
+                code, out, err = run(capsys, *argv)
+                got.append((code, hashlib.sha256(out.encode()).hexdigest(), err))
+            runs.append(got)
+        return runs
+
+    def test_tables_cold_and_warm(self, capsys):
+        commands = [
+            ("table", "--genus", g, "--orientable", o, "--mode", mode, "--format", fmt)
+            for g, o, mode, fmt in self.TABLES
+        ]
+        want = [(0, sha, "") for sha in self.TABLES.values()]
+        assert self.outputs(capsys, commands) == [want, want]
+
+    def test_equiv_cold_and_warm(self, capsys):
+        commands = [("equiv", "--genus", str(h)) for h in self.EQUIV]
+        want = [(0, sha, "") for sha in self.EQUIV.values()]
+        assert self.outputs(capsys, commands) == [want, want]
 
 
 class TestDeterminism:

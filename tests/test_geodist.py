@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from floqtess import geodist
+from floqtess.catalog import build_table, enumerate_signatures, equivalence_check
 from floqtess.geodist import (
     DistanceEstimate,
     _ceil_guard,
@@ -136,3 +138,91 @@ class TestDistanceEstimateType:
             DistanceEstimate(2, 1, 1, 1.0, (), "t")
         with pytest.raises(ValueError, match="even"):
             DistanceEstimate(3, 2, 2, 1.0, (), "t")
+
+
+# Every row a table prints over orientable g = 2..12 and non-orientable
+# g = 3..12: 1171 rows over 338 distinct ordered triples.
+SWEEP = [
+    (m, g, o)
+    for o, genera in ((True, range(2, 13)), (False, range(3, 13)))
+    for g in genera
+    for m in enumerate_signatures(g, o)
+]
+
+
+@pytest.fixture()
+def cold_cache():
+    geodist._chord_table.cache_clear()
+    yield
+    geodist._chord_table.cache_clear()
+
+
+@pytest.fixture()
+def solves(monkeypatch):
+    """The ordered triples whose profile geodist solves, in call order."""
+    seen = []
+    real = geodist.semiregular_profile
+
+    def spy(sig):
+        seen.append(sig.m)
+        return real(sig)
+
+    monkeypatch.setattr(geodist, "semiregular_profile", spy)
+    return seen
+
+
+class TestChordCache:
+    def test_sweep_size(self):
+        assert len(SWEEP) == 1171
+        assert len({m for m, _, _ in SWEEP}) == 338
+        assert geodist._chord_table.cache_info().maxsize > 338
+
+    def test_cold_and_warm_estimates_agree(self, cold_cache):
+        cold = []
+        for row in SWEEP:
+            geodist._chord_table.cache_clear()
+            cold.append(estimate_distance(*row))
+        for row in SWEEP:
+            estimate_distance(*row)
+        warm = [estimate_distance(*row) for row in SWEEP]
+        assert warm == cold
+        assert [e.as_json() for e in warm] == [e.as_json() for e in cold]
+
+    @pytest.mark.parametrize("orientable", [True, False])
+    @pytest.mark.parametrize("mode", ["auto", "geo"])
+    def test_one_solve_per_triple_over_a_table(self, cold_cache, solves, orientable, mode):
+        rows = build_table(range(2 if orientable else 3, 13), orientable, mode)
+        estimated = {r.signature for r in rows if r.d_source == "geometric-estimate"}
+        assert len(solves) == len(set(solves))
+        assert set(solves) == estimated
+
+    @pytest.mark.parametrize("h", [2, 3, 4, 5, 6])
+    def test_one_solve_per_triple_within_equiv(self, cold_cache, solves, h):
+        report = equivalence_check(h)
+        estimated = {
+            tuple(row["signature"]) for row in report.rows
+            if "geometric-estimate" in (row["orientable"]["d_source"],
+                                        row["nonorientable"]["d_source"])
+        }
+        assert len(solves) == len(set(solves))
+        assert set(solves) == estimated
+
+    def test_reordered_triple_keeps_its_own_classes(self, cold_cache):
+        alone = estimate_distance((8, 6, 6), 2, True)
+        geodist._chord_table.cache_clear()
+        first = estimate_distance((6, 6, 8), 2, True)
+        after = estimate_distance((8, 6, 6), 2, True)
+        assert after == alone
+        assert after.convention_tag == "red=8(class 0),X"
+        assert first.convention_tag == "red=6(class 0),Z"
+        assert [c[1:] for c in after.chords_used] == [
+            c[1:] for c in (first.chords_used[2], first.chords_used[0], first.chords_used[1])
+        ]
+
+    def test_bad_triples_raise_on_every_call(self, cold_cache):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="Euclidean"):
+                estimate_distance((6, 6, 6), 2, True)
+            with pytest.raises(TypeError, match="triple of integers"):
+                estimate_distance((6.5, 6, 8), 2, True)
+        assert geodist._chord_table.cache_info().currsize == 0
