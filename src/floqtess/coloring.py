@@ -15,7 +15,8 @@ measurement schedule can run without face colors.  Its backtracking search
 colors every edge that a choice forces before it makes the next choice,
 which keeps it fast on large complexes.  Both colorings and
 :class:`EdgeSchedule` first name the same fault: a vertex of degree other
-than 3, or a loop.
+than 3, or a loop (``SurfaceComplex.trivalence_fault``, found once per
+complex).
 """
 
 from __future__ import annotations
@@ -66,9 +67,8 @@ class EdgeSchedule:
 
     def __post_init__(self) -> None:
         c = self.complex
-        fault = _trivalence_fault(c)
-        if fault is not None:
-            raise ValueError(fault)
+        if c.trivalence_fault is not None:
+            raise ValueError(c.trivalence_fault)
         self._check_proper()
         checks: dict = {color: [] for color in ROUND_COLOR}
         for e in c.edges:
@@ -129,18 +129,6 @@ class ColorAssignment(EdgeSchedule):
 
     def _check_proper(self) -> None:
         """Nothing to check: see the class docstring."""
-
-
-def _trivalence_fault(c: SurfaceComplex) -> str | None:
-    """The first vertex whose degree is not 3, else the first loop, as a
-    reason; None when the complex is tri-valent without loops."""
-    for v, d in c.vertex_degrees().items():
-        if d != 3:
-            return f"vertex {v!r} has degree {d}, need 3"
-    for e in c.edges:
-        if e.ends[0] == e.ends[1]:
-            return f"edge {e.id!r} is a loop"
-    return None
 
 
 def _face_classes(c: SurfaceComplex) -> list[int] | None:
@@ -205,9 +193,8 @@ def three_color(c: SurfaceComplex) -> ColorAssignment:
     def reject(reason: str) -> NotColorCodeTiling:
         return NotColorCodeTiling(f"not a color-code tiling: {reason}")
 
-    fault = _trivalence_fault(c)
-    if fault is not None:
-        raise reject(fault)
+    if c.trivalence_fault is not None:
+        raise reject(c.trivalence_fault)
     for f, face in enumerate(c.faces):
         if len(face) % 2:
             raise reject(f"face {f} has odd size {len(face)}")
@@ -235,9 +222,8 @@ def edge_three_color(c: SurfaceComplex) -> EdgeSchedule:
     ValueError if the tri-valent complex's edges do not split into three
     perfect matchings.
     """
-    fault = _trivalence_fault(c)
-    if fault is not None:
-        raise ValueError(fault)
+    if c.trivalence_fault is not None:
+        raise ValueError(c.trivalence_fault)
     vid = {v: k for k, v in enumerate(c.vertices)}
     ends = [(vid[e.ends[0]], vid[e.ends[1]]) for e in c.edges]
     incident: list = [[] for _ in vid]

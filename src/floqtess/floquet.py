@@ -14,6 +14,7 @@ int, so a lettering commutes when its syndromes XOR to zero.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import geodist
@@ -190,7 +191,7 @@ def _canonical_rows(rows: list, basis: dict) -> tuple:
     for p in sorted(basis):
         v = rows[basis[p]]
         m = v & piv
-        while m:  # _bits inlined: this runs once per round
+        while m:  # _bits inlined
             low = m & -m
             v ^= canonical[low.bit_length() - 1]
             m ^= low
@@ -199,13 +200,59 @@ def _canonical_rows(rows: list, basis: dict) -> tuple:
     return tuple(reversed(canonical.values()))
 
 
+class _RoundGroups(Sequence):
+    """The per-round groups of :func:`run_schedule`, each made canonical
+    when it is first read.
+
+    ``snapshots[r]`` holds round r's slot basis, ``(rows, basis)`` as
+    :func:`_measure_step` leaves it, until the round's group is read; the
+    group then takes its place.  Rounds past the last snapshot repeat the
+    period-3 cycle.  Equality, hash and repr are those of the tuple of
+    groups, so a result compares equal to one built from a plain tuple.
+    """
+
+    def __init__(self, n: int, snapshots: list, length: int):
+        self._n, self._snapshots, self._length = n, snapshots, length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, r):
+        if isinstance(r, slice):
+            return tuple(self[i] for i in range(*r.indices(self._length)))
+        r = range(self._length)[r]
+        last = len(self._snapshots) - 1
+        if r > last:
+            r = last - 3 + (r - last) % 3
+        group = self._snapshots[r]
+        if type(group) is tuple:
+            group = StabilizerGroup(self._n, _canonical_rows(*group))
+            self._snapshots[r] = group
+        return group
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _RoundGroups)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class ScheduleResult:
-    """Per-round ISG trajectory with steady-state bookkeeping."""
+    """Per-round ISG trajectory with steady-state bookkeeping.
+
+    ``groups`` holds one StabilizerGroup per round: a tuple, or the
+    sequence :func:`run_schedule` returns, which makes a round's group
+    canonical when it is first read."""
 
     n: int
     ranks: tuple
-    groups: tuple
+    groups: Sequence
     steady_round: int | None
     k_inst: int | None
 
@@ -235,11 +282,17 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
     anticommuting rows plus the bits of the leaving and the joined row.
     Rows round a face stay light: at n = 96 the leaving rows carry 1256 bits
     over nine rounds, where always taking the lowest pivot let the growing
-    product of a face's checks leave, 5400 bits.  The basis is made
-    canonical once per round by :func:`_canonical_rows`, one pass over the
-    pivots in ascending order in which each row only sheds the lower pivot
-    bits it carries, so a round costs the sum of those overlaps, not rank
-    squared.
+    product of a face's checks leave, 5400 bits.
+
+    Each round keeps a copy of ``rows`` and ``basis``; a round's group is
+    made canonical only when it is compared or read, by
+    :func:`_canonical_rows`, one pass over the pivots in ascending order in
+    which each row only sheds the lower pivot bits it carries, so it costs
+    the sum of those overlaps, not rank squared.  ISG(r-3) lies in ISG(r),
+    so the two can be equal only when their ranks are: the steady test
+    compares groups only then, which on the incenter and clip complexes is
+    rounds 3 and 6 alone.  The three steady phases share one logical count,
+    read off their ranks.
     """
     if rounds < 6:
         raise ValueError("need at least 6 rounds to certify a steady state")
@@ -262,26 +315,29 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
     rows: list[int] = []
     basis: dict[int, int] = {}
     cols = [0] * (2 * n)
-    groups = []
+    snapshots: list = []
+    groups = _RoundGroups(n, snapshots, rounds)
+    ranks: list[int] = []
     steady = None
     for r in range(rounds):
         if steady is not None:
-            groups.append(groups[r - 3])
+            ranks.append(ranks[r - 3])
             continue
         for c, hits in phase_checks[r % 3]:
             _measure_step(rows, basis, cols, c, hits, n)
-        groups.append(StabilizerGroup(n, _canonical_rows(rows, basis)))
-        if r >= 3 and groups[r] == groups[r - 3]:
+        snapshots.append((rows[:], basis.copy()))
+        ranks.append(len(basis))
+        if r >= 3 and ranks[r] == ranks[r - 3] and groups[r] == groups[r - 3]:
             steady = r
     k_inst = None
     if steady is not None:
-        ks = {n - groups[r].rank for r in range(steady - 3, steady)}
+        ks = {n - ranks[r] for r in range(steady - 3, steady)}
         if len(ks) != 1:
             raise RuntimeError(
                 f"steady phases disagree on the logical count: {sorted(ks)}"
             )
         k_inst = ks.pop()
-    return ScheduleResult(n, tuple(g.rank for g in groups), tuple(groups), steady, k_inst)
+    return ScheduleResult(n, tuple(ranks), groups, steady, k_inst)
 
 
 def face_stabilizer(assign, f: int) -> int:

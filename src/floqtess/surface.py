@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Any, Iterator, NamedTuple, Sequence
 
@@ -204,7 +205,8 @@ class SurfaceComplex:
     vertex links are single cycles), the Euler characteristic matches the declared genus and
     orientability, and the declared orientability agrees with orientation
     propagation.  Edges may be given as (id, ends) pairs; they are stored as
-    :class:`Edge` records with tuple ends.  Instances are immutable.
+    :class:`Edge` records with tuple ends, and faces as tuples of slot
+    tuples.  Instances are immutable.
     """
 
     orientable: bool
@@ -216,11 +218,6 @@ class SurfaceComplex:
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "edges", tuple(map(_as_edge, self.edges)))
-        object.__setattr__(
-            self,
-            "faces",
-            tuple(tuple((eid, d) for eid, d in face) for face in self.faces),
-        )
         _validate(self)
 
     @property
@@ -242,6 +239,20 @@ class SurfaceComplex:
         order; read once by _validate off the vertex's rotation, whose length
         is that count since every declared edge has two face slots."""
         return dict(self._degrees)
+
+    @cached_property
+    def trivalence_fault(self) -> str | None:
+        """The first vertex whose degree is not 3, else the first loop, as a
+        reason; None when the complex is tri-valent without loops.  Read
+        off the degrees validation stored, once per complex: both
+        colourings and their schedules name this fault first."""
+        for v, d in self._degrees.items():
+            if d != 3:
+                return f"vertex {v!r} has degree {d}, need 3"
+        for e in self.edges:
+            if e.ends[0] == e.ends[1]:
+                return f"edge {e.id!r} is a loop"
+        return None
 
 
 def _as_edge(e) -> Edge:
@@ -269,16 +280,26 @@ def _validate(c: SurfaceComplex) -> None:
                 raise SurfaceError(f"edge {e.id!r} references unknown vertex {v!r}")
     object.__setattr__(c, "_edge_index", index)
 
-    if not c.faces:
-        raise SurfaceError("complex has no faces")
+    # Faces and slots are stored as tuples; one a derivation built as
+    # tuples is kept, not copied.
+    faces = []
     for f, face in enumerate(c.faces):
+        face = tuple(face)
         if not face:
             raise SurfaceError(f"face {f} is empty")
-        for eid, d in face:
+        plain = True
+        for slot in face:
+            eid, d = slot
             if eid not in index:
                 raise SurfaceError(f"face {f} references unknown edge {eid!r}")
             if type(d) is not int or d not in (1, -1):
                 raise SurfaceError(f"face {f}: direction must be +1 or -1, got {d!r}")
+            if type(slot) is not tuple:
+                plain = False
+        faces.append(face if plain else tuple(map(tuple, face)))
+    if not faces:
+        raise SurfaceError("complex has no faces")
+    object.__setattr__(c, "faces", tuple(faces))
 
     # The flag map rejects an edge in one face slot or in three; the faces
     # name only declared edges, so a declared edge it lacks has no slot.

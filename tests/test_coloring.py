@@ -4,6 +4,7 @@ import hashlib
 import random
 import sys
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -501,6 +502,46 @@ class TestEdgeSchedule:
         edge_color[octagon_incenter.edges[0].id] = "X"
         with pytest.raises(ValueError, match="has unknown color 'X'"):
             EdgeSchedule(complex=octagon_incenter, edge_color=edge_color)
+
+
+class TestTrivalenceFault:
+    """Both colourings and EdgeSchedule name the first trivalence fault in
+    one wording, found once per complex."""
+
+    def test_messages(self):
+        cx = fundamental_polygon(2, True)
+        with pytest.raises(NotColorCodeTiling) as info:
+            three_color(cx)
+        assert str(info.value) == "not a color-code tiling: vertex 0 has degree 8, need 3"
+        for make in (edge_three_color, lambda c: EdgeSchedule(complex=c, edge_color={})):
+            with pytest.raises(ValueError) as info:
+                make(cx)
+            assert type(info.value) is ValueError
+            assert str(info.value) == "vertex 0 has degree 8, need 3"
+        assert dumbbell_sphere().trivalence_fault == "edge 'a' is a loop"
+        assert incenter_complex(cx, 8, 8).trivalence_fault is None
+
+    def test_found_once_per_complex(self, monkeypatch):
+        # The clip path reads it three times: the three_color rejection,
+        # edge_three_color and the EdgeSchedule that returns.
+        calls = []
+        find = SurfaceComplex.trivalence_fault.func
+
+        def counting(c):
+            calls.append(c)
+            return find(c)
+
+        prop = cached_property(counting)
+        prop.__set_name__(SurfaceComplex, "trivalence_fault")
+        monkeypatch.setattr(SurfaceComplex, "trivalence_fault", prop)
+        clip = clip_complex(fundamental_polygon(3, True), 12, 12)
+        with pytest.raises(NotColorCodeTiling):
+            three_color(clip)
+        edge_three_color(clip)
+        assert calls == [clip]
+        incenter = incenter_complex(fundamental_polygon(3, True), 12, 12)
+        three_color(incenter)
+        assert calls == [clip, incenter]
 
 
 class TestColorAssignment:

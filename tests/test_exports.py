@@ -2,7 +2,8 @@
 parameters that take a default are a pinned set, every parameter is read,
 every module-level name but a pinned few has a caller in the package, the
 CLI loads only the pipeline modules and imports only public names, and
-the functions the benchmark's tracer wraps exist."""
+the functions the benchmark's tracer wraps exist with the parameters its
+hooks read."""
 
 import ast
 import importlib
@@ -215,3 +216,27 @@ def test_hooked_layers_keep_their_parameters(layer):
     module_name, func_name = layer.split(".")
     func = getattr(importlib.import_module(f"floqtess.{module_name}"), func_name)
     assert set(HOOK_PARAMETERS[layer]) <= set(inspect.signature(func).parameters)
+
+
+def bound_arguments_read(hook) -> set:
+    """The keys a counting hook reads off ``bound.arguments`` (bound to the
+    name ``args``), from its source."""
+    tree = ast.parse(inspect.getsource(hook))
+    return {
+        node.slice.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+        and isinstance(node.slice, ast.Constant)
+    }
+
+
+def test_hook_parameters_are_the_ones_the_hooks_read():
+    # The pinned table above is what the tracer's hooks read, so a hook
+    # that starts to read another argument is checked against src too.
+    hooks = load_tracing()._HOOKS
+    read = {layer: bound_arguments_read(hook) for layer, hook in hooks.items()}
+    assert {layer: keys for layer, keys in read.items() if keys} == {
+        layer: set(params) for layer, params in HOOK_PARAMETERS.items()
+    }

@@ -787,6 +787,73 @@ class TestRunSchedule:
         assert calls == expected
 
 
+def reference_steady(groups, n):
+    """(steady_round, k_inst) of a measured trajectory: the first round from
+    3 on whose group equals the one three rounds back, and its logical count."""
+    for r in range(3, len(groups)):
+        if groups[r] == groups[r - 3]:
+            return r, n - groups[r].rank
+    return None, None
+
+
+class TestLazyGroups:
+    # run_schedule keeps each round's slot basis and makes a round's group
+    # canonical only when the steady test compares it or a caller reads it.
+
+    @pytest.mark.parametrize("build", schedule_complexes())
+    def test_agrees_with_reference(self, build):
+        schedule, _ = _schedule_for(build())
+        expected = reference_run_schedule(schedule, 12)
+        n = len(schedule.complex.vertices)
+        for rounds in (6, 9, 12):
+            result = run_schedule(schedule, rounds)
+            ref = expected[:rounds]
+            steady, k = reference_steady(ref, n)
+            # Ranks, steady round and logical count first, before any
+            # group is read past the steady test.
+            assert result.ranks == tuple(g.rank for g in ref)
+            assert (result.steady_round, result.k_inst) == (steady, k)
+            assert result.groups == ref and tuple(result.groups) == ref
+            assert result == ScheduleResult(n, result.ranks, ref, steady, k)
+
+    def test_canonical_only_where_compared_or_read(self, monkeypatch):
+        # Orientable g = 12 incenter complex, n = 96: rounds 3..5 outrank
+        # rounds 0..2, so the steady test compares rounds 3 and 6 alone.
+        calls = []
+        canonical = floquet._canonical_rows
+
+        def spy(rows, basis):
+            calls.append(len(basis))
+            return canonical(rows, basis)
+
+        monkeypatch.setattr(floquet, "_canonical_rows", spy)
+        cx = incenter_complex(fundamental_polygon(12, True), 48, 48)
+        result = run_schedule(three_color(cx), 9)
+        assert result.n == 96 and result.k_inst == 24 and result.steady_round == 6
+        assert result.ranks[3:6] == (72, 72, 72)
+        assert len(calls) == 2
+        phases = result.steady_phases
+        assert len(calls) == 4
+        assert result.steady_phases == phases and len(calls) == 4
+        assert len(tuple(result.groups)) == 9 and len(calls) == 7
+
+    def test_sequence_reads(self, octagon):
+        # Indexing, slicing, equality, hash and repr read as the tuple of
+        # groups; past the steady round the period-3 cycle repeats.
+        _, assign, _ = octagon
+        result = run_schedule(assign, 300)
+        groups = reference_run_schedule(assign, 12)
+        assert result.groups[-1] == result.groups[299] == groups[11]
+        assert result.groups[4:10:2] == groups[4:10:2]
+        assert result.groups[295:] == (groups[7], groups[8], groups[6], groups[7], groups[8])
+        with pytest.raises(IndexError):
+            result.groups[300]
+        short = run_schedule(assign, 9)
+        plain = ScheduleResult(16, short.ranks, groups[:9], 6, 4)
+        assert short == plain and hash(short) == hash(plain)
+        assert repr(short.groups) == repr(groups[:9])
+
+
 class TestFaceStabilizers:
     # The clip complexes are the ones three_color rejects.
     @pytest.mark.parametrize(

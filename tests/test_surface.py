@@ -581,6 +581,35 @@ class TestEdgeRecords:
         assert str(info.value) == "edge 0: ends must be a pair"
 
 
+class TestFaceSlots:
+    """Validation stores faces as tuples of (edge id, direction) tuples in
+    the slot loop it runs anyway: faces given so are kept, not copied."""
+
+    def test_tuple_faces_pass_through(self):
+        c = incenter_complex(fundamental_polygon(3, True), 12, 12)
+        got = SurfaceComplex(**_fields(c))
+        assert type(got.faces) is tuple
+        assert all(a is b for a, b in zip(got.faces, c.faces))
+
+    def test_other_sequences_stored_as_tuples(self):
+        c = fundamental_polygon(2, True)
+        for faces in ([[list(slot) for slot in face] for face in c.faces], (iter(_WORD),)):
+            got = SurfaceComplex(**_fields(c, faces=faces))
+            assert got == c
+            assert type(got.faces) is tuple
+            assert all(type(f) is tuple and all(type(s) is tuple for s in f) for f in got.faces)
+
+    @pytest.mark.parametrize("slot", [(0, 1, 1), (0,), 5], ids=["triple", "single", "scalar"])
+    def test_malformed_slot_raises_as_unpacking(self, slot):
+        try:
+            eid, d = slot
+        except (TypeError, ValueError) as exc:
+            expected = exc
+        with pytest.raises(type(expected)) as info:
+            SurfaceComplex(**_octagon(faces=((slot,) + _WORD[1:],)))
+        assert str(info.value) == str(expected)
+
+
 class TestOneFlagMapBuild:
     @pytest.fixture
     def builds(self, monkeypatch):
