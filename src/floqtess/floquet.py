@@ -14,8 +14,8 @@ int, so a lettering commutes when its syndromes XOR to zero.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import geodist
 from .coloring import PAULI_OF, ROUND_COLOR, checks_for_round, three_color
@@ -200,69 +200,31 @@ def _canonical_rows(rows: list, basis: dict) -> tuple:
     return tuple(reversed(canonical.values()))
 
 
-class _RoundGroups(Sequence):
-    """The per-round groups of :func:`run_schedule`, each made canonical
-    when it is first read.
-
-    ``snapshots[r]`` holds round r's slot basis, ``(rows, basis)`` as
-    :func:`_measure_step` leaves it, until the round's group is read; the
-    group then takes its place.  Rounds past the last snapshot repeat the
-    period-3 cycle.  Equality, hash and repr are those of the tuple of
-    groups, so a result compares equal to one built from a plain tuple.
-    """
-
-    def __init__(self, n: int, snapshots: list, length: int):
-        self._n, self._snapshots, self._length = n, snapshots, length
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, r):
-        if isinstance(r, slice):
-            return tuple(self[i] for i in range(*r.indices(self._length)))
-        r = range(self._length)[r]
-        last = len(self._snapshots) - 1
-        if r > last:
-            r = last - 3 + (r - last) % 3
-        group = self._snapshots[r]
-        if type(group) is tuple:
-            group = StabilizerGroup(self._n, _canonical_rows(*group))
-            self._snapshots[r] = group
-        return group
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, _RoundGroups)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScheduleResult:
-    """Per-round ISG trajectory with steady-state bookkeeping.
+    """Per-round ISG ranks with steady-state bookkeeping.
 
-    ``groups`` holds one StabilizerGroup per round: a tuple, or the
-    sequence :func:`run_schedule` returns, which makes a round's group
-    canonical when it is first read."""
+    ``phase_bases`` holds the slot bases ``(rows, basis)``, as
+    :func:`_measure_step` leaves them, of the three rounds before the steady
+    round, or ``()`` when no steady state was reached.  Results compare by
+    identity: field-wise equality would compare bases, not groups."""
 
     n: int
     ranks: tuple
-    groups: Sequence
+    phase_bases: tuple
     steady_round: int | None
     k_inst: int | None
 
-    @property
+    @cached_property
     def steady_phases(self) -> tuple:
-        """The three ISGs of the steady cycle (one per colour phase)."""
+        """The three ISGs of the steady cycle (one per colour phase), made
+        canonical on first read."""
         if self.steady_round is None:
             raise ValueError("schedule did not reach a steady state")
-        r = self.steady_round
-        return self.groups[r - 3 : r]
+        return tuple(
+            StabilizerGroup(self.n, _canonical_rows(rows, basis))
+            for rows, basis in self.phase_bases
+        )
 
 
 def run_schedule(schedule, rounds: int) -> ScheduleResult:
@@ -271,28 +233,24 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
     ``schedule`` is an EdgeSchedule, such as a ColorAssignment.  Each check
     row and its ``hits`` (see :func:`_measure_step`) are built once per run
     straight from the round letter's (x, z) bits and the two qubit indices.
-    Steady state is entered at round ``r`` when ISG(r) == ISG(r-3).
-    Measuring a round maps a group to a group whatever basis represents it,
-    so the period-3 cycle then repeats forever: the rounds after ``r`` are
-    copied from the cycle, not measured.  Until then one echelon basis is
-    updated check by check by :func:`_measure_step`, its rows in slots
-    (``rows``), each pivot mapped to its slot (``basis``) and each row bit
-    to a mask of the slots that carry it (``cols``).  The lighter of the two
-    lowest-pivot anticommuting rows leaves, so a check costs its
-    anticommuting rows plus the bits of the leaving and the joined row.
-    Rows round a face stay light: at n = 96 the leaving rows carry 1256 bits
-    over nine rounds, where always taking the lowest pivot let the growing
-    product of a face's checks leave, 5400 bits.
+    Steady state is entered at the first round ``r`` >= 3 whose rank equals
+    that of round ``r-3``: ISG(r-3) lies in ISG(r), so equal ranks mean
+    equal groups.  Measuring a round maps a group to a group whatever basis
+    represents it, so the period-3 cycle then repeats forever: the rounds
+    after ``r`` are copied from the cycle, not measured.  Until then one
+    echelon basis is updated check by check by :func:`_measure_step`, its
+    rows in slots (``rows``), each pivot mapped to its slot (``basis``) and
+    each row bit to a mask of the slots that carry it (``cols``).  The
+    lighter of the two lowest-pivot anticommuting rows leaves, so a check
+    costs its anticommuting rows plus the bits of the leaving and the joined
+    row.  Rows round a face stay light: at n = 96 the leaving rows carry
+    1256 bits over nine rounds, where always taking the lowest pivot let the
+    growing product of a face's checks leave, 5400 bits.
 
-    Each round keeps a copy of ``rows`` and ``basis``; a round's group is
-    made canonical only when it is compared or read, by
-    :func:`_canonical_rows`, one pass over the pivots in ascending order in
-    which each row only sheds the lower pivot bits it carries, so it costs
-    the sum of those overlaps, not rank squared.  ISG(r-3) lies in ISG(r),
-    so the two can be equal only when their ranks are: the steady test
-    compares groups only then, which on the incenter and clip complexes is
-    rounds 3 and 6 alone.  The three steady phases share one logical count,
-    read off their ranks.
+    Each measured round keeps a copy of ``rows`` and ``basis``; the result
+    holds those of the three steady phases, which share one logical count,
+    read off their ranks, and are made canonical only when
+    :attr:`ScheduleResult.steady_phases` is read.
     """
     if rounds < 6:
         raise ValueError("need at least 6 rounds to certify a steady state")
@@ -316,7 +274,6 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
     basis: dict[int, int] = {}
     cols = [0] * (2 * n)
     snapshots: list = []
-    groups = _RoundGroups(n, snapshots, rounds)
     ranks: list[int] = []
     steady = None
     for r in range(rounds):
@@ -327,9 +284,9 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
             _measure_step(rows, basis, cols, c, hits, n)
         snapshots.append((rows[:], basis.copy()))
         ranks.append(len(basis))
-        if r >= 3 and ranks[r] == ranks[r - 3] and groups[r] == groups[r - 3]:
+        if r >= 3 and ranks[r] == ranks[r - 3]:
             steady = r
-    k_inst = None
+    k_inst, phase_bases = None, ()
     if steady is not None:
         ks = {n - ranks[r] for r in range(steady - 3, steady)}
         if len(ks) != 1:
@@ -337,7 +294,8 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
                 f"steady phases disagree on the logical count: {sorted(ks)}"
             )
         k_inst = ks.pop()
-    return ScheduleResult(n, tuple(ranks), groups, steady, k_inst)
+        phase_bases = tuple(snapshots[steady - 3 : steady])
+    return ScheduleResult(n, tuple(ranks), phase_bases, steady, k_inst)
 
 
 def face_stabilizer(assign, f: int) -> int:
@@ -460,12 +418,12 @@ def exact_distance(schedule, result: ScheduleResult) -> int:
         raise BoundExceeded(
             f"n={n} exceeds the exact-search bound {_EXACT_MAX_N}; use geometric estimator"
         )
-    phases = result.steady_phases
-    if all(p.rank == n for p in phases):
+    # An unsteady run has no k_inst and fails reading its steady phases.
+    if result.k_inst == 0:
         raise ValueError(
             f"k = 0: every steady phase has full rank {n}, so no logical operator exists"
         )
-    return _min_logical_weight(phases)
+    return _min_logical_weight(result.steady_phases)
 
 
 def _min_logical_weight(phases) -> int:

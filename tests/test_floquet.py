@@ -1,5 +1,6 @@
 """ISG dynamics: Pauli algebra, measurement updates, distance search."""
 
+import functools
 import random
 import signal
 from itertools import combinations, product
@@ -22,7 +23,6 @@ from floqtess.derive import clip_complex, incenter_complex, polygon_complex, pol
 from floqtess.floquet import (
     BoundExceeded,
     CodeParams,
-    ScheduleResult,
     StabilizerGroup,
     _LETTERS,
     _canonical_rows,
@@ -131,6 +131,13 @@ def reference_run_schedule(schedule, rounds):
             group = reference_measure(group, _pauli_row(n, letter, (index[u], index[w])))
         groups.append(group)
     return tuple(groups)
+
+
+@functools.cache
+def reference_trajectory(schedule):
+    """The first 12 groups of :func:`reference_run_schedule`, measured once
+    per schedule: three tests compare every complex's run against them."""
+    return reference_run_schedule(schedule, 12)
 
 
 def schedule_complexes():
@@ -642,10 +649,12 @@ class TestRunSchedule:
             run_schedule(assign, 5)
 
     def test_steady_phases_cycle(self, octagon):
-        _, _, result = octagon
+        # The steady round's group is the first phase's, three rounds back.
+        _, assign, result = octagon
         a, b, c = result.steady_phases
         assert len({a, b, c}) == 3
-        assert result.groups[result.steady_round] == a
+        assert reference_run_schedule(assign, 9)[result.steady_round] == a
+        assert result.ranks[result.steady_round] == a.rank
 
     def test_edge_schedule_loses_logicals(self):
         # An arbitrary proper edge colouring is measurably not the
@@ -699,7 +708,8 @@ class TestRunSchedule:
         _, assign, expected = genus12
         left = self.leaving_rows(monkeypatch)
         result = run_schedule(assign, 9)
-        assert result.groups == expected.groups
+        assert result.ranks == expected.ranks
+        assert result.steady_phases == expected.steady_phases
         assert left and sum(g.bit_count() for g in left) < 1400
 
     def test_stops_measuring_once_certified(self, octagon, monkeypatch):
@@ -710,16 +720,20 @@ class TestRunSchedule:
         result = run_schedule(assign, 9)
         assert len(calls) == 7 * 8
         assert result.steady_round == 6
-        assert result.groups == reference_run_schedule(assign, 9)
+        ref = reference_run_schedule(assign, 9)
+        assert result.ranks == tuple(g.rank for g in ref)
+        assert result.steady_phases == ref[3:6]
 
     def test_long_run_measures_no_more(self, octagon, monkeypatch):
         _, assign, _ = octagon
         calls = self.count_checks(monkeypatch)
         result = run_schedule(assign, 300)
         assert len(calls) == 7 * 8
-        assert len(result.ranks) == len(result.groups) == 300
         assert result.steady_round == 6
-        assert result.groups[:12] == reference_run_schedule(assign, 12)
+        ref = reference_run_schedule(assign, 12)
+        assert result.ranks[:12] == tuple(g.rank for g in ref)
+        assert result.ranks[12:] == result.ranks[9:12] * 96
+        assert result.steady_phases == ref[3:6]
 
     def test_uncertified_run_measures_every_round(self, octagon, monkeypatch):
         _, assign, _ = octagon
@@ -727,7 +741,12 @@ class TestRunSchedule:
         result = run_schedule(assign, 6)
         assert len(calls) == 6 * 8
         assert result.steady_round is None and result.k_inst is None
-        assert result.groups == reference_run_schedule(assign, 6)
+        assert result.ranks == tuple(g.rank for g in reference_run_schedule(assign, 6))
+        assert result.phase_bases == ()
+        with pytest.raises(ValueError, match="did not reach a steady state"):
+            result.steady_phases
+        with pytest.raises(ValueError, match="did not reach a steady state"):
+            exact_distance(assign, result)
 
     def test_genus32_holds_every_face(self):
         # n = 256: every steady phase keeps 2g = 64 logicals and contains
@@ -742,19 +761,26 @@ class TestRunSchedule:
 
     @pytest.mark.parametrize("build", schedule_complexes())
     def test_groups_agree_with_reference(self, build):
+        # At 6, 9 and 12 rounds the ranks are the reference trajectory's, and
+        # the rank-only certificate finds the steady round and logical count
+        # that comparing whole groups finds.
         schedule, _ = _schedule_for(build())
-        result = run_schedule(schedule, 9)
-        assert result.groups == reference_run_schedule(schedule, 9)
+        expected = reference_trajectory(schedule)
+        for rounds in (6, 9, 12):
+            result = run_schedule(schedule, rounds)
+            ref = expected[:rounds]
+            assert result.ranks == tuple(g.rank for g in ref)
+            assert (result.steady_round, result.k_inst) == reference_steady(ref, result.n)
 
     @pytest.mark.parametrize("build", schedule_complexes())
     def test_each_group_lies_in_the_one_three_rounds_later(self, build):
+        # The theorem behind run_schedule's rank-only steady certificate.
         # A round's update is monotone (a subgroup is measured into a
         # subgroup of the image) and ISG(3) contains ISG(0), so by induction
         # ISG(r + 3) contains ISG(r); a group equals one that contains it
-        # exactly when their ranks agree, which is why the period-3
-        # certificate is sound.
+        # exactly when their ranks agree.
         schedule, _ = _schedule_for(build())
-        groups = run_schedule(schedule, 12).groups
+        groups = reference_trajectory(schedule)
         for early, late in zip(groups, groups[3:]):
             assert all(late._reduce_vec(row) == 0 for row in early.rows)
             assert (early == late) == (early.rank == late.rank)
@@ -797,28 +823,29 @@ def reference_steady(groups, n):
 
 
 class TestLazyGroups:
-    # run_schedule keeps each round's slot basis and makes a round's group
-    # canonical only when the steady test compares it or a caller reads it.
+    # run_schedule keeps the slot bases of the three steady phases and makes
+    # them canonical only when steady_phases is first read.
 
     @pytest.mark.parametrize("build", schedule_complexes())
     def test_agrees_with_reference(self, build):
+        # At 6, 9 and 12 rounds the steady phases are the reference
+        # trajectory's three rounds before its steady round.
         schedule, _ = _schedule_for(build())
-        expected = reference_run_schedule(schedule, 12)
+        expected = reference_trajectory(schedule)
         n = len(schedule.complex.vertices)
         for rounds in (6, 9, 12):
             result = run_schedule(schedule, rounds)
-            ref = expected[:rounds]
-            steady, k = reference_steady(ref, n)
-            # Ranks, steady round and logical count first, before any
-            # group is read past the steady test.
-            assert result.ranks == tuple(g.rank for g in ref)
-            assert (result.steady_round, result.k_inst) == (steady, k)
-            assert result.groups == ref and tuple(result.groups) == ref
-            assert result == ScheduleResult(n, result.ranks, ref, steady, k)
+            steady, _ = reference_steady(expected[:rounds], n)
+            if steady is None:
+                with pytest.raises(ValueError, match="did not reach a steady state"):
+                    result.steady_phases
+            else:
+                assert result.steady_phases == expected[steady - 3 : steady]
 
-    def test_canonical_only_where_compared_or_read(self, monkeypatch):
-        # Orientable g = 12 incenter complex, n = 96: rounds 3..5 outrank
-        # rounds 0..2, so the steady test compares rounds 3 and 6 alone.
+    def test_canonical_only_where_read(self, monkeypatch):
+        # Orientable g = 12 incenter complex, n = 96: the steady test reads
+        # ranks alone, and the first read of the steady phases makes each
+        # of the three canonical once.
         calls = []
         canonical = floquet._canonical_rows
 
@@ -830,28 +857,10 @@ class TestLazyGroups:
         cx = incenter_complex(fundamental_polygon(12, True), 48, 48)
         result = run_schedule(three_color(cx), 9)
         assert result.n == 96 and result.k_inst == 24 and result.steady_round == 6
-        assert result.ranks[3:6] == (72, 72, 72)
-        assert len(calls) == 2
+        assert calls == []
         phases = result.steady_phases
-        assert len(calls) == 4
-        assert result.steady_phases == phases and len(calls) == 4
-        assert len(tuple(result.groups)) == 9 and len(calls) == 7
-
-    def test_sequence_reads(self, octagon):
-        # Indexing, slicing, equality, hash and repr read as the tuple of
-        # groups; past the steady round the period-3 cycle repeats.
-        _, assign, _ = octagon
-        result = run_schedule(assign, 300)
-        groups = reference_run_schedule(assign, 12)
-        assert result.groups[-1] == result.groups[299] == groups[11]
-        assert result.groups[4:10:2] == groups[4:10:2]
-        assert result.groups[295:] == (groups[7], groups[8], groups[6], groups[7], groups[8])
-        with pytest.raises(IndexError):
-            result.groups[300]
-        short = run_schedule(assign, 9)
-        plain = ScheduleResult(16, short.ranks, groups[:9], 6, 4)
-        assert short == plain and hash(short) == hash(plain)
-        assert repr(short.groups) == repr(groups[:9])
+        assert calls == [72, 72, 72]
+        assert result.steady_phases is phases and len(calls) == 3
 
 
 class TestFaceStabilizers:
@@ -1171,14 +1180,11 @@ class TestExactDistance:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_relabelled_toric_code(self, seed):
-        # The tessellation's edge graph says nothing about these qubits:
-        # pruning on it missed every weight-4 logical.
-        cx = incenter_complex(fundamental_polygon(4, True), 16, 16)
-        sched = three_color(cx)
+        # A tessellation's edge graph says nothing about these qubits: a
+        # search pruned on it missed every weight-4 logical.
         group = scrambled_code(toric_code(4), seed)
         assert group.rank == 30
-        result = ScheduleResult(32, (30,) * 3, (group,) * 3, 3, 2)
-        assert exact_distance(sched, result) == 4
+        assert _min_logical_weight((group,) * 3) == 4
 
     def test_matches_exhaustive_on_small_complexes(self):
         # n is 8g / 4g (incenter / clip) on orientable surfaces and 4g / 2g
@@ -1234,6 +1240,8 @@ class TestExactDistance:
         with pytest.raises(ValueError, match="k = 0") as info:
             exact_distance(sched, result)
         assert not isinstance(info.value, BoundExceeded)
+        # k_inst decides it: no steady phase was made canonical.
+        assert "steady_phases" not in vars(result)
         with pytest.raises(ValueError, match="no logical"):
             exhaustive_distance(result.steady_phases)
 
