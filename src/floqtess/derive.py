@@ -17,13 +17,17 @@ incenter subdivision has one vertex per flag, one edge per sigma_k pair and
 one face per orbit of two involutions: <s0, s1> gives a 2p-gon, <s1, s2> a
 2q-gon, <s0, s2> a quadrilateral.  Clipping merges each sigma2 pair into a
 vertex, which shrinks every quadrilateral to the middle segment of its
-source edge.  Faces are walks round these orbits, so self-adjacent faces
-(unavoidable on one-faced fundamental polygons) need no special casing.
+source edge.  Each face is read straight off an orbit the source's flag
+map already lists: a source face's flags in order (its <s0, s1> orbit), a
+vertex rotation (every other flag of its <s1, s2> orbit) or an edge's four
+flags (<s0, s2>), so self-adjacent faces (unavoidable on one-faced
+fundamental polygons) need no special casing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .hypgeo import SemiRegularSig, _as_semiregular, _check_genus, _polygon_sides
@@ -88,12 +92,19 @@ def _slot_labels(fm: _FlagMap) -> list[str]:
     return [f"{f}.{j}" for f, face in enumerate(fm.faces) for j in range(len(face))]
 
 
-def _walks(fm: _FlagMap) -> list[tuple[int, tuple[int, int]]]:
-    """(start, steps) of the (0, 1) walk round each source face from its flag
-    (f, 0, 0), then of the (1, 2) walk round each vertex from its rotation."""
-    return [(fm.id(f, 0, 0), (0, 1)) for f in range(len(fm.faces))] + [
-        (rotation[0], (1, 2)) for rotation in fm.rotations
-    ]
+def _edge_end_flags(c: SurfaceComplex, fm: _FlagMap) -> list[int]:
+    """The flags at end 0 and end 1 of each source edge's first slot, in
+    edge order."""
+    ends0 = [fm.flag(fm.first[e.id], 0) for e in c.edges]
+    return [i for a in ends0 for i in (a, a ^ 1)]  # sigma0 of end 0 is end 1
+
+
+def _face_flags(fm: _FlagMap, along_face: list) -> list[tuple]:
+    """The entries of ``along_face`` on each source face's flags in order:
+    the face's orbit of <s0, s1> from flag (f, 0, 0), steps s0 and s1
+    taking turns."""
+    base = fm.base
+    return [tuple(along_face[2 * a:2 * b]) for a, b in zip(base, base[1:])]
 
 
 def clip_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
@@ -103,36 +114,39 @@ def clip_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
     the source ("e{i}.{end}").  Edges are the surviving middle segment of
     each source edge ("A{i}"), then one cut per sigma1 pair, named after the
     corner (f, j) of its leading head flag ("B{f}.{j}").  Faces are the
-    truncated 2p-gons, then the q-gons: the walks of :func:`_walks`, where
-    sigma0 crosses an A segment, sigma1 a cut, and sigma2 stays put; each
-    step is read off a per-flag table of (edge, direction).
+    truncated 2p-gons, then the q-gons, read off the orbits the flag map
+    lists: a source face's flags in order, where sigma0 crosses an A
+    segment and sigma1 a cut, and a vertex rotation, whose sigma1 steps
+    cross the cuts (sigma2 stays put).  Each step is read off a per-flag
+    table of (edge, direction).
     """
     _require_pq(c, p, q)
     fm = c.flag_map()
-    eindex = {e.id: i for i, e in enumerate(c.edges)}
-    vertices = tuple(f"e{i}.{t}" for i in range(len(c.edges)) for t in (0, 1))
+    s1, s2 = fm.s1, fm.s2
+    vertices = [f"e{i}.{t}" for i in range(len(c.edges)) for t in "01"]
+    # The derived vertex of every flag, 2 * (source edge) + end: the sigma2
+    # pair at that end of the edge.
+    vertex = [0] * len(s1)
+    for v, i in enumerate(_edge_end_flags(c, fm)):
+        vertex[i] = vertex[s2[i]] = v
     segments = [f"A{i}" for i in range(len(c.edges))]
-    # The derived vertex of every flag, 2 * (source edge) + end.
-    vertex = [2 * eindex[eid] + end for eid, end in map(fm.end, range(len(fm.s0)))]
-    cuts = range(1, len(fm.s0), 2)  # the head flags, which lead sigma1
+    cuts = range(1, len(s1), 2)  # the head flags, which lead sigma1
     cut_names = ["B" + label for label in _slot_labels(fm)]
-    table = (
-        # leaving end 0 runs along the segment forwards
-        [(segments[v >> 1], 1 - 2 * (v & 1)) for v in vertex],
-        _pair_names(fm.s1, cuts, cut_names),
-    )
+    # leaving end 0 runs along the segment forwards
+    along = [(segments[v >> 1], 1 - 2 * (v & 1)) for v in vertex]
+    across = _pair_names(s1, cuts, cut_names)
+    along[1::2] = across[1::2]  # a face's head flags step across a cut
+    ends = [*zip(vertices[0::2], vertices[1::2])]
+    ends += [(vertices[vertex[i]], vertices[vertex[s1[i]]]) for i in cuts]
     return SurfaceComplex(
         orientable=c.orientable,
         genus=c.genus,
-        vertices=vertices,
-        edges=tuple(Edge(a, (f"e{i}.0", f"e{i}.1")) for i, a in enumerate(segments))
-        + tuple(
-            Edge(name, (vertices[vertex[i]], vertices[vertex[fm.s1[i]]]))
-            for i, name in zip(cuts, cut_names)
-        ),
+        vertices=tuple(vertices),
+        edges=tuple(map(Edge._make, zip(segments + cut_names, ends))),
+        # each flag of a rotation crosses one cut by sigma1 (sigma2 stays put)
         faces=tuple(
-            tuple(table[k][i] for k, i in fm.walk(start, steps) if k != 2)
-            for start, steps in _walks(fm)
+            _face_flags(fm, along)
+            + [tuple(map(across.__getitem__, rotation)) for rotation in fm.rotations]
         ),
     )
 
@@ -144,41 +158,46 @@ def incenter_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
     per sigma_k pair, named from its leading flag: "s0.{f}.{j}" along slot j
     of face f, "s1.{f}.{j}" across the corner after it, "s2.{e}.{end}"
     across that end of source edge e; s0 and s1 are listed by corner, s2 by
-    source edge and end.  Faces are the 2p-gons and 2q-gons of the walks of
-    :func:`_walks`, then the quadrilaterals: the (0, 2) walk from the tail
-    flag of each source edge's first slot.  Each step is read off a
-    per-flag table of (edge, direction), filled once per pair.
+    source edge and end.  Faces are the 2p-gons and 2q-gons read off the
+    source faces' flags and the vertex rotations, then the quadrilaterals:
+    the (0, 2) orbit of the tail flag i of each source edge's first slot,
+    i, s0(i), s2 s0(i) and s0 s2 s0(i).  Each step is read off a per-flag
+    table of (edge, direction), filled once per pair.
     """
     _require_pq(c, p, q)
     fm = c.flag_map()
+    s1, s2 = fm.s1, fm.s2
     firsts = [fm.first[e.id] for e in c.edges]
     labels = _slot_labels(fm)
-    vname = [f"f{label}.{t}" for label in labels for t in (0, 1)]
-    # flags with t = k lead s_k; the flags on each edge's first slot lead s2
-    leading = (
-        range(0, len(fm.s0), 2),
-        range(1, len(fm.s0), 2),
-        [fm.flag(i, end) for i in firsts for end in (0, 1)],
-    )
+    vname = [f"f{label}.{t}" for label in labels for t in "01"]
+    # the tail flag of a slot leads its s0 pair, the head flag its s1 pair;
+    # the flags on each edge's first slot lead s2
+    heads, crossing = range(1, len(s1), 2), _edge_end_flags(c, fm)
     names = (
         ["s0." + label for label in labels],
         ["s1." + label for label in labels],
-        [f"s2.{e}.{end}" for e in range(len(firsts)) for end in (0, 1)],
+        [f"s2.{e}.{end}" for e in range(len(firsts)) for end in "01"],
     )
-    table = [_pair_names(fm.sigma[k], leading[k], names[k]) for k in (0, 1, 2)]
-    quads = [(i, (0, 2)) for i in firsts]
+    t0 = [step for name in names[0] for step in ((name, 1), (name, -1))]
+    t1 = _pair_names(s1, heads, names[1])
+    t2 = _pair_names(s2, crossing, names[2])
+    along = t0[:]
+    along[1::2] = t1[1::2]  # a face's head flags step by s1
+    corner = list(zip(t1, map(t2.__getitem__, s1)))  # s1, then s2 where it lands
+    opposite = [s2[i ^ 1] for i in firsts]
+    quads = [(t0[i], t2[i ^ 1], t0[j], t2[j ^ 1]) for i, j in zip(firsts, opposite)]
+    ends = [*zip(vname[0::2], vname[1::2])]
+    ends += [(vname[i], vname[s1[i]]) for i in heads]
+    ends += [(vname[i], vname[s2[i]]) for i in crossing]
     return SurfaceComplex(
         orientable=c.orientable,
         genus=c.genus,
         vertices=tuple(vname),
-        edges=tuple(
-            Edge(name, (vname[i], vname[fm.sigma[k][i]]))
-            for k in (0, 1, 2)
-            for i, name in zip(leading[k], names[k])
-        ),
+        edges=tuple(map(Edge._make, zip(chain.from_iterable(names), ends))),
         faces=tuple(
-            tuple(table[k][i] for k, i in fm.walk(start, steps))
-            for start, steps in _walks(fm) + quads
+            _face_flags(fm, along)
+            + [tuple(chain.from_iterable(map(corner.__getitem__, r))) for r in fm.rotations]
+            + quads
         ),
     )
 

@@ -18,7 +18,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
 from typing import Any, Iterator, NamedTuple, Sequence
 
 from .hypgeo import _check_genus, _genus_chi, _polygon_sides
@@ -69,38 +70,69 @@ class _FlagMap:
     Only the face list and the slot pairing are needed, never the vertex ids,
     which lets constructors recover vertices from the gluing.
 
+    The map reads the slots into per-slot arrays (``face``, ``edge`` and
+    ``rev``, which runs its edge backwards) and checks those arrays whole;
+    one loop over the slots pairs each with the other slot of its edge and
+    writes sigma2 on the pair's four flags, and one walk of psi = sigma2
+    sigma1 from each flag no earlier walk reached lists the rotations.  A
+    face list it cannot read is rejected with :class:`SurfaceError`, naming
+    the first empty face, malformed slot, unhashable edge id or direction
+    other than the int +1 or -1, in face and slot order, else the first
+    edge without exactly two slots.
+
     :meth:`end` and :meth:`flag` translate to and from the intrinsic end of
-    the edge through the per-slot ``edge`` and ``rev`` (runs it backwards);
-    no other code needs that convention.  :meth:`leads` picks the first flag
-    of each sigma_k pair (the flags with t = k for k < 2), :meth:`walk` goes
-    round an orbit of two involutions and :meth:`sweep` two-colours the
-    flags.  ``rotations`` holds one cycle of psi = sigma2 sigma1 per vertex,
-    in order of each vertex's first flag and starting at it, so its length
-    is the vertex's degree; ``vertex`` maps every flag to its cycle;
-    ``first`` maps an edge id to the tail flag of its first slot,
-    ``edge_faces`` to the faces of both slots.  An edge without exactly two
-    slots is rejected, naming the first such edge."""
+    the edge through ``edge`` and ``rev``; no code outside this module needs
+    that convention.  :meth:`leads` picks the first flag of each sigma_k pair
+    (the flags with t = k for k < 2), :meth:`walk` goes round an orbit of
+    two involutions and :meth:`sweep` two-colours the flags.  ``rotations``
+    holds one cycle of psi per vertex, in order of each vertex's first flag
+    and starting at it, so its length is the vertex's degree; ``vertex``
+    maps every flag to its cycle; ``first`` maps an edge id to the tail
+    flag of its first slot, and ``edge_faces`` to the faces of both slots.
+    Validation reads neither s0 nor edge_faces, so they (and ``sigma``)
+    are built on first read."""
 
     def __init__(self, faces: Sequence[Sequence[Slot]]):
         self.faces = faces
         sizes = [len(face) for face in faces]
         self.base = base = list(accumulate(sizes, initial=0))
         self.face = [f for f, size in enumerate(sizes) for _ in range(size)]
-        self.edge = edge = [eid for face in faces for eid, _ in face]
-        self.rev = rev = [d != 1 for face in faces for _, d in face]
-        n = 2 * len(edge)
+        n = 2 * base[-1]
         tails = range(0, n, 2)
+        try:
+            self.edge = edge = [eid for face in faces for eid, _ in face]
+            dirs = [d for face in faces for _, d in face]
+        except (TypeError, ValueError):  # a slot that is not a pair
+            dirs = None
+        if (
+            dirs is None
+            or 0 in sizes
+            or not {*map(type, dirs)} <= {int}
+            or dirs.count(1) + dirs.count(-1) != len(dirs)
+        ):
+            raise SurfaceError(_slot_fault(faces, None))
+        self.rev = rev = [d != 1 for d in dirs]
+
         # One pass pairs each later slot of an edge with its first slot
-        # (tail flags; keys in order of first appearance).
+        # (tail flags; keys in order of first appearance) and writes sigma2
+        # on the four flags of the pair: the flags at one intrinsic end.
         self.first = first = {}
-        partner = [-1] * len(edge)
-        for i, eid in zip(tails, edge):
-            j = first.setdefault(eid, i)
-            if j != i:
-                partner[i >> 1], partner[j >> 1] = j, i
+        add = first.setdefault
+        self.s2 = s2 = [-1] * n
+        try:
+            for i, eid, r in zip(tails, edge, rev):
+                j = add(eid, i)
+                if j != i:
+                    x = r ^ rev[j >> 1]  # the slots run the edge opposite ways
+                    s2[i] = j + x
+                    s2[j] = i + x
+                    s2[i + 1] = j + 1 - x
+                    s2[j + 1] = i + 1 - x
+        except TypeError:  # an unhashable edge id
+            raise SurfaceError(_slot_fault(faces, None)) from None
         # Two slots per edge: E = slots / 2 and every slot has a partner (an
         # edge in three slots or more leaves another in one, unpartnered).
-        if 2 * len(first) != len(edge) or -1 in partner:
+        if 2 * len(first) != len(edge) or -1 in s2:
             for eid, count in Counter(edge).items():  # name the first bad edge
                 if count < 2:
                     raise SurfaceError(
@@ -110,35 +142,47 @@ class _FlagMap:
                     raise SurfaceError(
                         f"edge {eid!r} appears in {count} face slots; a surface allows 2"
                     )
-        self.edge_faces = {
-            eid: (self.face[i >> 1], self.face[partner[i >> 1] >> 1]) for eid, i in first.items()
-        }
 
-        self.s0 = s0 = [0] * n
-        s0[0::2] = range(1, n, 2)
-        s0[1::2] = tails
         self.s1 = s1 = [0] * n
         s1[0::2] = range(-1, n - 1, 2)
         s1[1::2] = range(2, n + 1, 2)
         for a, b in zip(base, base[1:]):  # each face's last head meets its first tail
             s1[2 * a], s1[2 * b - 1] = 2 * b - 1, 2 * a
-        self.s2 = s2 = [0] * n
-        s2[0::2] = even = [j + (r ^ rev[j >> 1]) for j, r in zip(partner, rev)]
-        s2[1::2] = [j ^ 1 for j in even]
-        self.sigma = (s0, s1, s2)
 
-        psi = [s2[j] for j in s1]  # psi = s2 after s1
-        self.vertex = [-1] * n
-        self.rotations: list[list[int]] = []
-        for start in range(n):
-            if self.vertex[start] == -1:
-                rotation, i = [start], psi[start]
-                while i != start:
-                    rotation.append(i)
-                    i = psi[i]
-                for i in rotation:
-                    self.vertex[i] = self.vertex[s1[i]] = len(self.rotations)
-                self.rotations.append(rotation)
+        # Each rotation starts at the first flag no earlier one reached and
+        # steps by psi = s2 after s1, marking both flags of every corner.
+        self.vertex = vertex = [-1] * n
+        self.rotations = rotations = []
+        start = reached = 0
+        while reached < n:
+            start = vertex.index(-1, start)
+            k, rotation, i = len(rotations), [], start
+            while True:
+                rotation.append(i)
+                j = s1[i]
+                vertex[i] = vertex[j] = k
+                i = s2[j]
+                if i == start:
+                    break
+            rotations.append(rotation)
+            reached += 2 * len(rotation)
+
+    @cached_property
+    def s0(self) -> list[int]:
+        n = len(self.s1)
+        s0 = [0] * n
+        s0[0::2] = range(1, n, 2)
+        s0[1::2] = range(0, n, 2)
+        return s0
+
+    @cached_property
+    def sigma(self) -> tuple[list[int], list[int], list[int]]:
+        return self.s0, self.s1, self.s2
+
+    @cached_property
+    def edge_faces(self) -> dict[Any, tuple[int, int]]:
+        face, s2 = self.face, self.s2
+        return {eid: (face[i >> 1], face[s2[i] >> 1]) for eid, i in self.first.items()}
 
     def id(self, f: int, j: int, t: int) -> int:
         """The flag at end t of slot j of face f."""
@@ -184,9 +228,9 @@ class _FlagMap:
         orientable = True
         while stack:
             f = stack.pop()
-            for i in range(2 * base[f], 2 * base[f + 1], 2):
-                j = s2[i]
-                g, want = face[j >> 1], colour[f] ^ 1 ^ (j & 1)
+            flip = colour[f] ^ 1
+            for j in s2[2 * base[f]:2 * base[f + 1]:2]:  # s2 of f's tail flags
+                g, want = face[j >> 1], flip ^ (j & 1)
                 if colour[g] == -1:
                     colour[g] = want
                     stack.append(g)
@@ -217,7 +261,13 @@ class SurfaceComplex:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(map(_as_edge, self.edges)))
+        edges = tuple(self.edges)
+        # Edge records with tuple ends, as every derivation builds, are kept.
+        if not (
+            {*map(type, edges)} <= {Edge} and {*map(type, map(itemgetter(1), edges))} <= {tuple}
+        ):
+            edges = tuple(map(_as_edge, edges))
+        object.__setattr__(self, "edges", edges)
         _validate(self)
 
     @property
@@ -257,8 +307,42 @@ class SurfaceComplex:
 
 def _as_edge(e) -> Edge:
     """An (id, ends) pair as an Edge with tuple ends; one that is kept as is."""
-    eid, ends = e
-    return e if type(e) is Edge and type(ends) is tuple else Edge(eid, tuple(ends))
+    try:
+        eid, ends = e
+        return e if type(e) is Edge and type(ends) is tuple else Edge(eid, tuple(ends))
+    except (TypeError, ValueError):
+        raise SurfaceError(f"edge {e!r} must be an (id, ends) pair") from None
+
+
+def _hashable(value: Any) -> bool:
+    """Whether the value can be a dictionary key (an id must be)."""
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _slot_fault(faces, index) -> str | None:
+    """The first fault of the face list in face and slot order, or None: an
+    empty face, a slot that is not an (edge id, direction) pair, an edge id
+    that is unhashable or missing from ``index`` (the declared edges; None
+    when they are not known), or a direction other than the int +1 or -1."""
+    for f, face in enumerate(faces):
+        if not face:
+            return f"face {f} is empty"
+        for j, slot in enumerate(face):
+            try:
+                eid, d = slot
+            except (TypeError, ValueError):
+                return f"face {f}: slot {j} must be an (edge id, direction) pair, got {slot!r}"
+            if not _hashable(eid):
+                return f"face {f}: slot {j} has unhashable edge id {eid!r}"
+            if index is not None and eid not in index:
+                return f"face {f} references unknown edge {eid!r}"
+            if type(d) is not int or d not in (1, -1):
+                return f"face {f}: direction must be +1 or -1, got {d!r}"
+    return None
 
 
 def _validate(c: SurfaceComplex) -> None:
@@ -266,61 +350,79 @@ def _validate(c: SurfaceComplex) -> None:
         raise SurfaceError(f"orientable must be a boolean, got {c.orientable!r}")
     if type(c.genus) is not int:
         raise SurfaceError(f"genus must be an integer, got {c.genus!r}")
-    vertices = set(c.vertices)
+    try:
+        vertices = set(c.vertices)
+    except TypeError:
+        v = next(v for v in c.vertices if not _hashable(v))
+        raise SurfaceError(f"vertex {v!r} must be a hashable id") from None
     if len(vertices) != len(c.vertices):
         raise SurfaceError("duplicate vertex ids")
-    index = {e.id: e for e in c.edges}
+    try:
+        index = {e.id: e for e in c.edges}
+    except TypeError:
+        eid = next(e.id for e in c.edges if not _hashable(e.id))
+        raise SurfaceError(f"edge id {eid!r} must be hashable") from None
     if len(index) != len(c.edges):
         raise SurfaceError("duplicate edge ids")
-    for e in c.edges:
-        if len(e.ends) != 2:
-            raise SurfaceError(f"edge {e.id!r}: ends must be a pair")
-        for v in e.ends:
-            if v not in vertices:
-                raise SurfaceError(f"edge {e.id!r} references unknown vertex {v!r}")
+    ends = [e.ends for e in c.edges]
+    try:
+        valid = {*map(len, ends)} <= {2} and vertices.issuperset(chain.from_iterable(ends))
+    except TypeError:  # an unhashable end, which no vertex can be
+        valid = False
+    if not valid:
+        for e in c.edges:
+            if len(e.ends) != 2:
+                raise SurfaceError(f"edge {e.id!r}: ends must be a pair")
+            for v in e.ends:
+                if not _hashable(v) or v not in vertices:
+                    raise SurfaceError(f"edge {e.id!r} references unknown vertex {v!r}")
     object.__setattr__(c, "_edge_index", index)
 
     # Faces and slots are stored as tuples; one a derivation built as
-    # tuples is kept, not copied.
-    faces = []
-    for f, face in enumerate(c.faces):
-        face = tuple(face)
-        if not face:
-            raise SurfaceError(f"face {f} is empty")
-        plain = True
-        for slot in face:
-            eid, d = slot
-            if eid not in index:
-                raise SurfaceError(f"face {f} references unknown edge {eid!r}")
-            if type(d) is not int or d not in (1, -1):
-                raise SurfaceError(f"face {f}: direction must be +1 or -1, got {d!r}")
-            if type(slot) is not tuple:
-                plain = False
-        faces.append(face if plain else tuple(map(tuple, face)))
+    # tuples is kept, not copied.  The flag map reads and checks every slot
+    # once; only when it rejects the faces are they walked again, with the
+    # declared edges, for the first fault in face and slot order (an
+    # undeclared edge in one slot leaves that edge with one slot).
+    faces = tuple(map(tuple, c.faces))
     if not faces:
         raise SurfaceError("complex has no faces")
-    object.__setattr__(c, "faces", tuple(faces))
-
-    # The flag map rejects an edge in one face slot or in three; the faces
-    # name only declared edges, so a declared edge it lacks has no slot.
-    fm = _FlagMap(c.faces)
-    if len(fm.first) < len(index):
-        eid = next(e.id for e in c.edges if e.id not in fm.first)
+    try:
+        if not {*map(type, chain.from_iterable(faces))} <= {tuple}:
+            faces = tuple(tuple(map(tuple, face)) for face in faces)
+        fm = _FlagMap(faces)
+    except (TypeError, ValueError):
+        fault = _slot_fault(faces, index)
+        if fault is None:
+            raise
+        raise SurfaceError(fault) from None
+    object.__setattr__(c, "faces", faces)
+    first = fm.first
+    if not first.keys() <= index.keys():  # an undeclared edge in two slots
+        eid = next(eid for eid in first if eid not in index)
+        raise SurfaceError(f"face {fm.face[first[eid] >> 1]} references unknown edge {eid!r}")
+    if len(first) < len(index):
+        eid = next(e.id for e in c.edges if e.id not in first)
         raise SurfaceError(f"open surface: edge {eid!r} appears in 0 face slot(s), need 2")
     object.__setattr__(c, "_flag_map", fm)
 
-    # Flag i names vertex named[i], the tail (even i) or head (odd i) of the
-    # walk_ends of its slot; sigma1 takes a head flag to the tail after it.
-    named = [v for face in c.faces for eid, d in face for v in index[eid].ends[::d]]
-    heads = named[1::2]
-    after = [named[i] for i in fm.s1[1::2]]
-    if heads != after:
-        k = next(k for k, (head, tail) in enumerate(zip(heads, after)) if head != tail)
-        f = fm.face[k]
-        raise SurfaceError(
-            f"face {f} is not a closed walk at slot {k - fm.base[f]}: "
-            f"{heads[k]!r} != {after[k]!r}"
-        )
+    # Every flag lies at one end of its edge and in one rotation.  The
+    # faces are closed walks exactly when the edge ends in each rotation all
+    # name one vertex, its owner; ends 0 and 1 of an edge's first slot are
+    # flags i and i ^ 1, i its tail flag plus rev.
+    rev, vertex = fm.rev, fm.vertex
+    unset = object()
+    owner = [unset] * len(fm.rotations)
+    for i, (u, v) in zip(map(first.__getitem__, index), ends):
+        i += rev[i >> 1]
+        a, b = vertex[i], vertex[i ^ 1]
+        if owner[a] is unset:
+            owner[a] = u
+        elif owner[a] != u:
+            _raise_open_walk(c, fm)
+        if owner[b] is unset:
+            owner[b] = v
+        elif owner[b] != v:
+            _raise_open_walk(c, fm)
 
     connected, orientable = fm.sweep()
     if not connected:
@@ -332,10 +434,8 @@ def _validate(c: SurfaceComplex) -> None:
             f"corner orbits give {n_orbits} vertices but {len(c.vertices)} are declared "
             f"(pinched or isolated vertex)"
         )
-    # The closed walks make every flag of an orbit name one vertex, so the
-    # orbit's first flag names it.  There are as many orbits as vertices, so
-    # a vertex named twice (pinched) leaves another one unnamed.
-    owner = [named[r[0]] for r in fm.rotations]
+    # There are as many orbits as vertices, so a vertex owning two
+    # (pinched) leaves another one unowned.
     if len(set(owner)) != n_orbits:
         pinched = next(v for pos, v in enumerate(owner) if v in owner[:pos])
         raise SurfaceError(
@@ -364,6 +464,22 @@ def _validate(c: SurfaceComplex) -> None:
         )
 
 
+def _raise_open_walk(c: SurfaceComplex, fm: _FlagMap) -> None:
+    """Name the first slot whose head is not the tail after it: flag i
+    names vertex named[i], the tail (even i) or head (odd i) of the
+    walk_ends of its slot; sigma1 takes a head flag to the tail after it."""
+    index = c._edge_index
+    named = [v for face in c.faces for eid, d in face for v in index[eid].ends[::d]]
+    heads = named[1::2]
+    after = [named[i] for i in fm.s1[1::2]]
+    k = next(k for k, (head, tail) in enumerate(zip(heads, after)) if head != tail)
+    f = fm.face[k]
+    raise SurfaceError(
+        f"face {f} is not a closed walk at slot {k - fm.base[f]}: "
+        f"{heads[k]!r} != {after[k]!r}"
+    )
+
+
 def fundamental_polygon(genus: int, orientable: bool) -> SurfaceComplex:
     """Minimal one-face complex for the closed hyperbolic surface.
 
@@ -384,7 +500,7 @@ def fundamental_polygon(genus: int, orientable: bool) -> SurfaceComplex:
         orientable=orientable,
         genus=genus,
         vertices=(0,),
-        edges=tuple(Edge(i, (0, 0)) for i in labels),
+        edges=tuple(map(Edge._make, zip(labels, repeat((0, 0))))),
         faces=(word,),
     )
 

@@ -21,6 +21,12 @@ tests compare the pipeline against: :func:`surface_area` (Gauss-Bonnet),
 derivation, from the characteristic alone) and :func:`polygon_surface`,
 which glues any one-polygon boundary word and recovers its vertices,
 genus and orientability from the corner orbits.
+
+:func:`walk_clip_complex` and :func:`walk_incenter_complex` are the
+derivations as they were first written, each face stepped out by
+``_FlagMap.walk`` round its orbit; the tests hold the pipeline's
+derivations, which read the same faces off the orbits the flag map
+lists, equal to them.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from floqtess.derive import DerivedCounts
+from floqtess.derive import DerivedCounts, _pair_names, _require_pq, _slot_labels
 from floqtess.geodist import estimate_distance
 from floqtess.hypgeo import RegularSig, SemiRegularSig, _check_genus
 from floqtess.surface import Edge, Slot, SurfaceComplex, SurfaceError, _FlagMap
@@ -497,6 +503,89 @@ def polygon_surface(word: Sequence[Slot]) -> SurfaceComplex:
         vertices=tuple(range(n_orbits)),
         edges=tuple(edges),
         faces=(word,),
+    )
+
+
+def _walks(fm: _FlagMap) -> list[tuple[int, tuple[int, int]]]:
+    """(start, steps) of the (0, 1) walk round each source face from its flag
+    (f, 0, 0), then of the (1, 2) walk round each vertex from its rotation."""
+    return [(fm.id(f, 0, 0), (0, 1)) for f in range(len(fm.faces))] + [
+        (rotation[0], (1, 2)) for rotation in fm.rotations
+    ]
+
+
+def walk_clip_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
+    """``derive.clip_complex`` with every face stepped out by a walk: the
+    truncated 2p-gons and the q-gons are the walks of :func:`_walks`, where
+    sigma0 crosses an A segment, sigma1 a cut, and sigma2 stays put; each
+    step is read off a per-flag table of (edge, direction)."""
+    _require_pq(c, p, q)
+    fm = c.flag_map()
+    eindex = {e.id: i for i, e in enumerate(c.edges)}
+    vertices = tuple(f"e{i}.{t}" for i in range(len(c.edges)) for t in (0, 1))
+    segments = [f"A{i}" for i in range(len(c.edges))]
+    # The derived vertex of every flag, 2 * (source edge) + end.
+    vertex = [2 * eindex[eid] + end for eid, end in map(fm.end, range(len(fm.s0)))]
+    cuts = range(1, len(fm.s0), 2)  # the head flags, which lead sigma1
+    cut_names = ["B" + label for label in _slot_labels(fm)]
+    table = (
+        # leaving end 0 runs along the segment forwards
+        [(segments[v >> 1], 1 - 2 * (v & 1)) for v in vertex],
+        _pair_names(fm.s1, cuts, cut_names),
+    )
+    return SurfaceComplex(
+        orientable=c.orientable,
+        genus=c.genus,
+        vertices=vertices,
+        edges=tuple(Edge(a, (f"e{i}.0", f"e{i}.1")) for i, a in enumerate(segments))
+        + tuple(
+            Edge(name, (vertices[vertex[i]], vertices[vertex[fm.s1[i]]]))
+            for i, name in zip(cuts, cut_names)
+        ),
+        faces=tuple(
+            tuple(table[k][i] for k, i in fm.walk(start, steps) if k != 2)
+            for start, steps in _walks(fm)
+        ),
+    )
+
+
+def walk_incenter_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
+    """``derive.incenter_complex`` with every face stepped out by a walk:
+    the 2p-gons and 2q-gons are the walks of :func:`_walks`, then the
+    quadrilaterals the (0, 2) walk from the tail flag of each source edge's
+    first slot.  Each step is read off a per-flag table of (edge,
+    direction), filled once per pair."""
+    _require_pq(c, p, q)
+    fm = c.flag_map()
+    firsts = [fm.first[e.id] for e in c.edges]
+    labels = _slot_labels(fm)
+    vname = [f"f{label}.{t}" for label in labels for t in (0, 1)]
+    # flags with t = k lead s_k; the flags on each edge's first slot lead s2
+    leading = (
+        range(0, len(fm.s0), 2),
+        range(1, len(fm.s0), 2),
+        [fm.flag(i, end) for i in firsts for end in (0, 1)],
+    )
+    names = (
+        ["s0." + label for label in labels],
+        ["s1." + label for label in labels],
+        [f"s2.{e}.{end}" for e in range(len(firsts)) for end in (0, 1)],
+    )
+    table = [_pair_names(fm.sigma[k], leading[k], names[k]) for k in (0, 1, 2)]
+    quads = [(i, (0, 2)) for i in firsts]
+    return SurfaceComplex(
+        orientable=c.orientable,
+        genus=c.genus,
+        vertices=tuple(vname),
+        edges=tuple(
+            Edge(name, (vname[i], vname[fm.sigma[k][i]]))
+            for k in (0, 1, 2)
+            for i, name in zip(leading[k], names[k])
+        ),
+        faces=tuple(
+            tuple(table[k][i] for k, i in fm.walk(start, steps))
+            for start, steps in _walks(fm) + quads
+        ),
     )
 
 

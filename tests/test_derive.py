@@ -23,7 +23,13 @@ from floqtess.surface import (
     serialize,
 )
 from helpers import face_census
-from reference import _counts_from_chi, clip_counts, incenter_counts
+from reference import (
+    _counts_from_chi,
+    clip_counts,
+    incenter_counts,
+    walk_clip_complex,
+    walk_incenter_complex,
+)
 from test_coloring import honeycomb_torus
 
 
@@ -285,6 +291,38 @@ class TestMultiFaceSources:
             census[size] += count
         assert census_of(c) == dict(census)
         assert (c.chi, c.orientable, c.genus) == surface
+
+
+# Every array and table a flag map holds, edge_faces (built on first read)
+# included.
+FLAG_MAP_FIELDS = (
+    "faces", "base", "face", "edge", "rev", "first",
+    "s0", "s1", "s2", "rotations", "vertex", "edge_faces",
+)
+
+
+class TestWalkOracle:
+    """The derivations read each face off an orbit the flag map lists; the
+    walk-based oracles step the same faces out one flag at a time."""
+
+    ROUTES = {
+        "clip": (clip_complex, walk_clip_complex),
+        "incenter": (incenter_complex, walk_incenter_complex),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("source", sorted(TestMultiFaceSources.SOURCES))
+    def test_same_complex_and_flag_map(self, source, route):
+        make, p, q, _ = TestMultiFaceSources.SOURCES[source]
+        src = make()
+        derive, oracle = self.ROUTES[route]
+        got, want = derive(src, p, q), oracle(src, p, q)
+        assert got.vertices == want.vertices
+        assert got.edges == want.edges
+        assert got.faces == want.faces
+        a, b = got.flag_map(), want.flag_map()
+        for name in FLAG_MAP_FIELDS:
+            assert getattr(a, name) == getattr(b, name), name
 
 
 class TestDirectCounts:

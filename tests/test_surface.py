@@ -24,7 +24,13 @@ from floqtess.surface import (
     serialize,
 )
 from helpers import face_sizes
-from reference import polygon_surface, regular_counts, surface_area
+from reference import (
+    polygon_surface,
+    regular_counts,
+    surface_area,
+    walk_clip_complex,
+    walk_incenter_complex,
+)
 from test_floquet import schedule_complexes
 
 
@@ -234,6 +240,14 @@ class TestFlagMap:
         c = _derived(2, True, "incenter")
         assert c.flag_map() is c.flag_map()
 
+    @pytest.mark.parametrize("derive", ["bare", "clip", "incenter"])
+    def test_validation_leaves_s0_sigma_and_edge_faces_unbuilt(self, derive):
+        fm = _derived(3, False, derive).flag_map()
+        assert not {"s0", "sigma", "edge_faces"} & vars(fm).keys()
+        assert fm.sigma == (fm.s0, fm.s1, fm.s2)
+        assert fm.s0 == [i ^ 1 for i in range(len(fm.s1))]
+        assert fm.edge_faces is fm.edge_faces
+
 
 def reference_flag_map(faces):
     """The dict-based flag map that ``surface._FlagMap`` replaced, as an
@@ -346,6 +360,15 @@ class TestFlagMapOracle:
             c = dual(c)
         self.assert_matches(c.flag_map(), c.faces)
 
+    @pytest.mark.parametrize("key", [key for key, spec in _oracle_complexes().items() if spec])
+    def test_walk_route_matches_reference(self, key):
+        """The complexes the walk-based oracles derive have the same map."""
+        genus, orientable, derive = _oracle_complexes()[key]
+        p = (4 if orientable else 2) * genus
+        make = walk_clip_complex if derive == "clip" else walk_incenter_complex
+        c = make(fundamental_polygon(genus, orientable), p, p)
+        self.assert_matches(c.flag_map(), c.faces)
+
     @pytest.mark.parametrize("seed", range(40))
     def test_random_gluings_match_reference(self, seed):
         faces = _random_faces(seed)
@@ -395,6 +418,14 @@ class TestValidationErrors:
     breaks that check and a later one, and must get the earlier message."""
 
     CASES = {
+        "edge-record": (  # a one-element record, and duplicate vertex ids
+            _octagon(vertices=(0, 0), edges=((3,),) + _octagon()["edges"][1:]),
+            "edge (3,) must be an (id, ends) pair",
+        ),
+        "unhashable-vertex": (
+            _octagon(vertices=([0], 0, 0)),
+            "vertex [0] must be a hashable id",
+        ),
         "duplicate-vertex": (
             _octagon(vertices=(0, 0), edges=_octagon()["edges"] * 2),
             "duplicate vertex ids",
@@ -403,12 +434,41 @@ class TestValidationErrors:
             _octagon(edges=(Edge(0, (0, 0)), Edge(0, (0, "x")))),
             "duplicate edge ids",
         ),
+        "unhashable-edge-id": (
+            _octagon(edges=(Edge([0], (0, 0)), Edge(0, (0, "x")), Edge(0, (0, 0)))),
+            "edge id [0] must be hashable",
+        ),
         "unknown-vertex": (
             _octagon(edges=(Edge(0, (0, 0)), Edge(1, (0, "x"))), faces=()),
             "edge 1 references unknown vertex 'x'",
         ),
+        "unhashable-end": (
+            _octagon(edges=(Edge(0, (0, 0)), Edge(1, (0, [1]))), faces=()),
+            "edge 1 references unknown vertex [1]",
+        ),
         "no-faces": (_octagon(faces=(), genus=-5), "complex has no faces"),
         "empty-face": (_octagon(faces=((), ((99, 1),))), "face 0 is empty"),
+        # a malformed slot, then an unknown edge in the next one
+        "slot-triple": (
+            _octagon(faces=(_WORD[:2] + ((2, 1, 1), (99, 1)) + _WORD[4:],)),
+            "face 0: slot 2 must be an (edge id, direction) pair, got (2, 1, 1)",
+        ),
+        "slot-single": (
+            _octagon(faces=(_WORD[:2] + ((2,), (99, 1)) + _WORD[4:],)),
+            "face 0: slot 2 must be an (edge id, direction) pair, got (2,)",
+        ),
+        "slot-scalar": (
+            _octagon(faces=(_WORD[:2] + (2, (99, 1)) + _WORD[4:],)),
+            "face 0: slot 2 must be an (edge id, direction) pair, got 2",
+        ),
+        "slot-unhashable-edge": (
+            _octagon(faces=(_WORD[:2] + (([2], 1), (99, 1)) + _WORD[4:],)),
+            "face 0: slot 2 has unhashable edge id [2]",
+        ),
+        "unknown-edge-before-slot": (  # the unknown edge comes first here
+            _octagon(faces=(_WORD[:2] + ((99, 1), (2, 1, 1)) + _WORD[4:],)),
+            "face 0 references unknown edge 99",
+        ),
         "unknown-edge": (
             _octagon(faces=(((99, 2),) + _WORD[1:],)),
             "face 0 references unknown edge 99",
@@ -416,6 +476,10 @@ class TestValidationErrors:
         "bad-direction": (
             _octagon(faces=(((0, 2),) + _WORD[1:-1],)),
             "face 0: direction must be +1 or -1, got 2",
+        ),
+        "unknown-edge-twice": (  # an undeclared edge in two slots; edge 0 in none
+            _octagon(faces=(((99, 1),) + _WORD[1:4] + ((99, -1),) + _WORD[5:],)),
+            "face 0 references unknown edge 99",
         ),
         "open-surface": (
             _octagon(faces=(((0, 1), (1, 1), (2, 1), (3, 1), (1, -1), (1, 1), (2, -1), (3, -1)),)),
@@ -600,14 +664,23 @@ class TestFaceSlots:
             assert all(type(f) is tuple and all(type(s) is tuple for s in f) for f in got.faces)
 
     @pytest.mark.parametrize("slot", [(0, 1, 1), (0,), 5], ids=["triple", "single", "scalar"])
-    def test_malformed_slot_raises_as_unpacking(self, slot):
-        try:
-            eid, d = slot
-        except (TypeError, ValueError) as exc:
-            expected = exc
-        with pytest.raises(type(expected)) as info:
+    def test_malformed_slot_raises_surface_error(self, slot):
+        with pytest.raises(SurfaceError) as info:
             SurfaceComplex(**_octagon(faces=((slot,) + _WORD[1:],)))
-        assert str(info.value) == str(expected)
+        expected = f"face 0: slot 0 must be an (edge id, direction) pair, got {slot!r}"
+        assert str(info.value) == expected
+
+    @pytest.mark.parametrize(
+        "slot, shown",
+        [([0, 1, 1], (0, 1, 1)), ([0], (0,)), (5, 5)],
+        ids=["triple", "single", "scalar"],
+    )
+    def test_malformed_slot_of_a_list_face(self, slot, shown):
+        """Slots given as lists are stored as tuples first, then checked."""
+        with pytest.raises(SurfaceError) as info:
+            SurfaceComplex(**_octagon(faces=([slot, *map(list, _WORD[1:])],)))
+        expected = f"face 0: slot 0 must be an (edge id, direction) pair, got {shown!r}"
+        assert str(info.value) == expected
 
 
 class TestOneFlagMapBuild:
