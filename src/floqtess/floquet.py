@@ -5,11 +5,8 @@ stabilizer group (ISG) into a period-3 steady state; the number of logical
 qubits is read off its rank and the code distance from a minimum-weight
 search over Paulis that commute with the ISG without belonging to it.
 The ISG is updated check by check on rows held in slots, with a
-pivot -> slot map and one slot mask per row bit; of the anticommuting rows
-the lighter of the two lowest-pivot ones leaves, so a check costs its
-anticommuting rows plus the bits of the leaving and the joined row.
-The search keeps each letter's syndrome against the ISG rows as a Python
-int, so a lettering commutes when its syndromes XOR to zero.
+pivot -> slot map and one slot mask per row bit; the search reads each
+letter's syndrome off those masks.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from .coloring import PAULI_OF, ROUND_COLOR, checks_for_round, three_color
 from .derive import polygon_complex, polygon_route, semiregular_counts_direct
 from .hypgeo import SemiRegularSig, _check_genus
 
-# (x, z) bits of each Pauli letter, in the order of _syndromes.
+# (x, z) bits of each Pauli letter, in the order the search tries them.
 _LETTERS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 # Largest n the exact distance search takes on; largest weight it tries.
 _EXACT_MAX_N = 40
@@ -74,13 +71,6 @@ class StabilizerGroup:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def _reduce_vec(self, v: int) -> int:
-        for row in self.rows:
-            p = row.bit_length() - 1
-            if (v >> p) & 1:
-                v ^= row
-        return v
 
 
 def _measure_step(rows: list, basis: dict, cols: list, c: int, hits: tuple, n: int) -> None:
@@ -204,7 +194,7 @@ def _canonical_rows(rows: list, basis: dict) -> tuple:
 class ScheduleResult:
     """Per-round ISG ranks with steady-state bookkeeping.
 
-    ``phase_bases`` holds the slot bases ``(rows, basis)``, as
+    ``phase_bases`` holds the slot states ``(rows, basis, cols)``, as
     :func:`_measure_step` leaves them, of the three rounds before the steady
     round, or ``()`` when no steady state was reached.  Results compare by
     identity: field-wise equality would compare bases, not groups."""
@@ -215,51 +205,51 @@ class ScheduleResult:
     steady_round: int | None
     k_inst: int | None
 
-    @cached_property
-    def steady_phases(self) -> tuple:
-        """The three ISGs of the steady cycle (one per colour phase), made
-        canonical on first read."""
+    @property
+    def steady_bases(self) -> tuple:
+        """``phase_bases``, or ValueError when no steady state was reached."""
         if self.steady_round is None:
             raise ValueError("schedule did not reach a steady state")
+        return self.phase_bases
+
+    @cached_property
+    def steady_phases(self) -> tuple:
+        """The three steady ISGs (one per colour phase), made canonical on first read."""
         return tuple(
             StabilizerGroup(self.n, _canonical_rows(rows, basis))
-            for rows, basis in self.phase_bases
+            for rows, basis, _ in self.steady_bases
         )
 
 
 def run_schedule(schedule, rounds: int) -> ScheduleResult:
     """Measure the colour classes cyclically and watch the ISG settle.
 
-    ``schedule`` is an EdgeSchedule, such as a ColorAssignment.  Each check
-    row and its ``hits`` (see :func:`_measure_step`) are built once per run
-    straight from the round letter's (x, z) bits and the two qubit indices.
-    Steady state is entered at the first round ``r`` >= 3 whose rank equals
-    that of round ``r-3``: ISG(r-3) lies in ISG(r), so equal ranks mean
-    equal groups.  Measuring a round maps a group to a group whatever basis
+    ``schedule`` is an EdgeSchedule, such as a ColorAssignment.  Steady
+    state is entered at the first round ``r`` >= 3 whose rank equals that
+    of round ``r-3``: ISG(r-3) lies in ISG(r), so equal ranks mean equal
+    groups.  Measuring a round maps a group to a group whatever basis
     represents it, so the period-3 cycle then repeats forever: the rounds
     after ``r`` are copied from the cycle, not measured.  Until then one
     echelon basis is updated check by check by :func:`_measure_step`, its
     rows in slots (``rows``), each pivot mapped to its slot (``basis``) and
-    each row bit to a mask of the slots that carry it (``cols``).  The
-    lighter of the two lowest-pivot anticommuting rows leaves, so a check
-    costs its anticommuting rows plus the bits of the leaving and the joined
-    row.  Rows round a face stay light: at n = 96 the leaving rows carry
-    1256 bits over nine rounds, where always taking the lowest pivot let the
-    growing product of a face's checks leave, 5400 bits.
+    each row bit to a mask of the slots that carry it (``cols``).  Its
+    lighter-row rule keeps rows round a face light: at n = 96 the leaving
+    rows carry 1256 bits over nine rounds, where always taking the lowest
+    pivot let the growing product of a face's checks leave, 5400 bits.
 
-    Each measured round keeps a copy of ``rows`` and ``basis``; the result
-    holds those of the three steady phases, which share one logical count,
-    read off their ranks, and are made canonical only when
-    :attr:`ScheduleResult.steady_phases` is read.
+    Each measured round keeps a copy of its slot state; the result holds
+    those of the three steady phases, which share one logical count, read
+    off their ranks.  The exact search reads them as they are;
+    :attr:`ScheduleResult.steady_phases` makes them canonical.
     """
     if rounds < 6:
         raise ValueError("need at least 6 rounds to certify a steady state")
     cx = schedule.complex
     n = len(cx.vertices)
     index = {v: i for i, v in enumerate(cx.vertices)}
-    # Each check row with the set bits of its swapped halves, read off the
-    # letter's (x, z) bits: x on qubits a, b puts bits a, b in the swapped
-    # row and z puts bits n + a, n + b there.
+    # Each check row with the set bits of its swapped halves, built once per
+    # run from the letter's (x, z) bits: x on qubits a, b puts bits a, b in
+    # the swapped row and z puts bits n + a, n + b there.
     phase_checks = []
     for r in range(3):
         lx, lz = _LETTERS[PAULI_OF[ROUND_COLOR[r]][0]]
@@ -282,7 +272,7 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
             continue
         for c, hits in phase_checks[r % 3]:
             _measure_step(rows, basis, cols, c, hits, n)
-        snapshots.append((rows[:], basis.copy()))
+        snapshots.append((rows[:], basis.copy(), cols[:]))
         ranks.append(len(basis))
         if r >= 3 and ranks[r] == ranks[r - 3]:
             steady = r
@@ -318,20 +308,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _cosupport_graph(group: StabilizerGroup) -> list:
-    """Adjacency bitmasks of the qubits: ``q`` and ``r`` are adjacent when
-    some row of ``group`` acts on both."""
-    n = group.n
-    adj = [0] * n
-    for row in group.rows:
-        sup = m = ((row >> n) | row) & ((1 << n) - 1)
-        while m:  # _bits inlined
-            low = m & -m
-            adj[low.bit_length() - 1] |= sup
-            m ^= low
-    return [a & ~(1 << q) for q, a in enumerate(adj)]
-
-
 def connected_supports(adj, w: int):
     """Yield every connected w-subset, as a sorted tuple, of the graph in
     which vertex ``v`` has the neighbour bitmask ``adj[v]``.
@@ -360,29 +336,45 @@ def connected_supports(adj, w: int):
         yield from grow((v0,), nbrs & ~below, nbrs | below)
 
 
-def _syndromes(group: StabilizerGroup) -> list:
-    """``syn[q]``: the ``(syndrome, row)`` of X, Y and Z on qubit ``q``.
+class _Lazy(dict):
+    """``[read(0), ..., read(size - 1)]``, each entry computed on first read."""
 
-    Bit ``i`` of a syndrome is set when the letter anticommutes with row
-    ``i`` of ``group``: X meets the row's Z part, Z its X part, and Y one
-    part but not both.
-    """
-    n = group.n
-    meets = [0] * (2 * n)  # meets[j]: the rows that carry row bit j
-    for i, row in enumerate(group.rows):
-        bit = 1 << i
-        while row:  # _bits inlined: one pass over every row's set bits
-            low = row & -row
-            meets[low.bit_length() - 1] |= bit
-            row ^= low
+    def __init__(self, read, size: int):
+        self.read, self.size = read, size
+
+    def __missing__(self, i):
+        value = self[i] = self.read(i)
+        return value
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.size))
+
+
+def _phase_tables(rows: list, basis: dict, cols: list, n: int) -> tuple:
+    """The search's tables ``(syn, adj)`` of one slot state, built qubit by
+    qubit on first read: ``syn[q]``, the ``(syndrome, row)`` of X, Y and Z
+    on ``q``, over slots (X reads ``cols[q]``, Z ``cols[n + q]``, Y their
+    XOR); ``adj[q]``, the qubits sharing a canonical row with ``q``."""
+    canonical = _canonical_rows(rows, basis)
     ux, uy, uz = ((lx << n) | lz for lx, lz in _LETTERS.values())
-    return [
-        ((sx, ux << q), (sx ^ sz, uy << q), (sz, uz << q))
-        for q, (sx, sz) in enumerate(zip(meets[:n], meets[n:]))
-    ]
+
+    def letters(q):
+        return (cols[q], ux << q), (cols[q] ^ cols[n + q], uy << q), (cols[n + q], uz << q)
+
+    def adjacent(q):
+        on_q, a = ((1 << n) | 1) << q, 0
+        for row in canonical:
+            if row & on_q:
+                a |= row
+        return ((a >> n) | a) & ((1 << n) - 1) & ~(1 << q)
+
+    return _Lazy(letters, n), _Lazy(adjacent, n)
 
 
-def _weight_hits(syn: list, supports):
+def _weight_hits(syn, supports):
     """Yield the row ``(x << n) | z`` of each Pauli on one of ``supports``
     that commutes with every row behind ``syn``.
 
@@ -395,7 +387,8 @@ def _weight_hits(syn: list, supports):
     for sup in supports:
         partial = [(0, 0)]
         for q in sup[:-1]:
-            partial = [(s ^ ls, r | lr) for s, r in partial for ls, lr in syn[q]]
+            letters = syn[q]
+            partial = [(s ^ ls, r | lr) for s, r in partial for ls, lr in letters]
         for ls, lr in syn[sup[-1]]:
             for s, r in partial:
                 if s == ls:
@@ -405,57 +398,64 @@ def _weight_hits(syn: list, supports):
 def exact_distance(schedule, result: ScheduleResult) -> int:
     """Minimum weight of a logical operator over the steady phases of ``result``.
 
-    Weight 1 is read off ORs over each phase's rows.  From weight 2 on, each
-    phase is searched only on supports connected in its co-support graph
-    (qubits adjacent when a row acts on both), built when the search first
-    reaches the phase.  The prune is exact: a minimum-weight logical split
-    into parts that no row links would leave a lighter part that is itself
-    a logical.  Raises ValueError when k = 0 and BoundExceeded past
-    ``_EXACT_MAX_N`` qubits or weight ``_EXACT_MAX_WEIGHT``.
+    From weight 2 on, each phase is searched only on supports connected in
+    its co-support graph (qubits adjacent when a canonical row acts on
+    both).  The prune is exact: a minimum-weight logical split into parts
+    that no row links would leave a lighter part that is itself a logical.
+    Raises ValueError when k = 0 or the run is unsteady, and BoundExceeded
+    past ``_EXACT_MAX_N`` qubits or weight ``_EXACT_MAX_WEIGHT``.
     """
     n = result.n
     if n > _EXACT_MAX_N:
         raise BoundExceeded(
             f"n={n} exceeds the exact-search bound {_EXACT_MAX_N}; use geometric estimator"
         )
-    # An unsteady run has no k_inst and fails reading its steady phases.
     if result.k_inst == 0:
         raise ValueError(
             f"k = 0: every steady phase has full rank {n}, so no logical operator exists"
         )
-    return _min_logical_weight(result.steady_phases)
+    return _min_logical_weight(result.steady_bases)
+
+
+def _residue(rows: list, basis: dict, v: int) -> int:
+    """``v`` reduced through a slot state's pivot map under the step guard
+    of :func:`_measure_step`: 0 exactly when ``v`` lies in the group."""
+    while v and (s := basis.get(top := v.bit_length() - 1)) is not None:
+        v ^= rows[s]
+        if v.bit_length() > top:
+            raise RuntimeError(f"pivot {top} maps to slot {s}, whose row has another top bit")
+    return v
 
 
 def _min_logical_weight(phases) -> int:
-    """The search of :func:`exact_distance` over any stabilizer groups.
+    """The search of :func:`exact_distance` over slot states
+    ``(rows, basis, cols)`` of :func:`_measure_step`, read as they are.
 
     Weight 1 needs no table: X on qubit q commutes with every row iff no
     row has z bit q, Z iff no row has x bit q, and Y iff every row has
-    x_q = z_q.  Each phase's syndromes and co-support graph are built when
-    the search first reaches it at weight 2 or more.  Phases, supports and
-    letters are tried in the same order at every weight.
+    x_q = z_q, whichever rows generate the group.  A phase's tables are
+    made when the search first reaches it at weight 2 or more.  Phases,
+    supports and letters are tried in the same order at every weight.
     """
-    for phase in phases:
-        n = phase.n
-        mask = (1 << n) - 1
+    n = len(phases[0][2]) // 2
+    mask = (1 << n) - 1
+    ux, uy, uz = ((lx << n) | lz for lx, lz in _LETTERS.values())
+    for rows, basis, _ in phases:
         acts = differs = 0
-        for row in phase.rows:
+        for row in rows:
             acts |= row
             differs |= row ^ (row >> n)
         xs, zs, ys = acts >> n, acts & mask, differs & mask
-        ux, uy, uz = ((lx << n) | lz for lx, lz in _LETTERS.values())
         for q in _bits(mask & ~(xs & ys & zs)):  # some letter commutes
             for used, unit in ((zs, ux), (ys, uy), (xs, uz)):
-                if not used >> q & 1 and phase._reduce_vec(unit << q):
+                if not used >> q & 1 and _residue(rows, basis, unit << q):
                     return 1
     tables = [None] * len(phases)
     for w in range(2, _EXACT_MAX_WEIGHT + 1):
-        for i, phase in enumerate(phases):
-            if tables[i] is None:
-                tables[i] = _syndromes(phase), _cosupport_graph(phase)
-            syn, adj = tables[i]
+        for i, (rows, basis, cols) in enumerate(phases):
+            syn, adj = tables[i] = tables[i] or _phase_tables(rows, basis, cols, n)
             for row in _weight_hits(syn, connected_supports(adj, w)):
-                if phase._reduce_vec(row):
+                if _residue(rows, basis, row):
                     return w
     raise BoundExceeded(
         f"no logical operator of weight <= {_EXACT_MAX_WEIGHT}; use geometric estimator"

@@ -18,6 +18,15 @@ def sympl(u: int, v: int, n: int) -> int:
     return (u & swap_halves(v, n)).bit_count() & 1
 
 
+def reduce_vec(group, v: int) -> int:
+    """``v`` reduced against every row of the canonical ``StabilizerGroup``
+    ``group``: 0 exactly when ``v`` lies in the group."""
+    for row in group.rows:
+        if (v >> (row.bit_length() - 1)) & 1:
+            v ^= row
+    return v
+
+
 def face_sizes(cx) -> list[int]:
     """The face sizes of a ``SurfaceComplex``, ascending."""
     return sorted(len(face) for face in cx.faces)

@@ -27,6 +27,13 @@ derivations as they were first written, each face stepped out by
 ``_FlagMap.walk`` round its orbit; the tests hold the pipeline's
 derivations, which read the same faces off the orbits the flag map
 lists, equal to them.
+
+:func:`reference_min_logical_weight` is the exact distance search as it
+was first written, over canonical stabilizer groups with the eager tables
+:func:`reference_syndromes` and :func:`reference_cosupport_graph`; the
+tests hold the pipeline's search, which reads the run's slot states and
+builds each table entry on first read, to the same distances and the
+same supports.
 """
 
 from __future__ import annotations
@@ -35,10 +42,12 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
+from floqtess import floquet
 from floqtess.derive import DerivedCounts, _pair_names, _require_pq, _slot_labels
 from floqtess.geodist import estimate_distance
 from floqtess.hypgeo import RegularSig, SemiRegularSig, _check_genus
 from floqtess.surface import Edge, Slot, SurfaceComplex, SurfaceError, _FlagMap
+from helpers import reduce_vec
 
 
 class RefRow(NamedTuple):
@@ -732,3 +741,73 @@ def family_report(orientable: bool = True, genera: Iterable[int] | None = None) 
             for e in entries if e["reference_row_consistent"]
         ),
     }
+
+
+def reference_syndromes(rows: Sequence[int], n: int) -> list:
+    """``syn[q]``: the ``(syndrome, row)`` of X, Y and Z on qubit ``q``.
+
+    Bit ``i`` of a syndrome is set when the letter anticommutes with
+    ``rows[i]``: X meets the row's Z part, Z its X part, and Y one part but
+    not both.
+    """
+    meets = [0] * (2 * n)  # meets[j]: the rows that carry row bit j
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            meets[low.bit_length() - 1] |= bit
+            row ^= low
+    ux, uy, uz = ((lx << n) | lz for lx, lz in floquet._LETTERS.values())
+    return [
+        ((sx, ux << q), (sx ^ sz, uy << q), (sz, uz << q))
+        for q, (sx, sz) in enumerate(zip(meets[:n], meets[n:]))
+    ]
+
+
+def reference_cosupport_graph(rows: Sequence[int], n: int) -> list:
+    """Adjacency bitmasks of the qubits: ``q`` and ``r`` are adjacent when
+    one of ``rows`` acts on both."""
+    adj = [0] * n
+    for row in rows:
+        sup = m = ((row >> n) | row) & ((1 << n) - 1)
+        while m:
+            low = m & -m
+            adj[low.bit_length() - 1] |= sup
+            m ^= low
+    return [a & ~(1 << q) for q, a in enumerate(adj)]
+
+
+def reference_min_logical_weight(phases) -> int:
+    """The exact distance search over canonical ``StabilizerGroup`` phases:
+    weight 1 off row ORs, then each phase's tables built in full when the
+    search first reaches it, supports from ``floquet.connected_supports``
+    (looked up on each call) and membership by reduction against every
+    canonical row."""
+    for phase in phases:
+        n = phase.n
+        mask = (1 << n) - 1
+        acts = differs = 0
+        for row in phase.rows:
+            acts |= row
+            differs |= row ^ (row >> n)
+        xs, zs, ys = acts >> n, acts & mask, differs & mask
+        ux, uy, uz = ((lx << n) | lz for lx, lz in floquet._LETTERS.values())
+        for q in floquet._bits(mask & ~(xs & ys & zs)):
+            for used, unit in ((zs, ux), (ys, uy), (xs, uz)):
+                if not used >> q & 1 and reduce_vec(phase, unit << q):
+                    return 1
+    tables = [None] * len(phases)
+    for w in range(2, floquet._EXACT_MAX_WEIGHT + 1):
+        for i, phase in enumerate(phases):
+            if tables[i] is None:
+                tables[i] = (
+                    reference_syndromes(phase.rows, phase.n),
+                    reference_cosupport_graph(phase.rows, phase.n),
+                )
+            syn, adj = tables[i]
+            for row in floquet._weight_hits(syn, floquet.connected_supports(adj, w)):
+                if reduce_vec(phase, row):
+                    return w
+    raise floquet.BoundExceeded(
+        f"no logical operator of weight <= {floquet._EXACT_MAX_WEIGHT}; use geometric estimator"
+    )

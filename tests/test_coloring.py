@@ -503,6 +503,33 @@ class TestEdgeSchedule:
         with pytest.raises(ValueError, match="has unknown color 'X'"):
             EdgeSchedule(complex=octagon_incenter, edge_color=edge_color)
 
+    def test_names_the_vertex_where_a_color_repeats(self, octagon_incenter):
+        # The last edge, s2.3.1 (R), takes the G of s0.0.3, which meets it
+        # at its first end: the scan in edge order stops there.
+        edge_color = dict(three_color(octagon_incenter).edge_color)
+        assert octagon_incenter.edges[-1] == ("s2.3.1", ("f0.3.1", "f0.7.0"))
+        assert (edge_color["s2.3.1"], edge_color["s0.0.3"]) == ("R", "G")
+        edge_color["s2.3.1"] = "G"
+        with pytest.raises(ValueError) as info:
+            EdgeSchedule(complex=octagon_incenter, edge_color=edge_color)
+        assert str(info.value) == "two G edges meet at vertex 'f0.3.1'"
+
+    def test_names_the_first_fault_in_edge_order(self, octagon_incenter):
+        # The scan meets faults in edge order: an unknown colour on the
+        # first edge is named before a repeat at the last edge (24th), and
+        # a repeat at the 16th edge, s1.0.7 (B made G), before an unknown
+        # colour on the last edge.
+        proper = three_color(octagon_incenter).edge_color
+        assert [e.id for e in octagon_incenter.edges].index("s1.0.7") == 15
+        cases = [
+            ({"s0.0.0": "X", "s2.3.1": "G"}, "edge 's0.0.0' has unknown color 'X'"),
+            ({"s1.0.7": "G", "s2.3.1": "X"}, "two G edges meet at vertex 'f0.7.1'"),
+        ]
+        for faults, message in cases:
+            with pytest.raises(ValueError) as info:
+                EdgeSchedule(complex=octagon_incenter, edge_color={**proper, **faults})
+            assert str(info.value) == message
+
 
 class TestTrivalenceFault:
     """Both colourings and EdgeSchedule name the first trivalence fault in

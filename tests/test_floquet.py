@@ -26,11 +26,10 @@ from floqtess.floquet import (
     StabilizerGroup,
     _LETTERS,
     _canonical_rows,
-    _cosupport_graph,
     _measure_step,
     _min_logical_weight,
     _pauli_row,
-    _syndromes,
+    _phase_tables,
     _weight_hits,
     code_params,
     connected_supports,
@@ -40,7 +39,12 @@ from floqtess.floquet import (
 )
 from floqtess.hypgeo import SemiRegularSig
 from floqtess.surface import fundamental_polygon
-from helpers import swap_halves, sympl
+from helpers import reduce_vec, swap_halves, sympl
+from reference import (
+    reference_cosupport_graph,
+    reference_min_logical_weight,
+    reference_syndromes,
+)
 from test_coloring import honeycomb_torus
 
 
@@ -304,7 +308,7 @@ class TestStabilizerGroup:
         b = StabilizerGroup(2, reference_reduce_rows([yy, zz]))  # YY = XX*ZZ
         assert a == b
         assert a.rank == 2
-        assert a._reduce_vec(yy) == 0
+        assert reduce_vec(a, yy) == 0
 
     def test_rows_must_be_canonical(self):
         # Pivots 0 then 1: ascending, not descending.
@@ -377,8 +381,8 @@ class TestStabilizerGroup:
     def test_contains_only_span(self):
         xx = _pauli_row(2, "X", (0, 1))
         g = StabilizerGroup(2, reference_reduce_rows([xx]))
-        assert g._reduce_vec(xx) == 0
-        assert g._reduce_vec(_pauli_row(2, "X", (0,))) != 0
+        assert reduce_vec(g, xx) == 0
+        assert reduce_vec(g, _pauli_row(2, "X", (0,))) != 0
 
 
 class TestReduceRows:
@@ -460,7 +464,7 @@ class TestMeasure:
         state = slot_state((), 2)
         measure(state, xx, 2)
         g = read_group(state, 2)
-        assert g.rank == 1 and g._reduce_vec(xx) == 0
+        assert g.rank == 1 and reduce_vec(g, xx) == 0
 
     def test_idempotent_on_members(self):
         xx = _pauli_row(2, "X", (0, 1))
@@ -490,8 +494,8 @@ class TestMeasure:
             measure(state, c, 2)
         out = read_group(state, 2)
         assert out.rank == 2
-        assert out._reduce_vec(xx) == 0 and out._reduce_vec(zz) == 0
-        assert out._reduce_vec(zq) != 0
+        assert reduce_vec(out, xx) == 0 and reduce_vec(out, zz) == 0
+        assert reduce_vec(out, zq) != 0
 
     @pytest.mark.parametrize("check", ["X0", "X1"])
     def test_broken_pivot_map_raises(self, check):
@@ -757,7 +761,7 @@ class TestRunSchedule:
         assert result.n == 256 and result.k_inst == 64
         faces = [face_stabilizer(assign, f) for f in range(len(cx.faces))]
         for phase in result.steady_phases:
-            assert all(phase._reduce_vec(row) == 0 for row in faces)
+            assert all(reduce_vec(phase, row) == 0 for row in faces)
 
     @pytest.mark.parametrize("build", schedule_complexes())
     def test_groups_agree_with_reference(self, build):
@@ -782,7 +786,7 @@ class TestRunSchedule:
         schedule, _ = _schedule_for(build())
         groups = reference_trajectory(schedule)
         for early, late in zip(groups, groups[3:]):
-            assert all(late._reduce_vec(row) == 0 for row in early.rows)
+            assert all(reduce_vec(late, row) == 0 for row in early.rows)
             assert (early == late) == (early.rank == late.rank)
 
     @pytest.mark.parametrize("build", schedule_complexes())
@@ -874,7 +878,7 @@ class TestFaceStabilizers:
         result = run_schedule(assign, 9)
         for phase in result.steady_phases:
             for f in range(len(cx.faces)):
-                assert phase._reduce_vec(face_stabilizer(assign, f)) == 0
+                assert reduce_vec(phase, face_stabilizer(assign, f)) == 0
 
     @pytest.mark.parametrize(
         "build", [p for p in schedule_complexes() if not p.id.startswith("clip")]
@@ -942,22 +946,49 @@ class TestCosupportGraph:
             _pauli_row(5, "Z", (2,)) ^ _pauli_row(5, "Y", (3,)),
         ]
         group = StabilizerGroup(5, reference_reduce_rows(gens))
-        assert _cosupport_graph(group) == [0b10, 0b1, 0b1000, 0b100, 0]
+        _, adj = _phase_tables(*slot_state(group.rows, 5), 5)
+        assert list(adj) == [0b10, 0b1, 0b1000, 0b100, 0]
+        assert list(adj) == reference_cosupport_graph(group.rows, 5)
 
     def test_symmetric_without_loops(self, octagon):
         _, _, result = octagon
-        for phase in result.steady_phases:
-            adj = _cosupport_graph(phase)
+        for state in result.phase_bases:
+            _, adj = _phase_tables(*state, result.n)
             for q, a in enumerate(adj):
                 assert not (a >> q) & 1
-                assert all((adj[r] >> q) & 1 for r in range(phase.n) if (a >> r) & 1)
+                assert all((adj[r] >> q) & 1 for r in range(result.n) if (a >> r) & 1)
+
+    @pytest.mark.parametrize("fix", ["hexagon_no", "octagon", "genus12"])
+    def test_tables_match_the_oracles(self, fix, request):
+        # Every qubit of every steady phase: adjacency read lazily off the
+        # canonical rows is the eager graph of those rows, and syndromes
+        # read off cols are the eager syndromes against the slot rows.
+        _, _, result = request.getfixturevalue(fix)
+        n = result.n
+        for state, phase in zip(result.phase_bases, result.steady_phases):
+            syn, adj = _phase_tables(*state, n)
+            assert len(adj) == len(syn) == n
+            assert [adj[q] for q in range(n)] == reference_cosupport_graph(phase.rows, n)
+            assert [syn[q] for q in range(n)] == reference_syndromes(state[0], n)
+            assert list(adj) == [adj[q] for q in range(n)]
+
+    def test_tables_are_read_lazily(self, octagon):
+        # An entry is computed on its first read and kept.
+        _, _, result = octagon
+        syn, adj = _phase_tables(*result.phase_bases[0], result.n)
+        reads = []
+        for table in (syn, adj):
+            read = table.read
+            table.read = lambda q, read=read: reads.append(q) or read(q)
+        assert adj[3] == adj[3] and syn[5] == syn[5] and adj[3] == adj[3]
+        assert reads == [3, 5]
 
 
 class TestConnectedSupports:
     def test_matches_brute_force(self, hexagon_no):
         _, _, result = hexagon_no
-        for phase in result.steady_phases:
-            adj = _cosupport_graph(phase)
+        for state in result.phase_bases:
+            _, adj = _phase_tables(*state, result.n)
             for w in (2, 3, 4, 5):
                 fast = sorted(connected_supports(adj, w))
                 brute = [
@@ -1010,10 +1041,9 @@ class TestKernels:
     @pytest.mark.parametrize("fix", ["hexagon_no", "octagon", "genus12"])
     def test_hits_agree_with_reference(self, fix, rule, request):
         _, _, result = request.getfixturevalue(fix)
-        phases = result.steady_phases
-        for phase in phases[:1] if rule == "subsets" else phases:
-            adj = _cosupport_graph(phase)
-            syn = _syndromes(phase)
+        pairs = list(zip(result.phase_bases, result.steady_phases))
+        for state, phase in pairs[:1] if rule == "subsets" else pairs:
+            syn, adj = _phase_tables(*state, phase.n)
             for w in range(1, self.TOP_WEIGHT[fix] + 1):
                 if rule == "subsets":
                     sups = list(combinations(range(phase.n), w))
@@ -1025,16 +1055,18 @@ class TestKernels:
 
     def test_syndromes_match_symplectic_product(self, genus12):
         _, _, result = genus12
-        phase = result.steady_phases[0]
-        n = phase.n
-        assert (n, phase.rank) == (96, 72)
-        syn = _syndromes(phase)
+        rows, basis, cols = state = result.phase_bases[0]
+        n = result.n
+        assert (n, len(basis)) == (96, 72)
+        syn, _ = _phase_tables(*state, n)
         assert len(syn) == n
+        # Bit s of a syndrome is the letter's symplectic product with the
+        # row in slot s.
         for q in (0, 1, 47, 95):
             for (s, row), letter in zip(syn[q], "XYZ"):
                 assert row == _pauli_row(n, letter, (q,))
                 assert s == sum(
-                    sympl(row, r, n) << i for i, r in enumerate(phase.rows)
+                    sympl(row, r, n) << i for i, r in enumerate(rows)
                 )
 
     def test_hits_are_lazy(self, octagon):
@@ -1050,14 +1082,16 @@ class TestKernels:
             yield sups[0]
             raise AssertionError("read a support past the first hit")
 
-        assert next(_weight_hits(_syndromes(phase), supports())) in first
+        syn, _ = _phase_tables(*result.phase_bases[0], phase.n)
+        assert next(_weight_hits(syn, supports())) in first
 
     def test_hit_weights(self, octagon):
         _, _, result = octagon
         phase = result.steady_phases[0]
         n = phase.n
         sups = list(combinations(range(n), 2))
-        hits = list(_weight_hits(_syndromes(phase), sups))
+        syn, _ = _phase_tables(*result.phase_bases[0], n)
+        hits = list(_weight_hits(syn, sups))
         assert hits
         for row in hits:
             assert weight(row, n) == 2
@@ -1160,23 +1194,35 @@ class TestExactDistance:
         assert exhaustive_distance(result.steady_phases) == 2
 
     @pytest.mark.parametrize("make", [incenter_complex, clip_complex])
-    def test_builds_tables_for_the_phase_it_searches(self, monkeypatch, make):
-        # Both distances are 2, first hit in phase 0: weight 1 is read off
-        # row ORs, and only phase 0 gets a syndrome table and a graph.
+    def test_reads_only_what_its_first_support_needs(self, monkeypatch, make):
+        # Both distances are 2, first hit on the first support of phase 0:
+        # weight 1 is read off row ORs, only phase 0 is made canonical, and
+        # only qubit 0's adjacency is read (the first support's other qubit
+        # is a neighbour of 0, read off adj[0]).
         sched, _ = _schedule_for(make(fundamental_polygon(2, True), 8, 8))
         result = run_schedule(sched, 9)
-        calls = []
-        for name in ("_syndromes", "_cosupport_graph"):
-            real = getattr(floquet, name)
-            monkeypatch.setattr(
-                floquet, name, lambda group, name=name, real=real: calls.append(name) or real(group)
-            )
+        canonical, tables = floquet._canonical_rows, floquet._phase_tables
+        passes, adjacency = [], []
+
+        def count_passes(rows, basis):
+            passes.append(len(basis))
+            return canonical(rows, basis)
+
+        def watch_adjacency(*state):
+            syn, adj = tables(*state)
+            read = adj.read
+            adj.read = lambda q: adjacency.append(q) or read(q)
+            return syn, adj
+
+        monkeypatch.setattr(floquet, "_canonical_rows", count_passes)
+        monkeypatch.setattr(floquet, "_phase_tables", watch_adjacency)
         assert exact_distance(sched, result) == 2
-        assert sorted(calls) == ["_cosupport_graph", "_syndromes"]
+        assert len(passes) == 1 and adjacency == [0]
+        assert "steady_phases" not in vars(result)
 
     def test_beyond_one_syndrome_word(self, genus12):
         _, assign, result = genus12
-        assert _min_logical_weight(result.steady_phases) == 2
+        assert _min_logical_weight(result.phase_bases) == 2
 
     @pytest.mark.parametrize("seed", range(3))
     def test_relabelled_toric_code(self, seed):
@@ -1184,7 +1230,7 @@ class TestExactDistance:
         # search pruned on it missed every weight-4 logical.
         group = scrambled_code(toric_code(4), seed)
         assert group.rank == 30
-        assert _min_logical_weight((group,) * 3) == 4
+        assert _min_logical_weight((slot_state(group.rows, group.n),) * 3) == 4
 
     def test_matches_exhaustive_on_small_complexes(self):
         # n is 8g / 4g (incenter / clip) on orientable surfaces and 4g / 2g
@@ -1218,7 +1264,9 @@ class TestExactDistance:
         labels, d = SMALL_CODES[code]
         for seed in range(8):
             group = scrambled_code(labels, seed)
-            assert _min_logical_weight((group,)) == exhaustive_distance((group,)) == d
+            state = slot_state(group.rows, group.n)
+            assert _min_logical_weight((state,)) == exhaustive_distance((group,)) == d
+            assert reference_min_logical_weight((group,)) == d
 
     def test_bound_signal(self, genus12):
         _, assign, result = genus12
@@ -1231,7 +1279,9 @@ class TestExactDistance:
         cx = clip_complex(fundamental_polygon(3, False), 6, 6)
         result = run_schedule(edge_three_color(cx), 9)
         with pytest.raises(BoundExceeded, match="weight <= 6"):
-            _min_logical_weight(result.steady_phases)
+            _min_logical_weight(result.phase_bases)
+        with pytest.raises(BoundExceeded, match="weight <= 6"):
+            reference_min_logical_weight(result.steady_phases)
 
     def test_no_logicals_in_full_rank_group(self):
         cx = clip_complex(fundamental_polygon(3, False), 6, 6)
@@ -1249,6 +1299,59 @@ class TestExactDistance:
         _, _, result = octagon
         with pytest.raises(ValueError, match="refused"):
             exhaustive_distance(result.steady_phases)  # n=16 > 12
+
+
+def consumed_supports(monkeypatch) -> list:
+    """Spy on ``floquet.connected_supports``: the returned list gets each
+    call's weight, then every support as the caller takes it."""
+    consumed = []
+    real = floquet.connected_supports
+
+    def spy(adj, w):
+        consumed.append(w)
+        for sup in real(adj, w):
+            consumed.append(sup)
+            yield sup
+
+    monkeypatch.setattr(floquet, "connected_supports", spy)
+    return consumed
+
+
+# The cases the exact search takes on (n <= 40, k > 0).
+SEARCHED = {
+    *(f"incenter_complex-o{g}" for g in range(2, 6)),
+    *(f"incenter_complex-n{g}" for g in range(3, 11)),
+    *(f"clip_complex-o{g}" for g in range(2, 11)),
+    "honeycomb-3",
+    "honeycomb-4-edge",
+}
+
+
+class TestSearchOracle:
+    # The search over the run's slot states against the search as first
+    # written, over canonical groups with eager tables.
+
+    @pytest.mark.parametrize(
+        "build",
+        [*schedule_complexes(), pytest.param(lambda: honeycomb_torus(4), id="honeycomb-4-edge")],
+    )
+    def test_same_distance_and_supports(self, build, monkeypatch, request):
+        schedule, _ = _schedule_for(build())
+        result = run_schedule(schedule, 9)
+        case = request.node.callspec.id
+        searched = result.n <= 40 and result.k_inst > 0
+        assert searched == (case in SEARCHED)
+        if not searched:
+            with pytest.raises(ValueError, match="exact-search bound|k = 0"):
+                exact_distance(schedule, result)
+            return
+        consumed = consumed_supports(monkeypatch)
+        d = exact_distance(schedule, result)
+        fast = consumed[:]
+        consumed.clear()
+        assert reference_min_logical_weight(result.steady_phases) == d
+        assert consumed == fast
+        assert d == (4 if case.startswith("honeycomb") else 2)
 
 
 class TestCodeParams:
