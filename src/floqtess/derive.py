@@ -9,8 +9,8 @@ vertex type [2p, 2q, 4].
 
 Each derivation is an explicit rewrite read off the flags of a concrete
 complex (see ``surface._FlagMap``: flag (f, j, t) is the computed id
-``fm.id(f, j, t)``, and validating the result builds one flag map and sweeps
-it once).  Cell counts come from the signature alone
+``2 * (base[f] + j) + t``, and validating the result builds one flag map and
+sweeps it once).  Cell counts come from the signature alone
 (:func:`semiregular_counts_direct`); the tests check both derivations
 against the closed-form count transformers of ``tests/reference.py``.  The
 incenter subdivision has one vertex per flag, one edge per sigma_k pair and

@@ -12,7 +12,6 @@ letter's syndrome off those masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import geodist
 from .coloring import PAULI_OF, ROUND_COLOR, checks_for_round, three_color
@@ -38,39 +37,6 @@ def _pauli_row(n: int, letter: str, qubits) -> int:
     for q in qubits:
         row ^= unit << q
     return row
-
-
-@dataclass(frozen=True)
-class StabilizerGroup:
-    """Stabilizer group in reduced row-echelon symplectic form.
-
-    Rows are ``(x << n) | z`` integers with strictly decreasing pivots (top
-    set bits), and no row carries another row's pivot bit, so equal groups
-    compare equal.  Construction checks this in one pass over the rows,
-    lowest pivot first, and that the rows fit in ``2 n`` bits.
-    """
-
-    n: int
-    rows: tuple = ()
-
-    def __post_init__(self):
-        rows = self.rows
-        if not isinstance(rows, tuple):
-            raise ValueError("rows are not in canonical reduced form")
-        # piv holds the pivots below the row: the row is canonical when it
-        # carries none of them and its top bit lies above them all, that is
-        # when it exceeds piv and shares no bit with it.
-        piv = 0
-        for r in reversed(rows):
-            if r <= piv or r & piv:
-                raise ValueError("rows are not in canonical reduced form")
-            piv |= 1 << (r.bit_length() - 1)
-        if rows and rows[0].bit_length() > 2 * self.n:
-            raise ValueError("row outside the 2n-bit symplectic range")
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
 
 def _measure_step(rows: list, basis: dict, cols: list, c: int, hits: tuple, n: int) -> None:
@@ -171,11 +137,12 @@ def _measure_step(rows: list, basis: dict, cols: list, c: int, hits: tuple, n: i
 
 
 def _canonical_rows(rows: list, basis: dict) -> tuple:
-    """Canonical rows (see :class:`StabilizerGroup`) of the slot basis of
-    :func:`_measure_step`, in one pass over the pivots in ascending order:
-    each row XORs in the already-canonical rows of the lower pivots it
-    carries (``v & piv``), and each XOR clears one such pivot bit and sets
-    no other."""
+    """The canonical rows of the slot basis of :func:`_measure_step`: pivots
+    (top set bits) strictly decreasing and no row carrying another row's
+    pivot bit, so equal groups give equal tuples.  One pass over the pivots
+    in ascending order: each row XORs in the already-canonical rows of the
+    lower pivots it carries (``v & piv``), and each XOR clears one such
+    pivot bit and sets no other."""
     canonical: dict[int, int] = {}
     piv = 0
     for p in sorted(basis):
@@ -205,21 +172,6 @@ class ScheduleResult:
     steady_round: int | None
     k_inst: int | None
 
-    @property
-    def steady_bases(self) -> tuple:
-        """``phase_bases``, or ValueError when no steady state was reached."""
-        if self.steady_round is None:
-            raise ValueError("schedule did not reach a steady state")
-        return self.phase_bases
-
-    @cached_property
-    def steady_phases(self) -> tuple:
-        """The three steady ISGs (one per colour phase), made canonical on first read."""
-        return tuple(
-            StabilizerGroup(self.n, _canonical_rows(rows, basis))
-            for rows, basis, _ in self.steady_bases
-        )
-
 
 def run_schedule(schedule, rounds: int) -> ScheduleResult:
     """Measure the colour classes cyclically and watch the ISG settle.
@@ -239,8 +191,7 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
 
     Each measured round keeps a copy of its slot state; the result holds
     those of the three steady phases, which share one logical count, read
-    off their ranks.  The exact search reads them as they are;
-    :attr:`ScheduleResult.steady_phases` makes them canonical.
+    off their ranks.  The exact search reads them as they are.
     """
     if rounds < 6:
         raise ValueError("need at least 6 rounds to certify a steady state")
@@ -414,7 +365,9 @@ def exact_distance(schedule, result: ScheduleResult) -> int:
         raise ValueError(
             f"k = 0: every steady phase has full rank {n}, so no logical operator exists"
         )
-    return _min_logical_weight(result.steady_bases)
+    if result.steady_round is None:
+        raise ValueError("schedule did not reach a steady state")
+    return _min_logical_weight(result.phase_bases)
 
 
 def _residue(rows: list, basis: dict, v: int) -> int:
@@ -519,8 +472,10 @@ def code_params(
     so after clipping every original side separates the clipped face from
     itself, and no face colouring is proper.  An incenter complex always is
     one: its faces come from the source's vertices, edges and faces, and
-    every edge joins faces of two different kinds.  So auto falls back to
-    the estimator only when the exact search runs out of its bounds.
+    every edge joins faces of two different kinds.  So auto takes the exact
+    route on every incenter row with n <= 40 (each has d = 2), and any error
+    of that route, BoundExceeded included, is raised, not replaced by an
+    estimate.
     """
     if d_mode not in ("exact", "geo", "auto"):
         raise ValueError(f"unknown d_mode {d_mode!r}")
@@ -573,7 +528,4 @@ def code_params(
         return exact()
     if route != "incenter" or n > _EXACT_MAX_N:
         return estimate()
-    try:
-        return exact()
-    except BoundExceeded:
-        return estimate()
+    return exact()

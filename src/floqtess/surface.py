@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .hypgeo import _check_genus, _genus_chi, _polygon_sides
 
@@ -55,10 +55,9 @@ class _FlagMap:
     """Flag structure of a face list: one flag per (face, slot, end).
 
     Flag ids are computed, not looked up: the flag at the tail (t = 0) or
-    head (t = 1) of slot j as face f walks it is ``2 * (base[f] + j) + t``
-    (:meth:`id`), where ``base[f]`` numbers the first slot of face f, so
-    flag i lies on face ``face[i >> 1]``.  The involutions ``sigma`` =
-    (s0, s1, s2) are
+    head (t = 1) of slot j as face f walks it is ``2 * (base[f] + j) + t``,
+    where ``base[f]`` numbers the first slot of face f, so flag i lies on
+    face ``face[i >> 1]``.  The involutions (s0, s1, s2) are
 
     * ``sigma0``: swap the two ends of one slot, ``i ^ 1``,
     * ``sigma1``: step to the adjacent slot-end across a face corner,
@@ -75,22 +74,21 @@ class _FlagMap:
     one loop over the slots pairs each with the other slot of its edge and
     writes sigma2 on the pair's four flags, and one walk of psi = sigma2
     sigma1 from each flag no earlier walk reached lists the rotations.  A
-    face list it cannot read is rejected with :class:`SurfaceError`, naming
-    the first empty face, malformed slot, unhashable edge id or direction
-    other than the int +1 or -1, in face and slot order, else the first
-    edge without exactly two slots.
+    face list it cannot read (an empty face, a malformed slot, an
+    unhashable edge id, a direction other than the int +1 or -1) is
+    rejected with an unnamed :class:`SurfaceError`, which validation
+    replaces by the first fault in face and slot order; one it can read is
+    rejected naming the first edge without exactly two slots.
 
     :meth:`end` and :meth:`flag` translate to and from the intrinsic end of
     the edge through ``edge`` and ``rev``; no code outside this module needs
-    that convention.  :meth:`leads` picks the first flag of each sigma_k pair
-    (the flags with t = k for k < 2), :meth:`walk` goes round an orbit of
-    two involutions and :meth:`sweep` two-colours the flags.  ``rotations``
+    that convention.  :meth:`sweep` two-colours the flags.  ``rotations``
     holds one cycle of psi per vertex, in order of each vertex's first flag
     and starting at it, so its length is the vertex's degree; ``vertex``
     maps every flag to its cycle; ``first`` maps an edge id to the tail
     flag of its first slot, and ``edge_faces`` to the faces of both slots.
-    Validation reads neither s0 nor edge_faces, so they (and ``sigma``)
-    are built on first read."""
+    Validation reads neither s0 nor edge_faces, so they are built on first
+    read."""
 
     def __init__(self, faces: Sequence[Sequence[Slot]]):
         self.faces = faces
@@ -110,7 +108,7 @@ class _FlagMap:
             or not {*map(type, dirs)} <= {int}
             or dirs.count(1) + dirs.count(-1) != len(dirs)
         ):
-            raise SurfaceError(_slot_fault(faces, None))
+            raise SurfaceError("unreadable face list")
         self.rev = rev = [d != 1 for d in dirs]
 
         # One pass pairs each later slot of an edge with its first slot
@@ -129,7 +127,7 @@ class _FlagMap:
                     s2[i + 1] = j + 1 - x
                     s2[j + 1] = i + 1 - x
         except TypeError:  # an unhashable edge id
-            raise SurfaceError(_slot_fault(faces, None)) from None
+            raise SurfaceError("unreadable face list") from None
         # Two slots per edge: E = slots / 2 and every slot has a partner (an
         # edge in three slots or more leaves another in one, unpartnered).
         if 2 * len(first) != len(edge) or -1 in s2:
@@ -176,17 +174,9 @@ class _FlagMap:
         return s0
 
     @cached_property
-    def sigma(self) -> tuple[list[int], list[int], list[int]]:
-        return self.s0, self.s1, self.s2
-
-    @cached_property
     def edge_faces(self) -> dict[Any, tuple[int, int]]:
         face, s2 = self.face, self.s2
         return {eid: (face[i >> 1], face[s2[i] >> 1]) for eid, i in self.first.items()}
-
-    def id(self, f: int, j: int, t: int) -> int:
-        """The flag at end t of slot j of face f."""
-        return 2 * (self.base[f] + j) + t
 
     def end(self, i: int) -> tuple[Any, int]:
         """(edge id, intrinsic end of that edge) at flag i."""
@@ -195,25 +185,6 @@ class _FlagMap:
     def flag(self, i: int, end: int) -> int:
         """The flag on the slot of flag i at the given intrinsic edge end."""
         return (i & ~1) + (end ^ self.rev[i >> 1])
-
-    def leads(self, k: int, i: int) -> bool:
-        """True when flag i is the first end of its sigma_k pair: the tail
-        flag for k = 0, the head flag for k = 1, and the flag on the edge's
-        first slot for k = 2, whose partner slot comes later."""
-        return self.s2[i] > i if k == 2 else i & 1 == k
-
-    def walk(self, start: int, steps: Sequence[int]) -> Iterator[tuple[int, int]]:
-        """Yield (k, flag) and step to sigma_k of that flag, taking k from
-        ``steps`` cyclically, until a whole word of steps ends at ``start``.
-        No involution fixes a flag, so a walk by two of them goes once round
-        one orbit."""
-        i, sigma = start, self.sigma
-        while True:
-            for k in steps:
-                yield k, i
-                i = sigma[k][i]
-            if i == start:
-                return
 
     def sweep(self) -> tuple[bool, bool]:
         """(connected, orientable) from one sweep from flag 0 that two-colours
@@ -326,8 +297,8 @@ def _hashable(value: Any) -> bool:
 def _slot_fault(faces, index) -> str | None:
     """The first fault of the face list in face and slot order, or None: an
     empty face, a slot that is not an (edge id, direction) pair, an edge id
-    that is unhashable or missing from ``index`` (the declared edges; None
-    when they are not known), or a direction other than the int +1 or -1."""
+    that is unhashable or missing from ``index`` (the declared edges), or a
+    direction other than the int +1 or -1."""
     for f, face in enumerate(faces):
         if not face:
             return f"face {f} is empty"
@@ -338,7 +309,7 @@ def _slot_fault(faces, index) -> str | None:
                 return f"face {f}: slot {j} must be an (edge id, direction) pair, got {slot!r}"
             if not _hashable(eid):
                 return f"face {f}: slot {j} has unhashable edge id {eid!r}"
-            if index is not None and eid not in index:
+            if eid not in index:
                 return f"face {f} references unknown edge {eid!r}"
             if type(d) is not int or d not in (1, -1):
                 return f"face {f}: direction must be +1 or -1, got {d!r}"
@@ -514,22 +485,20 @@ def dual(c: SurfaceComplex) -> SurfaceComplex:
     """
     fm = c.flag_map()
 
-    # The start flag of each source vertex's rotation, so that dual faces
-    # follow the declared vertex order.
-    start: dict[Any, int] = {}
-    for rotation in fm.rotations:
-        eid, end = fm.end(rotation[0])
-        start[c.edge_by_id(eid).ends[end]] = rotation[0]
+    # Each source vertex's rotation, so that dual faces follow the declared
+    # vertex order.
+    rotation: dict[Any, list[int]] = {}
+    for r in fm.rotations:
+        eid, end = fm.end(r[0])
+        rotation[c.edge_by_id(eid).ends[end]] = r
 
-    # The (2, 1) walk crosses the edges round a vertex against its rotation,
-    # forwards from the first slot of each edge.
+    # A rotation read backwards from its first flag (the psi^-1 orbit)
+    # crosses the edges round its vertex; each dual slot runs forwards from
+    # the first slot of its edge.
+    edge, s2 = fm.edge, fm.s2
     dual_faces = [
-        tuple(
-            (fm.end(i)[0], 1 if fm.leads(2, i) else -1)
-            for k, i in fm.walk(start[v], (2, 1))
-            if k == 2
-        )
-        for v in c.vertices
+        tuple((edge[i >> 1], 1 if s2[i] > i else -1) for i in (r[0], *r[:0:-1]))
+        for r in map(rotation.__getitem__, c.vertices)
     ]
 
     return SurfaceComplex(
@@ -544,6 +513,7 @@ def dual(c: SurfaceComplex) -> SurfaceComplex:
 def _certificate(c: SurfaceComplex) -> tuple:
     """Canonical encoding of the flag structure, invariant under relabeling."""
     fm = c.flag_map()
+    sigma = fm.s0, fm.s1, fm.s2
     n = len(fm.s0)
     best = None
     for start in range(n):
@@ -552,7 +522,7 @@ def _certificate(c: SurfaceComplex) -> tuple:
         queue = [start]
         nxt = 1
         for i in queue:
-            for g in fm.sigma:
+            for g in sigma:
                 nb = g[i]
                 if order[nb] == -1:
                     order[nb] = nxt

@@ -6,6 +6,8 @@ int rows ``(x << n) | z`` of :mod:`floqtess.floquet`.
 
 from __future__ import annotations
 
+from floqtess.floquet import _canonical_rows
+
 
 def swap_halves(v: int, n: int) -> int:
     """``(z << n) | x`` of the row ``(x << n) | z``: the symplectic product
@@ -18,9 +20,22 @@ def sympl(u: int, v: int, n: int) -> int:
     return (u & swap_halves(v, n)).bit_count() & 1
 
 
+def steady_groups(result) -> tuple:
+    """The three steady phases of a ``ScheduleResult`` as canonical groups
+    (``reference.StabilizerGroup``), read off its slot states with
+    ``floquet._canonical_rows``; ``()`` when the run did not settle."""
+    from reference import StabilizerGroup  # reference imports this module
+
+    return tuple(
+        StabilizerGroup(result.n, _canonical_rows(rows, basis))
+        for rows, basis, _ in result.phase_bases
+    )
+
+
 def reduce_vec(group, v: int) -> int:
-    """``v`` reduced against every row of the canonical ``StabilizerGroup``
-    ``group``: 0 exactly when ``v`` lies in the group."""
+    """``v`` reduced against every row of the canonical
+    ``reference.StabilizerGroup`` ``group``: 0 exactly when ``v`` lies in
+    the group."""
     for row in group.rows:
         if (v >> (row.bit_length() - 1)) & 1:
             v ^= row

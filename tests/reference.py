@@ -22,25 +22,29 @@ derivation, from the characteristic alone) and :func:`polygon_surface`,
 which glues any one-polygon boundary word and recovers its vertices,
 genus and orientability from the corner orbits.
 
-:func:`walk_clip_complex` and :func:`walk_incenter_complex` are the
-derivations as they were first written, each face stepped out by
-``_FlagMap.walk`` round its orbit; the tests hold the pipeline's
-derivations, which read the same faces off the orbits the flag map
-lists, equal to them.
+:func:`walk_clip_complex`, :func:`walk_incenter_complex` and
+:func:`reference_dual` are the derivations and the dual as they were
+first written, each face stepped out by :func:`walk` round its orbit of
+two flag involutions; the tests hold the pipeline's versions, which read
+the same faces off the orbits the flag map lists, equal to them.
 
-:func:`reference_min_logical_weight` is the exact distance search as it
-was first written, over canonical stabilizer groups with the eager tables
-:func:`reference_syndromes` and :func:`reference_cosupport_graph`; the
-tests hold the pipeline's search, which reads the run's slot states and
-builds each table entry on first read, to the same distances and the
+:class:`StabilizerGroup` is a group as the tuple of its canonical rows,
+so equal groups compare equal; the tests compare the ISG run's steady
+phases, read off with ``floquet._canonical_rows``, against reference
+trajectories with it.  :func:`reference_min_logical_weight` is the exact
+distance search as it was first written, over such groups with the eager
+tables :func:`reference_syndromes` and :func:`reference_cosupport_graph`;
+the tests hold the pipeline's search, which reads the run's slot states
+and builds each table entry on first read, to the same distances and the
 same supports.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from floqtess import floquet
 from floqtess.derive import DerivedCounts, _pair_names, _require_pq, _slot_labels
@@ -515,10 +519,24 @@ def polygon_surface(word: Sequence[Slot]) -> SurfaceComplex:
     )
 
 
+def walk(fm: _FlagMap, start: int, steps: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Yield (k, flag) and step to sigma_k of that flag, taking k from
+    ``steps`` cyclically, until a whole word of steps ends at ``start``.
+    No involution fixes a flag, so a walk by two of them goes once round
+    one orbit."""
+    i, sigma = start, (fm.s0, fm.s1, fm.s2)
+    while True:
+        for k in steps:
+            yield k, i
+            i = sigma[k][i]
+        if i == start:
+            return
+
+
 def _walks(fm: _FlagMap) -> list[tuple[int, tuple[int, int]]]:
     """(start, steps) of the (0, 1) walk round each source face from its flag
     (f, 0, 0), then of the (1, 2) walk round each vertex from its rotation."""
-    return [(fm.id(f, 0, 0), (0, 1)) for f in range(len(fm.faces))] + [
+    return [(2 * fm.base[f], (0, 1)) for f in range(len(fm.faces))] + [
         (rotation[0], (1, 2)) for rotation in fm.rotations
     ]
 
@@ -552,7 +570,7 @@ def walk_clip_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
             for i, name in zip(cuts, cut_names)
         ),
         faces=tuple(
-            tuple(table[k][i] for k, i in fm.walk(start, steps) if k != 2)
+            tuple(table[k][i] for k, i in walk(fm, start, steps) if k != 2)
             for start, steps in _walks(fm)
         ),
     )
@@ -580,20 +598,48 @@ def walk_incenter_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
         ["s1." + label for label in labels],
         [f"s2.{e}.{end}" for e in range(len(firsts)) for end in (0, 1)],
     )
-    table = [_pair_names(fm.sigma[k], leading[k], names[k]) for k in (0, 1, 2)]
+    sigma = fm.s0, fm.s1, fm.s2
+    table = [_pair_names(sigma[k], leading[k], names[k]) for k in (0, 1, 2)]
     quads = [(i, (0, 2)) for i in firsts]
     return SurfaceComplex(
         orientable=c.orientable,
         genus=c.genus,
         vertices=tuple(vname),
         edges=tuple(
-            Edge(name, (vname[i], vname[fm.sigma[k][i]]))
+            Edge(name, (vname[i], vname[sigma[k][i]]))
             for k in (0, 1, 2)
             for i, name in zip(leading[k], names[k])
         ),
         faces=tuple(
-            tuple(table[k][i] for k, i in fm.walk(start, steps))
+            tuple(table[k][i] for k, i in walk(fm, start, steps))
             for start, steps in _walks(fm) + quads
+        ),
+    )
+
+
+def reference_dual(c: SurfaceComplex) -> SurfaceComplex:
+    """``surface.dual`` with every dual face stepped out by a walk: the
+    (2, 1) walk from each source vertex's first flag crosses the edges round
+    the vertex against its rotation, and each crossing is a slot running
+    forwards from the first slot of its edge (the flag whose s2 partner is
+    later)."""
+    fm = c.flag_map()
+    start = {}
+    for rotation in fm.rotations:
+        eid, end = fm.end(rotation[0])
+        start[c.edge_by_id(eid).ends[end]] = rotation[0]
+    return SurfaceComplex(
+        orientable=c.orientable,
+        genus=c.genus,
+        vertices=tuple(range(len(c.faces))),
+        edges=tuple(Edge(e.id, fm.edge_faces[e.id]) for e in c.edges),
+        faces=tuple(
+            tuple(
+                (fm.end(i)[0], 1 if fm.s2[i] > i else -1)
+                for k, i in walk(fm, start[v], (2, 1))
+                if k == 2
+            )
+            for v in c.vertices
         ),
     )
 
@@ -743,6 +789,39 @@ def family_report(orientable: bool = True, genera: Iterable[int] | None = None) 
     }
 
 
+@dataclass(frozen=True)
+class StabilizerGroup:
+    """Stabilizer group in reduced row-echelon symplectic form.
+
+    Rows are ``(x << n) | z`` integers with strictly decreasing pivots (top
+    set bits), and no row carries another row's pivot bit, so equal groups
+    compare equal.  Construction checks this in one pass over the rows,
+    lowest pivot first, and that the rows fit in ``2 n`` bits.
+    """
+
+    n: int
+    rows: tuple = ()
+
+    def __post_init__(self):
+        rows = self.rows
+        if not isinstance(rows, tuple):
+            raise ValueError("rows are not in canonical reduced form")
+        # piv holds the pivots below the row: the row is canonical when it
+        # carries none of them and its top bit lies above them all, that is
+        # when it exceeds piv and shares no bit with it.
+        piv = 0
+        for r in reversed(rows):
+            if r <= piv or r & piv:
+                raise ValueError("rows are not in canonical reduced form")
+            piv |= 1 << (r.bit_length() - 1)
+        if rows and rows[0].bit_length() > 2 * self.n:
+            raise ValueError("row outside the 2n-bit symplectic range")
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
 def reference_syndromes(rows: Sequence[int], n: int) -> list:
     """``syn[q]``: the ``(syndrome, row)`` of X, Y and Z on qubit ``q``.
 
@@ -778,7 +857,7 @@ def reference_cosupport_graph(rows: Sequence[int], n: int) -> list:
 
 
 def reference_min_logical_weight(phases) -> int:
-    """The exact distance search over canonical ``StabilizerGroup`` phases:
+    """The exact distance search over :class:`StabilizerGroup` phases:
     weight 1 off row ORs, then each phase's tables built in full when the
     search first reaches it, supports from ``floquet.connected_supports``
     (looked up on each call) and membership by reduction against every

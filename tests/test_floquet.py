@@ -23,7 +23,6 @@ from floqtess.derive import clip_complex, incenter_complex, polygon_complex, pol
 from floqtess.floquet import (
     BoundExceeded,
     CodeParams,
-    StabilizerGroup,
     _LETTERS,
     _canonical_rows,
     _measure_step,
@@ -39,8 +38,9 @@ from floqtess.floquet import (
 )
 from floqtess.hypgeo import SemiRegularSig
 from floqtess.surface import fundamental_polygon
-from helpers import reduce_vec, swap_halves, sympl
+from helpers import reduce_vec, steady_groups, swap_halves, sympl
 from reference import (
+    StabilizerGroup,
     reference_cosupport_graph,
     reference_min_logical_weight,
     reference_syndromes,
@@ -645,7 +645,7 @@ class TestRunSchedule:
     def test_logical_count_accessors(self, octagon):
         _, _, result = octagon
         assert result.k_inst == 4
-        assert all(result.n - p.rank == 4 for p in result.steady_phases)
+        assert all(result.n - p.rank == 4 for p in steady_groups(result))
 
     def test_needs_six_rounds(self, octagon):
         _, assign, _ = octagon
@@ -655,7 +655,7 @@ class TestRunSchedule:
     def test_steady_phases_cycle(self, octagon):
         # The steady round's group is the first phase's, three rounds back.
         _, assign, result = octagon
-        a, b, c = result.steady_phases
+        a, b, c = steady_groups(result)
         assert len({a, b, c}) == 3
         assert reference_run_schedule(assign, 9)[result.steady_round] == a
         assert result.ranks[result.steady_round] == a.rank
@@ -713,7 +713,7 @@ class TestRunSchedule:
         left = self.leaving_rows(monkeypatch)
         result = run_schedule(assign, 9)
         assert result.ranks == expected.ranks
-        assert result.steady_phases == expected.steady_phases
+        assert steady_groups(result) == steady_groups(expected)
         assert left and sum(g.bit_count() for g in left) < 1400
 
     def test_stops_measuring_once_certified(self, octagon, monkeypatch):
@@ -726,7 +726,7 @@ class TestRunSchedule:
         assert result.steady_round == 6
         ref = reference_run_schedule(assign, 9)
         assert result.ranks == tuple(g.rank for g in ref)
-        assert result.steady_phases == ref[3:6]
+        assert steady_groups(result) == ref[3:6]
 
     def test_long_run_measures_no_more(self, octagon, monkeypatch):
         _, assign, _ = octagon
@@ -737,7 +737,7 @@ class TestRunSchedule:
         ref = reference_run_schedule(assign, 12)
         assert result.ranks[:12] == tuple(g.rank for g in ref)
         assert result.ranks[12:] == result.ranks[9:12] * 96
-        assert result.steady_phases == ref[3:6]
+        assert steady_groups(result) == ref[3:6]
 
     def test_uncertified_run_measures_every_round(self, octagon, monkeypatch):
         _, assign, _ = octagon
@@ -747,8 +747,6 @@ class TestRunSchedule:
         assert result.steady_round is None and result.k_inst is None
         assert result.ranks == tuple(g.rank for g in reference_run_schedule(assign, 6))
         assert result.phase_bases == ()
-        with pytest.raises(ValueError, match="did not reach a steady state"):
-            result.steady_phases
         with pytest.raises(ValueError, match="did not reach a steady state"):
             exact_distance(assign, result)
 
@@ -760,7 +758,7 @@ class TestRunSchedule:
         result = run_schedule(assign, 9)
         assert result.n == 256 and result.k_inst == 64
         faces = [face_stabilizer(assign, f) for f in range(len(cx.faces))]
-        for phase in result.steady_phases:
+        for phase in steady_groups(result):
             assert all(reduce_vec(phase, row) == 0 for row in faces)
 
     @pytest.mark.parametrize("build", schedule_complexes())
@@ -827,8 +825,8 @@ def reference_steady(groups, n):
 
 
 class TestLazyGroups:
-    # run_schedule keeps the slot bases of the three steady phases and makes
-    # them canonical only when steady_phases is first read.
+    # run_schedule keeps the slot bases of the three steady phases and never
+    # makes them canonical itself.
 
     @pytest.mark.parametrize("build", schedule_complexes())
     def test_agrees_with_reference(self, build):
@@ -841,15 +839,13 @@ class TestLazyGroups:
             result = run_schedule(schedule, rounds)
             steady, _ = reference_steady(expected[:rounds], n)
             if steady is None:
-                with pytest.raises(ValueError, match="did not reach a steady state"):
-                    result.steady_phases
+                assert result.steady_round is None and result.phase_bases == ()
             else:
-                assert result.steady_phases == expected[steady - 3 : steady]
+                assert steady_groups(result) == expected[steady - 3 : steady]
 
     def test_canonical_only_where_read(self, monkeypatch):
         # Orientable g = 12 incenter complex, n = 96: the steady test reads
-        # ranks alone, and the first read of the steady phases makes each
-        # of the three canonical once.
+        # ranks alone, so the run makes no phase canonical.
         calls = []
         canonical = floquet._canonical_rows
 
@@ -862,9 +858,7 @@ class TestLazyGroups:
         result = run_schedule(three_color(cx), 9)
         assert result.n == 96 and result.k_inst == 24 and result.steady_round == 6
         assert calls == []
-        phases = result.steady_phases
-        assert calls == [72, 72, 72]
-        assert result.steady_phases is phases and len(calls) == 3
+        assert [len(basis) for _, basis, _ in result.phase_bases] == [72, 72, 72]
 
 
 class TestFaceStabilizers:
@@ -876,7 +870,7 @@ class TestFaceStabilizers:
         cx = build()
         assign = three_color(cx)
         result = run_schedule(assign, 9)
-        for phase in result.steady_phases:
+        for phase in steady_groups(result):
             for f in range(len(cx.faces)):
                 assert reduce_vec(phase, face_stabilizer(assign, f)) == 0
 
@@ -965,7 +959,7 @@ class TestCosupportGraph:
         # read off cols are the eager syndromes against the slot rows.
         _, _, result = request.getfixturevalue(fix)
         n = result.n
-        for state, phase in zip(result.phase_bases, result.steady_phases):
+        for state, phase in zip(result.phase_bases, steady_groups(result)):
             syn, adj = _phase_tables(*state, n)
             assert len(adj) == len(syn) == n
             assert [adj[q] for q in range(n)] == reference_cosupport_graph(phase.rows, n)
@@ -1041,7 +1035,7 @@ class TestKernels:
     @pytest.mark.parametrize("fix", ["hexagon_no", "octagon", "genus12"])
     def test_hits_agree_with_reference(self, fix, rule, request):
         _, _, result = request.getfixturevalue(fix)
-        pairs = list(zip(result.phase_bases, result.steady_phases))
+        pairs = list(zip(result.phase_bases, steady_groups(result)))
         for state, phase in pairs[:1] if rule == "subsets" else pairs:
             syn, adj = _phase_tables(*state, phase.n)
             for w in range(1, self.TOP_WEIGHT[fix] + 1):
@@ -1073,7 +1067,7 @@ class TestKernels:
         # The search stops at its first logical, so supports past the
         # first hit must not be read.
         _, _, result = octagon
-        phase = result.steady_phases[0]
+        phase = steady_groups(result)[0]
         sups = list(combinations(range(phase.n), 2))
         first = reference_rows(reference_search(*split_rows(phase), sups[:1], 2), phase.n)
         assert first
@@ -1087,7 +1081,7 @@ class TestKernels:
 
     def test_hit_weights(self, octagon):
         _, _, result = octagon
-        phase = result.steady_phases[0]
+        phase = steady_groups(result)[0]
         n = phase.n
         sups = list(combinations(range(n), 2))
         syn, _ = _phase_tables(*result.phase_bases[0], n)
@@ -1182,7 +1176,7 @@ class TestExactDistance:
     def test_hexagon_no_matches_exhaustive(self, hexagon_no):
         _, assign, result = hexagon_no
         assert exact_distance(assign, result) == 2
-        assert exhaustive_distance(result.steady_phases) == 2
+        assert exhaustive_distance(steady_groups(result)) == 2
 
     def test_edge_schedule_small_instance_agrees(self):
         # k_inst = 1 here, so the search exercises a non-trivial row space.
@@ -1191,7 +1185,7 @@ class TestExactDistance:
         result = run_schedule(sched, 9)
         assert result.k_inst == 1
         assert exact_distance(sched, result) == 2
-        assert exhaustive_distance(result.steady_phases) == 2
+        assert exhaustive_distance(steady_groups(result)) == 2
 
     @pytest.mark.parametrize("make", [incenter_complex, clip_complex])
     def test_reads_only_what_its_first_support_needs(self, monkeypatch, make):
@@ -1218,7 +1212,6 @@ class TestExactDistance:
         monkeypatch.setattr(floquet, "_phase_tables", watch_adjacency)
         assert exact_distance(sched, result) == 2
         assert len(passes) == 1 and adjacency == [0]
-        assert "steady_phases" not in vars(result)
 
     def test_beyond_one_syndrome_word(self, genus12):
         _, assign, result = genus12
@@ -1246,7 +1239,7 @@ class TestExactDistance:
                     if len(cx.vertices) > 12 or result.k_inst == 0:
                         continue
                     assert exact_distance(sched, result) == exhaustive_distance(
-                        result.steady_phases
+                        steady_groups(result)
                     )
                     checked.append((derive.__name__, orientable, g))
         assert checked == [
@@ -1281,24 +1274,28 @@ class TestExactDistance:
         with pytest.raises(BoundExceeded, match="weight <= 6"):
             _min_logical_weight(result.phase_bases)
         with pytest.raises(BoundExceeded, match="weight <= 6"):
-            reference_min_logical_weight(result.steady_phases)
+            reference_min_logical_weight(steady_groups(result))
 
-    def test_no_logicals_in_full_rank_group(self):
+    def test_no_logicals_in_full_rank_group(self, monkeypatch):
         cx = clip_complex(fundamental_polygon(3, False), 6, 6)
         sched = edge_three_color(cx)
         result = run_schedule(sched, 9)
+        # k_inst decides it: no steady phase is made canonical.
+        passes = []
+        canonical = floquet._canonical_rows
+        monkeypatch.setattr(floquet, "_canonical_rows",
+                            lambda *state: passes.append(state) or canonical(*state))
         with pytest.raises(ValueError, match="k = 0") as info:
             exact_distance(sched, result)
         assert not isinstance(info.value, BoundExceeded)
-        # k_inst decides it: no steady phase was made canonical.
-        assert "steady_phases" not in vars(result)
+        assert passes == []
         with pytest.raises(ValueError, match="no logical"):
-            exhaustive_distance(result.steady_phases)
+            exhaustive_distance(steady_groups(result))
 
     def test_exhaustive_bound(self, octagon):
         _, _, result = octagon
         with pytest.raises(ValueError, match="refused"):
-            exhaustive_distance(result.steady_phases)  # n=16 > 12
+            exhaustive_distance(steady_groups(result))  # n=16 > 12
 
 
 def consumed_supports(monkeypatch) -> list:
@@ -1349,7 +1346,7 @@ class TestSearchOracle:
         d = exact_distance(schedule, result)
         fast = consumed[:]
         consumed.clear()
-        assert reference_min_logical_weight(result.steady_phases) == d
+        assert reference_min_logical_weight(steady_groups(result)) == d
         assert consumed == fast
         assert d == (4 if case.startswith("honeycomb") else 2)
 
@@ -1391,18 +1388,21 @@ class TestCodeParams:
         with pytest.raises(ValueError, match="color-code tiling"):
             code_params((6, 12, 12), 3, False, "exact")
 
-    def test_auto_falls_back_only_on_expected_errors(self, monkeypatch):
+    def test_auto_raises_the_exact_route_errors(self, monkeypatch):
+        # Auto takes the exact route on an incenter row with n <= 40 and
+        # gives no estimate in place of its errors, BoundExceeded included.
         def out_of_bounds(*args, **kwargs):
             raise BoundExceeded("search ran out of its bounds")
 
         def broken(*args, **kwargs):
             raise ValueError("unexpected failure in the exact route")
 
-        monkeypatch.setattr(floquet, "exact_distance", out_of_bounds)
-        assert code_params((4, 16, 16), 2, True).d_source == "geometric-estimate"
-        monkeypatch.setattr(floquet, "exact_distance", broken)
+        monkeypatch.setattr(floquet, "_min_logical_weight", out_of_bounds)
+        with pytest.raises(BoundExceeded, match="out of its bounds"):
+            code_params((4, 16, 16), 2, True, d_mode="auto")
+        monkeypatch.setattr(floquet, "_min_logical_weight", broken)
         with pytest.raises(ValueError, match="unexpected failure"):
-            code_params((4, 16, 16), 2, True)
+            code_params((4, 16, 16), 2, True, d_mode="auto")
 
     def test_auto_never_builds_a_clip(self, monkeypatch):
         # A clipped fundamental polygon is never a colour-code tiling, so

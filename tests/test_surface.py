@@ -26,11 +26,14 @@ from floqtess.surface import (
 from helpers import face_sizes
 from reference import (
     polygon_surface,
+    reference_dual,
     regular_counts,
     surface_area,
+    walk,
     walk_clip_complex,
     walk_incenter_complex,
 )
+from test_coloring import honeycomb_torus
 from test_floquet import schedule_complexes
 
 
@@ -131,7 +134,8 @@ def _derived(genus, orientable, derive):
 
 
 def corner(fm, i):
-    """(face, slot, t) of flag i of flag map fm: the inverse of ``fm.id``."""
+    """(face, slot, t) of flag i of flag map fm: the inverse of the flag id
+    ``2 * (fm.base[f] + j) + t``."""
     f = fm.face[i >> 1]
     return f, (i >> 1) - fm.base[f], i & 1
 
@@ -193,7 +197,7 @@ class TestFlagMap:
         fm = c.flag_map()
         for i in range(len(fm.s0)):
             f, j, t = corner(fm, i)
-            assert fm.id(f, j, t) == i
+            assert 2 * (fm.base[f] + j) + t == i
             eid, end = fm.end(i)
             assert eid == c.faces[f][j][0]
             assert fm.flag(i, end) == i
@@ -207,44 +211,45 @@ class TestFlagMap:
     def test_leads_and_walk(self, derive):
         c = _derived(3, False, derive)
         fm = c.flag_map()
-        for k in (0, 1, 2):
-            for i in range(len(fm.s0)):
-                # Exactly one flag of every sigma_k pair leads it.
-                assert fm.leads(k, i) != fm.leads(k, fm.sigma[k][i])
-        # Tail flags lead sigma0, head flags sigma1, and the flags on the
-        # slot where an edge first appears in the face list lead sigma2.
+        # The flag of each sigma2 pair on the slot where its edge first
+        # appears in the face list comes first (dual slots run from it);
+        # fm.first lists the tail flag of that slot.
         first = {}
         for f, face in enumerate(c.faces):
             for j, (eid, _) in enumerate(face):
                 first.setdefault(eid, (f, j))
         for i in range(len(fm.s0)):
             f, j, t = corner(fm, i)
-            assert fm.leads(0, i) == (t == 0) and fm.leads(1, i) == (t == 1)
-            assert fm.leads(2, i) == (first[c.faces[f][j][0]] == (f, j))
-        assert fm.first == {eid: fm.id(f, j, 0) for eid, (f, j) in first.items()}
+            assert (fm.s2[i] > i) == (first[c.faces[f][j][0]] == (f, j))
+        assert fm.first == {eid: 2 * (fm.base[f] + j) for eid, (f, j) in first.items()}
         # (0, 1) orbits are the faces, (1, 2) orbits the vertex rotations,
         # and (0, 2) orbits the four flags of one edge.
         for f, face in enumerate(c.faces):
-            walk = list(fm.walk(fm.id(f, 0, 0), (0, 1)))
-            assert walk == [(t, fm.id(f, j, t)) for j in range(len(face)) for t in (0, 1)]
+            steps = list(walk(fm, 2 * fm.base[f], (0, 1)))
+            assert steps == [
+                (t, 2 * (fm.base[f] + j) + t) for j in range(len(face)) for t in (0, 1)
+            ]
         for rotation in fm.rotations:
-            walk = list(fm.walk(rotation[0], (1, 2)))
-            assert [i for k, i in walk if k == 1] == rotation
-            assert len(walk) == 2 * len(rotation)
+            steps = list(walk(fm, rotation[0], (1, 2)))
+            assert [i for k, i in steps if k == 1] == rotation
+            assert len(steps) == 2 * len(rotation)
+            # Backwards from its first flag, the rotation is the (2, 1)
+            # walk's sigma2 steps: the orbit the dual's faces read.
+            steps = list(walk(fm, rotation[0], (2, 1)))
+            assert [i for k, i in steps if k == 2] == [rotation[0], *rotation[:0:-1]]
         for i in range(len(fm.s0)):
-            walk = list(fm.walk(i, (0, 2)))
-            assert [k for k, _ in walk] == [0, 2, 0, 2]
-            assert {fm.end(j)[0] for _, j in walk} == {fm.end(i)[0]}
+            steps = list(walk(fm, i, (0, 2)))
+            assert [k for k, _ in steps] == [0, 2, 0, 2]
+            assert {fm.end(j)[0] for _, j in steps} == {fm.end(i)[0]}
 
     def test_built_once(self):
         c = _derived(2, True, "incenter")
         assert c.flag_map() is c.flag_map()
 
     @pytest.mark.parametrize("derive", ["bare", "clip", "incenter"])
-    def test_validation_leaves_s0_sigma_and_edge_faces_unbuilt(self, derive):
+    def test_validation_leaves_s0_and_edge_faces_unbuilt(self, derive):
         fm = _derived(3, False, derive).flag_map()
-        assert not {"s0", "sigma", "edge_faces"} & vars(fm).keys()
-        assert fm.sigma == (fm.s0, fm.s1, fm.s2)
+        assert not {"s0", "edge_faces"} & vars(fm).keys()
         assert fm.s0 == [i ^ 1 for i in range(len(fm.s1))]
         assert fm.edge_faces is fm.edge_faces
 
@@ -346,7 +351,7 @@ class TestFlagMapOracle:
         assert fm.sweep() == ref.sweep
         assert [corner(fm, i) for i in range(len(fm.s0))] == ref.flags
         assert [fm.end(i) for i in range(len(fm.s0))] == list(map(ref.end, range(len(ref.flags))))
-        assert fm.first == {eid: fm.id(f, j, 0) for eid, (f, j) in ref.first.items()}
+        assert fm.first == {eid: 2 * (fm.base[f] + j) for eid, (f, j) in ref.first.items()}
 
     @pytest.mark.parametrize("dualize", [False, True], ids=["complex", "dual"])
     @pytest.mark.parametrize("key", list(_oracle_complexes()))
@@ -809,6 +814,21 @@ class TestRegularCounts:
                     )
 
 
+def _dual_cases():
+    """The fundamental polygon and its clip and incenter complexes at
+    orientable g = 2..12 and non-orientable g = 3..12, then the honeycomb
+    tori."""
+    for orientable, genera in ((True, range(2, 13)), (False, range(3, 13))):
+        for g in genera:
+            for derive in ("bare", "clip", "incenter"):
+                yield pytest.param(
+                    lambda g=g, o=orientable, d=derive: _derived(g, o, d),
+                    id=f"{derive}-{'o' if orientable else 'n'}{g}",
+                )
+    for L in (2, 3, 4, 6):
+        yield pytest.param(lambda L=L: honeycomb_torus(L), id=f"honeycomb-{L}")
+
+
 class TestDual:
     def test_involution_on_small_complexes(self):
         for c in (
@@ -830,6 +850,14 @@ class TestDual:
         assert d.orientable == c.orientable
         # {12,12} cell structure dualizes to itself here.
         assert face_sizes(d) == [12]
+
+    @pytest.mark.parametrize("case", _dual_cases())
+    def test_matches_walk_oracle(self, case):
+        # The dual read off the rotations is the dual stepped out by walks,
+        # on each complex and on its dual.
+        c = case()
+        for x in (c, dual(c)):
+            assert dual(x) == reference_dual(x)
 
     def test_count_swap_for_trivalent_octagonal(self):
         # The dual of {8,3} is {3,8}: counts swap faces and vertices.
