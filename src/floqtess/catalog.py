@@ -8,8 +8,6 @@ orientable surface of genus h and the non-orientable surface of genus 2h
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -106,24 +104,25 @@ def build_table(
     return tuple(rows)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def table_to_csv(rows: Iterable[CodeParams]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    """The rows as CSV under ``CSV_HEADER``, each line ending in a newline.
+
+    Each line is formatted directly.  The signature "[m1,m2,m3]" is the only
+    field that can hold a comma, and no field holds a quote or a line
+    break, so it is the only field quoted: the minimal quoting of
+    ``csv.writer``.  The ratios k/n, k d^2/n and d/n are written with
+    ``:.12g``.
+    """
+    lines = [",".join(CSV_HEADER)]
     for r in rows:
-        doc = r.as_json()
-        writer.writerow((
-            r.genus,
-            "true" if r.orientable else "false",
-            "[" + ",".join(str(x) for x in r.signature) + "]",
-            r.n, r.k, r.d, r.d_source,
-            _fmt(doc["k_n"]), _fmt(doc["kd2_n"]), _fmt(doc["d_n"]),
-        ))
-    return buf.getvalue()
+        n, k, d = r.n, r.k, r.d
+        lines.append(
+            f'{r.genus},{"true" if r.orientable else "false"},'
+            f'"[{",".join(map(str, r.signature))}]",{n},{k},{d},{r.d_source},'
+            f"{k / n:.12g},{k * d * d / n:.12g},{d / n:.12g}"
+        )
+    lines.append("")
+    return "\n".join(lines)
 
 
 def table_to_json(rows: Iterable[CodeParams]) -> list[dict]:

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 from . import geodist
 from .coloring import PAULI_OF, ROUND_COLOR, checks_for_round, three_color
-from .derive import polygon_complex, polygon_route, semiregular_counts_direct
+from .derive import (
+    _admitted_vertex_count,
+    polygon_complex,
+    polygon_route,
+    semiregular_counts_direct,
+)
 from .hypgeo import SemiRegularSig, _check_genus
 
 # (x, z) bits of each Pauli letter, in the order the search tries them.
@@ -467,6 +472,12 @@ def code_params(
     incenter and clip complexes up to genus 12), and searches weights up to
     6.
 
+    n is the vertex count of ``derive._admitted_vertex_count``, the one
+    admission rule the catalog enumerates by; a signature it does not admit
+    raises ValueError.  The exact route checks the explicit complex's
+    vertex, edge and face counts against ``semiregular_counts_direct`` and
+    raises RuntimeError on any mismatch.
+
     Auto mode never builds a clip complex, because a clipped fundamental
     polygon is never a colour-code tiling: the polygon has a single face,
     so after clipping every original side separates the clipped face from
@@ -475,20 +486,18 @@ def code_params(
     every edge joins faces of two different kinds.  So auto takes the exact
     route on every incenter row with n <= 40 (each has d = 2), and any error
     of that route, BoundExceeded included, is raised, not replaced by an
-    estimate.
+    estimate.  Auto reads the route only on rows with n <= 40.
     """
     if d_mode not in ("exact", "geo", "auto"):
         raise ValueError(f"unknown d_mode {d_mode!r}")
     sig = SemiRegularSig(m)
     chi = _check_genus(genus, orientable)
-    counts = semiregular_counts_direct(sig, genus, orientable)
-    if counts is None:
+    n = _admitted_vertex_count(sig.m, chi, orientable)
+    if n is None:
         raise ValueError(
             f"{list(sig.m)} admits no integral cell counts at chi={chi}"
         )
-    n = counts.n_v
     k = 2 - chi
-    route = polygon_route(sig.m, genus, orientable)
 
     def estimate() -> CodeParams:
         est = geodist.estimate_distance(sig, genus, orientable)
@@ -497,16 +506,20 @@ def code_params(
             "geometric-estimate", est.convention_tag,
         )
 
-    def exact() -> CodeParams:
+    def exact(route: str | None) -> CodeParams:
         if route is None:
             raise ValueError(
                 f"no explicit construction route for {sorted(sig.m)} at genus {genus} "
                 f"({'orientable' if orientable else 'non-orientable'})"
             )
         cx = polygon_complex(route, genus, orientable)
-        if len(cx.vertices) != n:
+        counts = semiregular_counts_direct(sig, genus, orientable)
+        cells = (len(cx.vertices), len(cx.edges), len(cx.faces))
+        want = (counts.n_v, counts.n_e, counts.n_f)
+        if cells != want:
             raise RuntimeError(
-                f"explicit complex has {len(cx.vertices)} vertices, counts say {n}"
+                "explicit complex has V={}, E={}, F={}, counts say V={}, E={}, F={}"
+                .format(*cells, *want)
             )
         # The logical-count guarantee rides on the face colouring; an
         # arbitrary proper edge colouring measurably destroys it (clipped
@@ -525,7 +538,8 @@ def code_params(
     if d_mode == "geo":
         return estimate()
     if d_mode == "exact":
-        return exact()
-    if route != "incenter" or n > _EXACT_MAX_N:
+        return exact(polygon_route(sig.m, genus, orientable))
+    if n > _EXACT_MAX_N:
         return estimate()
-    return exact()
+    route = polygon_route(sig.m, genus, orientable)
+    return exact(route) if route == "incenter" else estimate()

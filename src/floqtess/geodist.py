@@ -105,9 +105,9 @@ def estimate_distance(
     for red, t_r, t_gb in chords:
         d_x = 2 * _ceil_guard(length / t_r)
         d_z = _ceil_guard(length / t_gb)
-        for kind, val in (("X", d_x), ("Z", d_z)):
-            if best is None or val < best[0]:
-                best = (val, red, kind, d_x, d_z)
+        val, kind = (d_x, "X") if d_x <= d_z else (d_z, "Z")
+        if best is None or val < best[0]:
+            best = (val, red, kind, d_x, d_z)
     val, red, kind, d_x, d_z = best
     d = max(2, val)
     tag = f"red={sig.m[red]}(class {red}),{kind}"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from floqtess import floquet
-from floqtess.catalog import table_to_csv
+from floqtess.catalog import build_table, table_to_csv
 from floqtess.cli import _schedule_for
 from floqtess.coloring import (
     PAULI_OF,
@@ -1446,6 +1446,33 @@ class TestCodeParams:
         # n = 96 is past the exact bound: no complex is built at all.
         assert code_params((4, 48, 48), 6, True).d_source == "geometric-estimate"
         assert len(calls) == 1
+
+    def test_exact_route_checks_every_cell_count(self, monkeypatch):
+        # Hand the [4,16,16] genus-2 row the clip complex of the same
+        # octagon: the cross-check against the direct counts must name
+        # every cell count of both.
+        monkeypatch.setattr(
+            floquet, "polygon_complex",
+            lambda route, genus, orientable: polygon_complex("clip", genus, orientable),
+        )
+        with pytest.raises(
+            RuntimeError,
+            match=r"explicit complex has V=8, E=12, F=2, counts say V=16, E=24, F=6$",
+        ):
+            code_params((4, 16, 16), 2, True, "auto")
+
+    def test_auto_reads_the_route_only_where_it_can_go_exact(self, monkeypatch):
+        calls = []
+
+        def counted(m, genus, orientable):
+            calls.append((tuple(m), genus, orientable))
+            return polygon_route(m, genus, orientable)
+
+        monkeypatch.setattr(floquet, "polygon_route", counted)
+        rows = build_table(range(2, 6), True) + build_table(range(3, 6), False)
+        near = [(r.signature, r.genus, r.orientable) for r in rows if r.n <= floquet._EXACT_MAX_N]
+        assert 0 < len(near) < len(rows)
+        assert calls == near
 
     def test_geo_builds_the_signature_once(self, monkeypatch):
         # The counts, the estimator and the metric profile all take the
