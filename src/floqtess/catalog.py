@@ -35,7 +35,7 @@ def default_m_max(chi: int) -> int:
 
 
 def enumerate_signatures(
-    genus: int, orientable: bool = True, m_max: int | None = None
+    genus: int, orientable: bool, m_max: int | None = None
 ) -> tuple[tuple[int, int, int], ...]:
     """All admissible [m1,m2,m3] at this genus, lexicographically sorted.
 
@@ -90,11 +90,14 @@ def enumerate_signatures(
 
 
 def build_table(
-    genera: int | Iterable[int],
-    orientable: bool = True,
-    d_mode: str = "auto",
+    genera: int | Iterable[int], orientable: bool, d_mode: str = "auto"
 ) -> tuple[CodeParams, ...]:
-    """One row per admissible signature per genus, deterministic order."""
+    """One row per admissible signature per genus, deterministic order.
+
+    ``d_mode`` is that of ``code_params``: "auto" (exact distance on
+    incenter rows with n <= 40, the estimate elsewhere) or "geo" (the
+    estimate on every row).
+    """
     if isinstance(genera, int):
         genera = (genera,)
     rows = []
@@ -167,7 +170,9 @@ def equivalence_check(h: int) -> EquivalenceReport:
 
     Both surfaces share chi = 2 - 2h, hence the same counts and the same
     logical count; the even-genus non-orientable systole collapses to the
-    orientable expression, so geometric distances coincide too.  Every
+    orientable expression, so geometric distances coincide too.  Both
+    fundamental polygons have 4h sides, so both rows take the same distance
+    route and (n, k, d) is compared whole.  Every
     orientable-admissible signature is checked on both surfaces;
     mismatches are reported, never raised.
     """
@@ -178,7 +183,6 @@ def equivalence_check(h: int) -> EquivalenceReport:
     for m in enumerate_signatures(h, True):
         po = code_params(m, h, True)
         pn = code_params(m, g_no, False)
-        comparable = po.d_source == pn.d_source
         entry = {
             "signature": list(m),
             "orientable": {
@@ -187,8 +191,7 @@ def equivalence_check(h: int) -> EquivalenceReport:
             "nonorientable": {
                 "n": pn.n, "k": pn.k, "d": pn.d, "d_source": pn.d_source,
             },
-            "match": (po.n, po.k) == (pn.n, pn.k)
-            and (not comparable or po.d == pn.d),
+            "match": (po.n, po.k, po.d) == (pn.n, pn.k, pn.d),
         }
         rows.append(entry)
         if not entry["match"]:

@@ -285,8 +285,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="true for orientable, false for non-orientable",
     )
     p.add_argument(
-        "--mode", choices=("exact", "geo", "auto"), default="auto",
-        help="distance mode per row (default auto)",
+        "--mode", choices=("geo", "auto"), default="auto",
+        help="distance per row: geo estimates every row, auto (the default) "
+        "searches exactly on incenter rows with n <= 40",
     )
     p.add_argument(
         "--format", choices=("csv", "json"), default="csv",

@@ -457,20 +457,14 @@ class CodeParams:
         return doc
 
 
-def code_params(
-    m,
-    genus: int,
-    orientable: bool = True,
-    d_mode: str = "auto",
-) -> CodeParams:
+def code_params(m, genus: int, orientable: bool, d_mode: str = "auto") -> CodeParams:
     """Assemble [[n,k,d]] for a signature on a genus-g surface.
 
-    ``d_mode``: "exact" forces the oracle (explicit complex required),
-    "geo" forces the estimator, "auto" prefers the oracle for incenter
-    complexes with n <= 40.  The oracle runs a 9-round schedule, which
+    ``d_mode``: "geo" gives the geometric estimate on every row; "auto"
+    gives the exact distance on incenter rows with n <= 40 and the estimate
+    on every other row.  The exact route runs a 9-round schedule, which
     stops measuring once the period-3 cycle is certified (at round 6 on the
-    incenter and clip complexes up to genus 12), and searches weights up to
-    6.
+    incenter complexes up to genus 12), and searches weights up to 6.
 
     n is the vertex count of ``derive._admitted_vertex_count``, the one
     admission rule the catalog enumerates by; a signature it does not admit
@@ -488,7 +482,7 @@ def code_params(
     of that route, BoundExceeded included, is raised, not replaced by an
     estimate.  Auto reads the route only on rows with n <= 40.
     """
-    if d_mode not in ("exact", "geo", "auto"):
+    if d_mode not in ("geo", "auto"):
         raise ValueError(f"unknown d_mode {d_mode!r}")
     sig = SemiRegularSig(m)
     chi = _check_genus(genus, orientable)
@@ -498,48 +492,35 @@ def code_params(
             f"{list(sig.m)} admits no integral cell counts at chi={chi}"
         )
     k = 2 - chi
-
-    def estimate() -> CodeParams:
+    if (
+        d_mode == "geo"
+        or n > _EXACT_MAX_N
+        or polygon_route(sig.m, genus, orientable) != "incenter"
+    ):
         est = geodist.estimate_distance(sig, genus, orientable)
         return CodeParams(
             tuple(sig.m), genus, orientable, n, k, est.d,
             "geometric-estimate", est.convention_tag,
         )
-
-    def exact(route: str | None) -> CodeParams:
-        if route is None:
-            raise ValueError(
-                f"no explicit construction route for {sorted(sig.m)} at genus {genus} "
-                f"({'orientable' if orientable else 'non-orientable'})"
-            )
-        cx = polygon_complex(route, genus, orientable)
-        counts = semiregular_counts_direct(sig, genus, orientable)
-        cells = (len(cx.vertices), len(cx.edges), len(cx.faces))
-        want = (counts.n_v, counts.n_e, counts.n_f)
-        if cells != want:
-            raise RuntimeError(
-                "explicit complex has V={}, E={}, F={}, counts say V={}, E={}, F={}"
-                .format(*cells, *want)
-            )
-        # The logical-count guarantee rides on the face colouring; an
-        # arbitrary proper edge colouring measurably destroys it (clipped
-        # two-face complexes settle at full rank), so only genuine
-        # colour-code tilings take the exact route.
-        schedule = three_color(cx)
-        result = run_schedule(schedule, 9)
-        if result.k_inst != k:
-            raise RuntimeError(
-                f"steady-state logical count {result.k_inst} disagrees with "
-                f"the genus rule k={k}"
-            )
-        d = exact_distance(schedule, result)
-        return CodeParams(tuple(sig.m), genus, orientable, n, k, d, "exact")
-
-    if d_mode == "geo":
-        return estimate()
-    if d_mode == "exact":
-        return exact(polygon_route(sig.m, genus, orientable))
-    if n > _EXACT_MAX_N:
-        return estimate()
-    route = polygon_route(sig.m, genus, orientable)
-    return exact(route) if route == "incenter" else estimate()
+    cx = polygon_complex("incenter", genus, orientable)
+    counts = semiregular_counts_direct(sig, genus, orientable)
+    cells = (len(cx.vertices), len(cx.edges), len(cx.faces))
+    want = (counts.n_v, counts.n_e, counts.n_f)
+    if cells != want:
+        raise RuntimeError(
+            "explicit complex has V={}, E={}, F={}, counts say V={}, E={}, F={}"
+            .format(*cells, *want)
+        )
+    # The logical-count guarantee rides on the face colouring; an arbitrary
+    # proper edge colouring measurably destroys it (clipped two-face
+    # complexes settle at full rank), so only genuine colour-code tilings
+    # take the exact route.
+    schedule = three_color(cx)
+    result = run_schedule(schedule, 9)
+    if result.k_inst != k:
+        raise RuntimeError(
+            f"steady-state logical count {result.k_inst} disagrees with "
+            f"the genus rule k={k}"
+        )
+    d = exact_distance(schedule, result)
+    return CodeParams(tuple(sig.m), genus, orientable, n, k, d, "exact")

@@ -553,10 +553,8 @@ def serialize(c: SurfaceComplex) -> dict:
 
 def _require_id(value: Any, where: str) -> None:
     """Vertex and edge ids are dictionary keys, so they must be hashable."""
-    try:
-        hash(value)
-    except TypeError:
-        raise SurfaceError(f"{where} must be a scalar id, got {value!r}") from None
+    if not _hashable(value):
+        raise SurfaceError(f"{where} must be a scalar id, got {value!r}")
 
 
 def deserialize(doc: dict | str) -> SurfaceComplex:

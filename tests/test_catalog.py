@@ -442,6 +442,13 @@ class TestEquivalence:
         assert entry["nonorientable"]["d_source"] == "exact"
         assert entry["orientable"]["d"] == entry["nonorientable"]["d"] == 2
 
+    def test_both_surfaces_take_the_same_distance_route(self):
+        # ``match`` compares d whole, which is sound only because both rows
+        # of a pair take the same route.
+        for h in (2, 3, 4):
+            for entry in equivalence_check(h).rows:
+                assert entry["orientable"]["d_source"] == entry["nonorientable"]["d_source"]
+
     def test_json_shape(self):
         doc = equivalence_check(2).as_json()
         assert doc["ok"] and doc["signatures_checked"] == 22

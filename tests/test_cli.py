@@ -224,6 +224,21 @@ class TestTable:
         )
         assert code == 0 and len(out.splitlines()) == 23
 
+    def test_every_mode_prints_a_table(self, capsys):
+        # Each --mode the parser offers has to succeed, so a mode that can
+        # only fail cannot be offered.
+        table = _build_parser()._subparsers._group_actions[0].choices["table"]
+        modes = next(a for a in table._actions if a.dest == "mode").choices
+        assert modes
+        for mode in modes:
+            for genus, orientable in (("2", "true"), ("3", "false")):
+                code, out, err = run(
+                    capsys, "table", "--genus", genus, "--orientable", orientable,
+                    "--mode", mode,
+                )
+                assert (code, err) == (0, "")
+                assert len(out.splitlines()) > 1
+
 
 class TestEquiv:
     def test_report(self, capsys):
@@ -251,6 +266,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["table", "--genus", "2", "--orientable", "yes"])
         assert exc.value.code == 2
+
+    def test_table_has_no_exact_mode(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--genus", "2", "--orientable", "true", "--mode", "exact"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'exact'" in capsys.readouterr().err
 
     def test_help_available_everywhere(self, capsys):
         for cmd in (["--help"], ["geom", "--help"], ["table", "--help"],

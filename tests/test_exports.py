@@ -41,12 +41,9 @@ def test_all_names_resolve(module):
 # every test and benchmark configuration has to account for.
 DEFAULTED = {
     "catalog.build_table.d_mode",
-    "catalog.build_table.orientable",
     "catalog.enumerate_signatures.m_max",
-    "catalog.enumerate_signatures.orientable",
     "cli.main.argv",
     "floquet.code_params.d_mode",
-    "floquet.code_params.orientable",
 }
 
 

@@ -1380,14 +1380,6 @@ class TestCodeParams:
         cp = code_params((8, 8, 8), 5, True)
         assert (cp.n, cp.k, cp.d) == (64, 10, 4)
 
-    def test_exact_mode_requires_route(self):
-        with pytest.raises(ValueError, match="route"):
-            code_params((6, 6, 8), 2, True, "exact")
-
-    def test_exact_mode_requires_tiling(self):
-        with pytest.raises(ValueError, match="color-code tiling"):
-            code_params((6, 12, 12), 3, False, "exact")
-
     def test_auto_raises_the_exact_route_errors(self, monkeypatch):
         # Auto takes the exact route on an incenter row with n <= 40 and
         # gives no estimate in place of its errors, BoundExceeded included.
@@ -1502,8 +1494,9 @@ class TestCodeParams:
             code_params((6, 6, 8), 2, False)
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError, match="d_mode"):
-            code_params((6, 6, 8), 2, True, "both")
+        for mode in ("both", "exact"):
+            with pytest.raises(ValueError, match="d_mode"):
+                code_params((6, 6, 8), 2, True, mode)
 
     def test_ratio_columns(self):
         cp = CodeParams((6, 6, 8), 3, False, 24, 3, 4, "geometric-estimate")
