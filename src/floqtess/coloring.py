@@ -76,9 +76,20 @@ class EdgeSchedule:
         object.__setattr__(self, "checks", {col: tuple(v) for col, v in checks.items()})
 
     def _check_proper(self) -> None:
-        """Raise unless each edge is R, G or B and no color repeats at a vertex."""
+        """Raise unless the coloring covers exactly the complex's edges (the
+        first uncolored edge, in edge order, is named before the first id
+        that is not an edge), each edge is R, G or B and no color repeats at
+        a vertex."""
+        edges = self.complex.edges
+        for e in edges:
+            if e.id not in self.edge_color:
+                raise ValueError(f"edge {e.id!r} has no color")
+        if len(self.edge_color) != len(edges):
+            ids = {e.id for e in edges}
+            extra = next(eid for eid in self.edge_color if eid not in ids)
+            raise ValueError(f"colored id {extra!r} is not an edge of the complex")
         seen: dict = {v: set() for v in self.complex.vertices}
-        for e in self.complex.edges:
+        for e in edges:
             color = self.edge_color[e.id]
             if color not in COLORS:
                 raise ValueError(f"edge {e.id!r} has unknown color {color!r}")
@@ -128,7 +139,8 @@ class ColorAssignment(EdgeSchedule):
         super().__post_init__()
 
     def _check_proper(self) -> None:
-        """Nothing to check: see the class docstring."""
+        """Nothing to check: every edge is colored from its two faces, and
+        properly, as the class docstring shows."""
 
 
 def _face_classes(c: SurfaceComplex) -> list[int] | None:

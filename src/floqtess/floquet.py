@@ -4,9 +4,9 @@ Measuring the three colour classes cyclically drives the instantaneous
 stabilizer group (ISG) into a period-3 steady state; the number of logical
 qubits is read off its rank and the code distance from a minimum-weight
 search over Paulis that commute with the ISG without belonging to it.
-The ISG is updated check by check on rows held in slots, with a
-pivot -> slot map and one slot mask per row bit; the search reads each
-letter's syndrome off those masks.
+The ISG is updated one measured round per kernel call, the round's checks
+in order, on rows held in slots, with a pivot -> slot map and one slot mask
+per row bit; the search reads each letter's syndrome off those masks.
 """
 
 from __future__ import annotations
@@ -44,16 +44,18 @@ def _pauli_row(n: int, letter: str, qubits) -> int:
     return row
 
 
-def _measure_step(rows: list, basis: dict, cols: list, c: int, hits: tuple, n: int) -> None:
-    """Measure check ``c`` on an echelon basis held in slots, in place.
+def _measure_round(rows: list, basis: dict, cols: list, checks: list, n: int) -> None:
+    """Measure one round's checks, in order, on an echelon basis held in
+    slots, in place.
 
     ``rows[s]`` is the row in slot ``s``, ``basis`` maps each pivot (top
     set bit) to the slot that holds it, and ``cols[j]`` is a mask over
     slots: bit ``s`` is bit ``j`` of ``rows[s]``.  A pivot can so move to
-    another slot without a column bit being rewritten.  ``hits`` are the
-    set bits of ``c`` with its halves swapped, ``(z << n) | x``: a row
-    anticommutes with ``c`` when it carries an odd number of them, so the
-    XOR of ``cols`` over them marks the rows that anticommute with ``c``.
+    another slot without a column bit being rewritten.  ``checks`` holds
+    ``(c, hits)`` pairs, ``hits`` the set bits of ``c`` with its halves
+    swapped, ``(z << n) | x``: a row anticommutes with ``c`` when it
+    carries an odd number of them, so the XOR of ``cols`` over them marks
+    the rows that anticommute with ``c``.
 
     Any anticommuting row may leave, since the new group is <c> plus the
     rows that commute with c whichever leaves.  The lighter (fewer set
@@ -69,80 +71,85 @@ def _measure_step(rows: list, basis: dict, cols: list, c: int, hits: tuple, n: i
     does not drop, and the new row commutes with every row.  A check costs
     its anticommuting rows, plus the bits of the row that leaves, plus the
     bits of the joined row; never the rank.
+
+    Every set-bit scan reads the top bit, which builds fewer ints than
+    isolating the lowest.  Their order is free: they only XOR, OR, or pick
+    the two least of distinct pivots.
     """
-    anti = 0
-    for j in hits:
-        anti ^= cols[j]
-    slot = len(rows)
-    if anti:
-        # The two lowest-pivot anticommuting rows: slot a, pivot pa below
-        # slot b, pivot pb (bit loops inlined: this is the hot path).
-        a = b = -1
-        pa = pb = 2 * n
-        m = anti
-        while m:
-            low = m & -m
-            s = low.bit_length() - 1
-            p = rows[s].bit_length() - 1
-            if p < pa:
-                a, pa, b, pb = s, p, a, pa
-            elif p < pb:
-                b, pb = s, p
-            m ^= low
-        g = rows[a]
-        del basis[pa]
-        if b >= 0 and rows[b].bit_count() < g.bit_count():
-            g = rows[b]
-            basis[pb] = a
-            slot = b
-        else:
-            slot = a
-        m = anti ^ (1 << slot)
-        while m:
-            low = m & -m
-            rows[low.bit_length() - 1] ^= g
-            m ^= low
-        # One XOR per bit of g adds g to the other anticommuting rows and
-        # clears the slot it leaves.
-        while g:
-            low = g & -g
-            cols[low.bit_length() - 1] ^= anti
-            g ^= low
-    while c:
-        top = c.bit_length() - 1
-        s = basis.get(top)
-        if s is None:
-            break
-        c ^= rows[s]
-        if c.bit_length() > top:
-            raise RuntimeError(f"pivot {top} maps to slot {s}, whose row has another top bit")
-    if not c:
+    swap = list(range(n, 2 * n)) + list(range(n))  # bit j's swapped-half bit
+    for c, hits in checks:
+        anti = 0
+        for j in hits:
+            anti ^= cols[j]
+        slot = len(rows)
         if anti:
-            raise RuntimeError("measurement lowered the rank")
-        return
-    new = 1 << slot
-    # The rows anticommuting with c are the XOR of cols over the bits of c
-    # with its halves swapped; the joining slot's bits are clear, so its bit
-    # is set only by the join in the same pass and is masked out of the test.
-    anti = 0
-    v = c
-    while v:
-        low = v & -v
-        j = low.bit_length() - 1
-        anti ^= cols[j + n if j < n else j - n]
-        cols[j] |= new
-        v ^= low
-    if anti & ~new:
-        raise RuntimeError("measurement broke commutativity")
-    basis[c.bit_length() - 1] = slot
-    if slot == len(rows):
-        rows.append(c)
-    else:
-        rows[slot] = c
+            # The two lowest-pivot anticommuting rows: slot a, pivot pa below
+            # slot b, pivot pb.  Pivots are distinct, so scan order is free.
+            a = b = -1
+            pa = pb = 2 * n
+            m = anti
+            while m:
+                s = m.bit_length() - 1
+                p = rows[s].bit_length() - 1
+                if p < pa:
+                    a, pa, b, pb = s, p, a, pa
+                elif p < pb:
+                    b, pb = s, p
+                m ^= 1 << s
+            g = rows[a]
+            del basis[pa]
+            if b >= 0 and rows[b].bit_count() < g.bit_count():
+                g = rows[b]
+                basis[pb] = a
+                slot = b
+            else:
+                slot = a
+            m = anti ^ (1 << slot)
+            while m:
+                s = m.bit_length() - 1
+                rows[s] ^= g
+                m ^= 1 << s
+            # One XOR per bit of g adds g to the other anticommuting rows and
+            # clears the slot it leaves.
+            while g:
+                j = g.bit_length() - 1
+                cols[j] ^= anti
+                g ^= 1 << j
+        while c:
+            top = c.bit_length() - 1
+            s = basis.get(top)
+            if s is None:
+                break
+            c ^= rows[s]
+            if c.bit_length() > top:
+                raise RuntimeError(f"pivot {top} maps to slot {s}, whose row has another top bit")
+        if not c:
+            if anti:
+                raise RuntimeError("measurement lowered the rank")
+            continue
+        new = 1 << slot
+        # The rows anticommuting with c are the XOR of cols over the bits of
+        # c with its halves swapped; the joining slot's bits are clear, so its
+        # bit is set only by the join in the same pass and is masked out of
+        # the test.
+        anti = 0
+        v = c
+        while v:
+            j = v.bit_length() - 1
+            anti ^= cols[swap[j]]
+            cols[j] |= new
+            v ^= 1 << j
+        if anti & ~new:
+            raise RuntimeError("measurement broke commutativity")
+        basis[c.bit_length() - 1] = slot
+        if slot == len(rows):
+            rows.append(c)
+        else:
+            rows[slot] = c
 
 
 def _canonical_rows(rows: list, basis: dict) -> tuple:
-    """The canonical rows of the slot basis of :func:`_measure_step`: pivots
+    """The canonical rows of the slot basis of :func:`_measure_round`: pivots
     (top set bits) strictly decreasing and no row carrying another row's
     pivot bit, so equal groups give equal tuples.  One pass over the pivots
     in ascending order: each row XORs in the already-canonical rows of the
@@ -153,10 +160,10 @@ def _canonical_rows(rows: list, basis: dict) -> tuple:
     for p in sorted(basis):
         v = rows[basis[p]]
         m = v & piv
-        while m:  # _bits inlined
-            low = m & -m
-            v ^= canonical[low.bit_length() - 1]
-            m ^= low
+        while m:  # _bits inlined, top bit first: the XORs commute
+            j = m.bit_length() - 1
+            v ^= canonical[j]
+            m ^= 1 << j
         canonical[p] = v
         piv |= 1 << p
     return tuple(reversed(canonical.values()))
@@ -167,7 +174,7 @@ class ScheduleResult:
     """Per-round ISG ranks with steady-state bookkeeping.
 
     ``phase_bases`` holds the slot states ``(rows, basis, cols)``, as
-    :func:`_measure_step` leaves them, of the three rounds before the steady
+    :func:`_measure_round` leaves them, of the three rounds before the steady
     round, or ``()`` when no steady state was reached.  Results compare by
     identity: field-wise equality would compare bases, not groups."""
 
@@ -187,12 +194,13 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
     groups.  Measuring a round maps a group to a group whatever basis
     represents it, so the period-3 cycle then repeats forever: the rounds
     after ``r`` are copied from the cycle, not measured.  Until then one
-    echelon basis is updated check by check by :func:`_measure_step`, its
-    rows in slots (``rows``), each pivot mapped to its slot (``basis``) and
-    each row bit to a mask of the slots that carry it (``cols``).  Its
-    lighter-row rule keeps rows round a face light: at n = 96 the leaving
-    rows carry 1256 bits over nine rounds, where always taking the lowest
-    pivot let the growing product of a face's checks leave, 5400 bits.
+    echelon basis is updated by :func:`_measure_round`, one call per
+    measured round, its rows in slots (``rows``), each pivot mapped to its
+    slot (``basis``) and each row bit to a mask of the slots that carry it
+    (``cols``).  Its lighter-row rule keeps rows round a face light: at
+    n = 96 the leaving rows carry 1256 bits over nine rounds, where always
+    taking the lowest pivot let the growing product of a face's checks
+    leave, 5400 bits.
 
     Each measured round keeps a copy of its slot state; the result holds
     those of the three steady phases, which share one logical count, read
@@ -226,8 +234,7 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
         if steady is not None:
             ranks.append(ranks[r - 3])
             continue
-        for c, hits in phase_checks[r % 3]:
-            _measure_step(rows, basis, cols, c, hits, n)
+        _measure_round(rows, basis, cols, phase_checks[r % 3], n)
         snapshots.append((rows[:], basis.copy(), cols[:]))
         ranks.append(len(basis))
         if r >= 3 and ranks[r] == ranks[r - 3]:
@@ -377,7 +384,7 @@ def exact_distance(schedule, result: ScheduleResult) -> int:
 
 def _residue(rows: list, basis: dict, v: int) -> int:
     """``v`` reduced through a slot state's pivot map under the step guard
-    of :func:`_measure_step`: 0 exactly when ``v`` lies in the group."""
+    of :func:`_measure_round`: 0 exactly when ``v`` lies in the group."""
     while v and (s := basis.get(top := v.bit_length() - 1)) is not None:
         v ^= rows[s]
         if v.bit_length() > top:
@@ -387,7 +394,7 @@ def _residue(rows: list, basis: dict, v: int) -> int:
 
 def _min_logical_weight(phases) -> int:
     """The search of :func:`exact_distance` over slot states
-    ``(rows, basis, cols)`` of :func:`_measure_step`, read as they are.
+    ``(rows, basis, cols)`` of :func:`_measure_round`, read as they are.
 
     Weight 1 needs no table: X on qubit q commutes with every row iff no
     row has z bit q, Z iff no row has x bit q, and Y iff every row has

@@ -530,6 +530,35 @@ class TestEdgeSchedule:
                 EdgeSchedule(complex=octagon_incenter, edge_color={**proper, **faults})
             assert str(info.value) == message
 
+    @staticmethod
+    def clip_o2_colouring():
+        cx = clip_complex(fundamental_polygon(2, True), 8, 8)
+        return cx, dict(edge_three_color(cx).edge_color)
+
+    def test_names_the_first_uncolored_edge(self):
+        # A colouring without edge A0 (the first edge) is named, not left to
+        # a KeyError; so is the first of two missing edges in edge order,
+        # before an improper colour on another edge.
+        cx, proper = self.clip_o2_colouring()
+        assert [e.id for e in cx.edges][:2] == ["A0", "A1"]
+        without_a0 = {eid: c for eid, c in proper.items() if eid != "A0"}
+        improper = {eid: "R" for eid in proper if eid not in ("A0", "A1")}
+        for edge_color in (without_a0, improper, {**without_a0, "bogus": "R"}):
+            with pytest.raises(ValueError) as info:
+                EdgeSchedule(complex=cx, edge_color=edge_color)
+            assert str(info.value) == "edge 'A0' has no color"
+
+    def test_names_a_colored_id_that_is_not_an_edge(self):
+        # An extra id made the schedule compare unequal to the proper one;
+        # it is refused before the properness scan.
+        cx, proper = self.clip_o2_colouring()
+        cases = [{**proper, "bogus": "R"}, {**proper, "bogus": "R", "A0": "X"}]
+        for edge_color in cases:
+            with pytest.raises(ValueError) as info:
+                EdgeSchedule(complex=cx, edge_color=edge_color)
+            assert str(info.value) == "colored id 'bogus' is not an edge of the complex"
+        assert EdgeSchedule(complex=cx, edge_color=proper) == edge_three_color(cx)
+
 
 class TestTrivalenceFault:
     """Both colourings and EdgeSchedule name the first trivalence fault in

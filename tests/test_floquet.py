@@ -25,7 +25,7 @@ from floqtess.floquet import (
     CodeParams,
     _LETTERS,
     _canonical_rows,
-    _measure_step,
+    _measure_round,
     _min_logical_weight,
     _pauli_row,
     _phase_tables,
@@ -387,7 +387,7 @@ class TestStabilizerGroup:
 
 class TestReduceRows:
     # _canonical_rows reads the canonical rows off an echelon basis held in
-    # slots, as _measure_step keeps it.
+    # slots, as _measure_round keeps it.
     @pytest.mark.parametrize("n", range(1, 25))
     def test_matches_reference(self, n):
         # Vectors in arbitrary order, brought to an echelon basis that is
@@ -436,17 +436,46 @@ def pivots(rows):
 
 
 def slot_state(rows, n):
-    """The slot state ``(rows, basis, cols)`` of :func:`_measure_step` for
+    """The slot state ``(rows, basis, cols)`` of :func:`_measure_round` for
     rows with distinct top bits, one row per slot in the order given."""
     rows = list(rows)
     return rows, pivots(rows), columns(rows, n)
 
 
+def with_hits(c, n):
+    """The kernel's ``(c, hits)`` pair of check ``c``, its swapped bits
+    found by a plain scan."""
+    return c, tuple(j for j in range(2 * n) if (swap_halves(c, n) >> j) & 1)
+
+
 def measure(state, c, n):
-    """Measure check ``c`` into the slot state with :func:`_measure_step`,
-    its swapped bits found by a plain scan."""
-    hits = tuple(j for j in range(2 * n) if (swap_halves(c, n) >> j) & 1)
-    _measure_step(*state, c, hits, n)
+    """Measure check ``c`` into the slot state with :func:`_measure_round`,
+    as a round of that one check."""
+    _measure_round(*state, [with_hits(c, n)], n)
+
+
+def spy_rounds(monkeypatch, step=None):
+    """Replace ``floquet._measure_round`` by a spy that records each call's
+    checks as one entry of the returned list, and replays them through the
+    real kernel one check per call.  When given, ``step(one, rows, basis,
+    cols, c, hits, n)`` stands in for each replayed check and must call
+    ``one(rows, basis, cols, c, hits, n)``, the one-check kernel call."""
+    rounds = []
+    kernel = floquet._measure_round
+
+    def one(rows, basis, cols, c, hits, n):
+        kernel(rows, basis, cols, [(c, hits)], n)
+
+    def spy(rows, basis, cols, checks, n):
+        rounds.append([c for c, _ in checks])
+        for c, hits in checks:
+            if step is None:
+                one(rows, basis, cols, c, hits, n)
+            else:
+                step(one, rows, basis, cols, c, hits, n)
+
+    monkeypatch.setattr(floquet, "_measure_round", spy)
+    return rounds
 
 
 def read_group(state, n):
@@ -458,7 +487,7 @@ def read_group(state, n):
 
 class TestMeasure:
     # Checks are measured into rows held in slots, with the pivot -> slot
-    # map in basis and the per-bit slot masks in cols, by _measure_step.
+    # map in basis and the per-bit slot masks in cols, by _measure_round.
     def test_new_commuting_check_joins(self):
         xx = _pauli_row(2, "X", (0, 1))
         state = slot_state((), 2)
@@ -627,6 +656,68 @@ class TestMeasure:
         with pytest.raises(RuntimeError, match="broke commutativity"):
             measure(bad, _pauli_row(3, "X", (2, 1)), 3)
 
+    @pytest.mark.parametrize("n", range(8, 25, 4))
+    def test_one_call_per_round_equals_one_per_check(self, n):
+        # A whole random check sequence measured in one call leaves the slot
+        # state that one call per check leaves, and the reference's group.
+        rng = random.Random(300 + n)
+        for _ in range(4):
+            checks = []
+            for _ in range(6 * n):
+                i, j = rng.sample(range(n), 2)
+                a, b = rng.choice("XYZ"), rng.choice("XYZ")
+                checks.append(with_hits(_pauli_row(n, a, (i,)) ^ _pauli_row(n, b, (j,)), n))
+            whole, single = slot_state((), n), slot_state((), n)
+            _measure_round(*whole, checks, n)
+            ref = StabilizerGroup(n)
+            for c, hits in checks:
+                _measure_round(*single, [(c, hits)], n)
+                ref = reference_measure(ref, c)
+            assert whole == single
+            rows, basis, cols = whole
+            assert basis == pivots(rows) and cols == columns(rows, n)
+            assert read_group(whole, n) == ref
+
+    @pytest.mark.parametrize(
+        "rows, swapped, check, match",
+        [
+            # X0 and X1 with their slots swapped in the pivot map.
+            ((_pauli_row(5, "X", (0,)), _pauli_row(5, "X", (1,))), True,
+             _pauli_row(5, "X", (0,)), "pivot 5 maps to slot 1, whose row has another top bit"),
+            # X0 and ZZ anticommute: dropping X0 for ZZ would lose a rank.
+            (reference_reduce_rows([_pauli_row(5, "X", (0,)), _pauli_row(5, "Z", (0, 1))]),
+             False, _pauli_row(5, "Z", (0, 1)), "measurement lowered the rank"),
+            # X2 Z0 and X0 anticommute; XX on qubits 2, 1 reduces to X1 Z0.
+            (reference_reduce_rows([_pauli_row(5, "X", (2,)) ^ _pauli_row(5, "Z", (0,)),
+                                    _pauli_row(5, "X", (0,))]),
+             False, _pauli_row(5, "X", (2, 1)), "measurement broke commutativity"),
+        ],
+        ids=["broken-pivot-map", "rank-drop", "broken-commutativity"],
+    )
+    def test_fault_met_in_a_round_raises_as_in_replay(self, rows, swapped, check, match):
+        # Two harmless checks on qubits 3 and 4 join first; the third check
+        # of the round meets the fault and raises what measuring the checks
+        # one call each raises.
+        n = 5
+        checks = [with_hits(c, n) for c in (
+            _pauli_row(n, "Z", (3, 4)), _pauli_row(n, "X", (3, 4)), check)]
+        messages = []
+        for calls in ([checks], [[c] for c in checks]):
+            state = slot_state(rows, n)
+            if swapped:
+                basis = state[1]
+                p0, p1 = (row.bit_length() - 1 for row in rows)
+                basis[p0], basis[p1] = basis[p1], basis[p0]
+            done = 0
+            with pytest.raises(RuntimeError) as info:
+                for round_checks in calls:
+                    _measure_round(*state, round_checks, n)
+                    done += len(round_checks)
+            assert done == (0 if len(calls) == 1 else 2)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0] == match
+
 
 class TestRunSchedule:
     def test_octagon_trajectory(self, octagon):
@@ -672,13 +763,12 @@ class TestRunSchedule:
     def count_checks(monkeypatch):
         """A list that gains one entry per check run_schedule measures."""
         calls = []
-        step = floquet._measure_step
 
-        def spy(*args):
+        def step(one, *args):
             calls.append(args[3])
-            step(*args)
+            one(*args)
 
-        monkeypatch.setattr(floquet, "_measure_step", spy)
+        spy_rounds(monkeypatch, step)
         return calls
 
     @staticmethod
@@ -689,11 +779,10 @@ class TestRunSchedule:
         lower pivot on a tie), every other anticommuting row gains it, and
         the pivots still map to the slots that hold them."""
         left = []
-        step = floquet._measure_step
 
-        def spy(rows, basis, cols, c, hits, n):
+        def step(one, rows, basis, cols, c, hits, n):
             before = list(rows)
-            step(rows, basis, cols, c, hits, n)
+            one(rows, basis, cols, c, hits, n)
             anti = sorted((r.bit_length(), s) for s, r in enumerate(before) if sympl(r, c, n))
             if anti:
                 out = min(anti[:2], key=lambda ps: (before[ps[1]].bit_count(), ps[0]))[1]
@@ -702,7 +791,7 @@ class TestRunSchedule:
                 left.append(g)
             assert basis == pivots(rows)
 
-        monkeypatch.setattr(floquet, "_measure_step", spy)
+        spy_rounds(monkeypatch, step)
         return left
 
     def test_leaving_rows_stay_light(self, genus12, monkeypatch):
@@ -727,6 +816,24 @@ class TestRunSchedule:
         ref = reference_run_schedule(assign, 9)
         assert result.ranks == tuple(g.rank for g in ref)
         assert steady_groups(result) == ref[3:6]
+
+    def test_kernel_called_once_per_measured_round(self, octagon, monkeypatch):
+        # One kernel call per measured round, with that round's checks in
+        # order: 7 calls at 9 rounds (steady at round 6), 6 uncertified.
+        _, assign, _ = octagon
+        n = 16
+        index = {v: i for i, v in enumerate(assign.complex.vertices)}
+        for rounds, calls in ((9, 7), (6, 6)):
+            measured = spy_rounds(monkeypatch)
+            run_schedule(assign, rounds)
+            assert len(measured) == calls
+            for r, checks in enumerate(measured):
+                letter = PAULI_OF[ROUND_COLOR[r % 3]][0]
+                assert checks == [
+                    _pauli_row(n, letter, (index[u], index[w]))
+                    for u, w in checks_for_round(assign, r)
+                ]
+            monkeypatch.undo()
 
     def test_long_run_measures_no_more(self, octagon, monkeypatch):
         _, assign, _ = octagon
@@ -794,15 +901,14 @@ class TestRunSchedule:
         # letter's row on its pair, with hits the swapped row's set bits.
         schedule, _ = _schedule_for(build())
         calls = []
-        step = floquet._measure_step
 
-        def spy(rows, basis, cols, c, hits, n):
+        def step(one, rows, basis, cols, c, hits, n):
             # Checked before the step, which may fail on wrong hits itself.
             assert sorted(hits) == list(floquet._bits(swap_halves(c, n)))
             calls.append(c)
-            step(rows, basis, cols, c, hits, n)
+            one(rows, basis, cols, c, hits, n)
 
-        monkeypatch.setattr(floquet, "_measure_step", spy)
+        spy_rounds(monkeypatch, step)
         result = run_schedule(schedule, 9)
         cx = schedule.complex
         n = len(cx.vertices)
