@@ -24,10 +24,12 @@ CSV_HEADER = (
 def default_m_max(chi: int) -> int:
     """Largest face size any admissible triple can carry at this chi.
 
-    A face of size m only exists when at least one whole copy fits:
-    n >= m (orientable rule; the merged-size rule needs n >= m/2 or m/3,
-    which is weaker still).  The loosest even triple is (4, 6, m), giving
-    n = 12|chi|*m/(m-12), and n >= m there forces m <= 12|chi| + 12.
+    Let m be a triple's largest size.  Held by one position, it needs
+    m | n under either rule, so n >= m; the loosest even triple is then
+    (4, 6, m), giving n = 12|chi|*m/(m-12), and n >= m forces
+    m <= 12|chi| + 12.  Held by two or three positions, it comes from
+    (a, m, m) or (m, m, m), which need 2n >= m or 3n >= m under the size
+    rule and so cap m at 8|chi| + 8 and 6|chi| + 6.
     """
     if chi >= 0:
         raise ValueError("hyperbolic surfaces have negative Euler characteristic")

@@ -309,7 +309,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {_module_of(exc)}: {exc}", file=sys.stderr)
         return 1
 

@@ -35,7 +35,6 @@ __all__ = [
     "ColorAssignment",
     "three_color",
     "edge_three_color",
-    "checks_for_round",
 ]
 
 COLORS = ("R", "G", "B")
@@ -162,7 +161,7 @@ def _face_classes(c: SurfaceComplex) -> list[int] | None:
     has three distinct faces, and nothing else is checked here.
     """
     fm = c.flag_map()
-    face, vertex, s0, rotations = fm.face, fm.vertex, fm.s0, fm.rotations
+    face, vertex, rotations = fm.face, fm.vertex, fm.rotations
     cls: list[int | None] = [None] * len(c.faces)
     seen = [False] * len(rotations)
     seen[0] = True
@@ -179,7 +178,7 @@ def _face_classes(c: SurfaceComplex) -> list[int] | None:
                 free ^= 1 << k
             else:
                 return None
-            w = vertex[s0[i]]
+            w = vertex[i ^ 1]
             if not seen[w]:
                 seen[w] = True
                 queue.append(w)
@@ -300,8 +299,3 @@ def edge_three_color(c: SurfaceComplex) -> EdgeSchedule:
     edge_color = {e.id: name[bit] for e, bit in zip(c.edges, color)}
     return EdgeSchedule(complex=c, edge_color=edge_color)
 
-
-def checks_for_round(schedule: EdgeSchedule, r: int) -> tuple:
-    """Qubit pairs of the checks measured at round r: green at r=3n, blue
-    at 3n+1, red at 3n+2."""
-    return schedule.checks[ROUND_COLOR[r % 3]]

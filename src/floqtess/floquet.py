@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import geodist
-from .coloring import PAULI_OF, ROUND_COLOR, checks_for_round, three_color
+from .coloring import PAULI_OF, ROUND_COLOR, three_color
 from .derive import (
     _admitted_vertex_count,
     polygon_complex,
@@ -215,11 +215,11 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
     # run from the letter's (x, z) bits: x on qubits a, b puts bits a, b in
     # the swapped row and z puts bits n + a, n + b there.
     phase_checks = []
-    for r in range(3):
-        lx, lz = _LETTERS[PAULI_OF[ROUND_COLOR[r]][0]]
+    for color in ROUND_COLOR:
+        lx, lz = _LETTERS[PAULI_OF[color][0]]
         unit = (lx << n) | lz
         checks = []
-        for u, w in checks_for_round(schedule, r):
+        for u, w in schedule.checks[color]:
             a, b = index[u], index[w]
             hits = ((a, b) if lx else ()) + ((n + a, n + b) if lz else ())
             checks.append(((unit << a) ^ (unit << b), hits))
@@ -396,24 +396,19 @@ def _min_logical_weight(phases) -> int:
     """The search of :func:`exact_distance` over slot states
     ``(rows, basis, cols)`` of :func:`_measure_round`, read as they are.
 
-    Weight 1 needs no table: X on qubit q commutes with every row iff no
-    row has z bit q, Z iff no row has x bit q, and Y iff every row has
-    x_q = z_q, whichever rows generate the group.  A phase's tables are
-    made when the search first reaches it at weight 2 or more.  Phases,
-    supports and letters are tried in the same order at every weight.
+    Weight 1 needs no table: a letter on qubit q commutes with every row
+    iff its syndrome over slots, read off ``cols`` as in
+    :func:`_phase_tables`, is 0.  A phase's tables are made when the search
+    first reaches it at weight 2 or more.  Phases, supports and letters are
+    tried in the same order at every weight.
     """
     n = len(phases[0][2]) // 2
-    mask = (1 << n) - 1
     ux, uy, uz = ((lx << n) | lz for lx, lz in _LETTERS.values())
-    for rows, basis, _ in phases:
-        acts = differs = 0
-        for row in rows:
-            acts |= row
-            differs |= row ^ (row >> n)
-        xs, zs, ys = acts >> n, acts & mask, differs & mask
-        for q in _bits(mask & ~(xs & ys & zs)):  # some letter commutes
-            for used, unit in ((zs, ux), (ys, uy), (xs, uz)):
-                if not used >> q & 1 and _residue(rows, basis, unit << q):
+    for rows, basis, cols in phases:
+        for q in range(n):
+            sx, sz = cols[q], cols[n + q]
+            for syndrome, unit in ((sx, ux), (sx ^ sz, uy), (sz, uz)):
+                if not syndrome and _residue(rows, basis, unit << q):
                     return 1
     tables = [None] * len(phases)
     for w in range(2, _EXACT_MAX_WEIGHT + 1):

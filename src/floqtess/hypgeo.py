@@ -126,23 +126,11 @@ class MetricProfile:
 
 
 def regular_edge_length(sig: RegularSig | tuple[int, int]) -> float:
-    """Edge length of the hyperbolic {p,q} tessellation.
-
-    Computed as 2*arccosh(cos(pi/p)/sin(pi/q)) and cross-checked against the
-    equivalent single-arccosh form
-    arccosh[(cos^2(pi/q) + cos(2pi/p)) / sin^2(pi/q)]; the two must agree to
-    1e-12 or an ArithmeticError is raised.
-    """
+    """Edge length of the hyperbolic {p,q} tessellation:
+    2*arccosh(cos(pi/p)/sin(pi/q))."""
     sig = _as_regular(sig)
     p, q = sig.p, sig.q
-    primary = 2.0 * math.acosh(math.cos(math.pi / p) / math.sin(math.pi / q))
-    sq = math.sin(math.pi / q)
-    alt = math.acosh((math.cos(math.pi / q) ** 2 + math.cos(2.0 * math.pi / p)) / sq**2)
-    if abs(primary - alt) > 1e-12 * max(1.0, primary):
-        raise ArithmeticError(
-            f"edge-length closed forms disagree for {{{p},{q}}}: {primary!r} vs {alt!r}"
-        )
-    return primary
+    return 2.0 * math.acosh(math.cos(math.pi / p) / math.sin(math.pi / q))
 
 
 def regular_apothem_circumradius(sig: RegularSig | tuple[int, int]) -> tuple[float, float]:
@@ -188,19 +176,6 @@ def _edge_eq(c: float, cosines: Sequence[float]) -> float:
     """Corner-angle equation residual at c = cosh(l/2): sum of half-angles - pi."""
     k1, k2, k3 = cosines
     return math.fsum((math.asin(k1 / c), math.asin(k2 / c), math.asin(k3 / c))) - math.pi
-
-
-def _edge_eq_slope(c: float, cosines: Sequence[float]) -> tuple[float, float]:
-    """``_edge_eq`` at c and its derivative in c, in one pass over the cosines."""
-    k1, k2, k3 = cosines
-    cc = c * c
-    angles = (math.asin(k1 / c), math.asin(k2 / c), math.asin(k3 / c))
-    slopes = (
-        k1 / (c * math.sqrt(cc - k1 * k1)),
-        k2 / (c * math.sqrt(cc - k2 * k2)),
-        k3 / (c * math.sqrt(cc - k3 * k3)),
-    )
-    return math.fsum(angles) - math.pi, -math.fsum(slopes)
 
 
 #: Half-width, in ulps of the closed-form root, of the window in which the
@@ -291,9 +266,15 @@ def semiregular_edge_length(sig: SemiRegularSig | Sequence[int]) -> float:
             break
     c = 0.5 * (lo + hi)
 
+    k1, k2, k3 = cosines
     for _ in range(2):
-        f, fp = _edge_eq_slope(c, cosines)
-        step = f / fp
+        cc = c * c
+        slopes = (
+            k1 / (c * math.sqrt(cc - k1 * k1)),
+            k2 / (c * math.sqrt(cc - k2 * k2)),
+            k3 / (c * math.sqrt(cc - k3 * k3)),
+        )
+        step = _edge_eq(c, cosines) / -math.fsum(slopes)
         if c - step > 1.0:
             c -= step
 

@@ -57,12 +57,14 @@ class _FlagMap:
     Flag ids are computed, not looked up: the flag at the tail (t = 0) or
     head (t = 1) of slot j as face f walks it is ``2 * (base[f] + j) + t``,
     where ``base[f]`` numbers the first slot of face f, so flag i lies on
-    face ``face[i >> 1]``.  The involutions (s0, s1, s2) are
+    face ``face[i >> 1]``.  The involutions are
 
     * ``sigma0``: swap the two ends of one slot, ``i ^ 1``,
     * ``sigma1``: step to the adjacent slot-end across a face corner,
     * ``sigma2``: cross to the other slot of the same edge, staying at the
       same intrinsic end of the edge; t flips when the slots disagree.
+
+    ``s1`` and ``s2`` hold sigma1 and sigma2 as arrays; sigma0 needs none.
 
     Vertices of the complex are the orbits of <sigma1, sigma2>; faces are the
     orbits of <sigma0, sigma1>; edges are the orbits of <sigma0, sigma2>.
@@ -87,8 +89,7 @@ class _FlagMap:
     and starting at it, so its length is the vertex's degree; ``vertex``
     maps every flag to its cycle; ``first`` maps an edge id to the tail
     flag of its first slot, and ``edge_faces`` to the faces of both slots.
-    Validation reads neither s0 nor edge_faces, so they are built on first
-    read."""
+    Validation never reads edge_faces, so it is built on first read."""
 
     def __init__(self, faces: Sequence[Sequence[Slot]]):
         self.faces = faces
@@ -164,14 +165,6 @@ class _FlagMap:
                     break
             rotations.append(rotation)
             reached += 2 * len(rotation)
-
-    @cached_property
-    def s0(self) -> list[int]:
-        n = len(self.s1)
-        s0 = [0] * n
-        s0[0::2] = range(1, n, 2)
-        s0[1::2] = range(0, n, 2)
-        return s0
 
     @cached_property
     def edge_faces(self) -> dict[Any, tuple[int, int]]:
@@ -513,8 +506,8 @@ def dual(c: SurfaceComplex) -> SurfaceComplex:
 def _certificate(c: SurfaceComplex) -> tuple:
     """Canonical encoding of the flag structure, invariant under relabeling."""
     fm = c.flag_map()
-    sigma = fm.s0, fm.s1, fm.s2
-    n = len(fm.s0)
+    n = len(fm.s1)
+    sigma = s0, s1, s2 = [i ^ 1 for i in range(n)], fm.s1, fm.s2
     best = None
     for start in range(n):
         order = [-1] * n
@@ -529,7 +522,7 @@ def _certificate(c: SurfaceComplex) -> tuple:
                     nxt += 1
                     queue.append(nb)
         by_label = sorted(range(n), key=order.__getitem__)
-        enc = tuple((order[fm.s0[i]], order[fm.s1[i]], order[fm.s2[i]]) for i in by_label)
+        enc = tuple((order[s0[i]], order[s1[i]], order[s2[i]]) for i in by_label)
         if best is None or enc < best:
             best = enc
     return (n, best)

@@ -524,11 +524,11 @@ def walk(fm: _FlagMap, start: int, steps: Sequence[int]) -> Iterator[tuple[int, 
     ``steps`` cyclically, until a whole word of steps ends at ``start``.
     No involution fixes a flag, so a walk by two of them goes once round
     one orbit."""
-    i, sigma = start, (fm.s0, fm.s1, fm.s2)
+    i, sigma = start, (None, fm.s1, fm.s2)
     while True:
         for k in steps:
             yield k, i
-            i = sigma[k][i]
+            i = sigma[k][i] if k else i ^ 1
         if i == start:
             return
 
@@ -552,8 +552,8 @@ def walk_clip_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
     vertices = tuple(f"e{i}.{t}" for i in range(len(c.edges)) for t in (0, 1))
     segments = [f"A{i}" for i in range(len(c.edges))]
     # The derived vertex of every flag, 2 * (source edge) + end.
-    vertex = [2 * eindex[eid] + end for eid, end in map(fm.end, range(len(fm.s0)))]
-    cuts = range(1, len(fm.s0), 2)  # the head flags, which lead sigma1
+    vertex = [2 * eindex[eid] + end for eid, end in map(fm.end, range(len(fm.s1)))]
+    cuts = range(1, len(fm.s1), 2)  # the head flags, which lead sigma1
     cut_names = ["B" + label for label in _slot_labels(fm)]
     table = (
         # leaving end 0 runs along the segment forwards
@@ -589,8 +589,8 @@ def walk_incenter_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
     vname = [f"f{label}.{t}" for label in labels for t in (0, 1)]
     # flags with t = k lead s_k; the flags on each edge's first slot lead s2
     leading = (
-        range(0, len(fm.s0), 2),
-        range(1, len(fm.s0), 2),
+        range(0, len(fm.s1), 2),
+        range(1, len(fm.s1), 2),
         [fm.flag(i, end) for i in firsts for end in (0, 1)],
     )
     names = (
@@ -598,7 +598,7 @@ def walk_incenter_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
         ["s1." + label for label in labels],
         [f"s2.{e}.{end}" for e in range(len(firsts)) for end in (0, 1)],
     )
-    sigma = fm.s0, fm.s1, fm.s2
+    sigma = [i ^ 1 for i in range(len(fm.s1))], fm.s1, fm.s2
     table = [_pair_names(sigma[k], leading[k], names[k]) for k in (0, 1, 2)]
     quads = [(i, (0, 2)) for i in firsts]
     return SurfaceComplex(

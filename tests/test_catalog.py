@@ -169,8 +169,14 @@ class TestEnumerateSignatures:
             assert reach * counts.n_v >= m[2]
             assert counts.n_f == sum(face_census(counts).values())
 
-    @pytest.mark.parametrize("genus, orientable", [(2, True), (7, True), (3, False), (12, False)])
+    @pytest.mark.parametrize(
+        "genus, orientable",
+        [(g, True) for g in range(2, 31)] + [(g, False) for g in range(3, 31)],
+    )
     def test_default_cap_loses_nothing(self, genus, orientable):
+        # The wide cap lies above the m3 loop's own bound at (4, 6),
+        # 6 (2 reach |chi| + 2), the largest over even pairs, so only the
+        # proven m3 bound stops the wide loops.
         chi = 2 - 2 * genus if orientable else 2 - genus
         wide = enumerate_signatures(genus, orientable, m_max=4 * default_m_max(chi))
         assert wide == enumerate_signatures(genus, orientable)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -76,6 +77,20 @@ class TestGeom:
         code, _, err = run(capsys, "geom", "--sig", "(6,6)")
         assert code == 1
         assert "unrecognized signature" in err
+
+    def test_huge_q_keeps_a_finite_edge_length(self, capsys):
+        code, out, err = run(capsys, "geom", "--sig", "{3,1%s}" % ("0" * 155))
+        assert code == 0 and not err
+        assert 0 < json.loads(out)["edge_length"] < math.inf
+
+    @pytest.mark.parametrize("sig", ["{3,1%s}", "[6,6,1%s]"], ids=["regular", "semiregular"])
+    def test_face_size_beyond_float_range_is_domain_error(self, sig):
+        cmd = [sys.executable, "-m", "floqtess.cli", "geom", "--sig", sig % ("0" * 400)]
+        done = subprocess.run(cmd, capture_output=True, text=True, cwd=PACKAGE_ROOT)
+        assert done.returncode == 1 and not done.stdout
+        assert done.stderr.startswith("error: floqtess.hypgeo:")
+        assert done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
 
 
 class TestComplexBuild:

@@ -15,7 +15,6 @@ from floqtess.coloring import (
     ColorAssignment,
     EdgeSchedule,
     NotColorCodeTiling,
-    checks_for_round,
     edge_three_color,
     three_color,
 )
@@ -393,19 +392,15 @@ class TestThreeColor:
 
 
 class TestChecksForRound:
-    def test_round_cycle(self, octagon_incenter):
-        assign = three_color(octagon_incenter)
+    def test_round_cycle(self):
+        assert ROUND_COLOR == ("G", "B", "R")
         assert [PAULI_OF[color] for color in ROUND_COLOR] == ["XX", "YY", "ZZ"]
-        assert checks_for_round(assign, 0) == assign.checks["G"]
-        assert checks_for_round(assign, 4) == assign.checks["B"]
-        assert checks_for_round(assign, 2) == assign.checks["R"]
-        assert checks_for_round(assign, 0) == checks_for_round(assign, 3)
 
     def test_union_of_one_period_is_all_edges(self, octagon_incenter):
         assign = three_color(octagon_incenter)
         seen = set()
-        for r in range(3):
-            for pair in checks_for_round(assign, r):
+        for color in ROUND_COLOR:
+            for pair in assign.checks[color]:
                 seen.add(frozenset(pair))
         assert len(seen) == len(octagon_incenter.edges)
 

@@ -297,7 +297,7 @@ class TestMultiFaceSources:
 # included.
 FLAG_MAP_FIELDS = (
     "faces", "base", "face", "edge", "rev", "first",
-    "s0", "s1", "s2", "rotations", "vertex", "edge_faces",
+    "s1", "s2", "rotations", "vertex", "edge_faces",
 )
 
 

@@ -14,7 +14,6 @@ from floqtess.cli import _schedule_for
 from floqtess.coloring import (
     PAULI_OF,
     ROUND_COLOR,
-    checks_for_round,
     edge_three_color,
     three_color,
 )
@@ -131,7 +130,7 @@ def reference_run_schedule(schedule, rounds):
     groups = []
     for r in range(rounds):
         letter = PAULI_OF[ROUND_COLOR[r % 3]][0]
-        for u, w in checks_for_round(schedule, r):
+        for u, w in schedule.checks[ROUND_COLOR[r % 3]]:
             group = reference_measure(group, _pauli_row(n, letter, (index[u], index[w])))
         groups.append(group)
     return tuple(groups)
@@ -831,7 +830,7 @@ class TestRunSchedule:
                 letter = PAULI_OF[ROUND_COLOR[r % 3]][0]
                 assert checks == [
                     _pauli_row(n, letter, (index[u], index[w]))
-                    for u, w in checks_for_round(assign, r)
+                    for u, w in assign.checks[ROUND_COLOR[r % 3]]
                 ]
             monkeypatch.undo()
 
@@ -916,7 +915,7 @@ class TestRunSchedule:
         expected = [
             _pauli_row(n, PAULI_OF[ROUND_COLOR[r % 3]][0], (index[u], index[w]))
             for r in range(result.steady_round + 1)
-            for u, w in checks_for_round(schedule, r)
+            for u, w in schedule.checks[ROUND_COLOR[r % 3]]
         ]
         assert calls == expected
 
@@ -1008,7 +1007,7 @@ class TestFaceStabilizers:
         checks = [
             _pauli_row(12, PAULI_OF[ROUND_COLOR[r]][0], (index[u], index[w]))
             for r in range(3)
-            for u, w in checks_for_round(assign, r)
+            for u, w in assign.checks[ROUND_COLOR[r % 3]]
         ]
         assert len(checks) == len(cx.edges)
         for f in range(len(cx.faces)):
@@ -1296,7 +1295,7 @@ class TestExactDistance:
     @pytest.mark.parametrize("make", [incenter_complex, clip_complex])
     def test_reads_only_what_its_first_support_needs(self, monkeypatch, make):
         # Both distances are 2, first hit on the first support of phase 0:
-        # weight 1 is read off row ORs, only phase 0 is made canonical, and
+        # weight 1 is read off the slot masks, only phase 0 is made canonical, and
         # only qubit 0's adjacency is read (the first support's other qubit
         # is a neighbour of 0, read off adj[0]).
         sched, _ = _schedule_for(make(fundamental_polygon(2, True), 8, 8))

@@ -155,12 +155,26 @@ class TestRegular:
         assert polygon_area((8, 3)) == pytest.approx(2 * math.pi / 3, abs=1e-12)
 
     def test_closed_forms_agree_everywhere(self):
-        # The function itself raises if the two published forms of the edge
-        # length drift past 1e-12; sweep all small hyperbolic signatures.
+        # The equivalent single-arccosh form of the edge length,
+        # arccosh[(cos^2(pi/q) + cos(2pi/p)) / sin^2(pi/q)], agrees to 1e-12
+        # on all small hyperbolic signatures.
         for p in range(3, 51):
             for q in range(3, 51):
                 if 1 / p + 1 / q < 0.5:
-                    assert regular_edge_length((p, q)) > 0
+                    length = regular_edge_length((p, q))
+                    sq = math.sin(math.pi / q)
+                    alt = math.acosh(
+                        (math.cos(math.pi / q) ** 2 + math.cos(2 * math.pi / p)) / sq**2
+                    )
+                    assert length > 0
+                    assert abs(length - alt) <= 1e-12 * max(1.0, length)
+
+    @pytest.mark.parametrize("q", [10**155, 10**300], ids=["1e155", "1e300"])
+    def test_edge_length_past_the_single_arccosh_range(self, q):
+        # sin^2(pi/q) overflows the single-arccosh form's quotient (10^155)
+        # or underflows to 0 (10^300); the primary form stays finite.
+        want = 2 * math.acosh(math.cos(math.pi / 3) / math.sin(math.pi / q))
+        assert regular_edge_length((3, q)) == want
 
 
 class TestSurfaceArea:
@@ -298,7 +312,6 @@ class TestEdgeLengthReplay:
             return wrapped
 
         monkeypatch.setattr(hypgeo, "_edge_eq", counted(hypgeo._edge_eq))
-        monkeypatch.setattr(hypgeo, "_edge_eq_slope", counted(hypgeo._edge_eq_slope))
         sigs = _table_signatures()
         for m in sigs:
             semiregular_edge_length(m)

@@ -175,7 +175,7 @@ class TestFlagMap:
         assert len(fm.rotations) == len(c.vertices)
         degree = c.vertex_degrees()
         at = set()
-        in_cycle = [0] * len(fm.s0)
+        in_cycle = [0] * len(fm.s1)
         for k, cyc in enumerate(fm.rotations):
             eid, end = fm.end(cyc[0])
             v = c.edge_by_id(eid).ends[end]
@@ -188,14 +188,14 @@ class TestFlagMap:
                 assert fm.vertex[psi] == fm.vertex[fm.s1[psi]] == k
                 in_cycle[psi] += 1
         assert at == set(c.vertices)
-        for i in range(len(fm.s0)):
+        for i in range(len(fm.s1)):
             assert in_cycle[i] + in_cycle[fm.s1[i]] == 1
 
     @pytest.mark.parametrize("derive", ["bare", "clip", "incenter"])
     def test_end_and_flag_are_inverse(self, derive):
         c = _derived(3, False, derive)
         fm = c.flag_map()
-        for i in range(len(fm.s0)):
+        for i in range(len(fm.s1)):
             f, j, t = corner(fm, i)
             assert 2 * (fm.base[f] + j) + t == i
             eid, end = fm.end(i)
@@ -203,7 +203,7 @@ class TestFlagMap:
             assert fm.flag(i, end) == i
             assert fm.flag(i ^ 1, end) == i
             assert fm.end(fm.s2[i]) == (eid, end)
-            assert fm.end(fm.s0[i]) == (eid, 1 - end)
+            assert fm.end(i ^ 1) == (eid, 1 - end)
         for eid, (f1, f2) in fm.edge_faces.items():
             assert [f for f, face in enumerate(c.faces) for e, _ in face if e == eid] == [f1, f2]
 
@@ -218,7 +218,7 @@ class TestFlagMap:
         for f, face in enumerate(c.faces):
             for j, (eid, _) in enumerate(face):
                 first.setdefault(eid, (f, j))
-        for i in range(len(fm.s0)):
+        for i in range(len(fm.s1)):
             f, j, t = corner(fm, i)
             assert (fm.s2[i] > i) == (first[c.faces[f][j][0]] == (f, j))
         assert fm.first == {eid: 2 * (fm.base[f] + j) for eid, (f, j) in first.items()}
@@ -237,7 +237,7 @@ class TestFlagMap:
             # walk's sigma2 steps: the orbit the dual's faces read.
             steps = list(walk(fm, rotation[0], (2, 1)))
             assert [i for k, i in steps if k == 2] == [rotation[0], *rotation[:0:-1]]
-        for i in range(len(fm.s0)):
+        for i in range(len(fm.s1)):
             steps = list(walk(fm, i, (0, 2)))
             assert [k for k, _ in steps] == [0, 2, 0, 2]
             assert {fm.end(j)[0] for _, j in steps} == {fm.end(i)[0]}
@@ -249,8 +249,7 @@ class TestFlagMap:
     @pytest.mark.parametrize("derive", ["bare", "clip", "incenter"])
     def test_validation_leaves_s0_and_edge_faces_unbuilt(self, derive):
         fm = _derived(3, False, derive).flag_map()
-        assert not {"s0", "edge_faces"} & vars(fm).keys()
-        assert fm.s0 == [i ^ 1 for i in range(len(fm.s1))]
+        assert "edge_faces" not in vars(fm)
         assert fm.edge_faces is fm.edge_faces
 
 
@@ -344,13 +343,14 @@ class TestFlagMapOracle:
     @staticmethod
     def assert_matches(fm, faces):
         ref = reference_flag_map(faces)
-        assert (fm.s0, fm.s1, fm.s2) == (ref.s0, ref.s1, ref.s2)
+        assert ref.s0 == [i ^ 1 for i in range(len(fm.s1))]
+        assert (fm.s1, fm.s2) == (ref.s1, ref.s2)
         assert fm.rotations == ref.rotations
         assert fm.vertex == ref.vertex
         assert list(fm.edge_faces.items()) == list(ref.edge_faces.items())
         assert fm.sweep() == ref.sweep
-        assert [corner(fm, i) for i in range(len(fm.s0))] == ref.flags
-        assert [fm.end(i) for i in range(len(fm.s0))] == list(map(ref.end, range(len(ref.flags))))
+        assert [corner(fm, i) for i in range(len(fm.s1))] == ref.flags
+        assert [fm.end(i) for i in range(len(fm.s1))] == list(map(ref.end, range(len(ref.flags))))
         assert fm.first == {eid: 2 * (fm.base[f] + j) for eid, (f, j) in ref.first.items()}
 
     @pytest.mark.parametrize("dualize", [False, True], ids=["complex", "dual"])
