@@ -7,6 +7,11 @@ computation (distance), per-genus parameter tables (table) and the
 orientable versus non-orientable genus-doubling check (equiv).  Output is
 deterministic: identical invocations print identical bytes.  Exit codes:
 0 success, 1 domain error, 2 usage error.
+
+``_COMMANDS`` declares each command once.  An invocation whose first word
+names a command is parsed by that command's parser alone, built once per
+process; everything else (help, a missing or unknown command, words left
+over) goes to the whole parser, so help and usage errors print its bytes.
 """
 
 from __future__ import annotations
@@ -55,9 +60,11 @@ def _module_of(exc: BaseException) -> str:
     name = "floqtess"
     tb = exc.__traceback__
     while tb is not None:
-        mod = tb.tb_frame.f_globals.get("__name__", "")
-        if mod.startswith("floqtess"):
-            name = mod
+        # The spec names the module also where ``__name__`` is
+        # ``"__main__"`` (``python -m floqtess.cli``).
+        spec = tb.tb_frame.f_globals.get("__spec__")
+        if spec is not None and spec.name.startswith("floqtess"):
+            name = spec.name
         tb = tb.tb_next
     return name
 
@@ -222,24 +229,15 @@ def cmd_equiv(args) -> int:
     return 0
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it as is."""
-    parser = argparse.ArgumentParser(
-        prog="floqtess",
-        description="Floquet codes from hyperbolic tessellations: "
-        "geometry, complexes, schedules, distances and tables.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("geom", help="metric profile of a tessellation signature")
+def _geom_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--sig", required=True,
         help="signature: regular {p,q} or semi-regular [m1,m2,m3]",
     )
     p.set_defaults(func=cmd_geom)
 
-    p = sub.add_parser("complex", help="construct surface complexes")
+
+def _complex_args(p: argparse.ArgumentParser) -> None:
     csub = p.add_subparsers(dest="action", required=True)
     b = csub.add_parser(
         "build", help="fundamental polygon, optionally clipped or subdivided"
@@ -255,11 +253,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     b.set_defaults(func=cmd_complex_build)
 
-    p = sub.add_parser("color", help="face 3-coloring and check list")
+
+def _color_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True, help="complex JSON file")
     p.set_defaults(func=cmd_color)
 
-    p = sub.add_parser("isg", help="measurement rounds and stabilizer ranks")
+
+def _isg_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True, help="complex JSON file")
     p.add_argument(
         "--rounds", type=int, default=9,
@@ -267,7 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_isg)
 
-    p = sub.add_parser("distance", help="code distance of a complex")
+
+def _distance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True, help="complex JSON file")
     p.add_argument(
         "--mode", choices=("exact", "geo"), required=True,
@@ -275,7 +276,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_distance)
 
-    p = sub.add_parser("table", help="[[n,k,d]] table over a genus range")
+
+def _table_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--genus", type=_genus_range, required=True,
         help="single genus G or inclusive range A..B",
@@ -295,18 +297,67 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser(
-        "equiv",
-        help="orientable genus H versus non-orientable genus 2H report",
-    )
+
+def _equiv_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--genus", type=int, required=True, help="orientable genus H")
     p.set_defaults(func=cmd_equiv)
 
+
+# Every command once, in help order: name -> (help text, the function that
+# adds its arguments and its ``func`` default to a parser).
+_COMMANDS = {
+    "geom": ("metric profile of a tessellation signature", _geom_args),
+    "complex": ("construct surface complexes", _complex_args),
+    "color": ("face 3-coloring and check list", _color_args),
+    "isg": ("measurement rounds and stabilizer ranks", _isg_args),
+    "distance": ("code distance of a complex", _distance_args),
+    "table": ("[[n,k,d]] table over a genus range", _table_args),
+    "equiv": (
+        "orientable genus H versus non-orientable genus 2H report", _equiv_args
+    ),
+}
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The whole parser, each command a subparser, built once per process;
+    parsing leaves it as is.  ``_parse`` hands it help, a missing or
+    unknown command and left-over words, so those print its bytes."""
+    parser = argparse.ArgumentParser(
+        prog="floqtess",
+        description="Floquet codes from hyperbolic tessellations: "
+        "geometry, complexes, schedules, distances and tables.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_args) in _COMMANDS.items():
+        add_args(sub.add_parser(name, help=text))
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """One command's parser, built once per process: the parser that
+    ``add_parser`` makes for it in the whole parser, built alone."""
+    parser = argparse.ArgumentParser(prog=f"floqtess {name}")
+    _COMMANDS[name][1](parser)
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The whole parser's namespace for argv, from the named command's
+    parser alone when argv[0] names a command and no word is left over.
+    That parser is the whole parser's subparser built alone, so its own
+    help and usage errors print the whole parser's bytes."""
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:

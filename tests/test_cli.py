@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -10,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import floqtess
-from floqtess import geodist
-from floqtess.cli import _build_parser, main
+from floqtess import cli, geodist
+from floqtess.cli import _build_parser, _module_of, main
 from floqtess.surface import deserialize
 from helpers import face_sizes
 
@@ -242,7 +243,7 @@ class TestTable:
     def test_every_mode_prints_a_table(self, capsys):
         # Each --mode the parser offers has to succeed, so a mode that can
         # only fail cannot be offered.
-        table = _build_parser()._subparsers._group_actions[0].choices["table"]
+        table = cli._command_parser("table")
         modes = next(a for a in table._actions if a.dest == "mode").choices
         assert modes
         for mode in modes:
@@ -456,6 +457,165 @@ class TestParserReuse:
         assert in_process == [fresh[0], fresh[1], fresh[1]]
         assert in_process[0][0] == 2 and in_process[1][0] == 0
         assert _build_parser() is _build_parser()
+
+
+def _whole_parser_main(argv) -> int:
+    """``main`` with every argv parsed by the whole parser."""
+    args = _build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
+        print(f"error: {_module_of(exc)}: {exc}", file=sys.stderr)
+        return 1
+
+
+def _outcome(capsys, call, argv):
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# Per command: its words, a valid call's options, the same with a bad value,
+# and with an abbreviated option.  "{in}" is the genus-2 incenter complex.
+COMMAND_CALLS = {
+    "geom": (["geom"], ["--sig", "{8,3}"], ["--sig", "(6,6)"], ["--si", "{8,3}"]),
+    "complex build": (
+        ["complex", "build"], ["--genus", "2", "--orientable", "true"],
+        ["--genus", "2", "--orientable", "maybe"], ["--gen", "2", "--orientable", "true"],
+    ),
+    "color": (["color"], ["--in", "{in}"], ["--in", "/nonexistent.json"], ["--i", "{in}"]),
+    "isg": (
+        ["isg"], ["--in", "{in}"], ["--in", "{in}", "--rounds", "x"],
+        ["--in", "{in}", "--rou", "6"],
+    ),
+    "distance": (
+        ["distance"], ["--in", "{in}", "--mode", "geo"],
+        ["--in", "{in}", "--mode", "fast"], ["--in", "{in}", "--mo", "geo"],
+    ),
+    "table": (
+        ["table"], ["--genus", "2", "--orientable", "true"],
+        ["--genus", "3..2", "--orientable", "true"], ["--gen", "2", "--orientable", "true"],
+    ),
+    "equiv": (["equiv"], ["--genus", "2"], ["--genus", "two"], ["--gen", "2"]),
+}
+
+
+def _command_grid():
+    for command, (words, valid, bad, abbreviated) in COMMAND_CALLS.items():
+        name = command.replace(" ", "-")
+        yield f"{name}-valid", words + valid
+        yield f"{name}-help", words + ["-h"]
+        yield f"{name}-bad-value", words + bad
+        yield f"{name}-missing", words
+        yield f"{name}-unknown-flag", words + valid + ["--bogus"]
+        yield f"{name}-leftover", words + valid + ["extra"]
+        yield f"{name}-dashdash-first", words + ["--"] + valid
+        yield f"{name}-dashdash-last", words + valid + ["--"]
+        yield f"{name}-abbreviated", words + abbreviated
+    yield "no-args", []
+    yield "help", ["--help"]
+    yield "unknown-command", ["bogus"]
+    yield "complex-alone", ["complex"]
+
+
+COMMAND_GRID = dict(_command_grid())
+
+
+class TestCommandParsers:
+    """``main`` parses with the named command's parser where it can; exit
+    codes and printed bytes must be those of the whole parser."""
+
+    @pytest.mark.parametrize("argv", COMMAND_GRID.values(), ids=COMMAND_GRID.keys())
+    def test_main_matches_the_whole_parser(self, capsys, monkeypatch, incenter2, argv):
+        # Usage text wraps at the terminal width; fix it for both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [incenter2 if a == "{in}" else a for a in argv]
+        got = _outcome(capsys, main, argv)
+        want = _outcome(capsys, _whole_parser_main, argv)
+        assert got == want
+
+    def test_fresh_processes_match(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in (COMMAND_GRID["table-valid"], COMMAND_GRID["table-leftover"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "floqtess.cli", *argv],
+                capture_output=True, text=True, cwd=PACKAGE_ROOT,
+            )
+            want = _outcome(capsys, _whole_parser_main, argv)
+            assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+    def test_namespace_is_the_whole_parsers(self, incenter2):
+        for argv in (["complex", "build", "--genus", "2", "--orientable", "true"],
+                     ["distance", "--in", incenter2, "--mode", "geo"],
+                     ["table", "--genus", "2..3", "--orientable", "false"]):
+            assert cli._parse(argv) == _build_parser().parse_args(argv)
+
+
+WHOLE_PARSER = [
+    "floqtess", "floqtess geom", "floqtess complex", "floqtess complex build",
+    "floqtess color", "floqtess isg", "floqtess distance", "floqtess table",
+    "floqtess equiv",
+]
+
+
+class TestParsersBuilt:
+    """The progs of the argparse parsers a call constructs, in order."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def recording_init(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            progs.append(parser.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+        cli._build_parser.cache_clear()
+        cli._command_parser.cache_clear()
+        yield progs
+        cli._build_parser.cache_clear()
+        cli._command_parser.cache_clear()
+
+    def test_a_command_builds_only_its_parser_once(self, built, capsys):
+        argv = ["table", "--genus", "2", "--orientable", "true"]
+        assert main(argv) == 0
+        assert built == ["floqtess table"]
+        assert main(argv) == 0
+        assert built == ["floqtess table"]
+
+    @pytest.mark.parametrize(
+        "argv, progs",
+        [(["--help"], WHOLE_PARSER),
+         (["table", "--genus", "2", "--orientable", "true", "extra"],
+          ["floqtess table", *WHOLE_PARSER])],
+        ids=["help", "leftover"],
+    )
+    def test_help_and_leftovers_build_the_whole_parser(self, built, capsys, argv, progs):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert built == progs
+
+
+class TestModuleName:
+    def test_python_m_names_the_module_as_main_does(self, capsys, tmp_path):
+        # Errors raised in cli.py's own frames: a complex with no uniform
+        # tri-valent vertex type, and a file that cannot be read.
+        _, out, _ = run(capsys, "complex", "build", "--genus", "2", "--orientable", "true")
+        polygon = tmp_path / "fp.json"
+        polygon.write_text(out)
+        for argv in (["distance", "--mode", "geo", "--in", str(polygon)],
+                     ["isg", "--in", "/nonexistent"]):
+            in_process = run(capsys, *argv)
+            proc = subprocess.run(
+                [sys.executable, "-m", "floqtess.cli", *argv],
+                capture_output=True, text=True, cwd=PACKAGE_ROOT,
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == in_process
+            assert in_process[2].startswith("error: floqtess.cli: ")
 
 
 class TestWithoutNumpy:
