@@ -69,11 +69,11 @@ def _chord_table(sig: SemiRegularSig) -> tuple:
     t_r: shortest chord across either non-red pivot face; t_gb: centre
     distance between the two non-red classes.  Both depend on the ordered
     triple alone (a SemiRegularSig hashes and compares as its ``m``), so a
-    table over many genera solves each signature's edge-length equation
-    once per process; 1024 entries hold the 338 distinct signatures of
-    genus <= 12 with room to spare.  The profile is read through this
-    module's binding of ``semiregular_profile``, so a wrapper put there
-    sees every real solve.
+    table over many genera works out each signature's edge length (the
+    closed form plus one Newton step) once per process; 1024 entries hold
+    the 338 distinct signatures of genus <= 12 with room to spare.  The
+    profile is read through this module's binding of
+    ``semiregular_profile``, so a wrapper put there sees every real solve.
     """
     a, m = semiregular_profile(sig).a, sig.m
     table = []

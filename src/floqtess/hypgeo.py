@@ -2,9 +2,10 @@
 
 Everything here is closed-form geometry at curvature -1: edge lengths,
 apothems, circumradii and face areas of the regular {p,q} tilings, the
-edge-length equation for semi-regular vertex types [m1, m2, m3] with three
-faces per vertex, distances between incenters of adjacent faces, and the
-systole of the closed surfaces the tilings live on.
+edge length of semi-regular vertex types [m1, m2, m3] with three faces per
+vertex (a triangle's circumdiameter, polished by one Newton step),
+distances between incenters of adjacent faces, and the systole of the
+closed surfaces the tilings live on.
 
 All functions are pure and operate in double precision; lengths are in
 natural units (curvature -1).
@@ -178,15 +179,11 @@ def _edge_eq(c: float, cosines: Sequence[float]) -> float:
     return math.fsum((math.asin(k1 / c), math.asin(k2 / c), math.asin(k3 / c))) - math.pi
 
 
-#: Half-width, in ulps of the closed-form root, of the window in which the
-#: bisection evaluates a midpoint's sign instead of reading it off the root.
-_SIGN_WINDOW_ULPS = 64
+def semiregular_edge_length(sig: SemiRegularSig | Sequence[int]) -> float:
+    """Common edge length of the tri-valent semi-regular tiling [m1, m2, m3].
 
-
-def _sign_window(cosines: Sequence[float]) -> tuple[float, float]:
-    """Bounds (below, above) on c outside which ``_edge_eq``'s sign is known.
-
-    At the root the half-angles theta_i = arcsin(k_i / c), k_i = cos(pi/m_i),
+    Solves pi = sum_i arcsin(k_i / c) for c = cosh(l/2), k_i = cos(pi/m_i),
+    in closed form.  At the root the half-angles theta_i = arcsin(k_i / c)
     sum to pi, so they are the angles of a Euclidean triangle.  By the law
     of sines, sin(theta_i) = k_i / c says that triangle has sides k_i and
     circumdiameter c, so c = 2 k1 k2 k3 / sqrt(P) with P Heron's product
@@ -196,87 +193,29 @@ def _sign_window(cosines: Sequence[float]) -> tuple[float, float]:
     so the triangle is acute once the squares of the two sides other than
     the longest sum to 1 or more.  They do when both are at least
     cos(pi/4); otherwise a 3 appears, hyperbolicity forces both its
-    partners to be at least 7, and 1/4 + cos^2(pi/7) > 1.
+    partners to be at least 7, and 1/4 + cos^2(pi/7) > 1.  The same bounds
+    give P > 0: any two sides sum to at least 1, more than the third.  And
+    c > 1: the residual is strictly decreasing in c and positive at c = 1,
+    where it is pi (1/2 - sum_i 1/m_i) > 0.
 
-    The bounds are r -/+ ``_SIGN_WINDOW_ULPS`` ulps of r, the rounded
-    closed form.  If P is not positive or r is not finite and above 1 (no
-    triangle, or no root past c = 1), they are -/+ inf, so no sign is known.
-    """
-    k1, k2, k3 = cosines
-    heron = (k1 + k2 + k3) * (k2 + k3 - k1) * (k1 + k3 - k2) * (k1 + k2 - k3)
-    if heron > 0.0:
-        c = 2.0 * k1 * k2 * k3 / math.sqrt(heron)
-        if 1.0 < c < math.inf:
-            window = _SIGN_WINDOW_ULPS * math.ulp(c)
-            return c - window, c + window
-    return -math.inf, math.inf
-
-
-def semiregular_edge_length(sig: SemiRegularSig | Sequence[int]) -> float:
-    """Common edge length of the tri-valent semi-regular tiling [m1, m2, m3].
-
-    Solves pi = sum_i arcsin(cos(pi/m_i) / cosh(l/2)) for l.  The left side
-    is strictly decreasing in c = cosh(l/2), so the root is bracketed on
-    [1, 1e6] and found by bisection down to 4 ulps, then polished with two
-    Newton steps.  The residual at the returned root is below 1e-10
-    (ArithmeticError otherwise, which would indicate a solver bug rather
-    than bad input).
-
-    The bisection takes about 70 midpoints, but only those near the root
-    need the residual.  ``_sign_window`` gives the root r in closed form.
-    A midpoint more than ``_SIGN_WINDOW_ULPS`` ulps below r counts as
-    positive and one as far above it as negative; only midpoints inside
-    that window are evaluated.  This replays the plain bisection's
-    decisions, so the result is the same float, bit for bit.  The exact
-    residual is monotone, so outside the window it is at least as large in
-    size as at the window's edges.  There it is the slope times 64 ulps,
-    many times the few rounding errors by which the computed residual can
-    stray (each rounding of k/c moves it by the slope times about an ulp),
-    so outside the window the computed sign is the exact one.  The tests
-    check the computed residual positive at r - window and negative at
-    r + window on every table signature and on random and extreme triples.
-    If there is no finite window, every midpoint is evaluated.
-
-    The 4-ulp stop test waits for the first evaluated midpoint.  Until
-    then lo is 1 or below the window and hi is 1e6 or above it, so hi - lo
-    exceeds 64 ulps of r, which are at least 64 ulps of lo: the test could
-    not fire.
+    One Newton step polishes the rounded closed form.  The residual at the
+    returned root is below 1e-10 (ArithmeticError otherwise, which would
+    indicate a solver bug rather than bad input).
     """
     sig = _as_semiregular(sig)
-    cosines = tuple(math.cos(math.pi / mi) for mi in sig.m)
-    below, above = _sign_window(cosines)
+    cosines = k1, k2, k3 = tuple(math.cos(math.pi / mi) for mi in sig.m)
+    heron = (k1 + k2 + k3) * (k2 + k3 - k1) * (k1 + k3 - k2) * (k1 + k2 - k3)
+    c = 2.0 * k1 * k2 * k3 / math.sqrt(heron)
 
-    lo, hi = 1.0, 1e6
-    evaluated = False
-    # Hyperbolicity makes the residual positive at c = 1 and negative at
-    # c = 1e6, strictly decreasing in between.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid < below:
-            lo = mid
-        elif mid > above:
-            hi = mid
-        else:
-            evaluated = True
-            if _edge_eq(mid, cosines) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        if evaluated and hi - lo <= 4.0 * math.ulp(lo):
-            break
-    c = 0.5 * (lo + hi)
-
-    k1, k2, k3 = cosines
-    for _ in range(2):
-        cc = c * c
-        slopes = (
-            k1 / (c * math.sqrt(cc - k1 * k1)),
-            k2 / (c * math.sqrt(cc - k2 * k2)),
-            k3 / (c * math.sqrt(cc - k3 * k3)),
-        )
-        step = _edge_eq(c, cosines) / -math.fsum(slopes)
-        if c - step > 1.0:
-            c -= step
+    cc = c * c
+    slopes = (
+        k1 / (c * math.sqrt(cc - k1 * k1)),
+        k2 / (c * math.sqrt(cc - k2 * k2)),
+        k3 / (c * math.sqrt(cc - k3 * k3)),
+    )
+    step = _edge_eq(c, cosines) / -math.fsum(slopes)
+    if c - step > 1.0:
+        c -= step
 
     residual = abs(_edge_eq(c, cosines))
     if residual >= EDGE_EQ_TOL:

@@ -51,6 +51,124 @@ def clip3_nonorientable(tmp_path, capsys):
     return str(path)
 
 
+# Exact `geom` stdout for the triples whose 12-digit output moves when the
+# edge-length solve takes no Newton step or two of them.
+_GEOM_PINS = {
+    "[4,6,16]": """\
+{
+  "signature": {
+    "kind": "semiregular",
+    "m": [
+      4,
+      6,
+      16
+    ]
+  },
+  "edge_length": 0.26951339085,
+  "apothems": [
+    0.133549537626,
+    0.229970382049,
+    0.630735922115
+  ],
+  "circumradii": [
+    0.190006703129,
+    0.267141081705,
+    0.646784834736
+  ],
+  "incenter_gaps": [
+    0.363519919675,
+    0.860706304164,
+    0.764285459741
+  ]
+}
+""",
+    "[6,16,16]": """\
+{
+  "signature": {
+    "kind": "semiregular",
+    "m": [
+      6,
+      16,
+      16
+    ]
+  },
+  "edge_length": 0.856392289846,
+  "apothems": [
+    0.652194716271,
+    1.45701769386,
+    1.45701769386
+  ],
+  "circumradii": [
+    0.796030078916,
+    1.55524340536,
+    1.55524340536
+  ],
+  "incenter_gaps": [
+    2.10921241013,
+    2.91403538772,
+    2.10921241013
+  ]
+}
+""",
+    "[3,8,25]": """\
+{
+  "signature": {
+    "kind": "semiregular",
+    "m": [
+      3,
+      8,
+      25
+    ]
+  },
+  "edge_length": 0.0623275305675,
+  "apothems": [
+    0.017985616226,
+    0.0751409088435,
+    0.244173240914
+  ],
+  "circumradii": [
+    0.0359828760462,
+    0.0813582414646,
+    0.246192963088
+  ],
+  "incenter_gaps": [
+    0.0931265250695,
+    0.319314149758,
+    0.26215885714
+  ]
+}
+""",
+    "[4,8,72]": """\
+{
+  "signature": {
+    "kind": "semiregular",
+    "m": [
+      4,
+      8,
+      72
+    ]
+  },
+  "edge_length": 0.551119385788,
+  "apothems": [
+    0.265654818493,
+    0.610316649766,
+    2.51715750187
+  ],
+  "circumradii": [
+    0.385064212877,
+    0.676440001412,
+    2.55512622692
+  ],
+  "incenter_gaps": [
+    0.875971468259,
+    3.12747415163,
+    2.78281232036
+  ]
+}
+""",
+}
+
+
 class TestGeom:
     def test_regular(self, capsys):
         code, out, _ = run(capsys, "geom", "--sig", "{8,3}")
@@ -68,6 +186,10 @@ class TestGeom:
         assert len(doc["apothems"]) == len(doc["circumradii"]) == 3
         # The gap across the octagon's edge equals the parent {8,3} edge.
         assert doc["incenter_gaps"][0] == pytest.approx(0.727039839351, abs=1e-11)
+
+    @pytest.mark.parametrize("sig", sorted(_GEOM_PINS))
+    def test_fragile_triples_keep_their_bytes(self, capsys, sig):
+        assert run(capsys, "geom", "--sig", sig) == (0, _GEOM_PINS[sig], "")
 
     def test_euclidean_triple_is_domain_error(self, capsys):
         code, out, err = run(capsys, "geom", "--sig", "[6,6,6]")

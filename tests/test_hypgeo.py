@@ -61,8 +61,8 @@ def _table_signatures() -> list[tuple[int, int, int]]:
 
 
 def reference_edge_length(m) -> float:
-    """The plain bisection ``semiregular_edge_length`` replays: every
-    midpoint's sign comes from evaluating the residual."""
+    """Oracle independent of the closed form: plain bisection of the
+    residual over [1, 1e6] down to 4 ulps, then two Newton steps."""
     cosines = [math.cos(math.pi / mi) for mi in SemiRegularSig(m).m]
 
     def residual(c):
@@ -225,8 +225,9 @@ class TestSemiRegular:
 
     @pytest.mark.parametrize("k", range(8, 101, 2))
     def test_uniform_triple_degenerates_to_regular(self, k):
+        # Both reduce to 2 acosh(2 cos(pi/k) / sqrt(3)).
         assert semiregular_edge_length([k, k, k]) == pytest.approx(
-            regular_edge_length((k, 3)), abs=1e-9
+            regular_edge_length((k, 3)), rel=1e-14
         )
 
     def test_euclidean_triple_rejected(self):
@@ -259,63 +260,64 @@ class TestSemiRegular:
 
 
 class TestEdgeLengthReplay:
-    """The window-guided bisection returns the plain bisection's float."""
+    """The closed form plus one Newton step reproduces the plain bisection's
+    root: to 1e-13 everywhere, and to the bit on the extremes."""
 
-    def test_bit_equal_on_table_signatures(self):
+    @staticmethod
+    def _agrees(m):
+        want = reference_edge_length(m)
+        assert semiregular_edge_length(m) == pytest.approx(want, rel=1e-13, abs=0), m
+
+    def test_agrees_with_bisection_on_table_signatures(self):
         sigs = _table_signatures()
         assert len(sigs) == 338
         for m in sigs:
-            assert semiregular_edge_length(m) == reference_edge_length(m), m
+            self._agrees(m)
 
-    def test_bit_equal_on_random_triples(self):
+    def test_agrees_with_bisection_on_random_triples(self):
         for m in _random_triples():
-            assert semiregular_edge_length(m) == reference_edge_length(m), m
+            self._agrees(m)
 
     @pytest.mark.parametrize("m", _EXTREMES)
     def test_bit_equal_on_extremes(self, m):
         assert semiregular_edge_length(m) == reference_edge_length(m)
 
-    def test_window_brackets_the_computed_sign_change(self):
-        # The replay's proof obligation: just outside the window the computed
-        # residual already has the sign read off the closed-form root.
+    def test_triangle_exists_is_acute_and_has_root_past_one(self):
+        # The closed form's proof obligations: P > 0 (a triangle), the two
+        # shorter sides' squares reach the longest's (acute, so the
+        # principal arcsin branch) and c > 1 (a real edge length).
         for m in _table_signatures() + _random_triples() + _EXTREMES:
-            cosines = [math.cos(math.pi / mi) for mi in m]
-            below, above = hypgeo._sign_window(cosines)
-            assert math.isfinite(below) and math.isfinite(above), m
-            assert hypgeo._edge_eq(below, cosines) > 0.0, m
-            assert hypgeo._edge_eq(above, cosines) < 0.0, m
+            k1, k2, k3 = sorted(math.cos(math.pi / mi) for mi in m)
+            heron = (k1 + k2 + k3) * (k2 + k3 - k1) * (k1 + k3 - k2) * (k1 + k2 - k3)
+            assert heron > 0.0, m
+            assert k1 * k1 + k2 * k2 >= k3 * k3, m
+            assert 2.0 * k1 * k2 * k3 / math.sqrt(heron) > 1.0, m
 
     def test_closed_form_root(self):
-        # The window is centred on the law-of-sines circumdiameter, exactly
-        # (both bounds are exact floats), which lies within 2 ulps of the
-        # 50-digit root.
-        below, above = hypgeo._sign_window([math.cos(math.pi / mi) for mi in (6, 6, 8)])
-        assert abs(0.5 * (below + above) - C_668) <= 2 * math.ulp(C_668)
-
-    def test_no_window_evaluates_every_midpoint(self, monkeypatch):
-        # No root past c = 1 (the triangle's circumdiameter is below 1), and
-        # no triangle at all (Heron's product is negative, so no sqrt of it).
-        assert hypgeo._sign_window([0.5, 0.9, 0.9]) == (-math.inf, math.inf)
-        assert hypgeo._sign_window([0.1, 0.1, 0.9]) == (-math.inf, math.inf)
-        monkeypatch.setattr(hypgeo, "_sign_window", lambda cosines: (-math.inf, math.inf))
-        for m in [(6, 6, 8), (4, 5, 21), (3, 7, 43)]:
-            assert semiregular_edge_length(m) == reference_edge_length(m)
+        # The 50-digit root, to within 2 ulps.
+        l = semiregular_edge_length([6, 6, 8])
+        assert abs(math.cosh(l / 2) - C_668) <= 2 * math.ulp(C_668)
 
     def test_few_residual_evaluations_per_solve(self, monkeypatch):
-        # The plain bisection takes about 75; the closed-form window about 9.
+        # One for the Newton step, one for the residual check.
         calls = []
+        edge_eq = hypgeo._edge_eq
 
-        def counted(fn):
-            def wrapped(*args):
-                calls.append(fn)
-                return fn(*args)
-            return wrapped
+        def counted(*args):
+            calls.append(args)
+            return edge_eq(*args)
 
-        monkeypatch.setattr(hypgeo, "_edge_eq", counted(hypgeo._edge_eq))
-        sigs = _table_signatures()
-        for m in sigs:
+        monkeypatch.setattr(hypgeo, "_edge_eq", counted)
+        for m in _table_signatures() + _EXTREMES:
+            calls.clear()
             semiregular_edge_length(m)
-        assert len(calls) / len(sigs) <= 10
+            assert len(calls) == 2, m
+
+    def test_bad_root_raises(self, monkeypatch):
+        monkeypatch.setattr(hypgeo, "_edge_eq", lambda c, cosines: 1.0)
+        message = r"solve for \[6, 6, 8\] left residual 1\.000e\+00"
+        with pytest.raises(ArithmeticError, match=message):
+            semiregular_edge_length([6, 6, 8])
 
 
 class TestIncenterChord:
