@@ -6,11 +6,13 @@ qubits is read off its rank and the code distance from a minimum-weight
 search over Paulis that commute with the ISG without belonging to it.
 The ISG is updated one measured round per kernel call, the round's checks
 in order, on rows held in slots, with a pivot -> slot map and one slot mask
-per row bit; the search reads each letter's syndrome off those masks.
-"""
+per row bit.  The search grows connected supports with their letterings,
+each letter's syndrome read off those masks; ``tests/reference.py`` keeps
+the search as first written."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import geodist
@@ -271,61 +273,10 @@ def _bits(mask: int):
         mask ^= low
 
 
-def connected_supports(adj, w: int):
-    """Yield every connected w-subset, as a sorted tuple, of the graph in
-    which vertex ``v`` has the neighbour bitmask ``adj[v]``.
-
-    Each subset grows from its least vertex through larger first-seen
-    vertices, never re-picking an earlier frontier vertex, so it comes out
-    once.  The last level adds frontier vertices without a neighbour scan.
-    A search that stops at its first hit never builds the other subsets.
-    """
-    if w == 1:
-        yield from ((v,) for v in range(len(adj)))
-        return
-
-    def grow(members, frontier, seen):
-        if len(members) == w - 1:
-            for u in _bits(frontier):
-                yield tuple(sorted(members + (u,)))
-            return
-        for u in _bits(frontier):
-            frontier ^= 1 << u
-            new = adj[u] & ~seen
-            yield from grow(members + (u,), frontier | new, seen | new)
-
-    for v0, nbrs in enumerate(adj):
-        below = (2 << v0) - 1  # v0 and the vertices before it
-        yield from grow((v0,), nbrs & ~below, nbrs | below)
-
-
-class _Lazy(dict):
-    """``[read(0), ..., read(size - 1)]``, each entry computed on first read."""
-
-    def __init__(self, read, size: int):
-        self.read, self.size = read, size
-
-    def __missing__(self, i):
-        value = self[i] = self.read(i)
-        return value
-
-    def __len__(self):
-        return self.size
-
-    def __iter__(self):
-        return map(self.__getitem__, range(self.size))
-
-
-def _phase_tables(rows: list, basis: dict, cols: list, n: int) -> tuple:
-    """The search's tables ``(syn, adj)`` of one slot state, built qubit by
-    qubit on first read: ``syn[q]``, the ``(syndrome, row)`` of X, Y and Z
-    on ``q``, over slots (X reads ``cols[q]``, Z ``cols[n + q]``, Y their
-    XOR); ``adj[q]``, the qubits sharing a canonical row with ``q``."""
+def _cosupport_graph(rows: list, basis: dict, n: int):
+    """``adj(q)``: the qubits sharing a canonical row with ``q``, as a
+    bitmask, computed on first call and cached."""
     canonical = _canonical_rows(rows, basis)
-    ux, uy, uz = ((lx << n) | lz for lx, lz in _LETTERS.values())
-
-    def letters(q):
-        return (cols[q], ux << q), (cols[q] ^ cols[n + q], uy << q), (cols[n + q], uz << q)
 
     def adjacent(q):
         on_q, a = ((1 << n) | 1) << q, 0
@@ -334,28 +285,46 @@ def _phase_tables(rows: list, basis: dict, cols: list, n: int) -> tuple:
                 a |= row
         return ((a >> n) | a) & ((1 << n) - 1) & ~(1 << q)
 
-    return _Lazy(letters, n), _Lazy(adjacent, n)
+    return functools.cache(adjacent)
 
 
-def _weight_hits(syn, supports):
-    """Yield the row ``(x << n) | z`` of each Pauli on one of ``supports``
-    that commutes with every row behind ``syn``.
+def _connected_logicals(adj, cols: list, n: int, w: int):
+    """Yield the row ``(x << n) | z`` of each weight-``w`` Pauli (w >= 2) on
+    a support connected in the graph ``adj`` that commutes with every row of
+    the slot state whose slot masks are ``cols``.
 
-    Every qubit of a support carries X, Y or Z (never identity), so each hit
-    has the weight ``w`` of its support.  A lettering commutes with all rows
-    iff its ``w`` syndromes XOR to zero: the 3^(w-1) letterings of all but
-    the last qubit are XOR-ed up once per support and matched against the
-    last qubit's three syndromes.
-    """
-    for sup in supports:
-        partial = [(0, 0)]
-        for q in sup[:-1]:
-            letters = syn[q]
-            partial = [(s ^ ls, r | lr) for s, r in partial for ls, lr in letters]
-        for ls, lr in syn[sup[-1]]:
-            for s, r in partial:
-                if s == ls:
-                    yield r | lr
+    Supports grow from their least qubit through larger first-seen qubits,
+    never re-picking an earlier frontier qubit, so each comes out once and
+    a search that stops at its first hit reads no adjacency past it.  A
+    prefix carries the ``(syndrome, row)`` of each of its letterings, built
+    once for every support that extends it; a letter's syndrome over slots
+    is read off ``cols`` (X ``cols[q]``, Z ``cols[n + q]``, Y their XOR).
+    A lettering commutes iff its syndromes XOR to zero: the last qubit's
+    letters are matched against the prefix's."""
+    ux, uy, uz = ((lx << n) | lz for lx, lz in _LETTERS.values())
+
+    def letters(q):
+        sx, sz = cols[q], cols[n + q]
+        return (sx, ux << q), (sx ^ sz, uy << q), (sz, uz << q)
+
+    def grow(partial, depth, frontier, seen):
+        if depth == w - 1:
+            for u in _bits(frontier):
+                for ls, lr in letters(u):
+                    for s, r in partial:
+                        if s == ls:
+                            yield r | lr
+            return
+        for u in _bits(frontier):
+            frontier ^= 1 << u
+            new = adj(u) & ~seen
+            extended = [(s ^ ls, r | lr) for s, r in partial for ls, lr in letters(u)]
+            yield from grow(extended, depth + 1, frontier | new, seen | new)
+
+    for v0 in range(n):
+        nbrs = adj(v0)
+        below = (2 << v0) - 1  # v0 and the qubits before it
+        yield from grow(letters(v0), 1, nbrs & ~below, nbrs | below)
 
 
 def exact_distance(schedule, result: ScheduleResult) -> int:
@@ -363,8 +332,9 @@ def exact_distance(schedule, result: ScheduleResult) -> int:
 
     From weight 2 on, each phase is searched only on supports connected in
     its co-support graph (qubits adjacent when a canonical row acts on
-    both).  The prune is exact: a minimum-weight logical split into parts
-    that no row links would leave a lighter part that is itself a logical.
+    both), grown with their Pauli letterings by :func:`_connected_logicals`.
+    The prune is exact: a minimum-weight logical split into parts that no
+    row links would leave a lighter part that is itself a logical.
     Raises ValueError when k = 0 or the run is unsteady, and BoundExceeded
     past ``_EXACT_MAX_N`` qubits or weight ``_EXACT_MAX_WEIGHT``.
     """
@@ -396,11 +366,12 @@ def _min_logical_weight(phases) -> int:
     """The search of :func:`exact_distance` over slot states
     ``(rows, basis, cols)`` of :func:`_measure_round`, read as they are.
 
-    Weight 1 needs no table: a letter on qubit q commutes with every row
-    iff its syndrome over slots, read off ``cols`` as in
-    :func:`_phase_tables`, is 0.  A phase's tables are made when the search
-    first reaches it at weight 2 or more.  Phases, supports and letters are
-    tried in the same order at every weight.
+    Weight 1 is a scan of ``cols``: a letter on qubit q commutes with every
+    row iff its syndrome over slots, read as in :func:`_connected_logicals`,
+    is 0.  From weight 2 on, a phase's co-support graph is made when the
+    search first reaches it, and :func:`_connected_logicals` yields its
+    commuting letterings of connected supports.  Phases, supports and
+    letters are tried in the same order at every weight.
     """
     n = len(phases[0][2]) // 2
     ux, uy, uz = ((lx << n) | lz for lx, lz in _LETTERS.values())
@@ -410,11 +381,11 @@ def _min_logical_weight(phases) -> int:
             for syndrome, unit in ((sx, ux), (sx ^ sz, uy), (sz, uz)):
                 if not syndrome and _residue(rows, basis, unit << q):
                     return 1
-    tables = [None] * len(phases)
+    graphs = [None] * len(phases)
     for w in range(2, _EXACT_MAX_WEIGHT + 1):
         for i, (rows, basis, cols) in enumerate(phases):
-            syn, adj = tables[i] = tables[i] or _phase_tables(rows, basis, cols, n)
-            for row in _weight_hits(syn, connected_supports(adj, w)):
+            adj = graphs[i] = graphs[i] or _cosupport_graph(rows, basis, n)
+            for row in _connected_logicals(adj, cols, n, w):
                 if _residue(rows, basis, row):
                     return w
     raise BoundExceeded(

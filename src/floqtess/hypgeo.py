@@ -34,22 +34,6 @@ __all__ = [
 EDGE_EQ_TOL = 1e-10
 
 
-def _curvature_class(excess: int) -> str:
-    """Classify a vertex by the sign of its integer angle excess.
-
-    The excess is 1/2 - (sum of 1/m over the faces at a vertex), scaled by
-    twice the product of the face sizes: pq - 2p - 2q for {p, q} and
-    m1 m2 m3 - 2(m1 m2 + m2 m3 + m1 m3) for [m1, m2, m3].  Returns
-    "hyperbolic", "euclidean" or "spherical" as it is positive, zero or
-    negative.
-    """
-    if excess > 0:
-        return "hyperbolic"
-    if excess == 0:
-        return "euclidean"
-    return "spherical"
-
-
 @dataclass(frozen=True)
 class RegularSig:
     """A regular tessellation {p, q}: p-gons, q around each vertex.
@@ -65,11 +49,12 @@ class RegularSig:
             raise TypeError("p and q must be integers")
         if self.p < 3 or self.q < 3:
             raise ValueError(f"{{{self.p},{self.q}}}: face size and valence must be >= 3")
-        cls = _curvature_class(self.p * self.q - 2 * (self.p + self.q))
-        if cls != "hyperbolic":
+        # The angle excess 1/2 - 1/p - 1/q, scaled by 2pq: hyperbolic iff > 0.
+        excess = self.p * self.q - 2 * (self.p + self.q)
+        if excess <= 0:
             raise ValueError(
-                f"{{{self.p},{self.q}}} is {cls.capitalize()}, not hyperbolic "
-                f"(need 1/p + 1/q < 1/2)"
+                f"{{{self.p},{self.q}}} is {'Euclidean' if excess == 0 else 'Spherical'}, "
+                f"not hyperbolic (need 1/p + 1/q < 1/2)"
             )
 
 
@@ -92,11 +77,12 @@ class SemiRegularSig:
         if any(x < 3 for x in m):
             raise ValueError(f"[{m[0]},{m[1]},{m[2]}]: face sizes must be >= 3")
         m1, m2, m3 = m
-        cls = _curvature_class(m1 * m2 * m3 - 2 * (m1 * m2 + m2 * m3 + m1 * m3))
-        if cls != "hyperbolic":
-            label = "Euclidean triple" if cls == "euclidean" else "spherical triple"
+        # The angle excess 1/2 - sum 1/m_i, scaled by 2 m1 m2 m3.
+        excess = m1 * m2 * m3 - 2 * (m1 * m2 + m2 * m3 + m1 * m3)
+        if excess <= 0:
+            label = "Euclidean" if excess == 0 else "spherical"
             raise ValueError(
-                f"[{m[0]},{m[1]},{m[2]}] is a {label} (need 1/m1 + 1/m2 + 1/m3 < 1/2)"
+                f"[{m[0]},{m[1]},{m[2]}] is a {label} triple (need 1/m1 + 1/m2 + 1/m3 < 1/2)"
             )
 
 

@@ -33,10 +33,13 @@ so equal groups compare equal; the tests compare the ISG run's steady
 phases, read off with ``floquet._canonical_rows``, against reference
 trajectories with it.  :func:`reference_min_logical_weight` is the exact
 distance search as it was first written, over such groups with the eager
-tables :func:`reference_syndromes` and :func:`reference_cosupport_graph`;
-the tests hold the pipeline's search, which reads the run's slot states
-and builds each table entry on first read, to the same distances and the
-same supports.
+tables :func:`reference_syndromes` and :func:`reference_cosupport_graph`,
+enumerating supports with :func:`connected_supports` and their letterings
+with :func:`_weight_hits`; :func:`_phase_tables` builds the same tables
+lazily off a run's slot state.  The tests hold the pipeline's search,
+which grows each support and its letterings in one generator over the
+run's slot states, to the same distances and the same first logical
+support.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from floqtess import floquet
 from floqtess.derive import DerivedCounts, _pair_names, _require_pq, _slot_labels
+from floqtess.floquet import _LETTERS, _bits, _canonical_rows
 from floqtess.geodist import estimate_distance
 from floqtess.hypgeo import RegularSig, SemiRegularSig, _check_genus
 from floqtess.surface import Edge, Slot, SurfaceComplex, SurfaceError, _FlagMap
@@ -856,10 +860,97 @@ def reference_cosupport_graph(rows: Sequence[int], n: int) -> list:
     return [a & ~(1 << q) for q, a in enumerate(adj)]
 
 
+def connected_supports(adj, w: int):
+    """Yield every connected w-subset, as a sorted tuple, of the graph in
+    which vertex ``v`` has the neighbour bitmask ``adj[v]``.
+
+    Each subset grows from its least vertex through larger first-seen
+    vertices, never re-picking an earlier frontier vertex, so it comes out
+    once.  The last level adds frontier vertices without a neighbour scan.
+    A search that stops at its first hit never builds the other subsets.
+    """
+    if w == 1:
+        yield from ((v,) for v in range(len(adj)))
+        return
+
+    def grow(members, frontier, seen):
+        if len(members) == w - 1:
+            for u in _bits(frontier):
+                yield tuple(sorted(members + (u,)))
+            return
+        for u in _bits(frontier):
+            frontier ^= 1 << u
+            new = adj[u] & ~seen
+            yield from grow(members + (u,), frontier | new, seen | new)
+
+    for v0, nbrs in enumerate(adj):
+        below = (2 << v0) - 1  # v0 and the vertices before it
+        yield from grow((v0,), nbrs & ~below, nbrs | below)
+
+
+class _Lazy(dict):
+    """``[read(0), ..., read(size - 1)]``, each entry computed on first read."""
+
+    def __init__(self, read, size: int):
+        self.read, self.size = read, size
+
+    def __missing__(self, i):
+        value = self[i] = self.read(i)
+        return value
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.size))
+
+
+def _phase_tables(rows: list, basis: dict, cols: list, n: int) -> tuple:
+    """The search's tables ``(syn, adj)`` of one slot state, built qubit by
+    qubit on first read: ``syn[q]``, the ``(syndrome, row)`` of X, Y and Z
+    on ``q``, over slots (X reads ``cols[q]``, Z ``cols[n + q]``, Y their
+    XOR); ``adj[q]``, the qubits sharing a canonical row with ``q``."""
+    canonical = _canonical_rows(rows, basis)
+    ux, uy, uz = ((lx << n) | lz for lx, lz in _LETTERS.values())
+
+    def letters(q):
+        return (cols[q], ux << q), (cols[q] ^ cols[n + q], uy << q), (cols[n + q], uz << q)
+
+    def adjacent(q):
+        on_q, a = ((1 << n) | 1) << q, 0
+        for row in canonical:
+            if row & on_q:
+                a |= row
+        return ((a >> n) | a) & ((1 << n) - 1) & ~(1 << q)
+
+    return _Lazy(letters, n), _Lazy(adjacent, n)
+
+
+def _weight_hits(syn, supports):
+    """Yield the row ``(x << n) | z`` of each Pauli on one of ``supports``
+    that commutes with every row behind ``syn``.
+
+    Every qubit of a support carries X, Y or Z (never identity), so each hit
+    has the weight ``w`` of its support.  A lettering commutes with all rows
+    iff its ``w`` syndromes XOR to zero: the 3^(w-1) letterings of all but
+    the last qubit are XOR-ed up once per support and matched against the
+    last qubit's three syndromes.
+    """
+    for sup in supports:
+        partial = [(0, 0)]
+        for q in sup[:-1]:
+            letters = syn[q]
+            partial = [(s ^ ls, r | lr) for s, r in partial for ls, lr in letters]
+        for ls, lr in syn[sup[-1]]:
+            for s, r in partial:
+                if s == ls:
+                    yield r | lr
+
+
 def reference_min_logical_weight(phases) -> int:
     """The exact distance search over :class:`StabilizerGroup` phases:
     weight 1 off row ORs, then each phase's tables built in full when the
-    search first reaches it, supports from ``floquet.connected_supports``
+    search first reaches it, supports from :func:`connected_supports`
     (looked up on each call) and membership by reduction against every
     canonical row."""
     for phase in phases:
@@ -884,7 +975,7 @@ def reference_min_logical_weight(phases) -> int:
                     reference_cosupport_graph(phase.rows, phase.n),
                 )
             syn, adj = tables[i]
-            for row in floquet._weight_hits(syn, floquet.connected_supports(adj, w)):
+            for row in _weight_hits(syn, connected_supports(adj, w)):
                 if reduce_vec(phase, row):
                     return w
     raise floquet.BoundExceeded(

@@ -126,6 +126,11 @@ M_MAX_VARIANTS = [
 
 
 class TestEnumerateSignatures:
+    def test_rejects_small_m_max(self):
+        with pytest.raises(ValueError) as info:
+            enumerate_signatures(2, True, 2)
+        assert str(info.value) == "m_max must be at least 4, got 2"
+
     @pytest.mark.parametrize("genus", [2, 3, 4, 5])
     def test_orientable_matches_reference_exactly(self, genus):
         sigs = enumerate_signatures(genus, True)

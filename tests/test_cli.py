@@ -196,6 +196,11 @@ class TestGeom:
         assert code == 1 and not out
         assert "floqtess.hypgeo" in err and "Euclidean triple" in err
 
+    def test_small_regular_signature_is_domain_error(self, capsys):
+        assert run(capsys, "geom", "--sig", "{2,5}") == (
+            1, "", "error: floqtess.hypgeo: {2,5}: face size and valence must be >= 3\n"
+        )
+
     def test_malformed_signature(self, capsys):
         code, _, err = run(capsys, "geom", "--sig", "(6,6)")
         assert code == 1
@@ -226,7 +231,7 @@ class TestComplexBuild:
         assert (len(cx.vertices), len(cx.edges), len(cx.faces)) == (1, 4, 1)
 
     def test_incenter_counts(self, capsys, incenter2):
-        cx = deserialize(open(incenter2).read())
+        cx = deserialize(Path(incenter2).read_text())
         assert len(cx.vertices) == 16
         assert sorted(set(face_sizes(cx))) == [4, 16]
 
@@ -462,6 +467,63 @@ class TestStdoutPinned:
             "d01f3bfe9d2520979ac07d79ae04fefbacdc0cbad08b81398c47d528afe39d08",
     }
 
+    # ``distance --mode exact`` on every complex ``complex build --derive``
+    # makes, orientable g = 2..12 and non-orientable g = 3..12: exit code,
+    # stdout sha256 and stderr.
+    EMPTY = hashlib.sha256(b"").hexdigest()
+    BOUND = (
+        "error: floqtess.floquet: n={} exceeds the exact-search bound 40; "
+        "use geometric estimator\n"
+    )
+    NO_LOGICAL = (
+        "error: floqtess.floquet: k = 0: every steady phase has full rank {}, "
+        "so no logical operator exists\n"
+    )
+    EXACT = {
+        (2, "true", "clip"): (0, "c82189de9324046282b7655e543c85df6ce8db2000d3766fc3fc53f5b586b13a", ""),
+        (2, "true", "incenter"): (0, "38b7e506283f5e1013562192c4ada8e773ffd41fe4c1318741051eac7ea7c08e", ""),
+        (3, "true", "clip"): (0, "aded3240d298553476facec48e85507fd0393bc09c5bdf103317ed1f1c1c4edd", ""),
+        (3, "true", "incenter"): (0, "e499dec62c84cdb15c8d6bde96707144088d5d70cbad5f126e4ee5a8dcda77c5", ""),
+        (4, "true", "clip"): (0, "0b399577f4e632111ae66250a215bd4574eea089ba7d7bb09e5ab4cc711012e9", ""),
+        (4, "true", "incenter"): (0, "2117d07bbd458c8105075b9fa5c797565986b13ad24b6dd4639e00529ae5fa7e", ""),
+        (5, "true", "clip"): (0, "d1a60e9f16e9e5672b2416676b6e75b93263b5c31abf472ae311575e5387572b", ""),
+        (5, "true", "incenter"): (0, "12f9dce23accdbfae77bf328a28b2d1289ef47fe1d011b7e38c5b340e611bdb4", ""),
+        (6, "true", "clip"): (0, "0f5df23eb5a8a7b0de54aa33d7ee1de45b435ac1449493ecb410a65d0ccb4bff", ""),
+        (6, "true", "incenter"): (1, EMPTY, BOUND.format(48)),
+        (7, "true", "clip"): (0, "49a09935897656129e22eb15c88f37fa7e4f220c71260a43f98129097b78bc6b", ""),
+        (7, "true", "incenter"): (1, EMPTY, BOUND.format(56)),
+        (8, "true", "clip"): (0, "8ea0e91c677fa6ba31446096274c3931fa9a30564c8207667e3e19061c24a34d", ""),
+        (8, "true", "incenter"): (1, EMPTY, BOUND.format(64)),
+        (9, "true", "clip"): (0, "ca3fa3ae76f1e3d17fa3a783c2c98b414b869285415834add2f2d4fa6b0f9530", ""),
+        (9, "true", "incenter"): (1, EMPTY, BOUND.format(72)),
+        (10, "true", "clip"): (0, "2085fb59ce97e25ded800ca0e55bca30bc13ae6dd869279a7cc4343a3ad0adb2", ""),
+        (10, "true", "incenter"): (1, EMPTY, BOUND.format(80)),
+        (11, "true", "clip"): (1, EMPTY, BOUND.format(44)),
+        (11, "true", "incenter"): (1, EMPTY, BOUND.format(88)),
+        (12, "true", "clip"): (1, EMPTY, BOUND.format(48)),
+        (12, "true", "incenter"): (1, EMPTY, BOUND.format(96)),
+        (3, "false", "clip"): (1, EMPTY, NO_LOGICAL.format(6)),
+        (3, "false", "incenter"): (0, "836291cf8ce25ef9d49415165aea4ed9e2afd75e07c77e685ea677051febfa96", ""),
+        (4, "false", "clip"): (1, EMPTY, NO_LOGICAL.format(8)),
+        (4, "false", "incenter"): (0, "38b7e506283f5e1013562192c4ada8e773ffd41fe4c1318741051eac7ea7c08e", ""),
+        (5, "false", "clip"): (1, EMPTY, NO_LOGICAL.format(10)),
+        (5, "false", "incenter"): (0, "49f40ab43ab6f76a26de7740dbc88347f378b4ba1717164f83c990cba8e84027", ""),
+        (6, "false", "clip"): (1, EMPTY, NO_LOGICAL.format(12)),
+        (6, "false", "incenter"): (0, "e499dec62c84cdb15c8d6bde96707144088d5d70cbad5f126e4ee5a8dcda77c5", ""),
+        (7, "false", "clip"): (1, EMPTY, NO_LOGICAL.format(14)),
+        (7, "false", "incenter"): (0, "a65f6403aec3abd6d6f23800f35c64fed61a418bfe4abeb3007492b4c2132dce", ""),
+        (8, "false", "clip"): (1, EMPTY, NO_LOGICAL.format(16)),
+        (8, "false", "incenter"): (0, "2117d07bbd458c8105075b9fa5c797565986b13ad24b6dd4639e00529ae5fa7e", ""),
+        (9, "false", "clip"): (1, EMPTY, NO_LOGICAL.format(18)),
+        (9, "false", "incenter"): (0, "c2822ba92a827a5e31159f35159f1206f7ec38ead4ecb2b9a17d9cd56ef55a11", ""),
+        (10, "false", "clip"): (1, EMPTY, NO_LOGICAL.format(20)),
+        (10, "false", "incenter"): (0, "12f9dce23accdbfae77bf328a28b2d1289ef47fe1d011b7e38c5b340e611bdb4", ""),
+        (11, "false", "clip"): (1, EMPTY, NO_LOGICAL.format(22)),
+        (11, "false", "incenter"): (1, EMPTY, BOUND.format(44)),
+        (12, "false", "clip"): (1, EMPTY, NO_LOGICAL.format(24)),
+        (12, "false", "incenter"): (1, EMPTY, BOUND.format(48)),
+    }
+
     @staticmethod
     def digest(capsys, *argv):
         code, out, _ = run(capsys, *argv)
@@ -484,6 +546,19 @@ class TestStdoutPinned:
     @pytest.mark.parametrize("argv", sorted(REPORTS), ids=_argv_id)
     def test_reports(self, capsys, argv):
         assert self.digest(capsys, *argv) == self.REPORTS[argv]
+
+    @pytest.mark.parametrize("key", sorted(EXACT, key=str), ids=_argv_id)
+    def test_distance_exact(self, capsys, tmp_path, key):
+        genus, orientable, derive = key
+        code, out, _ = run(
+            capsys, "complex", "build", "--genus", str(genus),
+            "--orientable", orientable, "--derive", derive,
+        )
+        assert code == 0
+        path = tmp_path / "cx.json"
+        path.write_text(out)
+        code, out, err = run(capsys, "distance", "--in", str(path), "--mode", "exact")
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == self.EXACT[key]
 
 
 class TestEstimateCachePinned:

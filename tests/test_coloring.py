@@ -246,6 +246,24 @@ class TestIsColorCodeTiling:
         with pytest.raises(NotColorCodeTiling, match="no proper 3-coloring"):
             three_color(honeycomb_torus(2))
 
+    def test_tetrahedron_rejected_on_odd_face(self):
+        # Tri-valent without loops, so the face-size test is the one reached.
+        cycles = [(0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)]
+        tetrahedron = SurfaceComplex(
+            orientable=True,
+            genus=0,
+            vertices=list(range(4)),
+            edges=[(f"{a}{b}", (a, b)) for a in range(4) for b in range(a + 1, 4)],
+            faces=[
+                tuple((f"{min(a, b)}{max(a, b)}", 1 if a < b else -1)
+                      for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+                for cyc in cycles
+            ],
+        )
+        with pytest.raises(NotColorCodeTiling) as info:
+            three_color(tetrahedron)
+        assert str(info.value) == "not a color-code tiling: face 0 has odd size 3"
+
 
 class TestAgainstReference:
     @pytest.mark.parametrize("orientable,g,derive", derived_complexes())
@@ -596,6 +614,19 @@ class TestTrivalenceFault:
 
 
 class TestColorAssignment:
+    @pytest.mark.parametrize(
+        "face_color, message",
+        [
+            (("R", "G", "B"), "one color per face required"),
+            (("R", "G", "B", "B", "B", "Y"), "face colors must be R, G or B"),
+        ],
+        ids=["too-few", "unknown-color"],
+    )
+    def test_rejects_malformed_face_colors(self, octagon_incenter, face_color, message):
+        with pytest.raises(ValueError) as info:
+            ColorAssignment(complex=octagon_incenter, face_color=face_color)
+        assert str(info.value) == message
+
     def test_rejects_equal_colors_across_an_edge(self, octagon_incenter):
         with pytest.raises(ValueError, match="share edge"):
             ColorAssignment(

@@ -153,6 +153,18 @@ class TestExplicitIncenter:
             assert got.orientable == src.orientable
             assert set(got.vertex_degrees().values()) == {3}
 
+    @pytest.mark.parametrize(
+        "p, q, message",
+        [
+            (6, 8, "source complex is not {6,8}: face sizes [8]"),
+            (8, 6, "source complex is not {8,6}: vertex degrees [8]"),
+        ],
+    )
+    def test_rejects_a_source_of_another_signature(self, p, q, message):
+        with pytest.raises(ValueError) as info:
+            incenter_complex(fundamental_polygon(2, True), p, q)
+        assert str(info.value) == message
+
     def test_face_order_groups_by_role(self):
         # 2p-gons first, then vertex 2q-gons, then edge quadrilaterals.
         src = fundamental_polygon(2, True)

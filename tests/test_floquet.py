@@ -27,10 +27,7 @@ from floqtess.floquet import (
     _measure_round,
     _min_logical_weight,
     _pauli_row,
-    _phase_tables,
-    _weight_hits,
     code_params,
-    connected_supports,
     exact_distance,
     face_stabilizer,
     run_schedule,
@@ -38,8 +35,12 @@ from floqtess.floquet import (
 from floqtess.hypgeo import SemiRegularSig
 from floqtess.surface import fundamental_polygon
 from helpers import reduce_vec, steady_groups, swap_halves, sympl
+import reference
 from reference import (
     StabilizerGroup,
+    _phase_tables,
+    _weight_hits,
+    connected_supports,
     reference_cosupport_graph,
     reference_min_logical_weight,
     reference_syndromes,
@@ -1045,42 +1046,43 @@ class TestCosupportGraph:
             _pauli_row(5, "Z", (2,)) ^ _pauli_row(5, "Y", (3,)),
         ]
         group = StabilizerGroup(5, reference_reduce_rows(gens))
-        _, adj = _phase_tables(*slot_state(group.rows, 5), 5)
-        assert list(adj) == [0b10, 0b1, 0b1000, 0b100, 0]
-        assert list(adj) == reference_cosupport_graph(group.rows, 5)
+        rows, basis, _ = slot_state(group.rows, 5)
+        adj = list(map(floquet._cosupport_graph(rows, basis, 5), range(5)))
+        assert adj == [0b10, 0b1, 0b1000, 0b100, 0]
+        assert adj == reference_cosupport_graph(group.rows, 5)
 
     def test_symmetric_without_loops(self, octagon):
         _, _, result = octagon
-        for state in result.phase_bases:
-            _, adj = _phase_tables(*state, result.n)
-            for q, a in enumerate(adj):
+        for rows, basis, _ in result.phase_bases:
+            adj = floquet._cosupport_graph(rows, basis, result.n)
+            for q in range(result.n):
+                a = adj(q)
                 assert not (a >> q) & 1
-                assert all((adj[r] >> q) & 1 for r in range(result.n) if (a >> r) & 1)
+                assert all((adj(r) >> q) & 1 for r in range(result.n) if (a >> r) & 1)
 
     @pytest.mark.parametrize("fix", ["hexagon_no", "octagon", "genus12"])
     def test_tables_match_the_oracles(self, fix, request):
         # Every qubit of every steady phase: adjacency read lazily off the
-        # canonical rows is the eager graph of those rows, and syndromes
-        # read off cols are the eager syndromes against the slot rows.
+        # canonical rows is the eager graph of those rows, and the oracle's
+        # lazy syndromes read off cols are the eager syndromes against the
+        # slot rows.
         _, _, result = request.getfixturevalue(fix)
         n = result.n
         for state, phase in zip(result.phase_bases, steady_groups(result)):
-            syn, adj = _phase_tables(*state, n)
-            assert len(adj) == len(syn) == n
-            assert [adj[q] for q in range(n)] == reference_cosupport_graph(phase.rows, n)
+            adj = floquet._cosupport_graph(*state[:2], n)
+            assert [adj(q) for q in range(n)] == reference_cosupport_graph(phase.rows, n)
+            syn, lazy_adj = _phase_tables(*state, n)
+            assert len(lazy_adj) == len(syn) == n
             assert [syn[q] for q in range(n)] == reference_syndromes(state[0], n)
-            assert list(adj) == [adj[q] for q in range(n)]
+            assert list(lazy_adj) == reference_cosupport_graph(phase.rows, n)
 
     def test_tables_are_read_lazily(self, octagon):
         # An entry is computed on its first read and kept.
         _, _, result = octagon
-        syn, adj = _phase_tables(*result.phase_bases[0], result.n)
-        reads = []
-        for table in (syn, adj):
-            read = table.read
-            table.read = lambda q, read=read: reads.append(q) or read(q)
-        assert adj[3] == adj[3] and syn[5] == syn[5] and adj[3] == adj[3]
-        assert reads == [3, 5]
+        adj = floquet._cosupport_graph(*result.phase_bases[0][:2], result.n)
+        assert adj.cache_info().misses == 0
+        assert adj(3) == adj(3) and adj(5) == adj(5) and adj(3) == adj(3)
+        assert adj.cache_info().misses == 2
 
 
 class TestConnectedSupports:
@@ -1110,25 +1112,42 @@ class TestConnectedSupports:
 
     @pytest.mark.parametrize("w", [2, 3, 4])
     def test_supports_are_lazy(self, w):
-        # The search stops at its first logical, so the first support must
-        # come out before any start vertex past the first is read.
+        # The search stops at its first logical, so the first row must come
+        # out having read only the adjacency its support grew through: with
+        # all-zero slot masks every lettering commutes, and the first is X
+        # on qubits 0..w-1, grown through 0..w-2.
         n = 8
         path = [0] * n
         for v in range(n - 1):
             path[v] |= 1 << (v + 1)
             path[v + 1] |= 1 << v
+        reads = []
 
-        class Guarded(list):
-            def __iter__(self):
-                yield self[0]
-                raise AssertionError("read a start vertex past the first support")
+        def adj(q):
+            reads.append(q)
+            return path[q]
 
-        assert next(connected_supports(Guarded(path), w)) == tuple(range(w))
+        first = next(floquet._connected_logicals(adj, [0] * (2 * n), n, w))
+        assert first == _pauli_row(n, "X", range(w))
+        assert reads == list(range(w - 1))
 
 
 def reference_rows(hits, n):
     """The hits ``(cx, cz)`` of :func:`reference_search` as sorted rows."""
     return sorted((cx << n) | cz for cx, cz in hits)
+
+
+def assert_connected_logicals(state, phase, top):
+    """``floquet._connected_logicals`` on the slot state of ``phase`` yields,
+    at each weight 2..top (at most n), the rows :func:`reference_search`
+    finds on the oracle's connected supports, each of that weight."""
+    n = phase.n
+    adj = floquet._cosupport_graph(*state[:2], n)
+    for w in range(2, min(top, n) + 1):
+        hits = sorted(floquet._connected_logicals(adj, state[2], n, w))
+        sups = list(connected_supports(reference_cosupport_graph(phase.rows, n), w))
+        assert hits == reference_rows(reference_search(*split_rows(phase), sups, w), n)
+        assert all(weight(row, n) == w for row in hits)
 
 
 class TestKernels:
@@ -1139,18 +1158,21 @@ class TestKernels:
     @pytest.mark.parametrize("rule", ["subsets", "connected"])
     @pytest.mark.parametrize("fix", ["hexagon_no", "octagon", "genus12"])
     def test_hits_agree_with_reference(self, fix, rule, request):
+        # "subsets": the oracle's kernel over every support; "connected":
+        # the search's generator against the loop reference over the
+        # oracle's connected supports, every row of weight w.
         _, _, result = request.getfixturevalue(fix)
         pairs = list(zip(result.phase_bases, steady_groups(result)))
         for state, phase in pairs[:1] if rule == "subsets" else pairs:
-            syn, adj = _phase_tables(*state, phase.n)
-            for w in range(1, self.TOP_WEIGHT[fix] + 1):
-                if rule == "subsets":
+            if rule == "subsets":
+                syn, _ = _phase_tables(*state, phase.n)
+                for w in range(1, self.TOP_WEIGHT[fix] + 1):
                     sups = list(combinations(range(phase.n), w))
-                else:
-                    sups = list(connected_supports(adj, w))
-                assert sorted(_weight_hits(syn, sups)) == reference_rows(
-                    reference_search(*split_rows(phase), sups, w), phase.n
-                )
+                    assert sorted(_weight_hits(syn, sups)) == reference_rows(
+                        reference_search(*split_rows(phase), sups, w), phase.n
+                    )
+            else:
+                assert_connected_logicals(state, phase, self.TOP_WEIGHT[fix])
 
     def test_syndromes_match_symplectic_product(self, genus12):
         _, _, result = genus12
@@ -1297,10 +1319,10 @@ class TestExactDistance:
         # Both distances are 2, first hit on the first support of phase 0:
         # weight 1 is read off the slot masks, only phase 0 is made canonical, and
         # only qubit 0's adjacency is read (the first support's other qubit
-        # is a neighbour of 0, read off adj[0]).
+        # is a neighbour of 0, read off adj(0)).
         sched, _ = _schedule_for(make(fundamental_polygon(2, True), 8, 8))
         result = run_schedule(sched, 9)
-        canonical, tables = floquet._canonical_rows, floquet._phase_tables
+        canonical, graph = floquet._canonical_rows, floquet._cosupport_graph
         passes, adjacency = [], []
 
         def count_passes(rows, basis):
@@ -1308,13 +1330,11 @@ class TestExactDistance:
             return canonical(rows, basis)
 
         def watch_adjacency(*state):
-            syn, adj = tables(*state)
-            read = adj.read
-            adj.read = lambda q: adjacency.append(q) or read(q)
-            return syn, adj
+            adj = graph(*state)
+            return lambda q: adjacency.append(q) or adj(q)
 
         monkeypatch.setattr(floquet, "_canonical_rows", count_passes)
-        monkeypatch.setattr(floquet, "_phase_tables", watch_adjacency)
+        monkeypatch.setattr(floquet, "_cosupport_graph", watch_adjacency)
         assert exact_distance(sched, result) == 2
         assert len(passes) == 1 and adjacency == [0]
 
@@ -1365,6 +1385,7 @@ class TestExactDistance:
             state = slot_state(group.rows, group.n)
             assert _min_logical_weight((state,)) == exhaustive_distance((group,)) == d
             assert reference_min_logical_weight((group,)) == d
+            assert_connected_logicals(state, group, 5)
 
     def test_bound_signal(self, genus12):
         _, assign, result = genus12
@@ -1404,10 +1425,11 @@ class TestExactDistance:
 
 
 def consumed_supports(monkeypatch) -> list:
-    """Spy on ``floquet.connected_supports``: the returned list gets each
-    call's weight, then every support as the caller takes it."""
+    """Spy on the oracle's ``reference.connected_supports``: the returned
+    list gets each call's weight, then every support as the caller takes
+    it."""
     consumed = []
-    real = floquet.connected_supports
+    real = reference.connected_supports
 
     def spy(adj, w):
         consumed.append(w)
@@ -1415,8 +1437,24 @@ def consumed_supports(monkeypatch) -> list:
             consumed.append(sup)
             yield sup
 
-    monkeypatch.setattr(floquet, "connected_supports", spy)
+    monkeypatch.setattr(reference, "connected_supports", spy)
     return consumed
+
+
+def found_logicals(monkeypatch) -> list:
+    """Spy on ``floquet._residue``: the returned list gets every row the
+    search finds outside the group."""
+    found = []
+    real = floquet._residue
+
+    def spy(rows, basis, v):
+        residue = real(rows, basis, v)
+        if residue:
+            found.append(v)
+        return residue
+
+    monkeypatch.setattr(floquet, "_residue", spy)
+    return found
 
 
 # The cases the exact search takes on (n <= 40, k > 0).
@@ -1431,7 +1469,8 @@ SEARCHED = {
 
 class TestSearchOracle:
     # The search over the run's slot states against the search as first
-    # written, over canonical groups with eager tables.
+    # written, over canonical groups with eager tables: both stop on the
+    # same support.
 
     @pytest.mark.parametrize(
         "build",
@@ -1447,13 +1486,13 @@ class TestSearchOracle:
             with pytest.raises(ValueError, match="exact-search bound|k = 0"):
                 exact_distance(schedule, result)
             return
-        consumed = consumed_supports(monkeypatch)
+        found = found_logicals(monkeypatch)
         d = exact_distance(schedule, result)
-        fast = consumed[:]
-        consumed.clear()
+        consumed = consumed_supports(monkeypatch)
         assert reference_min_logical_weight(steady_groups(result)) == d
-        assert consumed == fast
         assert d == (4 if case.startswith("honeycomb") else 2)
+        first, n = found[0], result.n
+        assert set(floquet._bits(((first >> n) | first) & ((1 << n) - 1))) == set(consumed[-1])
 
 
 class TestCodeParams:
@@ -1484,6 +1523,11 @@ class TestCodeParams:
     def test_scaling_example(self):
         cp = code_params((8, 8, 8), 5, True)
         assert (cp.n, cp.k, cp.d) == (64, 10, 4)
+
+    def test_rejects_a_float_genus(self):
+        with pytest.raises(TypeError) as info:
+            code_params((6, 6, 8), 2.0, True)
+        assert str(info.value) == "genus must be an integer"
 
     def test_auto_raises_the_exact_route_errors(self, monkeypatch):
         # Auto takes the exact route on an incenter row with n <= 40 and

@@ -321,6 +321,18 @@ class TestEdgeLengthReplay:
 
 
 class TestIncenterChord:
+    @pytest.mark.parametrize(
+        "A, m, message",
+        [
+            (0.0, 6, "incenter gap must be positive"),
+            (1.0, 2, "face size must be an integer >= 3"),
+        ],
+    )
+    def test_rejected(self, A, m, message):
+        with pytest.raises(ValueError) as info:
+            incenter_chord(A, m)
+        assert str(info.value) == message
+
     def test_square_route_doubles(self):
         rng = random.Random(7)
         for _ in range(200):

@@ -956,6 +956,36 @@ class TestSerialization:
         with pytest.raises(SurfaceError, match=message):
             deserialize(doc)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda d: [], "complex document must be a JSON object"),
+            (lambda d: {**d, "orientable": 1}, "key 'orientable' must be a boolean"),
+            (lambda d: {**d, "genus": True}, "key 'genus' must be an integer"),
+            (lambda d: {**d, "genus": 2.0}, "key 'genus' must be an integer"),
+            (
+                lambda d: {**d, "edges": [5, *d["edges"][1:]]},
+                "edges[0] must be an object with 'id' and 'ends'",
+            ),
+            (
+                lambda d: {**d, "edges": [{**d["edges"][0], "ends": [0]}, *d["edges"][1:]]},
+                "edges[0].ends must be a pair",
+            ),
+            (
+                lambda d: {**d, "faces": [[7, *d["faces"][0][1:]]]},
+                "faces[0][0] must be an object with 'edge' and 'dir'",
+            ),
+        ],
+        ids=[
+            "list-document", "orientable-int", "genus-bool", "genus-float",
+            "edge-scalar", "ends-single", "slot-scalar",
+        ],
+    )
+    def test_malformed_records_rejected(self, make, message):
+        with pytest.raises(SurfaceError) as info:
+            deserialize(make(serialize(fundamental_polygon(2, True))))
+        assert str(info.value) == message
+
 class TestIsomorphism:
     def test_relabeling_is_isomorphic(self):
         c = fundamental_polygon(2, True)
