@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Sequence
 
 from .hypgeo import (
@@ -62,28 +62,26 @@ class DistanceEstimate:
         }
 
 
-@lru_cache(maxsize=1024)
+@cache
 def _chord_table(sig: SemiRegularSig) -> tuple:
     """``(red, t_r, t_gb)`` for each red class of ``sig``, in class order.
 
     t_r: shortest chord across either non-red pivot face; t_gb: centre
-    distance between the two non-red classes.  Both depend on the ordered
-    triple alone (a SemiRegularSig hashes and compares as its ``m``), so a
-    table over many genera works out each signature's edge length (the
-    closed form plus one Newton step) once per process; 1024 entries hold
-    the 338 distinct signatures of genus <= 12 with room to spare.  The
+    distance between the two non-red classes.  With j, k the classes after
+    red (mod 3), the gaps are the profile's ``A``: A[red] and A[k] from red
+    to j and k, A[j] from j to k.  Both depend on the ordered triple alone
+    (a SemiRegularSig hashes and compares as its ``m``), so a table over
+    many genera works out each signature's edge length (the closed form
+    plus one Newton step) once per process, and nothing is evicted.  The
     profile is read through this module's binding of
     ``semiregular_profile``, so a wrapper put there sees every real solve.
     """
-    a, m = semiregular_profile(sig).a, sig.m
+    A, m = semiregular_profile(sig).A, sig.m
     table = []
     for red in range(3):
-        j, k = (i for i in range(3) if i != red)
-        t_r = min(
-            incenter_chord(a[red] + a[j], m[j]),
-            incenter_chord(a[red] + a[k], m[k]),
-        )
-        table.append((red, t_r, a[j] + a[k]))
+        j, k = (red + 1) % 3, (red + 2) % 3
+        t_r = min(incenter_chord(A[red], m[j]), incenter_chord(A[k], m[k]))
+        table.append((red, t_r, A[j]))
     return tuple(table)
 
 

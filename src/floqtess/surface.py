@@ -3,8 +3,8 @@
 A :class:`SurfaceComplex` is a polygonal cell structure on a closed surface:
 faces are cyclic sequences of directed edge slots, every edge is shared by
 exactly two slots, and vertices are the corner identifications.  This is a
-combinatorial map, so duals and derived subdivisions can be built by corner
-traversal without any geometric embedding.
+combinatorial map, so derived subdivisions can be built by corner traversal
+without any geometric embedding.
 
 Fundamental polygons provide the explicit instances: the 4g-gon with opposite
 sides identified (orientable genus g) and the 2g-gon with the a1 a1 a2 a2 ...
@@ -29,7 +29,6 @@ __all__ = [
     "Edge",
     "SurfaceComplex",
     "fundamental_polygon",
-    "dual",
     "isomorphic",
     "serialize",
     "deserialize",
@@ -83,8 +82,9 @@ class _FlagMap:
     rejected naming the first edge without exactly two slots.
 
     :meth:`end` and :meth:`flag` translate to and from the intrinsic end of
-    the edge through ``edge`` and ``rev``; no code outside this module needs
-    that convention.  :meth:`sweep` two-colours the flags.  ``rotations``
+    the edge through ``edge`` and ``rev``: validation names an open walk's
+    vertices with :meth:`end`, the derivations find the flag at an edge end
+    with :meth:`flag`.  :meth:`sweep` two-colours the flags.  ``rotations``
     holds one cycle of psi per vertex, in order of each vertex's first flag
     and starting at it, so its length is the vertex's degree; ``vertex``
     maps every flag to its cycle; ``first`` maps an edge id to the tail
@@ -429,11 +429,11 @@ def _validate(c: SurfaceComplex) -> None:
 
 
 def _raise_open_walk(c: SurfaceComplex, fm: _FlagMap) -> None:
-    """Name the first slot whose head is not the tail after it: flag i
-    names vertex named[i], the tail (even i) or head (odd i) of the
-    walk_ends of its slot; sigma1 takes a head flag to the tail after it."""
+    """Name the first slot whose head is not the tail after it: named[i] is
+    the vertex at the edge end of flag i, its slot's tail (even i) or head
+    (odd i); sigma1 takes a head flag to the tail after it."""
     index = c._edge_index
-    named = [v for face in c.faces for eid, d in face for v in index[eid].ends[::d]]
+    named = [index[eid].ends[end] for eid, end in map(fm.end, range(len(fm.s1)))]
     heads = named[1::2]
     after = [named[i] for i in fm.s1[1::2]]
     k = next(k for k, (head, tail) in enumerate(zip(heads, after)) if head != tail)
@@ -466,40 +466,6 @@ def fundamental_polygon(genus: int, orientable: bool) -> SurfaceComplex:
         vertices=(0,),
         edges=tuple(map(Edge._make, zip(labels, repeat((0, 0))))),
         faces=(word,),
-    )
-
-
-def dual(c: SurfaceComplex) -> SurfaceComplex:
-    """Swap faces and vertices: incenters become vertices, vertex links faces.
-
-    The dual reuses the source edge ids; its vertex i is source face i, and
-    its faces are the edge cycles around the source vertices.  Euler
-    characteristic, orientability and genus carry over.
-    """
-    fm = c.flag_map()
-
-    # Each source vertex's rotation, so that dual faces follow the declared
-    # vertex order.
-    rotation: dict[Any, list[int]] = {}
-    for r in fm.rotations:
-        eid, end = fm.end(r[0])
-        rotation[c.edge_by_id(eid).ends[end]] = r
-
-    # A rotation read backwards from its first flag (the psi^-1 orbit)
-    # crosses the edges round its vertex; each dual slot runs forwards from
-    # the first slot of its edge.
-    edge, s2 = fm.edge, fm.s2
-    dual_faces = [
-        tuple((edge[i >> 1], 1 if s2[i] > i else -1) for i in (r[0], *r[:0:-1]))
-        for r in map(rotation.__getitem__, c.vertices)
-    ]
-
-    return SurfaceComplex(
-        orientable=c.orientable,
-        genus=c.genus,
-        vertices=tuple(range(len(c.faces))),
-        edges=tuple(Edge(e.id, fm.edge_faces[e.id]) for e in c.edges),
-        faces=tuple(dual_faces),
     )
 
 

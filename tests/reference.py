@@ -22,11 +22,13 @@ derivation, from the characteristic alone) and :func:`polygon_surface`,
 which glues any one-polygon boundary word and recovers its vertices,
 genus and orientability from the corner orbits.
 
-:func:`walk_clip_complex`, :func:`walk_incenter_complex` and
-:func:`reference_dual` are the derivations and the dual as they were
-first written, each face stepped out by :func:`walk` round its orbit of
-two flag involutions; the tests hold the pipeline's versions, which read
-the same faces off the orbits the flag map lists, equal to them.
+:func:`walk_clip_complex` and :func:`walk_incenter_complex` are the
+derivations as they were first written, each face stepped out by
+:func:`walk` round its orbit of two flag involutions; the tests hold the
+pipeline's versions, which read the same faces off the orbits the flag map
+lists, equal to them.  :func:`reference_dual` steps out the dual the same
+way; the package builds no dual, and the tests take every dual they use
+as an input from it.
 
 :class:`StabilizerGroup` is a group as the tuple of its canonical rows,
 so equal groups compare equal; the tests compare the ISG run's steady
@@ -622,11 +624,13 @@ def walk_incenter_complex(c: SurfaceComplex, p: int, q: int) -> SurfaceComplex:
 
 
 def reference_dual(c: SurfaceComplex) -> SurfaceComplex:
-    """``surface.dual`` with every dual face stepped out by a walk: the
+    """The dual: faces and vertices swapped, the source edge ids reused.
+    Its vertex i is source face i, and its faces are the edge cycles round
+    the source vertices, in vertex order, each stepped out by a walk: the
     (2, 1) walk from each source vertex's first flag crosses the edges round
     the vertex against its rotation, and each crossing is a slot running
     forwards from the first slot of its edge (the flag whose s2 partner is
-    later)."""
+    later).  Euler characteristic, orientability and genus carry over."""
     fm = c.flag_map()
     start = {}
     for rotation in fm.rotations:

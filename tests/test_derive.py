@@ -16,17 +16,13 @@ from floqtess.derive import (
     semiregular_counts_direct,
 )
 from floqtess.hypgeo import SemiRegularSig
-from floqtess.surface import (
-    dual,
-    fundamental_polygon,
-    isomorphic,
-    serialize,
-)
+from floqtess.surface import fundamental_polygon, isomorphic, serialize
 from helpers import face_census
 from reference import (
     _counts_from_chi,
     clip_counts,
     incenter_counts,
+    reference_dual,
     walk_clip_complex,
     walk_incenter_complex,
 )
@@ -174,7 +170,7 @@ class TestExplicitIncenter:
 
     def test_dual_of_derived_is_involutive(self):
         c = incenter_complex(fundamental_polygon(2, True), 8, 8)
-        assert isomorphic(dual(dual(c)), c)
+        assert isomorphic(reference_dual(reference_dual(c)), c)
 
 
 class TestPolygonRoute:
@@ -219,7 +215,7 @@ class TestMultiFaceSources:
         "honeycomb-2": (lambda: honeycomb_torus(2), 6, 3, TORUS),
         "honeycomb-3": (lambda: honeycomb_torus(3), 6, 3, TORUS),
         "honeycomb-4": (lambda: honeycomb_torus(4), 6, 3, TORUS),
-        "dual-honeycomb-3": (lambda: dual(honeycomb_torus(3)), 3, 6, TORUS),
+        "dual-honeycomb-3": (lambda: reference_dual(honeycomb_torus(3)), 3, 6, TORUS),
         **{
             f"polygon-{'o' if o else 'n'}{g}": (
                 lambda g=g, o=o: fundamental_polygon(g, o),

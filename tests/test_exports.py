@@ -113,7 +113,6 @@ def test_every_parameter_is_read():
 # Each entry is a module-level name that no ``src`` code reads, kept for
 # the reason given; every other name the package defines has a caller in it.
 UNCALLED = {
-    "surface.dual",  # library API the README documents
     "surface.isomorphic",  # will deduplicate the maps a quotient route builds
     "floquet.face_stabilizer",  # will span a steady phase for the systole distance
 }

@@ -1,11 +1,48 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's examples run: each command line exits 0 and prints, the
+table's CSV excerpt is what ``table`` prints, and the library example
+prints what its comments say."""
 
 import ast
+import shlex
 from pathlib import Path
 
+from floqtess.cli import main
 from floqtess.floquet import CodeParams
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def command_line_section() -> str:
+    section = README.read_text().split("\n## Command line\n", 1)[1]
+    return section.split("\n## Library\n", 1)[0]
+
+
+def test_command_lines_run(tmp_path, monkeypatch, capsys):
+    # The section's first block holds the commands, its second the CSV
+    # excerpt; "> file" writes stdout to that file, which later lines read.
+    commands, _, excerpt = command_line_section().split("```")[1:4]
+    monkeypatch.chdir(tmp_path)
+    printed = {}
+    for line in commands.splitlines():
+        if not line.startswith("floqtess "):
+            continue
+        words = shlex.split(line)[1:]
+        target = None
+        if words[-2:-1] == [">"]:
+            words, target = words[:-2], words[-1]
+        code = main(words)
+        out = capsys.readouterr().out
+        assert code == 0, line
+        assert out, line
+        if target is not None:
+            (tmp_path / target).write_text(out)
+        printed[line] = out
+    assert len(printed) == 10
+    table = printed["floqtess table --genus 2..2 --orientable true --mode auto"].splitlines()
+    rows = [row for row in excerpt.strip().splitlines() if row != "..."]
+    assert len(rows) == 3
+    for row in rows:
+        assert row in table
 
 
 def library_block() -> str:
