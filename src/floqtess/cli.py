@@ -225,7 +225,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    _emit(equivalence_check(args.genus).as_json())
+    _emit(equivalence_check(args.genus))
     return 0
 
 

@@ -121,11 +121,11 @@ def test_criterion_4_orientable_nonorientable_equivalence():
     t0 = time.perf_counter()
     for h in (2, 3):
         report = equivalence_check(h)
-        assert not report.mismatches
-        assert report.systole_difference <= 1e-12
-        assert report.ok
+        assert not report["mismatches"]
+        assert report["systole_difference"] <= 1e-12
+        assert report["ok"]
     anchor = equivalence_check(2)
-    row = next(r for r in anchor.rows if r["signature"] == [6, 6, 8])
+    row = next(r for r in anchor["rows"] if r["signature"] == [6, 6, 8])
     for side in ("orientable", "nonorientable"):
         assert (row[side]["n"], row[side]["k"], row[side]["d"]) == (48, 4, 4)
     elapsed = time.perf_counter() - t0

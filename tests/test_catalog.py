@@ -1,11 +1,13 @@
 """Catalog: enumeration, tables, genus equivalence; reference reports and rates."""
 
 import csv
+import dataclasses
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
+from floqtess import catalog, cli
 from floqtess.catalog import (
     CSV_HEADER,
     build_table,
@@ -434,21 +436,21 @@ class TestRates:
 class TestEquivalence:
     def test_h2(self):
         report = equivalence_check(2)
-        assert report.ok
-        assert report.genus_nonorientable == 4
-        assert len(report.rows) == 22 and not report.mismatches
-        assert report.systole_difference == 0.0
+        assert report["ok"]
+        assert report["genus_nonorientable"] == 4
+        assert len(report["rows"]) == 22 and not report["mismatches"]
+        assert report["systole_difference"] == 0.0
 
     def test_h2_anchor_row(self):
         report = equivalence_check(2)
-        entry = next(r for r in report.rows if r["signature"] == [6, 6, 8])
+        entry = next(r for r in report["rows"] if r["signature"] == [6, 6, 8])
         assert entry["orientable"] == entry["nonorientable"]
         assert entry["orientable"]["n"] == 48 and entry["orientable"]["d"] == 4
 
     def test_h3_exact_pair(self):
         report = equivalence_check(3)
-        assert report.ok
-        entry = next(r for r in report.rows if r["signature"] == [4, 24, 24])
+        assert report["ok"]
+        entry = next(r for r in report["rows"] if r["signature"] == [4, 24, 24])
         assert entry["orientable"]["d_source"] == "exact"
         assert entry["nonorientable"]["d_source"] == "exact"
         assert entry["orientable"]["d"] == entry["nonorientable"]["d"] == 2
@@ -457,13 +459,35 @@ class TestEquivalence:
         # ``match`` compares d whole, which is sound only because both rows
         # of a pair take the same route.
         for h in (2, 3, 4):
-            for entry in equivalence_check(h).rows:
+            for entry in equivalence_check(h)["rows"]:
                 assert entry["orientable"]["d_source"] == entry["nonorientable"]["d_source"]
 
     def test_json_shape(self):
-        doc = equivalence_check(2).as_json()
+        doc = equivalence_check(2)
         assert doc["ok"] and doc["signatures_checked"] == 22
         assert doc["mismatches"] == []
+
+    def test_mismatch_is_reported(self, monkeypatch, capsys):
+        # One non-orientable row of h = 2 comes back with d + 2: exactly that
+        # entry is a mismatch, the report is not ok, and ``equiv`` prints it
+        # and still exits 0.
+        real = catalog.code_params
+
+        def off_by_two(m, genus, orientable, d_mode="auto"):
+            p = real(m, genus, orientable, d_mode)
+            if not orientable and tuple(m) == (6, 6, 8):
+                p = dataclasses.replace(p, d=p.d + 2)
+            return p
+
+        monkeypatch.setattr(catalog, "code_params", off_by_two)
+        report = equivalence_check(2)
+        entry = next(r for r in report["rows"] if r["signature"] == [6, 6, 8])
+        assert report["mismatches"] == [entry]
+        assert entry["match"] is False
+        assert entry["nonorientable"]["d"] == entry["orientable"]["d"] + 2
+        assert report["ok"] is False
+        assert cli.main(["equiv", "--genus", "2"]) == 0
+        assert '"ok": false' in capsys.readouterr().out
 
     def test_genus_floor(self):
         with pytest.raises(ValueError):

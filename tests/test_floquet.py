@@ -526,15 +526,21 @@ class TestMeasure:
         assert reduce_vec(out, xx) == 0 and reduce_vec(out, zz) == 0
         assert reduce_vec(out, zq) != 0
 
-    @pytest.mark.parametrize("check", ["X0", "X1"])
-    def test_broken_pivot_map_raises(self, check):
+    @pytest.mark.parametrize(
+        "check, kernel",
+        [("X0", "round"), ("X1", "round"), ("X0", "residue"), ("X1", "residue")],
+        ids=["X0", "X1", "X0-residue", "X1-residue"],
+    )
+    def test_broken_pivot_map_raises(self, check, kernel):
         # X0 and X1 (pivots 2 and 3) with their slots swapped in basis: the
         # reduction of X0 picks up bit 3, that of X1 keeps it.  Either must
-        # raise at once instead of cycling between the two slots.
+        # raise at once instead of cycling between the two slots, in a
+        # measured round and in ``_residue`` alike.
         n = 2
-        _, basis, _ = state = slot_state((_pauli_row(n, "X", (0,)),
-                                          _pauli_row(n, "X", (1,))), n)
+        rows, basis, _ = state = slot_state((_pauli_row(n, "X", (0,)),
+                                             _pauli_row(n, "X", (1,))), n)
         basis[2], basis[3] = basis[3], basis[2]
+        c = _pauli_row(n, "X", (int(check[1]),))
 
         def hung(signum, frame):
             raise TimeoutError("the reduction did not end")
@@ -543,7 +549,10 @@ class TestMeasure:
         signal.setitimer(signal.ITIMER_REAL, 5.0)
         try:
             with pytest.raises(RuntimeError, match="another top bit"):
-                measure(state, _pauli_row(n, "X", (int(check[1]),)), n)
+                if kernel == "residue":
+                    floquet._residue(rows, basis, c)
+                else:
+                    measure(state, c, n)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
@@ -1545,6 +1554,21 @@ class TestCodeParams:
         with pytest.raises(ValueError, match="unexpected failure"):
             code_params((4, 16, 16), 2, True, d_mode="auto")
 
+    def test_auto_raises_on_a_logical_count_off_the_genus_rule(self, monkeypatch):
+        # The exact route checks the steady logical count against k = 2 - chi
+        # before it searches; a schedule that settles one short is raised.
+        real = floquet.run_schedule
+
+        def one_short(schedule, rounds):
+            r = real(schedule, rounds)
+            return floquet.ScheduleResult(
+                r.n, r.ranks, r.phase_bases, r.steady_round, r.k_inst - 1
+            )
+
+        monkeypatch.setattr(floquet, "run_schedule", one_short)
+        with pytest.raises(RuntimeError, match="logical count 3 disagrees with the genus rule k=4"):
+            code_params((4, 16, 16), 2, True, d_mode="auto")
+
     def test_auto_never_builds_a_clip(self, monkeypatch):
         # A clipped fundamental polygon is never a colour-code tiling, so
         # auto gives the geo row on every clip signature, even at n <= 40.
@@ -1646,6 +1670,20 @@ class TestCodeParams:
         for mode in ("both", "exact"):
             with pytest.raises(ValueError, match="d_mode"):
                 code_params((6, 6, 8), 2, True, mode)
+
+    @pytest.mark.parametrize(
+        "n, k, d, d_source, match",
+        [
+            (0, 4, 2, "exact", "must be positive"),
+            (16, 0, 2, "exact", "must be positive"),
+            (16, 4, -1, "exact", "must be positive"),
+            (16, 4, 2, "guess", "unknown d_source 'guess'"),
+        ],
+        ids=["n-zero", "k-zero", "d-negative", "unknown-source"],
+    )
+    def test_rejects_bad_fields(self, n, k, d, d_source, match):
+        with pytest.raises(ValueError, match=match):
+            CodeParams((4, 16, 16), 2, True, n, k, d, d_source)
 
     def test_ratio_columns(self):
         cp = CodeParams((6, 6, 8), 3, False, 24, 3, 4, "geometric-estimate")

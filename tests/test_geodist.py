@@ -200,7 +200,7 @@ class TestChordCache:
     def test_one_solve_per_triple_within_equiv(self, cold_cache, solves, h):
         report = equivalence_check(h)
         estimated = {
-            tuple(row["signature"]) for row in report.rows
+            tuple(row["signature"]) for row in report["rows"]
             if "geometric-estimate" in (row["orientable"]["d_source"],
                                         row["nonorientable"]["d_source"])
         }

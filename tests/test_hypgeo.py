@@ -124,6 +124,12 @@ class TestRegular:
         with pytest.raises(TypeError, match="must be integers"):
             regular_apothem_circumradius(sig)
 
+    @pytest.mark.parametrize(
+        "fn", [regular_edge_length, regular_apothem_circumradius, polygon_area]
+    )
+    def test_takes_a_regular_sig(self, fn):
+        assert fn(RegularSig(8, 3)) == fn((8, 3))
+
     def test_apothem_circumradius(self):
         a, r = regular_apothem_circumradius((8, 8))
         assert a == pytest.approx(A_88, abs=1e-14)
@@ -402,3 +408,8 @@ class TestMetricProfileInvariants:
     def test_rejects_apothem_past_circumradius(self):
         with pytest.raises(ValueError):
             MetricProfile(l=1.0, a=(0.9, 0.2, 0.3), r=(0.5, 0.6, 0.7))
+
+    @pytest.mark.parametrize("l", [0.0, -1.0, math.nan])
+    def test_rejects_non_positive_edge_length(self, l):
+        with pytest.raises(ValueError, match="edge length must be positive"):
+            MetricProfile(l=l, a=(0.1, 0.2, 0.3), r=(0.5, 0.6, 0.7))

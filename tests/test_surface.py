@@ -417,6 +417,14 @@ def _octagon(**changes):
 _WORD = fundamental_polygon(2, True).faces[0]  # 0 1 2 3 0^-1 1^-1 2^-1 3^-1
 
 
+def _incenter_ends(eid, ends, **changes):
+    """The orientable genus-2 incenter complex with edge ``eid``'s ends
+    replaced by ``ends``."""
+    c = incenter_complex(fundamental_polygon(2, True), 8, 8)
+    edges = tuple(Edge(e.id, ends) if e.id == eid else e for e in c.edges)
+    return _fields(c, edges=edges, **changes)
+
+
 class TestValidationErrors:
     """Each check of ``_validate`` keeps its text and its place: every case
     breaks that check and a later one, and must get the earlier message."""
@@ -532,6 +540,20 @@ class TestValidationErrors:
                 ),
             },
             "face 1 is not a closed walk at slot 2: 'x' != 'u'",
+        ),
+        # Incenter complexes, declared genus 3 so the Euler check fails too.
+        # s0.0.0 is the first edge read, so its swapped ends name two
+        # vertices first and a later edge end finds the fault.
+        "closed-walk-swapped-ends": (
+            _incenter_ends("s0.0.0", ("f0.0.1", "f0.0.0"), genus=3),
+            "face 0 is not a closed walk at slot 0: 'f0.0.0' != 'f0.0.1'",
+        ),
+        # Only end 0 of s1.0.0 is wrong (f0.1.0 for f0.0.1), and an earlier
+        # edge has already named that corner f0.0.1, so only the end-0
+        # check of the closed-walk loop can see it.
+        "closed-walk-tail": (
+            _incenter_ends("s1.0.0", ("f0.1.0", "f0.1.0"), genus=3),
+            "face 0 is not a closed walk at slot 0: 'f0.0.1' != 'f0.1.0'",
         ),
         "not-connected": (_two_projective_planes(), "complex is not connected"),
         "not-connected-spare-vertex": (
