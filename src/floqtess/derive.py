@@ -60,10 +60,6 @@ class DerivedCounts:
                 f"not tri-valent: 2*{self.n_e} edges != 3*{self.n_v} vertices"
             )
 
-    @property
-    def chi(self) -> int:
-        return self.n_v - self.n_e + self.n_f
-
 
 def _require_pq(c: SurfaceComplex, p: int, q: int) -> None:
     sizes = set(len(face) for face in c.faces)

@@ -36,16 +36,6 @@ class BoundExceeded(ValueError):
     """Exact search out of range; use the geometric estimator instead."""
 
 
-def _pauli_row(n: int, letter: str, qubits) -> int:
-    """The row ``(x << n) | z`` of ``letter`` on each of ``qubits``."""
-    lx, lz = _LETTERS[letter]
-    unit = (lx << n) | lz
-    row = 0
-    for q in qubits:
-        row ^= unit << q
-    return row
-
-
 def _measure_round(rows: list, basis: dict, cols: list, checks: list, n: int) -> None:
     """Measure one round's checks, in order, on an echelon basis held in
     slots, in place.
@@ -205,8 +195,9 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
     leave, 5400 bits.
 
     Each measured round keeps a copy of its slot state; the result holds
-    those of the three steady phases, which share one logical count, read
-    off their ranks.  The exact search reads them as they are.
+    those of the three steady phases, which share one logical count, since
+    no measurement lowers the rank (:func:`_measure_round` checks it).  The
+    exact search reads them as they are.
     """
     if rounds < 6:
         raise ValueError("need at least 6 rounds to certify a steady state")
@@ -243,26 +234,9 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
             steady = r
     k_inst, phase_bases = None, ()
     if steady is not None:
-        ks = {n - ranks[r] for r in range(steady - 3, steady)}
-        if len(ks) != 1:
-            raise RuntimeError(
-                f"steady phases disagree on the logical count: {sorted(ks)}"
-            )
-        k_inst = ks.pop()
+        k_inst = n - ranks[steady]
         phase_bases = tuple(snapshots[steady - 3 : steady])
     return ScheduleResult(n, tuple(ranks), phase_bases, steady, k_inst)
-
-
-def face_stabilizer(assign, f: int) -> int:
-    """Row of the face cycle operator: X/Y/Z on the boundary of a G/B/R face.
-
-    The face's boundary checks carry the other two colours' letters, whose
-    product is the letter of the face's own colour.
-    """
-    cx = assign.complex
-    index = {v: i for i, v in enumerate(cx.vertices)}
-    tails = (index[cx.walk_ends(slot)[0]] for slot in cx.faces[f])
-    return _pauli_row(len(cx.vertices), PAULI_OF[assign.face_color[f]][0], tails)
 
 
 def _bits(mask: int):

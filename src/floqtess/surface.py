@@ -29,7 +29,6 @@ __all__ = [
     "Edge",
     "SurfaceComplex",
     "fundamental_polygon",
-    "isomorphic",
     "serialize",
     "deserialize",
 ]
@@ -244,10 +243,6 @@ class SurfaceComplex:
     def flag_map(self) -> _FlagMap:
         return self._flag_map  # built once by _validate
 
-    def walk_ends(self, slot: Slot) -> tuple[VertexId, VertexId]:
-        """(tail, head) of a directed slot."""
-        return self.edge_by_id(slot[0]).ends[::slot[1]]
-
     def vertex_degrees(self) -> dict[VertexId, int]:
         """Declared edge ends at each vertex (a loop counts twice), in vertex
         order; read once by _validate off the vertex's rotation, whose length
@@ -432,8 +427,7 @@ def _raise_open_walk(c: SurfaceComplex, fm: _FlagMap) -> None:
     """Name the first slot whose head is not the tail after it: named[i] is
     the vertex at the edge end of flag i, its slot's tail (even i) or head
     (odd i); sigma1 takes a head flag to the tail after it."""
-    index = c._edge_index
-    named = [index[eid].ends[end] for eid, end in map(fm.end, range(len(fm.s1)))]
+    named = [c.edge_by_id(eid).ends[end] for eid, end in map(fm.end, range(len(fm.s1)))]
     heads = named[1::2]
     after = [named[i] for i in fm.s1[1::2]]
     k = next(k for k, (head, tail) in enumerate(zip(heads, after)) if head != tail)
@@ -467,36 +461,6 @@ def fundamental_polygon(genus: int, orientable: bool) -> SurfaceComplex:
         edges=tuple(map(Edge._make, zip(labels, repeat((0, 0))))),
         faces=(word,),
     )
-
-
-def _certificate(c: SurfaceComplex) -> tuple:
-    """Canonical encoding of the flag structure, invariant under relabeling."""
-    fm = c.flag_map()
-    n = len(fm.s1)
-    sigma = s0, s1, s2 = [i ^ 1 for i in range(n)], fm.s1, fm.s2
-    best = None
-    for start in range(n):
-        order = [-1] * n
-        order[start] = 0
-        queue = [start]
-        nxt = 1
-        for i in queue:
-            for g in sigma:
-                nb = g[i]
-                if order[nb] == -1:
-                    order[nb] = nxt
-                    nxt += 1
-                    queue.append(nb)
-        by_label = sorted(range(n), key=order.__getitem__)
-        enc = tuple((order[s0[i]], order[s1[i]], order[s2[i]]) for i in by_label)
-        if best is None or enc < best:
-            best = enc
-    return (n, best)
-
-
-def isomorphic(a: SurfaceComplex, b: SurfaceComplex) -> bool:
-    """Combinatorial-map isomorphism (up to any relabeling of cells)."""
-    return _certificate(a) == _certificate(b)
 
 
 def serialize(c: SurfaceComplex) -> dict:

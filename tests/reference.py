@@ -28,7 +28,11 @@ derivations as they were first written, each face stepped out by
 pipeline's versions, which read the same faces off the orbits the flag map
 lists, equal to them.  :func:`reference_dual` steps out the dual the same
 way; the package builds no dual, and the tests take every dual they use
-as an input from it.
+as an input from it.  :func:`isomorphic` compares two complexes by a
+canonical encoding of their flag maps, and :func:`face_stabilizer` gives
+the row of a face's cycle operator, built with :func:`_pauli_row`; the
+package calls neither, and the tests check derived complexes and steady
+phases with them.
 
 :class:`StabilizerGroup` is a group as the tuple of its canonical rows,
 so equal groups compare equal; the tests compare the ISG run's steady
@@ -52,6 +56,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from floqtess import floquet
+from floqtess.coloring import PAULI_OF
 from floqtess.derive import DerivedCounts, _pair_names, _require_pq, _slot_labels
 from floqtess.floquet import _LETTERS, _bits, _canonical_rows
 from floqtess.geodist import estimate_distance
@@ -652,6 +657,36 @@ def reference_dual(c: SurfaceComplex) -> SurfaceComplex:
     )
 
 
+def _certificate(c: SurfaceComplex) -> tuple:
+    """Canonical encoding of the flag structure, invariant under relabeling."""
+    fm = c.flag_map()
+    n = len(fm.s1)
+    sigma = s0, s1, s2 = [i ^ 1 for i in range(n)], fm.s1, fm.s2
+    best = None
+    for start in range(n):
+        order = [-1] * n
+        order[start] = 0
+        queue = [start]
+        nxt = 1
+        for i in queue:
+            for g in sigma:
+                nb = g[i]
+                if order[nb] == -1:
+                    order[nb] = nxt
+                    nxt += 1
+                    queue.append(nb)
+        by_label = sorted(range(n), key=order.__getitem__)
+        enc = tuple((order[s0[i]], order[s1[i]], order[s2[i]]) for i in by_label)
+        if best is None or enc < best:
+            best = enc
+    return (n, best)
+
+
+def isomorphic(a: SurfaceComplex, b: SurfaceComplex) -> bool:
+    """Combinatorial-map isomorphism (up to any relabeling of cells)."""
+    return _certificate(a) == _certificate(b)
+
+
 def _counts_from_chi(p: int, q: int, chi: int) -> tuple[int, int, int] | None:
     """(F, E, V) of {p,q} on a surface of characteristic chi, or None."""
     RegularSig(p, q)
@@ -795,6 +830,28 @@ def family_report(orientable: bool = True, genera: Iterable[int] | None = None) 
             for e in entries if e["reference_row_consistent"]
         ),
     }
+
+
+def _pauli_row(n: int, letter: str, qubits) -> int:
+    """The row ``(x << n) | z`` of ``letter`` on each of ``qubits``."""
+    lx, lz = _LETTERS[letter]
+    unit = (lx << n) | lz
+    row = 0
+    for q in qubits:
+        row ^= unit << q
+    return row
+
+
+def face_stabilizer(assign, f: int) -> int:
+    """Row of the face cycle operator: X/Y/Z on the boundary of a G/B/R face.
+
+    The face's boundary checks carry the other two colours' letters, whose
+    product is the letter of the face's own colour.
+    """
+    cx = assign.complex
+    index = {v: i for i, v in enumerate(cx.vertices)}
+    tails = (index[cx.edge_by_id(eid).ends[::d][0]] for eid, d in cx.faces[f])
+    return _pauli_row(len(cx.vertices), PAULI_OF[assign.face_color[f]][0], tails)
 
 
 @dataclass(frozen=True)

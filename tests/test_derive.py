@@ -16,12 +16,13 @@ from floqtess.derive import (
     semiregular_counts_direct,
 )
 from floqtess.hypgeo import SemiRegularSig
-from floqtess.surface import fundamental_polygon, isomorphic, serialize
+from floqtess.surface import fundamental_polygon, serialize
 from helpers import face_census
 from reference import (
     _counts_from_chi,
     clip_counts,
     incenter_counts,
+    isomorphic,
     reference_dual,
     walk_clip_complex,
     walk_incenter_complex,
@@ -41,7 +42,7 @@ class TestClipCounts:
         got = clip_counts(8, 8, -2)
         assert (got.n_f, got.n_e, got.n_v) == (2, 12, 8)
         assert tuple(got.signature.m) == (16, 16, 8)
-        assert got.chi == -2
+        assert got.n_v - got.n_e + got.n_f == -2
 
     def test_hexagon_nonorientable(self):
         got = clip_counts(6, 6, -1)
@@ -50,7 +51,8 @@ class TestClipCounts:
 
     def test_chi_preserved_generally(self):
         for p, q, chi in [(8, 3, -2), (10, 3, -4), (8, 8, -6), (12, 3, -6)]:
-            assert clip_counts(p, q, chi).chi == chi
+            got = clip_counts(p, q, chi)
+            assert got.n_v - got.n_e + got.n_f == chi
 
     def test_non_integral_source_rejected(self):
         # {12,5} has no integral counts at chi = -2.

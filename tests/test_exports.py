@@ -1,9 +1,9 @@
 """Every name a floqtess module exports in ``__all__`` exists, the
 parameters that take a default are a pinned set, every parameter is read,
-every module-level name and class member but a pinned few has a caller in
-the package, the CLI loads only the pipeline modules and imports only
-public names, and the functions the benchmark's tracer wraps exist with
-the parameters its hooks read."""
+every module-level name and class member has a caller in the package, the
+member names that several classes share are a pinned set, the CLI loads
+only the pipeline modules and imports only public names, and the functions
+the benchmark's tracer wraps exist with the parameters its hooks read."""
 
 import ast
 import importlib
@@ -111,11 +111,9 @@ def test_every_parameter_is_read():
 
 
 # Each entry is a module-level name that no ``src`` code reads, kept for
-# the reason given; every other name the package defines has a caller in it.
-UNCALLED = {
-    "surface.isomorphic",  # will deduplicate the maps a quotient route builds
-    "floquet.face_stabilizer",  # will span a steady phase for the systole distance
-}
+# the reason given (none is kept now); every other name the package defines
+# has a caller in it.
+UNCALLED: set[str] = set()
 
 
 def uncalled_names() -> list[str]:
@@ -151,17 +149,13 @@ def test_every_public_name_has_a_src_caller():
 UNCALLED_MEMBERS: set[str] = set()
 
 
-def uncalled_members() -> list[str]:
+def class_members() -> list[str]:
     """``module.Class.member`` for every method, property and annotated
-    field in a class body of the package source whose name no package
-    module reads as an attribute (dunder names such as ``__post_init__``
-    left out).  Reads are matched by name alone, so a member whose name
-    another class's attribute also uses (``_FlagMap.id`` against
-    ``Edge.id``, say) counts as read and is not caught."""
-    defined, loaded = [], set()
+    field in a class body of the package source (dunder names such as
+    ``__post_init__`` left out)."""
+    defined = []
     for path in sorted(Path(floqtess.__path__[0]).glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for cls in ast.walk(tree):
+        for cls in ast.walk(ast.parse(path.read_text())):
             if not isinstance(cls, ast.ClassDef):
                 continue
             for node in cls.body:
@@ -173,15 +167,47 @@ def uncalled_members() -> list[str]:
                     continue
                 if not name.startswith("__"):
                     defined.append(f"{path.stem}.{cls.name}.{name}")
-        loaded |= {
-            n.attr for n in ast.walk(tree)
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
-        }
-    return [member for member in defined if member.rsplit(".", 1)[1] not in loaded]
+    return defined
+
+
+def uncalled_members() -> list[str]:
+    """The :func:`class_members` whose name no package module reads as an
+    attribute.  Reads are matched by name alone, so a member whose name
+    another class's attribute also uses (``_FlagMap.id`` against
+    ``Edge.id``, say) counts as read and is not caught; the names that
+    more than one class defines are pinned below for that reason."""
+    loaded = {
+        n.attr
+        for path in Path(floqtess.__path__[0]).glob("*.py")
+        for n in ast.walk(ast.parse(path.read_text()))
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    return [member for member in class_members() if member.rsplit(".", 1)[1] not in loaded]
 
 
 def test_every_class_member_has_a_src_reader():
     assert set(uncalled_members()) == UNCALLED_MEMBERS
+
+
+# Each entry is a member name that more than one ``src`` class defines, so
+# the reader check above cannot tell their members apart; a new shared name
+# is reviewed by hand before it joins.  Each is read in ``src`` on every
+# class that defines it, except where the reason says otherwise.
+SHARED_MEMBERS = {
+    "edge_color",  # EdgeSchedule's field, re-declared as ColorAssignment's derived one
+    "_check_proper",  # ColorAssignment overrides EdgeSchedule's
+    "signature",  # CodeParams; DerivedCounts' is read only by the tests' face census
+    "n",  # ScheduleResult, CodeParams
+    "genus",  # CodeParams, SurfaceComplex
+    "orientable",  # CodeParams, SurfaceComplex
+    "d",  # CodeParams, DistanceEstimate
+    "as_json",  # CodeParams, DistanceEstimate
+}
+
+
+def test_shared_member_names_are_pinned():
+    names = [member.rsplit(".", 1)[1] for member in class_members()]
+    assert {name for name in names if names.count(name) > 1} == SHARED_MEMBERS
 
 
 def test_cli_imports_only_public_names():

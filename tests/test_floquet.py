@@ -26,10 +26,8 @@ from floqtess.floquet import (
     _canonical_rows,
     _measure_round,
     _min_logical_weight,
-    _pauli_row,
     code_params,
     exact_distance,
-    face_stabilizer,
     run_schedule,
 )
 from floqtess.hypgeo import SemiRegularSig
@@ -38,9 +36,11 @@ from helpers import reduce_vec, steady_groups, swap_halves, sympl
 import reference
 from reference import (
     StabilizerGroup,
+    _pauli_row,
     _phase_tables,
     _weight_hits,
     connected_supports,
+    face_stabilizer,
     reference_cosupport_graph,
     reference_min_logical_weight,
     reference_syndromes,
@@ -946,17 +946,21 @@ class TestLazyGroups:
     @pytest.mark.parametrize("build", schedule_complexes())
     def test_agrees_with_reference(self, build):
         # At 6, 9 and 12 rounds the steady phases are the reference
-        # trajectory's three rounds before its steady round.
+        # trajectory's three rounds before its steady round.  The ranks
+        # never fall, so each steady phase has the rank k_inst is read off.
         schedule, _ = _schedule_for(build())
         expected = reference_trajectory(schedule)
         n = len(schedule.complex.vertices)
         for rounds in (6, 9, 12):
             result = run_schedule(schedule, rounds)
+            assert all(a <= b for a, b in zip(result.ranks, result.ranks[1:]))
             steady, _ = reference_steady(expected[:rounds], n)
             if steady is None:
                 assert result.steady_round is None and result.phase_bases == ()
             else:
                 assert steady_groups(result) == expected[steady - 3 : steady]
+                ranks = [len(basis) for _, basis, _ in result.phase_bases]
+                assert ranks == [n - result.k_inst] * 3
 
     def test_canonical_only_where_read(self, monkeypatch):
         # Orientable g = 12 incenter complex, n = 96: the steady test reads

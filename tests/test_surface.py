@@ -19,11 +19,11 @@ from floqtess.surface import (
     SurfaceError,
     deserialize,
     fundamental_polygon,
-    isomorphic,
     serialize,
 )
 from helpers import face_sizes
 from reference import (
+    isomorphic,
     polygon_surface,
     reference_dual,
     regular_counts,
