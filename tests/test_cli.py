@@ -523,6 +523,52 @@ class TestStdoutPinned:
         (12, "false", "clip"): (1, EMPTY, NO_LOGICAL.format(24)),
         (12, "false", "incenter"): (1, EMPTY, BOUND.format(48)),
     }
+    # ``distance --mode geo`` stdout sha256 on the same complexes; every one
+    # exits 0 with empty stderr, half of them with a clamped estimate.
+    GEO = {
+        (2, "true", "clip"): "6d70ce8241d0e9a8e027d8e6803612e0ba6f9dad9318d9d16dba9d261ef8048c",
+        (2, "true", "incenter"): "c5e461b04eed49c57c65ba3aca0eddf36222ea83380ce917da16b223901323f0",
+        (3, "true", "clip"): "ddd15010afb32323db349af88fea43adee2bc22298a9774c4600dcc6d7e69063",
+        (3, "true", "incenter"): "66a6f85d0c90f3764aeb183f839569e183fea8895576038e1a43e28b6bc03cfd",
+        (4, "true", "clip"): "eee8a5ffdda8300b3a465074a781633296a16f1d01dd981cf75017b1da894de0",
+        (4, "true", "incenter"): "c01f1ca26763562515351f06a91dfd3f62c52849cba17706f7acbbb38963edf3",
+        (5, "true", "clip"): "2874fd50f99d852ac160c9d393128db82db4519ad1c0bfbe7bef6ce311efa5eb",
+        (5, "true", "incenter"): "73bb0dcdd3bae30f1dc64077f3e76d4a33690288598cd8c312dea9435afeceb7",
+        (6, "true", "clip"): "d96b0a040ef6d6ecc32131751811889093e3f01a86398301a636be1f2be2b75b",
+        (6, "true", "incenter"): "d951cebafecd2201a0314de256dea85237bd21fe66769f7302c828f619b0c768",
+        (7, "true", "clip"): "928a51e46fb855e582c12dbe8fe2077ef18f600a58d67776a0cebb2f422ad409",
+        (7, "true", "incenter"): "193f5c6dde2556055192d8491a1077a3676915edbd987712c535e20644bf6568",
+        (8, "true", "clip"): "235ca409da3bb8e30fa22953d24b06f5f4844d45b9272b0fe70c4ca288688553",
+        (8, "true", "incenter"): "0ebede992f2353e72b015a2aa6509ef60a2ebedc97d9c403878db378d864aa70",
+        (9, "true", "clip"): "52abfc84a8962c8a4c714c7226264fa8bcc39dc2070b77e1b948cff4c719d910",
+        (9, "true", "incenter"): "e2c9d25df6d62f8a1569d86c64d1e5007afb088f459d798b2c2398dcea378f1b",
+        (10, "true", "clip"): "5c91f52a80da1cc0a1f5a87578e79f7d1f3d8501c4e63d4531c2ab30461661b8",
+        (10, "true", "incenter"): "e12daefac3153f97a03044c7173dee3f228d521fa6263e00abf67ce5ce964209",
+        (11, "true", "clip"): "6fb13f52de1752f628b92c6d5d6dea4fcd792564fbed5cb44c2184ae5e5fcb6f",
+        (11, "true", "incenter"): "4f2647656e52f50fbcbf1837a0a79b4f0d0b1c876c8ad8f4a05a0402beb64f76",
+        (12, "true", "clip"): "b3669400714a30529d70d235f5cbca58033a0368321233be7bb0eb948ae46067",
+        (12, "true", "incenter"): "f2aadbb5721b113e856c8f67062bcf83e58323d8f917c3b39d555c8bbdb6a061",
+        (3, "false", "clip"): "138472f45be9059496c9a7a420ff8ed7cd3331984abdb7440ed8f87a6dd4a4a4",
+        (3, "false", "incenter"): "2a139b45c4c80bc4543da0f27a832fc9005cb5364a21b9e343ee564860ae172c",
+        (4, "false", "clip"): "a5f4003a8f95f9813cc962b2639234d1c14e843005d25cb535eaab882816a043",
+        (4, "false", "incenter"): "3d604bb1c43ce8cf35f8ab9dfeeb86e9bc59c12f0fe2e63b87dda82bfd1fe0c9",
+        (5, "false", "clip"): "b06cf998cde54bb3beb3188b4389fb65b53ac5e0003631f2462be8170458a16b",
+        (5, "false", "incenter"): "e376868fb905f0a3eead8db690fbec02be69c3e9e2859ca8c1d1c4f4c05da424",
+        (6, "false", "clip"): "7fb039d66c231c1f0431ccbab4f6876c1151ef60f3d64d862aa2015972c0b395",
+        (6, "false", "incenter"): "7dab6e99c3a11910700ce874929800e3a4b9a389a3c3c02487bf770f598c16dc",
+        (7, "false", "clip"): "c7bb89e15997cdc2c2cac8ff23d4c34c2f02f935e45119564eafa9f1e5e830f8",
+        (7, "false", "incenter"): "547c2fff8a0b1b4f208bccacc0161c53b91408ab7305e816da512058628900ef",
+        (8, "false", "clip"): "5d909862c838a1ed2d6b6cb96bac57ba940e8d7a4b4f05c5aba83992c3a37ae7",
+        (8, "false", "incenter"): "a8bf4977d1a8753a5c7f467e1dc6c62d12f3bfbeffd9cc9c084b52a0e427e368",
+        (9, "false", "clip"): "3544da80ec103899f7451c600d94089c4baf73a6d69e0b5adeaede0e141e3b07",
+        (9, "false", "incenter"): "de9ac7fde5d34087c5ee61fd6d9e4058e7ccaea9135b9faf5b2d44cb162da99e",
+        (10, "false", "clip"): "f0b58eb21a1d91e6d07280a2240445b64b1b98b2590bbe6e91a2de572f924397",
+        (10, "false", "incenter"): "8c3d405f745ff4fd9d1f99481999bca234d89e9b98b70ab3606f3d5ac9dd26a5",
+        (11, "false", "clip"): "ed765db6ea12ce358393825f17f9c83d3cff0325ee3eaf98105506b1c10a01ca",
+        (11, "false", "incenter"): "b17b8cf9a08436e6e90f781bd4adf36eddc1726dee90a69049be153a4c272176",
+        (12, "false", "clip"): "9e2fa7106892b0e6cc0e4e4dd735fba59bf8936049067ade29d12202301cde02",
+        (12, "false", "incenter"): "14becc10e973ad7530e88dc45af39b38999d4cc0137353333be18d8a6fe10202",
+    }
 
     @staticmethod
     def digest(capsys, *argv):
@@ -547,8 +593,8 @@ class TestStdoutPinned:
     def test_reports(self, capsys, argv):
         assert self.digest(capsys, *argv) == self.REPORTS[argv]
 
-    @pytest.mark.parametrize("key", sorted(EXACT, key=str), ids=_argv_id)
-    def test_distance_exact(self, capsys, tmp_path, key):
+    @staticmethod
+    def distance(capsys, tmp_path, key, mode):
         genus, orientable, derive = key
         code, out, _ = run(
             capsys, "complex", "build", "--genus", str(genus),
@@ -557,8 +603,16 @@ class TestStdoutPinned:
         assert code == 0
         path = tmp_path / "cx.json"
         path.write_text(out)
-        code, out, err = run(capsys, "distance", "--in", str(path), "--mode", "exact")
-        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == self.EXACT[key]
+        code, out, err = run(capsys, "distance", "--in", str(path), "--mode", mode)
+        return code, hashlib.sha256(out.encode()).hexdigest(), err
+
+    @pytest.mark.parametrize("key", sorted(EXACT, key=str), ids=_argv_id)
+    def test_distance_exact(self, capsys, tmp_path, key):
+        assert self.distance(capsys, tmp_path, key, "exact") == self.EXACT[key]
+
+    @pytest.mark.parametrize("key", sorted(GEO, key=str), ids=_argv_id)
+    def test_distance_geo(self, capsys, tmp_path, key):
+        assert self.distance(capsys, tmp_path, key, "geo") == (0, self.GEO[key], "")
 
 
 class TestEstimateCachePinned:

@@ -1,10 +1,12 @@
 """Geometric distance estimator: anchors, conventions, monotonicity."""
 
+import hashlib
+import json
 import math
 
 import pytest
 
-from floqtess import geodist
+from floqtess import cli, geodist
 from floqtess.catalog import build_table, enumerate_signatures, equivalence_check
 from floqtess.geodist import (
     DistanceEstimate,
@@ -148,6 +150,20 @@ SWEEP = [
     for g in genera
     for m in enumerate_signatures(g, o)
 ]
+
+
+class TestEstimateDocument:
+    # sha256 of the rounded, indented estimate documents of every SWEEP row,
+    # as ``distance --mode geo`` rounds and indents its own; taken before
+    # the estimate was a plain dict.  The only pin on X-convention documents.
+    SWEEP_SHA = "ecc463288064849ae708e4c77024c14480deae3fa692a80860ca764d8285d630"
+
+    def test_sweep_documents_pinned(self):
+        docs = [estimate_distance(*row).as_json() for row in SWEEP]
+        text = json.dumps(cli._round12(docs), indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SWEEP_SHA
+        kinds = [doc["convention"].split(",", 1)[1] for doc in docs]
+        assert {k: kinds.count(k) for k in set(kinds)} == {"Z": 1103, "X": 30, "Z,clamped": 38}
 
 
 @pytest.fixture()
