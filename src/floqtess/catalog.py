@@ -129,10 +129,6 @@ def table_to_csv(rows: Iterable[CodeParams]) -> str:
     return "\n".join(lines)
 
 
-def table_to_json(rows: Iterable[CodeParams]) -> list[dict]:
-    return [r.as_json() for r in rows]
-
-
 def equivalence_check(h: int) -> dict:
     """Codes at orientable genus h equal those at non-orientable genus 2h.
 

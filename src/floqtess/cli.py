@@ -23,7 +23,7 @@ import re
 import sys
 from pathlib import Path
 
-from .catalog import build_table, equivalence_check, table_to_csv, table_to_json
+from .catalog import build_table, equivalence_check, table_to_csv
 from .coloring import NotColorCodeTiling, edge_three_color, three_color
 from .derive import polygon_complex
 from .floquet import exact_distance, run_schedule
@@ -203,15 +203,13 @@ def cmd_distance(args) -> int:
         })
         return 0
     m = _vertex_signature(cx)
-    est = estimate_distance(m, cx.genus, cx.orientable)
-    doc = {
+    _emit({
         "signature": list(m),
         "genus": cx.genus,
         "orientable": cx.orientable,
-    }
-    doc.update(est.as_json())
-    doc["d_source"] = "geometric-estimate"
-    _emit(doc)
+        **estimate_distance(m, cx.genus, cx.orientable),
+        "d_source": "geometric-estimate",
+    })
     return 0
 
 
@@ -220,7 +218,7 @@ def cmd_table(args) -> int:
     if args.format == "csv":
         sys.stdout.write(table_to_csv(rows))
     else:
-        _emit(table_to_json(rows))
+        _emit([r.as_json() for r in rows])
     return 0
 
 

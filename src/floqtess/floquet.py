@@ -446,8 +446,8 @@ def code_params(m, genus: int, orientable: bool, d_mode: str = "auto") -> CodePa
     ):
         est = geodist.estimate_distance(sig, genus, orientable)
         return CodeParams(
-            tuple(sig.m), genus, orientable, n, k, est.d,
-            "geometric-estimate", est.convention_tag,
+            tuple(sig.m), genus, orientable, n, k, est["d"],
+            "geometric-estimate", est["convention"],
         )
     cx = polygon_complex("incenter", genus, orientable)
     counts = semiregular_counts_direct(sig, genus, orientable)

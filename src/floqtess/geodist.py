@@ -10,7 +10,6 @@ through face centres.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
@@ -32,34 +31,6 @@ def _ceil_guard(ratio: float) -> int:
     if ratio <= 0 or not math.isfinite(ratio):
         raise ValueError(f"ratio must be positive and finite, got {ratio}")
     return max(1, math.ceil(ratio - _CEIL_EPS))
-
-
-@dataclass(frozen=True)
-class DistanceEstimate:
-    """Estimated distance with the winning colour convention recorded."""
-
-    d_X: int
-    d_Z: int
-    d: int
-    systole_used: float
-    chords_used: tuple  # (red class index, t_r, t_gb) per choice
-    convention_tag: str
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("estimates are clamped to d >= 2")
-        if self.d_X % 2:
-            raise ValueError("d_X is twice a ceiling, hence even")
-
-    def as_json(self) -> dict:
-        return {
-            "d": self.d,
-            "d_X": self.d_X,
-            "d_Z": self.d_Z,
-            "systole": self.systole_used,
-            "chords": [list(c) for c in self.chords_used],
-            "convention": self.convention_tag,
-        }
 
 
 @cache
@@ -87,14 +58,15 @@ def _chord_table(sig: SemiRegularSig) -> tuple:
 
 def estimate_distance(
     m: SemiRegularSig | Sequence[int], genus: int, orientable: bool
-) -> DistanceEstimate:
+) -> dict:
     """Minimum of d_X and d_Z over all three red-class choices.
 
-    The winning choice is recorded in ``convention_tag``; the result is
-    clamped to 2 (a weight-1 logical would contradict k > 0 two-body
-    dynamics) and the clamp, when active, is part of the tag.  The chords
-    come from a per-process cache keyed by the ordered triple; the
-    systole, ceilings and clamp are worked out on every call.
+    Returns the document ``distance --mode geo`` prints, the winning
+    choice recorded under ``convention``.  ``d`` is clamped to 2 (a
+    weight-1 logical would contradict k > 0 two-body dynamics) and the
+    clamp, when active, is part of the tag.  The chords come from a
+    per-process cache keyed by the ordered triple; the systole, ceilings
+    and clamp are worked out on every call.
     """
     sig = _as_semiregular(m)
     length = systole(genus, orientable)
@@ -111,4 +83,5 @@ def estimate_distance(
     tag = f"red={sig.m[red]}(class {red}),{kind}"
     if d != val:
         tag += ",clamped"
-    return DistanceEstimate(d_x, d_z, d, length, chords, tag)
+    return {"d": d, "d_X": d_x, "d_Z": d_z, "systole": length,
+            "chords": chords, "convention": tag}

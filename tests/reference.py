@@ -773,11 +773,11 @@ def _scored(genus: int, orientable: bool, m, row, **extra) -> dict:
         "k": row.k,
         "reference_d": row.d,
         "parity": "odd" if row.d % 2 else "even",
-        "estimated_d": est.d,
-        "delta": est.d - row.d,
-        "within_tolerance": abs(est.d - row.d) <= TOLERANCE,
+        "estimated_d": est["d"],
+        "delta": est["d"] - row.d,
+        "within_tolerance": abs(est["d"] - row.d) <= TOLERANCE,
         **extra,
-        "convention": est.convention_tag,
+        "convention": est["convention"],
     }
 
 

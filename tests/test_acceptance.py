@@ -136,8 +136,8 @@ def test_criterion_4_orientable_nonorientable_equivalence():
 
 def test_criterion_5_geometric_estimator():
     t0 = time.perf_counter()
-    assert estimate_distance((6, 6, 8), 2, True).d == 4
-    assert estimate_distance((4, 16, 16), 2, True).d == 2
+    assert estimate_distance((6, 6, 8), 2, True)["d"] == 4
+    assert estimate_distance((4, 16, 16), 2, True)["d"] == 2
 
     fam = family_report(orientable=True, genera=range(2, 10))
     assert fam["ok"]
@@ -167,8 +167,8 @@ def test_criterion_5_geometric_estimator():
     assert {"h": 4, "d_orientable": 6, "d_nonorientable": 8} in mirrors
     for h in sorted(d_o):
         if 2 * h in d_no:
-            assert (estimate_distance((6, 6, 8), h, True).d
-                    == estimate_distance((6, 6, 8), 2 * h, False).d)
+            assert (estimate_distance((6, 6, 8), h, True)["d"]
+                    == estimate_distance((6, 6, 8), 2 * h, False)["d"])
 
     deviations = {
         "table_iii_genus_2": est["deviations"],
@@ -185,7 +185,7 @@ def test_criterion_5_geometric_estimator():
         assert len(cx.vertices) <= 20
         sides = (4 if orientable else 2) * genus
         oracle = exact_distance(schedule, result)
-        est_d = estimate_distance((4, 2 * sides, 2 * sides), genus, orientable).d
+        est_d = estimate_distance((4, 2 * sides, 2 * sides), genus, orientable)["d"]
         assert abs(est_d - oracle) <= 1, (genus, orientable, est_d, oracle)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0

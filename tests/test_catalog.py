@@ -15,7 +15,6 @@ from floqtess.catalog import (
     enumerate_signatures,
     equivalence_check,
     table_to_csv,
-    table_to_json,
 )
 from floqtess.derive import _admitted_vertex_count, semiregular_counts_direct
 from floqtess.floquet import code_params
@@ -312,7 +311,7 @@ class TestSerialization:
         assert "0.0238095238095" in line
 
     def test_json_rows(self):
-        docs = table_to_json(build_table(2, True, "geo")[:1])
+        docs = [r.as_json() for r in build_table(2, True, "geo")[:1]]
         doc = docs[0]
         assert doc["signature"] == [4, 6, 14]
         assert doc["d_source"] == "geometric-estimate"

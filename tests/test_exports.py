@@ -200,8 +200,6 @@ SHARED_MEMBERS = {
     "n",  # ScheduleResult, CodeParams
     "genus",  # CodeParams, SurfaceComplex
     "orientable",  # CodeParams, SurfaceComplex
-    "d",  # CodeParams, DistanceEstimate
-    "as_json",  # CodeParams, DistanceEstimate
 }
 
 

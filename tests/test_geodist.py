@@ -8,16 +8,15 @@ import pytest
 
 from floqtess import cli, geodist
 from floqtess.catalog import build_table, enumerate_signatures, equivalence_check
-from floqtess.geodist import (
-    DistanceEstimate,
-    _ceil_guard,
-    estimate_distance,
-)
+from floqtess.geodist import _ceil_guard, estimate_distance
 from floqtess.hypgeo import SemiRegularSig, systole
 
 # [6,6,8] family estimates across orientable genus 2..9; the winning
 # convention flips between conventions as the systole grows.
 HEXHEX_OCT_SEQ = [4, 5, 6, 6, 7, 7, 7, 8]
+
+# An estimate's keys, in the order ``distance --mode geo`` prints them.
+KEYS = ["d", "d_X", "d_Z", "systole", "chords", "convention"]
 
 
 class TestCeilGuard:
@@ -41,8 +40,8 @@ def per_red_class(m, genus, orientable=True):
     """(d_X, d_Z) for each red class, from the systole and chords an estimate used."""
     est = estimate_distance(m, genus, orientable)
     return [
-        (2 * _ceil_guard(est.systole_used / t_r), _ceil_guard(est.systole_used / t_gb))
-        for _, t_r, t_gb in est.chords_used
+        (2 * _ceil_guard(est["systole"] / t_r), _ceil_guard(est["systole"] / t_gb))
+        for _, t_r, t_gb in est["chords"]
     ]
 
 
@@ -57,16 +56,16 @@ class TestSingleConvention:
     def test_dX_always_even(self):
         for m in [(6, 6, 8), (4, 8, 10), (4, 6, 14), (8, 8, 8)]:
             for g in (2, 3, 5):
-                assert estimate_distance(m, g, True).d_X % 2 == 0
+                assert estimate_distance(m, g, True)["d_X"] % 2 == 0
                 for d_x, _ in per_red_class(m, g):
                     assert d_x % 2 == 0
 
     def test_red_index_checked(self):
         # Every red class is tried, each once, in index order.
         est = estimate_distance((6, 6, 8), 2, True)
-        assert [red for red, _, _ in est.chords_used] == [0, 1, 2]
+        assert [red for red, _, _ in est["chords"]] == [0, 1, 2]
         best = min(min(pair) for pair in per_red_class((6, 6, 8), 2))
-        assert est.d == max(2, best)
+        assert est["d"] == max(2, best)
 
     def test_inadmissible_signature(self):
         with pytest.raises(ValueError, match="Euclidean"):
@@ -83,39 +82,39 @@ class TestSingleConvention:
 class TestEstimateDistance:
     def test_hexhex_octagon_anchor(self):
         est = estimate_distance((6, 6, 8), 2, True)
-        assert est.d == 4
-        assert est.convention_tag == "red=6(class 0),Z"
+        assert est["d"] == 4
+        assert est["convention"] == "red=6(class 0),Z"
 
     def test_incenter_class_anchor(self):
         est = estimate_distance((4, 16, 16), 2, True)
-        assert est.d == 2
-        assert est.d_Z == 2
-        assert est.d_X == 4
+        assert est["d"] == 2
+        assert est["d_Z"] == 2
+        assert est["d_X"] == 4
 
     def test_family_sequence(self):
-        got = [estimate_distance((6, 6, 8), g, True).d for g in range(2, 10)]
+        got = [estimate_distance((6, 6, 8), g, True)["d"] for g in range(2, 10)]
         assert got == HEXHEX_OCT_SEQ
 
     def test_clamped_knife_edge(self):
         # systole / t_gb is exactly 1 here; without the clamp d would be 1.
         est = estimate_distance((6, 12, 12), 3, False)
-        assert est.d == 2
-        assert est.convention_tag.endswith(",clamped")
+        assert est["d"] == 2
+        assert est["convention"].endswith(",clamped")
 
     def test_nonorientable_values(self):
-        assert estimate_distance((4, 12, 12), 3, False).d == 2
-        assert estimate_distance((6, 6, 8), 3, False).d == 3
-        assert estimate_distance((8, 16, 16), 4, False).d == 2
+        assert estimate_distance((4, 12, 12), 3, False)["d"] == 2
+        assert estimate_distance((6, 6, 8), 3, False)["d"] == 3
+        assert estimate_distance((8, 16, 16), 4, False)["d"] == 2
 
     def test_scaling_sig(self):
-        assert estimate_distance((8, 8, 8), 5, True).d == 4
+        assert estimate_distance((8, 8, 8), 5, True)["d"] == 4
 
     def test_monotone_in_genus(self):
         for m in [(6, 6, 8), (4, 6, 14), (4, 16, 16), (8, 8, 8)]:
-            seq = [estimate_distance(m, g, True).d for g in range(2, 31)]
+            seq = [estimate_distance(m, g, True)["d"] for g in range(2, 31)]
             assert seq == sorted(seq)
         for m in [(6, 6, 8), (4, 12, 12)]:
-            seq = [estimate_distance(m, g, False).d for g in range(3, 31)]
+            seq = [estimate_distance(m, g, False)["d"] for g in range(3, 31)]
             assert seq == sorted(seq)
 
     def test_deterministic(self):
@@ -125,21 +124,13 @@ class TestEstimateDistance:
 
     def test_systole_recorded(self):
         est = estimate_distance((6, 6, 8), 4, True)
-        assert est.systole_used == systole(4, True)
-        assert len(est.chords_used) == 3
+        assert est["systole"] == systole(4, True)
+        assert len(est["chords"]) == 3
 
     def test_json_shape(self):
-        doc = estimate_distance((6, 6, 8), 2, True).as_json()
-        assert set(doc) == {"d", "d_X", "d_Z", "systole", "chords", "convention"}
+        doc = estimate_distance((6, 6, 8), 2, True)
+        assert list(doc) == KEYS
         assert doc["d"] == 4
-
-
-class TestDistanceEstimateType:
-    def test_invariants(self):
-        with pytest.raises(ValueError, match="d >= 2"):
-            DistanceEstimate(2, 1, 1, 1.0, (), "t")
-        with pytest.raises(ValueError, match="even"):
-            DistanceEstimate(3, 2, 2, 1.0, (), "t")
 
 
 # Every row a table prints over orientable g = 2..12 and non-orientable
@@ -153,13 +144,23 @@ SWEEP = [
 
 
 class TestEstimateDocument:
+    def test_invariants(self):
+        # What the clamp and the doubled ceiling make of every row.
+        for row in SWEEP:
+            doc = estimate_distance(*row)
+            assert list(doc) == KEYS, row
+            low = min(doc["d_X"], doc["d_Z"])
+            assert doc["d"] == max(2, low) >= 2, row
+            assert doc["d_X"] % 2 == 0, row
+            assert doc["convention"].endswith(",clamped") == (low < 2), row
+
     # sha256 of the rounded, indented estimate documents of every SWEEP row,
     # as ``distance --mode geo`` rounds and indents its own; taken before
     # the estimate was a plain dict.  The only pin on X-convention documents.
     SWEEP_SHA = "ecc463288064849ae708e4c77024c14480deae3fa692a80860ca764d8285d630"
 
     def test_sweep_documents_pinned(self):
-        docs = [estimate_distance(*row).as_json() for row in SWEEP]
+        docs = [estimate_distance(*row) for row in SWEEP]
         text = json.dumps(cli._round12(docs), indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == self.SWEEP_SHA
         kinds = [doc["convention"].split(",", 1)[1] for doc in docs]
@@ -202,7 +203,6 @@ class TestChordCache:
             estimate_distance(*row)
         warm = [estimate_distance(*row) for row in SWEEP]
         assert warm == cold
-        assert [e.as_json() for e in warm] == [e.as_json() for e in cold]
 
     @pytest.mark.parametrize("orientable", [True, False])
     @pytest.mark.parametrize("mode", ["auto", "geo"])
@@ -229,10 +229,11 @@ class TestChordCache:
         first = estimate_distance((6, 6, 8), 2, True)
         after = estimate_distance((8, 6, 6), 2, True)
         assert after == alone
-        assert after.convention_tag == "red=8(class 0),X"
-        assert first.convention_tag == "red=6(class 0),Z"
-        assert [c[1:] for c in after.chords_used] == [
-            c[1:] for c in (first.chords_used[2], first.chords_used[0], first.chords_used[1])
+        assert after["convention"] == "red=8(class 0),X"
+        assert first["convention"] == "red=6(class 0),Z"
+        chords = first["chords"]
+        assert [c[1:] for c in after["chords"]] == [
+            c[1:] for c in (chords[2], chords[0], chords[1])
         ]
 
     def test_bad_triples_raise_on_every_call(self, cold_cache):
