@@ -13,8 +13,10 @@ import pytest
 import floqtess
 from floqtess import cli, geodist
 from floqtess.cli import _build_parser, _module_of, main
-from floqtess.surface import deserialize
+from floqtess.derive import polygon_complex
+from floqtess.surface import deserialize, fundamental_polygon, serialize
 from helpers import face_sizes
+from test_surface import MALFORMED
 
 # Fresh CLI processes run here, so ``-m floqtess.cli`` imports the same
 # package as this run even when it is not installed.
@@ -196,6 +198,12 @@ class TestGeom:
         assert code == 1 and not out
         assert "floqtess.hypgeo" in err and "Euclidean triple" in err
 
+    def test_spherical_signature_is_domain_error(self, capsys):
+        assert run(capsys, "geom", "--sig", "{3,3}") == (
+            1, "", "error: floqtess.hypgeo: {3,3} is Spherical, not hyperbolic "
+            "(need 1/p + 1/q < 1/2)\n"
+        )
+
     def test_small_regular_signature_is_domain_error(self, capsys):
         assert run(capsys, "geom", "--sig", "{2,5}") == (
             1, "", "error: floqtess.hypgeo: {2,5}: face size and valence must be >= 3\n"
@@ -278,6 +286,21 @@ class TestColor:
         code, out, err = run(capsys, "color", "--in", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("error: floqtess.surface: key 'vertices' must be a list")
+
+
+class TestMalformedDocuments:
+    """Each command reading a complex fails on every malformed document of
+    ``test_surface.MALFORMED`` with exit 1, no stdout and the message."""
+
+    @pytest.mark.parametrize(
+        "command", [["color"], ["isg"], ["distance", "--mode", "geo"]], ids=["color", "isg", "distance"]
+    )
+    @pytest.mark.parametrize("make, message", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_rejected(self, capsys, tmp_path, command, make, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(make(serialize(fundamental_polygon(2, True)))))
+        got = run(capsys, command[0], "--in", str(path), *command[1:])
+        assert got == (1, "", f"error: floqtess.surface: {message}\n")
 
 class TestIsg:
     def test_rank_trajectory(self, capsys, incenter2):
@@ -415,6 +438,22 @@ class TestUsageErrors:
             main(["table", "--genus", "2", "--orientable", "true", "--mode", "exact"])
         assert exc.value.code == 2
         assert "invalid choice: 'exact'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "genus, message",
+        [
+            ("x", "invalid _genus_range value: 'x'"),
+            ("2..x", "invalid _genus_range value: '2..x'"),
+            ("5..2", "empty genus range '5..2'"),
+        ],
+        ids=["word", "range-word", "empty-range"],
+    )
+    def test_bad_genus_range(self, capsys, genus, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--genus", genus, "--orientable", "true"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"floqtess table: error: argument --genus: {message}"
 
     def test_help_available_everywhere(self, capsys):
         for cmd in (["--help"], ["geom", "--help"], ["table", "--help"],
@@ -613,6 +652,20 @@ class TestStdoutPinned:
     @pytest.mark.parametrize("key", sorted(GEO, key=str), ids=_argv_id)
     def test_distance_geo(self, capsys, tmp_path, key):
         assert self.distance(capsys, tmp_path, key, "geo") == (0, self.GEO[key], "")
+
+    @pytest.mark.parametrize("key", sorted(GEO, key=str), ids=_argv_id)
+    def test_derived_build_round_trip(self, capsys, key):
+        """Every derived complex the CLI prints decodes to the complex the
+        library builds, and that survives another JSON round trip."""
+        genus, orientable, derive = key
+        code, out, _ = run(
+            capsys, "complex", "build", "--genus", str(genus),
+            "--orientable", orientable, "--derive", derive,
+        )
+        assert code == 0
+        c = deserialize(out)
+        assert c == polygon_complex(derive, genus, orientable == "true")
+        assert deserialize(json.dumps(serialize(c))) == c
 
 
 class TestEstimateCachePinned:
