@@ -90,13 +90,15 @@ def _bool_flag(text: str) -> bool:
 
 
 def _genus_range(text: str) -> tuple[int, ...]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        a, b = int(lo), int(hi)
-        if a > b:
-            raise argparse.ArgumentTypeError(f"empty genus range {text!r}")
-        return tuple(range(a, b + 1))
-    return (int(text),)
+    try:
+        a, b = map(int, text.split("..", 1) if ".." in text else (text, text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a genus G or a range A..B, got {text!r}"
+        ) from None
+    if a > b:
+        raise argparse.ArgumentTypeError(f"empty genus range {text!r}")
+    return tuple(range(a, b + 1))
 
 
 def _load_complex(path: str):

@@ -53,7 +53,7 @@ class RegularSig:
         excess = self.p * self.q - 2 * (self.p + self.q)
         if excess <= 0:
             raise ValueError(
-                f"{{{self.p},{self.q}}} is {'Euclidean' if excess == 0 else 'Spherical'}, "
+                f"{{{self.p},{self.q}}} is {'Euclidean' if excess == 0 else 'spherical'}, "
                 f"not hyperbolic (need 1/p + 1/q < 1/2)"
             )
 

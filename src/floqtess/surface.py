@@ -474,18 +474,16 @@ def serialize(c: SurfaceComplex) -> dict:
     }
 
 
-def _require_id(value: Any, where: str) -> None:
-    """Vertex and edge ids are dictionary keys, so they must be hashable."""
-    if not _hashable(value):
-        raise SurfaceError(f"{where} must be a scalar id, got {value!r}")
-
-
 def deserialize(doc: dict | str) -> SurfaceComplex:
-    """Parse and fully validate a complex document.
+    """Decode a complex document and build the complex it describes.
 
-    Accepts a dict or a JSON string.  Raises :class:`SurfaceError` naming the
-    first missing or malformed key; structural violations (open surface,
-    characteristic mismatch, ...) surface as :class:`SurfaceError` too.
+    Accepts a dict or a JSON string.  Decoding checks only the records: the
+    text parses, the document is an object with the five keys, the vertex,
+    edge and face lists and each edge's ends are lists, and each edge and
+    slot is an object with its two keys.  It passes the values on unchanged
+    as (id, ends) pairs and (edge, dir) slots; the :class:`SurfaceComplex`
+    constructor checks every value.  Either raises :class:`SurfaceError`
+    naming the first fault it finds.
     """
     if isinstance(doc, str):
         try:
@@ -497,46 +495,25 @@ def deserialize(doc: dict | str) -> SurfaceComplex:
     for key in ("orientable", "genus", "vertices", "edges", "faces"):
         if key not in doc:
             raise SurfaceError(f"missing required key: {key!r}")
-    if not isinstance(doc["orientable"], bool):
-        raise SurfaceError("key 'orientable' must be a boolean")
-    if not isinstance(doc["genus"], int) or isinstance(doc["genus"], bool):
-        raise SurfaceError("key 'genus' must be an integer")
+    # Lists here and at ends, not any iterable: tuple() of an object reads its keys.
     for key in ("vertices", "edges", "faces"):
         if not isinstance(doc[key], (list, tuple)):
             raise SurfaceError(f"key {key!r} must be a list")
-    for pos, v in enumerate(doc["vertices"]):
-        _require_id(v, f"vertices[{pos}]")
     edges = []
     for pos, rec in enumerate(doc["edges"]):
         if not isinstance(rec, dict) or "id" not in rec or "ends" not in rec:
             raise SurfaceError(f"edges[{pos}] must be an object with 'id' and 'ends'")
-        if not isinstance(rec["ends"], (list, tuple)) or len(rec["ends"]) != 2:
+        if not isinstance(rec["ends"], (list, tuple)):
             raise SurfaceError(f"edges[{pos}].ends must be a pair")
-        _require_id(rec["id"], f"edges[{pos}].id")
-        for end in rec["ends"]:
-            _require_id(end, f"edges[{pos}].ends")
-        edges.append(Edge(rec["id"], tuple(rec["ends"])))
+        edges.append((rec["id"], rec["ends"]))
     faces = []
     for fpos, face in enumerate(doc["faces"]):
         if not isinstance(face, (list, tuple)):
             raise SurfaceError(f"faces[{fpos}] must be a list of slots")
-        slots = []
         for spos, rec in enumerate(face):
             if not isinstance(rec, dict) or "edge" not in rec or "dir" not in rec:
                 raise SurfaceError(
                     f"faces[{fpos}][{spos}] must be an object with 'edge' and 'dir'"
                 )
-            _require_id(rec["edge"], f"faces[{fpos}][{spos}].edge")
-            if not isinstance(rec["dir"], int) or isinstance(rec["dir"], bool):
-                raise SurfaceError(
-                    f"faces[{fpos}][{spos}].dir must be an integer, got {rec['dir']!r}"
-                )
-            slots.append((rec["edge"], rec["dir"]))
-        faces.append(tuple(slots))
-    return SurfaceComplex(
-        orientable=doc["orientable"],
-        genus=doc["genus"],
-        vertices=tuple(doc["vertices"]),
-        edges=tuple(edges),
-        faces=tuple(faces),
-    )
+        faces.append([(rec["edge"], rec["dir"]) for rec in face])
+    return SurfaceComplex(doc["orientable"], doc["genus"], doc["vertices"], edges, faces)

@@ -200,7 +200,7 @@ class TestGeom:
 
     def test_spherical_signature_is_domain_error(self, capsys):
         assert run(capsys, "geom", "--sig", "{3,3}") == (
-            1, "", "error: floqtess.hypgeo: {3,3} is Spherical, not hyperbolic "
+            1, "", "error: floqtess.hypgeo: {3,3} is spherical, not hyperbolic "
             "(need 1/p + 1/q < 1/2)\n"
         )
 
@@ -293,7 +293,9 @@ class TestMalformedDocuments:
     ``test_surface.MALFORMED`` with exit 1, no stdout and the message."""
 
     @pytest.mark.parametrize(
-        "command", [["color"], ["isg"], ["distance", "--mode", "geo"]], ids=["color", "isg", "distance"]
+        "command",
+        [["color"], ["isg"], ["distance", "--mode", "geo"]],
+        ids=["color", "isg", "distance"],
     )
     @pytest.mark.parametrize("make, message", MALFORMED.values(), ids=MALFORMED.keys())
     def test_rejected(self, capsys, tmp_path, command, make, message):
@@ -301,6 +303,7 @@ class TestMalformedDocuments:
         path.write_text(json.dumps(make(serialize(fundamental_polygon(2, True)))))
         got = run(capsys, command[0], "--in", str(path), *command[1:])
         assert got == (1, "", f"error: floqtess.surface: {message}\n")
+
 
 class TestIsg:
     def test_rank_trajectory(self, capsys, incenter2):
@@ -442,8 +445,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "genus, message",
         [
-            ("x", "invalid _genus_range value: 'x'"),
-            ("2..x", "invalid _genus_range value: '2..x'"),
+            ("x", "expected a genus G or a range A..B, got 'x'"),
+            ("2..x", "expected a genus G or a range A..B, got '2..x'"),
             ("5..2", "empty genus range '5..2'"),
         ],
         ids=["word", "range-word", "empty-range"],

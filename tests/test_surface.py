@@ -623,8 +623,9 @@ class TestVertexDegrees:
 
 
 class TestConstructorScalars:
-    """The constructor rejects the scalars that :func:`deserialize` rejects,
-    so a complex it accepts survives a JSON round trip (see
+    """The constructor is the only check of a document's values:
+    :func:`deserialize` decodes the records and passes the values on, so a
+    complex the constructor accepts survives a JSON round trip (see
     ``TestSerialization.test_json_round_trip``)."""
 
     @pytest.mark.parametrize(
@@ -911,6 +912,8 @@ def _edit(*path, value):
 
 # Malformed documents made from the serialized genus-2 octagon, and the
 # message each is rejected with, by deserialize or by the CLI reading it.
+# The first eight are record faults that deserialize names; the
+# SurfaceComplex constructor names the value faults of the rest.
 MALFORMED = {
     "list-document": (lambda doc: [], "complex document must be a JSON object"),
     "vertices-scalar": (_edit("vertices", value=5), "key 'vertices' must be a list"),
@@ -924,25 +927,25 @@ MALFORMED = {
     "slot-scalar": (
         _edit("faces", 0, 0, value=7), "faces[0][0] must be an object with 'edge' and 'dir'"
     ),
-    "orientable-int": (_edit("orientable", value=1), "key 'orientable' must be a boolean"),
-    "genus-bool": (_edit("genus", value=True), "key 'genus' must be an integer"),
-    "genus-float": (_edit("genus", value=2.0), "key 'genus' must be an integer"),
-    "ends-single": (_edit("edges", 0, "ends", value=[0]), "edges[0].ends must be a pair"),
-    "vertex-list": (_edit("vertices", 0, value=[0]), "vertices[0] must be a scalar id, got [0]"),
-    "edge-id-object": (_edit("edges", 0, "id", value={}), "edges[0].id must be a scalar id, got {}"),
+    "orientable-int": (_edit("orientable", value=1), "orientable must be a boolean, got 1"),
+    "genus-bool": (_edit("genus", value=True), "genus must be an integer, got True"),
+    "genus-float": (_edit("genus", value=2.0), "genus must be an integer, got 2.0"),
+    "ends-single": (_edit("edges", 0, "ends", value=[0]), "edge 0: ends must be a pair"),
+    "vertex-list": (_edit("vertices", 0, value=[0]), "vertex [0] must be a hashable id"),
+    "edge-id-object": (_edit("edges", 0, "id", value={}), "edge id {} must be hashable"),
     "end-list": (
-        _edit("edges", 0, "ends", value=[[0], 0]), "edges[0].ends must be a scalar id, got [0]"
+        _edit("edges", 0, "ends", value=[[0], 0]), "edge 0 references unknown vertex [0]"
     ),
     "slot-edge-list": (
-        _edit("faces", 0, 0, "edge", value=[0]), "faces[0][0].edge must be a scalar id, got [0]"
+        _edit("faces", 0, 0, "edge", value=[0]), "face 0: slot 0 has unhashable edge id [0]"
     ),
     # True == 1 == 1.0, so only a type check keeps these from being
     # accepted and written back as they came.
     "direction-bool": (
-        _edit("faces", 0, 1, "dir", value=True), "faces[0][1].dir must be an integer, got True"
+        _edit("faces", 0, 1, "dir", value=True), "face 0: direction must be +1 or -1, got True"
     ),
     "direction-float": (
-        _edit("faces", 0, 1, "dir", value=1.0), "faces[0][1].dir must be an integer, got 1.0"
+        _edit("faces", 0, 1, "dir", value=1.0), "face 0: direction must be +1 or -1, got 1.0"
     ),
 }
 
@@ -1013,11 +1016,28 @@ class TestSerialization:
         with pytest.raises(SurfaceError, match="[Ee]uler characteristic"):
             deserialize(doc)
 
-
     @pytest.mark.parametrize("make, message", MALFORMED.values(), ids=MALFORMED.keys())
     def test_malformed_records_rejected(self, make, message):
         with pytest.raises(SurfaceError) as info:
             deserialize(make(serialize(fundamental_polygon(2, True))))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "where, message",
+        [("ends", "edges[0].ends must be a pair"), ("vertices", "key 'vertices' must be a list")],
+        ids=["ends", "vertices"],
+    )
+    def test_object_for_a_list_rejected(self, where, message):
+        """An object keyed by the real ids, here the string vertex ids of
+        the genus-2 incenter complex, reads as those ids under tuple(): only
+        deserialize's list checks reject it."""
+        doc = serialize(incenter_complex(fundamental_polygon(2, True), 8, 8))
+        owner = doc["edges"][0] if where == "ends" else doc
+        ids = owner[where]
+        owner[where] = dict.fromkeys(ids, 0)
+        assert tuple(owner[where]) == tuple(ids) and isinstance(ids[0], str)
+        with pytest.raises(SurfaceError) as info:
+            deserialize(json.dumps(doc))
         assert str(info.value) == message
 
 
