@@ -16,6 +16,7 @@ from floqtess.cli import _build_parser, _module_of, main
 from floqtess.derive import polygon_complex
 from floqtess.surface import deserialize, fundamental_polygon, serialize
 from helpers import face_sizes
+from test_hypgeo import _table_signatures
 from test_surface import MALFORMED
 
 # Fresh CLI processes run here, so ``-m floqtess.cli`` imports the same
@@ -192,6 +193,23 @@ class TestGeom:
     @pytest.mark.parametrize("sig", sorted(_GEOM_PINS))
     def test_fragile_triples_keep_their_bytes(self, capsys, sig):
         assert run(capsys, "geom", "--sig", sig) == (0, _GEOM_PINS[sig], "")
+
+    # sha256 of json.dumps([[code, stdout, stderr], ...]) over the sweep
+    # below, taken before the profiles became the documents geom prints.
+    SWEEP_SHA = "d471541125095e43b10d68fd389a31ea257edd99d586f5ad0f9a46fa8188ffd5"
+
+    def test_sweep_pinned(self, capsys):
+        """Every table signature (orientable g = 2..12, non-orientable
+        g = 3..12), each also rotated once, the {p,q} grid for p, q in
+        3..29 with its Euclidean and spherical rejections, and {3,10^155}."""
+        triples = _table_signatures()
+        sigs = [f"[{a},{b},{c}]" for a, b, c in triples]
+        sigs += [f"[{b},{c},{a}]" for a, b, c in triples]
+        sigs += [f"{{{p},{q}}}" for p in range(3, 30) for q in range(3, 30)]
+        sigs.append("{3,1%s}" % ("0" * 155))
+        assert len(triples) == 338 and len(sigs) == 1406
+        got = [list(run(capsys, "geom", "--sig", sig)) for sig in sigs]
+        assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == self.SWEEP_SHA
 
     def test_euclidean_triple_is_domain_error(self, capsys):
         code, out, err = run(capsys, "geom", "--sig", "[6,6,6]")
