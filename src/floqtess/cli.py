@@ -28,12 +28,7 @@ from .coloring import NotColorCodeTiling, edge_three_color, three_color
 from .derive import polygon_complex
 from .floquet import exact_distance, run_schedule
 from .geodist import estimate_distance
-from .hypgeo import (
-    polygon_area,
-    regular_apothem_circumradius,
-    regular_edge_length,
-    semiregular_profile,
-)
+from .hypgeo import regular_profile, semiregular_profile
 from .surface import deserialize, fundamental_polygon, serialize
 
 _REGULAR_RE = re.compile(r"^\{\s*(\d+)\s*,\s*(\d+)\s*\}$")
@@ -133,23 +128,10 @@ def cmd_geom(args) -> int:
     kind, sig = _parse_sig(args.sig)
     if kind == "regular":
         p, q = sig
-        a, r = regular_apothem_circumradius((p, q))
-        doc = {
-            "signature": {"kind": "regular", "p": p, "q": q},
-            "edge_length": regular_edge_length((p, q)),
-            "apothem": a,
-            "circumradius": r,
-            "face_area": polygon_area((p, q)),
-        }
+        doc = {"signature": {"kind": "regular", "p": p, "q": q}, **regular_profile(sig)}
     else:
-        profile = semiregular_profile(sig)
-        doc = {
-            "signature": {"kind": "semiregular", "m": list(sig)},
-            "edge_length": profile.l,
-            "apothems": list(profile.a),
-            "circumradii": list(profile.r),
-            "incenter_gaps": list(profile.A),
-        }
+        doc = {"signature": {"kind": "semiregular", "m": list(sig)},
+               **semiregular_profile(sig)}
     _emit(doc)
     return 0
 

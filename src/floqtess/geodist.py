@@ -39,15 +39,15 @@ def _chord_table(sig: SemiRegularSig) -> tuple:
 
     t_r: shortest chord across either non-red pivot face; t_gb: centre
     distance between the two non-red classes.  With j, k the classes after
-    red (mod 3), the gaps are the profile's ``A``: A[red] and A[k] from red
-    to j and k, A[j] from j to k.  Both depend on the ordered triple alone
+    red (mod 3), A is the profile's ``incenter_gaps``: A[red] and A[k] from
+    red to j and k, A[j] from j to k.  Both depend on the ordered triple alone
     (a SemiRegularSig hashes and compares as its ``m``), so a table over
     many genera works out each signature's edge length (the closed form
     plus one Newton step) once per process, and nothing is evicted.  The
     profile is read through this module's binding of
     ``semiregular_profile``, so a wrapper put there sees every real solve.
     """
-    A, m = semiregular_profile(sig).A, sig.m
+    A, m = semiregular_profile(sig)["incenter_gaps"], sig.m
     table = []
     for red in range(3):
         j, k = (red + 1) % 3, (red + 2) % 3

@@ -5,7 +5,8 @@ apothems, circumradii and face areas of the regular {p,q} tilings, the
 edge length of semi-regular vertex types [m1, m2, m3] with three faces per
 vertex (a triangle's circumdiameter, polished by one Newton step),
 distances between incenters of adjacent faces, and the systole of the
-closed surfaces the tilings live on.
+closed surfaces the tilings live on.  The two profile functions return
+the documents ``floqtess geom`` prints after the signature.
 
 All functions are pure and operate in double precision; lengths are in
 natural units (curvature -1).
@@ -20,10 +21,7 @@ from typing import Sequence
 __all__ = [
     "RegularSig",
     "SemiRegularSig",
-    "MetricProfile",
-    "regular_edge_length",
-    "regular_apothem_circumradius",
-    "polygon_area",
+    "regular_profile",
     "semiregular_edge_length",
     "semiregular_profile",
     "incenter_chord",
@@ -86,54 +84,22 @@ class SemiRegularSig:
             )
 
 
-@dataclass(frozen=True)
-class MetricProfile:
-    """Metric data of a semi-regular type: edge length, apothems, circumradii.
+def regular_profile(sig: RegularSig | tuple[int, int]) -> dict:
+    """Edge length, apothem, circumradius and face area of {p,q}.
 
-    ``a[i]`` and ``r[i]`` are the apothem and circumradius of the m_i-gon.
+    The edge length is 2 arccosh(cos(pi/p) / sin(pi/q)), the apothem
+    arccosh(cos(pi/q) / sin(pi/p)) and the circumradius
+    arccosh(cot(pi/p) cot(pi/q)), below which the apothem lies.  The face
+    area is the angle defect (pq - 2p - 2q) pi / q.
     """
-
-    l: float
-    a: tuple[float, float, float]
-    r: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        if not self.l > 0:
-            raise ValueError("edge length must be positive")
-        if not all(ai < ri for ai, ri in zip(self.a, self.r)):
-            raise ValueError("apothem must be below circumradius")
-
-    @property
-    def A(self) -> tuple[float, float, float]:
-        """``A[i] = a[i] + a[(i+1) % 3]``, the distance between the incenters
-        of two adjacent faces of sizes m_i and m_{i+1} (their shared edge
-        being orthogonal to the segment joining the incenters)."""
-        a = self.a
-        return tuple(a[i] + a[(i + 1) % 3] for i in range(3))
-
-
-def regular_edge_length(sig: RegularSig | tuple[int, int]) -> float:
-    """Edge length of the hyperbolic {p,q} tessellation:
-    2*arccosh(cos(pi/p)/sin(pi/q))."""
     sig = _as_regular(sig)
     p, q = sig.p, sig.q
-    return 2.0 * math.acosh(math.cos(math.pi / p) / math.sin(math.pi / q))
-
-
-def regular_apothem_circumradius(sig: RegularSig | tuple[int, int]) -> tuple[float, float]:
-    """Apothem and circumradius (a, r) of the {p,q} face, a < r."""
-    sig = _as_regular(sig)
-    p, q = sig.p, sig.q
-    a = math.acosh(math.cos(math.pi / q) / math.sin(math.pi / p))
-    r = math.acosh(1.0 / (math.tan(math.pi / p) * math.tan(math.pi / q)))
-    return a, r
-
-
-def polygon_area(sig: RegularSig | tuple[int, int]) -> float:
-    """Area of one face of {p,q}: angle defect (pq - 2p - 2q) pi / q."""
-    sig = _as_regular(sig)
-    p, q = sig.p, sig.q
-    return (p * q - 2 * p - 2 * q) * math.pi / q
+    return {
+        "edge_length": 2.0 * math.acosh(math.cos(math.pi / p) / math.sin(math.pi / q)),
+        "apothem": math.acosh(math.cos(math.pi / q) / math.sin(math.pi / p)),
+        "circumradius": math.acosh(1.0 / (math.tan(math.pi / p) * math.tan(math.pi / q))),
+        "face_area": (p * q - 2 * p - 2 * q) * math.pi / q,
+    }
 
 
 def _genus_chi(genus: int, orientable: bool) -> int:
@@ -211,22 +177,27 @@ def semiregular_edge_length(sig: SemiRegularSig | Sequence[int]) -> float:
     return 2.0 * math.acosh(c)
 
 
-def semiregular_profile(sig: SemiRegularSig | Sequence[int]) -> MetricProfile:
+def semiregular_profile(sig: SemiRegularSig | Sequence[int]) -> dict:
     """Edge length, apothems, circumradii and incenter gaps of [m1, m2, m3].
 
     The apothem of the m_i-gon is a_i = arcsinh(tanh(l/2) cot(pi/m_i)) and
     its circumradius satisfies cosh(r_i) = cosh(a_i) cosh(l/2) (right-angled
-    triangle between incenter, edge midpoint and vertex).  A[i] is the
-    incenter-to-incenter distance across the edge shared by the m_i- and
-    m_{i+1}-gons.
+    triangle between incenter, edge midpoint and vertex).  The incenter gap
+    a_i + a_{i+1} is the incenter-to-incenter distance across the edge
+    shared by the m_i- and m_{i+1}-gons, that edge being orthogonal to the
+    segment joining the incenters.
     """
     sig = _as_semiregular(sig)
     l = semiregular_edge_length(sig)
     th = math.tanh(0.5 * l)
     ch = math.cosh(0.5 * l)
-    a = tuple(math.asinh(th / math.tan(math.pi / mi)) for mi in sig.m)
-    r = tuple(math.acosh(math.cosh(ai) * ch) for ai in a)
-    return MetricProfile(l=l, a=a, r=r)
+    a = [math.asinh(th / math.tan(math.pi / mi)) for mi in sig.m]
+    return {
+        "edge_length": l,
+        "apothems": a,
+        "circumradii": [math.acosh(math.cosh(ai) * ch) for ai in a],
+        "incenter_gaps": [a[i] + a[(i + 1) % 3] for i in range(3)],
+    }
 
 
 def incenter_chord(A: float, m_next: int) -> float:

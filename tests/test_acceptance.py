@@ -26,7 +26,7 @@ from floqtess.geodist import estimate_distance
 from floqtess.hypgeo import (
     SemiRegularSig,
     incenter_chord,
-    regular_edge_length,
+    regular_profile,
     semiregular_edge_length,
 )
 from floqtess.surface import fundamental_polygon
@@ -213,7 +213,7 @@ def test_criterion_6_invariant_suites():
     # Equal-size triple degenerates to the regular {k,3} edge.
     for k in range(8, 22, 2):
         assert semiregular_edge_length([k, k, k]) == pytest.approx(
-            regular_edge_length((k, 3)), abs=1e-9
+            regular_profile((k, 3))["edge_length"], abs=1e-9
         )
 
     # Chord through a square face doubles the gap.

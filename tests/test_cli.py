@@ -297,15 +297,6 @@ class TestColor:
         assert code == 1 and "error" in err
 
 
-    def test_malformed_document(self, capsys, tmp_path):
-        doc = {"orientable": True, "genus": 2, "vertices": 5, "edges": [], "faces": []}
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "color", "--in", str(path))
-        assert (code, out) == (1, "")
-        assert err.startswith("error: floqtess.surface: key 'vertices' must be a list")
-
-
 class TestMalformedDocuments:
     """Each command reading a complex fails on every malformed document of
     ``test_surface.MALFORMED`` with exit 1, no stdout and the message."""

@@ -14,13 +14,10 @@ import pytest
 from floqtess import hypgeo
 from floqtess.catalog import enumerate_signatures
 from floqtess.hypgeo import (
-    MetricProfile,
     RegularSig,
     SemiRegularSig,
     incenter_chord,
-    polygon_area,
-    regular_apothem_circumradius,
-    regular_edge_length,
+    regular_profile,
     semiregular_edge_length,
     semiregular_profile,
     systole,
@@ -106,49 +103,53 @@ CHORD_68_VIA6 = 1.5285709194809982
 CHORD_68_VIA8 = 1.2832905599804685
 
 
+def _regular_edge(sig) -> float:
+    return regular_profile(sig)["edge_length"]
+
+
 class TestRegular:
     def test_edge_length_88(self):
-        assert regular_edge_length((8, 8)) == pytest.approx(L_88, abs=1e-14)
+        assert _regular_edge((8, 8)) == pytest.approx(L_88, abs=1e-14)
         # {p,p} edge length equals the diagonal form 2*arccosh(cot(pi/p))
-        assert regular_edge_length((8, 8)) == pytest.approx(
+        assert _regular_edge((8, 8)) == pytest.approx(
             2 * math.acosh(1 / math.tan(math.pi / 8)), abs=1e-14
         )
 
     def test_edge_length_83(self):
-        assert regular_edge_length((8, 3)) == pytest.approx(L_83, abs=1e-14)
+        assert _regular_edge((8, 3)) == pytest.approx(L_83, abs=1e-14)
 
     @pytest.mark.parametrize("sig", [(8.5, 8), (8, 8.0)])
     def test_non_integer_signature_rejected(self, sig):
         with pytest.raises(TypeError, match="must be integers"):
-            regular_edge_length(sig)
-        with pytest.raises(TypeError, match="must be integers"):
-            regular_apothem_circumradius(sig)
+            regular_profile(sig)
 
-    @pytest.mark.parametrize(
-        "fn", [regular_edge_length, regular_apothem_circumradius, polygon_area]
-    )
-    def test_takes_a_regular_sig(self, fn):
-        assert fn(RegularSig(8, 3)) == fn((8, 3))
+    def test_takes_a_regular_sig(self):
+        assert regular_profile(RegularSig(8, 3)) == regular_profile((8, 3))
+
+    def test_keys_in_geom_order(self):
+        assert list(regular_profile((8, 3))) == [
+            "edge_length", "apothem", "circumradius", "face_area"
+        ]
 
     def test_apothem_circumradius(self):
-        a, r = regular_apothem_circumradius((8, 8))
-        assert a == pytest.approx(A_88, abs=1e-14)
-        assert r == pytest.approx(R_88, abs=1e-14)
-        a, r = regular_apothem_circumradius((8, 3))
-        assert a == pytest.approx(A_83, abs=1e-14)
-        assert r == pytest.approx(R_83, abs=1e-14)
+        prof = regular_profile((8, 8))
+        assert prof["apothem"] == pytest.approx(A_88, abs=1e-14)
+        assert prof["circumradius"] == pytest.approx(R_88, abs=1e-14)
+        prof = regular_profile((8, 3))
+        assert prof["apothem"] == pytest.approx(A_83, abs=1e-14)
+        assert prof["circumradius"] == pytest.approx(R_83, abs=1e-14)
 
     @pytest.mark.parametrize("p,q", [(p, q) for p in range(3, 51) for q in range(3, 51)
                                      if 1 / p + 1 / q < 0.5])
     def test_apothem_below_circumradius(self, p, q):
-        a, r = regular_apothem_circumradius((p, q))
-        assert 0 < a < r
+        prof = regular_profile((p, q))
+        assert 0 < prof["apothem"] < prof["circumradius"]
 
     def test_euclidean_rejected(self):
         with pytest.raises(ValueError, match="[Ee]uclidean"):
             RegularSig(4, 4)
         with pytest.raises(ValueError, match="[Ee]uclidean"):
-            regular_edge_length((6, 3))
+            _regular_edge((6, 3))
 
     def test_spherical_rejected(self):
         with pytest.raises(ValueError) as info:
@@ -156,10 +157,11 @@ class TestRegular:
         assert str(info.value) == "{3,5} is spherical, not hyperbolic (need 1/p + 1/q < 1/2)"
 
     def test_area_88(self):
-        assert polygon_area((8, 8)) == pytest.approx(4 * math.pi, abs=1e-12)
+        assert regular_profile((8, 8))["face_area"] == pytest.approx(4 * math.pi, abs=1e-12)
 
     def test_area_83(self):
-        assert polygon_area((8, 3)) == pytest.approx(2 * math.pi / 3, abs=1e-12)
+        face_area = regular_profile((8, 3))["face_area"]
+        assert face_area == pytest.approx(2 * math.pi / 3, abs=1e-12)
 
     def test_closed_forms_agree_everywhere(self):
         # The equivalent single-arccosh form of the edge length,
@@ -168,7 +170,7 @@ class TestRegular:
         for p in range(3, 51):
             for q in range(3, 51):
                 if 1 / p + 1 / q < 0.5:
-                    length = regular_edge_length((p, q))
+                    length = _regular_edge((p, q))
                     sq = math.sin(math.pi / q)
                     alt = math.acosh(
                         (math.cos(math.pi / q) ** 2 + math.cos(2 * math.pi / p)) / sq**2
@@ -181,7 +183,7 @@ class TestRegular:
         # sin^2(pi/q) overflows the single-arccosh form's quotient (10^155)
         # or underflows to 0 (10^300); the primary form stays finite.
         want = 2 * math.acosh(math.cos(math.pi / 3) / math.sin(math.pi / q))
-        assert regular_edge_length((3, q)) == want
+        assert _regular_edge((3, q)) == want
 
 
 class TestSurfaceArea:
@@ -209,12 +211,13 @@ class TestSemiRegular:
 
     def test_668_profile(self):
         prof = semiregular_profile([6, 6, 8])
-        assert prof.a[0] == pytest.approx(A6_668, abs=1e-13)
-        assert prof.a[1] == pytest.approx(A6_668, abs=1e-13)
-        assert prof.a[2] == pytest.approx(A8_668, abs=1e-13)
-        assert prof.A[0] == pytest.approx(2 * A6_668, abs=1e-13)  # between the hexagons
-        assert prof.A[1] == pytest.approx(GAP68, abs=1e-13)
-        assert prof.A[2] == pytest.approx(GAP68, abs=1e-13)
+        a, gaps = prof["apothems"], prof["incenter_gaps"]
+        assert a[0] == pytest.approx(A6_668, abs=1e-13)
+        assert a[1] == pytest.approx(A6_668, abs=1e-13)
+        assert a[2] == pytest.approx(A8_668, abs=1e-13)
+        assert gaps[0] == pytest.approx(2 * A6_668, abs=1e-13)  # between the hexagons
+        assert gaps[1] == pytest.approx(GAP68, abs=1e-13)
+        assert gaps[2] == pytest.approx(GAP68, abs=1e-13)
 
     @pytest.mark.parametrize("m", [(6.5, 6, 8), (6, 6.0, 8), (6, 6, "8")])
     def test_non_integer_face_sizes_rejected(self, m):
@@ -226,15 +229,31 @@ class TestSemiRegular:
 
     def test_profile_pythagoras(self):
         prof = semiregular_profile([4, 6, 36])
-        ch = math.cosh(prof.l / 2)
-        for ai, ri in zip(prof.a, prof.r):
+        ch = math.cosh(prof["edge_length"] / 2)
+        for ai, ri in zip(prof["apothems"], prof["circumradii"]):
             assert math.cosh(ri) == pytest.approx(math.cosh(ai) * ch, rel=1e-14)
+
+    def test_profile_invariants_on_every_table_signature(self):
+        """The checks the profile's former result class made on
+        construction, and the gaps it derived, on all 338 signatures."""
+        triples = _table_signatures()
+        assert len(triples) == 338
+        for m in triples:
+            prof = semiregular_profile(m)
+            assert list(prof) == ["edge_length", "apothems", "circumradii", "incenter_gaps"]
+            l, a, r = prof["edge_length"], prof["apothems"], prof["circumradii"]
+            assert l > 0, m
+            ch = math.cosh(l / 2)
+            for i in range(3):
+                assert 0 < a[i] < r[i], m
+                assert prof["incenter_gaps"][i] == a[i] + a[(i + 1) % 3], m
+                assert math.cosh(r[i]) == pytest.approx(math.cosh(a[i]) * ch, rel=1e-14), m
 
     @pytest.mark.parametrize("k", range(8, 101, 2))
     def test_uniform_triple_degenerates_to_regular(self, k):
         # Both reduce to 2 acosh(2 cos(pi/k) / sqrt(3)).
         assert semiregular_edge_length([k, k, k]) == pytest.approx(
-            regular_edge_length((k, 3)), rel=1e-14
+            _regular_edge((k, 3)), rel=1e-14
         )
 
     def test_euclidean_triple_rejected(self):
@@ -403,14 +422,3 @@ class TestAdmissibility:
     def test_rejects_degenerate_entries(self):
         with pytest.raises(ValueError, match=">= 3"):
             SemiRegularSig((2, 8, 8))
-
-
-class TestMetricProfileInvariants:
-    def test_rejects_apothem_past_circumradius(self):
-        with pytest.raises(ValueError):
-            MetricProfile(l=1.0, a=(0.9, 0.2, 0.3), r=(0.5, 0.6, 0.7))
-
-    @pytest.mark.parametrize("l", [0.0, -1.0, math.nan])
-    def test_rejects_non_positive_edge_length(self, l):
-        with pytest.raises(ValueError, match="edge length must be positive"):
-            MetricProfile(l=l, a=(0.1, 0.2, 0.3), r=(0.5, 0.6, 0.7))

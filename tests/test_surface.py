@@ -833,7 +833,7 @@ class TestRegularCounts:
                     if got is None:
                         continue
                     F = got[0]
-                    assert hypgeo.polygon_area((p, q)) * F == pytest.approx(
+                    assert hypgeo.regular_profile((p, q))["face_area"] * F == pytest.approx(
                         surface_area(genus, True), abs=1e-9
                     )
 
