@@ -8,10 +8,11 @@ orientable versus non-orientable genus-doubling check (equiv).  Output is
 deterministic: identical invocations print identical bytes.  Exit codes:
 0 success, 1 domain error, 2 usage error.
 
-``_COMMANDS`` declares each command once.  An invocation whose first word
-names a command is parsed by that command's parser alone, built once per
-process; everything else (help, a missing or unknown command, words left
-over) goes to the whole parser, so help and usage errors print its bytes.
+``_COMMANDS`` declares each command and its options once.  A well-formed
+invocation (the command words, then exact ``--flag value`` pairs that pass
+their types and choices) is read straight off it and builds no argparse
+parser; help, usage errors and every other form go to the whole parser,
+built from the same declarations, so they print its bytes unchanged.
 """
 
 from __future__ import annotations
@@ -211,131 +212,153 @@ def cmd_equiv(args) -> int:
     return 0
 
 
-def _geom_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--sig", required=True,
-        help="signature: regular {p,q} or semi-regular [m1,m2,m3]",
-    )
-    p.set_defaults(func=cmd_geom)
+_ORIENTABLE = ("--orientable", {
+    "type": _bool_flag, "required": True,
+    "help": "true for orientable, false for non-orientable",
+})
+_INFILE = ("--in", {"dest": "infile", "required": True, "help": "complex JSON file"})
 
-
-def _complex_args(p: argparse.ArgumentParser) -> None:
-    csub = p.add_subparsers(dest="action", required=True)
-    b = csub.add_parser(
-        "build", help="fundamental polygon, optionally clipped or subdivided"
-    )
-    b.add_argument("--genus", type=int, required=True, help="surface genus")
-    b.add_argument(
-        "--orientable", type=_bool_flag, required=True,
-        help="true for orientable, false for non-orientable",
-    )
-    b.add_argument(
-        "--derive", choices=("clip", "incenter"), default=None,
-        help="derive a tri-valent complex instead of the bare polygon",
-    )
-    b.set_defaults(func=cmd_complex_build)
-
-
-def _color_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--in", dest="infile", required=True, help="complex JSON file")
-    p.set_defaults(func=cmd_color)
-
-
-def _isg_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--in", dest="infile", required=True, help="complex JSON file")
-    p.add_argument(
-        "--rounds", type=int, default=9,
-        help="measurement rounds to simulate (default 9, minimum 6)",
-    )
-    p.set_defaults(func=cmd_isg)
-
-
-def _distance_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--in", dest="infile", required=True, help="complex JSON file")
-    p.add_argument(
-        "--mode", choices=("exact", "geo"), required=True,
-        help="exact operator search or geometric estimate",
-    )
-    p.set_defaults(func=cmd_distance)
-
-
-def _table_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--genus", type=_genus_range, required=True,
-        help="single genus G or inclusive range A..B",
-    )
-    p.add_argument(
-        "--orientable", type=_bool_flag, required=True,
-        help="true for orientable, false for non-orientable",
-    )
-    p.add_argument(
-        "--mode", choices=("geo", "auto"), default="auto",
-        help="distance per row: geo estimates every row, auto (the default) "
-        "searches exactly on incenter rows with n <= 40",
-    )
-    p.add_argument(
-        "--format", choices=("csv", "json"), default="csv",
-        help="output format (default csv)",
-    )
-    p.set_defaults(func=cmd_table)
-
-
-def _equiv_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--genus", type=int, required=True, help="orientable genus H")
-    p.set_defaults(func=cmd_equiv)
-
-
-# Every command once, in help order: name -> (help text, the function that
-# adds its arguments and its ``func`` default to a parser).
+# Every command once, in help order: name -> (help text, func, options), the
+# options as (flag, add_argument keywords) pairs.  A command with actions
+# (complex) has None for func and its actions, in the same form, as options.
 _COMMANDS = {
-    "geom": ("metric profile of a tessellation signature", _geom_args),
-    "complex": ("construct surface complexes", _complex_args),
-    "color": ("face 3-coloring and check list", _color_args),
-    "isg": ("measurement rounds and stabilizer ranks", _isg_args),
-    "distance": ("code distance of a complex", _distance_args),
-    "table": ("[[n,k,d]] table over a genus range", _table_args),
+    "geom": ("metric profile of a tessellation signature", cmd_geom, (
+        ("--sig", {
+            "required": True,
+            "help": "signature: regular {p,q} or semi-regular [m1,m2,m3]",
+        }),
+    )),
+    "complex": ("construct surface complexes", None, {
+        "build": (
+            "fundamental polygon, optionally clipped or subdivided",
+            cmd_complex_build, (
+                ("--genus", {"type": int, "required": True, "help": "surface genus"}),
+                _ORIENTABLE,
+                ("--derive", {
+                    "choices": ("clip", "incenter"), "default": None,
+                    "help": "derive a tri-valent complex instead of the bare polygon",
+                }),
+            ),
+        ),
+    }),
+    "color": ("face 3-coloring and check list", cmd_color, (_INFILE,)),
+    "isg": ("measurement rounds and stabilizer ranks", cmd_isg, (
+        _INFILE,
+        ("--rounds", {
+            "type": int, "default": 9,
+            "help": "measurement rounds to simulate (default 9, minimum 6)",
+        }),
+    )),
+    "distance": ("code distance of a complex", cmd_distance, (
+        _INFILE,
+        ("--mode", {
+            "choices": ("exact", "geo"), "required": True,
+            "help": "exact operator search or geometric estimate",
+        }),
+    )),
+    "table": ("[[n,k,d]] table over a genus range", cmd_table, (
+        ("--genus", {
+            "type": _genus_range, "required": True,
+            "help": "single genus G or inclusive range A..B",
+        }),
+        _ORIENTABLE,
+        ("--mode", {
+            "choices": ("geo", "auto"), "default": "auto",
+            "help": "distance per row: geo estimates every row, auto (the "
+            "default) searches exactly on incenter rows with n <= 40",
+        }),
+        ("--format", {
+            "choices": ("csv", "json"), "default": "csv",
+            "help": "output format (default csv)",
+        }),
+    )),
     "equiv": (
-        "orientable genus H versus non-orientable genus 2H report", _equiv_args
+        "orientable genus H versus non-orientable genus 2H report", cmd_equiv,
+        (("--genus", {"type": int, "required": True, "help": "orientable genus H"}),),
     ),
 }
 
 
+def _add_commands(parser: argparse.ArgumentParser, commands: dict, dest: str) -> None:
+    """Add ``commands`` (in ``_COMMANDS`` form) as subparsers named in ``dest``."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (text, func, options) in commands.items():
+        p = sub.add_parser(name, help=text)
+        if func is None:
+            _add_commands(p, options, "action")
+            continue
+        for flag, kw in options:
+            p.add_argument(flag, **kw)
+        p.set_defaults(func=func)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The whole parser, each command a subparser, built once per process;
-    parsing leaves it as is.  ``_parse`` hands it help, a missing or
-    unknown command and left-over words, so those print its bytes."""
+    """The whole parser, each command a subparser, built once per process
+    from ``_COMMANDS``; parsing leaves it as is.  ``_parse`` hands it only
+    what ``_parse_declared`` does not accept (help, usage errors and any
+    other form), so those print its bytes."""
     parser = argparse.ArgumentParser(
         prog="floqtess",
         description="Floquet codes from hyperbolic tessellations: "
         "geometry, complexes, schedules, distances and tables.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, add_args) in _COMMANDS.items():
-        add_args(sub.add_parser(name, help=text))
+    _add_commands(parser, _COMMANDS, "command")
     return parser
 
 
-@functools.cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """One command's parser, built once per process: the parser that
-    ``add_parser`` makes for it in the whole parser, built alone."""
-    parser = argparse.ArgumentParser(prog=f"floqtess {name}")
-    _COMMANDS[name][1](parser)
-    return parser
+def _parse_declared(argv: list[str]) -> argparse.Namespace | None:
+    """The whole parser's namespace for argv, read straight off
+    ``_COMMANDS``, or None unless argv is the command words followed by
+    exact ``--flag value`` pairs: each flag declared and given once, no
+    value starting with "-", every value passing its type and choices, and
+    every required flag given.  Any argv it accepts, the whole parser reads
+    the same way."""
+    name = argv[0] if argv else None
+    if name not in _COMMANDS:
+        return None
+    _, func, options = _COMMANDS[name]
+    found = {"command": name}
+    words = argv[1:]
+    if func is None:
+        if not words or words[0] not in options:
+            return None
+        found["action"] = words[0]
+        _, func, options = options[words[0]]
+        words = words[1:]
+    given = dict(zip(words[::2], words[1::2]))
+    if len(words) % 2 or 2 * len(given) != len(words):
+        return None
+    if not given.keys() <= dict(options).keys():
+        return None
+    for flag, kw in options:
+        dest = kw.get("dest", flag[2:])
+        if flag not in given:
+            if kw.get("required"):
+                return None
+            found[dest] = kw.get("default")
+            continue
+        value = given[flag]
+        if value.startswith("-"):
+            return None
+        if "type" in kw:
+            try:
+                value = kw["type"](value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        found[dest] = value
+    return argparse.Namespace(func=func, **found)
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """The whole parser's namespace for argv, from the named command's
-    parser alone when argv[0] names a command and no word is left over.
-    That parser is the whole parser's subparser built alone, so its own
-    help and usage errors print the whole parser's bytes."""
-    if argv and argv[0] in _COMMANDS:
-        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return _build_parser().parse_args(argv)
+    """The whole parser's namespace for argv.  A well-formed invocation is
+    read off ``_COMMANDS`` and builds no parser; everything else (help, a
+    missing or unknown command, any usage error or other form) goes to the
+    whole parser, so it prints the whole parser's bytes."""
+    args = _parse_declared(argv)
+    return _build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

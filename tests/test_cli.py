@@ -405,8 +405,7 @@ class TestTable:
     def test_every_mode_prints_a_table(self, capsys):
         # Each --mode the parser offers has to succeed, so a mode that can
         # only fail cannot be offered.
-        table = cli._command_parser("table")
-        modes = next(a for a in table._actions if a.dest == "mode").choices
+        modes = dict(cli._COMMANDS["table"][2])["--mode"]["choices"]
         assert modes
         for mode in modes:
             for genus, orientable in (("2", "true"), ("3", "false")):
@@ -831,17 +830,26 @@ def _command_grid():
         yield f"{name}-dashdash-first", words + ["--"] + valid
         yield f"{name}-dashdash-last", words + valid + ["--"]
         yield f"{name}-abbreviated", words + abbreviated
+        yield f"{name}-equals", words + [f"{valid[0]}={valid[1]}", *valid[2:]]
+        yield f"{name}-twice", words + valid[:2] + valid
+        yield f"{name}-empty-value", words + [valid[0], "", *valid[2:]]
+        yield f"{name}-negative-value", words + [valid[0], "-2", *valid[2:]]
+        yield f"{name}-flag-as-value", words + valid[:1] + valid[2:]
     yield "no-args", []
     yield "help", ["--help"]
     yield "unknown-command", ["bogus"]
     yield "complex-alone", ["complex"]
+    # argparse keeps the last value of a flag given twice.
+    yield "table-twice-last-wins", ["table", "--genus", "3", "--genus", "2", "--orientable", "true"]
+    yield "complex-unknown-action", ["complex", "bogus", "--genus", "2", "--orientable", "true"]
+    yield "complex-action-help", ["complex", "bogus", "-h"]
 
 
 COMMAND_GRID = dict(_command_grid())
 
 
 class TestCommandParsers:
-    """``main`` parses with the named command's parser where it can; exit
+    """``main`` reads well-formed calls straight off the declarations; exit
     codes and printed bytes must be those of the whole parser."""
 
     @pytest.mark.parametrize("argv", COMMAND_GRID.values(), ids=COMMAND_GRID.keys())
@@ -864,10 +872,15 @@ class TestCommandParsers:
             assert (proc.returncode, proc.stdout, proc.stderr) == want
 
     def test_namespace_is_the_whole_parsers(self, incenter2):
-        for argv in (["complex", "build", "--genus", "2", "--orientable", "true"],
-                     ["distance", "--in", incenter2, "--mode", "geo"],
-                     ["table", "--genus", "2..3", "--orientable", "false"]):
-            assert cli._parse(argv) == _build_parser().parse_args(argv)
+        valid = [words + call for words, call, *_ in COMMAND_CALLS.values()]
+        for argv in (*valid,
+                     ["complex", "build", "--genus", "3", "--orientable", "false",
+                      "--derive", "clip"],
+                     ["isg", "--rounds", "6", "--in", "{in}"],
+                     ["table", "--genus", "2..3", "--orientable", "false",
+                      "--mode", "geo", "--format", "json"]):
+            argv = [incenter2 if a == "{in}" else a for a in argv]
+            assert cli._parse_declared(argv) == _build_parser().parse_args(argv)
 
 
 WHOLE_PARSER = [
@@ -891,29 +904,44 @@ class TestParsersBuilt:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
         cli._build_parser.cache_clear()
-        cli._command_parser.cache_clear()
         yield progs
         cli._build_parser.cache_clear()
-        cli._command_parser.cache_clear()
 
-    def test_a_command_builds_only_its_parser_once(self, built, capsys):
+    def test_a_well_formed_command_constructs_no_parser(self, built, capsys):
         argv = ["table", "--genus", "2", "--orientable", "true"]
         assert main(argv) == 0
-        assert built == ["floqtess table"]
+        assert built == []
         assert main(argv) == 0
-        assert built == ["floqtess table"]
+        assert built == []
 
     @pytest.mark.parametrize(
-        "argv, progs",
-        [(["--help"], WHOLE_PARSER),
-         (["table", "--genus", "2", "--orientable", "true", "extra"],
-          ["floqtess table", *WHOLE_PARSER])],
+        "argv",
+        [["--help"], ["table", "--genus", "2", "--orientable", "true", "extra"]],
         ids=["help", "leftover"],
     )
-    def test_help_and_leftovers_build_the_whole_parser(self, built, capsys, argv, progs):
+    def test_help_and_leftovers_build_the_whole_parser(self, built, capsys, argv):
         with pytest.raises(SystemExit):
             main(argv)
-        assert built == progs
+        assert built == WHOLE_PARSER
+
+    def test_a_well_formed_command_leaves_locale_unimported(self):
+        # argparse's gettext calls import locale; a fresh process that has
+        # not imported it before a well-formed call has not after it either.
+        code = (
+            "import contextlib, io, sys\n"
+            "from floqtess import cli\n"
+            "before = 'locale' in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['table', '--genus', '2', '--orientable', 'true'])\n"
+            "print(code, before, 'locale' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            cwd=PACKAGE_ROOT, check=True,
+        )
+        exit_code, before, after = proc.stdout.split()
+        assert exit_code == "0"
+        assert before == "True" or after == "False"
 
 
 class TestModuleName:
