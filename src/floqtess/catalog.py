@@ -111,18 +111,18 @@ def build_table(
 def table_to_csv(rows: Iterable[CodeParams]) -> str:
     """The rows as CSV under ``CSV_HEADER``, each line ending in a newline.
 
-    Each line is formatted directly.  The signature "[m1,m2,m3]" is the only
-    field that can hold a comma, and no field holds a quote or a line
-    break, so it is the only field quoted: the minimal quoting of
-    ``csv.writer``.  The ratios k/n, k d^2/n and d/n are written with
-    ``:.12g``.
+    Each line is formatted directly from the record's fields, unpacked in
+    order (faster than named reads of a tuple record).  The signature
+    "[m1,m2,m3]" is the only field that can hold a comma, and no field
+    holds a quote or a line break, so it is the only field quoted: the
+    minimal quoting of ``csv.writer``.  The ratios k/n, k d^2/n and d/n
+    are written with ``:.12g``.
     """
     lines = [",".join(CSV_HEADER)]
-    for r in rows:
-        n, k, d = r.n, r.k, r.d
+    for signature, genus, orientable, n, k, d, d_source, _ in rows:
         lines.append(
-            f'{r.genus},{"true" if r.orientable else "false"},'
-            f'"[{",".join(map(str, r.signature))}]",{n},{k},{d},{r.d_source},'
+            f'{genus},{"true" if orientable else "false"},'
+            f'"[{",".join(map(str, signature))}]",{n},{k},{d},{d_source},'
             f"{k / n:.12g},{k * d * d / n:.12g},{d / n:.12g}"
         )
     lines.append("")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import geodist
 from .coloring import PAULI_OF, ROUND_COLOR, three_color
@@ -23,7 +24,7 @@ from .derive import (
     polygon_route,
     semiregular_counts_direct,
 )
-from .hypgeo import SemiRegularSig, _check_genus
+from .hypgeo import _check_genus, _semiregular_of
 
 # (x, z) bits of each Pauli letter, in the order the search tries them.
 _LETTERS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -367,10 +368,7 @@ def _min_logical_weight(phases) -> int:
     )
 
 
-@dataclass(frozen=True)
-class CodeParams:
-    """[[n, k, d]] of one tessellation code plus distance provenance."""
-
+class _CodeFields(NamedTuple):
     signature: tuple
     genus: int
     orientable: bool
@@ -378,13 +376,33 @@ class CodeParams:
     k: int
     d: int
     d_source: str  # "exact" | "geometric-estimate"
-    convention: str | None = None
+    convention: str | None
 
-    def __post_init__(self):
-        if min(self.n, self.k, self.d) < 1:
+
+class CodeParams(_CodeFields):
+    """[[n, k, d]] of one tessellation code plus distance provenance.
+
+    An immutable tuple record with named fields, built once per table row;
+    nothing in it is shared per triple or per genus but the signature tuple.
+    ``_make`` is the one path that builds a record: the constructor and the
+    inherited ``_replace`` both go through it, so every record has
+    n, k, d >= 1 and a known ``d_source``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, signature, genus, orientable, n, k, d, d_source, convention=None):
+        return cls._make((signature, genus, orientable, n, k, d, d_source, convention))
+
+    @classmethod
+    def _make(cls, fields) -> CodeParams:
+        row = tuple.__new__(cls, fields)
+        _, _, _, n, k, d, d_source, _ = row
+        if min(n, k, d) < 1:
             raise ValueError("n, k, d must be positive")
-        if self.d_source not in ("exact", "geometric-estimate"):
-            raise ValueError(f"unknown d_source {self.d_source!r}")
+        if d_source not in ("exact", "geometric-estimate"):
+            raise ValueError(f"unknown d_source {d_source!r}")
+        return row
 
     def as_json(self) -> dict:
         doc = {
@@ -428,10 +446,16 @@ def code_params(m, genus: int, orientable: bool, d_mode: str = "auto") -> CodePa
     route on every incenter row with n <= 40 (each has d = 2), and any error
     of that route, BoundExceeded included, is raised, not replaced by an
     estimate.  Auto reads the route only on rows with n <= 40.
+
+    The signature's checks run once per distinct triple per process
+    (``hypgeo._semiregular_of``), as do its chords, and the systole once
+    per genus (both in ``geodist.estimate_distance``).  Per row: the genus
+    check, the vertex count, the route on rows with n <= 40, the estimate's
+    ceilings and the record.
     """
     if d_mode not in ("geo", "auto"):
         raise ValueError(f"unknown d_mode {d_mode!r}")
-    sig = SemiRegularSig(m)
+    sig = _semiregular_of(m)
     chi = _check_genus(genus, orientable)
     n = _admitted_vertex_count(sig.m, chi, orientable)
     if n is None:
@@ -446,7 +470,7 @@ def code_params(m, genus: int, orientable: bool, d_mode: str = "auto") -> CodePa
     ):
         est = geodist.estimate_distance(sig, genus, orientable)
         return CodeParams(
-            tuple(sig.m), genus, orientable, n, k, est["d"],
+            sig.m, genus, orientable, n, k, est["d"],
             "geometric-estimate", est["convention"],
         )
     cx = polygon_complex("incenter", genus, orientable)
@@ -470,4 +494,4 @@ def code_params(m, genus: int, orientable: bool, d_mode: str = "auto") -> CodePa
             f"the genus rule k={k}"
         )
     d = exact_distance(schedule, result)
-    return CodeParams(tuple(sig.m), genus, orientable, n, k, d, "exact")
+    return CodeParams(sig.m, genus, orientable, n, k, d, "exact")

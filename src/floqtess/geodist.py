@@ -43,7 +43,9 @@ def _chord_table(sig: SemiRegularSig) -> tuple:
     red to j and k, A[j] from j to k.  Both depend on the ordered triple alone
     (a SemiRegularSig hashes and compares as its ``m``), so a table over
     many genera works out each signature's edge length (the closed form
-    plus one Newton step) once per process, and nothing is evicted.  The
+    plus one Newton step) once per distinct triple per process, and nothing
+    is evicted.  ``hypgeo._semiregular_of`` hands back one SemiRegularSig
+    per distinct triple, so a repeated lookup hits on identity.  The
     profile is read through this module's binding of
     ``semiregular_profile``, so a wrapper put there sees every real solve.
     """
@@ -56,6 +58,11 @@ def _chord_table(sig: SemiRegularSig) -> tuple:
     return tuple(table)
 
 
+# The systole of each (genus, orientable) pair ``estimate_distance`` has
+# seen, a pure function of the pair; nothing is evicted.
+_systole = cache(systole)
+
+
 def estimate_distance(
     m: SemiRegularSig | Sequence[int], genus: int, orientable: bool
 ) -> dict:
@@ -64,17 +71,33 @@ def estimate_distance(
     Returns the document ``distance --mode geo`` prints, the winning
     choice recorded under ``convention``.  ``d`` is clamped to 2 (a
     weight-1 logical would contradict k > 0 two-body dynamics) and the
-    clamp, when active, is part of the tag.  The chords come from a
-    per-process cache keyed by the ordered triple; the systole, ceilings
-    and clamp are worked out on every call.
+    clamp, when active, is part of the tag.
+
+    Per distinct triple, once per process: the signature's checks
+    (``hypgeo._semiregular_of``) and its chords (``_chord_table``).  Per
+    genus: the systole, cached for an int genus and a bool ``orientable``;
+    any other pair takes ``systole``, checks included, on every call.  Per
+    row: the six ceilings, worked out inline by ``_ceil_guard``'s rule,
+    with ``_ceil_guard`` itself raising on a ratio that is not positive and
+    finite; then the minimum, the clamp and the tag.
     """
     sig = _as_semiregular(m)
-    length = systole(genus, orientable)
+    if type(genus) is int and type(orientable) is bool:
+        length = _systole(genus, orientable)
+    else:
+        length = systole(genus, orientable)
     chords = _chord_table(sig)
     best = None  # (value, red, kind, dX, dZ)
     for red, t_r, t_gb in chords:
-        d_x = 2 * _ceil_guard(length / t_r)
-        d_z = _ceil_guard(length / t_gb)
+        # _ceil_guard's ceiling, inline; the guard is called only to raise.
+        ratio = length / t_r
+        if not 0.0 < ratio < math.inf:
+            _ceil_guard(ratio)
+        d_x = 2 * (math.ceil(ratio - _CEIL_EPS) or 1)
+        ratio = length / t_gb
+        if not 0.0 < ratio < math.inf:
+            _ceil_guard(ratio)
+        d_z = math.ceil(ratio - _CEIL_EPS) or 1
         val, kind = (d_x, "X") if d_x <= d_z else (d_z, "Z")
         if best is None or val < best[0]:
             best = (val, red, kind, d_x, d_z)

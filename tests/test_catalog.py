@@ -1,7 +1,6 @@
 """Catalog: enumeration, tables, genus equivalence; reference reports and rates."""
 
 import csv
-import dataclasses
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -475,7 +474,7 @@ class TestEquivalence:
         def off_by_two(m, genus, orientable, d_mode="auto"):
             p = real(m, genus, orientable, d_mode)
             if not orientable and tuple(m) == (6, 6, 8):
-                p = dataclasses.replace(p, d=p.d + 2)
+                p = p._replace(d=p.d + 2)
             return p
 
         monkeypatch.setattr(catalog, "code_params", off_by_two)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import floqtess
-from floqtess import cli, geodist
+from floqtess import cli, geodist, hypgeo
 from floqtess.cli import _build_parser, _module_of, main
 from floqtess.derive import polygon_complex
 from floqtess.surface import deserialize, fundamental_polygon, serialize
@@ -680,10 +680,11 @@ class TestStdoutPinned:
 
 
 class TestEstimateCachePinned:
-    """Multi-genus tables and equivalence reports, where signatures repeat
-    across rows and the estimator's chord cache hits; sha256 of stdout
-    taken before the cache existed.  Each command list runs cold, then
-    warm, in one process."""
+    """Multi-genus tables and equivalence reports, where signatures and
+    genera repeat across rows and the signature, chord and systole caches
+    hit; sha256 of stdout taken before the caches existed.  Each command
+    list runs cold, every one of those caches emptied first, then warm,
+    in one process."""
 
     TABLES = {
         ("2..12", "true", "auto", "csv"):
@@ -713,7 +714,10 @@ class TestEstimateCachePinned:
 
     @staticmethod
     def outputs(capsys, commands):
+        # Cold: every per-process cache of the table path starts empty.
         geodist._chord_table.cache_clear()
+        geodist._systole.cache_clear()
+        hypgeo._SEMIREGULAR.clear()
         runs = []
         for _ in range(2):
             got = []

@@ -8,7 +8,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from floqtess import floquet
+from floqtess import floquet, hypgeo
 from floqtess.catalog import build_table, table_to_csv
 from floqtess.cli import _schedule_for
 from floqtess.coloring import (
@@ -1645,7 +1645,9 @@ class TestCodeParams:
 
     def test_geo_builds_the_signature_once(self, monkeypatch):
         # The counts, the estimator and the metric profile all take the
-        # SemiRegularSig code_params validated, instead of rebuilding it.
+        # SemiRegularSig code_params validated, and a triple validated once
+        # is not validated again in the process, on another genus or
+        # surface either: three rows over two distinct triples, two checks.
         calls = []
         post_init = SemiRegularSig.__post_init__
 
@@ -1654,11 +1656,24 @@ class TestCodeParams:
             post_init(self)
 
         monkeypatch.setattr(SemiRegularSig, "__post_init__", counted)
+        monkeypatch.setattr(hypgeo, "_SEMIREGULAR", {})
         for m, genus, orientable in [((6, 6, 8), 2, True), ((4, 6, 14), 5, True),
                                      ((6, 6, 8), 3, False)]:
-            calls.clear()
             assert code_params(m, genus, orientable, "geo").d_source == "geometric-estimate"
-            assert calls == [m]
+        assert calls == [(6, 6, 8), (4, 6, 14)]
+
+    def test_a_checked_triple_does_not_admit_other_element_types(self, monkeypatch):
+        # (6, 6, 8.0) and (6, 6, int64(8)) compare and hash equal to the
+        # checked (6, 6, 8), so a signature cache keyed by the bare triple
+        # would hand them its row; they must still be rejected.  Another
+        # sequence type of the same ints is the same triple.
+        monkeypatch.setattr(hypgeo, "_SEMIREGULAR", {})
+        row = code_params((6, 6, 8), 2, True, "geo")
+        for m in [(6, 6, 8.0), (6, 6, np.int64(8))]:
+            with pytest.raises(TypeError) as info:
+                code_params(m, 2, True, "geo")
+            assert str(info.value) == "vertex type must be a triple of integers"
+        assert code_params([6, 6, 8], 2, True, "geo") == row
 
     def test_inadmissible_counts(self):
         with pytest.raises(ValueError, match="integral"):
@@ -1688,6 +1703,24 @@ class TestCodeParams:
     def test_rejects_bad_fields(self, n, k, d, d_source, match):
         with pytest.raises(ValueError, match=match):
             CodeParams((4, 16, 16), 2, True, n, k, d, d_source)
+
+    @pytest.mark.parametrize(
+        "n, k, d, d_source, match",
+        [
+            (0, 4, 2, "exact", "must be positive"),
+            (16, 0, 2, "exact", "must be positive"),
+            (16, 4, -1, "exact", "must be positive"),
+            (16, 4, 2, "guess", "unknown d_source 'guess'"),
+        ],
+        ids=["n-zero", "k-zero", "d-negative", "unknown-source"],
+    )
+    def test_replace_rejects_bad_fields(self, n, k, d, d_source, match):
+        # The copy-with-changes of a valid record runs the same checks as
+        # the constructor; a tuple record's inherited _replace would not.
+        good = CodeParams((4, 16, 16), 2, True, 16, 4, 2, "exact")
+        with pytest.raises(ValueError, match=match):
+            good._replace(n=n, k=k, d=d, d_source=d_source)
+        assert good._replace(d=3) == CodeParams((4, 16, 16), 2, True, 16, 4, 3, "exact")
 
     def test_ratio_columns(self):
         cp = CodeParams((6, 6, 8), 3, False, 24, 3, 4, "geometric-estimate")

@@ -4,9 +4,10 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
-from floqtess import cli, geodist
+from floqtess import cli, geodist, hypgeo
 from floqtess.catalog import build_table, enumerate_signatures, equivalence_check
 from floqtess.geodist import _ceil_guard, estimate_distance
 from floqtess.hypgeo import SemiRegularSig, systole
@@ -154,6 +155,31 @@ class TestEstimateDocument:
             assert doc["d_X"] % 2 == 0, row
             assert doc["convention"].endswith(",clamped") == (low < 2), row
 
+    def test_ceilings_are_the_guards(self):
+        # The inline ceilings give what _ceil_guard gives: the winning red
+        # class's (d_X, d_Z), recomputed through the guard, on every row.
+        for row in SWEEP:
+            doc = estimate_distance(*row)
+            red = int(doc["convention"].split("(class ", 1)[1][0])
+            _, t_r, t_gb = doc["chords"][red]
+            want = (2 * _ceil_guard(doc["systole"] / t_r), _ceil_guard(doc["systole"] / t_gb))
+            assert (doc["d_X"], doc["d_Z"]) == want, row
+
+    @pytest.mark.parametrize(
+        "t_r, t_gb",
+        [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, -1.0), (1e-320, 1.0)],
+        ids=["x-zero", "z-zero", "x-nan", "z-negative", "x-overflow"],
+    )
+    def test_out_of_range_ratios_raise_the_guards_error(self, monkeypatch, t_r, t_gb):
+        length = systole(2, True)
+        bad = t_r if not 0 < length / t_r < math.inf else t_gb
+        with pytest.raises(ValueError) as want:
+            _ceil_guard(length / bad)
+        monkeypatch.setattr(geodist, "_chord_table", lambda sig: ((0, t_r, t_gb),) * 3)
+        with pytest.raises(ValueError) as got:
+            estimate_distance((6, 6, 8), 2, True)
+        assert str(got.value) == str(want.value)
+
     # sha256 of the rounded, indented estimate documents of every SWEEP row,
     # as ``distance --mode geo`` rounds and indents its own; taken before
     # the estimate was a plain dict.  The only pin on X-convention documents.
@@ -167,11 +193,17 @@ class TestEstimateDocument:
         assert {k: kinds.count(k) for k in set(kinds)} == {"Z": 1103, "X": 30, "Z,clamped": 38}
 
 
+def clear_caches():
+    geodist._chord_table.cache_clear()
+    geodist._systole.cache_clear()
+    hypgeo._SEMIREGULAR.clear()
+
+
 @pytest.fixture()
 def cold_cache():
-    geodist._chord_table.cache_clear()
+    clear_caches()
     yield
-    geodist._chord_table.cache_clear()
+    clear_caches()
 
 
 @pytest.fixture()
@@ -235,6 +267,21 @@ class TestChordCache:
         assert [c[1:] for c in after["chords"]] == [
             c[1:] for c in (chords[2], chords[0], chords[1])
         ]
+
+    def test_a_cached_systole_keeps_the_genus_checks(self, cold_cache):
+        # Once (2, True) is cached, pairs equal to it that the genus check
+        # rejects, pairs that cannot be hashed and an int orientability
+        # still raise what systole raises, and none of them is cached.
+        estimate_distance((6, 6, 8), 2, True)
+        assert geodist._systole.cache_info().currsize == 1
+        for genus, orientable in [(2.0, True), (np.int64(2), True), ([2], True),
+                                  (2, 0), (2, [])]:
+            with pytest.raises((TypeError, ValueError)) as want:
+                systole(genus, orientable)
+            with pytest.raises(want.type) as got:
+                estimate_distance((6, 6, 8), genus, orientable)
+            assert str(got.value) == str(want.value)
+        assert geodist._systole.cache_info().currsize == 1
 
     def test_bad_triples_raise_on_every_call(self, cold_cache):
         for _ in range(3):
