@@ -24,7 +24,7 @@ from .derive import (
     polygon_route,
     semiregular_counts_direct,
 )
-from .hypgeo import _check_genus, _semiregular_of
+from .hypgeo import _as_semiregular, _check_genus
 
 # (x, z) bits of each Pauli letter, in the order the search tries them.
 _LETTERS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -368,7 +368,16 @@ def _min_logical_weight(phases) -> int:
     )
 
 
-class _CodeFields(NamedTuple):
+class CodeParams(NamedTuple):
+    """[[n, k, d]] of one tessellation code plus distance provenance.
+
+    An immutable tuple record with named fields, built once per table row
+    by ``code_params``; nothing in it is shared per triple or per genus but
+    the signature tuple.  ``convention`` is the estimate's tag, None on
+    exact rows.  The record checks nothing: ``code_params`` makes n, k
+    and d positive and ``d_source`` one of its two values by construction.
+    """
+
     signature: tuple
     genus: int
     orientable: bool
@@ -377,32 +386,6 @@ class _CodeFields(NamedTuple):
     d: int
     d_source: str  # "exact" | "geometric-estimate"
     convention: str | None
-
-
-class CodeParams(_CodeFields):
-    """[[n, k, d]] of one tessellation code plus distance provenance.
-
-    An immutable tuple record with named fields, built once per table row;
-    nothing in it is shared per triple or per genus but the signature tuple.
-    ``_make`` is the one path that builds a record: the constructor and the
-    inherited ``_replace`` both go through it, so every record has
-    n, k, d >= 1 and a known ``d_source``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, signature, genus, orientable, n, k, d, d_source, convention=None):
-        return cls._make((signature, genus, orientable, n, k, d, d_source, convention))
-
-    @classmethod
-    def _make(cls, fields) -> CodeParams:
-        row = tuple.__new__(cls, fields)
-        _, _, _, n, k, d, d_source, _ = row
-        if min(n, k, d) < 1:
-            raise ValueError("n, k, d must be positive")
-        if d_source not in ("exact", "geometric-estimate"):
-            raise ValueError(f"unknown d_source {d_source!r}")
-        return row
 
     def as_json(self) -> dict:
         doc = {
@@ -447,15 +430,17 @@ def code_params(m, genus: int, orientable: bool, d_mode: str = "auto") -> CodePa
     of that route, BoundExceeded included, is raised, not replaced by an
     estimate.  Auto reads the route only on rows with n <= 40.
 
-    The signature's checks run once per distinct triple per process
-    (``hypgeo._semiregular_of``), as do its chords, and the systole once
+    ``m`` is a SemiRegularSig or a sequence of three ints.  The
+    signature's checks run once per distinct triple per process
+    (``hypgeo._as_semiregular``), as do its chords, and the systole once
     per genus (both in ``geodist.estimate_distance``).  Per row: the genus
     check, the vertex count, the route on rows with n <= 40, the estimate's
-    ceilings and the record.
+    ceilings and the record, whose n is a positive even vertex count, k =
+    2 - chi >= 3 and d >= 2 (the estimate's clamp) or >= 1 (the search).
     """
     if d_mode not in ("geo", "auto"):
         raise ValueError(f"unknown d_mode {d_mode!r}")
-    sig = _semiregular_of(m)
+    sig = _as_semiregular(m)
     chi = _check_genus(genus, orientable)
     n = _admitted_vertex_count(sig.m, chi, orientable)
     if n is None:
@@ -494,4 +479,4 @@ def code_params(m, genus: int, orientable: bool, d_mode: str = "auto") -> CodePa
             f"the genus rule k={k}"
         )
     d = exact_distance(schedule, result)
-    return CodeParams(sig.m, genus, orientable, n, k, d, "exact")
+    return CodeParams(sig.m, genus, orientable, n, k, d, "exact", None)

@@ -27,12 +27,6 @@ from .hypgeo import (
 _CEIL_EPS = 1e-9
 
 
-def _ceil_guard(ratio: float) -> int:
-    if ratio <= 0 or not math.isfinite(ratio):
-        raise ValueError(f"ratio must be positive and finite, got {ratio}")
-    return max(1, math.ceil(ratio - _CEIL_EPS))
-
-
 @cache
 def _chord_table(sig: SemiRegularSig) -> tuple:
     """``(red, t_r, t_gb)`` for each red class of ``sig``, in class order.
@@ -44,7 +38,7 @@ def _chord_table(sig: SemiRegularSig) -> tuple:
     (a SemiRegularSig hashes and compares as its ``m``), so a table over
     many genera works out each signature's edge length (the closed form
     plus one Newton step) once per distinct triple per process, and nothing
-    is evicted.  ``hypgeo._semiregular_of`` hands back one SemiRegularSig
+    is evicted.  ``hypgeo._as_semiregular`` hands back one SemiRegularSig
     per distinct triple, so a repeated lookup hits on identity.  The
     profile is read through this module's binding of
     ``semiregular_profile``, so a wrapper put there sees every real solve.
@@ -74,12 +68,13 @@ def estimate_distance(
     clamp, when active, is part of the tag.
 
     Per distinct triple, once per process: the signature's checks
-    (``hypgeo._semiregular_of``) and its chords (``_chord_table``).  Per
+    (``hypgeo._as_semiregular``) and its chords (``_chord_table``).  Per
     genus: the systole, cached for an int genus and a bool ``orientable``;
     any other pair takes ``systole``, checks included, on every call.  Per
-    row: the six ceilings, worked out inline by ``_ceil_guard``'s rule,
-    with ``_ceil_guard`` itself raising on a ratio that is not positive and
-    finite; then the minimum, the clamp and the tag.
+    row: the six systole/chord ratios, each of which must be positive and
+    finite (ValueError otherwise), and their ceilings, ceil(ratio -
+    _CEIL_EPS) and at least 1, with d_X twice its ceiling; then the
+    minimum, the clamp and the tag.
     """
     sig = _as_semiregular(m)
     if type(genus) is int and type(orientable) is bool:
@@ -89,15 +84,14 @@ def estimate_distance(
     chords = _chord_table(sig)
     best = None  # (value, red, kind, dX, dZ)
     for red, t_r, t_gb in chords:
-        # _ceil_guard's ceiling, inline; the guard is called only to raise.
-        ratio = length / t_r
-        if not 0.0 < ratio < math.inf:
-            _ceil_guard(ratio)
-        d_x = 2 * (math.ceil(ratio - _CEIL_EPS) or 1)
-        ratio = length / t_gb
-        if not 0.0 < ratio < math.inf:
-            _ceil_guard(ratio)
-        d_z = math.ceil(ratio - _CEIL_EPS) or 1
+        # Each ratio must be positive and finite (X checked first, Z formed
+        # only after); its ceiling is ceil(ratio - _CEIL_EPS), at least 1.
+        x = length / t_r
+        if not (0.0 < x < math.inf and 0.0 < (z := length / t_gb) < math.inf):
+            bad = z if 0.0 < x < math.inf else x
+            raise ValueError(f"ratio must be positive and finite, got {bad}")
+        d_x = 2 * (math.ceil(x - _CEIL_EPS) or 1)
+        d_z = math.ceil(z - _CEIL_EPS) or 1
         val, kind = (d_x, "X") if d_x <= d_z else (d_z, "Z")
         if best is None or val < best[0]:
             best = (val, red, kind, d_x, d_z)

@@ -239,24 +239,13 @@ def _as_regular(sig: RegularSig | tuple[int, int]) -> RegularSig:
 
 
 # Each triple of exact ints that passed the SemiRegularSig checks, and the
-# SemiRegularSig built then; filled by ``_semiregular_of``, never evicted.
+# SemiRegularSig built then; filled by ``_as_semiregular``, never evicted.
 _SEMIREGULAR: dict[tuple[int, int, int], SemiRegularSig] = {}
 
 
 def _as_semiregular(sig: SemiRegularSig | Sequence[int]) -> SemiRegularSig:
-    """``sig`` itself if it is a SemiRegularSig, else ``_semiregular_of(sig)``.
-
-    Per call, only the type test and, for a sequence, the lookup; the
-    checks run once per distinct triple per process.  Nothing here depends
-    on a genus.
-    """
-    if isinstance(sig, SemiRegularSig):
-        return sig
-    return _semiregular_of(sig)
-
-
-def _semiregular_of(m: Sequence[int]) -> SemiRegularSig:
-    """``SemiRegularSig(m)``, checked once per distinct triple per process.
+    """``sig`` itself if it is a SemiRegularSig, else ``SemiRegularSig(sig)``
+    checked once per distinct triple per process.
 
     A triple of three exact ints is looked up by value: its first call runs
     the constructor's checks and every later call, in any sequence type,
@@ -265,12 +254,15 @@ def _semiregular_of(m: Sequence[int]) -> SemiRegularSig:
     numpy integers, bools, another length) goes through the constructor on
     every call and raises what it raises: ``(6, 6, 8.0)`` compares and
     hashes equal to ``(6, 6, 8)``, so a lookup by value alone would let it
-    through.  A rejected triple is never stored.
+    through.  A rejected triple is never stored.  Nothing here depends on
+    a genus.
     """
-    m = tuple(m)
-    if len(m) == 3 and type(m[0]) is type(m[1]) is type(m[2]) is int:
-        sig = _SEMIREGULAR.get(m)
-        if sig is None:
-            sig = _SEMIREGULAR[m] = SemiRegularSig(m)
+    if isinstance(sig, SemiRegularSig):
         return sig
+    m = tuple(sig)
+    if len(m) == 3 and type(m[0]) is type(m[1]) is type(m[2]) is int:
+        checked = _SEMIREGULAR.get(m)
+        if checked is None:
+            checked = _SEMIREGULAR[m] = SemiRegularSig(m)
+        return checked
     return SemiRegularSig(m)

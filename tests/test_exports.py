@@ -44,8 +44,6 @@ DEFAULTED = {
     "catalog.enumerate_signatures.m_max",
     "cli.main.argv",
     "floquet.code_params.d_mode",
-    # CodeParams' hand-written constructor: exact rows carry no convention.
-    "floquet.__new__.convention",
 }
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from floqtess import floquet, hypgeo
-from floqtess.catalog import build_table, table_to_csv
+from floqtess.catalog import build_table, equivalence_check, table_to_csv
 from floqtess.cli import _schedule_for
 from floqtess.coloring import (
     PAULI_OF,
@@ -1690,43 +1690,35 @@ class TestCodeParams:
             with pytest.raises(ValueError, match="d_mode"):
                 code_params((6, 6, 8), 2, True, mode)
 
-    @pytest.mark.parametrize(
-        "n, k, d, d_source, match",
-        [
-            (0, 4, 2, "exact", "must be positive"),
-            (16, 0, 2, "exact", "must be positive"),
-            (16, 4, -1, "exact", "must be positive"),
-            (16, 4, 2, "guess", "unknown d_source 'guess'"),
-        ],
-        ids=["n-zero", "k-zero", "d-negative", "unknown-source"],
-    )
-    def test_rejects_bad_fields(self, n, k, d, d_source, match):
-        with pytest.raises(ValueError, match=match):
-            CodeParams((4, 16, 16), 2, True, n, k, d, d_source)
-
-    @pytest.mark.parametrize(
-        "n, k, d, d_source, match",
-        [
-            (0, 4, 2, "exact", "must be positive"),
-            (16, 0, 2, "exact", "must be positive"),
-            (16, 4, -1, "exact", "must be positive"),
-            (16, 4, 2, "guess", "unknown d_source 'guess'"),
-        ],
-        ids=["n-zero", "k-zero", "d-negative", "unknown-source"],
-    )
-    def test_replace_rejects_bad_fields(self, n, k, d, d_source, match):
-        # The copy-with-changes of a valid record runs the same checks as
-        # the constructor; a tuple record's inherited _replace would not.
-        good = CodeParams((4, 16, 16), 2, True, 16, 4, 2, "exact")
-        with pytest.raises(ValueError, match=match):
-            good._replace(n=n, k=k, d=d, d_source=d_source)
-        assert good._replace(d=3) == CodeParams((4, 16, 16), 2, True, 16, 4, 3, "exact")
-
     def test_ratio_columns(self):
-        cp = CodeParams((6, 6, 8), 3, False, 24, 3, 4, "geometric-estimate")
+        cp = CodeParams((6, 6, 8), 3, False, 24, 3, 4, "geometric-estimate", None)
         assert cp.as_json()["kd2_n"] == 2.0
         ratios = table_to_csv([cp]).splitlines()[1].split(",")[-3:]
         assert ratios == ["0.125", "2", "0.166666666667"]
+
+    def test_row_invariants(self):
+        # The record checks nothing, so what code_params builds holds by
+        # construction on every table row in both modes and on both sides
+        # of every equivalence entry: n positive and even, k = 2 - chi,
+        # d >= 2, a known d_source, a convention exactly on estimated rows.
+        keys = ["signature", "genus", "orientable", "n", "k", "d", "d_source",
+                "k_n", "kd2_n", "d_n"]
+        sources = ("exact", "geometric-estimate")
+        for mode in ("auto", "geo"):
+            rows = build_table(range(2, 13), True, mode) + build_table(range(3, 13), False, mode)
+            assert len(rows) == 1171
+            for r in rows:
+                assert r.n > 0 and r.n % 2 == 0, r
+                assert r.k == 2 - hypgeo._genus_chi(r.genus, r.orientable) and r.d >= 2 and r.d_source in sources, r
+                assert (r.convention is None) == (r.d_source == "exact"), r
+                doc = r.as_json()
+                assert list(doc) == keys + ["convention"] * (r.convention is not None), r
+        for h in range(2, 7):
+            for entry in equivalence_check(h)["rows"]:
+                for side in (entry["orientable"], entry["nonorientable"]):
+                    assert side["n"] > 0 and side["n"] % 2 == 0, entry
+                    assert side["k"] == 2 * h and side["d"] >= 2, entry
+                    assert side["d_source"] in sources, entry
 
     def test_explicit_route_shapes(self):
         for m, genus, orientable, n in [((4, 16, 16), 2, True, 16), ((6, 12, 12), 3, False, 6)]:

@@ -9,7 +9,7 @@ import pytest
 
 from floqtess import cli, geodist, hypgeo
 from floqtess.catalog import build_table, enumerate_signatures, equivalence_check
-from floqtess.geodist import _ceil_guard, estimate_distance
+from floqtess.geodist import estimate_distance
 from floqtess.hypgeo import SemiRegularSig, systole
 
 # [6,6,8] family estimates across orientable genus 2..9; the winning
@@ -20,28 +20,46 @@ HEXHEX_OCT_SEQ = [4, 5, 6, 6, 7, 7, 7, 8]
 KEYS = ["d", "d_X", "d_Z", "systole", "chords", "convention"]
 
 
+def ceiling(ratio):
+    """The estimator's ceiling rule, restated on the test side:
+    ceil(ratio - _CEIL_EPS), at least 1, of a positive finite ratio."""
+    assert 0 < ratio < math.inf
+    return max(1, math.ceil(ratio - geodist._CEIL_EPS))
+
+
+def estimate_at_ratio(monkeypatch, ratio):
+    """An estimate whose six systole/chord ratios all equal ``ratio``
+    exactly: a systole of ``ratio`` over chords of length 1."""
+    monkeypatch.setattr(geodist, "_systole", lambda genus, orientable: ratio)
+    monkeypatch.setattr(geodist, "_chord_table", lambda sig: ((0, 1.0, 1.0),) * 3)
+    return estimate_distance((6, 6, 8), 2, True)
+
+
 class TestCeilGuard:
-    def test_plain_values(self):
-        assert _ceil_guard(2.3) == 3
-        assert _ceil_guard(0.4) == 1
+    # The ceiling rule of estimate_distance itself, read off d_Z (and d_X,
+    # twice it) of an estimate whose every ratio is the one given.
+    def test_plain_values(self, monkeypatch):
+        for ratio, want in [(2.3, 3), (0.4, 1)]:
+            est = estimate_at_ratio(monkeypatch, ratio)
+            assert (est["d_X"], est["d_Z"]) == (2 * want, want), ratio
 
-    def test_exact_integers_stay_put(self):
-        assert _ceil_guard(2.0) == 2
-        assert _ceil_guard(2.0 + 4e-16) == 2
-        assert _ceil_guard(1.0) == 1
+    def test_exact_integers_stay_put(self, monkeypatch):
+        for ratio, want in [(2.0, 2), (2.0 + 4e-16, 2), (1.0, 1)]:
+            est = estimate_at_ratio(monkeypatch, ratio)
+            assert (est["d_X"], est["d_Z"]) == (2 * want, want), ratio
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            _ceil_guard(0.0)
-        with pytest.raises(ValueError):
-            _ceil_guard(math.inf)
+    def test_rejects_nonpositive(self, monkeypatch):
+        for ratio in (0.0, math.inf):
+            with pytest.raises(ValueError) as info:
+                estimate_at_ratio(monkeypatch, ratio)
+            assert str(info.value) == f"ratio must be positive and finite, got {ratio}"
 
 
 def per_red_class(m, genus, orientable=True):
     """(d_X, d_Z) for each red class, from the systole and chords an estimate used."""
     est = estimate_distance(m, genus, orientable)
     return [
-        (2 * _ceil_guard(est["systole"] / t_r), _ceil_guard(est["systole"] / t_gb))
+        (2 * ceiling(est["systole"] / t_r), ceiling(est["systole"] / t_gb))
         for _, t_r, t_gb in est["chords"]
     ]
 
@@ -156,29 +174,27 @@ class TestEstimateDocument:
             assert doc["convention"].endswith(",clamped") == (low < 2), row
 
     def test_ceilings_are_the_guards(self):
-        # The inline ceilings give what _ceil_guard gives: the winning red
-        # class's (d_X, d_Z), recomputed through the guard, on every row.
+        # The estimator's ceilings give what the test-side rule gives: the
+        # winning red class's (d_X, d_Z), recomputed, on every row.
         for row in SWEEP:
             doc = estimate_distance(*row)
             red = int(doc["convention"].split("(class ", 1)[1][0])
             _, t_r, t_gb = doc["chords"][red]
-            want = (2 * _ceil_guard(doc["systole"] / t_r), _ceil_guard(doc["systole"] / t_gb))
+            want = (2 * ceiling(doc["systole"] / t_r), ceiling(doc["systole"] / t_gb))
             assert (doc["d_X"], doc["d_Z"]) == want, row
 
     @pytest.mark.parametrize(
-        "t_r, t_gb",
-        [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, -1.0), (1e-320, 1.0)],
+        "t_r, t_gb, got",
+        [(math.inf, 1.0, "0.0"), (1.0, math.inf, "0.0"), (math.nan, 1.0, "nan"),
+         (1.0, -1.0, "-3.057141838961996"), (1e-320, 1.0, "inf")],
         ids=["x-zero", "z-zero", "x-nan", "z-negative", "x-overflow"],
     )
-    def test_out_of_range_ratios_raise_the_guards_error(self, monkeypatch, t_r, t_gb):
-        length = systole(2, True)
-        bad = t_r if not 0 < length / t_r < math.inf else t_gb
-        with pytest.raises(ValueError) as want:
-            _ceil_guard(length / bad)
+    def test_out_of_range_ratios_raise_the_guards_error(self, monkeypatch, t_r, t_gb, got):
+        # The genus-2 systole over the one bad chord, X checked first.
         monkeypatch.setattr(geodist, "_chord_table", lambda sig: ((0, t_r, t_gb),) * 3)
-        with pytest.raises(ValueError) as got:
+        with pytest.raises(ValueError) as info:
             estimate_distance((6, 6, 8), 2, True)
-        assert str(got.value) == str(want.value)
+        assert str(info.value) == f"ratio must be positive and finite, got {got}"
 
     # sha256 of the rounded, indented estimate documents of every SWEEP row,
     # as ``distance --mode geo`` rounds and indents its own; taken before
@@ -191,6 +207,22 @@ class TestEstimateDocument:
         assert hashlib.sha256(text.encode()).hexdigest() == self.SWEEP_SHA
         kinds = [doc["convention"].split(",", 1)[1] for doc in docs]
         assert {k: kinds.count(k) for k in set(kinds)} == {"Z": 1103, "X": 30, "Z,clamped": 38}
+
+
+def test_estimate_equals_the_search_on_every_exact_row():
+    # Auto settles 12 rows by the exact search, each an incenter row with
+    # n <= 40: orientable g = 2..5 and non-orientable g = 3..10.  The
+    # estimate gives the same d on every one (d = 2 on all of them).
+    exact = [
+        r for o, genera in ((True, range(2, 13)), (False, range(3, 13)))
+        for r in build_table(genera, o) if r.d_source == "exact"
+    ]
+    assert [(r.genus, r.orientable) for r in exact] == (
+        [(g, True) for g in range(2, 6)] + [(g, False) for g in range(3, 11)]
+    )
+    for r in exact:
+        assert r.n <= 40
+        assert estimate_distance(r.signature, r.genus, r.orientable)["d"] == r.d, r
 
 
 def clear_caches():
