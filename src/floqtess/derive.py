@@ -27,6 +27,7 @@ fundamental polygons) need no special casing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from typing import Sequence
 
@@ -250,6 +251,10 @@ def semiregular_counts_direct(
     return DerivedCounts(n_f=chi + n_v // 2, n_e=3 * n_v // 2, n_v=n_v, signature=sig)
 
 
+# Cached per process, a pure function of its arguments; nothing is evicted.
+# ``catalog.enumerate_signatures`` admits a row through it, and
+# ``floquet.code_params`` then reads the row's n from the same entry.
+@cache
 def _admitted_vertex_count(
     m: tuple[int, int, int], chi: int, position: bool
 ) -> int | None:

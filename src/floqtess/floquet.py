@@ -5,10 +5,12 @@ stabilizer group (ISG) into a period-3 steady state; the number of logical
 qubits is read off its rank and the code distance from a minimum-weight
 search over Paulis that commute with the ISG without belonging to it.
 The ISG is updated one measured round per kernel call, the round's checks
-in order, on rows held in slots, with a pivot -> slot map and one slot mask
-per row bit.  The search grows connected supports with their letterings,
-each letter's syndrome read off those masks; ``tests/reference.py`` keeps
-the search as first written."""
+in order, on rows held in slots, with a pivot -> slot map (a list over the
+2n row bits, -1 on a free pivot) and one slot mask per row bit.  The search
+reads each letter's syndrome off those masks: weight 1 is a syndrome of 0,
+weight 2 a collision of two qubits' syndromes, and from weight 3 on it grows
+connected supports with their letterings; ``tests/reference.py`` keeps the
+search as first written."""
 
 from __future__ import annotations
 
@@ -37,18 +39,21 @@ class BoundExceeded(ValueError):
     """Exact search out of range; use the geometric estimator instead."""
 
 
-def _measure_round(rows: list, basis: dict, cols: list, checks: list, n: int) -> None:
+def _measure_round(rows: list, basis: list, cols: list, checks: list, swap: list) -> None:
     """Measure one round's checks, in order, on an echelon basis held in
     slots, in place.
 
-    ``rows[s]`` is the row in slot ``s``, ``basis`` maps each pivot (top
-    set bit) to the slot that holds it, and ``cols[j]`` is a mask over
-    slots: bit ``s`` is bit ``j`` of ``rows[s]``.  A pivot can so move to
-    another slot without a column bit being rewritten.  ``checks`` holds
-    ``(c, hits)`` pairs, ``hits`` the set bits of ``c`` with its halves
-    swapped, ``(z << n) | x``: a row anticommutes with ``c`` when it
-    carries an odd number of them, so the XOR of ``cols`` over them marks
-    the rows that anticommute with ``c``.
+    ``rows[s]`` is the row in slot ``s``, ``basis`` is the pivot -> slot
+    map, a list over the 2n row bits: ``basis[p]`` is the slot of the row
+    whose pivot (top set bit) is ``p``, or -1 when no row has that pivot.
+    ``cols[j]`` is a mask over slots: bit ``s`` is bit ``j`` of
+    ``rows[s]``.  A pivot can so move to another slot without a column bit
+    being rewritten.  ``checks`` holds ``(c, hits)`` pairs, ``hits`` the
+    set bits of ``c`` with its halves swapped, ``(z << n) | x``: a row
+    anticommutes with ``c`` when it carries an odd number of them, so the
+    XOR of ``cols`` over them marks the rows that anticommute with ``c``.
+    ``swap[j]`` is bit j's swapped-half bit, ``j + n`` below n and ``j - n``
+    from n on; :func:`run_schedule` builds it once per run.
 
     Any anticommuting row may leave, since the new group is <c> plus the
     rows that commute with c whichever leaves.  The lighter (fewer set
@@ -69,7 +74,6 @@ def _measure_round(rows: list, basis: dict, cols: list, checks: list, n: int) ->
     isolating the lowest.  Their order is free: they only XOR, OR, or pick
     the two least of distinct pivots.
     """
-    swap = list(range(n, 2 * n)) + list(range(n))  # bit j's swapped-half bit
     for c, hits in checks:
         anti = 0
         for j in hits:
@@ -79,7 +83,7 @@ def _measure_round(rows: list, basis: dict, cols: list, checks: list, n: int) ->
             # The two lowest-pivot anticommuting rows: slot a, pivot pa below
             # slot b, pivot pb.  Pivots are distinct, so scan order is free.
             a = b = -1
-            pa = pb = 2 * n
+            pa = pb = len(basis)
             m = anti
             while m:
                 s = m.bit_length() - 1
@@ -90,7 +94,7 @@ def _measure_round(rows: list, basis: dict, cols: list, checks: list, n: int) ->
                     b, pb = s, p
                 m ^= 1 << s
             g = rows[a]
-            del basis[pa]
+            basis[pa] = -1
             if b >= 0 and rows[b].bit_count() < g.bit_count():
                 g = rows[b]
                 basis[pb] = a
@@ -110,8 +114,8 @@ def _measure_round(rows: list, basis: dict, cols: list, checks: list, n: int) ->
                 g ^= 1 << j
         while c:
             top = c.bit_length() - 1
-            s = basis.get(top)
-            if s is None:
+            s = basis[top]
+            if s < 0:
                 break
             c ^= rows[s]
             if c.bit_length() > top:
@@ -141,17 +145,19 @@ def _measure_round(rows: list, basis: dict, cols: list, checks: list, n: int) ->
             rows[slot] = c
 
 
-def _canonical_rows(rows: list, basis: dict) -> tuple:
+def _canonical_rows(rows: list, basis: list) -> tuple:
     """The canonical rows of the slot basis of :func:`_measure_round`: pivots
     (top set bits) strictly decreasing and no row carrying another row's
-    pivot bit, so equal groups give equal tuples.  One pass over the pivots
-    in ascending order: each row XORs in the already-canonical rows of the
-    lower pivots it carries (``v & piv``), and each XOR clears one such
-    pivot bit and sets no other."""
+    pivot bit, so equal groups give equal tuples.  One pass over the pivot
+    map in ascending order, skipping free pivots (-1): each row XORs in the
+    already-canonical rows of the lower pivots it carries (``v & piv``),
+    and each XOR clears one such pivot bit and sets no other."""
     canonical: dict[int, int] = {}
     piv = 0
-    for p in sorted(basis):
-        v = rows[basis[p]]
+    for p, s in enumerate(basis):
+        if s < 0:
+            continue
+        v = rows[s]
         m = v & piv
         while m:  # _bits inlined, top bit first: the XORs commute
             j = m.bit_length() - 1
@@ -167,9 +173,10 @@ class ScheduleResult:
     """Per-round ISG ranks with steady-state bookkeeping.
 
     ``phase_bases`` holds the slot states ``(rows, basis, cols)``, as
-    :func:`_measure_round` leaves them, of the three rounds before the steady
-    round, or ``()`` when no steady state was reached.  Results compare by
-    identity: field-wise equality would compare bases, not groups."""
+    :func:`_measure_round` leaves them (``basis`` the list pivot map), of
+    the three rounds before the steady round, or ``()`` when no steady
+    state was reached.  Results compare by identity: field-wise equality
+    would compare bases, not groups."""
 
     n: int
     ranks: tuple
@@ -189,15 +196,17 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
     after ``r`` are copied from the cycle, not measured.  Until then one
     echelon basis is updated by :func:`_measure_round`, one call per
     measured round, its rows in slots (``rows``), each pivot mapped to its
-    slot (``basis``) and each row bit to a mask of the slots that carry it
-    (``cols``).  Its lighter-row rule keeps rows round a face light: at
-    n = 96 the leaving rows carry 1256 bits over nine rounds, where always
-    taking the lowest pivot let the growing product of a face's checks
-    leave, 5400 bits.
+    slot by a list over the 2n row bits, -1 on a free pivot (``basis``),
+    and each row bit to a mask of the slots that carry it (``cols``); the
+    swapped-half table it reads is built once per run.  Its lighter-row
+    rule keeps rows round a face light: at n = 96 the leaving rows carry
+    1256 bits over nine rounds, where always taking the lowest pivot let
+    the growing product of a face's checks leave, 5400 bits.
 
-    Each measured round keeps a copy of its slot state; the result holds
-    those of the three steady phases, which share one logical count, since
-    no measurement lowers the rank (:func:`_measure_round` checks it).  The
+    Each measured round keeps a copy of its slot state and reads its rank
+    off the pivot map (the pivots not -1); the result holds the states of
+    the three steady phases, which share one logical count, since no
+    measurement lowers the rank (:func:`_measure_round` checks it).  The
     exact search reads them as they are.
     """
     if rounds < 6:
@@ -218,8 +227,9 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
             hits = ((a, b) if lx else ()) + ((n + a, n + b) if lz else ())
             checks.append(((unit << a) ^ (unit << b), hits))
         phase_checks.append(checks)
+    swap = list(range(n, 2 * n)) + list(range(n))  # bit j's swapped-half bit
     rows: list[int] = []
-    basis: dict[int, int] = {}
+    basis = [-1] * (2 * n)
     cols = [0] * (2 * n)
     snapshots: list = []
     ranks: list[int] = []
@@ -228,9 +238,9 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
         if steady is not None:
             ranks.append(ranks[r - 3])
             continue
-        _measure_round(rows, basis, cols, phase_checks[r % 3], n)
-        snapshots.append((rows[:], basis.copy(), cols[:]))
-        ranks.append(len(basis))
+        _measure_round(rows, basis, cols, phase_checks[r % 3], swap)
+        snapshots.append((rows[:], basis[:], cols[:]))
+        ranks.append(2 * n - basis.count(-1))
         if r >= 3 and ranks[r] == ranks[r - 3]:
             steady = r
     k_inst, phase_bases = None, ()
@@ -248,7 +258,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _cosupport_graph(rows: list, basis: dict, n: int):
+def _cosupport_graph(rows: list, basis: list, n: int):
     """``adj(q)``: the qubits sharing a canonical row with ``q``, as a
     bitmask, computed on first call and cached."""
     canonical = _canonical_rows(rows, basis)
@@ -305,9 +315,11 @@ def _connected_logicals(adj, cols: list, n: int, w: int):
 def exact_distance(schedule, result: ScheduleResult) -> int:
     """Minimum weight of a logical operator over the steady phases of ``result``.
 
-    From weight 2 on, each phase is searched only on supports connected in
-    its co-support graph (qubits adjacent when a canonical row acts on
-    both), grown with their Pauli letterings by :func:`_connected_logicals`.
+    Weights 1 and 2 are read off each phase's syndromes, with no phase made
+    canonical (:func:`_min_logical_weight`).  From weight 3 on, each phase
+    is searched only on supports connected in its co-support graph (qubits
+    adjacent when a canonical row acts on both), grown with their Pauli
+    letterings by :func:`_connected_logicals`.
     The prune is exact: a minimum-weight logical split into parts that no
     row links would leave a lighter part that is itself a logical.
     Raises ValueError when k = 0 or the run is unsteady, and BoundExceeded
@@ -327,10 +339,11 @@ def exact_distance(schedule, result: ScheduleResult) -> int:
     return _min_logical_weight(result.phase_bases)
 
 
-def _residue(rows: list, basis: dict, v: int) -> int:
-    """``v`` reduced through a slot state's pivot map under the step guard
-    of :func:`_measure_round`: 0 exactly when ``v`` lies in the group."""
-    while v and (s := basis.get(top := v.bit_length() - 1)) is not None:
+def _residue(rows: list, basis: list, v: int) -> int:
+    """``v`` reduced through a slot state's list pivot map (-1 on a free
+    pivot) under the step guard of :func:`_measure_round`: 0 exactly when
+    ``v`` lies in the group."""
+    while v and (s := basis[top := v.bit_length() - 1]) >= 0:
         v ^= rows[s]
         if v.bit_length() > top:
             raise RuntimeError(f"pivot {top} maps to slot {s}, whose row has another top bit")
@@ -343,10 +356,17 @@ def _min_logical_weight(phases) -> int:
 
     Weight 1 is a scan of ``cols``: a letter on qubit q commutes with every
     row iff its syndrome over slots, read as in :func:`_connected_logicals`,
-    is 0.  From weight 2 on, a phase's co-support graph is made when the
-    search first reaches it, and :func:`_connected_logicals` yields its
-    commuting letterings of connected supports.  Phases, supports and
-    letters are tried in the same order at every weight.
+    is 0.  Weight 2 is settled by syndrome collisions, phase by phase: a
+    Pauli on qubits q and r commutes iff its two letters' syndromes are
+    equal, so each qubit's three letters are matched against those of the
+    qubits before it, grouped by syndrome, and the first product outside
+    the group gives 2.  Only non-zero syndromes are grouped: once weight 1
+    has found nothing, a letter of syndrome 0 lies in the group, and so
+    does the product of two of them.  So the stage is exhaustive, and a
+    phase is made canonical, for its co-support graph, only from weight 3
+    on, where :func:`_connected_logicals` yields its commuting letterings
+    of connected supports.  Phases, supports and letters are tried in the
+    same order at every weight from 3.
     """
     n = len(phases[0][2]) // 2
     ux, uy, uz = ((lx << n) | lz for lx, lz in _LETTERS.values())
@@ -356,8 +376,20 @@ def _min_logical_weight(phases) -> int:
             for syndrome, unit in ((sx, ux), (sx ^ sz, uy), (sz, uz)):
                 if not syndrome and _residue(rows, basis, unit << q):
                     return 1
+    for rows, basis, cols in phases:
+        seen: dict[int, list] = {}
+        for q in range(n):
+            sx, sz = cols[q], cols[n + q]
+            letters = ((sx, ux << q), (sx ^ sz, uy << q), (sz, uz << q))
+            for syndrome, row in letters:
+                for other in seen.get(syndrome, ()):
+                    if _residue(rows, basis, row | other):
+                        return 2
+            for syndrome, row in letters:
+                if syndrome:
+                    seen.setdefault(syndrome, []).append(row)
     graphs = [None] * len(phases)
-    for w in range(2, _EXACT_MAX_WEIGHT + 1):
+    for w in range(3, _EXACT_MAX_WEIGHT + 1):
         for i, (rows, basis, cols) in enumerate(phases):
             adj = graphs[i] = graphs[i] or _cosupport_graph(rows, basis, n)
             for row in _connected_logicals(adj, cols, n, w):
@@ -388,20 +420,22 @@ class CodeParams(NamedTuple):
     convention: str | None
 
     def as_json(self) -> dict:
+        # Unpacked once, in field order: faster than named reads.
+        signature, genus, orientable, n, k, d, d_source, convention = self
         doc = {
-            "signature": list(self.signature),
-            "genus": self.genus,
-            "orientable": self.orientable,
-            "n": self.n,
-            "k": self.k,
-            "d": self.d,
-            "d_source": self.d_source,
-            "k_n": self.k / self.n,
-            "kd2_n": self.k * self.d * self.d / self.n,
-            "d_n": self.d / self.n,
+            "signature": list(signature),
+            "genus": genus,
+            "orientable": orientable,
+            "n": n,
+            "k": k,
+            "d": d,
+            "d_source": d_source,
+            "k_n": k / n,
+            "kd2_n": k * d * d / n,
+            "d_n": d / n,
         }
-        if self.convention is not None:
-            doc["convention"] = self.convention
+        if convention is not None:
+            doc["convention"] = convention
         return doc
 
 

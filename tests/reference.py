@@ -43,9 +43,10 @@ tables :func:`reference_syndromes` and :func:`reference_cosupport_graph`,
 enumerating supports with :func:`connected_supports` and their letterings
 with :func:`_weight_hits`; :func:`_phase_tables` builds the same tables
 lazily off a run's slot state.  The tests hold the pipeline's search,
-which grows each support and its letterings in one generator over the
-run's slot states, to the same distances and the same first logical
-support.
+which settles weight 2 by syndrome collisions and from weight 3 on grows
+each support and its letterings in one generator over the run's slot
+states, to the same distances and, from weight 3 on, the same first
+logical support.
 """
 
 from __future__ import annotations
@@ -966,11 +967,12 @@ class _Lazy(dict):
         return map(self.__getitem__, range(self.size))
 
 
-def _phase_tables(rows: list, basis: dict, cols: list, n: int) -> tuple:
-    """The search's tables ``(syn, adj)`` of one slot state, built qubit by
-    qubit on first read: ``syn[q]``, the ``(syndrome, row)`` of X, Y and Z
-    on ``q``, over slots (X reads ``cols[q]``, Z ``cols[n + q]``, Y their
-    XOR); ``adj[q]``, the qubits sharing a canonical row with ``q``."""
+def _phase_tables(rows: list, basis: list, cols: list, n: int) -> tuple:
+    """The search's tables ``(syn, adj)`` of one slot state (``basis`` its
+    list pivot map), built qubit by qubit on first read: ``syn[q]``, the
+    ``(syndrome, row)`` of X, Y and Z on ``q``, over slots (X reads
+    ``cols[q]``, Z ``cols[n + q]``, Y their XOR); ``adj[q]``, the qubits
+    sharing a canonical row with ``q``."""
     canonical = _canonical_rows(rows, basis)
     ux, uy, uz = ((lx << n) | lz for lx, lz in _LETTERS.values())
 

@@ -145,8 +145,10 @@ def test_every_public_name_has_a_src_caller():
 
 
 # Each entry is a ``module.Class.member`` that no ``src`` code reads, kept
-# for the reason given (none is kept now); every other member has a reader.
-UNCALLED_MEMBERS: set[str] = set()
+# for the reason given; every other member has a reader.
+UNCALLED_MEMBERS = {
+    "derive.DerivedCounts.signature",  # read only by the tests' face census
+}
 
 
 def class_members() -> list[str]:
@@ -170,19 +172,50 @@ def class_members() -> list[str]:
     return defined
 
 
+def unpacked_fields() -> set[str]:
+    """``module.Class.field`` for every annotated field of a class one of
+    whose own methods unpacks ``self`` into as many names as the class has
+    fields (``a, b, c = self`` on a tuple record): each field is read there
+    by position."""
+    read = set()
+    for path in sorted(Path(floqtess.__path__[0]).glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            fields = [
+                node.target.id for node in cls.body
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+            ]
+            if any(
+                isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"
+                and len(node.targets) == 1 and isinstance(node.targets[0], ast.Tuple)
+                and len(node.targets[0].elts) == len(fields)
+                for method in cls.body if isinstance(method, ast.FunctionDef)
+                for node in ast.walk(method)
+            ):
+                read |= {f"{path.stem}.{cls.name}.{name}" for name in fields}
+    return read
+
+
 def uncalled_members() -> list[str]:
     """The :func:`class_members` whose name no package module reads as an
-    attribute.  Reads are matched by name alone, so a member whose name
-    another class's attribute also uses (``_FlagMap.id`` against
-    ``Edge.id``, say) counts as read and is not caught; the names that
-    more than one class defines are pinned below for that reason."""
+    attribute and that are not :func:`unpacked_fields`.  Reads are matched
+    by name alone, so a member whose name another class's attribute also
+    uses (``_FlagMap.id`` against ``Edge.id``, say) counts as read and is
+    not caught; the names that more than one class defines are pinned below
+    for that reason."""
     loaded = {
         n.attr
         for path in Path(floqtess.__path__[0]).glob("*.py")
         for n in ast.walk(ast.parse(path.read_text()))
         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
     }
-    return [member for member in class_members() if member.rsplit(".", 1)[1] not in loaded]
+    unpacked = unpacked_fields()
+    return [
+        member for member in class_members()
+        if member.rsplit(".", 1)[1] not in loaded and member not in unpacked
+    ]
 
 
 def test_every_class_member_has_a_src_reader():

@@ -404,7 +404,7 @@ class TestReduceRows:
                     echelon[v.bit_length() - 1] = v
             rows = list(echelon.values())
             rng.shuffle(rows)
-            assert _canonical_rows(rows, pivots(rows)) == reference_reduce_rows(vecs)
+            assert _canonical_rows(rows, pivots(rows, n)) == reference_reduce_rows(vecs)
 
     @pytest.mark.parametrize("n", range(1, 25))
     def test_ascending_echelon_input(self, n):
@@ -414,7 +414,7 @@ class TestReduceRows:
             tops = rng.sample(range(2 * n), rng.randint(0, 2 * n))
             basis = {p: (1 << p) | rng.getrandbits(p) for p in tops}
             rows = [basis[p] for p in sorted(basis)]
-            out = _canonical_rows(rows, pivots(rows))
+            out = _canonical_rows(rows, pivots(rows, n))
             assert out == reference_reduce_rows(rows)
             assert len(out) == len(rows)
 
@@ -430,16 +430,32 @@ def columns(rows, n):
     return cols
 
 
-def pivots(rows):
-    """``{pivot: slot}`` of the rows, each keyed by its top set bit."""
-    return {row.bit_length() - 1: s for s, row in enumerate(rows)}
+def pivot_map(slots, n):
+    """The list pivot map of :func:`_measure_round` over ``2 n`` row bits
+    that maps each pivot of ``slots`` (``{pivot: slot}``) to its slot and
+    every other pivot to -1."""
+    basis = [-1] * (2 * n)
+    for p, s in slots.items():
+        basis[p] = s
+    return basis
+
+
+def pivots(rows, n):
+    """The list pivot map of the rows, each row's top set bit mapped to its
+    slot."""
+    return pivot_map({row.bit_length() - 1: s for s, row in enumerate(rows)}, n)
+
+
+def held(basis):
+    """The pivots a list pivot map holds (those not mapped to -1)."""
+    return {p for p, s in enumerate(basis) if s >= 0}
 
 
 def slot_state(rows, n):
     """The slot state ``(rows, basis, cols)`` of :func:`_measure_round` for
     rows with distinct top bits, one row per slot in the order given."""
     rows = list(rows)
-    return rows, pivots(rows), columns(rows, n)
+    return rows, pivots(rows, n), columns(rows, n)
 
 
 def with_hits(c, n):
@@ -448,10 +464,16 @@ def with_hits(c, n):
     return c, tuple(j for j in range(2 * n) if (swap_halves(c, n) >> j) & 1)
 
 
+def swap_table(n):
+    """The kernel's swapped-half table: bit j's partner in the other half,
+    found by a plain scan."""
+    return [swap_halves(1 << j, n).bit_length() - 1 for j in range(2 * n)]
+
+
 def measure(state, c, n):
     """Measure check ``c`` into the slot state with :func:`_measure_round`,
     as a round of that one check."""
-    _measure_round(*state, [with_hits(c, n)], n)
+    _measure_round(*state, [with_hits(c, n)], swap_table(n))
 
 
 def spy_rounds(monkeypatch, step=None):
@@ -459,14 +481,17 @@ def spy_rounds(monkeypatch, step=None):
     checks as one entry of the returned list, and replays them through the
     real kernel one check per call.  When given, ``step(one, rows, basis,
     cols, c, hits, n)`` stands in for each replayed check and must call
-    ``one(rows, basis, cols, c, hits, n)``, the one-check kernel call."""
+    ``one(rows, basis, cols, c, hits, n)``, the one-check kernel call, which
+    passes the swapped-half table run_schedule gave the round."""
     rounds = []
     kernel = floquet._measure_round
 
-    def one(rows, basis, cols, c, hits, n):
-        kernel(rows, basis, cols, [(c, hits)], n)
+    def spy(rows, basis, cols, checks, swap):
+        def one(rows, basis, cols, c, hits, n):
+            kernel(rows, basis, cols, [(c, hits)], swap)
 
-    def spy(rows, basis, cols, checks, n):
+        n = len(swap) // 2
+        assert swap == swap_table(n)
         rounds.append([c for c, _ in checks])
         for c, hits in checks:
             if step is None:
@@ -499,7 +524,7 @@ class TestMeasure:
         xx = _pauli_row(2, "X", (0, 1))
         rows, basis, cols = state = slot_state((), 2)
         measure(state, xx, 2)
-        before = (list(rows), dict(basis))
+        before = (list(rows), list(basis))
         measure(state, xx, 2)
         assert (rows, basis) == before
 
@@ -510,7 +535,7 @@ class TestMeasure:
         rows, basis, cols = state = slot_state((), 3)
         measure(state, xx01, 3)
         measure(state, xx12, 3)
-        before = (list(rows), dict(basis))
+        before = (list(rows), list(basis))
         measure(state, xx02, 3)
         assert (rows, basis) == before
 
@@ -572,7 +597,7 @@ class TestMeasure:
         ref = reference_measure(read_group(state, n), c)
         measure(state, c, n)
         assert rows == [heavy ^ light, c]
-        assert basis == {light.bit_length() - 1: 0, c.bit_length() - 1: 1}
+        assert basis == pivot_map({light.bit_length() - 1: 0, c.bit_length() - 1: 1}, n)
         assert cols == columns(rows, n)
         assert read_group(state, n) == ref
 
@@ -588,7 +613,7 @@ class TestMeasure:
         ref = reference_measure(read_group(state, n), c)
         measure(state, c, n)
         assert rows == [top ^ mid, low ^ mid, c]
-        assert basis == pivots(rows)
+        assert basis == pivots(rows, n)
         assert basis[mid.bit_length() - 1] == 1 and basis[top.bit_length() - 1] == 0
         assert cols == columns(rows, n)
         assert read_group(state, n) == ref
@@ -600,9 +625,9 @@ class TestMeasure:
         for _ in range(120):
             i, j = rng.sample(range(n), 2)
             letter = rng.choice("XYZ")
-            rank = len(basis)
+            rank = len(held(basis))
             measure(state, _pauli_row(n, letter, (i, j)), n)
-            assert len(basis) >= rank
+            assert len(held(basis)) >= rank
             assert_commuting(rows, n)
 
     @pytest.mark.parametrize("n", range(8, 25, 4))
@@ -640,12 +665,12 @@ class TestMeasure:
             i, j = rng.sample(range(n), 2)
             a, b = rng.choice("XYZ"), rng.choice("XYZ")
             c = _pauli_row(n, a, (i,)) ^ _pauli_row(n, b, (j,))
-            before = set(basis)
+            before = held(basis)
             measure(state, c, n)
-            joined += bool(set(basis) - before)
-            left += bool(before - set(basis))
+            joined += bool(held(basis) - before)
+            left += bool(before - held(basis))
             assert cols == columns(rows, n)
-            assert basis == pivots(rows) and len(basis) == len(rows)
+            assert basis == pivots(rows, n) and len(held(basis)) == len(rows)
         assert joined and left
 
     def test_rank_drop_raises(self):
@@ -677,14 +702,14 @@ class TestMeasure:
                 a, b = rng.choice("XYZ"), rng.choice("XYZ")
                 checks.append(with_hits(_pauli_row(n, a, (i,)) ^ _pauli_row(n, b, (j,)), n))
             whole, single = slot_state((), n), slot_state((), n)
-            _measure_round(*whole, checks, n)
+            _measure_round(*whole, checks, swap_table(n))
             ref = StabilizerGroup(n)
             for c, hits in checks:
-                _measure_round(*single, [(c, hits)], n)
+                _measure_round(*single, [(c, hits)], swap_table(n))
                 ref = reference_measure(ref, c)
             assert whole == single
             rows, basis, cols = whole
-            assert basis == pivots(rows) and cols == columns(rows, n)
+            assert basis == pivots(rows, n) and cols == columns(rows, n)
             assert read_group(whole, n) == ref
 
     @pytest.mark.parametrize(
@@ -720,7 +745,7 @@ class TestMeasure:
             done = 0
             with pytest.raises(RuntimeError) as info:
                 for round_checks in calls:
-                    _measure_round(*state, round_checks, n)
+                    _measure_round(*state, round_checks, swap_table(n))
                     done += len(round_checks)
             assert done == (0 if len(calls) == 1 else 2)
             messages.append(str(info.value))
@@ -798,7 +823,7 @@ class TestRunSchedule:
                 g = before[out]
                 assert all(rows[s] == before[s] ^ g for _, s in anti if s != out)
                 left.append(g)
-            assert basis == pivots(rows)
+            assert basis == pivots(rows, n)
 
         spy_rounds(monkeypatch, step)
         return left
@@ -959,7 +984,7 @@ class TestLazyGroups:
                 assert result.steady_round is None and result.phase_bases == ()
             else:
                 assert steady_groups(result) == expected[steady - 3 : steady]
-                ranks = [len(basis) for _, basis, _ in result.phase_bases]
+                ranks = [len(held(basis)) for _, basis, _ in result.phase_bases]
                 assert ranks == [n - result.k_inst] * 3
 
     def test_canonical_only_where_read(self, monkeypatch):
@@ -969,7 +994,7 @@ class TestLazyGroups:
         canonical = floquet._canonical_rows
 
         def spy(rows, basis):
-            calls.append(len(basis))
+            calls.append(len(held(basis)))
             return canonical(rows, basis)
 
         monkeypatch.setattr(floquet, "_canonical_rows", spy)
@@ -977,7 +1002,7 @@ class TestLazyGroups:
         result = run_schedule(three_color(cx), 9)
         assert result.n == 96 and result.k_inst == 24 and result.steady_round == 6
         assert calls == []
-        assert [len(basis) for _, basis, _ in result.phase_bases] == [72, 72, 72]
+        assert [len(held(basis)) for _, basis, _ in result.phase_bases] == [72, 72, 72]
 
 
 class TestFaceStabilizers:
@@ -1191,7 +1216,7 @@ class TestKernels:
         _, _, result = genus12
         rows, basis, cols = state = result.phase_bases[0]
         n = result.n
-        assert (n, len(basis)) == (96, 72)
+        assert (n, len(held(basis))) == (96, 72)
         syn, _ = _phase_tables(*state, n)
         assert len(syn) == n
         # Bit s of a syndrome is the letter's symplectic product with the
@@ -1329,17 +1354,15 @@ class TestExactDistance:
 
     @pytest.mark.parametrize("make", [incenter_complex, clip_complex])
     def test_reads_only_what_its_first_support_needs(self, monkeypatch, make):
-        # Both distances are 2, first hit on the first support of phase 0:
-        # weight 1 is read off the slot masks, only phase 0 is made canonical, and
-        # only qubit 0's adjacency is read (the first support's other qubit
-        # is a neighbour of 0, read off adj(0)).
+        # Both distances are 2: weights 1 and 2 are read off the slot masks
+        # alone, so no phase is made canonical and no adjacency is read.
         sched, _ = _schedule_for(make(fundamental_polygon(2, True), 8, 8))
         result = run_schedule(sched, 9)
         canonical, graph = floquet._canonical_rows, floquet._cosupport_graph
         passes, adjacency = [], []
 
         def count_passes(rows, basis):
-            passes.append(len(basis))
+            passes.append(len(held(basis)))
             return canonical(rows, basis)
 
         def watch_adjacency(*state):
@@ -1349,7 +1372,7 @@ class TestExactDistance:
         monkeypatch.setattr(floquet, "_canonical_rows", count_passes)
         monkeypatch.setattr(floquet, "_cosupport_graph", watch_adjacency)
         assert exact_distance(sched, result) == 2
-        assert len(passes) == 1 and adjacency == [0]
+        assert passes == [] and adjacency == []
 
     def test_beyond_one_syndrome_word(self, genus12):
         _, assign, result = genus12
@@ -1399,6 +1422,34 @@ class TestExactDistance:
             assert _min_logical_weight((state,)) == exhaustive_distance((group,)) == d
             assert reference_min_logical_weight((group,)) == d
             assert_connected_logicals(state, group, 5)
+
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_random_groups_weight_two_as_exhaustive(self, n, monkeypatch):
+        # Groups of rank n - 1 grown by measuring random dense Paulis, as in
+        # run_schedule's slot states: the search returns 2, on each phase
+        # alone and on three together, exactly when the 4^n sweep does, and
+        # then it has made no phase canonical.
+        rng = random.Random(700 + n)
+        passes = []
+        canonical = floquet._canonical_rows
+        monkeypatch.setattr(floquet, "_canonical_rows",
+                            lambda *state: passes.append(state) or canonical(*state))
+        seen = set()
+        for _ in range(6):
+            states = []
+            for _ in range(3):
+                state = slot_state((), n)
+                while len(state[0]) < n - 1:
+                    measure(state, rng.getrandbits(2 * n), n)
+                states.append(state)
+            groups = [read_group(state, n) for state in states]
+            for phases in ([0], [1], [2], [0, 1, 2]):
+                d = exhaustive_distance(tuple(groups[i] for i in phases))
+                passes.clear()
+                assert _min_logical_weight(tuple(states[i] for i in phases)) == d
+                assert passes == [] or d >= 3
+                seen.add(min(d, 3))
+        assert {1, 2} <= seen and (n < 7 or 3 in seen)
 
     def test_bound_signal(self, genus12):
         _, assign, result = genus12
@@ -1455,15 +1506,16 @@ def consumed_supports(monkeypatch) -> list:
 
 
 def found_logicals(monkeypatch) -> list:
-    """Spy on ``floquet._residue``: the returned list gets every row the
-    search finds outside the group."""
+    """Spy on ``floquet._residue``: the returned list gets ``(v, rows)`` for
+    every row ``v`` the search finds outside the group, ``rows`` the slot
+    rows of the phase it was found in."""
     found = []
     real = floquet._residue
 
     def spy(rows, basis, v):
         residue = real(rows, basis, v)
         if residue:
-            found.append(v)
+            found.append((v, rows))
         return residue
 
     monkeypatch.setattr(floquet, "_residue", spy)
@@ -1480,10 +1532,25 @@ SEARCHED = {
 }
 
 
+def assert_logical(found, result, w):
+    """The first row of :func:`found_logicals` is a logical of weight ``w``
+    of the steady phase it was found in: it commutes with every canonical
+    row of that phase and does not lie in it."""
+    v, rows = found[0]
+    (phase,) = (
+        group for state, group in zip(result.phase_bases, steady_groups(result))
+        if state[0] is rows
+    )
+    assert weight(v, result.n) == w
+    assert not any(sympl(v, row, result.n) for row in phase.rows)
+    assert reduce_vec(phase, v) != 0
+
+
 class TestSearchOracle:
     # The search over the run's slot states against the search as first
-    # written, over canonical groups with eager tables: both stop on the
-    # same support.
+    # written, over canonical groups with eager tables.  From weight 3 on
+    # both stop on the same support; a weight-2 witness comes from the
+    # syndrome-collision stage and is checked against the phase's group.
 
     @pytest.mark.parametrize(
         "build",
@@ -1504,8 +1571,23 @@ class TestSearchOracle:
         consumed = consumed_supports(monkeypatch)
         assert reference_min_logical_weight(steady_groups(result)) == d
         assert d == (4 if case.startswith("honeycomb") else 2)
-        first, n = found[0], result.n
-        assert set(floquet._bits(((first >> n) | first) & ((1 << n) - 1))) == set(consumed[-1])
+        assert_logical(found, result, d)
+        if d >= 3:
+            (first, _), n = found[0], result.n
+            assert set(floquet._bits(((first >> n) | first) & ((1 << n) - 1))) == set(consumed[-1])
+
+    @pytest.mark.parametrize(
+        "build",
+        [p for p in schedule_complexes() if p.id in SEARCHED]
+        + [pytest.param(lambda: honeycomb_torus(4), id="honeycomb-4-edge")],
+    )
+    def test_each_phase_alone(self, build):
+        # Phase by phase, so the weight-2 stage meets phases whose own
+        # distance is 2 and phases where it must find nothing.
+        schedule, _ = _schedule_for(build())
+        result = run_schedule(schedule, 9)
+        for state, phase in zip(result.phase_bases, steady_groups(result)):
+            assert _min_logical_weight((state,)) == reference_min_logical_weight((phase,))
 
 
 class TestCodeParams:
