@@ -8,14 +8,15 @@ The ISG is updated one measured round per kernel call, the round's checks
 in order, on rows held in slots, with a pivot -> slot map (a list over the
 2n row bits, -1 on a free pivot) and one slot mask per row bit.  The search
 reads each letter's syndrome off those masks: weight 1 is a syndrome of 0,
-weight 2 a collision of two qubits' syndromes, and from weight 3 on it grows
-connected supports with their letterings; ``tests/reference.py`` keeps the
-search as first written."""
+weight 2 a collision of two qubits' syndromes, and each weight w from 3 on a
+collision between the letterings of a Pauli's lowest w // 2 qubits and
+those of the rest, so every Pauli of each weight is tried and nothing is
+pruned; ``tests/reference.py`` keeps the search as first written."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 from . import geodist
@@ -145,29 +146,6 @@ def _measure_round(rows: list, basis: list, cols: list, checks: list, swap: list
             rows[slot] = c
 
 
-def _canonical_rows(rows: list, basis: list) -> tuple:
-    """The canonical rows of the slot basis of :func:`_measure_round`: pivots
-    (top set bits) strictly decreasing and no row carrying another row's
-    pivot bit, so equal groups give equal tuples.  One pass over the pivot
-    map in ascending order, skipping free pivots (-1): each row XORs in the
-    already-canonical rows of the lower pivots it carries (``v & piv``),
-    and each XOR clears one such pivot bit and sets no other."""
-    canonical: dict[int, int] = {}
-    piv = 0
-    for p, s in enumerate(basis):
-        if s < 0:
-            continue
-        v = rows[s]
-        m = v & piv
-        while m:  # _bits inlined, top bit first: the XORs commute
-            j = m.bit_length() - 1
-            v ^= canonical[j]
-            m ^= 1 << j
-        canonical[p] = v
-        piv |= 1 << p
-    return tuple(reversed(canonical.values()))
-
-
 @dataclass(frozen=True, eq=False)
 class ScheduleResult:
     """Per-round ISG ranks with steady-state bookkeeping.
@@ -250,78 +228,13 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
     return ScheduleResult(n, tuple(ranks), phase_bases, steady, k_inst)
 
 
-def _bits(mask: int):
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _cosupport_graph(rows: list, basis: list, n: int):
-    """``adj(q)``: the qubits sharing a canonical row with ``q``, as a
-    bitmask, computed on first call and cached."""
-    canonical = _canonical_rows(rows, basis)
-
-    def adjacent(q):
-        on_q, a = ((1 << n) | 1) << q, 0
-        for row in canonical:
-            if row & on_q:
-                a |= row
-        return ((a >> n) | a) & ((1 << n) - 1) & ~(1 << q)
-
-    return functools.cache(adjacent)
-
-
-def _connected_logicals(adj, cols: list, n: int, w: int):
-    """Yield the row ``(x << n) | z`` of each weight-``w`` Pauli (w >= 2) on
-    a support connected in the graph ``adj`` that commutes with every row of
-    the slot state whose slot masks are ``cols``.
-
-    Supports grow from their least qubit through larger first-seen qubits,
-    never re-picking an earlier frontier qubit, so each comes out once and
-    a search that stops at its first hit reads no adjacency past it.  A
-    prefix carries the ``(syndrome, row)`` of each of its letterings, built
-    once for every support that extends it; a letter's syndrome over slots
-    is read off ``cols`` (X ``cols[q]``, Z ``cols[n + q]``, Y their XOR).
-    A lettering commutes iff its syndromes XOR to zero: the last qubit's
-    letters are matched against the prefix's."""
-    ux, uy, uz = ((lx << n) | lz for lx, lz in _LETTERS.values())
-
-    def letters(q):
-        sx, sz = cols[q], cols[n + q]
-        return (sx, ux << q), (sx ^ sz, uy << q), (sz, uz << q)
-
-    def grow(partial, depth, frontier, seen):
-        if depth == w - 1:
-            for u in _bits(frontier):
-                for ls, lr in letters(u):
-                    for s, r in partial:
-                        if s == ls:
-                            yield r | lr
-            return
-        for u in _bits(frontier):
-            frontier ^= 1 << u
-            new = adj(u) & ~seen
-            extended = [(s ^ ls, r | lr) for s, r in partial for ls, lr in letters(u)]
-            yield from grow(extended, depth + 1, frontier | new, seen | new)
-
-    for v0 in range(n):
-        nbrs = adj(v0)
-        below = (2 << v0) - 1  # v0 and the qubits before it
-        yield from grow(letters(v0), 1, nbrs & ~below, nbrs | below)
-
-
 def exact_distance(schedule, result: ScheduleResult) -> int:
     """Minimum weight of a logical operator over the steady phases of ``result``.
 
-    Weights 1 and 2 are read off each phase's syndromes, with no phase made
-    canonical (:func:`_min_logical_weight`).  From weight 3 on, each phase
-    is searched only on supports connected in its co-support graph (qubits
-    adjacent when a canonical row acts on both), grown with their Pauli
-    letterings by :func:`_connected_logicals`.
-    The prune is exact: a minimum-weight logical split into parts that no
-    row links would leave a lighter part that is itself a logical.
+    Every Pauli of weight 1, 2, ... is tried, weight by weight and phase
+    by phase, off the phases' syndromes, with no phase made canonical
+    (:func:`_min_logical_weight`).  The search prunes no support, so the
+    first weight with a commuting Pauli outside the group is the distance.
     Raises ValueError when k = 0 or the run is unsteady, and BoundExceeded
     past ``_EXACT_MAX_N`` qubits or weight ``_EXACT_MAX_WEIGHT``.
     """
@@ -350,23 +263,53 @@ def _residue(rows: list, basis: list, v: int) -> int:
     return v
 
 
+def _letterings(cols: list, n: int, units: tuple, k: int):
+    """Yield ``(syndrome, row, lo, hi)`` for every weight-``k`` Pauli: its
+    syndrome over slots, the XOR of its letters' (X reads ``cols[q]``, Z
+    ``cols[n + q]``, Y their XOR); its row ``(x << n) | z``, built from
+    ``units``, the X, Y and Z rows on qubit 0; and its lowest and highest
+    qubit.  Supports come in lexicographic order, each with its 3^k
+    letterings."""
+    ux, uy, uz = units
+    letters = []
+    for q in range(n):
+        sx, sz = cols[q], cols[n + q]
+        letters.append(((sx, ux << q), (sx ^ sz, uy << q), (sz, uz << q)))
+    for support in combinations(range(n), k):
+        partial = letters[support[0]]
+        for q in support[1:]:
+            partial = [(s ^ ls, r | lr) for s, r in partial for ls, lr in letters[q]]
+        lo, hi = support[0], support[-1]
+        for s, r in partial:
+            yield s, r, lo, hi
+
+
 def _min_logical_weight(phases) -> int:
     """The search of :func:`exact_distance` over slot states
     ``(rows, basis, cols)`` of :func:`_measure_round`, read as they are.
 
     Weight 1 is a scan of ``cols``: a letter on qubit q commutes with every
-    row iff its syndrome over slots, read as in :func:`_connected_logicals`,
-    is 0.  Weight 2 is settled by syndrome collisions, phase by phase: a
-    Pauli on qubits q and r commutes iff its two letters' syndromes are
-    equal, so each qubit's three letters are matched against those of the
-    qubits before it, grouped by syndrome, and the first product outside
-    the group gives 2.  Only non-zero syndromes are grouped: once weight 1
-    has found nothing, a letter of syndrome 0 lies in the group, and so
-    does the product of two of them.  So the stage is exhaustive, and a
-    phase is made canonical, for its co-support graph, only from weight 3
-    on, where :func:`_connected_logicals` yields its commuting letterings
-    of connected supports.  Phases, supports and letters are tried in the
-    same order at every weight from 3.
+    row iff its syndrome over slots, read as in :func:`_letterings`, is 0.
+    Weight 2 is settled by syndrome collisions, phase by phase: a Pauli on
+    qubits q and r commutes iff its two letters' syndromes are equal, so
+    each qubit's three letters are matched against those of the qubits
+    before it, grouped by syndrome, and the first product outside the group
+    gives 2.  Only non-zero syndromes are grouped: once weight 1 has found
+    nothing, a letter of syndrome 0 lies in the group, and so does the
+    product of two of them.
+
+    Each weight w from 3 to ``_EXACT_MAX_WEIGHT`` is settled the same way,
+    phase by phase.  A weight-w Pauli is the product of the lettering of
+    its lowest w // 2 qubits (its lower half) and that of the rest (its
+    upper half), and commutes iff the two syndromes are equal.  The lower
+    letterings are grouped by syndrome, each with its highest qubit; the
+    upper ones are generated, not held, and each is matched only against
+    lower letterings whose highest qubit lies below its own lowest, so
+    every weight-w Pauli is met exactly once.  Again only non-zero
+    syndromes are grouped: with no logical lighter than w, a lighter
+    lettering of syndrome 0 lies in the group.  The table holds at most
+    27 C(n, 3) lower letterings, 266,760 at n = 40.  Nothing is pruned, so
+    the first product outside the group gives w.
     """
     n = len(phases[0][2]) // 2
     ux, uy, uz = ((lx << n) | lz for lx, lz in _LETTERS.values())
@@ -388,13 +331,16 @@ def _min_logical_weight(phases) -> int:
             for syndrome, row in letters:
                 if syndrome:
                     seen.setdefault(syndrome, []).append(row)
-    graphs = [None] * len(phases)
     for w in range(3, _EXACT_MAX_WEIGHT + 1):
-        for i, (rows, basis, cols) in enumerate(phases):
-            adj = graphs[i] = graphs[i] or _cosupport_graph(rows, basis, n)
-            for row in _connected_logicals(adj, cols, n, w):
-                if _residue(rows, basis, row):
-                    return w
+        for rows, basis, cols in phases:
+            lower: dict[int, list] = {}
+            for syndrome, row, _, hi in _letterings(cols, n, (ux, uy, uz), w // 2):
+                if syndrome:
+                    lower.setdefault(syndrome, []).append((hi, row))
+            for syndrome, row, lo, _ in _letterings(cols, n, (ux, uy, uz), w - w // 2):
+                for hi, other in lower.get(syndrome, ()):
+                    if hi < lo and _residue(rows, basis, row | other):
+                        return w
     raise BoundExceeded(
         f"no logical operator of weight <= {_EXACT_MAX_WEIGHT}; use geometric estimator"
     )

@@ -6,7 +6,37 @@ int rows ``(x << n) | z`` of :mod:`floqtess.floquet`.
 
 from __future__ import annotations
 
-from floqtess.floquet import _canonical_rows
+
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _canonical_rows(rows: list, basis: list) -> tuple:
+    """The canonical rows of a slot basis of ``floquet._measure_round``:
+    pivots (top set bits) strictly decreasing and no row carrying another
+    row's pivot bit, so equal groups give equal tuples.  One pass over the
+    pivot map in ascending order, skipping free pivots (-1): each row XORs
+    in the already-canonical rows of the lower pivots it carries
+    (``v & piv``), and each XOR clears one such pivot bit and sets no
+    other."""
+    canonical: dict[int, int] = {}
+    piv = 0
+    for p, s in enumerate(basis):
+        if s < 0:
+            continue
+        v = rows[s]
+        m = v & piv
+        while m:  # _bits inlined, top bit first: the XORs commute
+            j = m.bit_length() - 1
+            v ^= canonical[j]
+            m ^= 1 << j
+        canonical[p] = v
+        piv |= 1 << p
+    return tuple(reversed(canonical.values()))
 
 
 def swap_halves(v: int, n: int) -> int:
@@ -23,7 +53,7 @@ def sympl(u: int, v: int, n: int) -> int:
 def steady_groups(result) -> tuple:
     """The three steady phases of a ``ScheduleResult`` as canonical groups
     (``reference.StabilizerGroup``), read off its slot states with
-    ``floquet._canonical_rows``; ``()`` when the run did not settle."""
+    :func:`_canonical_rows`; ``()`` when the run did not settle."""
     from reference import StabilizerGroup  # reference imports this module
 
     return tuple(

@@ -36,17 +36,18 @@ phases with them.
 
 :class:`StabilizerGroup` is a group as the tuple of its canonical rows,
 so equal groups compare equal; the tests compare the ISG run's steady
-phases, read off with ``floquet._canonical_rows``, against reference
+phases, read off with ``helpers._canonical_rows``, against reference
 trajectories with it.  :func:`reference_min_logical_weight` is the exact
 distance search as it was first written, over such groups with the eager
 tables :func:`reference_syndromes` and :func:`reference_cosupport_graph`,
 enumerating supports with :func:`connected_supports` and their letterings
 with :func:`_weight_hits`; :func:`_phase_tables` builds the same tables
-lazily off a run's slot state.  The tests hold the pipeline's search,
-which settles weight 2 by syndrome collisions and from weight 3 on grows
-each support and its letterings in one generator over the run's slot
-states, to the same distances and, from weight 3 on, the same first
-logical support.
+lazily off a run's slot state.  The oracle searches only supports
+connected in a phase's co-support graph, a prune the pipeline does not
+make: the pipeline's search settles every weight by syndrome collisions
+over the run's slot states, over every support, and the tests hold the
+two to the same distances, with each witness checked to be a logical of
+that weight.
 """
 
 from __future__ import annotations
@@ -59,11 +60,11 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from floqtess import floquet
 from floqtess.coloring import PAULI_OF
 from floqtess.derive import DerivedCounts, _pair_names, _require_pq, _slot_labels
-from floqtess.floquet import _LETTERS, _bits, _canonical_rows
+from floqtess.floquet import _LETTERS
 from floqtess.geodist import estimate_distance
 from floqtess.hypgeo import RegularSig, SemiRegularSig, _check_genus
 from floqtess.surface import Edge, Slot, SurfaceComplex, SurfaceError, _FlagMap
-from helpers import reduce_vec
+from helpers import _bits, _canonical_rows, reduce_vec
 
 
 class RefRow(NamedTuple):
@@ -1025,7 +1026,7 @@ def reference_min_logical_weight(phases) -> int:
             differs |= row ^ (row >> n)
         xs, zs, ys = acts >> n, acts & mask, differs & mask
         ux, uy, uz = ((lx << n) | lz for lx, lz in floquet._LETTERS.values())
-        for q in floquet._bits(mask & ~(xs & ys & zs)):
+        for q in _bits(mask & ~(xs & ys & zs)):
             for used, unit in ((zs, ux), (ys, uy), (xs, uz)):
                 if not used >> q & 1 and reduce_vec(phase, unit << q):
                     return 1

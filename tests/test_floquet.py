@@ -1,6 +1,7 @@
 """ISG dynamics: Pauli algebra, measurement updates, distance search."""
 
 import functools
+import math
 import random
 import signal
 from itertools import combinations, product
@@ -23,7 +24,7 @@ from floqtess.floquet import (
     BoundExceeded,
     CodeParams,
     _LETTERS,
-    _canonical_rows,
+    _letterings,
     _measure_round,
     _min_logical_weight,
     code_params,
@@ -32,7 +33,7 @@ from floqtess.floquet import (
 )
 from floqtess.hypgeo import SemiRegularSig
 from floqtess.surface import fundamental_polygon
-from helpers import reduce_vec, steady_groups, swap_halves, sympl
+from helpers import _bits, _canonical_rows, reduce_vec, steady_groups, swap_halves, sympl
 import reference
 from reference import (
     StabilizerGroup,
@@ -938,7 +939,7 @@ class TestRunSchedule:
 
         def step(one, rows, basis, cols, c, hits, n):
             # Checked before the step, which may fail on wrong hits itself.
-            assert sorted(hits) == list(floquet._bits(swap_halves(c, n)))
+            assert sorted(hits) == list(_bits(swap_halves(c, n)))
             calls.append(c)
             one(rows, basis, cols, c, hits, n)
 
@@ -987,21 +988,15 @@ class TestLazyGroups:
                 ranks = [len(held(basis)) for _, basis, _ in result.phase_bases]
                 assert ranks == [n - result.k_inst] * 3
 
-    def test_canonical_only_where_read(self, monkeypatch):
+    def test_canonical_only_where_read(self):
         # Orientable g = 12 incenter complex, n = 96: the steady test reads
-        # ranks alone, so the run makes no phase canonical.
-        calls = []
-        canonical = floquet._canonical_rows
-
-        def spy(rows, basis):
-            calls.append(len(held(basis)))
-            return canonical(rows, basis)
-
-        monkeypatch.setattr(floquet, "_canonical_rows", spy)
+        # ranks alone and the search reads the slot states as they are, so
+        # the package has no canonical form to make; only the tests read
+        # groups canonically (helpers._canonical_rows).
+        assert not hasattr(floquet, "_canonical_rows")
         cx = incenter_complex(fundamental_polygon(12, True), 48, 48)
         result = run_schedule(three_color(cx), 9)
         assert result.n == 96 and result.k_inst == 24 and result.steady_round == 6
-        assert calls == []
         assert [len(held(basis)) for _, basis, _ in result.phase_bases] == [72, 72, 72]
 
 
@@ -1084,43 +1079,41 @@ class TestCosupportGraph:
             _pauli_row(5, "Z", (2,)) ^ _pauli_row(5, "Y", (3,)),
         ]
         group = StabilizerGroup(5, reference_reduce_rows(gens))
-        rows, basis, _ = slot_state(group.rows, 5)
-        adj = list(map(floquet._cosupport_graph(rows, basis, 5), range(5)))
-        assert adj == [0b10, 0b1, 0b1000, 0b100, 0]
-        assert adj == reference_cosupport_graph(group.rows, 5)
+        _, adj = _phase_tables(*slot_state(group.rows, 5), 5)
+        assert list(adj) == [0b10, 0b1, 0b1000, 0b100, 0]
+        assert list(adj) == reference_cosupport_graph(group.rows, 5)
 
     def test_symmetric_without_loops(self, octagon):
         _, _, result = octagon
-        for rows, basis, _ in result.phase_bases:
-            adj = floquet._cosupport_graph(rows, basis, result.n)
+        for state in result.phase_bases:
+            _, adj = _phase_tables(*state, result.n)
             for q in range(result.n):
-                a = adj(q)
+                a = adj[q]
                 assert not (a >> q) & 1
-                assert all((adj(r) >> q) & 1 for r in range(result.n) if (a >> r) & 1)
+                assert all((adj[r] >> q) & 1 for r in range(result.n) if (a >> r) & 1)
 
     @pytest.mark.parametrize("fix", ["hexagon_no", "octagon", "genus12"])
     def test_tables_match_the_oracles(self, fix, request):
-        # Every qubit of every steady phase: adjacency read lazily off the
-        # canonical rows is the eager graph of those rows, and the oracle's
+        # Every qubit of every steady phase: the oracle's lazy adjacency read
+        # off the canonical rows is the eager graph of those rows, and its
         # lazy syndromes read off cols are the eager syndromes against the
         # slot rows.
         _, _, result = request.getfixturevalue(fix)
         n = result.n
         for state, phase in zip(result.phase_bases, steady_groups(result)):
-            adj = floquet._cosupport_graph(*state[:2], n)
-            assert [adj(q) for q in range(n)] == reference_cosupport_graph(phase.rows, n)
             syn, lazy_adj = _phase_tables(*state, n)
             assert len(lazy_adj) == len(syn) == n
             assert [syn[q] for q in range(n)] == reference_syndromes(state[0], n)
             assert list(lazy_adj) == reference_cosupport_graph(phase.rows, n)
 
     def test_tables_are_read_lazily(self, octagon):
-        # An entry is computed on its first read and kept.
+        # An entry of the oracle's tables is computed on its first read and
+        # kept.
         _, _, result = octagon
-        adj = floquet._cosupport_graph(*result.phase_bases[0][:2], result.n)
-        assert adj.cache_info().misses == 0
-        assert adj(3) == adj(3) and adj(5) == adj(5) and adj(3) == adj(3)
-        assert adj.cache_info().misses == 2
+        for table in _phase_tables(*result.phase_bases[0], result.n):
+            assert list(dict.keys(table)) == []
+            assert table[3] == table[3] and table[5] == table[5] and table[3] == table[3]
+            assert list(dict.keys(table)) == [3, 5]
 
 
 class TestConnectedSupports:
@@ -1150,10 +1143,10 @@ class TestConnectedSupports:
 
     @pytest.mark.parametrize("w", [2, 3, 4])
     def test_supports_are_lazy(self, w):
-        # The search stops at its first logical, so the first row must come
-        # out having read only the adjacency its support grew through: with
-        # all-zero slot masks every lettering commutes, and the first is X
-        # on qubits 0..w-1, grown through 0..w-2.
+        # The oracle's search stops at its first logical, so the first
+        # support must come out having read only the adjacency it grew
+        # through: on a path the first is qubits 0..w-1, grown through
+        # 0..w-2.
         n = 8
         path = [0] * n
         for v in range(n - 1):
@@ -1161,12 +1154,12 @@ class TestConnectedSupports:
             path[v + 1] |= 1 << v
         reads = []
 
-        def adj(q):
+        def read(q):
             reads.append(q)
             return path[q]
 
-        first = next(floquet._connected_logicals(adj, [0] * (2 * n), n, w))
-        assert first == _pauli_row(n, "X", range(w))
+        first = next(connected_supports(reference._Lazy(read, n), w))
+        assert first == tuple(range(w))
         assert reads == list(range(w - 1))
 
 
@@ -1175,30 +1168,44 @@ def reference_rows(hits, n):
     return sorted((cx << n) | cz for cx, cz in hits)
 
 
-def assert_connected_logicals(state, phase, top):
-    """``floquet._connected_logicals`` on the slot state of ``phase`` yields,
-    at each weight 2..top (at most n), the rows :func:`reference_search`
-    finds on the oracle's connected supports, each of that weight."""
+def assert_letterings(state, phase, top):
+    """``floquet._letterings`` on the slot state of ``phase`` yields, at each
+    weight k = 1..top (at most n), every weight-k Pauli exactly once, 3^k
+    C(n, k) rows, each with its lowest and highest qubit and the XOR of the
+    oracle's letter syndromes; its syndrome-0 rows are the rows
+    :func:`_weight_hits` finds over every k-subset."""
     n = phase.n
-    adj = floquet._cosupport_graph(*state[:2], n)
-    for w in range(2, min(top, n) + 1):
-        hits = sorted(floquet._connected_logicals(adj, state[2], n, w))
-        sups = list(connected_supports(reference_cosupport_graph(phase.rows, n), w))
-        assert hits == reference_rows(reference_search(*split_rows(phase), sups, w), n)
-        assert all(weight(row, n) == w for row in hits)
+    units = tuple((lx << n) | lz for lx, lz in _LETTERS.values())
+    syn, _ = _phase_tables(*state, n)
+    for k in range(1, min(top, n) + 1):
+        out = list(_letterings(state[2], n, units, k))
+        assert len(out) == len({row for _, row, _, _ in out}) == 3**k * math.comb(n, k)
+        for s, row, lo, hi in out:
+            support = list(_bits(((row >> n) | row) & ((1 << n) - 1)))
+            assert (len(support), lo, hi) == (k, support[0], support[-1])
+            expected = 0
+            for q in support:
+                on_q = ((1 << n) | 1) << q
+                (letter,) = (ls for ls, lr in syn[q] if row & on_q == lr)
+                expected ^= letter
+            assert s == expected
+        commuting = sorted(row for s, row, _, _ in out if not s)
+        assert commuting == sorted(_weight_hits(syn, combinations(range(n), k)))
 
 
 class TestKernels:
     # Largest weight each fixture is searched up to; the genus-12 phases
-    # (n=96, rank 72) are swept over all subsets only up to weight 2.
+    # (n=96, rank 72) are swept over all subsets only up to weight 2.  The
+    # search's generator is checked up to weight 3, the widest half of a
+    # weight-6 Pauli.
     TOP_WEIGHT = {"hexagon_no": 5, "octagon": 5, "genus12": 2}
 
-    @pytest.mark.parametrize("rule", ["subsets", "connected"])
+    @pytest.mark.parametrize("rule", ["subsets", "letterings"])
     @pytest.mark.parametrize("fix", ["hexagon_no", "octagon", "genus12"])
     def test_hits_agree_with_reference(self, fix, rule, request):
-        # "subsets": the oracle's kernel over every support; "connected":
-        # the search's generator against the loop reference over the
-        # oracle's connected supports, every row of weight w.
+        # "subsets": the oracle's kernel over every support; "letterings":
+        # the search's generator, every phase, against the oracle's
+        # syndromes and kernel over every support.
         _, _, result = request.getfixturevalue(fix)
         pairs = list(zip(result.phase_bases, steady_groups(result)))
         for state, phase in pairs[:1] if rule == "subsets" else pairs:
@@ -1210,7 +1217,7 @@ class TestKernels:
                         reference_search(*split_rows(phase), sups, w), phase.n
                     )
             else:
-                assert_connected_logicals(state, phase, self.TOP_WEIGHT[fix])
+                assert_letterings(state, phase, min(3, self.TOP_WEIGHT[fix]))
 
     def test_syndromes_match_symplectic_product(self, genus12):
         _, _, result = genus12
@@ -1355,24 +1362,12 @@ class TestExactDistance:
     @pytest.mark.parametrize("make", [incenter_complex, clip_complex])
     def test_reads_only_what_its_first_support_needs(self, monkeypatch, make):
         # Both distances are 2: weights 1 and 2 are read off the slot masks
-        # alone, so no phase is made canonical and no adjacency is read.
+        # alone, so no lettering of three or more qubits is generated.
         sched, _ = _schedule_for(make(fundamental_polygon(2, True), 8, 8))
         result = run_schedule(sched, 9)
-        canonical, graph = floquet._canonical_rows, floquet._cosupport_graph
-        passes, adjacency = [], []
-
-        def count_passes(rows, basis):
-            passes.append(len(held(basis)))
-            return canonical(rows, basis)
-
-        def watch_adjacency(*state):
-            adj = graph(*state)
-            return lambda q: adjacency.append(q) or adj(q)
-
-        monkeypatch.setattr(floquet, "_canonical_rows", count_passes)
-        monkeypatch.setattr(floquet, "_cosupport_graph", watch_adjacency)
+        calls = spy_letterings(monkeypatch)
         assert exact_distance(sched, result) == 2
-        assert passes == [] and adjacency == []
+        assert calls == []
 
     def test_beyond_one_syndrome_word(self, genus12):
         _, assign, result = genus12
@@ -1421,19 +1416,38 @@ class TestExactDistance:
             state = slot_state(group.rows, group.n)
             assert _min_logical_weight((state,)) == exhaustive_distance((group,)) == d
             assert reference_min_logical_weight((group,)) == d
-            assert_connected_logicals(state, group, 5)
+            assert_letterings(state, group, 3)
+
+    @pytest.mark.parametrize("code", ["five-qubit", "rotated-surface", "shor", "steane", "toric-3"])
+    def test_weights_from_three_match_both_oracles(self, code, monkeypatch):
+        # Groups with d >= 3, where the search runs its weight >= 3 stage,
+        # on more scrambles than the test above: it gives the distance of
+        # the first-written search and, where n <= 12, of the 4^n sweep, and
+        # the first product it finds outside the group is a logical of
+        # weight d.
+        labels, d = (toric_code(3), 3) if code == "toric-3" else SMALL_CODES[code]
+        found = found_logicals(monkeypatch)
+        for seed in range(8, 40):
+            group = scrambled_code(labels, seed)
+            n = group.n
+            found.clear()
+            assert _min_logical_weight((slot_state(group.rows, n),)) == d
+            assert reference_min_logical_weight((group,)) == d
+            if n <= _EXHAUSTIVE_MAX_N:
+                assert exhaustive_distance((group,)) == d
+            v, _ = found[0]
+            assert weight(v, n) == d
+            assert not any(sympl(v, row, n) for row in group.rows)
+            assert reduce_vec(group, v) != 0
 
     @pytest.mark.parametrize("n", range(5, 11))
     def test_random_groups_weight_two_as_exhaustive(self, n, monkeypatch):
         # Groups of rank n - 1 grown by measuring random dense Paulis, as in
         # run_schedule's slot states: the search returns 2, on each phase
         # alone and on three together, exactly when the 4^n sweep does, and
-        # then it has made no phase canonical.
+        # then it has generated no lettering of three or more qubits.
         rng = random.Random(700 + n)
-        passes = []
-        canonical = floquet._canonical_rows
-        monkeypatch.setattr(floquet, "_canonical_rows",
-                            lambda *state: passes.append(state) or canonical(*state))
+        passes = spy_letterings(monkeypatch)
         seen = set()
         for _ in range(6):
             states = []
@@ -1447,9 +1461,38 @@ class TestExactDistance:
                 d = exhaustive_distance(tuple(groups[i] for i in phases))
                 passes.clear()
                 assert _min_logical_weight(tuple(states[i] for i in phases)) == d
-                assert passes == [] or d >= 3
+                assert (passes == []) == (d <= 2)
                 seen.add(min(d, 3))
         assert {1, 2} <= seen and (n < 7 or 3 in seen)
+
+    @pytest.mark.parametrize("g", [3, 4, 5])
+    def test_full_rank_search_meets_each_pauli_once(self, g, monkeypatch):
+        # A full-rank phase has no logical, so the search runs through
+        # weight 6.  From weight 3 on it must test each commuting Pauli of
+        # each weight exactly once, leaving out only those whose lower half
+        # (their lowest w // 2 qubits) commutes with the phase: that half
+        # and the rest then lie in the group.
+        cx = clip_complex(fundamental_polygon(g, False), 2 * g, 2 * g)
+        result = run_schedule(edge_three_color(cx), 9)
+        n = result.n
+        assert result.k_inst == 0
+        tested = []
+        real = floquet._residue
+        monkeypatch.setattr(floquet, "_residue",
+                            lambda rows, basis, v: tested.append(v) or real(rows, basis, v))
+        for state, phase in zip(result.phase_bases, steady_groups(result)):
+            tested.clear()
+            with pytest.raises(BoundExceeded, match="weight <= 6"):
+                _min_logical_weight((state,))
+            expected = []
+            for w in range(3, 7):
+                for sup in combinations(range(n), w):
+                    lower = sum(((1 << n) | 1) << q for q in sup[: w // 2])
+                    for row in reference_rows(reference_search(*split_rows(phase), [sup], w), n):
+                        if any(sympl(row & lower, r, n) for r in phase.rows):
+                            expected.append(row)
+            assert sorted(v for v in tested if weight(v, n) >= 3) == sorted(expected)
+            assert len(expected) > 0
 
     def test_bound_signal(self, genus12):
         _, assign, result = genus12
@@ -1470,11 +1513,8 @@ class TestExactDistance:
         cx = clip_complex(fundamental_polygon(3, False), 6, 6)
         sched = edge_three_color(cx)
         result = run_schedule(sched, 9)
-        # k_inst decides it: no steady phase is made canonical.
-        passes = []
-        canonical = floquet._canonical_rows
-        monkeypatch.setattr(floquet, "_canonical_rows",
-                            lambda *state: passes.append(state) or canonical(*state))
+        # k_inst decides it: no steady phase is searched.
+        passes = spy_letterings(monkeypatch)
         with pytest.raises(ValueError, match="k = 0") as info:
             exact_distance(sched, result)
         assert not isinstance(info.value, BoundExceeded)
@@ -1488,21 +1528,18 @@ class TestExactDistance:
             exhaustive_distance(steady_groups(result))  # n=16 > 12
 
 
-def consumed_supports(monkeypatch) -> list:
-    """Spy on the oracle's ``reference.connected_supports``: the returned
-    list gets each call's weight, then every support as the caller takes
-    it."""
-    consumed = []
-    real = reference.connected_supports
+def spy_letterings(monkeypatch) -> list:
+    """Spy on ``floquet._letterings``: the returned list gets the weight
+    ``k`` of every call."""
+    calls = []
+    real = floquet._letterings
 
-    def spy(adj, w):
-        consumed.append(w)
-        for sup in real(adj, w):
-            consumed.append(sup)
-            yield sup
+    def spy(cols, n, units, k):
+        calls.append(k)
+        return real(cols, n, units, k)
 
-    monkeypatch.setattr(reference, "connected_supports", spy)
-    return consumed
+    monkeypatch.setattr(floquet, "_letterings", spy)
+    return calls
 
 
 def found_logicals(monkeypatch) -> list:
@@ -1548,9 +1585,9 @@ def assert_logical(found, result, w):
 
 class TestSearchOracle:
     # The search over the run's slot states against the search as first
-    # written, over canonical groups with eager tables.  From weight 3 on
-    # both stop on the same support; a weight-2 witness comes from the
-    # syndrome-collision stage and is checked against the phase's group.
+    # written, over canonical groups with eager tables: both give the same
+    # distance, and the witness the search stops on, at any weight, is
+    # checked against the group of the phase it was found in.
 
     @pytest.mark.parametrize(
         "build",
@@ -1568,13 +1605,9 @@ class TestSearchOracle:
             return
         found = found_logicals(monkeypatch)
         d = exact_distance(schedule, result)
-        consumed = consumed_supports(monkeypatch)
         assert reference_min_logical_weight(steady_groups(result)) == d
         assert d == (4 if case.startswith("honeycomb") else 2)
         assert_logical(found, result, d)
-        if d >= 3:
-            (first, _), n = found[0], result.n
-            assert set(floquet._bits(((first >> n) | first) & ((1 << n) - 1))) == set(consumed[-1])
 
     @pytest.mark.parametrize(
         "build",
