@@ -13,16 +13,20 @@ invocation (the command words, then exact ``--flag value`` pairs that pass
 their types and choices) is read straight off it and builds no argparse
 parser; help, usage errors and every other form go to the whole parser,
 built from the same declarations, so they print its bytes unchanged.
+``argparse`` is imported only for help, usage errors and rejected values,
+and the package imports no ``dataclasses``, so a well-formed call starts
+without either.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .catalog import build_table, equivalence_check, table_to_csv
 from .coloring import NotColorCodeTiling, edge_three_color, three_color
@@ -31,6 +35,9 @@ from .floquet import exact_distance, run_schedule
 from .geodist import estimate_distance
 from .hypgeo import regular_profile, semiregular_profile
 from .surface import deserialize, fundamental_polygon, serialize
+
+if TYPE_CHECKING:
+    import argparse
 
 _REGULAR_RE = re.compile(r"^\{\s*(\d+)\s*,\s*(\d+)\s*\}$")
 _TRIPLE_RE = re.compile(r"^\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]$")
@@ -78,22 +85,28 @@ def _parse_sig(text: str):
     )
 
 
+def _type_error() -> type[Exception]:
+    """argparse's ArgumentTypeError, which the type functions raise on a
+    rejected value: argparse is imported then, not with this module."""
+    import argparse
+
+    return argparse.ArgumentTypeError
+
+
 def _bool_flag(text: str) -> bool:
     v = text.lower()
     if v in ("true", "false"):
         return v == "true"
-    raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+    raise _type_error()(f"expected true or false, got {text!r}")
 
 
 def _genus_range(text: str) -> tuple[int, ...]:
     try:
         a, b = map(int, text.split("..", 1) if ".." in text else (text, text))
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a genus G or a range A..B, got {text!r}"
-        ) from None
+        raise _type_error()(f"expected a genus G or a range A..B, got {text!r}") from None
     if a > b:
-        raise argparse.ArgumentTypeError(f"empty genus range {text!r}")
+        raise _type_error()(f"empty genus range {text!r}")
     return tuple(range(a, b + 1))
 
 
@@ -298,6 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
     from ``_COMMANDS``; parsing leaves it as is.  ``_parse`` hands it only
     what ``_parse_declared`` does not accept (help, usage errors and any
     other form), so those print its bytes."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="floqtess",
         description="Floquet codes from hyperbolic tessellations: "
@@ -307,13 +322,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_declared(argv: list[str]) -> argparse.Namespace | None:
-    """The whole parser's namespace for argv, read straight off
-    ``_COMMANDS``, or None unless argv is the command words followed by
-    exact ``--flag value`` pairs: each flag declared and given once, no
-    value starting with "-", every value passing its type and choices, and
-    every required flag given.  Any argv it accepts, the whole parser reads
-    the same way."""
+def _parse_declared(argv: list[str]) -> SimpleNamespace | None:
+    """The whole parser's namespace for argv as a SimpleNamespace, read
+    straight off ``_COMMANDS``, or None unless argv is the command words
+    followed by exact ``--flag value`` pairs: each flag declared and given
+    once, no value starting with "-", every value passing its type and
+    choices, and every required flag given.  Any argv it accepts, the whole
+    parser reads the same way."""
     name = argv[0] if argv else None
     if name not in _COMMANDS:
         return None
@@ -342,21 +357,23 @@ def _parse_declared(argv: list[str]) -> argparse.Namespace | None:
         if value.startswith("-"):
             return None
         if "type" in kw:
+            # The except tuple is built only once the type has raised; the
+            # whole parser, which imports argparse anyway, reads argv next.
             try:
                 value = kw["type"](value)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
+            except (_type_error(), TypeError, ValueError):
                 return None
         if "choices" in kw and value not in kw["choices"]:
             return None
         found[dest] = value
-    return argparse.Namespace(func=func, **found)
+    return SimpleNamespace(func=func, **found)
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
+def _parse(argv: list[str]) -> argparse.Namespace | SimpleNamespace:
     """The whole parser's namespace for argv.  A well-formed invocation is
-    read off ``_COMMANDS`` and builds no parser; everything else (help, a
-    missing or unknown command, any usage error or other form) goes to the
-    whole parser, so it prints the whole parser's bytes."""
+    read off ``_COMMANDS`` into a SimpleNamespace and builds no parser;
+    everything else (help, a missing or unknown command, any usage error
+    or other form) goes to the whole parser, so it prints its bytes."""
     args = _parse_declared(argv)
     return _build_parser().parse_args(argv) if args is None else args
 

@@ -21,9 +21,9 @@ complex).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import permutations
 
+from .hypgeo import _Record
 from .surface import SurfaceComplex
 
 __all__ = [
@@ -49,8 +49,7 @@ class NotColorCodeTiling(ValueError):
     """The complex fails the color-code tiling test; no face coloring exists."""
 
 
-@dataclass(frozen=True)
-class EdgeSchedule:
+class EdgeSchedule(_Record):
     """A proper 3-edge-coloring of a tri-valent complex, with its checks.
 
     ``edge_color[eid]`` colors each edge; ``checks[color]`` is derived from
@@ -61,8 +60,14 @@ class EdgeSchedule:
     """
 
     complex: SurfaceComplex
-    edge_color: dict = field(hash=False)
-    checks: dict = field(init=False, compare=False)
+    edge_color: dict
+    checks: dict
+    _compared = ("complex", "edge_color")
+    _hashed = ("complex",)
+
+    def __init__(self, complex: SurfaceComplex, edge_color: dict) -> None:
+        self.__dict__.update(complex=complex, edge_color=edge_color)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         c = self.complex
@@ -105,7 +110,6 @@ class EdgeSchedule:
         ]
 
 
-@dataclass(frozen=True)
 class ColorAssignment(EdgeSchedule):
     """An edge schedule induced by a proper face 3-coloring.
 
@@ -117,8 +121,13 @@ class ColorAssignment(EdgeSchedule):
     the corners take three colors and each edge the one it does not touch.
     """
 
-    edge_color: dict = field(init=False, compare=False)
+    edge_color: dict
     face_color: tuple[str, ...]
+    _compared = _hashed = ("complex", "face_color")
+
+    def __init__(self, complex: SurfaceComplex, face_color: tuple[str, ...]) -> None:
+        self.__dict__.update(complex=complex, face_color=face_color)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.face_color) != len(self.complex.faces):

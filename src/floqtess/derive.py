@@ -26,12 +26,11 @@ fundamental polygons) need no special casing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 from typing import Sequence
 
-from .hypgeo import SemiRegularSig, _as_semiregular, _check_genus, _polygon_sides
+from .hypgeo import SemiRegularSig, _Record, _as_semiregular, _check_genus, _polygon_sides
 from .surface import Edge, SurfaceComplex, _FlagMap, fundamental_polygon
 
 __all__ = [
@@ -44,14 +43,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DerivedCounts:
+class DerivedCounts(_Record):
     """Cell counts of a tri-valent semi-regular tessellation."""
 
     n_f: int
     n_e: int
     n_v: int
     signature: SemiRegularSig
+    _compared = _hashed = ("n_f", "n_e", "n_v", "signature")
+
+    def __init__(self, n_f: int, n_e: int, n_v: int, signature: SemiRegularSig) -> None:
+        self.__dict__.update(n_f=n_f, n_e=n_e, n_v=n_v, signature=signature)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if min(self.n_f, self.n_e, self.n_v) <= 0:

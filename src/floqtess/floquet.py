@@ -15,7 +15,6 @@ pruned; ``tests/reference.py`` keeps the search as first written."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
@@ -27,7 +26,7 @@ from .derive import (
     polygon_route,
     semiregular_counts_direct,
 )
-from .hypgeo import _as_semiregular, _check_genus
+from .hypgeo import _Record, _as_semiregular, _check_genus
 
 # (x, z) bits of each Pauli letter, in the order the search tries them.
 _LETTERS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -146,8 +145,7 @@ def _measure_round(rows: list, basis: list, cols: list, checks: list, swap: list
             rows[slot] = c
 
 
-@dataclass(frozen=True, eq=False)
-class ScheduleResult:
+class ScheduleResult(_Record):
     """Per-round ISG ranks with steady-state bookkeeping.
 
     ``phase_bases`` holds the slot states ``(rows, basis, cols)``, as
@@ -161,6 +159,13 @@ class ScheduleResult:
     phase_bases: tuple
     steady_round: int | None
     k_inst: int | None
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, n, ranks, phase_bases, steady_round, k_inst) -> None:
+        self.__dict__.update(
+            n=n, ranks=ranks, phase_bases=phase_bases, steady_round=steady_round, k_inst=k_inst
+        )
 
 
 def run_schedule(schedule, rounds: int) -> ScheduleResult:

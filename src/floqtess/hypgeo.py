@@ -15,7 +15,6 @@ natural units (curvature -1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 __all__ = [
@@ -32,8 +31,27 @@ __all__ = [
 EDGE_EQ_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class RegularSig:
+class _Record:
+    """Base of the immutable records: ``__init__`` stores the fields and runs
+    any ``__post_init__`` checks; assigning or deleting then raises.  Records
+    of one class are equal on the ``_compared`` fields; ``_hashed`` are hashed."""
+
+    def __setattr__(self, *args) -> None:  # (name, value), or (name,) as __delattr__
+        raise AttributeError(f"cannot {'assign to' if args[1:] else 'delete'} field {args[0]!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = self.__dict__, other.__dict__
+        return [mine[f] for f in self._compared] == [theirs[f] for f in self._compared]
+
+    def __hash__(self) -> int:
+        return hash(tuple([self.__dict__[f] for f in self._hashed]))
+
+
+class RegularSig(_Record):
     """A regular tessellation {p, q}: p-gons, q around each vertex.
 
     Only hyperbolic signatures are representable: 1/p + 1/q < 1/2.
@@ -41,6 +59,11 @@ class RegularSig:
 
     p: int
     q: int
+    _compared = _hashed = ("p", "q")
+
+    def __init__(self, p: int, q: int) -> None:
+        self.__dict__.update(p=p, q=q)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not (isinstance(self.p, int) and isinstance(self.q, int)):
@@ -56,8 +79,7 @@ class RegularSig:
             )
 
 
-@dataclass(frozen=True)
-class SemiRegularSig:
+class SemiRegularSig(_Record):
     """A tri-valent semi-regular vertex type [m1, m2, m3].
 
     Each vertex meets one m1-gon, one m2-gon and one m3-gon.  Only hyperbolic
@@ -66,6 +88,15 @@ class SemiRegularSig:
     """
 
     m: tuple[int, int, int]
+    _compared = ("m",)
+
+    def __init__(self, m: Sequence[int]) -> None:
+        self.__dict__["m"] = m
+        self.__post_init__()
+
+    def __hash__(self) -> int:
+        # Written out: the chord table hashes a signature on every row.
+        return hash((self.m,))
 
     def __post_init__(self) -> None:
         m = tuple(self.m)

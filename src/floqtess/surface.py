@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from typing import Any, NamedTuple, Sequence
 
-from .hypgeo import _check_genus, _genus_chi, _polygon_sides
+from .hypgeo import _Record, _check_genus, _genus_chi, _polygon_sides
 
 __all__ = [
     "SurfaceError",
@@ -202,8 +201,7 @@ class _FlagMap:
         return -1 not in colour, orientable
 
 
-@dataclass(frozen=True)
-class SurfaceComplex:
+class SurfaceComplex(_Record):
     """A validated polygonal complex on a closed surface.
 
     Construction performs full validation: every declared edge appears in
@@ -221,6 +219,13 @@ class SurfaceComplex:
     vertices: tuple[VertexId, ...]
     edges: tuple[Edge, ...]
     faces: tuple[tuple[Slot, ...], ...]
+    _compared = _hashed = ("orientable", "genus", "vertices", "edges", "faces")
+
+    def __init__(self, orientable, genus, vertices, edges, faces) -> None:
+        self.__dict__.update(
+            orientable=orientable, genus=genus, vertices=vertices, edges=edges, faces=faces
+        )
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(self.vertices))

@@ -257,22 +257,37 @@ def test_cli_imports_only_public_names():
 PACKAGE_ROOT = Path(floqtess.__file__).parents[1]
 
 
+# Modules whose import the CLI's start-up does without: ``dataclasses``
+# pulls in ``inspect``, and ``argparse`` (with ``gettext``) serves only
+# help, usage errors and rejected values.
+UNLOADED = ("argparse", "dataclasses", "gettext", "inspect")
+
+
 def test_cli_loads_only_the_pipeline():
-    # A fresh interpreter, so modules other tests imported do not count.
+    # A fresh interpreter, so modules other tests imported do not count; the
+    # modules it held before the import (the site's, say) do not count either.
     script = "\n".join([
-        "import sys",
+        "import contextlib, io, sys",
+        "before = set(sys.modules)",
         "import floqtess.cli",
         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'floqtess')))",
         "print('fractions' in sys.modules)",
+        f"print(' '.join(m for m in {UNLOADED!r} if m in set(sys.modules) - before))",
+        "before = set(sys.modules)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = floqtess.cli.main(['table', '--genus', '2', '--orientable', 'true'])",
+        "print(code, 'argparse' in set(sys.modules) - before)",
     ])
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, cwd=PACKAGE_ROOT,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded, fractions = proc.stdout.splitlines()
+    loaded, fractions, added, call = proc.stdout.split("\n")[:4]
     pipeline = ("catalog", "cli", "coloring", "derive", "floquet", "geodist", "hypgeo", "surface")
     assert loaded.split() == ["floqtess"] + [f"floqtess.{m}" for m in pipeline]
     assert fractions == "False"
+    assert added == ""
+    assert call == "0 False"
 
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
