@@ -159,8 +159,7 @@ class ScheduleResult(_Record):
     phase_bases: tuple
     steady_round: int | None
     k_inst: int | None
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
+    __eq__, __hash__, __repr__ = object.__eq__, object.__hash__, object.__repr__
 
     def __init__(self, n, ranks, phase_bases, steady_round, k_inst) -> None:
         self.__dict__.update(

@@ -34,7 +34,8 @@ EDGE_EQ_TOL = 1e-10
 class _Record:
     """Base of the immutable records: ``__init__`` stores the fields and runs
     any ``__post_init__`` checks; assigning or deleting then raises.  Records
-    of one class are equal on the ``_compared`` fields; ``_hashed`` are hashed."""
+    of one class are equal on the ``_compared`` fields, which their repr
+    shows; ``_hashed`` are hashed."""
 
     def __setattr__(self, *args) -> None:  # (name, value), or (name,) as __delattr__
         raise AttributeError(f"cannot {'assign to' if args[1:] else 'delete'} field {args[0]!r}")
@@ -49,6 +50,10 @@ class _Record:
 
     def __hash__(self) -> int:
         return hash(tuple([self.__dict__[f] for f in self._hashed]))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._compared)
+        return f"{self.__class__.__name__}({fields})"
 
 
 class RegularSig(_Record):

@@ -95,6 +95,16 @@ def test_signatures_differ_on_any_field():
     assert listed.m == (6, 6, 8) and listed == SIG and hash(listed) == hash(SIG)
 
 
+def test_value_records_print_their_fields():
+    assert repr(RegularSig(7, 3)) == "RegularSig(p=7, q=3)"
+    assert repr(SIG) == "SemiRegularSig(m=(6, 6, 8))"
+    assert repr(DerivedCounts(6, 24, 16, SIG)) == (
+        "DerivedCounts(n_f=6, n_e=24, n_v=16, signature=SemiRegularSig(m=(6, 6, 8)))"
+    )
+    head = f"SurfaceComplex(orientable=True, genus=2, vertices={POLYGON.vertices!r}, edges="
+    assert repr(POLYGON).startswith(head)
+
+
 def test_complex_compares_every_field():
     names, values = RECORDS[SurfaceComplex]
     base = SurfaceComplex(*values)
