@@ -8,10 +8,11 @@ The ISG is updated one measured round per kernel call, the round's checks
 in order, on rows held in slots, with a pivot -> slot map (a list over the
 2n row bits, -1 on a free pivot) and one slot mask per row bit.  The search
 reads each letter's syndrome off those masks: weight 1 is a syndrome of 0,
-weight 2 a collision of two qubits' syndromes, and each weight w from 3 on a
-collision between the letterings of a Pauli's lowest w // 2 qubits and
-those of the rest, so every Pauli of each weight is tried and nothing is
-pruned; ``tests/reference.py`` keeps the search as first written."""
+and each weight w from 2 on a collision between the letterings of a Pauli's
+lowest w // 2 qubits and those of the rest, met once per Pauli as the
+qubits are taken in order as anchors, so every Pauli of each weight is
+tried and nothing is pruned; ``tests/reference.py`` keeps the search as
+first written."""
 
 from __future__ import annotations
 
@@ -241,6 +242,11 @@ def exact_distance(schedule, result: ScheduleResult) -> int:
     first weight with a commuting Pauli outside the group is the distance.
     Raises ValueError when k = 0 or the run is unsteady, and BoundExceeded
     past ``_EXACT_MAX_N`` qubits or weight ``_EXACT_MAX_WEIGHT``.
+
+    ``schedule`` is never read: everything the search needs is in
+    ``result``.  The parameter stays because callers pass it positionally,
+    ``perfbench/worker.py`` among them, and ``perfbench/tracing.py`` binds
+    the signature.
     """
     n = result.n
     if n > _EXACT_MAX_N:
@@ -267,53 +273,47 @@ def _residue(rows: list, basis: list, v: int) -> int:
     return v
 
 
-def _letterings(cols: list, n: int, units: tuple, k: int):
-    """Yield ``(syndrome, row, lo, hi)`` for every weight-``k`` Pauli: its
-    syndrome over slots, the XOR of its letters' (X reads ``cols[q]``, Z
-    ``cols[n + q]``, Y their XOR); its row ``(x << n) | z``, built from
-    ``units``, the X, Y and Z rows on qubit 0; and its lowest and highest
-    qubit.  Supports come in lexicographic order, each with its 3^k
-    letterings."""
-    ux, uy, uz = units
-    letters = []
-    for q in range(n):
-        sx, sz = cols[q], cols[n + q]
-        letters.append(((sx, ux << q), (sx ^ sz, uy << q), (sz, uz << q)))
-    for support in combinations(range(n), k):
-        partial = letters[support[0]]
-        for q in support[1:]:
-            partial = [(s ^ ls, r | lr) for s, r in partial for ls, lr in letters[q]]
-        lo, hi = support[0], support[-1]
-        for s, r in partial:
-            yield s, r, lo, hi
+def _letterings(table, u: int, pool, k: int) -> list:
+    """``(syndrome, row)`` of every Pauli on qubit ``u`` and ``k`` qubits of
+    ``pool``: the XOR of its letters' syndromes and the OR of their rows,
+    read off ``table``, whose entry q holds the ``(syndrome, row)`` of X, Y
+    and Z on q.  The supports come in ``combinations(pool, k)`` order, each
+    with its 3^(k + 1) letterings."""
+    out = []
+    for others in combinations(pool, k):
+        partial = table[u]
+        for q in others:
+            partial = [(s ^ ls, r | lr) for s, r in partial for ls, lr in table[q]]
+        out += partial
+    return out
 
 
 def _min_logical_weight(phases) -> int:
     """The search of :func:`exact_distance` over slot states
     ``(rows, basis, cols)`` of :func:`_measure_round`, read as they are.
 
-    Weight 1 is a scan of ``cols``: a letter on qubit q commutes with every
-    row iff its syndrome over slots, read as in :func:`_letterings`, is 0.
-    Weight 2 is settled by syndrome collisions, phase by phase: a Pauli on
-    qubits q and r commutes iff its two letters' syndromes are equal, so
-    each qubit's three letters are matched against those of the qubits
-    before it, grouped by syndrome, and the first product outside the group
-    gives 2.  Only non-zero syndromes are grouped: once weight 1 has found
-    nothing, a letter of syndrome 0 lies in the group, and so does the
-    product of two of them.
+    A letter's syndrome over slots says which rows it anticommutes with: X
+    on qubit q reads ``cols[q]``, Z ``cols[n + q]``, Y their XOR.  Weight 1
+    is a scan of ``cols``: a letter commutes with every row iff its
+    syndrome is 0.
 
-    Each weight w from 3 to ``_EXACT_MAX_WEIGHT`` is settled the same way,
-    phase by phase.  A weight-w Pauli is the product of the lettering of
-    its lowest w // 2 qubits (its lower half) and that of the rest (its
-    upper half), and commutes iff the two syndromes are equal.  The lower
-    letterings are grouped by syndrome, each with its highest qubit; the
-    upper ones are generated, not held, and each is matched only against
-    lower letterings whose highest qubit lies below its own lowest, so
-    every weight-w Pauli is met exactly once.  Again only non-zero
-    syndromes are grouped: with no logical lighter than w, a lighter
-    lettering of syndrome 0 lies in the group.  The table holds at most
-    27 C(n, 3) lower letterings, 266,760 at n = 40.  Nothing is pruned, so
-    the first product outside the group gives w.
+    Each weight w from 2 to ``_EXACT_MAX_WEIGHT`` is then settled by
+    syndrome collisions, phase by phase.  A weight-w Pauli is the product
+    of the lettering of its lowest w // 2 qubits (its lower half) and that
+    of the rest (its upper half), and commutes iff the two syndromes are
+    equal.  The qubits are taken in order as anchors u.  At each, the upper
+    halves whose lowest qubit is u (:func:`_letterings` of u and qubits
+    above it) are matched against a dict of the lower halves met so far,
+    keyed by syndrome; then the lower halves whose highest qubit is u (u and
+    qubits below it) join the dict.  So the dict holds exactly the lower
+    halves that lie below the anchor's upper halves, and every weight-w
+    Pauli is met exactly once.  At w = 2 both halves are the anchor's three
+    letters, read off the phase's letter table, which is filled as the
+    anchor advances: a d = 2 search builds no lettering of two or more
+    qubits.  Only non-zero syndromes join the dict: with no logical lighter
+    than w, a lighter lettering of syndrome 0 lies in the group.  The dict
+    holds at most 27 C(n, 3) lower halves, 266,760 at n = 40.  Nothing is
+    pruned, so the first product outside the group gives w.
     """
     n = len(phases[0][2]) // 2
     ux, uy, uz = ((lx << n) | lz for lx, lz in _LETTERS.values())
@@ -323,28 +323,24 @@ def _min_logical_weight(phases) -> int:
             for syndrome, unit in ((sx, ux), (sx ^ sz, uy), (sz, uz)):
                 if not syndrome and _residue(rows, basis, unit << q):
                     return 1
-    for rows, basis, cols in phases:
-        seen: dict[int, list] = {}
-        for q in range(n):
-            sx, sz = cols[q], cols[n + q]
-            letters = ((sx, ux << q), (sx ^ sz, uy << q), (sz, uz << q))
-            for syndrome, row in letters:
-                for other in seen.get(syndrome, ()):
-                    if _residue(rows, basis, row | other):
-                        return 2
-            for syndrome, row in letters:
-                if syndrome:
-                    seen.setdefault(syndrome, []).append(row)
-    for w in range(3, _EXACT_MAX_WEIGHT + 1):
-        for rows, basis, cols in phases:
+    tables: list[list] = [[] for _ in phases]
+    for w in range(2, _EXACT_MAX_WEIGHT + 1):
+        below, above = w // 2 - 1, w - w // 2 - 1
+        for (rows, basis, cols), table in zip(phases, tables):
             lower: dict[int, list] = {}
-            for syndrome, row, _, hi in _letterings(cols, n, (ux, uy, uz), w // 2):
-                if syndrome:
-                    lower.setdefault(syndrome, []).append((hi, row))
-            for syndrome, row, lo, _ in _letterings(cols, n, (ux, uy, uz), w - w // 2):
-                for hi, other in lower.get(syndrome, ()):
-                    if hi < lo and _residue(rows, basis, row | other):
-                        return w
+            for u in range(n):
+                if len(table) == u:
+                    sx, sz = cols[u], cols[n + u]
+                    table.append(((sx, ux << u), (sx ^ sz, uy << u), (sz, uz << u)))
+                uppers = _letterings(table, u, range(u + 1, n), above) if above else table[u]
+                for syndrome, row in uppers:
+                    for other in lower.get(syndrome, ()):
+                        if _residue(rows, basis, row | other):
+                            return w
+                lowers = _letterings(table, u, range(u), below) if below else table[u]
+                for syndrome, row in lowers:
+                    if syndrome:
+                        lower.setdefault(syndrome, []).append(row)
     raise BoundExceeded(
         f"no logical operator of weight <= {_EXACT_MAX_WEIGHT}; use geometric estimator"
     )

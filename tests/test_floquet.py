@@ -1169,35 +1169,39 @@ def reference_rows(hits, n):
 
 
 def assert_letterings(state, phase, top):
-    """``floquet._letterings`` on the slot state of ``phase`` yields, at each
-    weight k = 1..top (at most n), every weight-k Pauli exactly once, 3^k
-    C(n, k) rows, each with its lowest and highest qubit and the XOR of the
-    oracle's letter syndromes; its syndrome-0 rows are the rows
+    """The union over anchors u of ``floquet._letterings(syn, u, pool, k - 1)``,
+    ``syn`` the oracle's letter table of the slot state of ``phase``, yields
+    at each weight k = 2..top (at most n) every weight-k Pauli exactly once,
+    3^k C(n, k) rows, each with the XOR of the oracle's letter syndromes:
+    with ``pool`` the qubits above u, u is each row's lowest qubit, and with
+    the qubits below it, its highest.  The syndrome-0 rows are the rows
     :func:`_weight_hits` finds over every k-subset."""
     n = phase.n
-    units = tuple((lx << n) | lz for lx, lz in _LETTERS.values())
     syn, _ = _phase_tables(*state, n)
-    for k in range(1, min(top, n) + 1):
-        out = list(_letterings(state[2], n, units, k))
-        assert len(out) == len({row for _, row, _, _ in out}) == 3**k * math.comb(n, k)
-        for s, row, lo, hi in out:
-            support = list(_bits(((row >> n) | row) & ((1 << n) - 1)))
-            assert (len(support), lo, hi) == (k, support[0], support[-1])
-            expected = 0
-            for q in support:
-                on_q = ((1 << n) | 1) << q
-                (letter,) = (ls for ls, lr in syn[q] if row & on_q == lr)
-                expected ^= letter
-            assert s == expected
-        commuting = sorted(row for s, row, _, _ in out if not s)
-        assert commuting == sorted(_weight_hits(syn, combinations(range(n), k)))
+    for k in range(2, min(top, n) + 1):
+        for pool, end in ((lambda u: range(u + 1, n), 0), (range, -1)):
+            out = [
+                (u, s, row) for u in range(n) for s, row in _letterings(syn, u, pool(u), k - 1)
+            ]
+            assert len(out) == len({row for _, _, row in out}) == 3**k * math.comb(n, k)
+            for u, s, row in out:
+                support = list(_bits(((row >> n) | row) & ((1 << n) - 1)))
+                assert (len(support), support[end]) == (k, u)
+                expected = 0
+                for q in support:
+                    on_q = ((1 << n) | 1) << q
+                    (letter,) = (ls for ls, lr in syn[q] if row & on_q == lr)
+                    expected ^= letter
+                assert s == expected
+            commuting = sorted(row for _, s, row in out if not s)
+            assert commuting == sorted(_weight_hits(syn, combinations(range(n), k)))
 
 
 class TestKernels:
     # Largest weight each fixture is searched up to; the genus-12 phases
     # (n=96, rank 72) are swept over all subsets only up to weight 2.  The
-    # search's generator is checked up to weight 3, the widest half of a
-    # weight-6 Pauli.
+    # search's generator is checked from weight 2 to weight 3, the widest
+    # half of a weight-6 Pauli.
     TOP_WEIGHT = {"hexagon_no": 5, "octagon": 5, "genus12": 2}
 
     @pytest.mark.parametrize("rule", ["subsets", "letterings"])
@@ -1311,6 +1315,27 @@ SMALL_CODES = {
 }
 
 
+def grown_state(n, rank, seed):
+    """The slot state of a random group of the given rank on n qubits, grown
+    by measuring random dense Paulis drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    state = slot_state((), n)
+    while len(state[0]) < rank:
+        measure(state, rng.getrandbits(2 * n), n)
+    return state
+
+
+# (n, k, seed, d) of random groups from grown_state(n, n - k, seed) with
+# d >= 3 by the 4^n sweep.  d = 4 is rare: 3 of seeds 0..39999 give it at
+# n = 10, k = 1, and a d = 5 code with k >= 1 needs n >= 11.
+RANDOM_GROUPS = [
+    (5, 1, 582, 3), (6, 1, 1089, 3), (7, 1, 9, 3), (7, 1, 82, 3),
+    (8, 1, 0, 3), (8, 1, 20, 3), (8, 2, 416, 3), (9, 1, 3, 3), (9, 1, 5, 3),
+    (9, 2, 6, 3), (10, 1, 2, 3), (10, 1, 3, 3), (10, 2, 7, 3), (10, 2, 12, 3),
+    (10, 1, 18697, 4), (10, 1, 24257, 4), (10, 1, 37805, 4),
+]
+
+
 def scrambled_code(labels, seed):
     """The code of ``labels`` with its qubits permuted, X/Y/Z relabelled
     per qubit, and its generators recombined."""
@@ -1418,20 +1443,31 @@ class TestExactDistance:
             assert reference_min_logical_weight((group,)) == d
             assert_letterings(state, group, 3)
 
-    @pytest.mark.parametrize("code", ["five-qubit", "rotated-surface", "shor", "steane", "toric-3"])
+    @pytest.mark.parametrize(
+        "code", ["five-qubit", "rotated-surface", "shor", "steane", "toric-3", "random"]
+    )
     def test_weights_from_three_match_both_oracles(self, code, monkeypatch):
-        # Groups with d >= 3, where the search runs its weight >= 3 stage,
-        # on more scrambles than the test above: it gives the distance of
-        # the first-written search and, where n <= 12, of the 4^n sweep, and
-        # the first product it finds outside the group is a logical of
-        # weight d.
-        labels, d = (toric_code(3), 3) if code == "toric-3" else SMALL_CODES[code]
+        # Groups with d >= 3, where the search runs past weight 2: more
+        # scrambles than the test above, and the seeded random groups of
+        # RANDOM_GROUPS, searched on the slot states they were grown in.  The
+        # search gives the distance of the first-written search and, where
+        # n <= 12, of the 4^n sweep, and the first product it finds outside
+        # the group is a logical of weight d.
+        cases = []
+        if code == "random":
+            for n, k, seed, d in RANDOM_GROUPS:
+                state = grown_state(n, n - k, seed)
+                cases.append((state, read_group(state, n), d))
+        else:
+            labels, d = (toric_code(3), 3) if code == "toric-3" else SMALL_CODES[code]
+            for seed in range(8, 40):
+                group = scrambled_code(labels, seed)
+                cases.append((slot_state(group.rows, group.n), group, d))
         found = found_logicals(monkeypatch)
-        for seed in range(8, 40):
-            group = scrambled_code(labels, seed)
+        for state, group, d in cases:
             n = group.n
             found.clear()
-            assert _min_logical_weight((slot_state(group.rows, n),)) == d
+            assert _min_logical_weight((state,)) == d
             assert reference_min_logical_weight((group,)) == d
             if n <= _EXHAUSTIVE_MAX_N:
                 assert exhaustive_distance((group,)) == d
@@ -1468,7 +1504,7 @@ class TestExactDistance:
     @pytest.mark.parametrize("g", [3, 4, 5])
     def test_full_rank_search_meets_each_pauli_once(self, g, monkeypatch):
         # A full-rank phase has no logical, so the search runs through
-        # weight 6.  From weight 3 on it must test each commuting Pauli of
+        # weight 6.  From weight 2 on it must test each commuting Pauli of
         # each weight exactly once, leaving out only those whose lower half
         # (their lowest w // 2 qubits) commutes with the phase: that half
         # and the rest then lie in the group.
@@ -1485,13 +1521,13 @@ class TestExactDistance:
             with pytest.raises(BoundExceeded, match="weight <= 6"):
                 _min_logical_weight((state,))
             expected = []
-            for w in range(3, 7):
+            for w in range(2, 7):
                 for sup in combinations(range(n), w):
                     lower = sum(((1 << n) | 1) << q for q in sup[: w // 2])
                     for row in reference_rows(reference_search(*split_rows(phase), [sup], w), n):
                         if any(sympl(row & lower, r, n) for r in phase.rows):
                             expected.append(row)
-            assert sorted(v for v in tested if weight(v, n) >= 3) == sorted(expected)
+            assert sorted(v for v in tested if weight(v, n) >= 2) == sorted(expected)
             assert len(expected) > 0
 
     def test_bound_signal(self, genus12):
@@ -1529,14 +1565,14 @@ class TestExactDistance:
 
 
 def spy_letterings(monkeypatch) -> list:
-    """Spy on ``floquet._letterings``: the returned list gets the weight
-    ``k`` of every call."""
+    """Spy on ``floquet._letterings``: the returned list gets ``k``, the
+    number of qubits beside the anchor, of every call."""
     calls = []
     real = floquet._letterings
 
-    def spy(cols, n, units, k):
+    def spy(table, u, pool, k):
         calls.append(k)
-        return real(cols, n, units, k)
+        return real(table, u, pool, k)
 
     monkeypatch.setattr(floquet, "_letterings", spy)
     return calls
@@ -1615,8 +1651,8 @@ class TestSearchOracle:
         + [pytest.param(lambda: honeycomb_torus(4), id="honeycomb-4-edge")],
     )
     def test_each_phase_alone(self, build):
-        # Phase by phase, so the weight-2 stage meets phases whose own
-        # distance is 2 and phases where it must find nothing.
+        # Phase by phase, so the collision loop's weight-2 pass meets phases
+        # whose own distance is 2 and phases where it must find nothing.
         schedule, _ = _schedule_for(build())
         result = run_schedule(schedule, 9)
         for state, phase in zip(result.phase_bases, steady_groups(result)):
