@@ -26,7 +26,6 @@ fundamental polygons) need no special casing.
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import chain
 from typing import Sequence
 
@@ -254,10 +253,6 @@ def semiregular_counts_direct(
     return DerivedCounts(n_f=chi + n_v // 2, n_e=3 * n_v // 2, n_v=n_v, signature=sig)
 
 
-# Cached per process, a pure function of its arguments; nothing is evicted.
-# ``catalog.enumerate_signatures`` admits a row through it, and
-# ``floquet.code_params`` then reads the row's n from the same entry.
-@cache
 def _admitted_vertex_count(
     m: tuple[int, int, int], chi: int, position: bool
 ) -> int | None:
@@ -268,6 +263,12 @@ def _admitted_vertex_count(
     a positive even integer (n_e = 3 n_v / 2).  The position rule then needs
     m_i | n_v at every position, the size rule (multiplicity of s) * n_v
     divisible by s for each face size s.
+
+    ``catalog.enumerate_signatures`` admits a row through it and
+    ``floquet.code_params`` reads the row's n from it again.  Nothing is
+    cached: most triples are tested once, a call takes under a microsecond,
+    and a cache would keep an entry alive for each, for the garbage
+    collector to sweep.
     """
     m1, m2, m3 = m
     prod = m1 * m2 * m3
@@ -278,8 +279,8 @@ def _admitted_vertex_count(
     if rem or n_v % 2:
         return None
     if position:
-        if any(n_v % x for x in m):
+        return None if n_v % m1 or n_v % m2 or n_v % m3 else n_v
+    for s in set(m):
+        if m.count(s) * n_v % s:
             return None
-    elif any(m.count(s) * n_v % s for s in set(m)):
-        return None
     return n_v

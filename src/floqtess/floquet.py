@@ -412,11 +412,12 @@ def code_params(m, genus: int, orientable: bool, d_mode: str = "auto") -> CodePa
 
     ``m`` is a SemiRegularSig or a sequence of three ints.  The
     signature's checks run once per distinct triple per process
-    (``hypgeo._as_semiregular``), as do its chords, and the systole once
-    per genus (both in ``geodist.estimate_distance``).  Per row: the genus
-    check, the vertex count, the route on rows with n <= 40, the estimate's
-    ceilings and the record, whose n is a positive even vertex count, k =
-    2 - chi >= 3 and d >= 2 (the estimate's clamp) or >= 1 (the search).
+    (``hypgeo._as_semiregular``), as do its chords (in
+    ``geodist.estimate_distance``); nothing else is memoized.  Per row: the
+    genus check, the vertex count, the route on rows with n <= 40, the
+    estimate's systole and ceilings, and the record, whose n is a positive
+    even vertex count, k = 2 - chi >= 3 and d >= 2 (the estimate's clamp)
+    or >= 1 (the search).
     """
     if d_mode not in ("geo", "auto"):
         raise ValueError(f"unknown d_mode {d_mode!r}")

@@ -28,33 +28,29 @@ _CEIL_EPS = 1e-9
 
 
 @cache
-def _chord_table(sig: SemiRegularSig) -> tuple:
-    """``(red, t_r, t_gb)`` for each red class of ``sig``, in class order.
+def _chord_table(m: tuple[int, int, int]) -> tuple:
+    """``(red, t_r, t_gb)`` for each red class of the ordered triple ``m``,
+    in class order.
 
     t_r: shortest chord across either non-red pivot face; t_gb: centre
     distance between the two non-red classes.  With j, k the classes after
     red (mod 3), A is the profile's ``incenter_gaps``: A[red] and A[k] from
-    red to j and k, A[j] from j to k.  Both depend on the ordered triple alone
-    (a SemiRegularSig hashes and compares as its ``m``), so a table over
-    many genera works out each signature's edge length (the closed form
-    plus one Newton step) once per distinct triple per process, and nothing
-    is evicted.  ``hypgeo._as_semiregular`` hands back one SemiRegularSig
-    per distinct triple, so a repeated lookup hits on identity.  The
-    profile is read through this module's binding of
+    red to j and k, A[j] from j to k.  Both depend on the ordered triple
+    alone, so the table is keyed by ``sig.m``, a tuple of ints hashed in C,
+    and a table over many genera works out each signature's edge length
+    (the closed form plus one Newton step) once per distinct triple per
+    process; nothing is evicted.  ``m`` has passed the signature checks, so
+    ``hypgeo._as_semiregular`` hands back its SemiRegularSig without
+    checking again.  The profile is read through this module's binding of
     ``semiregular_profile``, so a wrapper put there sees every real solve.
     """
-    A, m = semiregular_profile(sig)["incenter_gaps"], sig.m
+    A = semiregular_profile(_as_semiregular(m))["incenter_gaps"]
     table = []
     for red in range(3):
         j, k = (red + 1) % 3, (red + 2) % 3
         t_r = min(incenter_chord(A[red], m[j]), incenter_chord(A[k], m[k]))
         table.append((red, t_r, A[j]))
     return tuple(table)
-
-
-# The systole of each (genus, orientable) pair ``estimate_distance`` has
-# seen, a pure function of the pair; nothing is evicted.
-_systole = cache(systole)
 
 
 def estimate_distance(
@@ -69,19 +65,15 @@ def estimate_distance(
 
     Per distinct triple, once per process: the signature's checks
     (``hypgeo._as_semiregular``) and its chords (``_chord_table``).  Per
-    genus: the systole, cached for an int genus and a bool ``orientable``;
-    any other pair takes ``systole``, checks included, on every call.  Per
-    row: the six systole/chord ratios, each of which must be positive and
-    finite (ValueError otherwise), and their ceilings, ceil(ratio -
-    _CEIL_EPS) and at least 1, with d_X twice its ceiling; then the
-    minimum, the clamp and the tag.
+    row: the systole, genus checks included (``systole``); the six
+    systole/chord ratios, each of which must be positive and finite
+    (ValueError otherwise), and their ceilings, ceil(ratio - _CEIL_EPS) and
+    at least 1, with d_X twice its ceiling; then the minimum, the clamp and
+    the tag.
     """
     sig = _as_semiregular(m)
-    if type(genus) is int and type(orientable) is bool:
-        length = _systole(genus, orientable)
-    else:
-        length = systole(genus, orientable)
-    chords = _chord_table(sig)
+    length = systole(genus, orientable)
+    chords = _chord_table(sig.m)
     best = None  # (value, red, kind, dX, dZ)
     for red, t_r, t_gb in chords:
         # Each ratio must be positive and finite (X checked first, Z formed

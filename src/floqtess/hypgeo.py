@@ -93,15 +93,11 @@ class SemiRegularSig(_Record):
     """
 
     m: tuple[int, int, int]
-    _compared = ("m",)
+    _compared = _hashed = ("m",)
 
     def __init__(self, m: Sequence[int]) -> None:
         self.__dict__["m"] = m
         self.__post_init__()
-
-    def __hash__(self) -> int:
-        # Written out: the chord table hashes a signature on every row.
-        return hash((self.m,))
 
     def __post_init__(self) -> None:
         m = tuple(self.m)
@@ -285,8 +281,8 @@ def _as_semiregular(sig: SemiRegularSig | Sequence[int]) -> SemiRegularSig:
 
     A triple of three exact ints is looked up by value: its first call runs
     the constructor's checks and every later call, in any sequence type,
-    gets the same object back, so caches keyed by the signature (such as
-    ``geodist._chord_table``) hit on identity.  Any other input (floats,
+    gets the same object back, so a table row pays for the checks only on
+    a new triple.  Any other input (floats,
     numpy integers, bools, another length) goes through the constructor on
     every call and raises what it raises: ``(6, 6, 8.0)`` compares and
     hashes equal to ``(6, 6, 8)``, so a lookup by value alone would let it

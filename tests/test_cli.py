@@ -716,7 +716,6 @@ class TestEstimateCachePinned:
     def outputs(capsys, commands):
         # Cold: every per-process cache of the table path starts empty.
         geodist._chord_table.cache_clear()
-        geodist._systole.cache_clear()
         hypgeo._SEMIREGULAR.clear()
         runs = []
         for _ in range(2):

@@ -9,6 +9,7 @@ import pytest
 
 from floqtess.derive import (
     DerivedCounts,
+    _admitted_vertex_count,
     clip_complex,
     incenter_complex,
     polygon_complex,
@@ -400,6 +401,44 @@ class TestDirectCounts:
             semiregular_counts_direct((6, 6, 8), 1, True)
         with pytest.raises(ValueError, match="genus must be"):
             semiregular_counts_direct((6, 6, 8), 2, False)
+
+
+def any_form_vertex_count(m, chi, position):
+    """The admission rules restated with any() over generator expressions:
+    n_v = 2|chi| m1 m2 m3 / den a positive even integer, then m_i | n_v at
+    every position, or (multiplicity of s) * n_v divisible by s per size."""
+    m1, m2, m3 = m
+    prod = m1 * m2 * m3
+    den = prod - 2 * (m1 * m2 + m2 * m3 + m1 * m3)
+    if den <= 0:
+        return None
+    n_v, rem = divmod(-2 * chi * prod, den)
+    if rem or n_v % 2:
+        return None
+    if position:
+        if any(n_v % x for x in m):
+            return None
+    elif any(m.count(s) * n_v % s for s in set(m)):
+        return None
+    return n_v
+
+
+class TestAdmittedVertexCount:
+    # Every ordered triple of sizes 3..20, odd and repeated sizes included,
+    # at the chi of orientable genus 2..6 and 12 and of non-orientable
+    # genus 3..8 and 12.
+    TRIPLES = [(a, b, c) for a in range(3, 21) for b in range(3, 21) for c in range(3, 21)]
+    CHIS = sorted({2 - 2 * g for g in (2, 3, 4, 5, 6, 12)} | {2 - g for g in (3, 4, 5, 6, 7, 8, 12)})
+
+    @pytest.mark.parametrize("position", [True, False], ids=["position", "size"])
+    def test_admits_what_the_rule_admits(self, position):
+        admitted = 0
+        for chi in self.CHIS:
+            for m in self.TRIPLES:
+                want = any_form_vertex_count(m, chi, position)
+                assert _admitted_vertex_count(m, chi, position) == want, (m, chi)
+                admitted += want is not None
+        assert admitted > 3000
 
 
 class TestDerivedCountsType:

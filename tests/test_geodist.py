@@ -1,13 +1,14 @@
 """Geometric distance estimator: anchors, conventions, monotonicity."""
 
 import hashlib
+import importlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from floqtess import cli, geodist, hypgeo
+from floqtess import cli, derive, geodist, hypgeo
 from floqtess.catalog import build_table, enumerate_signatures, equivalence_check
 from floqtess.geodist import estimate_distance
 from floqtess.hypgeo import SemiRegularSig, systole
@@ -30,7 +31,7 @@ def ceiling(ratio):
 def estimate_at_ratio(monkeypatch, ratio):
     """An estimate whose six systole/chord ratios all equal ``ratio``
     exactly: a systole of ``ratio`` over chords of length 1."""
-    monkeypatch.setattr(geodist, "_systole", lambda genus, orientable: ratio)
+    monkeypatch.setattr(geodist, "systole", lambda genus, orientable: ratio)
     monkeypatch.setattr(geodist, "_chord_table", lambda sig: ((0, 1.0, 1.0),) * 3)
     return estimate_distance((6, 6, 8), 2, True)
 
@@ -227,7 +228,6 @@ def test_estimate_equals_the_search_on_every_exact_row():
 
 def clear_caches():
     geodist._chord_table.cache_clear()
-    geodist._systole.cache_clear()
     hypgeo._SEMIREGULAR.clear()
 
 
@@ -301,19 +301,41 @@ class TestChordCache:
         ]
 
     def test_a_cached_systole_keeps_the_genus_checks(self, cold_cache):
-        # Once (2, True) is cached, pairs equal to it that the genus check
-        # rejects, pairs that cannot be hashed and an int orientability
-        # still raise what systole raises, and none of them is cached.
+        # After an estimate at (2, True), pairs that the genus check
+        # rejects, equal to (2, True) or not, raise what systole raises, on
+        # every call.
         estimate_distance((6, 6, 8), 2, True)
-        assert geodist._systole.cache_info().currsize == 1
         for genus, orientable in [(2.0, True), (np.int64(2), True), ([2], True),
                                   (2, 0), (2, [])]:
             with pytest.raises((TypeError, ValueError)) as want:
                 systole(genus, orientable)
-            with pytest.raises(want.type) as got:
-                estimate_distance((6, 6, 8), genus, orientable)
-            assert str(got.value) == str(want.value)
-        assert geodist._systole.cache_info().currsize == 1
+            for _ in range(2):
+                with pytest.raises(want.type) as got:
+                    estimate_distance((6, 6, 8), genus, orientable)
+                assert str(got.value) == str(want.value)
+
+    def test_memos_hold_one_entry_per_triple(self, cold_cache):
+        # The benchmark's table sweep, cold: the signature checks and the
+        # chords are memoized once per distinct triple, and nothing per row
+        # (no vertex count and no systole is kept).
+        rows = [r for o, genera in ((True, range(2, 6)), (False, range(3, 6)))
+                for r in build_table(genera, o)]
+        triples = {r.signature for r in rows}
+        estimated = {r.signature for r in rows if r.d_source == "geometric-estimate"}
+        assert len(rows) > len(triples) > len(estimated) > 0
+        assert set(hypgeo._SEMIREGULAR) == triples
+        assert all(sig.m == m for m, sig in hypgeo._SEMIREGULAR.items())
+        assert geodist._chord_table.cache_info().currsize == len(estimated)
+        assert not hasattr(derive._admitted_vertex_count, "cache_info")
+        modules = ("catalog", "cli", "coloring", "derive", "floquet", "geodist",
+                   "hypgeo", "surface")
+        memoized = {
+            (name, attr)
+            for name in modules
+            for attr, value in vars(importlib.import_module(f"floqtess.{name}")).items()
+            if hasattr(value, "cache_info")
+        }
+        assert memoized == {("geodist", "_chord_table"), ("cli", "_build_parser")}
 
     def test_bad_triples_raise_on_every_call(self, cold_cache):
         for _ in range(3):
