@@ -262,7 +262,9 @@ def _admitted_vertex_count(
     is hyperbolic iff den > 0 and n_v = 2|chi| m1 m2 m3 / den, which must be
     a positive even integer (n_e = 3 n_v / 2).  The position rule then needs
     m_i | n_v at every position, the size rule (multiplicity of s) * n_v
-    divisible by s for each face size s.
+    divisible by s for each face size s.  Each skips one test: the face
+    counts sum to n_f = chi + n_v/2, so n_v/m3 = chi + n_v/2 - n_v/m1 -
+    n_v/m2 and the class of m1's size are integral once the others are.
 
     ``catalog.enumerate_signatures`` admits a row through it and
     ``floquet.code_params`` reads the row's n from it again.  Nothing is
@@ -279,8 +281,8 @@ def _admitted_vertex_count(
     if rem or n_v % 2:
         return None
     if position:
-        return None if n_v % m1 or n_v % m2 or n_v % m3 else n_v
-    for s in set(m):
+        return None if n_v % m1 or n_v % m2 else n_v
+    for s in {*m} - {m1}:
         if m.count(s) * n_v % s:
             return None
     return n_v

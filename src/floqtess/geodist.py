@@ -13,13 +13,7 @@ import math
 from functools import cache
 from typing import Sequence
 
-from .hypgeo import (
-    SemiRegularSig,
-    _as_semiregular,
-    incenter_chord,
-    semiregular_profile,
-    systole,
-)
+from .hypgeo import SemiRegularSig, _as_semiregular, semiregular_profile, systole
 
 # Ratios sitting within this distance above an integer count as that
 # integer: several families make systole/chord an exact integer and float
@@ -35,22 +29,40 @@ def _chord_table(m: tuple[int, int, int]) -> tuple:
     t_r: shortest chord across either non-red pivot face; t_gb: centre
     distance between the two non-red classes.  With j, k the classes after
     red (mod 3), A is the profile's ``incenter_gaps``: A[red] and A[k] from
-    red to j and k, A[j] from j to k.  Both depend on the ordered triple
-    alone, so the table is keyed by ``sig.m``, a tuple of ints hashed in C,
-    and a table over many genera works out each signature's edge length
-    (the closed form plus one Newton step) once per distinct triple per
-    process; nothing is evicted.  ``m`` has passed the signature checks, so
-    ``hypgeo._as_semiregular`` hands back its SemiRegularSig without
-    checking again.  The profile is read through this module's binding of
-    ``semiregular_profile``, so a wrapper put there sees every real solve.
+    red to j and k, A[j] from j to k.  A chord joins two faces that touch a
+    pivot m-gon two edges apart round it, each at the gap A from its
+    incenter, so by the law of cosines it is
+    arccosh[cosh^2(A) - sinh^2(A) cos(4 pi / m)], which collapses to 2A at
+    m = 4 (the two segments are collinear); t_r is the shorter of A[red]
+    pivoted at j and A[k] pivoted at k.  The argument is at least 1
+    (cos <= 1 and cosh^2 - sinh^2 = 1) and clamped there against rounding;
+    a gap that is not positive raises ValueError.
+
+    Both depend on the ordered triple alone, so the table is keyed by
+    ``sig.m``, a tuple of ints hashed in C, and solves each signature once
+    per distinct triple per process; nothing is evicted.  ``m`` has passed
+    the signature checks, so ``hypgeo._as_semiregular`` hands back its
+    SemiRegularSig unchecked.  The profile is read through this module's
+    binding of ``semiregular_profile``, so a wrapper there sees every solve.
     """
-    A = semiregular_profile(_as_semiregular(m))["incenter_gaps"]
-    table = []
-    for red in range(3):
-        j, k = (red + 1) % 3, (red + 2) % 3
-        t_r = min(incenter_chord(A[red], m[j]), incenter_chord(A[k], m[k]))
-        table.append((red, t_r, A[j]))
-    return tuple(table)
+    A0, A1, A2 = semiregular_profile(_as_semiregular(m))["incenter_gaps"]
+    if not (A0 > 0 and A1 > 0 and A2 > 0):
+        raise ValueError("incenter gap must be positive")
+    # cos(4 pi / m) per position; cosh^2 and sinh^2 per gap, pivoted at both its faces.
+    k0 = math.cos(4.0 * math.pi / m[0])
+    k1 = math.cos(4.0 * math.pi / m[1])
+    k2 = math.cos(4.0 * math.pi / m[2])
+    ch, sh = math.cosh(A0), math.sinh(A0)
+    c0, s0 = ch * ch, sh * sh
+    ch, sh = math.cosh(A1), math.sinh(A1)
+    c1, s1 = ch * ch, sh * sh
+    ch, sh = math.cosh(A2), math.sinh(A2)
+    c2, s2 = ch * ch, sh * sh
+    return (
+        (0, min(math.acosh(max(c0 - s0 * k1, 1.0)), math.acosh(max(c2 - s2 * k2, 1.0))), A1),
+        (1, min(math.acosh(max(c1 - s1 * k2, 1.0)), math.acosh(max(c0 - s0 * k0, 1.0))), A2),
+        (2, min(math.acosh(max(c2 - s2 * k0, 1.0)), math.acosh(max(c1 - s1 * k1, 1.0))), A0),
+    )
 
 
 def estimate_distance(

@@ -3,10 +3,10 @@
 Everything here is closed-form geometry at curvature -1: edge lengths,
 apothems, circumradii and face areas of the regular {p,q} tilings, the
 edge length of semi-regular vertex types [m1, m2, m3] with three faces per
-vertex (a triangle's circumdiameter, polished by one Newton step),
-distances between incenters of adjacent faces, and the systole of the
-closed surfaces the tilings live on.  The two profile functions return
-the documents ``floqtess geom`` prints after the signature.
+vertex (a triangle's circumdiameter, polished by one Newton step) and
+the incenter gaps between adjacent faces, and the systole of the closed
+surfaces the tilings live on.  The two profile functions return the
+documents ``floqtess geom`` prints after the signature.
 
 All functions are pure and operate in double precision; lengths are in
 natural units (curvature -1).
@@ -23,7 +23,6 @@ __all__ = [
     "regular_profile",
     "semiregular_edge_length",
     "semiregular_profile",
-    "incenter_chord",
     "systole",
 ]
 
@@ -101,18 +100,18 @@ class SemiRegularSig(_Record):
 
     def __post_init__(self) -> None:
         m = tuple(self.m)
-        if len(m) != 3 or not all(isinstance(x, int) for x in m):
+        m1, m2, m3 = m if len(m) == 3 else (None, None, None)
+        if not (isinstance(m1, int) and isinstance(m2, int) and isinstance(m3, int)):
             raise TypeError("vertex type must be a triple of integers")
-        object.__setattr__(self, "m", m)
-        if any(x < 3 for x in m):
-            raise ValueError(f"[{m[0]},{m[1]},{m[2]}]: face sizes must be >= 3")
-        m1, m2, m3 = m
+        self.__dict__["m"] = m
+        if m1 < 3 or m2 < 3 or m3 < 3:
+            raise ValueError(f"[{m1},{m2},{m3}]: face sizes must be >= 3")
         # The angle excess 1/2 - sum 1/m_i, scaled by 2 m1 m2 m3.
         excess = m1 * m2 * m3 - 2 * (m1 * m2 + m2 * m3 + m1 * m3)
         if excess <= 0:
             label = "Euclidean" if excess == 0 else "spherical"
             raise ValueError(
-                f"[{m[0]},{m[1]},{m[2]}] is a {label} triple (need 1/m1 + 1/m2 + 1/m3 < 1/2)"
+                f"[{m1},{m2},{m3}] is a {label} triple (need 1/m1 + 1/m2 + 1/m3 < 1/2)"
             )
 
 
@@ -187,7 +186,8 @@ def semiregular_edge_length(sig: SemiRegularSig | Sequence[int]) -> float:
     indicate a solver bug rather than bad input).
     """
     sig = _as_semiregular(sig)
-    cosines = k1, k2, k3 = tuple(math.cos(math.pi / mi) for mi in sig.m)
+    m1, m2, m3 = sig.m
+    k1, k2, k3 = cosines = math.cos(math.pi / m1), math.cos(math.pi / m2), math.cos(math.pi / m3)
     heron = (k1 + k2 + k3) * (k2 + k3 - k1) * (k1 + k3 - k2) * (k1 + k2 - k3)
     c = 2.0 * k1 * k2 * k3 / math.sqrt(heron)
 
@@ -220,34 +220,20 @@ def semiregular_profile(sig: SemiRegularSig | Sequence[int]) -> dict:
     segment joining the incenters.
     """
     sig = _as_semiregular(sig)
+    m1, m2, m3 = sig.m
     l = semiregular_edge_length(sig)
     th = math.tanh(0.5 * l)
     ch = math.cosh(0.5 * l)
-    a = [math.asinh(th / math.tan(math.pi / mi)) for mi in sig.m]
+    a1 = math.asinh(th / math.tan(math.pi / m1))
+    a2 = math.asinh(th / math.tan(math.pi / m2))
+    a3 = math.asinh(th / math.tan(math.pi / m3))
     return {
         "edge_length": l,
-        "apothems": a,
-        "circumradii": [math.acosh(math.cosh(ai) * ch) for ai in a],
-        "incenter_gaps": [a[i] + a[(i + 1) % 3] for i in range(3)],
+        "apothems": [a1, a2, a3],
+        "circumradii": [math.acosh(math.cosh(a1) * ch), math.acosh(math.cosh(a2) * ch),
+                        math.acosh(math.cosh(a3) * ch)],
+        "incenter_gaps": [a1 + a2, a2 + a3, a3 + a1],
     }
-
-
-def incenter_chord(A: float, m_next: int) -> float:
-    """Distance between incenters of two faces one face apart around a vertex.
-
-    Both faces touch a common m_next-gon whose incenter is at distance A from
-    each; walking two edges around the m_next-gon turns the incenter gap into
-    arccosh[cosh^2(A) - sinh^2(A) cos(4 pi / m_next)].  For m_next = 4 this
-    collapses to 2A (the two segments are collinear).
-    """
-    if not A > 0:
-        raise ValueError("incenter gap must be positive")
-    if not (isinstance(m_next, int) and m_next >= 3):
-        raise ValueError("face size must be an integer >= 3")
-    ch, sh = math.cosh(A), math.sinh(A)
-    arg = ch * ch - sh * sh * math.cos(4.0 * math.pi / m_next)
-    # arg >= 1 always (cos <= 1 and cosh^2 - sinh^2 = 1); guard rounding.
-    return math.acosh(max(arg, 1.0))
 
 
 def systole(genus: int, orientable: bool) -> float:

@@ -20,7 +20,11 @@ tests compare the pipeline against: :func:`surface_area` (Gauss-Bonnet),
 :func:`clip_counts` and :func:`incenter_counts` (the cells after each
 derivation, from the characteristic alone) and :func:`polygon_surface`,
 which glues any one-polygon boundary word and recovers its vertices,
-genus and orientability from the corner orbits.
+genus and orientability from the corner orbits.  :func:`incenter_chord`
+is the chord between incenters one face apart as it was first written,
+and :func:`chord_table` composes it over a profile's gaps as
+``geodist._chord_table`` first did; the tests hold the package's
+straight-line chords equal to it, bit for bit.
 
 :func:`walk_clip_complex` and :func:`walk_incenter_complex` are the
 derivations as they were first written, each face stepped out by
@@ -62,7 +66,7 @@ from floqtess.coloring import PAULI_OF
 from floqtess.derive import DerivedCounts, _pair_names, _require_pq, _slot_labels
 from floqtess.floquet import _LETTERS
 from floqtess.geodist import estimate_distance
-from floqtess.hypgeo import RegularSig, SemiRegularSig, _check_genus
+from floqtess.hypgeo import RegularSig, SemiRegularSig, _check_genus, semiregular_profile
 from floqtess.surface import Edge, Slot, SurfaceComplex, SurfaceError, _FlagMap
 from helpers import _bits, _canonical_rows, reduce_vec
 
@@ -499,6 +503,36 @@ def surface_area(genus: int, orientable: bool) -> float:
     """
     chi = _check_genus(genus, orientable)
     return -2.0 * math.pi * chi
+
+
+def incenter_chord(A: float, m_next: int) -> float:
+    """Distance between incenters of two faces one face apart around a vertex.
+
+    Both faces touch a common m_next-gon whose incenter is at distance A from
+    each; walking two edges around the m_next-gon turns the incenter gap into
+    arccosh[cosh^2(A) - sinh^2(A) cos(4 pi / m_next)].  For m_next = 4 this
+    collapses to 2A (the two segments are collinear).
+    """
+    if not A > 0:
+        raise ValueError("incenter gap must be positive")
+    if not (isinstance(m_next, int) and m_next >= 3):
+        raise ValueError("face size must be an integer >= 3")
+    ch, sh = math.cosh(A), math.sinh(A)
+    arg = ch * ch - sh * sh * math.cos(4.0 * math.pi / m_next)
+    # arg >= 1 always (cos <= 1 and cosh^2 - sinh^2 = 1); guard rounding.
+    return math.acosh(max(arg, 1.0))
+
+
+def chord_table(m: Sequence[int]) -> tuple:
+    """``geodist._chord_table`` as it was first written: each red class's
+    shorter chord by :func:`incenter_chord` over the profile's gaps."""
+    A = semiregular_profile(m)["incenter_gaps"]
+    table = []
+    for red in range(3):
+        j, k = (red + 1) % 3, (red + 2) % 3
+        t_r = min(incenter_chord(A[red], m[j]), incenter_chord(A[k], m[k]))
+        table.append((red, t_r, A[j]))
+    return tuple(table)
 
 
 def polygon_surface(word: Sequence[Slot]) -> SurfaceComplex:

@@ -25,14 +25,13 @@ from floqtess.floquet import (
 from floqtess.geodist import estimate_distance
 from floqtess.hypgeo import (
     SemiRegularSig,
-    incenter_chord,
     regular_profile,
     semiregular_edge_length,
 )
 from floqtess.surface import fundamental_polygon
 from helpers import face_sizes, steady_groups, sympl
 import reference
-from reference import encoding_rate, estimator_report, family_report
+from reference import encoding_rate, estimator_report, family_report, incenter_chord
 from test_floquet import exhaustive_distance
 
 

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from floqtess import cli, derive, geodist, hypgeo
 from floqtess.catalog import build_table, enumerate_signatures, equivalence_check
 from floqtess.geodist import estimate_distance
 from floqtess.hypgeo import SemiRegularSig, systole
+import reference
 
 # [6,6,8] family estimates across orientable genus 2..9; the winning
 # convention flips between conventions as the systole grows.
@@ -336,6 +338,33 @@ class TestChordCache:
             if hasattr(value, "cache_info")
         }
         assert memoized == {("geodist", "_chord_table"), ("cli", "_build_parser")}
+
+    def test_chords_equal_the_oracle_bit_for_bit(self, cold_cache):
+        # Every ordering of every table triple, each solved cold, against
+        # the chords as first written; == sees a last-bit change that the
+        # 12-digit CLI digests round away.
+        triples = {p for m, _, _ in SWEEP for p in permutations(m)}
+        assert len(triples) == 1516
+        for m in sorted(triples):
+            geodist._chord_table.cache_clear()
+            assert geodist._chord_table(m) == reference.chord_table(m), m
+
+    @pytest.mark.parametrize("gap", [0.0, -0.5, math.nan])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_a_gap_not_positive_raises(self, cold_cache, monkeypatch, gap, at):
+        real = geodist.semiregular_profile
+
+        def profile(sig):
+            doc = real(sig)
+            doc["incenter_gaps"][at] = gap
+            return doc
+
+        monkeypatch.setattr(geodist, "semiregular_profile", profile)
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                estimate_distance((6, 6, 8), 2, True)
+            assert str(info.value) == "incenter gap must be positive"
+        assert geodist._chord_table.cache_info().currsize == 0
 
     def test_bad_triples_raise_on_every_call(self, cold_cache):
         for _ in range(3):

@@ -16,13 +16,12 @@ from floqtess.catalog import enumerate_signatures
 from floqtess.hypgeo import (
     RegularSig,
     SemiRegularSig,
-    incenter_chord,
     regular_profile,
     semiregular_edge_length,
     semiregular_profile,
     systole,
 )
-from reference import surface_area
+from reference import incenter_chord, surface_area
 
 
 def _hyperbolic(m) -> bool:
