@@ -66,41 +66,12 @@ class EdgeSchedule(_Record):
     _hashed = ("complex",)
 
     def __init__(self, complex: SurfaceComplex, edge_color: dict) -> None:
-        self.__dict__.update(complex=complex, edge_color=edge_color)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        c = self.complex
-        if c.trivalence_fault is not None:
-            raise ValueError(c.trivalence_fault)
-        self._check_proper()
-        checks: dict = {color: [] for color in ROUND_COLOR}
-        for e in c.edges:
-            checks[self.edge_color[e.id]].append(e.ends)
-        object.__setattr__(self, "checks", {col: tuple(v) for col, v in checks.items()})
-
-    def _check_proper(self) -> None:
-        """Raise unless the coloring covers exactly the complex's edges (the
-        first uncolored edge, in edge order, is named before the first id
-        that is not an edge), each edge is R, G or B and no color repeats at
-        a vertex."""
-        edges = self.complex.edges
-        for e in edges:
-            if e.id not in self.edge_color:
-                raise ValueError(f"edge {e.id!r} has no color")
-        if len(self.edge_color) != len(edges):
-            ids = {e.id for e in edges}
-            extra = next(eid for eid in self.edge_color if eid not in ids)
-            raise ValueError(f"colored id {extra!r} is not an edge of the complex")
-        seen: dict = {v: set() for v in self.complex.vertices}
-        for e in edges:
-            color = self.edge_color[e.id]
-            if color not in COLORS:
-                raise ValueError(f"edge {e.id!r} has unknown color {color!r}")
-            for v in e.ends:
-                if color in seen[v]:
-                    raise ValueError(f"two {color} edges meet at vertex {v!r}")
-                seen[v].add(color)
+        if complex.trivalence_fault is not None:
+            raise ValueError(complex.trivalence_fault)
+        _check_proper(complex, edge_color)
+        self.__dict__.update(
+            complex=complex, edge_color=edge_color, checks=_checks(complex, edge_color)
+        )
 
     def checks_json(self) -> list[dict]:
         return [
@@ -126,29 +97,57 @@ class ColorAssignment(EdgeSchedule):
     _compared = _hashed = ("complex", "face_color")
 
     def __init__(self, complex: SurfaceComplex, face_color: tuple[str, ...]) -> None:
-        self.__dict__.update(complex=complex, face_color=face_color)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if len(self.face_color) != len(self.complex.faces):
+        if len(face_color) != len(complex.faces):
             raise ValueError("one color per face required")
-        if any(color not in COLORS for color in self.face_color):
+        if any(color not in COLORS for color in face_color):
             raise ValueError("face colors must be R, G or B")
-        face_color = self.face_color
         edge_color = {}
-        for eid, (f1, f2) in self.complex.flag_map().edge_faces.items():
+        for eid, (f1, f2) in complex.flag_map().edge_faces.items():
             c1, c2 = face_color[f1], face_color[f2]
             if c1 == c2:
                 raise ValueError(
                     f"faces {f1} and {f2} share edge {eid!r} but both are {c1}"
                 )
             edge_color[eid] = _THIRD[c1, c2]
-        object.__setattr__(self, "edge_color", edge_color)
-        super().__post_init__()
+        if complex.trivalence_fault is not None:
+            raise ValueError(complex.trivalence_fault)
+        self.__dict__.update(
+            complex=complex, face_color=face_color, edge_color=edge_color,
+            checks=_checks(complex, edge_color),
+        )
 
-    def _check_proper(self) -> None:
-        """Nothing to check: every edge is colored from its two faces, and
-        properly, as the class docstring shows."""
+
+def _check_proper(c: SurfaceComplex, edge_color: dict) -> None:
+    """Raise unless the coloring covers exactly the complex's edges (the
+    first uncolored edge, in edge order, is named before the first id
+    that is not an edge), each edge is R, G or B and no color repeats at
+    a vertex."""
+    edges = c.edges
+    for e in edges:
+        if e.id not in edge_color:
+            raise ValueError(f"edge {e.id!r} has no color")
+    if len(edge_color) != len(edges):
+        ids = {e.id for e in edges}
+        extra = next(eid for eid in edge_color if eid not in ids)
+        raise ValueError(f"colored id {extra!r} is not an edge of the complex")
+    seen: dict = {v: set() for v in c.vertices}
+    for e in edges:
+        color = edge_color[e.id]
+        if color not in COLORS:
+            raise ValueError(f"edge {e.id!r} has unknown color {color!r}")
+        for v in e.ends:
+            if color in seen[v]:
+                raise ValueError(f"two {color} edges meet at vertex {v!r}")
+            seen[v].add(color)
+
+
+def _checks(c: SurfaceComplex, edge_color: dict) -> dict:
+    """The end pairs of each color's edges in edge order, per color in
+    round order: the checks of a schedule."""
+    checks: dict = {color: [] for color in ROUND_COLOR}
+    for e in c.edges:
+        checks[edge_color[e.id]].append(e.ends)
+    return {color: tuple(pairs) for color, pairs in checks.items()}
 
 
 def _face_classes(c: SurfaceComplex) -> list[int] | None:

@@ -52,16 +52,11 @@ class DerivedCounts(_Record):
     _compared = _hashed = ("n_f", "n_e", "n_v", "signature")
 
     def __init__(self, n_f: int, n_e: int, n_v: int, signature: SemiRegularSig) -> None:
-        self.__dict__.update(n_f=n_f, n_e=n_e, n_v=n_v, signature=signature)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if min(self.n_f, self.n_e, self.n_v) <= 0:
+        if min(n_f, n_e, n_v) <= 0:
             raise ValueError("cell counts must be positive")
-        if 2 * self.n_e != 3 * self.n_v:
-            raise ValueError(
-                f"not tri-valent: 2*{self.n_e} edges != 3*{self.n_v} vertices"
-            )
+        if 2 * n_e != 3 * n_v:
+            raise ValueError(f"not tri-valent: 2*{n_e} edges != 3*{n_v} vertices")
+        self.__dict__.update(n_f=n_f, n_e=n_e, n_v=n_v, signature=signature)
 
 
 def _require_pq(c: SurfaceComplex, p: int, q: int) -> None:

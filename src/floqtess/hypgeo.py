@@ -31,10 +31,10 @@ EDGE_EQ_TOL = 1e-10
 
 
 class _Record:
-    """Base of the immutable records: ``__init__`` stores the fields and runs
-    any ``__post_init__`` checks; assigning or deleting then raises.  Records
-    of one class are equal on the ``_compared`` fields, which their repr
-    shows; ``_hashed`` are hashed."""
+    """Base of the immutable records: ``__init__`` checks and stores the
+    fields once; assigning or deleting then raises.  Records of one class
+    are equal on the ``_compared`` fields, which their repr shows;
+    ``_hashed`` are hashed."""
 
     def __setattr__(self, *args) -> None:  # (name, value), or (name,) as __delattr__
         raise AttributeError(f"cannot {'assign to' if args[1:] else 'delete'} field {args[0]!r}")
@@ -66,21 +66,18 @@ class RegularSig(_Record):
     _compared = _hashed = ("p", "q")
 
     def __init__(self, p: int, q: int) -> None:
-        self.__dict__.update(p=p, q=q)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.p, int) and isinstance(self.q, int)):
+        if not (isinstance(p, int) and isinstance(q, int)):
             raise TypeError("p and q must be integers")
-        if self.p < 3 or self.q < 3:
-            raise ValueError(f"{{{self.p},{self.q}}}: face size and valence must be >= 3")
+        if p < 3 or q < 3:
+            raise ValueError(f"{{{p},{q}}}: face size and valence must be >= 3")
         # The angle excess 1/2 - 1/p - 1/q, scaled by 2pq: hyperbolic iff > 0.
-        excess = self.p * self.q - 2 * (self.p + self.q)
+        excess = p * q - 2 * (p + q)
         if excess <= 0:
             raise ValueError(
-                f"{{{self.p},{self.q}}} is {'Euclidean' if excess == 0 else 'spherical'}, "
+                f"{{{p},{q}}} is {'Euclidean' if excess == 0 else 'spherical'}, "
                 f"not hyperbolic (need 1/p + 1/q < 1/2)"
             )
+        self.__dict__.update(p=p, q=q)
 
 
 class SemiRegularSig(_Record):
@@ -95,15 +92,10 @@ class SemiRegularSig(_Record):
     _compared = _hashed = ("m",)
 
     def __init__(self, m: Sequence[int]) -> None:
-        self.__dict__["m"] = m
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        m = tuple(self.m)
+        m = tuple(m)
         m1, m2, m3 = m if len(m) == 3 else (None, None, None)
         if not (isinstance(m1, int) and isinstance(m2, int) and isinstance(m3, int)):
             raise TypeError("vertex type must be a triple of integers")
-        self.__dict__["m"] = m
         if m1 < 3 or m2 < 3 or m3 < 3:
             raise ValueError(f"[{m1},{m2},{m3}]: face sizes must be >= 3")
         # The angle excess 1/2 - sum 1/m_i, scaled by 2 m1 m2 m3.
@@ -113,6 +105,7 @@ class SemiRegularSig(_Record):
             raise ValueError(
                 f"[{m1},{m2},{m3}] is a {label} triple (need 1/m1 + 1/m2 + 1/m3 < 1/2)"
             )
+        self.__dict__["m"] = m
 
 
 def regular_profile(sig: RegularSig | tuple[int, int]) -> dict:
@@ -144,9 +137,12 @@ def _polygon_sides(genus: int, orientable: bool) -> int:
 
 
 def _check_genus(genus: int, orientable: bool) -> int:
-    """Validate the hyperbolic genus range and return the Euler characteristic."""
+    """Validate the genus (an integer in the hyperbolic range) and
+    ``orientable`` (a boolean), and return the Euler characteristic."""
     if not isinstance(genus, int):
         raise TypeError("genus must be an integer")
+    if type(orientable) is not bool:
+        raise TypeError(f"orientable must be a boolean, got {orientable!r}")
     floor = 2 if orientable else 3
     if genus < floor:
         raise ValueError(

@@ -222,21 +222,15 @@ class SurfaceComplex(_Record):
     _compared = _hashed = ("orientable", "genus", "vertices", "edges", "faces")
 
     def __init__(self, orientable, genus, vertices, edges, faces) -> None:
-        self.__dict__.update(
-            orientable=orientable, genus=genus, vertices=vertices, edges=edges, faces=faces
-        )
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        edges = tuple(self.edges)
+        vertices = tuple(vertices)
+        edges = tuple(edges)
         # Edge records with tuple ends, as every derivation builds, are kept.
         if not (
             {*map(type, edges)} <= {Edge} and {*map(type, map(itemgetter(1), edges))} <= {tuple}
         ):
             edges = tuple(map(_as_edge, edges))
-        object.__setattr__(self, "edges", edges)
-        _validate(self)
+        self.__dict__.update(orientable=orientable, genus=genus, vertices=vertices, edges=edges)
+        _validate(self, faces)
 
     @property
     def chi(self) -> int:
@@ -309,7 +303,9 @@ def _slot_fault(faces, index) -> str | None:
     return None
 
 
-def _validate(c: SurfaceComplex) -> None:
+def _validate(c: SurfaceComplex, faces) -> None:
+    """Check a complex whose other fields ``__init__`` has stored, storing
+    its faces and what validation reads off them as it goes."""
     if type(c.orientable) is not bool:
         raise SurfaceError(f"orientable must be a boolean, got {c.orientable!r}")
     if type(c.genus) is not int:
@@ -340,14 +336,14 @@ def _validate(c: SurfaceComplex) -> None:
             for v in e.ends:
                 if not _hashable(v) or v not in vertices:
                     raise SurfaceError(f"edge {e.id!r} references unknown vertex {v!r}")
-    object.__setattr__(c, "_edge_index", index)
+    c.__dict__["_edge_index"] = index
 
     # Faces and slots are stored as tuples; one a derivation built as
     # tuples is kept, not copied.  The flag map reads and checks every slot
     # once; only when it rejects the faces are they walked again, with the
     # declared edges, for the first fault in face and slot order (an
     # undeclared edge in one slot leaves that edge with one slot).
-    faces = tuple(map(tuple, c.faces))
+    faces = tuple(map(tuple, faces))
     if not faces:
         raise SurfaceError("complex has no faces")
     try:
@@ -359,7 +355,7 @@ def _validate(c: SurfaceComplex) -> None:
         if fault is None:
             raise
         raise SurfaceError(fault) from None
-    object.__setattr__(c, "faces", faces)
+    c.__dict__["faces"] = faces
     first = fm.first
     if not first.keys() <= index.keys():  # an undeclared edge in two slots
         eid = next(eid for eid in first if eid not in index)
@@ -367,7 +363,7 @@ def _validate(c: SurfaceComplex) -> None:
     if len(first) < len(index):
         eid = next(e.id for e in c.edges if e.id not in first)
         raise SurfaceError(f"open surface: edge {eid!r} appears in 0 face slot(s), need 2")
-    object.__setattr__(c, "_flag_map", fm)
+    c.__dict__["_flag_map"] = fm
 
     # Every flag lies at one end of its edge and in one rotation.  The
     # faces are closed walks exactly when the edge ends in each rotation all
@@ -409,7 +405,7 @@ def _validate(c: SurfaceComplex) -> None:
     # of v: v's degree is its rotation's length (keys in vertex order).
     degrees = dict.fromkeys(c.vertices, 0)
     degrees.update(zip(owner, map(len, fm.rotations)))
-    object.__setattr__(c, "_degrees", degrees)
+    c.__dict__["_degrees"] = degrees
 
     floor = 0 if c.orientable else 1
     if c.genus < floor:
@@ -469,7 +465,11 @@ def fundamental_polygon(genus: int, orientable: bool) -> SurfaceComplex:
 
 
 def serialize(c: SurfaceComplex) -> dict:
-    """Plain-JSON document for a complex; inverse of :func:`deserialize`."""
+    """The complex as a document of dicts and lists, holding its ids as
+    they are.  :func:`deserialize` rebuilds the complex from the document
+    itself, and from its ``json.dumps`` text when every vertex and edge id
+    is a JSON scalar (a string, a number, a boolean or None): JSON turns a
+    tuple id into a list, which deserialize rejects as unhashable."""
     return {
         "orientable": c.orientable,
         "genus": c.genus,

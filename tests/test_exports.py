@@ -148,13 +148,19 @@ def test_every_public_name_has_a_src_caller():
 # for the reason given; every other member has a reader.
 UNCALLED_MEMBERS = {
     "derive.DerivedCounts.signature",  # read only by the tests' face census
+    # Record fields that ``_Record`` compares, hashes and prints through
+    # ``_compared`` (tests/test_records.py pins that); ``__init__`` checks
+    # them as arguments, so no ``src`` code reads them as attributes.
+    "coloring.EdgeSchedule.edge_color",
+    "coloring.ColorAssignment.edge_color",
+    "coloring.ColorAssignment.face_color",
 }
 
 
 def class_members() -> list[str]:
     """``module.Class.member`` for every method, property and annotated
     field in a class body of the package source (dunder names such as
-    ``__post_init__`` left out)."""
+    ``__init__`` left out)."""
     defined = []
     for path in sorted(Path(floqtess.__path__[0]).glob("*.py")):
         for cls in ast.walk(ast.parse(path.read_text())):
@@ -227,8 +233,9 @@ def test_every_class_member_has_a_src_reader():
 # is reviewed by hand before it joins.  Each is read in ``src`` on every
 # class that defines it, except where the reason says otherwise.
 SHARED_MEMBERS = {
-    "edge_color",  # EdgeSchedule's field, re-declared as ColorAssignment's derived one
-    "_check_proper",  # ColorAssignment overrides EdgeSchedule's
+    # EdgeSchedule's field, re-declared as ColorAssignment's derived one;
+    # read in src on neither class (see UNCALLED_MEMBERS).
+    "edge_color",
     "signature",  # CodeParams; DerivedCounts' is read only by the tests' face census
     "n",  # ScheduleResult, CodeParams
     "genus",  # CodeParams, SurfaceComplex
@@ -239,6 +246,27 @@ SHARED_MEMBERS = {
 def test_shared_member_names_are_pinned():
     names = [member.rsplit(".", 1)[1] for member in class_members()]
     assert {name for name in names if names.count(name) > 1} == SHARED_MEMBERS
+
+
+def test_records_are_built_in_one_step():
+    # Each record checks its arguments and stores its fields in __init__:
+    # no class defines a __post_init__ hop, and nothing in src writes past
+    # a record's refusing __setattr__ with object.__setattr__.
+    hops, writes = [], []
+    for path in sorted(Path(floqtess.__path__[0]).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                hops += [
+                    f"{path.stem}.{node.name}" for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and item.name == "__post_init__"
+                ]
+            elif (
+                isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name) and node.value.id == "object"
+            ):
+                writes.append(f"{path.stem}:{node.lineno}")
+    assert hops == [] and writes == []
 
 
 def test_cli_imports_only_public_names():

@@ -1800,13 +1800,13 @@ class TestCodeParams:
         # is not validated again in the process, on another genus or
         # surface either: three rows over two distinct triples, two checks.
         calls = []
-        post_init = SemiRegularSig.__post_init__
+        init = SemiRegularSig.__init__
 
-        def counted(self):
-            calls.append(self.m)
-            post_init(self)
+        def counted(self, m):
+            calls.append(m)
+            init(self, m)
 
-        monkeypatch.setattr(SemiRegularSig, "__post_init__", counted)
+        monkeypatch.setattr(SemiRegularSig, "__init__", counted)
         monkeypatch.setattr(hypgeo, "_SEMIREGULAR", {})
         for m, genus, orientable in [((6, 6, 8), 2, True), ((4, 6, 14), 5, True),
                                      ((6, 6, 8), 3, False)]:

@@ -12,9 +12,11 @@ from types import SimpleNamespace
 import pytest
 
 from floqtess import hypgeo, surface
+from floqtess.catalog import build_table
 from floqtess.cli import _parse_sig
 from floqtess.derive import clip_complex, incenter_complex
-from floqtess.hypgeo import RegularSig, SemiRegularSig, _check_genus, _genus_chi
+from floqtess.floquet import code_params
+from floqtess.hypgeo import RegularSig, SemiRegularSig, _check_genus, _genus_chi, systole
 from floqtess.surface import (
     Edge,
     SurfaceComplex,
@@ -625,8 +627,8 @@ class TestVertexDegrees:
 class TestConstructorScalars:
     """The constructor is the only check of a document's values:
     :func:`deserialize` decodes the records and passes the values on, so a
-    complex the constructor accepts survives a JSON round trip (see
-    ``TestSerialization.test_json_round_trip``)."""
+    complex the constructor accepts, with JSON-scalar ids, survives a JSON
+    round trip (see ``TestSerialization.test_json_round_trip``)."""
 
     @pytest.mark.parametrize(
         "changes, message",
@@ -970,6 +972,19 @@ class TestSerialization:
         c = build()
         assert deserialize(json.dumps(serialize(c))) == c
 
+    def test_tuple_ids_survive_the_document_but_not_json_text(self):
+        # Two digons on the sphere, with tuple vertex ids: the document
+        # holds them as they are, JSON text holds them as lists.
+        u, v = ("u", 1), ("v", 1)
+        c = SurfaceComplex(
+            True, 0, (u, v), [("a", (u, v)), ("b", (u, v))],
+            [(("a", 1), ("b", -1)), (("b", 1), ("a", -1))],
+        )
+        assert deserialize(serialize(c)) == c
+        with pytest.raises(SurfaceError) as info:
+            deserialize(json.dumps(serialize(c)))
+        assert str(info.value) == "vertex ['u', 1] must be a hashable id"
+
     def test_schema_keys(self):
         doc = serialize(fundamental_polygon(2, True))
         assert set(doc) == {"orientable", "genus", "vertices", "edges", "faces"}
@@ -1081,6 +1096,25 @@ class TestTessSignature:
             _check_genus(1, True)
         with pytest.raises(ValueError):
             _check_genus(2, False)
+
+    @pytest.mark.parametrize("orientable", [1, 0, "yes", None])
+    def test_orientable_must_be_a_bool(self, orientable):
+        # A stand-in for a bool is rejected before any row or length is
+        # computed, in the message the complex constructor uses.
+        message = f"orientable must be a boolean, got {orientable!r}"
+        for call in (
+            lambda: _check_genus(2, orientable),
+            lambda: build_table(2, orientable),
+            lambda: build_table(2, orientable, "geo"),
+            lambda: code_params((6, 6, 8), 2, orientable, "geo"),
+            lambda: systole(2, orientable),
+        ):
+            with pytest.raises(TypeError) as info:
+                call()
+            assert str(info.value) == message
+        # The genus is checked first.
+        with pytest.raises(TypeError, match="^genus must be an integer$"):
+            _check_genus(2.0, orientable)
 
     def test_bad_kind(self):
         assert _parse_sig("{8,3}") == ("regular", (8, 3))
