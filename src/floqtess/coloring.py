@@ -56,7 +56,9 @@ class EdgeSchedule(_Record):
     it and holds the end pairs of that color's edges in edge order.  Each
     pair is a two-body check whose Pauli type ``PAULI_OF[color]`` is fixed
     by the color.  Such a coloring can exist without face colors, as on the
-    two-faced clipped polygons; :class:`ColorAssignment` adds them.
+    two-faced clipped polygons; :class:`ColorAssignment` adds them.  The
+    record stores a copy of ``edge_color``, so the caller's dict may change
+    afterwards.
     """
 
     complex: SurfaceComplex
@@ -69,6 +71,7 @@ class EdgeSchedule(_Record):
         if complex.trivalence_fault is not None:
             raise ValueError(complex.trivalence_fault)
         _check_proper(complex, edge_color)
+        edge_color = dict(edge_color)  # after the check, which refuses a list of pairs
         self.__dict__.update(
             complex=complex, edge_color=edge_color, checks=_checks(complex, edge_color)
         )
@@ -84,12 +87,13 @@ class EdgeSchedule(_Record):
 class ColorAssignment(EdgeSchedule):
     """An edge schedule induced by a proper face 3-coloring.
 
-    ``face_color[i]`` colors face i; ``edge_color`` is derived from it: each
-    edge takes the color absent from its two faces, looked up in a table
-    keyed by the ordered pair of face colors.  That coloring is proper
-    without a scan: each edge at a tri-valent vertex without loops separates
-    two of its three corners, so once the faces across every edge differ
-    the corners take three colors and each edge the one it does not touch.
+    ``face_color[i]`` colors face i, stored as a tuple whatever sequence
+    the caller passes; ``edge_color`` is derived from it: each edge takes
+    the color absent from its two faces, looked up in a table keyed by the
+    ordered pair of face colors.  That coloring is proper without a scan:
+    each edge at a tri-valent vertex without loops separates two of its
+    three corners, so once the faces across every edge differ the corners
+    take three colors and each edge the one it does not touch.
     """
 
     edge_color: dict
@@ -112,7 +116,7 @@ class ColorAssignment(EdgeSchedule):
         if complex.trivalence_fault is not None:
             raise ValueError(complex.trivalence_fault)
         self.__dict__.update(
-            complex=complex, face_color=face_color, edge_color=edge_color,
+            complex=complex, face_color=tuple(face_color), edge_color=edge_color,
             checks=_checks(complex, edge_color),
         )
 

@@ -29,34 +29,16 @@ from __future__ import annotations
 from itertools import chain
 from typing import Sequence
 
-from .hypgeo import SemiRegularSig, _Record, _as_semiregular, _check_genus, _polygon_sides
+from .hypgeo import SemiRegularSig, _as_semiregular, _check_genus, _polygon_sides
 from .surface import Edge, SurfaceComplex, _FlagMap, fundamental_polygon
 
 __all__ = [
-    "DerivedCounts",
     "clip_complex",
     "incenter_complex",
     "polygon_route",
     "polygon_complex",
     "semiregular_counts_direct",
 ]
-
-
-class DerivedCounts(_Record):
-    """Cell counts of a tri-valent semi-regular tessellation."""
-
-    n_f: int
-    n_e: int
-    n_v: int
-    signature: SemiRegularSig
-    _compared = _hashed = ("n_f", "n_e", "n_v", "signature")
-
-    def __init__(self, n_f: int, n_e: int, n_v: int, signature: SemiRegularSig) -> None:
-        if min(n_f, n_e, n_v) <= 0:
-            raise ValueError("cell counts must be positive")
-        if 2 * n_e != 3 * n_v:
-            raise ValueError(f"not tri-valent: 2*{n_e} edges != 3*{n_v} vertices")
-        self.__dict__.update(n_f=n_f, n_e=n_e, n_v=n_v, signature=signature)
 
 
 def _require_pq(c: SurfaceComplex, p: int, q: int) -> None:
@@ -222,14 +204,17 @@ def polygon_complex(route: str, genus: int, orientable: bool) -> SurfaceComplex:
 
 def semiregular_counts_direct(
     m: SemiRegularSig | Sequence[int], genus: int, orientable: bool
-) -> DerivedCounts | None:
-    """Cell counts of a tri-valent [m1,m2,m3] tiling on a closed surface.
+) -> tuple[int, int, int] | None:
+    """Cell counts (n_v, n_e, n_f) of a tri-valent [m1,m2,m3] tiling on a
+    closed surface.
 
     Trivalence fixes everything: n_v = chi / (1/m1 + 1/m2 + 1/m3 - 1/2),
     n_e = 3 n_v / 2, and each vertex meets one face of each position, so
     faces of size s number (positions with m_i = s) * n_v / s.  Counts are
     returned only when integral, else None (the tiling does not exist on
-    that surface under vertex-transitive counting).
+    that surface under vertex-transitive counting).  Returned counts are
+    positive with 2 n_e = 3 n_v: n_v is a positive even integer, and
+    n_f = chi + n_v/2 = n_v (1/m1 + 1/m2 + 1/m3) > 0.
 
     The surface fixes the admission rule.  Non-orientable surfaces need
     each face-size-class count integral (the rule the published
@@ -245,7 +230,7 @@ def semiregular_counts_direct(
     if n_v is None:
         return None
     # Euler: chi = n_v - 3 n_v / 2 + n_f.
-    return DerivedCounts(n_f=chi + n_v // 2, n_e=3 * n_v // 2, n_v=n_v, signature=sig)
+    return n_v, 3 * n_v // 2, chi + n_v // 2
 
 
 def _admitted_vertex_count(

@@ -191,6 +191,11 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
     the three steady phases, which share one logical count, since no
     measurement lowers the rank (:func:`_measure_round` checks it).  The
     exact search reads them as they are.
+
+    ``rounds`` counts rounds 0 .. rounds-1, and 6 is the floor the guard
+    accepts, but 6 rounds never certify a derived complex: the clipped and
+    incenter complexes first repeat a rank at round 6, so they need 7, and
+    a 6-round run returns ``steady_round`` and ``k_inst`` None.
     """
     if rounds < 6:
         raise ValueError("need at least 6 rounds to certify a steady state")
@@ -440,9 +445,8 @@ def code_params(m, genus: int, orientable: bool, d_mode: str = "auto") -> CodePa
             "geometric-estimate", est["convention"],
         )
     cx = polygon_complex("incenter", genus, orientable)
-    counts = semiregular_counts_direct(sig, genus, orientable)
     cells = (len(cx.vertices), len(cx.edges), len(cx.faces))
-    want = (counts.n_v, counts.n_e, counts.n_f)
+    want = semiregular_counts_direct(sig, genus, orientable)
     if cells != want:
         raise RuntimeError(
             "explicit complex has V={}, E={}, F={}, counts say V={}, E={}, F={}"

@@ -18,7 +18,6 @@ import math
 from typing import Sequence
 
 __all__ = [
-    "RegularSig",
     "SemiRegularSig",
     "regular_profile",
     "semiregular_edge_length",
@@ -55,31 +54,6 @@ class _Record:
         return f"{self.__class__.__name__}({fields})"
 
 
-class RegularSig(_Record):
-    """A regular tessellation {p, q}: p-gons, q around each vertex.
-
-    Only hyperbolic signatures are representable: 1/p + 1/q < 1/2.
-    """
-
-    p: int
-    q: int
-    _compared = _hashed = ("p", "q")
-
-    def __init__(self, p: int, q: int) -> None:
-        if not (isinstance(p, int) and isinstance(q, int)):
-            raise TypeError("p and q must be integers")
-        if p < 3 or q < 3:
-            raise ValueError(f"{{{p},{q}}}: face size and valence must be >= 3")
-        # The angle excess 1/2 - 1/p - 1/q, scaled by 2pq: hyperbolic iff > 0.
-        excess = p * q - 2 * (p + q)
-        if excess <= 0:
-            raise ValueError(
-                f"{{{p},{q}}} is {'Euclidean' if excess == 0 else 'spherical'}, "
-                f"not hyperbolic (need 1/p + 1/q < 1/2)"
-            )
-        self.__dict__.update(p=p, q=q)
-
-
 class SemiRegularSig(_Record):
     """A tri-valent semi-regular vertex type [m1, m2, m3].
 
@@ -108,16 +82,28 @@ class SemiRegularSig(_Record):
         self.__dict__["m"] = m
 
 
-def regular_profile(sig: RegularSig | tuple[int, int]) -> dict:
+def regular_profile(sig: Sequence[int]) -> dict:
     """Edge length, apothem, circumradius and face area of {p,q}.
 
+    ``sig`` is the pair (p, q): p-gons, q around each vertex.  Only
+    hyperbolic signatures, 1/p + 1/q < 1/2, have a profile; others raise.
     The edge length is 2 arccosh(cos(pi/p) / sin(pi/q)), the apothem
     arccosh(cos(pi/q) / sin(pi/p)) and the circumradius
     arccosh(cot(pi/p) cot(pi/q)), below which the apothem lies.  The face
     area is the angle defect (pq - 2p - 2q) pi / q.
     """
-    sig = _as_regular(sig)
-    p, q = sig.p, sig.q
+    p, q = sig
+    if not (isinstance(p, int) and isinstance(q, int)):
+        raise TypeError("p and q must be integers")
+    if p < 3 or q < 3:
+        raise ValueError(f"{{{p},{q}}}: face size and valence must be >= 3")
+    # The angle excess 1/2 - 1/p - 1/q, scaled by 2pq: hyperbolic iff > 0.
+    excess = p * q - 2 * (p + q)
+    if excess <= 0:
+        raise ValueError(
+            f"{{{p},{q}}} is {'Euclidean' if excess == 0 else 'spherical'}, "
+            f"not hyperbolic (need 1/p + 1/q < 1/2)"
+        )
     return {
         "edge_length": 2.0 * math.acosh(math.cos(math.pi / p) / math.sin(math.pi / q)),
         "apothem": math.acosh(math.cos(math.pi / q) / math.sin(math.pi / p)),
@@ -243,13 +229,6 @@ def systole(genus: int, orientable: bool) -> float:
     _check_genus(genus, orientable)
     sides = _polygon_sides(genus, orientable)
     return 2.0 * math.acosh(1.0 / math.tan(math.pi / sides))
-
-
-def _as_regular(sig: RegularSig | tuple[int, int]) -> RegularSig:
-    if isinstance(sig, RegularSig):
-        return sig
-    p, q = sig
-    return RegularSig(p, q)
 
 
 # Each triple of exact ints that passed the SemiRegularSig checks, and the

@@ -77,13 +77,13 @@ def face_sizes(cx) -> list[int]:
     return sorted(len(face) for face in cx.faces)
 
 
-def face_census(counts) -> dict[int, int]:
-    """Number of faces of each size of a ``DerivedCounts``, keyed by
-    polygon size; ValueError when a size's face count is not integral."""
-    m = counts.signature.m
+def face_census(m, n_v: int) -> dict[int, int]:
+    """Number of faces of each size of the tri-valent [m1,m2,m3] tiling
+    with n_v vertices, keyed by polygon size; ValueError when a size's
+    face count is not integral."""
     out = {}
     for size in sorted(set(m)):
-        corners = m.count(size) * counts.n_v
+        corners = m.count(size) * n_v
         if corners % size:
             raise ValueError(
                 f"face count for size {size} is not integral: {corners}/{size}"

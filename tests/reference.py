@@ -63,10 +63,10 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from floqtess import floquet
 from floqtess.coloring import PAULI_OF
-from floqtess.derive import DerivedCounts, _pair_names, _require_pq, _slot_labels
+from floqtess.derive import _pair_names, _require_pq, _slot_labels
 from floqtess.floquet import _LETTERS
 from floqtess.geodist import estimate_distance
-from floqtess.hypgeo import RegularSig, SemiRegularSig, _check_genus, semiregular_profile
+from floqtess.hypgeo import SemiRegularSig, _check_genus, regular_profile, semiregular_profile
 from floqtess.surface import Edge, Slot, SurfaceComplex, SurfaceError, _FlagMap
 from helpers import _bits, _canonical_rows, reduce_vec
 
@@ -725,7 +725,7 @@ def isomorphic(a: SurfaceComplex, b: SurfaceComplex) -> bool:
 
 def _counts_from_chi(p: int, q: int, chi: int) -> tuple[int, int, int] | None:
     """(F, E, V) of {p,q} on a surface of characteristic chi, or None."""
-    RegularSig(p, q)
+    regular_profile((p, q))  # raises unless {p,q} is hyperbolic
     if chi >= 0:
         raise ValueError(f"hyperbolic surfaces have negative characteristic, got {chi}")
     D = p * q - 2 * p - 2 * q
@@ -762,36 +762,31 @@ def _source_counts(p: int, q: int, chi: int) -> tuple[int, int, int]:
     return got
 
 
-def clip_counts(p: int, q: int, chi: int) -> DerivedCounts:
-    """Counts after clipping {p,q} on a surface of characteristic chi.
+Counts = tuple[tuple[int, int, int], tuple[int, int, int]]
+
+
+def clip_counts(p: int, q: int, chi: int) -> Counts:
+    """The signature [2p, 2p, q] and the counts (n_v, n_e, n_f) after
+    clipping {p,q} on a surface of characteristic chi.
 
     Faces: the F truncated 2p-gons plus the V new q-gons.  Every source edge
     survives and every corner cut adds one edge, so n_e = E + qV = (3/2)pF,
     and the derived vertices are the pF edge-ends: n_v = pF = 2E.
     """
     F, E, V = _source_counts(p, q, chi)
-    return DerivedCounts(
-        n_f=F + V,
-        n_e=E + q * V,
-        n_v=p * F,
-        signature=SemiRegularSig((2 * p, 2 * p, q)),
-    )
+    return (2 * p, 2 * p, q), (p * F, E + q * V, F + V)
 
 
-def incenter_counts(p: int, q: int, chi: int) -> DerivedCounts:
-    """Counts after incenter subdivision of {p,q} at characteristic chi.
+def incenter_counts(p: int, q: int, chi: int) -> Counts:
+    """The signature [2p, 2q, 4] and the counts (n_v, n_e, n_f) after
+    incenter subdivision of {p,q} at characteristic chi.
 
     One 2p-gon per source face, one 2q-gon per source vertex, one
     quadrilateral per source edge; n_e = 3pF and n_v = 2pF (two derived
     vertices per source edge-side).
     """
     F, E, V = _source_counts(p, q, chi)
-    return DerivedCounts(
-        n_f=F + E + V,
-        n_e=3 * p * F,
-        n_v=2 * p * F,
-        signature=SemiRegularSig((2 * p, 2 * q, 4)),
-    )
+    return (2 * p, 2 * q, 4), (2 * p * F, 3 * p * F, F + E + V)
 
 
 # Largest |estimated d - reference d| the reports count as within tolerance.

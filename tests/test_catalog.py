@@ -27,20 +27,20 @@ class TestReferenceData:
     def test_orientable_rows_recount(self, genus):
         for row in reference.SEMIREGULAR_ORIENTABLE[genus]:
             counts = semiregular_counts_direct(row.m, genus, True)
-            assert counts is not None and counts.n_v == row.n
+            assert counts is not None and counts[0] == row.n
             assert row.k == 2 * genus
 
     @pytest.mark.parametrize("genus", [3, 5, 7])
     def test_nonorientable_rows_recount(self, genus):
         for row in reference.SEMIREGULAR_NONORIENTABLE[genus]:
             counts = semiregular_counts_direct(row.m, genus, False)
-            assert counts is not None and counts.n_v == row.n
+            assert counts is not None and counts[0] == row.n
             assert row.k == genus
 
     def test_regular_rows_as_quasi_regular_triples(self):
         for genus, p, n, k, d in reference.REGULAR_ORIENTABLE:
             counts = semiregular_counts_direct((p, p, p), genus, True)
-            assert counts is not None and counts.n_v == n
+            assert counts is not None and counts[0] == n
             assert k == 2 * genus
 
     def test_family_closed_forms(self):
@@ -170,9 +170,9 @@ class TestEnumerateSignatures:
         # (size rule); no admitted triple may lie there.
         reach = 1 if orientable else 3
         for m in enumerate_signatures(genus, orientable):
-            counts = semiregular_counts_direct(m, genus, orientable)
-            assert reach * counts.n_v >= m[2]
-            assert counts.n_f == sum(face_census(counts).values())
+            n_v, _, n_f = semiregular_counts_direct(m, genus, orientable)
+            assert reach * n_v >= m[2]
+            assert n_f == sum(face_census(m, n_v).values())
 
     @pytest.mark.parametrize(
         "genus, orientable",
@@ -194,8 +194,8 @@ class TestEnumerateSignatures:
         # enumerate_signatures and semiregular_counts_direct both admit
         # through _admitted_vertex_count; code_params takes n from the latter.
         for m in enumerate_signatures(genus, orientable):
-            counts = semiregular_counts_direct(m, genus, orientable)
-            assert counts.n_v == code_params(m, genus, orientable, "geo").n
+            n_v, _, _ = semiregular_counts_direct(m, genus, orientable)
+            assert n_v == code_params(m, genus, orientable, "geo").n
 
     def test_sorted_lexicographically(self):
         sigs = enumerate_signatures(2, True)
@@ -210,7 +210,7 @@ class TestEnumerateSignatures:
         # at chi = -1 the (6,12,12) type has n = 6 and one 12-gon per
         # *size*, half a face per position.
         assert (6, 12, 12) in enumerate_signatures(3, False)
-        assert semiregular_counts_direct((6, 12, 12), 3, False).n_v == 6
+        assert semiregular_counts_direct((6, 12, 12), 3, False)[0] == 6
 
     def test_default_bound_is_attained(self):
         chi = 2 - 2 * 2
@@ -406,7 +406,7 @@ class TestRates:
         # Twice the measured rate is the k = 4 - 2*chi convention.
         for m, g in [((6, 6, 8), 2), ((8, 8, 8), 5), ((4, 6, 14), 3)]:
             chi = 2 - 2 * g
-            n = semiregular_counts_direct(m, 2 * g, False).n_v
+            n, _, _ = semiregular_counts_direct(m, 2 * g, False)
             assert 2 * encoding_rate(m, g) == Fraction(4 - 2 * chi, n)
 
     def test_measured_rate_agrees_with_counted_rows(self):

@@ -4,11 +4,11 @@ import hashlib
 import json
 import re
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
 from floqtess.derive import (
-    DerivedCounts,
     _admitted_vertex_count,
     clip_complex,
     incenter_complex,
@@ -16,7 +16,7 @@ from floqtess.derive import (
     polygon_route,
     semiregular_counts_direct,
 )
-from floqtess.hypgeo import SemiRegularSig
+from floqtess.hypgeo import _check_genus
 from floqtess.surface import fundamental_polygon, serialize
 from helpers import face_census
 from reference import (
@@ -40,20 +40,20 @@ def census_of(c):
 
 class TestClipCounts:
     def test_octagon_genus2(self):
-        got = clip_counts(8, 8, -2)
-        assert (got.n_f, got.n_e, got.n_v) == (2, 12, 8)
-        assert tuple(got.signature.m) == (16, 16, 8)
-        assert got.n_v - got.n_e + got.n_f == -2
+        m, (n_v, n_e, n_f) = clip_counts(8, 8, -2)
+        assert (n_v, n_e, n_f) == (8, 12, 2)
+        assert m == (16, 16, 8)
+        assert n_v - n_e + n_f == -2
 
     def test_hexagon_nonorientable(self):
-        got = clip_counts(6, 6, -1)
-        assert got.n_v == 6
-        assert tuple(got.signature.m) == (12, 12, 6)
+        m, (n_v, _, _) = clip_counts(6, 6, -1)
+        assert n_v == 6
+        assert m == (12, 12, 6)
 
     def test_chi_preserved_generally(self):
         for p, q, chi in [(8, 3, -2), (10, 3, -4), (8, 8, -6), (12, 3, -6)]:
-            got = clip_counts(p, q, chi)
-            assert got.n_v - got.n_e + got.n_f == chi
+            _, (n_v, n_e, n_f) = clip_counts(p, q, chi)
+            assert n_v - n_e + n_f == chi
 
     def test_non_integral_source_rejected(self):
         # {12,5} has no integral counts at chi = -2.
@@ -63,26 +63,27 @@ class TestClipCounts:
 
 class TestIncenterCounts:
     def test_octagon_genus2(self):
-        got = incenter_counts(8, 8, -2)
-        assert (got.n_f, got.n_e, got.n_v) == (6, 24, 16)
-        assert tuple(got.signature.m) == (16, 16, 4)
-        assert face_census(got) == {4: 4, 16: 2}
+        m, (n_v, n_e, n_f) = incenter_counts(8, 8, -2)
+        assert (n_v, n_e, n_f) == (16, 24, 6)
+        assert m == (16, 16, 4)
+        assert face_census(m, n_v) == {4: 4, 16: 2}
 
     def test_hexagon_nonorientable(self):
-        got = incenter_counts(6, 6, -1)
-        assert got.n_v == 12
-        assert face_census(got) == {4: 3, 12: 2}
+        m, (n_v, _, _) = incenter_counts(6, 6, -1)
+        assert n_v == 12
+        assert face_census(m, n_v) == {4: 3, 12: 2}
 
     def test_trivalent_octagonal_genus2(self):
-        got = incenter_counts(8, 3, -2)
-        assert got.n_v == 96
-        assert tuple(got.signature.m) == (16, 6, 4)
+        m, (n_v, _, _) = incenter_counts(8, 3, -2)
+        assert n_v == 96
+        assert m == (16, 6, 4)
 
     def test_census_matches_source_cells(self):
         # {2p: F, 2q: V, 4: E}, merging coincident sizes.
         for p, q, chi in [(8, 3, -2), (8, 8, -2), (10, 3, -4), (6, 6, -1)]:
             F, E, V = _counts_from_chi(p, q, chi)
-            census = face_census(incenter_counts(p, q, chi))
+            m, (n_v, _, _) = incenter_counts(p, q, chi)
+            census = face_census(m, n_v)
             expect = {}
             for size, count in ((2 * p, F), (2 * q, V), (4, E)):
                 expect[size] = expect.get(size, 0) + count
@@ -102,12 +103,8 @@ class TestExplicitClip:
         for genus, orientable, pq in [(2, True, 8), (3, True, 12), (3, False, 6), (5, False, 10)]:
             src = fundamental_polygon(genus, orientable)
             got = clip_complex(src, pq, pq)
-            counts = clip_counts(pq, pq, src.chi)
-            assert (len(got.faces), len(got.edges), len(got.vertices)) == (
-                counts.n_f,
-                counts.n_e,
-                counts.n_v,
-            )
+            _, counts = clip_counts(pq, pq, src.chi)
+            assert (len(got.vertices), len(got.edges), len(got.faces)) == counts
             assert got.chi == src.chi
             assert got.orientable == src.orientable
             assert set(got.vertex_degrees().values()) == {3}
@@ -142,12 +139,8 @@ class TestExplicitIncenter:
             src = fundamental_polygon(genus, orientable)
             p = len(src.faces[0])
             got = incenter_complex(src, p, p)
-            counts = incenter_counts(p, p, src.chi)
-            assert (len(got.faces), len(got.edges), len(got.vertices)) == (
-                counts.n_f,
-                counts.n_e,
-                counts.n_v,
-            )
+            _, counts = incenter_counts(p, p, src.chi)
+            assert (len(got.vertices), len(got.edges), len(got.faces)) == counts
             assert got.chi == src.chi
             assert got.orientable == src.orientable
             assert set(got.vertex_degrees().values()) == {3}
@@ -338,16 +331,15 @@ class TestWalkOracle:
 
 class TestDirectCounts:
     def test_table_anchors(self):
-        assert semiregular_counts_direct((8, 8, 8), 4, False).n_v == 16
-        assert semiregular_counts_direct((6, 6, 8), 4, False).n_v == 48
-        assert semiregular_counts_direct((6, 6, 8), 3, False).n_v == 24
+        assert semiregular_counts_direct((8, 8, 8), 4, False)[0] == 16
+        assert semiregular_counts_direct((6, 6, 8), 4, False)[0] == 48
+        assert semiregular_counts_direct((6, 6, 8), 3, False)[0] == 24
 
     def test_size_rule_admits_published_nonorientable_rows(self):
-        got = semiregular_counts_direct((12, 12, 6), 3, False)
-        assert (got.n_f, got.n_e, got.n_v) == (2, 9, 6)
-        got = semiregular_counts_direct((16, 16, 4), 3, False)
-        assert got.n_v == 8
-        assert face_census(got) == {4: 2, 16: 1}
+        assert semiregular_counts_direct((12, 12, 6), 3, False) == (6, 9, 2)
+        n_v, _, _ = semiregular_counts_direct((16, 16, 4), 3, False)
+        assert n_v == 8
+        assert face_census((16, 16, 4), n_v) == {4: 2, 16: 1}
 
     def test_non_integer_face_sizes_rejected(self):
         with pytest.raises(TypeError, match="triple of integers"):
@@ -371,7 +363,7 @@ class TestDirectCounts:
     def test_position_rule_is_stricter(self):
         # Both surfaces have chi = -2.
         assert semiregular_counts_direct((16, 16, 8), 2, True) is None
-        assert semiregular_counts_direct((16, 16, 8), 4, False).n_v == 8
+        assert semiregular_counts_direct((16, 16, 8), 4, False)[0] == 8
 
     def test_non_integral_vertex_count(self):
         # n_v = 40|chi|/7 for [8,10,10].
@@ -383,17 +375,15 @@ class TestDirectCounts:
 
     def test_agrees_with_clip_counts(self):
         for p, q, chi in [(8, 8, -2), (6, 6, -1), (8, 3, -2), (10, 10, -3)]:
-            expect = clip_counts(p, q, chi)
-            got = semiregular_counts_direct((2 * p, 2 * p, q), 2 - chi, False)
-            assert got is not None
-            assert (got.n_f, got.n_e, got.n_v) == (expect.n_f, expect.n_e, expect.n_v)
+            m, expect = clip_counts(p, q, chi)
+            assert m == (2 * p, 2 * p, q)
+            assert semiregular_counts_direct(m, 2 - chi, False) == expect
 
     def test_agrees_with_incenter_counts(self):
         for p, q, chi in [(8, 8, -2), (6, 6, -1), (8, 3, -2), (12, 3, -6)]:
-            expect = incenter_counts(p, q, chi)
-            got = semiregular_counts_direct((2 * p, 2 * q, 4), 2 - chi, False)
-            assert got is not None
-            assert (got.n_f, got.n_e, got.n_v) == (expect.n_f, expect.n_e, expect.n_v)
+            m, expect = incenter_counts(p, q, chi)
+            assert m == (2 * p, 2 * q, 4)
+            assert semiregular_counts_direct(m, 2 - chi, False) == expect
 
     def test_rejects_nonnegative_chi(self):
         # Orientable genus 1 and non-orientable genus 2 both have chi = 0.
@@ -442,16 +432,32 @@ class TestAdmittedVertexCount:
 
 
 class TestDerivedCountsType:
+    """The derived cell counts are a plain (n_v, n_e, n_f) tuple: no record
+    checks them, because positivity and trivalence follow from the
+    admission rule (n_v a positive even integer, n_f = n_v sum 1/m_i)."""
+
+    SURFACES = [(g, True) for g in (2, 3, 4, 5, 6, 12)] + [
+        (g, False) for g in (3, 4, 5, 6, 7, 8, 12)
+    ]
+
+    def test_counts_are_positive_and_trivalent(self):
+        admitted = 0
+        for m in combinations_with_replacement(range(3, 21), 3):
+            m1, m2, m3 = m
+            if m1 * m2 * m3 <= 2 * (m1 * m2 + m2 * m3 + m1 * m3):
+                continue  # not hyperbolic: SemiRegularSig rejects it
+            for genus, orientable in self.SURFACES:
+                got = semiregular_counts_direct(m, genus, orientable)
+                if got is None:
+                    continue
+                admitted += 1
+                n_v, n_e, n_f = got
+                assert all(type(x) is int and x > 0 for x in got), (m, genus, got)
+                assert 2 * n_e == 3 * n_v, (m, genus, got)
+                assert n_v - n_e + n_f == _check_genus(genus, orientable)
+        assert admitted > 1000
+
     def test_non_integral_face_census_rejected(self):
         # 3 n_v = 2 n_e holds, but 12 vertices carry 12/8 octagons.
-        counts = DerivedCounts(n_f=4, n_e=18, n_v=12, signature=SemiRegularSig((6, 6, 8)))
         with pytest.raises(ValueError, match="^face count for size 8 is not integral: 12/8$"):
-            face_census(counts)
-
-    def test_rejects_non_trivalent(self):
-        with pytest.raises(ValueError, match="tri-valent"):
-            DerivedCounts(n_f=2, n_e=10, n_v=8, signature=SemiRegularSig((16, 16, 8)))
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="positive"):
-            DerivedCounts(n_f=0, n_e=12, n_v=8, signature=SemiRegularSig((16, 16, 8)))
+            face_census((6, 6, 8), 12)

@@ -147,7 +147,6 @@ def test_every_public_name_has_a_src_caller():
 # Each entry is a ``module.Class.member`` that no ``src`` code reads, kept
 # for the reason given; every other member has a reader.
 UNCALLED_MEMBERS = {
-    "derive.DerivedCounts.signature",  # read only by the tests' face census
     # Record fields that ``_Record`` compares, hashes and prints through
     # ``_compared`` (tests/test_records.py pins that); ``__init__`` checks
     # them as arguments, so no ``src`` code reads them as attributes.
@@ -236,7 +235,6 @@ SHARED_MEMBERS = {
     # EdgeSchedule's field, re-declared as ColorAssignment's derived one;
     # read in src on neither class (see UNCALLED_MEMBERS).
     "edge_color",
-    "signature",  # CodeParams; DerivedCounts' is read only by the tests' face census
     "n",  # ScheduleResult, CodeParams
     "genus",  # CodeParams, SurfaceComplex
     "orientable",  # CodeParams, SurfaceComplex

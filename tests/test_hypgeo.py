@@ -14,7 +14,6 @@ import pytest
 from floqtess import hypgeo
 from floqtess.catalog import enumerate_signatures
 from floqtess.hypgeo import (
-    RegularSig,
     SemiRegularSig,
     regular_profile,
     semiregular_edge_length,
@@ -123,7 +122,8 @@ class TestRegular:
             regular_profile(sig)
 
     def test_takes_a_regular_sig(self):
-        assert regular_profile(RegularSig(8, 3)) == regular_profile((8, 3))
+        # Any pair of ints is a signature {p,q}; the profile unpacks it.
+        assert regular_profile([8, 3]) == regular_profile((8, 3))
 
     def test_keys_in_geom_order(self):
         assert list(regular_profile((8, 3))) == [
@@ -146,13 +146,13 @@ class TestRegular:
 
     def test_euclidean_rejected(self):
         with pytest.raises(ValueError, match="[Ee]uclidean"):
-            RegularSig(4, 4)
+            regular_profile((4, 4))
         with pytest.raises(ValueError, match="[Ee]uclidean"):
             _regular_edge((6, 3))
 
     def test_spherical_rejected(self):
         with pytest.raises(ValueError) as info:
-            RegularSig(3, 5)
+            regular_profile((3, 5))
         assert str(info.value) == "{3,5} is spherical, not hyperbolic (need 1/p + 1/q < 1/2)"
 
     def test_area_88(self):

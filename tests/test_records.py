@@ -1,14 +1,20 @@
-"""The package's seven immutable records: construction by position and by
+"""The package's five immutable records: construction by position and by
 keyword, every constructor check with its message, assignment and deletion
-refused, and equality and hash over exactly the fields each record
-compares or hashes."""
+refused, equality and hash over exactly the fields each record compares or
+hashes, and no field shared with the caller's mutable arguments.  The
+regular signature {p,q} is no record: ``regular_profile`` checks the pair
+itself, with the messages pinned here too."""
+
+import importlib
+import pkgutil
 
 import pytest
 
+import floqtess
 from floqtess.coloring import ColorAssignment, EdgeSchedule, edge_three_color, three_color
-from floqtess.derive import DerivedCounts, polygon_complex
+from floqtess.derive import polygon_complex
 from floqtess.floquet import ScheduleResult, run_schedule
-from floqtess.hypgeo import RegularSig, SemiRegularSig
+from floqtess.hypgeo import SemiRegularSig, _Record, regular_profile
 from floqtess.surface import SurfaceComplex, SurfaceError, fundamental_polygon
 
 POLYGON = fundamental_polygon(2, True)
@@ -27,10 +33,8 @@ def polygon_fields():
 # Per record: its field names in constructor order and the values of one
 # valid instance.
 RECORDS = {
-    RegularSig: (("p", "q"), (7, 3)),
     SemiRegularSig: (("m",), ((6, 6, 8),)),
     SurfaceComplex: (("orientable", "genus", "vertices", "edges", "faces"), polygon_fields()),
-    DerivedCounts: (("n_f", "n_e", "n_v", "signature"), (6, 24, 16, SIG)),
     EdgeSchedule: (("complex", "edge_color"), (CLIP, EDGE_COLOR)),
     ColorAssignment: (("complex", "face_color"), (INCENTER, FACE_COLOR)),
     ScheduleResult: (
@@ -42,15 +46,33 @@ RECORDS = {
 # Per record compared by value: the fields its hash covers.  Equality
 # covers the same fields, but for EdgeSchedule's, which adds edge_color.
 HASHED = {
-    RegularSig: ("p", "q"),
     SemiRegularSig: ("m",),
     SurfaceComplex: RECORDS[SurfaceComplex][0],
-    DerivedCounts: RECORDS[DerivedCounts][0],
     EdgeSchedule: ("complex",),
     ColorAssignment: ("complex", "face_color"),
 }
 
 IDS = [cls.__name__ for cls in RECORDS]
+
+
+def record_classes() -> set:
+    """Every ``_Record`` subclass, at any depth, once each package module
+    is imported."""
+    for info in pkgutil.iter_modules(floqtess.__path__):
+        importlib.import_module(f"floqtess.{info.name}")
+    found, todo = set(), [_Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return found
+
+
+def test_every_record_is_pinned():
+    # A record added or retired must join or leave RECORDS, and so every
+    # test here.
+    assert record_classes() == set(RECORDS)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=IDS)
@@ -87,8 +109,6 @@ def test_equal_records_hash_their_fields(cls):
 
 
 def test_signatures_differ_on_any_field():
-    assert RegularSig(7, 3) != RegularSig(3, 7)
-    assert RegularSig(7, 3) != RegularSig(7, 4)
     assert SemiRegularSig((6, 6, 8)) != SemiRegularSig((6, 8, 6))
     # A list is stored as its tuple, so both compare and hash alike.
     listed = SemiRegularSig([6, 6, 8])
@@ -96,11 +116,7 @@ def test_signatures_differ_on_any_field():
 
 
 def test_value_records_print_their_fields():
-    assert repr(RegularSig(7, 3)) == "RegularSig(p=7, q=3)"
     assert repr(SIG) == "SemiRegularSig(m=(6, 6, 8))"
-    assert repr(DerivedCounts(6, 24, 16, SIG)) == (
-        "DerivedCounts(n_f=6, n_e=24, n_v=16, signature=SemiRegularSig(m=(6, 6, 8)))"
-    )
     head = f"SurfaceComplex(orientable=True, genus=2, vertices={POLYGON.vertices!r}, edges="
     assert repr(POLYGON).startswith(head)
 
@@ -117,10 +133,6 @@ def test_complex_compares_every_field():
     assert type(listed.vertices) is tuple and listed.edges == POLYGON.edges
     flipped = SurfaceComplex(True, 2, (0,), POLYGON.edges[::-1], POLYGON.faces)
     assert flipped != base
-
-
-def test_counts_differ_on_signature():
-    assert DerivedCounts(6, 24, 16, SIG) != DerivedCounts(6, 24, 16, SemiRegularSig((4, 8, 10)))
 
 
 def test_edge_schedule_compares_colors_but_hashes_the_complex():
@@ -141,8 +153,31 @@ def test_color_assignment_compares_complex_and_face_colors():
     # The same colouring held as an edge schedule is another record.
     as_edges = EdgeSchedule(INCENTER, dict(base.edge_color))
     assert as_edges != base and base != as_edges
-    with pytest.raises(TypeError):
-        hash(ColorAssignment(INCENTER, list(FACE_COLOR)))
+
+
+def test_edge_schedule_keeps_its_own_colors():
+    colors = dict(EDGE_COLOR)
+    record = EdgeSchedule(CLIP, colors)
+    colors["A0"] = "Q"
+    del colors["A1"]
+    assert record.edge_color == EDGE_COLOR and record.edge_color is not colors
+    assert record == EdgeSchedule(CLIP, EDGE_COLOR)
+    assert hash(record) == hash(EdgeSchedule(CLIP, EDGE_COLOR))
+    # The checks still agree with the colors the record holds.
+    for e in CLIP.edges:
+        assert e.ends in record.checks[record.edge_color[e.id]]
+
+
+def test_color_assignment_keeps_its_own_face_colors():
+    colors = list(FACE_COLOR)
+    record = ColorAssignment(INCENTER, colors)
+    base = ColorAssignment(INCENTER, FACE_COLOR)
+    # A list is stored as its tuple, so both compare and hash alike.
+    assert type(record.face_color) is tuple and record.face_color == FACE_COLOR
+    assert record == base and hash(record) == hash(base)
+    colors[:] = [{"R": "G", "G": "R", "B": "B"}[c] for c in colors]
+    assert record.face_color == FACE_COLOR and record == base
+    assert hash(record) == hash(base)
 
 
 def test_schedule_results_compare_by_identity():
@@ -168,17 +203,18 @@ def _raises(exc, message, call):
 
 
 CHECKS = {
-    "regular-type": (TypeError, "p and q must be integers", lambda: RegularSig(7.0, 3)),
+    "regular-type": (TypeError, "p and q must be integers", lambda: regular_profile((7.0, 3))),
     "regular-small": (
-        ValueError, "{2,7}: face size and valence must be >= 3", lambda: RegularSig(2, 7),
+        ValueError, "{2,7}: face size and valence must be >= 3",
+        lambda: regular_profile((2, 7)),
     ),
     "regular-euclidean": (
         ValueError, "{4,4} is Euclidean, not hyperbolic (need 1/p + 1/q < 1/2)",
-        lambda: RegularSig(p=4, q=4),
+        lambda: regular_profile([4, 4]),
     ),
     "regular-spherical": (
         ValueError, "{3,5} is spherical, not hyperbolic (need 1/p + 1/q < 1/2)",
-        lambda: RegularSig(3, 5),
+        lambda: regular_profile((3, 5)),
     ),
     "semiregular-length": (
         TypeError, "vertex type must be a triple of integers", lambda: SemiRegularSig((6, 6)),
@@ -214,13 +250,6 @@ CHECKS = {
         SurfaceError,
         "Euler characteristic -2 does not match declared orientable genus 3 (expected -4)",
         lambda: SurfaceComplex(True, 3, *polygon_fields()[2:]),
-    ),
-    "counts-positive": (
-        ValueError, "cell counts must be positive", lambda: DerivedCounts(0, 3, 2, SIG),
-    ),
-    "counts-trivalent": (
-        ValueError, "not tri-valent: 2*5 edges != 3*4 vertices",
-        lambda: DerivedCounts(n_f=4, n_e=5, n_v=4, signature=SIG),
     ),
     "schedule-trivalent": (
         ValueError, "vertex 0 has degree 8, need 3", lambda: EdgeSchedule(POLYGON, {}),

@@ -16,7 +16,7 @@ from floqtess.catalog import build_table
 from floqtess.cli import _parse_sig
 from floqtess.derive import clip_complex, incenter_complex
 from floqtess.floquet import code_params
-from floqtess.hypgeo import RegularSig, SemiRegularSig, _check_genus, _genus_chi, systole
+from floqtess.hypgeo import SemiRegularSig, _check_genus, _genus_chi, regular_profile, systole
 from floqtess.surface import (
     Edge,
     SurfaceComplex,
@@ -1078,7 +1078,7 @@ class TestTessSignature:
     hyperbolicity, and the genus rule gives the floor and chi."""
 
     def test_regular(self):
-        assert RegularSig(8, 3) == RegularSig(8, 3)
+        assert regular_profile((8, 3))["face_area"] == pytest.approx(2 * math.pi / 3)
         assert _check_genus(2, True) == _genus_chi(2, True) == -2
 
     def test_semiregular(self):
@@ -1087,7 +1087,7 @@ class TestTessSignature:
 
     def test_rejects_non_hyperbolic(self):
         with pytest.raises(ValueError):
-            RegularSig(4, 4)
+            regular_profile((4, 4))
         with pytest.raises(ValueError, match="Euclidean"):
             SemiRegularSig((6, 6, 6))
 
