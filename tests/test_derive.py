@@ -457,6 +457,17 @@ class TestDerivedCountsType:
                 assert n_v - n_e + n_f == _check_genus(genus, orientable)
         assert admitted > 1000
 
+    def test_rejects_non_trivalent(self):
+        # A vertex meeting two or four faces has no (n_v, n_e, n_f) here.
+        for m in [(8, 8), (6, 6, 6, 6), (16, 16, 8, 8)]:
+            with pytest.raises(TypeError, match="^vertex type must be a triple of integers$"):
+                semiregular_counts_direct(m, 4, False)
+
+    def test_rejects_nonpositive(self):
+        for m, label in [((0, 16, 8), "0,16,8"), ((16, 16, -8), "16,16,-8")]:
+            with pytest.raises(ValueError, match=rf"^\[{label}\]: face sizes must be >= 3$"):
+                semiregular_counts_direct(m, 4, False)
+
     def test_non_integral_face_census_rejected(self):
         # 3 n_v = 2 n_e holds, but 12 vertices carry 12/8 octagons.
         with pytest.raises(ValueError, match="^face count for size 8 is not integral: 12/8$"):
