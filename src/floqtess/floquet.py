@@ -6,13 +6,16 @@ qubits is read off its rank and the code distance from a minimum-weight
 search over Paulis that commute with the ISG without belonging to it.
 The ISG is updated one measured round per kernel call, the round's checks
 in order, on rows held in slots, with a pivot -> slot map (a list over the
-2n row bits, -1 on a free pivot) and one slot mask per row bit.  The search
-reads each letter's syndrome off those masks: weight 1 is a syndrome of 0,
-and each weight w from 2 on a collision between the letterings of a Pauli's
-lowest w // 2 qubits and those of the rest, met once per Pauli as the
-qubits are taken in order as anchors, so every Pauli of each weight is
-tried and nothing is pruned; ``tests/reference.py`` keeps the search as
-first written."""
+2n row bits, -1 on a free pivot) and one slot mask per row bit.  Its
+set-bit loops step through a table of the 2n powers of two built once per
+run, an XX or ZZ check reads its anticommuting rows off two masks directly,
+and a check that anticommutes with one row alone replaces that row without
+the two-lowest-pivot scan.  The search reads each letter's syndrome off
+those masks: weight 1 is a syndrome of 0, and each weight w from 2 on a
+collision between the letterings of a Pauli's lowest w // 2 qubits and
+those of the rest, met once per Pauli as the qubits are taken in order as
+anchors, so every Pauli of each weight is tried and nothing is pruned;
+``tests/reference.py`` keeps the search as first written."""
 
 from __future__ import annotations
 
@@ -40,7 +43,9 @@ class BoundExceeded(ValueError):
     """Exact search out of range; use the geometric estimator instead."""
 
 
-def _measure_round(rows: list, basis: list, cols: list, checks: list, swap: list) -> None:
+def _measure_round(
+    rows: list, basis: list, cols: list, checks: list, swap: list, bits: list
+) -> None:
     """Measure one round's checks, in order, on an echelon basis held in
     slots, in place.
 
@@ -52,94 +57,114 @@ def _measure_round(rows: list, basis: list, cols: list, checks: list, swap: list
     being rewritten.  ``checks`` holds ``(c, hits)`` pairs, ``hits`` the
     set bits of ``c`` with its halves swapped, ``(z << n) | x``: a row
     anticommutes with ``c`` when it carries an odd number of them, so the
-    XOR of ``cols`` over them marks the rows that anticommute with ``c``.
-    ``swap[j]`` is bit j's swapped-half bit, ``j + n`` below n and ``j - n``
-    from n on; :func:`run_schedule` builds it once per run.
+    XOR of ``cols`` over them marks the rows that anticommute with ``c``;
+    a check of two hits (every XX and ZZ check) reads that XOR directly,
+    any other goes round a loop.  ``swap[j]`` is bit j's swapped-half bit,
+    ``j + n`` below n and ``j - n`` from n on, and ``bits[j]`` is
+    ``1 << j``, over the 2n row bits; :func:`run_schedule` builds both once
+    per run.  A slot needs no bit beyond them: the pivots are distinct, so
+    there are at most 2n slots.
 
     Any anticommuting row may leave, since the new group is <c> plus the
-    rows that commute with c whichever leaves.  The lighter (fewer set
-    bits; on a tie, the lower pivot) of the two lowest-pivot ones does,
-    and is XOR-ed into the others.  A row XOR-ed with a row of higher pivot
-    takes that pivot as its top bit; only the lowest can lie below the
-    leaving row, and it takes over the freed pivot, so the pivots stay
-    distinct and no other pivot moves.  The check is then reduced top bit
-    by top bit and joins, in the freed slot, unless it is a dependent
-    commuting check.  Each reduction step must clear its top bit and set
-    none above it (RuntimeError otherwise, where a broken pivot -> slot map
-    would loop forever).  Both per-check invariants are checked: the rank
-    does not drop, and the new row commutes with every row.  A check costs
-    its anticommuting rows, plus the bits of the row that leaves, plus the
-    bits of the joined row; never the rank.
+    rows that commute with c whichever leaves.  When one row anticommutes,
+    it leaves.  When more do, the lighter (fewer set bits; on a tie, the
+    lower pivot) of the two lowest-pivot ones leaves and is XOR-ed into the
+    others.  A row XOR-ed with a row of higher pivot takes that pivot as
+    its top bit; only the lowest can lie below the leaving row, and it
+    takes over the freed pivot, so the pivots stay distinct and no other
+    pivot moves.  The check is then reduced top bit by top bit and joins,
+    in the freed slot, unless it is a dependent commuting check.  Each
+    reduction step must clear its top bit and set none above it
+    (RuntimeError otherwise, where a broken pivot -> slot map would loop
+    forever).  Both per-check invariants are checked: the rank does not
+    drop, and the new row commutes with every row.  A check costs its
+    anticommuting rows, plus the bits of the row that leaves, plus the bits
+    of the joined row; never the rank.
 
-    Every set-bit scan reads the top bit, which builds fewer ints than
-    isolating the lowest.  Their order is free: they only XOR, OR, or pick
-    the two least of distinct pivots.
+    Every set-bit loop reads the top bit and clears it by XOR with its
+    entry of ``bits``, so a step builds no power of two.  Their order is
+    free: they only XOR, OR, or pick the two least of distinct pivots.  A
+    reduction step reads the new top bit once, for its guard and the next
+    step, and the commutativity test compares with the joining slot's bit
+    instead of building a mask without it.
     """
     for c, hits in checks:
-        anti = 0
-        for j in hits:
-            anti ^= cols[j]
+        if len(hits) == 2:
+            h0, h1 = hits
+            anti = cols[h0] ^ cols[h1]
+        else:
+            anti = 0
+            for j in hits:
+                anti ^= cols[j]
         slot = len(rows)
         if anti:
-            # The two lowest-pivot anticommuting rows: slot a, pivot pa below
-            # slot b, pivot pb.  Pivots are distinct, so scan order is free.
-            a = b = -1
-            pa = pb = len(basis)
-            m = anti
-            while m:
-                s = m.bit_length() - 1
-                p = rows[s].bit_length() - 1
-                if p < pa:
-                    a, pa, b, pb = s, p, a, pa
-                elif p < pb:
-                    b, pb = s, p
-                m ^= 1 << s
-            g = rows[a]
-            basis[pa] = -1
-            if b >= 0 and rows[b].bit_count() < g.bit_count():
-                g = rows[b]
-                basis[pb] = a
-                slot = b
+            if anti & (anti - 1):
+                # The two lowest-pivot anticommuting rows: slot a, pivot pa
+                # below slot b, pivot pb.  Pivots are distinct, so scan
+                # order is free.
+                a = b = -1
+                pa = pb = len(basis)
+                m = anti
+                while m:
+                    s = m.bit_length() - 1
+                    p = rows[s].bit_length() - 1
+                    if p < pa:
+                        a, pa, b, pb = s, p, a, pa
+                    elif p < pb:
+                        b, pb = s, p
+                    m ^= bits[s]
+                g = rows[a]
+                basis[pa] = -1
+                if rows[b].bit_count() < g.bit_count():
+                    g = rows[b]
+                    basis[pb] = a
+                    slot = b
+                else:
+                    slot = a
+                m = anti ^ bits[slot]
+                while m:
+                    s = m.bit_length() - 1
+                    rows[s] ^= g
+                    m ^= bits[s]
             else:
-                slot = a
-            m = anti ^ (1 << slot)
-            while m:
-                s = m.bit_length() - 1
-                rows[s] ^= g
-                m ^= 1 << s
+                slot = anti.bit_length() - 1
+                g = rows[slot]
+                basis[g.bit_length() - 1] = -1
             # One XOR per bit of g adds g to the other anticommuting rows and
             # clears the slot it leaves.
             while g:
                 j = g.bit_length() - 1
                 cols[j] ^= anti
-                g ^= 1 << j
-        while c:
-            top = c.bit_length() - 1
+                g ^= bits[j]
+        top = c.bit_length() - 1
+        while top >= 0:
             s = basis[top]
             if s < 0:
                 break
             c ^= rows[s]
-            if c.bit_length() > top:
+            t = c.bit_length() - 1
+            if t >= top:
                 raise RuntimeError(f"pivot {top} maps to slot {s}, whose row has another top bit")
+            top = t
         if not c:
             if anti:
                 raise RuntimeError("measurement lowered the rank")
             continue
-        new = 1 << slot
+        new = bits[slot]
         # The rows anticommuting with c are the XOR of cols over the bits of
         # c with its halves swapped; the joining slot's bits are clear, so its
-        # bit is set only by the join in the same pass and is masked out of
-        # the test.
+        # bit is set only by the join in the same pass, and the test lets
+        # through that bit alone.
         anti = 0
         v = c
         while v:
             j = v.bit_length() - 1
             anti ^= cols[swap[j]]
             cols[j] |= new
-            v ^= 1 << j
-        if anti & ~new:
+            v ^= bits[j]
+        if anti and anti != new:
             raise RuntimeError("measurement broke commutativity")
-        basis[c.bit_length() - 1] = slot
+        basis[top] = slot
         if slot == len(rows):
             rows.append(c)
         else:
@@ -181,16 +206,18 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
     measured round, its rows in slots (``rows``), each pivot mapped to its
     slot by a list over the 2n row bits, -1 on a free pivot (``basis``),
     and each row bit to a mask of the slots that carry it (``cols``); the
-    swapped-half table it reads is built once per run.  Its lighter-row
-    rule keeps rows round a face light: at n = 96 the leaving rows carry
-    1256 bits over nine rounds, where always taking the lowest pivot let
-    the growing product of a face's checks leave, 5400 bits.
+    swapped-half and power-of-two tables it reads, and the check rows, are
+    built once per run, so no size has a ceiling.  Its lighter-row rule
+    keeps rows round a face light: at n = 96 the leaving rows carry 1256
+    bits over nine rounds, where always taking the lowest pivot let the
+    growing product of a face's checks leave, 5400 bits.
 
-    Each measured round keeps a copy of its slot state and reads its rank
-    off the pivot map (the pivots not -1); the result holds the states of
-    the three steady phases, which share one logical count, since no
-    measurement lowers the rank (:func:`_measure_round` checks it).  The
-    exact search reads them as they are.
+    Each measured round reads its rank off the pivot map (the pivots not
+    -1) and, unless it is the steady round, keeps a copy of its slot state;
+    the result holds the states of the three steady phases, which share one
+    logical count, since no measurement lowers the rank
+    (:func:`_measure_round` checks it).  The exact search reads them as
+    they are.
 
     ``rounds`` counts rounds 0 .. rounds-1, and 6 is the floor the guard
     accepts, but 6 rounds never certify a derived complex: the clipped and
@@ -202,20 +229,23 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
     cx = schedule.complex
     n = len(cx.vertices)
     index = {v: i for i, v in enumerate(cx.vertices)}
+    swap = list(range(n, 2 * n)) + list(range(n))  # bit j's swapped-half bit
+    bits = [1 << j for j in range(2 * n)]  # bit j's power of two
     # Each check row with the set bits of its swapped halves, built once per
-    # run from the letter's (x, z) bits: x on qubits a, b puts bits a, b in
-    # the swapped row and z puts bits n + a, n + b there.
+    # run from the letter's (x, z) bits: x on qubits a, b sets row bits
+    # n + a, n + b and puts bits a, b in the swapped row, and z sets row
+    # bits a, b and puts bits n + a, n + b there.
     phase_checks = []
     for color in ROUND_COLOR:
         lx, lz = _LETTERS[PAULI_OF[color][0]]
-        unit = (lx << n) | lz
         checks = []
         for u, w in schedule.checks[color]:
             a, b = index[u], index[w]
             hits = ((a, b) if lx else ()) + ((n + a, n + b) if lz else ())
-            checks.append(((unit << a) ^ (unit << b), hits))
+            x = bits[n + a] ^ bits[n + b] if lx else 0
+            z = bits[a] ^ bits[b] if lz else 0
+            checks.append((x | z, hits))
         phase_checks.append(checks)
-    swap = list(range(n, 2 * n)) + list(range(n))  # bit j's swapped-half bit
     rows: list[int] = []
     basis = [-1] * (2 * n)
     cols = [0] * (2 * n)
@@ -226,11 +256,12 @@ def run_schedule(schedule, rounds: int) -> ScheduleResult:
         if steady is not None:
             ranks.append(ranks[r - 3])
             continue
-        _measure_round(rows, basis, cols, phase_checks[r % 3], swap)
-        snapshots.append((rows[:], basis[:], cols[:]))
+        _measure_round(rows, basis, cols, phase_checks[r % 3], swap, bits)
         ranks.append(2 * n - basis.count(-1))
         if r >= 3 and ranks[r] == ranks[r - 3]:
             steady = r
+        else:
+            snapshots.append((rows[:], basis[:], cols[:]))
     k_inst, phase_bases = None, ()
     if steady is not None:
         k_inst = n - ranks[steady]

@@ -52,6 +52,11 @@ make: the pipeline's search settles every weight by syndrome collisions
 over the run's slot states, over every support, and the tests hold the
 two to the same distances, with each witness checked to be a logical of
 that weight.
+
+:func:`reference_measure_round` is the ISG kernel as it stood before its
+set-bit loops stepped through a per-run table of powers of two, shifts
+and all; the tests hold the kernel's slot state after every measured
+round equal to its own.
 """
 
 from __future__ import annotations
@@ -1074,3 +1079,112 @@ def reference_min_logical_weight(phases) -> int:
     raise floquet.BoundExceeded(
         f"no logical operator of weight <= {floquet._EXACT_MAX_WEIGHT}; use geometric estimator"
     )
+
+
+# floquet._measure_round as it stood before its set-bit loops read a per-run
+# table of powers of two, kept verbatim so the tests hold every round's slot
+# state of the kernel equal to this one's.
+def reference_measure_round(rows: list, basis: list, cols: list, checks: list, swap: list) -> None:
+    """Measure one round's checks, in order, on an echelon basis held in
+    slots, in place.
+
+    ``rows[s]`` is the row in slot ``s``, ``basis`` is the pivot -> slot
+    map, a list over the 2n row bits: ``basis[p]`` is the slot of the row
+    whose pivot (top set bit) is ``p``, or -1 when no row has that pivot.
+    ``cols[j]`` is a mask over slots: bit ``s`` is bit ``j`` of
+    ``rows[s]``.  A pivot can so move to another slot without a column bit
+    being rewritten.  ``checks`` holds ``(c, hits)`` pairs, ``hits`` the
+    set bits of ``c`` with its halves swapped, ``(z << n) | x``: a row
+    anticommutes with ``c`` when it carries an odd number of them, so the
+    XOR of ``cols`` over them marks the rows that anticommute with ``c``.
+    ``swap[j]`` is bit j's swapped-half bit, ``j + n`` below n and ``j - n``
+    from n on; :func:`run_schedule` builds it once per run.
+
+    Any anticommuting row may leave, since the new group is <c> plus the
+    rows that commute with c whichever leaves.  The lighter (fewer set
+    bits; on a tie, the lower pivot) of the two lowest-pivot ones does,
+    and is XOR-ed into the others.  A row XOR-ed with a row of higher pivot
+    takes that pivot as its top bit; only the lowest can lie below the
+    leaving row, and it takes over the freed pivot, so the pivots stay
+    distinct and no other pivot moves.  The check is then reduced top bit
+    by top bit and joins, in the freed slot, unless it is a dependent
+    commuting check.  Each reduction step must clear its top bit and set
+    none above it (RuntimeError otherwise, where a broken pivot -> slot map
+    would loop forever).  Both per-check invariants are checked: the rank
+    does not drop, and the new row commutes with every row.  A check costs
+    its anticommuting rows, plus the bits of the row that leaves, plus the
+    bits of the joined row; never the rank.
+
+    Every set-bit scan reads the top bit, which builds fewer ints than
+    isolating the lowest.  Their order is free: they only XOR, OR, or pick
+    the two least of distinct pivots.
+    """
+    for c, hits in checks:
+        anti = 0
+        for j in hits:
+            anti ^= cols[j]
+        slot = len(rows)
+        if anti:
+            # The two lowest-pivot anticommuting rows: slot a, pivot pa below
+            # slot b, pivot pb.  Pivots are distinct, so scan order is free.
+            a = b = -1
+            pa = pb = len(basis)
+            m = anti
+            while m:
+                s = m.bit_length() - 1
+                p = rows[s].bit_length() - 1
+                if p < pa:
+                    a, pa, b, pb = s, p, a, pa
+                elif p < pb:
+                    b, pb = s, p
+                m ^= 1 << s
+            g = rows[a]
+            basis[pa] = -1
+            if b >= 0 and rows[b].bit_count() < g.bit_count():
+                g = rows[b]
+                basis[pb] = a
+                slot = b
+            else:
+                slot = a
+            m = anti ^ (1 << slot)
+            while m:
+                s = m.bit_length() - 1
+                rows[s] ^= g
+                m ^= 1 << s
+            # One XOR per bit of g adds g to the other anticommuting rows and
+            # clears the slot it leaves.
+            while g:
+                j = g.bit_length() - 1
+                cols[j] ^= anti
+                g ^= 1 << j
+        while c:
+            top = c.bit_length() - 1
+            s = basis[top]
+            if s < 0:
+                break
+            c ^= rows[s]
+            if c.bit_length() > top:
+                raise RuntimeError(f"pivot {top} maps to slot {s}, whose row has another top bit")
+        if not c:
+            if anti:
+                raise RuntimeError("measurement lowered the rank")
+            continue
+        new = 1 << slot
+        # The rows anticommuting with c are the XOR of cols over the bits of
+        # c with its halves swapped; the joining slot's bits are clear, so its
+        # bit is set only by the join in the same pass and is masked out of
+        # the test.
+        anti = 0
+        v = c
+        while v:
+            j = v.bit_length() - 1
+            anti ^= cols[swap[j]]
+            cols[j] |= new
+            v ^= 1 << j
+        if anti & ~new:
+            raise RuntimeError("measurement broke commutativity")
+        basis[c.bit_length() - 1] = slot
+        if slot == len(rows):
+            rows.append(c)
+        else:
+            rows[slot] = c

@@ -43,6 +43,7 @@ from reference import (
     connected_supports,
     face_stabilizer,
     reference_cosupport_graph,
+    reference_measure_round,
     reference_min_logical_weight,
     reference_syndromes,
 )
@@ -471,10 +472,16 @@ def swap_table(n):
     return [swap_halves(1 << j, n).bit_length() - 1 for j in range(2 * n)]
 
 
+def bit_table(n):
+    """The kernel's power-of-two table: bit j's mask, over the 2n row
+    bits."""
+    return [2**j for j in range(2 * n)]
+
+
 def measure(state, c, n):
     """Measure check ``c`` into the slot state with :func:`_measure_round`,
     as a round of that one check."""
-    _measure_round(*state, [with_hits(c, n)], swap_table(n))
+    _measure_round(*state, [with_hits(c, n)], swap_table(n), bit_table(n))
 
 
 def spy_rounds(monkeypatch, step=None):
@@ -483,16 +490,18 @@ def spy_rounds(monkeypatch, step=None):
     real kernel one check per call.  When given, ``step(one, rows, basis,
     cols, c, hits, n)`` stands in for each replayed check and must call
     ``one(rows, basis, cols, c, hits, n)``, the one-check kernel call, which
-    passes the swapped-half table run_schedule gave the round."""
+    passes the swapped-half and power-of-two tables run_schedule gave the
+    round."""
     rounds = []
     kernel = floquet._measure_round
 
-    def spy(rows, basis, cols, checks, swap):
+    def spy(rows, basis, cols, checks, swap, bits):
         def one(rows, basis, cols, c, hits, n):
-            kernel(rows, basis, cols, [(c, hits)], swap)
+            kernel(rows, basis, cols, [(c, hits)], swap, bits)
 
         n = len(swap) // 2
         assert swap == swap_table(n)
+        assert bits == bit_table(n)
         rounds.append([c for c, _ in checks])
         for c, hits in checks:
             if step is None:
@@ -509,6 +518,19 @@ def read_group(state, n):
     as run_schedule does."""
     rows, basis, _ = state
     return StabilizerGroup(n, _canonical_rows(rows, basis))
+
+
+def random_check_sequences(n):
+    """Four random sequences of 6 n mixed-letter two-body checks on n
+    qubits, with their hits: each check has two, three or four."""
+    rng = random.Random(300 + n)
+    for _ in range(4):
+        checks = []
+        for _ in range(6 * n):
+            i, j = rng.sample(range(n), 2)
+            a, b = rng.choice("XYZ"), rng.choice("XYZ")
+            checks.append(with_hits(_pauli_row(n, a, (i,)) ^ _pauli_row(n, b, (j,)), n))
+        yield checks
 
 
 class TestMeasure:
@@ -695,18 +717,12 @@ class TestMeasure:
     def test_one_call_per_round_equals_one_per_check(self, n):
         # A whole random check sequence measured in one call leaves the slot
         # state that one call per check leaves, and the reference's group.
-        rng = random.Random(300 + n)
-        for _ in range(4):
-            checks = []
-            for _ in range(6 * n):
-                i, j = rng.sample(range(n), 2)
-                a, b = rng.choice("XYZ"), rng.choice("XYZ")
-                checks.append(with_hits(_pauli_row(n, a, (i,)) ^ _pauli_row(n, b, (j,)), n))
+        for checks in random_check_sequences(n):
             whole, single = slot_state((), n), slot_state((), n)
-            _measure_round(*whole, checks, swap_table(n))
+            _measure_round(*whole, checks, swap_table(n), bit_table(n))
             ref = StabilizerGroup(n)
             for c, hits in checks:
-                _measure_round(*single, [(c, hits)], swap_table(n))
+                _measure_round(*single, [(c, hits)], swap_table(n), bit_table(n))
                 ref = reference_measure(ref, c)
             assert whole == single
             rows, basis, cols = whole
@@ -746,7 +762,7 @@ class TestMeasure:
             done = 0
             with pytest.raises(RuntimeError) as info:
                 for round_checks in calls:
-                    _measure_round(*state, round_checks, swap_table(n))
+                    _measure_round(*state, round_checks, swap_table(n), bit_table(n))
                     done += len(round_checks)
             assert done == (0 if len(calls) == 1 else 2)
             messages.append(str(info.value))
@@ -754,7 +770,69 @@ class TestMeasure:
         assert messages[0] == match
 
 
+class TestKernelOracle:
+    # The kernel steps its set-bit loops through the power-of-two table,
+    # reads a two-hit check's masks directly, lets a lone anticommuting row
+    # leave without the two-lowest-pivot scan and reads each reduction
+    # step's top bit once.  reference_measure_round is the kernel as it was
+    # before, so every slot state must be its own, bit for bit: the same
+    # rows in the same slots, pivot map and masks.
+
+    @pytest.mark.parametrize("n", range(8, 25, 4))
+    def test_random_sequences_match_reference(self, n):
+        # Whole sequences in one call, and one call per check; the second
+        # also counts the checks each path of the kernel takes.
+        paths = {"one": 0, "many": 0, "two-hit": 0, "four-hit": 0}
+        for checks in random_check_sequences(n):
+            whole, ref = slot_state((), n), slot_state((), n)
+            _measure_round(*whole, checks, swap_table(n), bit_table(n))
+            reference_measure_round(*ref, checks, swap_table(n))
+            assert whole == ref
+            single, ref = slot_state((), n), slot_state((), n)
+            for c, hits in checks:
+                anti = 0
+                for j in hits:
+                    anti ^= single[2][j]
+                paths["one"] += anti.bit_count() == 1
+                paths["many"] += anti.bit_count() >= 2
+                paths["two-hit"] += len(hits) == 2
+                paths["four-hit"] += len(hits) == 4
+                _measure_round(*single, [(c, hits)], swap_table(n), bit_table(n))
+                reference_measure_round(*ref, [(c, hits)], swap_table(n))
+                assert single == ref
+        assert all(paths.values()), paths
+
+    @pytest.mark.parametrize("build", schedule_complexes())
+    def test_every_round_matches_reference(self, build, monkeypatch):
+        # run_schedule's own rounds, each measured on a copy by the
+        # reference kernel from the reference's own previous state.
+        schedule, _ = _schedule_for(build())
+        kernel = floquet._measure_round
+        ref: list = []
+        measured = []
+
+        def spy(rows, basis, cols, checks, swap, bits):
+            if not ref:
+                ref.extend((rows[:], basis[:], cols[:]))
+            reference_measure_round(*ref, checks, swap)
+            kernel(rows, basis, cols, checks, swap, bits)
+            assert [rows, basis, cols] == ref
+            measured.append(len(checks))
+
+        monkeypatch.setattr(floquet, "_measure_round", spy)
+        result = run_schedule(schedule, 12)
+        steady = result.steady_round
+        assert len(measured) == (12 if steady is None else steady + 1)
+
+
 class TestRunSchedule:
+    def test_large_torus_has_no_size_ceiling(self):
+        # n = 1152, 2304 row bits: the per-run tables have no size ceiling.
+        result = run_schedule(three_color(honeycomb_torus(24)), 9)
+        assert result.n == 1152
+        assert result.ranks == (576, 768, 959, 1150, 1150, 1150, 1150, 1150, 1150)
+        assert (result.steady_round, result.k_inst) == (6, 2)
+
     def test_octagon_trajectory(self, octagon):
         _, _, result = octagon
         assert result.n == 16

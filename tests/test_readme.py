@@ -50,10 +50,18 @@ def library_block() -> str:
     return section.split("```python\n", 1)[1].split("```", 1)[0]
 
 
+def assigned(target: ast.expr, namespace: dict):
+    """The value an assignment left in ``target``: a name's value, or the
+    tuple of the values of a tuple's names."""
+    if isinstance(target, ast.Tuple):
+        return tuple(assigned(elt, namespace) for elt in target.elts)
+    return namespace[target.id]
+
+
 def commented_results(block: str) -> list:
     """Run ``block`` statement by statement; return ``(value, comment)`` for
     each statement followed by a comment on its last line.  The value of an
-    assignment is its target's."""
+    assignment is its target's, a tuple's read name by name."""
     lines = block.splitlines()
     namespace: dict = {}
     out = []
@@ -63,11 +71,18 @@ def commented_results(block: str) -> list:
             value = eval(compile(expr, str(README), "eval"), namespace)
         else:
             exec(compile(ast.Module([stmt], []), str(README), "exec"), namespace)
-            value = namespace[stmt.targets[0].id] if isinstance(stmt, ast.Assign) else None
+            value = assigned(stmt.targets[0], namespace) if isinstance(stmt, ast.Assign) else None
         tail = lines[stmt.end_lineno - 1][stmt.end_col_offset :].strip()
         if tail.startswith("#"):
             out.append((value, tail[1:].strip()))
     return out
+
+
+def test_commented_results_reads_tuple_targets():
+    # A tuple-unpacking line gives the tuple of its names' values; the next
+    # statement reads those names.
+    block = "q, r = divmod(7, 2)  # (3, 1)\ntotal = q + r  # 4\n"
+    assert commented_results(block) == [((3, 1), "(3, 1)"), (4, "4")]
 
 
 def render(value) -> str:
