@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Sequence
 
-from .hypgeo import SemiRegularSig, _as_semiregular, _check_genus, _polygon_sides
+from .hypgeo import _check_genus, _check_semiregular, _polygon_sides
 from .surface import Edge, SurfaceComplex, _FlagMap, fundamental_polygon
 
 __all__ = [
@@ -203,7 +203,7 @@ def polygon_complex(route: str, genus: int, orientable: bool) -> SurfaceComplex:
 
 
 def semiregular_counts_direct(
-    m: SemiRegularSig | Sequence[int], genus: int, orientable: bool
+    m: Sequence[int], genus: int, orientable: bool
 ) -> tuple[int, int, int] | None:
     """Cell counts (n_v, n_e, n_f) of a tri-valent [m1,m2,m3] tiling on a
     closed surface.
@@ -222,11 +222,12 @@ def semiregular_counts_direct(
     hexagon and one dodecagon pair); orientable ones also need n_v/m_i
     integral at every position, which matches the published orientable
     tables (it excludes [16,16,8] at genus 2, which the size rule would
-    admit at the same chi = -2).
+    admit at the same chi = -2).  ``m`` is any sequence of three ints,
+    checked by ``hypgeo._check_semiregular`` on every call.
     """
-    sig = _as_semiregular(m)
+    m = _check_semiregular(m)
     chi = _check_genus(genus, orientable)
-    n_v = _admitted_vertex_count(sig.m, chi, orientable)
+    n_v = _admitted_vertex_count(m, chi, orientable)
     if n_v is None:
         return None
     # Euler: chi = n_v - 3 n_v / 2 + n_f.

@@ -30,7 +30,7 @@ from .derive import (
     polygon_route,
     semiregular_counts_direct,
 )
-from .hypgeo import _Record, _as_semiregular, _check_genus
+from .hypgeo import _Record, _check_genus, _check_semiregular
 
 # (x, z) bits of each Pauli letter, in the order the search tries them.
 _LETTERS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -446,38 +446,37 @@ def code_params(m, genus: int, orientable: bool, d_mode: str = "auto") -> CodePa
     of that route, BoundExceeded included, is raised, not replaced by an
     estimate.  Auto reads the route only on rows with n <= 40.
 
-    ``m`` is a SemiRegularSig or a sequence of three ints.  The
-    signature's checks run once per distinct triple per process
-    (``hypgeo._as_semiregular``), as do its chords (in
-    ``geodist.estimate_distance``); nothing else is memoized.  Per row: the
-    genus check, the vertex count, the route on rows with n <= 40, the
-    estimate's systole and ceilings, and the record, whose n is a positive
-    even vertex count, k = 2 - chi >= 3 and d >= 2 (the estimate's clamp)
-    or >= 1 (the search).
+    ``m`` is a sequence of three ints.  Its chords are solved once per
+    distinct triple per process (in ``geodist.estimate_distance``); nothing
+    else is memoized.  Per row: the vertex type's checks
+    (``hypgeo._check_semiregular``), the genus check, the vertex count, the
+    route on rows with n <= 40, the estimate's systole and ceilings, and
+    the record, whose n is a positive even vertex count, k = 2 - chi >= 3
+    and d >= 2 (the estimate's clamp) or >= 1 (the search).
     """
     if d_mode not in ("geo", "auto"):
         raise ValueError(f"unknown d_mode {d_mode!r}")
-    sig = _as_semiregular(m)
+    m = _check_semiregular(m)
     chi = _check_genus(genus, orientable)
-    n = _admitted_vertex_count(sig.m, chi, orientable)
+    n = _admitted_vertex_count(m, chi, orientable)
     if n is None:
         raise ValueError(
-            f"{list(sig.m)} admits no integral cell counts at chi={chi}"
+            f"{list(m)} admits no integral cell counts at chi={chi}"
         )
     k = 2 - chi
     if (
         d_mode == "geo"
         or n > _EXACT_MAX_N
-        or polygon_route(sig.m, genus, orientable) != "incenter"
+        or polygon_route(m, genus, orientable) != "incenter"
     ):
-        est = geodist.estimate_distance(sig, genus, orientable)
+        est = geodist.estimate_distance(m, genus, orientable)
         return CodeParams(
-            sig.m, genus, orientable, n, k, est["d"],
+            m, genus, orientable, n, k, est["d"],
             "geometric-estimate", est["convention"],
         )
     cx = polygon_complex("incenter", genus, orientable)
     cells = (len(cx.vertices), len(cx.edges), len(cx.faces))
-    want = semiregular_counts_direct(sig, genus, orientable)
+    want = semiregular_counts_direct(m, genus, orientable)
     if cells != want:
         raise RuntimeError(
             "explicit complex has V={}, E={}, F={}, counts say V={}, E={}, F={}"
@@ -495,4 +494,4 @@ def code_params(m, genus: int, orientable: bool, d_mode: str = "auto") -> CodePa
             f"the genus rule k={k}"
         )
     d = exact_distance(schedule, result)
-    return CodeParams(sig.m, genus, orientable, n, k, d, "exact", None)
+    return CodeParams(m, genus, orientable, n, k, d, "exact", None)

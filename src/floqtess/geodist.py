@@ -13,7 +13,7 @@ import math
 from functools import cache
 from typing import Sequence
 
-from .hypgeo import SemiRegularSig, _as_semiregular, semiregular_profile, systole
+from .hypgeo import _check_semiregular, semiregular_profile, systole
 
 # Ratios sitting within this distance above an integer count as that
 # integer: several families make systole/chord an exact integer and float
@@ -39,13 +39,13 @@ def _chord_table(m: tuple[int, int, int]) -> tuple:
     a gap that is not positive raises ValueError.
 
     Both depend on the ordered triple alone, so the table is keyed by
-    ``sig.m``, a tuple of ints hashed in C, and solves each signature once
-    per distinct triple per process; nothing is evicted.  ``m`` has passed
-    the signature checks, so ``hypgeo._as_semiregular`` hands back its
-    SemiRegularSig unchecked.  The profile is read through this module's
-    binding of ``semiregular_profile``, so a wrapper there sees every solve.
+    ``m``, the plain tuple of ints ``hypgeo._check_semiregular`` returned,
+    and solves each triple once per process; nothing is evicted.  It is
+    the package's only per-triple cache.  The profile, which checks ``m``
+    again, is read through this module's binding of
+    ``semiregular_profile``, so a wrapper there sees every solve.
     """
-    A0, A1, A2 = semiregular_profile(_as_semiregular(m))["incenter_gaps"]
+    A0, A1, A2 = semiregular_profile(m)["incenter_gaps"]
     if not (A0 > 0 and A1 > 0 and A2 > 0):
         raise ValueError("incenter gap must be positive")
     # cos(4 pi / m) per position; cosh^2 and sinh^2 per gap, pivoted at both its faces.
@@ -65,9 +65,7 @@ def _chord_table(m: tuple[int, int, int]) -> tuple:
     )
 
 
-def estimate_distance(
-    m: SemiRegularSig | Sequence[int], genus: int, orientable: bool
-) -> dict:
+def estimate_distance(m: Sequence[int], genus: int, orientable: bool) -> dict:
     """Minimum of d_X and d_Z over all three red-class choices.
 
     Returns the document ``distance --mode geo`` prints, the winning
@@ -75,17 +73,17 @@ def estimate_distance(
     weight-1 logical would contradict k > 0 two-body dynamics) and the
     clamp, when active, is part of the tag.
 
-    Per distinct triple, once per process: the signature's checks
-    (``hypgeo._as_semiregular``) and its chords (``_chord_table``).  Per
-    row: the systole, genus checks included (``systole``); the six
+    Per distinct triple, once per process: its chords (``_chord_table``).
+    Per row: the vertex type's checks (``hypgeo._check_semiregular``); the
+    systole, genus checks included (``systole``); the six
     systole/chord ratios, each of which must be positive and finite
     (ValueError otherwise), and their ceilings, ceil(ratio - _CEIL_EPS) and
     at least 1, with d_X twice its ceiling; then the minimum, the clamp and
     the tag.
     """
-    sig = _as_semiregular(m)
+    m = _check_semiregular(m)
     length = systole(genus, orientable)
-    chords = _chord_table(sig.m)
+    chords = _chord_table(m)
     best = None  # (value, red, kind, dX, dZ)
     for red, t_r, t_gb in chords:
         # Each ratio must be positive and finite (X checked first, Z formed
@@ -101,7 +99,7 @@ def estimate_distance(
             best = (val, red, kind, d_x, d_z)
     val, red, kind, d_x, d_z = best
     d = max(2, val)
-    tag = f"red={sig.m[red]}(class {red}),{kind}"
+    tag = f"red={m[red]}(class {red}),{kind}"
     if d != val:
         tag += ",clamped"
     return {"d": d, "d_X": d_x, "d_Z": d_z, "systole": length,

@@ -18,7 +18,6 @@ import math
 from typing import Sequence
 
 __all__ = [
-    "SemiRegularSig",
     "regular_profile",
     "semiregular_edge_length",
     "semiregular_profile",
@@ -54,38 +53,10 @@ class _Record:
         return f"{self.__class__.__name__}({fields})"
 
 
-class SemiRegularSig(_Record):
-    """A tri-valent semi-regular vertex type [m1, m2, m3].
-
-    Each vertex meets one m1-gon, one m2-gon and one m3-gon.  Only hyperbolic
-    types are representable: 1/m1 + 1/m2 + 1/m3 < 1/2, equivalently the three
-    interior angles (m_i - 2)pi/m_i sum to more than 2 pi.
-    """
-
-    m: tuple[int, int, int]
-    _compared = _hashed = ("m",)
-
-    def __init__(self, m: Sequence[int]) -> None:
-        m = tuple(m)
-        m1, m2, m3 = m if len(m) == 3 else (None, None, None)
-        if not (isinstance(m1, int) and isinstance(m2, int) and isinstance(m3, int)):
-            raise TypeError("vertex type must be a triple of integers")
-        if m1 < 3 or m2 < 3 or m3 < 3:
-            raise ValueError(f"[{m1},{m2},{m3}]: face sizes must be >= 3")
-        # The angle excess 1/2 - sum 1/m_i, scaled by 2 m1 m2 m3.
-        excess = m1 * m2 * m3 - 2 * (m1 * m2 + m2 * m3 + m1 * m3)
-        if excess <= 0:
-            label = "Euclidean" if excess == 0 else "spherical"
-            raise ValueError(
-                f"[{m1},{m2},{m3}] is a {label} triple (need 1/m1 + 1/m2 + 1/m3 < 1/2)"
-            )
-        self.__dict__["m"] = m
-
-
 def regular_profile(sig: Sequence[int]) -> dict:
     """Edge length, apothem, circumradius and face area of {p,q}.
 
-    ``sig`` is the pair (p, q): p-gons, q around each vertex.  Only
+    ``sig`` is the int pair (p, q): p-gons, q around each vertex.  Only
     hyperbolic signatures, 1/p + 1/q < 1/2, have a profile; others raise.
     The edge length is 2 arccosh(cos(pi/p) / sin(pi/q)), the apothem
     arccosh(cos(pi/q) / sin(pi/p)) and the circumradius
@@ -93,7 +64,7 @@ def regular_profile(sig: Sequence[int]) -> dict:
     area is the angle defect (pq - 2p - 2q) pi / q.
     """
     p, q = sig
-    if not (isinstance(p, int) and isinstance(q, int)):
+    if not (type(p) is int and type(q) is int):
         raise TypeError("p and q must be integers")
     if p < 3 or q < 3:
         raise ValueError(f"{{{p},{q}}}: face size and valence must be >= 3")
@@ -123,9 +94,9 @@ def _polygon_sides(genus: int, orientable: bool) -> int:
 
 
 def _check_genus(genus: int, orientable: bool) -> int:
-    """Validate the genus (an integer in the hyperbolic range) and
+    """Validate the genus (an int, not a bool, in the hyperbolic range) and
     ``orientable`` (a boolean), and return the Euler characteristic."""
-    if not isinstance(genus, int):
+    if type(genus) is not int:
         raise TypeError("genus must be an integer")
     if type(orientable) is not bool:
         raise TypeError(f"orientable must be a boolean, got {orientable!r}")
@@ -138,13 +109,34 @@ def _check_genus(genus: int, orientable: bool) -> int:
     return _genus_chi(genus, orientable)
 
 
+def _check_semiregular(m: Sequence[int]) -> tuple[int, int, int]:
+    """The tri-valent vertex type [m1, m2, m3], any sequence of three ints
+    (not bools), as a tuple, once it is hyperbolic: 1/m1 + 1/m2 + 1/m3 <
+    1/2, equivalently the three interior angles (m_i - 2)pi/m_i sum to
+    more than 2 pi.  Checked on every call; nothing is kept."""
+    m = tuple(m)
+    m1, m2, m3 = m if len(m) == 3 else (None, None, None)
+    if not (type(m1) is int and type(m2) is int and type(m3) is int):
+        raise TypeError("vertex type must be a triple of integers")
+    if m1 < 3 or m2 < 3 or m3 < 3:
+        raise ValueError(f"[{m1},{m2},{m3}]: face sizes must be >= 3")
+    # The angle excess 1/2 - sum 1/m_i, scaled by 2 m1 m2 m3.
+    excess = m1 * m2 * m3 - 2 * (m1 * m2 + m2 * m3 + m1 * m3)
+    if excess <= 0:
+        label = "Euclidean" if excess == 0 else "spherical"
+        raise ValueError(
+            f"[{m1},{m2},{m3}] is a {label} triple (need 1/m1 + 1/m2 + 1/m3 < 1/2)"
+        )
+    return m
+
+
 def _edge_eq(c: float, cosines: Sequence[float]) -> float:
     """Corner-angle equation residual at c = cosh(l/2): sum of half-angles - pi."""
     k1, k2, k3 = cosines
     return math.fsum((math.asin(k1 / c), math.asin(k2 / c), math.asin(k3 / c))) - math.pi
 
 
-def semiregular_edge_length(sig: SemiRegularSig | Sequence[int]) -> float:
+def semiregular_edge_length(sig: Sequence[int]) -> float:
     """Common edge length of the tri-valent semi-regular tiling [m1, m2, m3].
 
     Solves pi = sum_i arcsin(k_i / c) for c = cosh(l/2), k_i = cos(pi/m_i),
@@ -163,12 +155,13 @@ def semiregular_edge_length(sig: SemiRegularSig | Sequence[int]) -> float:
     c > 1: the residual is strictly decreasing in c and positive at c = 1,
     where it is pi (1/2 - sum_i 1/m_i) > 0.
 
-    One Newton step polishes the rounded closed form.  The residual at the
+    ``sig`` is the vertex type as a sequence of three ints, checked by
+    ``_check_semiregular`` on every call.  One Newton step polishes the
+    rounded closed form.  The residual at the
     returned root is below 1e-10 (ArithmeticError otherwise, which would
     indicate a solver bug rather than bad input).
     """
-    sig = _as_semiregular(sig)
-    m1, m2, m3 = sig.m
+    m1, m2, m3 = m = _check_semiregular(sig)
     k1, k2, k3 = cosines = math.cos(math.pi / m1), math.cos(math.pi / m2), math.cos(math.pi / m3)
     heron = (k1 + k2 + k3) * (k2 + k3 - k1) * (k1 + k3 - k2) * (k1 + k2 - k3)
     c = 2.0 * k1 * k2 * k3 / math.sqrt(heron)
@@ -186,12 +179,12 @@ def semiregular_edge_length(sig: SemiRegularSig | Sequence[int]) -> float:
     residual = abs(_edge_eq(c, cosines))
     if residual >= EDGE_EQ_TOL:
         raise ArithmeticError(
-            f"edge-length solve for {list(sig.m)} left residual {residual:.3e}"
+            f"edge-length solve for {list(m)} left residual {residual:.3e}"
         )
     return 2.0 * math.acosh(c)
 
 
-def semiregular_profile(sig: SemiRegularSig | Sequence[int]) -> dict:
+def semiregular_profile(sig: Sequence[int]) -> dict:
     """Edge length, apothems, circumradii and incenter gaps of [m1, m2, m3].
 
     The apothem of the m_i-gon is a_i = arcsinh(tanh(l/2) cot(pi/m_i)) and
@@ -199,11 +192,11 @@ def semiregular_profile(sig: SemiRegularSig | Sequence[int]) -> dict:
     triangle between incenter, edge midpoint and vertex).  The incenter gap
     a_i + a_{i+1} is the incenter-to-incenter distance across the edge
     shared by the m_i- and m_{i+1}-gons, that edge being orthogonal to the
-    segment joining the incenters.
+    segment joining the incenters.  ``sig`` is checked as in
+    ``semiregular_edge_length``.
     """
-    sig = _as_semiregular(sig)
-    m1, m2, m3 = sig.m
-    l = semiregular_edge_length(sig)
+    m1, m2, m3 = m = _check_semiregular(sig)
+    l = semiregular_edge_length(m)
     th = math.tanh(0.5 * l)
     ch = math.cosh(0.5 * l)
     a1 = math.asinh(th / math.tan(math.pi / m1))
@@ -229,33 +222,3 @@ def systole(genus: int, orientable: bool) -> float:
     _check_genus(genus, orientable)
     sides = _polygon_sides(genus, orientable)
     return 2.0 * math.acosh(1.0 / math.tan(math.pi / sides))
-
-
-# Each triple of exact ints that passed the SemiRegularSig checks, and the
-# SemiRegularSig built then; filled by ``_as_semiregular``, never evicted.
-_SEMIREGULAR: dict[tuple[int, int, int], SemiRegularSig] = {}
-
-
-def _as_semiregular(sig: SemiRegularSig | Sequence[int]) -> SemiRegularSig:
-    """``sig`` itself if it is a SemiRegularSig, else ``SemiRegularSig(sig)``
-    checked once per distinct triple per process.
-
-    A triple of three exact ints is looked up by value: its first call runs
-    the constructor's checks and every later call, in any sequence type,
-    gets the same object back, so a table row pays for the checks only on
-    a new triple.  Any other input (floats,
-    numpy integers, bools, another length) goes through the constructor on
-    every call and raises what it raises: ``(6, 6, 8.0)`` compares and
-    hashes equal to ``(6, 6, 8)``, so a lookup by value alone would let it
-    through.  A rejected triple is never stored.  Nothing here depends on
-    a genus.
-    """
-    if isinstance(sig, SemiRegularSig):
-        return sig
-    m = tuple(sig)
-    if len(m) == 3 and type(m[0]) is type(m[1]) is type(m[2]) is int:
-        checked = _SEMIREGULAR.get(m)
-        if checked is None:
-            checked = _SEMIREGULAR[m] = SemiRegularSig(m)
-        return checked
-    return SemiRegularSig(m)

@@ -71,7 +71,7 @@ from floqtess.coloring import PAULI_OF
 from floqtess.derive import _pair_names, _require_pq, _slot_labels
 from floqtess.floquet import _LETTERS
 from floqtess.geodist import estimate_distance
-from floqtess.hypgeo import SemiRegularSig, _check_genus, regular_profile, semiregular_profile
+from floqtess.hypgeo import _check_genus, _check_semiregular, regular_profile, semiregular_profile
 from floqtess.surface import Edge, Slot, SurfaceComplex, SurfaceError, _FlagMap
 from helpers import _bits, _canonical_rows, reduce_vec
 
@@ -494,8 +494,7 @@ def encoding_rate(m: Sequence[int], genus: int, orientable: bool = True) -> Frac
     for [2p,2p,2q], with limits 1/3 and 1.
     """
     chi = _check_genus(genus, orientable)
-    sig = SemiRegularSig(tuple(m))
-    slack = Fraction(1, 2) - sum(Fraction(1, x) for x in sig.m)
+    slack = Fraction(1, 2) - sum(Fraction(1, x) for x in _check_semiregular(m))
     return (2 - chi) * slack / abs(chi)
 
 

@@ -24,7 +24,7 @@ from floqtess.floquet import (
 )
 from floqtess.geodist import estimate_distance
 from floqtess.hypgeo import (
-    SemiRegularSig,
+    _check_semiregular,
     regular_profile,
     semiregular_edge_length,
 )
@@ -200,7 +200,7 @@ def test_criterion_6_invariant_suites():
     while len(triples) < 60:
         m = tuple(sorted(rng.randint(3, 120) for _ in range(3)))
         try:
-            SemiRegularSig(m)
+            _check_semiregular(m)
         except ValueError:
             continue
         triples.append(m)

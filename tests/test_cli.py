@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import floqtess
-from floqtess import cli, geodist, hypgeo
+from floqtess import cli, geodist
 from floqtess.cli import _build_parser, _module_of, main
 from floqtess.derive import polygon_complex
 from floqtess.surface import deserialize, fundamental_polygon, serialize
@@ -716,7 +716,6 @@ class TestEstimateCachePinned:
     def outputs(capsys, commands):
         # Cold: every per-process cache of the table path starts empty.
         geodist._chord_table.cache_clear()
-        hypgeo._SEMIREGULAR.clear()
         runs = []
         for _ in range(2):
             got = []

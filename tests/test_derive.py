@@ -445,7 +445,7 @@ class TestDerivedCountsType:
         for m in combinations_with_replacement(range(3, 21), 3):
             m1, m2, m3 = m
             if m1 * m2 * m3 <= 2 * (m1 * m2 + m2 * m3 + m1 * m3):
-                continue  # not hyperbolic: SemiRegularSig rejects it
+                continue  # not hyperbolic: _check_semiregular rejects it
             for genus, orientable in self.SURFACES:
                 got = semiregular_counts_direct(m, genus, orientable)
                 if got is None:

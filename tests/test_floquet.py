@@ -31,7 +31,6 @@ from floqtess.floquet import (
     exact_distance,
     run_schedule,
 )
-from floqtess.hypgeo import SemiRegularSig
 from floqtess.surface import fundamental_polygon
 from helpers import _bits, _canonical_rows, reduce_vec, steady_groups, swap_halves, sympl
 import reference
@@ -1871,38 +1870,6 @@ class TestCodeParams:
         near = [(r.signature, r.genus, r.orientable) for r in rows if r.n <= floquet._EXACT_MAX_N]
         assert 0 < len(near) < len(rows)
         assert calls == near
-
-    def test_geo_builds_the_signature_once(self, monkeypatch):
-        # The counts, the estimator and the metric profile all take the
-        # SemiRegularSig code_params validated, and a triple validated once
-        # is not validated again in the process, on another genus or
-        # surface either: three rows over two distinct triples, two checks.
-        calls = []
-        init = SemiRegularSig.__init__
-
-        def counted(self, m):
-            calls.append(m)
-            init(self, m)
-
-        monkeypatch.setattr(SemiRegularSig, "__init__", counted)
-        monkeypatch.setattr(hypgeo, "_SEMIREGULAR", {})
-        for m, genus, orientable in [((6, 6, 8), 2, True), ((4, 6, 14), 5, True),
-                                     ((6, 6, 8), 3, False)]:
-            assert code_params(m, genus, orientable, "geo").d_source == "geometric-estimate"
-        assert calls == [(6, 6, 8), (4, 6, 14)]
-
-    def test_a_checked_triple_does_not_admit_other_element_types(self, monkeypatch):
-        # (6, 6, 8.0) and (6, 6, int64(8)) compare and hash equal to the
-        # checked (6, 6, 8), so a signature cache keyed by the bare triple
-        # would hand them its row; they must still be rejected.  Another
-        # sequence type of the same ints is the same triple.
-        monkeypatch.setattr(hypgeo, "_SEMIREGULAR", {})
-        row = code_params((6, 6, 8), 2, True, "geo")
-        for m in [(6, 6, 8.0), (6, 6, np.int64(8))]:
-            with pytest.raises(TypeError) as info:
-                code_params(m, 2, True, "geo")
-            assert str(info.value) == "vertex type must be a triple of integers"
-        assert code_params([6, 6, 8], 2, True, "geo") == row
 
     def test_inadmissible_counts(self):
         with pytest.raises(ValueError, match="integral"):

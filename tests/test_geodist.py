@@ -9,10 +9,10 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from floqtess import cli, derive, geodist, hypgeo
+from floqtess import cli, derive, geodist
 from floqtess.catalog import build_table, enumerate_signatures, equivalence_check
 from floqtess.geodist import estimate_distance
-from floqtess.hypgeo import SemiRegularSig, systole
+from floqtess.hypgeo import systole
 import reference
 
 # [6,6,8] family estimates across orientable genus 2..9; the winning
@@ -94,11 +94,6 @@ class TestSingleConvention:
             estimate_distance((6, 6, 6), 2, True)
         with pytest.raises(TypeError, match="triple of integers"):
             estimate_distance((6.5, 6, 8), 2, True)
-
-    def test_takes_a_validated_signature(self):
-        assert estimate_distance(SemiRegularSig((6, 6, 8)), 3, True) == estimate_distance(
-            (6, 6, 8), 3, True
-        )
 
 
 class TestEstimateDistance:
@@ -228,16 +223,11 @@ def test_estimate_equals_the_search_on_every_exact_row():
         assert estimate_distance(r.signature, r.genus, r.orientable)["d"] == r.d, r
 
 
-def clear_caches():
-    geodist._chord_table.cache_clear()
-    hypgeo._SEMIREGULAR.clear()
-
-
 @pytest.fixture()
 def cold_cache():
-    clear_caches()
+    geodist._chord_table.cache_clear()
     yield
-    clear_caches()
+    geodist._chord_table.cache_clear()
 
 
 @pytest.fixture()
@@ -246,9 +236,9 @@ def solves(monkeypatch):
     seen = []
     real = geodist.semiregular_profile
 
-    def spy(sig):
-        seen.append(sig.m)
-        return real(sig)
+    def spy(m):
+        seen.append(m)
+        return real(m)
 
     monkeypatch.setattr(geodist, "semiregular_profile", spy)
     return seen
@@ -317,16 +307,14 @@ class TestChordCache:
                 assert str(got.value) == str(want.value)
 
     def test_memos_hold_one_entry_per_triple(self, cold_cache):
-        # The benchmark's table sweep, cold: the signature checks and the
-        # chords are memoized once per distinct triple, and nothing per row
-        # (no vertex count and no systole is kept).
+        # The benchmark's table sweep, cold: the chords are memoized once
+        # per distinct estimated triple, and nothing per row (no signature
+        # check, no vertex count and no systole is kept).
         rows = [r for o, genera in ((True, range(2, 6)), (False, range(3, 6)))
                 for r in build_table(genera, o)]
         triples = {r.signature for r in rows}
         estimated = {r.signature for r in rows if r.d_source == "geometric-estimate"}
         assert len(rows) > len(triples) > len(estimated) > 0
-        assert set(hypgeo._SEMIREGULAR) == triples
-        assert all(sig.m == m for m, sig in hypgeo._SEMIREGULAR.items())
         assert geodist._chord_table.cache_info().currsize == len(estimated)
         assert not hasattr(derive._admitted_vertex_count, "cache_info")
         modules = ("catalog", "cli", "coloring", "derive", "floquet", "geodist",

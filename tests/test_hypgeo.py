@@ -9,12 +9,16 @@ significant digits.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from floqtess import hypgeo
 from floqtess.catalog import enumerate_signatures
+from floqtess.derive import semiregular_counts_direct
+from floqtess.floquet import code_params
+from floqtess.geodist import estimate_distance
 from floqtess.hypgeo import (
-    SemiRegularSig,
+    _check_semiregular,
     regular_profile,
     semiregular_edge_length,
     semiregular_profile,
@@ -25,7 +29,7 @@ from reference import incenter_chord, surface_area
 
 def _hyperbolic(m) -> bool:
     try:
-        SemiRegularSig(m)
+        _check_semiregular(m)
     except ValueError:
         return False
     return True
@@ -58,7 +62,7 @@ def _table_signatures() -> list[tuple[int, int, int]]:
 def reference_edge_length(m) -> float:
     """Oracle independent of the closed form: plain bisection of the
     residual over [1, 1e6] down to 4 ulps, then two Newton steps."""
-    cosines = [math.cos(math.pi / mi) for mi in SemiRegularSig(m).m]
+    cosines = [math.cos(math.pi / mi) for mi in _check_semiregular(m)]
 
     def residual(c):
         return math.fsum(math.asin(k / c) for k in cosines) - math.pi
@@ -259,11 +263,11 @@ class TestSemiRegular:
         with pytest.raises(ValueError, match="Euclidean triple"):
             semiregular_edge_length([6, 6, 6])
         with pytest.raises(ValueError, match="Euclidean triple"):
-            SemiRegularSig((4, 8, 8))
+            _check_semiregular((4, 8, 8))
 
     def test_spherical_triple_rejected(self):
         with pytest.raises(ValueError, match="spherical triple"):
-            SemiRegularSig((3, 3, 4))
+            _check_semiregular((3, 3, 4))
 
     def test_residual_small_on_random_admissible_triples(self):
         # The solver itself raises if the residual exceeds 1e-10; exercise a
@@ -403,21 +407,64 @@ class TestSystole:
 
 
 class TestAdmissibility:
-    """SemiRegularSig is the hyperbolicity test for a vertex type."""
+    """``_check_semiregular`` is the hyperbolicity test for a vertex type."""
 
     def test_examples(self):
-        assert SemiRegularSig((8, 8, 8)).m == (8, 8, 8)
+        assert _check_semiregular((8, 8, 8)) == (8, 8, 8)
         with pytest.raises(ValueError, match="Euclidean"):
-            SemiRegularSig((6, 6, 6))
-        assert SemiRegularSig((4, 6, 14)).m == (4, 6, 14)
+            _check_semiregular((6, 6, 6))
+        assert _check_semiregular([4, 6, 14]) == (4, 6, 14)
 
     def test_boundary_is_exact(self):
         # 1/4 + 1/8 + 1/8 = 1/2 exactly; float arithmetic must not let it in.
         for m in ((4, 8, 8), (4, 6, 12), (3, 7, 42)):
             with pytest.raises(ValueError, match="Euclidean"):
-                SemiRegularSig(m)
-        assert SemiRegularSig((3, 7, 43)).m == (3, 7, 43)
+                _check_semiregular(m)
+        assert _check_semiregular((3, 7, 43)) == (3, 7, 43)
 
     def test_rejects_degenerate_entries(self):
         with pytest.raises(ValueError, match=">= 3"):
-            SemiRegularSig((2, 8, 8))
+            _check_semiregular((2, 8, 8))
+
+
+# Each public function that takes a vertex type, at a surface it admits
+# (6, 6, 8) on.
+TRIPLE_ENTRY_POINTS = {
+    "semiregular_edge_length": semiregular_edge_length,
+    "semiregular_profile": semiregular_profile,
+    "estimate_distance": lambda m: estimate_distance(m, 2, True),
+    "semiregular_counts_direct": lambda m: semiregular_counts_direct(m, 2, True),
+    "code_params": lambda m: code_params(m, 2, True),
+}
+
+# Triples the checker refuses, with the exception type it raises.
+BAD_TRIPLES = {
+    "pair": ((6, 8), TypeError),
+    "float": ((6, 6, 8.0), TypeError),
+    "numpy-int": ((6, 6, np.int64(8)), TypeError),
+    "bool": ((True, 8, 8), TypeError),
+    "small": ((2, 6, 8), ValueError),
+    "euclidean": ((6, 6, 6), ValueError),
+    "spherical": ((4, 6, 8), ValueError),
+}
+
+
+@pytest.mark.parametrize("m, exc", BAD_TRIPLES.values(), ids=BAD_TRIPLES.keys())
+def test_every_entry_point_refuses_a_bad_triple_alike(m, exc):
+    # Every entry point checks the triple itself, on every call, so each
+    # raises the checker's exception, even after the good (6, 6, 8), which
+    # (6, 6, 8.0) and (6, 6, int64(8)) compare and hash equal to.
+    with pytest.raises(exc) as want:
+        _check_semiregular(m)
+    assert type(want.value) is exc
+    for name, call in TRIPLE_ENTRY_POINTS.items():
+        call((6, 6, 8))
+        for _ in range(2):
+            with pytest.raises(exc) as got:
+                call(m)
+            assert type(got.value) is exc and str(got.value) == str(want.value), name
+
+
+def test_every_entry_point_takes_a_list_as_its_tuple():
+    for name, call in TRIPLE_ENTRY_POINTS.items():
+        assert call([6, 6, 8]) == call((6, 6, 8)), name

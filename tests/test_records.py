@@ -1,9 +1,10 @@
-"""The package's five immutable records: construction by position and by
+"""The package's four immutable records: construction by position and by
 keyword, every constructor check with its message, assignment and deletion
 refused, equality and hash over exactly the fields each record compares or
 hashes, and no field shared with the caller's mutable arguments.  The
-regular signature {p,q} is no record: ``regular_profile`` checks the pair
-itself, with the messages pinned here too."""
+signatures are no records: ``regular_profile`` checks the pair {p,q}
+itself, ``_check_semiregular`` the vertex type [m1,m2,m3] and
+``_check_genus`` the genus, with the messages pinned here too."""
 
 import importlib
 import pkgutil
@@ -14,7 +15,7 @@ import floqtess
 from floqtess.coloring import ColorAssignment, EdgeSchedule, edge_three_color, three_color
 from floqtess.derive import polygon_complex
 from floqtess.floquet import ScheduleResult, run_schedule
-from floqtess.hypgeo import SemiRegularSig, _Record, regular_profile
+from floqtess.hypgeo import _Record, _check_genus, _check_semiregular, regular_profile
 from floqtess.surface import SurfaceComplex, SurfaceError, fundamental_polygon
 
 POLYGON = fundamental_polygon(2, True)
@@ -22,7 +23,6 @@ INCENTER = polygon_complex("incenter", 2, True)
 CLIP = polygon_complex("clip", 2, True)
 EDGE_COLOR = dict(edge_three_color(CLIP).edge_color)
 FACE_COLOR = three_color(INCENTER).face_color
-SIG = SemiRegularSig((6, 6, 8))
 RESULT = run_schedule(three_color(INCENTER), 9)
 
 
@@ -33,7 +33,6 @@ def polygon_fields():
 # Per record: its field names in constructor order and the values of one
 # valid instance.
 RECORDS = {
-    SemiRegularSig: (("m",), ((6, 6, 8),)),
     SurfaceComplex: (("orientable", "genus", "vertices", "edges", "faces"), polygon_fields()),
     EdgeSchedule: (("complex", "edge_color"), (CLIP, EDGE_COLOR)),
     ColorAssignment: (("complex", "face_color"), (INCENTER, FACE_COLOR)),
@@ -46,7 +45,6 @@ RECORDS = {
 # Per record compared by value: the fields its hash covers.  Equality
 # covers the same fields, but for EdgeSchedule's, which adds edge_color.
 HASHED = {
-    SemiRegularSig: ("m",),
     SurfaceComplex: RECORDS[SurfaceComplex][0],
     EdgeSchedule: ("complex",),
     ColorAssignment: ("complex", "face_color"),
@@ -109,14 +107,13 @@ def test_equal_records_hash_their_fields(cls):
 
 
 def test_signatures_differ_on_any_field():
-    assert SemiRegularSig((6, 6, 8)) != SemiRegularSig((6, 8, 6))
-    # A list is stored as its tuple, so both compare and hash alike.
-    listed = SemiRegularSig([6, 6, 8])
-    assert listed.m == (6, 6, 8) and listed == SIG and hash(listed) == hash(SIG)
+    # A vertex type is its ordered tuple; a list gives the same tuple.
+    assert _check_semiregular((6, 6, 8)) != _check_semiregular((6, 8, 6))
+    listed = _check_semiregular([6, 6, 8])
+    assert type(listed) is tuple and listed == (6, 6, 8)
 
 
 def test_value_records_print_their_fields():
-    assert repr(SIG) == "SemiRegularSig(m=(6, 6, 8))"
     head = f"SurfaceComplex(orientable=True, genus=2, vertices={POLYGON.vertices!r}, edges="
     assert repr(POLYGON).startswith(head)
 
@@ -204,6 +201,7 @@ def _raises(exc, message, call):
 
 CHECKS = {
     "regular-type": (TypeError, "p and q must be integers", lambda: regular_profile((7.0, 3))),
+    "regular-bool": (TypeError, "p and q must be integers", lambda: regular_profile((True, 8))),
     "regular-small": (
         ValueError, "{2,7}: face size and valence must be >= 3",
         lambda: regular_profile((2, 7)),
@@ -217,22 +215,31 @@ CHECKS = {
         lambda: regular_profile((3, 5)),
     ),
     "semiregular-length": (
-        TypeError, "vertex type must be a triple of integers", lambda: SemiRegularSig((6, 6)),
+        TypeError, "vertex type must be a triple of integers", lambda: _check_semiregular((6, 6)),
     ),
     "semiregular-type": (
         TypeError, "vertex type must be a triple of integers",
-        lambda: SemiRegularSig(m=(6, 6, 8.0)),
+        lambda: _check_semiregular(m=(6, 6, 8.0)),
+    ),
+    "semiregular-bool": (
+        TypeError, "vertex type must be a triple of integers",
+        lambda: _check_semiregular((True, 8, 8)),
     ),
     "semiregular-small": (
-        ValueError, "[2,6,8]: face sizes must be >= 3", lambda: SemiRegularSig((2, 6, 8)),
+        ValueError, "[2,6,8]: face sizes must be >= 3", lambda: _check_semiregular((2, 6, 8)),
     ),
     "semiregular-euclidean": (
         ValueError, "[6,6,6] is a Euclidean triple (need 1/m1 + 1/m2 + 1/m3 < 1/2)",
-        lambda: SemiRegularSig((6, 6, 6)),
+        lambda: _check_semiregular((6, 6, 6)),
     ),
     "semiregular-spherical": (
         ValueError, "[4,6,8] is a spherical triple (need 1/m1 + 1/m2 + 1/m3 < 1/2)",
-        lambda: SemiRegularSig([4, 6, 8]),
+        lambda: _check_semiregular([4, 6, 8]),
+    ),
+    # A bool is no genus, though it is an int.
+    "genus-bool": (TypeError, "genus must be an integer", lambda: _check_genus(True, True)),
+    "polygon-bool": (
+        TypeError, "genus must be an integer", lambda: fundamental_polygon(True, True),
     ),
     "complex-orientable": (
         SurfaceError, "orientable must be a boolean, got 1",

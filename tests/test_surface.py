@@ -16,7 +16,7 @@ from floqtess.catalog import build_table
 from floqtess.cli import _parse_sig
 from floqtess.derive import clip_complex, incenter_complex
 from floqtess.floquet import code_params
-from floqtess.hypgeo import SemiRegularSig, _check_genus, _genus_chi, regular_profile, systole
+from floqtess.hypgeo import _check_genus, _check_semiregular, _genus_chi, regular_profile, systole
 from floqtess.surface import (
     Edge,
     SurfaceComplex,
@@ -1074,7 +1074,7 @@ class TestIsomorphism:
 
 
 class TestTessSignature:
-    """A tessellation signature on a surface: the signature checks its own
+    """A tessellation signature on a surface: its checker tests its
     hyperbolicity, and the genus rule gives the floor and chi."""
 
     def test_regular(self):
@@ -1082,14 +1082,14 @@ class TestTessSignature:
         assert _check_genus(2, True) == _genus_chi(2, True) == -2
 
     def test_semiregular(self):
-        assert SemiRegularSig((6, 6, 8)).m == (6, 6, 8)
+        assert _check_semiregular((6, 6, 8)) == (6, 6, 8)
         assert _check_genus(3, False) == _genus_chi(3, False) == -1
 
     def test_rejects_non_hyperbolic(self):
         with pytest.raises(ValueError):
             regular_profile((4, 4))
         with pytest.raises(ValueError, match="Euclidean"):
-            SemiRegularSig((6, 6, 6))
+            _check_semiregular((6, 6, 6))
 
     def test_genus_floors(self):
         with pytest.raises(ValueError):
